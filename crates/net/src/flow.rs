@@ -225,6 +225,8 @@ pub struct ListenerStats {
     pub accepts: u64,
     /// SYNs refused with RST (table full or backlog full).
     pub syn_overflow_rsts: u64,
+    /// Frames dropped for failing the frame check sequence.
+    pub rx_corrupt_drops: u64,
     /// Orderly closes (peer FIN or local `close_flow`).
     pub closes: u64,
     /// Peer RSTs received on known flows.
@@ -249,6 +251,7 @@ struct ListenCounters {
     syns: Counter,
     accepts: Counter,
     syn_overflow_rsts: Counter,
+    rx_corrupt_drops: Counter,
     syn_backlog: Gauge,
     active: Gauge,
     closes: Counter,
@@ -349,6 +352,7 @@ impl TcpListener {
             syns: tele.counter("net.tcp.listen.syns"),
             accepts: tele.counter("net.tcp.listen.accepts"),
             syn_overflow_rsts: tele.counter("net.tcp.listen.syn_overflow_rsts"),
+            rx_corrupt_drops: tele.counter("net.tcp.listen.rx_corrupt_drops"),
             syn_backlog: tele.gauge("net.tcp.listen.syn_backlog"),
             active: tele.gauge("net.tcp.flow.active"),
             closes: tele.counter("net.tcp.flow.closes"),
@@ -569,9 +573,11 @@ impl TcpListener {
         if frame.len() < TCP_HEADER_BYTES {
             return Ok(()); // runt
         }
-        // Corruption drops silently; the peer's RTO recovers (checksum
-        // offload — not charged).
+        // Corruption is dropped and counted; the peer's RTO recovers
+        // (checksum offload — not charged).
         if !cf_nic::fcs_ok(frame.as_slice()) {
+            self.stats.rx_corrupt_drops += 1;
+            self.counters.rx_corrupt_drops.inc();
             return Ok(());
         }
         let costs = self.ctx.sim.costs();

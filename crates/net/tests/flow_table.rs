@@ -1,6 +1,8 @@
 //! Flow-table listener end-to-end tests: accept, serve, teardown, reap,
 //! bounded state under misbehaving peers, and the zero-alloc churn proof.
 
+mod common;
+
 use cf_net::tcp::{FLAG_ACK, FLAG_SYN, OFF_ACK, OFF_DST, OFF_FLAGS, OFF_SEQ, OFF_SRC};
 use cf_net::{FlowConfig, FlowId, NetError, TcpListener, TcpStack};
 use cf_nic::PortHub;
@@ -284,6 +286,56 @@ fn per_flow_reasm_cap_bounds_a_slow_drip_reader() {
         sim_step(&sim, &mut hub, &mut listener, &mut client);
     }
     assert_eq!(delivered, 16, "every message eventually delivered");
+}
+
+#[test]
+fn error_bursts_at_every_fcs_kernel_boundary_are_dropped_counted_and_repaired() {
+    let (mut listener, mut hub, sim, clock) = rig(FlowConfig::default());
+    let tele = Telemetry::attach(&sim);
+    listener.set_telemetry(&tele);
+    let mut client = connect_client(&mut listener, &mut hub, &sim, 4000);
+    let to_listener = listener.install_faults(cf_nic::FaultPlan::none());
+    let to_client = client.install_faults(cf_nic::FaultPlan::none());
+
+    let mut drops = 0;
+    for len in common::FCS_FRAME_LENS {
+        // One message is one segment: TCP header, length prefix, bytes.
+        let data: Vec<u8> = (0..len - cf_net::tcp::TCP_HEADER_BYTES - 4)
+            .map(|i| (i * 37 + len) as u8)
+            .collect();
+        for (first_bit, width) in common::fcs_boundary_bursts(len) {
+            client.send_bytes(&data).unwrap();
+            hub.pump();
+            assert!(to_listener.corrupt_pending_at(first_bit, width));
+            listener.poll().unwrap();
+            assert!(
+                listener.recv_from().unwrap().is_none(),
+                "{len} B segment, {width} bits flipped from bit {first_bit}: surfaced"
+            );
+            drops += 1;
+            assert_eq!(listener.stats().rx_corrupt_drops, drops);
+            assert_eq!(
+                tele.counter_value("net.tcp.listen.rx_corrupt_drops"),
+                drops,
+                "{len} B segment, bit {first_bit}: counted exactly once"
+            );
+            hub.pump();
+            assert_eq!(to_client.pending(), 0, "a corrupt segment is not ACKed");
+
+            // The client's RTO repairs it with the same bytes, which verify.
+            clock.advance(300_000);
+            client.poll().unwrap();
+            hub.pump();
+            listener.poll().unwrap();
+            let (_, msg) = listener.recv_from().unwrap().expect("retransmission");
+            assert_eq!(msg.as_slice(), &data[..]);
+            hub.pump();
+            client.poll().unwrap();
+            assert_eq!(client.retransmit_queue_len(), 0);
+        }
+    }
+    assert_eq!(client.retransmissions(), drops);
+    assert_eq!(listener.established_flows(), 1, "the flow survived it all");
 }
 
 /// Advances the world one RTO-ish step: clock, client timers, wire, server.

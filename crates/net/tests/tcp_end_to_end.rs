@@ -3,6 +3,8 @@
 
 #![allow(clippy::field_reassign_with_default)] // builder-style test setup
 
+mod common;
+
 use cf_net::TcpStack;
 use cf_nic::{link, FaultPlan};
 use cf_sim::{Clock, MachineProfile, Sim};
@@ -171,6 +173,51 @@ fn corrupted_segment_is_dropped_and_retransmitted() {
     let msg = b.recv_msg().unwrap().expect("retransmission delivered");
     let d = Single::deserialize(b.ctx(), &msg).unwrap();
     assert_eq!(d.val.unwrap().as_slice(), &payload[..]);
+}
+
+#[test]
+fn error_bursts_at_every_fcs_kernel_boundary_are_dropped_counted_and_repaired() {
+    use cf_telemetry::{Telemetry, TelemetryConfig};
+
+    let (mut a, mut b, clock) = established_pair();
+    let tele = Telemetry::new(clock.clone(), TelemetryConfig::default());
+    b.set_telemetry(&tele);
+    let to_b = b.install_faults(FaultPlan::none());
+    let to_a = a.install_faults(FaultPlan::none());
+
+    let mut drops = 0;
+    for len in common::FCS_FRAME_LENS {
+        // One message is one segment: TCP header, length prefix, bytes.
+        let data: Vec<u8> = (0..len - cf_net::tcp::TCP_HEADER_BYTES - 4)
+            .map(|i| (i * 29 + len) as u8)
+            .collect();
+        for (first_bit, width) in common::fcs_boundary_bursts(len) {
+            a.send_bytes(&data).unwrap();
+            assert!(to_b.corrupt_pending_at(first_bit, width));
+            b.poll().unwrap();
+            assert!(
+                b.recv_msg().unwrap().is_none(),
+                "{len} B segment, {width} bits flipped from bit {first_bit}: surfaced"
+            );
+            drops += 1;
+            assert_eq!(
+                tele.counter_value("net.tcp.rx_corrupt_drops"),
+                drops,
+                "{len} B segment, bit {first_bit}: counted exactly once"
+            );
+            assert_eq!(to_a.pending(), 0, "a corrupt segment is not ACKed");
+
+            // The RTO repairs it with the same bytes, which verify.
+            clock.advance(300_000);
+            a.poll().unwrap();
+            b.poll().unwrap();
+            let msg = b.recv_msg().unwrap().expect("retransmission delivered");
+            assert_eq!(msg.as_slice(), &data[..]);
+            a.poll().unwrap();
+            assert_eq!(a.retransmit_queue_len(), 0);
+        }
+    }
+    assert_eq!(a.retransmissions(), drops);
 }
 
 #[test]

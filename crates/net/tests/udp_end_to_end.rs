@@ -2,6 +2,8 @@
 
 #![allow(clippy::field_reassign_with_default)] // builder-style test setup
 
+mod common;
+
 use cf_net::{FrameMeta, UdpStack};
 use cf_nic::link;
 use cf_sim::{MachineProfile, Sim};
@@ -292,6 +294,52 @@ fn corrupt_frames_are_dropped_and_counted() {
     let pkt = b.recv_packet().expect("clean frame delivered");
     assert_eq!(&*pkt.payload, payload);
     assert_eq!(tele.counter_value("net.udp.rx_corrupt_drops"), 1);
+}
+
+#[test]
+fn error_bursts_at_every_fcs_kernel_boundary_are_dropped_and_counted() {
+    use cf_nic::FaultPlan;
+    use cf_telemetry::{Telemetry, TelemetryConfig};
+
+    let (mut a, mut b) = pair();
+    let tele = Telemetry::new(b.sim().clock(), TelemetryConfig::default());
+    b.set_telemetry(&tele);
+    let faults = b.install_faults(FaultPlan::none());
+    let hdr = a.header_to(2000, meta(1));
+    let send = |a: &mut UdpStack, payload: &[u8]| {
+        let mut tx = a.alloc_tx(payload.len()).unwrap();
+        tx.write_at(cf_net::HEADER_BYTES, payload);
+        a.send_built(hdr, tx, payload.len()).unwrap();
+    };
+
+    let mut drops = 0;
+    for len in common::FCS_FRAME_LENS {
+        let payload: Vec<u8> = (0..len - cf_net::HEADER_BYTES)
+            .map(|i| (i * 31 + len) as u8)
+            .collect();
+        for (first_bit, width) in common::fcs_boundary_bursts(len) {
+            send(&mut a, &payload);
+            assert!(faults.corrupt_pending_at(first_bit, width));
+            assert!(
+                b.recv_packet().is_none(),
+                "{len} B frame, {width} bits flipped from bit {first_bit}: surfaced"
+            );
+            drops += 1;
+            assert_eq!(
+                tele.counter_value("net.udp.rx_corrupt_drops"),
+                drops,
+                "{len} B frame, bit {first_bit}: counted exactly once"
+            );
+        }
+        // The same bytes, untouched, still verify.
+        send(&mut a, &payload);
+        let pkt = b.recv_packet().expect("clean frame delivered");
+        assert_eq!(&*pkt.payload, &payload[..]);
+    }
+    assert_eq!(tele.counter_value("net.udp.rx_corrupt_drops"), drops);
+    assert_eq!(tele.counter_value("net.udp.rx_runt_drops"), 0);
+    assert_eq!(b.nic_stats().tx_frames, 0, "no reply to a corrupt frame");
+    assert!(!a.has_pending_rx());
 }
 
 #[test]

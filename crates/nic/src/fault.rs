@@ -192,6 +192,16 @@ impl FaultState {
         }
     }
 
+    /// Flips bits `first_bit..first_bit + burst` of `frame` (which must
+    /// contain them) and counts one corrupted frame.
+    fn corrupt(&mut self, frame: &mut Frame, first_bit: usize, burst: usize) {
+        for bit in first_bit..first_bit + burst {
+            frame.data[bit / 8] ^= 1 << (bit % 8);
+        }
+        self.stats.corrupted += 1;
+        self.counters.corrupted.inc();
+    }
+
     /// Delivers the next frame through the plan, or `None` if every pending
     /// frame was dropped/held back.
     pub(crate) fn deliver(&mut self, queue: &mut VecDeque<Frame>) -> Option<Frame> {
@@ -235,9 +245,7 @@ impl FaultState {
             }
             if self.rng.next_bool(self.plan.corrupt) && !frame.is_empty() {
                 let bit = self.rng.next_bounded(frame.data.len() as u64 * 8);
-                frame.data[(bit / 8) as usize] ^= 1 << (bit % 8);
-                self.stats.corrupted += 1;
-                self.counters.corrupted.inc();
+                self.corrupt(&mut frame, bit as usize, 1);
             }
             if self.rng.next_bool(self.plan.delay) {
                 let (lo, hi) = self.plan.delay_ns;
@@ -342,9 +350,28 @@ impl FaultInjector {
                 return false;
             }
             let bit = s.rng.next_bounded(front.data.len() as u64 * 8);
-            front.data[(bit / 8) as usize] ^= 1 << (bit % 8);
-            s.stats.corrupted += 1;
-            s.counters.corrupted.inc();
+            s.corrupt(front, bit as usize, 1);
+            true
+        })
+    }
+
+    /// Flips `burst` consecutive bits of the next pending frame, starting
+    /// at bit `first_bit` (bit `8 * i + k` is bit `k`, least significant
+    /// first, of byte `i`) — a wire error burst placed exactly. Returns
+    /// whether a frame was corrupted; a burst that is empty or does not fit
+    /// inside the frame flips nothing.
+    pub fn corrupt_pending_at(&self, first_bit: usize, burst: usize) -> bool {
+        self.with_state(|s, q| {
+            let Some(front) = q.front_mut() else {
+                return false;
+            };
+            let fits = first_bit
+                .checked_add(burst)
+                .is_some_and(|end| end <= front.len() * 8);
+            if burst == 0 || !fits {
+                return false;
+            }
+            s.corrupt(front, first_bit, burst);
             true
         })
     }
@@ -470,6 +497,23 @@ mod tests {
             .sum();
         assert_eq!(diff, 1);
         assert_eq!(inj.stats().corrupted, 1);
+    }
+
+    #[test]
+    fn placed_burst_flips_exactly_the_named_bits() {
+        let (b, inj, _clock) = flood(1);
+        // Bits 6..19: the top two of byte 0, all of byte 1, the low three
+        // of byte 2.
+        assert!(inj.corrupt_pending_at(6, 13));
+        // Bursts that are empty or run off the end flip nothing.
+        assert!(!inj.corrupt_pending_at(0, 0));
+        assert!(!inj.corrupt_pending_at(32 * 8 - 1, 2));
+        assert!(!inj.corrupt_pending_at(usize::MAX, 2));
+        let got = drain(&b);
+        assert_eq!(got[0].data[..4], [0xC0, 0xFF, 0x07, 0x00]);
+        assert!(got[0].data[4..].iter().all(|&b| b == 0));
+        assert_eq!(inj.stats().corrupted, 1);
+        assert!(!inj.corrupt_pending_at(0, 1), "nothing pending");
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! [`FCS_OFFSET`], written by the NIC at transmit time ([`Frame::seal`],
 //! modeling checksum offload — no CPU charge) and verified by the receiving
 //! stack ([`fcs_ok`]), so wire corruption is detected and counted rather
-//! than silently consumed.
+//! than silently consumed. The CRC itself is computed by the kernels in the
+//! private `fcs` module.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -23,6 +24,7 @@ use std::rc::Rc;
 use cf_sim::Clock;
 
 use crate::fault::{FaultInjector, FaultPlan, FaultState};
+use crate::fcs;
 
 /// Byte offset of the CRC32 frame check sequence within a frame.
 ///
@@ -31,56 +33,29 @@ use crate::fault::{FaultInjector, FaultPlan, FaultState};
 /// sequence, or application-metadata offset.
 pub const FCS_OFFSET: usize = 18;
 
-/// CRC32 (IEEE, reflected) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = build_crc_table();
-
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-/// CRC32 of `data` with the FCS field itself treated as zero.
+/// CRC32 (IEEE 802.3, reflected) of `data` with the FCS field — bytes
+/// [`FCS_OFFSET`]`..+4` — read as zero, so sealing does not change the
+/// value it stores.
+///
+/// Defined for every length: input that ends inside the field has the field
+/// bytes it does contain masked, and input that ends before it is a plain
+/// CRC32 of the whole slice.
 pub fn frame_fcs(data: &[u8]) -> u32 {
-    let mut c = !0u32;
-    for (i, &b) in data.iter().enumerate() {
-        let b = if (FCS_OFFSET..FCS_OFFSET + 4).contains(&i) {
-            0
-        } else {
-            b
-        };
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
+    let (head, rest) = data.split_at(data.len().min(FCS_OFFSET));
+    let (field, body) = rest.split_at(rest.len().min(4));
+    let crc = fcs::update(!0, head);
+    let crc = fcs::update(crc, &[0; 4][..field.len()]);
+    !fcs::update(crc, body)
 }
 
 /// Verifies the FCS written by [`Frame::seal`]. Frames too short to carry
 /// one (control stubs, runts) trivially pass — the stacks' length checks
 /// handle those.
 pub fn fcs_ok(data: &[u8]) -> bool {
-    if data.len() < FCS_OFFSET + 4 {
-        return true;
+    match data.get(FCS_OFFSET..).and_then(<[u8]>::first_chunk::<4>) {
+        Some(stored) => u32::from_le_bytes(*stored) == frame_fcs(data),
+        None => true,
     }
-    let stored = u32::from_le_bytes(
-        data[FCS_OFFSET..FCS_OFFSET + 4]
-            .try_into()
-            .expect("4-byte slice"),
-    );
-    stored == frame_fcs(data)
 }
 
 /// A gathered on-wire frame.
@@ -322,6 +297,37 @@ mod tests {
         // Corruption inside the FCS field itself is also detected.
         f.data[FCS_OFFSET] ^= 1;
         assert!(!f.fcs_ok());
+    }
+
+    #[test]
+    fn frame_fcs_matches_masked_bytewise_at_every_length() {
+        use crate::fcs::tests::update_bytewise;
+        let bytes: Vec<u8> = (0..crate::MAX_FRAME + 64)
+            .map(|i| (i as u32).wrapping_mul(2_654_435_761).to_le_bytes()[3])
+            .collect();
+        // The definition: a bytewise walk over the input with whatever it
+        // holds of bytes 18..22 read as zero — including inputs that end
+        // before or inside the field.
+        let mut reference = !0u32;
+        for len in 0..=bytes.len() {
+            assert_eq!(frame_fcs(&bytes[..len]), !reference, "len {len}");
+            if let Some(&b) = bytes.get(len) {
+                let in_field = (FCS_OFFSET..FCS_OFFSET + 4).contains(&len);
+                reference = update_bytewise(reference, &[if in_field { 0 } else { b }]);
+            }
+        }
+        assert_eq!(frame_fcs(&[]), 0);
+        assert_eq!(frame_fcs(b"123456789"), 0xCBF4_3926);
+        // Present field bytes are masked, so their contents never matter.
+        for len in FCS_OFFSET..=FCS_OFFSET + 5 {
+            let mut data = vec![0xFF; len];
+            let before = frame_fcs(&data);
+            data.iter_mut()
+                .skip(FCS_OFFSET)
+                .take(4)
+                .for_each(|b| *b = 0x5A);
+            assert_eq!(frame_fcs(&data), before, "len {len}");
+        }
     }
 
     #[test]

@@ -34,7 +34,12 @@
 //! cost); the gather itself is NIC-side PCIe work, not CPU time, and is not
 //! charged to the virtual clock.
 
+// The crate's one `unsafe` is the feature-detected call into the
+// carry-less-multiply CRC kernel (`fcs::update`).
+#![deny(unsafe_op_in_unsafe_fn)]
+
 pub mod fault;
+mod fcs;
 pub mod frame;
 pub mod hub;
 pub mod nic;

@@ -8,12 +8,15 @@
 //!    reference until completions are polled.
 //! 3. Limits: entry counts above the NIC's maximum and frames above the
 //!    MTU are rejected without transmitting anything.
+//! 4. Detection: a wire error burst of up to 32 bits, anywhere in a frame
+//!    of any length up to the MTU, fails the sealed FCS — at a random
+//!    position and at every offset where the CRC kernels hand over.
 
 use proptest::prelude::*;
 
 use cf_mem::{PinnedPool, PoolConfig, Registry};
-use cf_nic::{link, Nic};
-use cf_sim::{MachineProfile, Sim};
+use cf_nic::{link, FaultPlan, Nic, FCS_OFFSET, MAX_FRAME};
+use cf_sim::{Clock, MachineProfile, Sim};
 
 fn setup() -> (Nic, Nic, PinnedPool) {
     let sim = Sim::new(MachineProfile::tiny_for_tests());
@@ -60,6 +63,50 @@ proptest! {
             prop_assert_eq!(got, want, "byte {} differs", i);
         }
         prop_assert!(cf_nic::fcs_ok(rx_bytes), "sealed FCS verifies");
+    }
+
+    #[test]
+    fn error_bursts_fail_the_sealed_fcs(
+        len in FCS_OFFSET + 4..=MAX_FRAME,
+        fill in any::<u8>(),
+        place in any::<u64>(),
+        width in 1usize..=32,
+    ) {
+        let (mut a, mut b, pool) = setup();
+        let faults = b.port().install_faults(Clock::new(), FaultPlan::none());
+        let bytes: Vec<u8> = (0..len).map(|i| fill.wrapping_add((i * 131) as u8)).collect();
+        // Where the FCS walk changes hands: around the masked field, the
+        // fold kernel's 64-byte groups and 16-byte lanes (counted from the
+        // frame start and from byte 22, where the body starts), the tail.
+        let boundaries = [
+            0, 17, 18, 19, 20, 21, 22, 37, 38, 63, 64, 85, 86, 127, 128,
+            len.saturating_sub(17), len - 1,
+        ];
+        let bursts = boundaries
+            .iter()
+            .flat_map(|&byte| [(8 * byte, 1), (8 * byte + 7, 2), (8 * byte + 3, width)])
+            .chain([(place as usize % (8 * len), width)])
+            .filter(|(first_bit, width)| first_bit + width <= 8 * len);
+        for (first_bit, width) in bursts {
+            // Two entries, so the error also lands either side of a
+            // scatter-gather seam.
+            let (head, tail) = bytes.split_at(len / 3);
+            let entries = [head, tail]
+                .iter()
+                .filter(|piece| !piece.is_empty())
+                .map(|piece| pool.alloc_from(piece).expect("alloc"))
+                .collect();
+            a.post_tx(entries).expect("post");
+            a.poll_completions();
+            prop_assert!(faults.corrupt_pending_at(first_bit, width));
+            let rx = b.recv_into(&pool).expect("frame");
+            prop_assert!(
+                !cf_nic::fcs_ok(rx.as_slice()),
+                "{} bits flipped from bit {} of a {} B frame went undetected",
+                width, first_bit, len
+            );
+        }
+        prop_assert_eq!(faults.pending(), 0);
     }
 
     #[test]

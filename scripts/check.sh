@@ -24,6 +24,9 @@ cargo test -q -p cf-kv --test differential
 cargo test -q --test golden
 cargo test -q -p cf-nic --test rss_proptests
 
+echo "==> fcs gate: both CRC kernels against the bytewise reference, every length"
+cargo test -q -p cf-nic fcs
+
 echo "==> overload smoke: goodput holds past saturation with control on"
 cargo test -q -p cf-bench --lib experiments::overload
 
@@ -49,6 +52,9 @@ cargo test -q -p cf-bench --lib experiments::failover
 echo "==> partition smoke: stale reads under Any, none under Quorum"
 cargo test -q -p cf-bench --lib experiments::partition
 cargo test -q --test cluster_consistency
+
+echo "==> repo benchmark (BENCHMARK.json): the benchmark package's own tests"
+cargo test -q --release --manifest-path benchmark/Cargo.toml
 
 if [ "${1:-}" = "--full" ]; then
     echo "==> full: cargo test --workspace -q"
