@@ -9,7 +9,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use cf_sim::{CacheSim, Histogram, MachineProfile, Sim};
+use cf_sim::{CacheSim, Category, Histogram, MachineProfile, Sim};
 use cf_workloads::Zipf;
 use cornflakes_core::msgs::GetM;
 use cornflakes_core::obj::{serialize_to_vec, write_full_header};
@@ -90,11 +90,33 @@ fn bench_roundtrip() {
 }
 
 fn bench_cache_sim() {
+    // Cold streaming: 128 MiB of 2 KiB ranges through a 16 MiB cache, so
+    // every line misses and drops its set's LRU tag.
     let mut cache = CacheSim::new(16 << 20, 16);
     let mut addr = 0u64;
     bench_function("cache_access_2048B", || {
         addr = addr.wrapping_add(4096) & 0xFFF_FFFF;
         cache.access(black_box(addr), 2048)
+    });
+    // Resident: the same ranges over 2 MiB, so every line hits near the
+    // front of its set.
+    bench_function("cache_access_2048B_resident", || {
+        addr = addr.wrapping_add(4096) & 0x1F_FFFF;
+        cache.access(black_box(addr), 2048)
+    });
+    // A received frame: the NIC's DMA write invalidates the resident lines,
+    // then the CPU reads them back in.
+    bench_function("cache_dma_invalidate_then_read_2048B", || {
+        addr = addr.wrapping_add(4096) & 0x1F_FFFF;
+        cache.invalidate(black_box(addr), 2048);
+        cache.access(black_box(addr), 2048)
+    });
+    // One pointer-chasing metadata line through the whole charge path
+    // (borrow, cache, clock, attribution): 512 adjacent reference counts.
+    let sim = Sim::new(MachineProfile::microbench());
+    bench_function("sim_charge_meta_access", || {
+        addr = addr.wrapping_add(8) & 0xFFF;
+        sim.charge_meta_access(Category::SerializeZeroCopy, black_box(0x4000_0000 + addr))
     });
 }
 

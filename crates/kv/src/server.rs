@@ -75,9 +75,16 @@ struct KvCounters {
     dedup_hits: Counter,
     degraded_replies: Counter,
     reply_drops: Counter,
+    malformed_drops: Counter,
     shed_drops: Counter,
     backlog: Gauge,
 }
+
+/// Why a `handle_*` function dropped a request without replying: the payload
+/// did not decode, a segment fetch named no key, or a put lacked its key or
+/// value. Counted once, in [`KvServer::handle`], as `malformed_drops`.
+#[derive(Debug)]
+struct Malformed;
 
 /// Default [`DedupWindow`] capacity: far exceeds any plausible retry
 /// window. Configurable per server via [`KvServer::set_dedup_capacity`].
@@ -250,6 +257,7 @@ impl KvServer {
             dedup_hits: tele.counter(&format!("kv.{k}.dedup_hits")),
             degraded_replies: tele.counter(&format!("kv.{k}.degraded_replies")),
             reply_drops: tele.counter(&format!("kv.{k}.reply_drops")),
+            malformed_drops: tele.counter(&format!("kv.{k}.malformed_drops")),
             shed_drops: tele.counter(&format!("kv.{k}.shed_drops")),
             backlog: tele.gauge(&format!("kv.{k}.backlog")),
         };
@@ -285,6 +293,12 @@ impl KvServer {
     /// Requests handled (any message type).
     pub fn requests_handled(&self) -> u64 {
         self.counters.requests.get()
+    }
+
+    /// Requests dropped without a reply because they were malformed:
+    /// undecodable payload, key-less segment fetch, put without key or value.
+    pub fn malformed_drops(&self) -> u64 {
+        self.counters.malformed_drops.get()
     }
 
     /// Requests rejected by the admission layer with a `SHED` fast-reject.
@@ -568,11 +582,15 @@ impl KvServer {
         // other shards' traffic must never leak into this server's
         // accounting.
         let tx_before = self.stack.nic_queue_stats().tx_bytes;
-        match self.kind {
+        let handled = match self.kind {
             SerKind::Cornflakes => self.handle_cornflakes(pkt),
             SerKind::Protobuf => self.handle_protobuf(pkt),
             SerKind::FlatBuffers => self.handle_flatbuffers(pkt),
             SerKind::CapnProto => self.handle_capnproto(pkt),
+        };
+        if handled.is_err() {
+            // Dropped without a reply, as the paper's server would.
+            self.counters.malformed_drops.inc();
         }
         self.counters
             .bytes_out
@@ -734,7 +752,7 @@ impl KvServer {
         self.resp_scratch = resp;
     }
 
-    fn handle_cornflakes(&mut self, pkt: Packet) {
+    fn handle_cornflakes(&mut self, pkt: Packet) -> Result<(), Malformed> {
         let tele = self.stack.telemetry().clone();
         let mut hdr = pkt.hdr.reply(Self::reply_meta(&pkt));
         let mut req = std::mem::take(&mut self.req_scratch);
@@ -745,16 +763,15 @@ impl KvServer {
                 .deserialize_into(self.stack.ctx(), &pkt.payload)
                 .is_err()
             {
-                // Malformed request: drop, as the paper's server would.
                 self.stash_cornflakes_scratch(req, resp);
-                return;
+                return Err(Malformed);
             }
         }
         resp.id = pkt.hdr.meta.req_id.checked_into_i32();
         if pkt.hdr.meta.msg_type == msg_type::GET_SEGMENT && req.keys.get(0).is_none() {
-            // Malformed segment fetch: drop without replying.
+            // A segment fetch names its key.
             self.stash_cornflakes_scratch(req, resp);
-            return;
+            return Err(Malformed);
         }
         {
             let ctx = self.stack.ctx();
@@ -808,7 +825,7 @@ impl KvServer {
         if pkt.hdr.meta.msg_type == msg_type::PUT {
             let (Some(key), Some(val)) = (req.keys.get(0), req.vals.get(0)) else {
                 self.stash_cornflakes_scratch(req, resp);
-                return;
+                return Err(Malformed);
             };
             hdr.meta.flags = self.apply_put(pkt.hdr.meta.req_id, key.as_slice(), val.as_slice());
             hdr.version = self.version_of(key.as_slice());
@@ -829,23 +846,21 @@ impl KvServer {
             }
         }
         self.stash_cornflakes_scratch(req, resp);
+        Ok(())
     }
 
     // ---- Protobuf baseline ----------------------------------------------
 
-    fn handle_protobuf(&mut self, pkt: Packet) {
+    fn handle_protobuf(&mut self, pkt: Packet) -> Result<(), Malformed> {
         let mut hdr = pkt.hdr.reply(Self::reply_meta(&pkt));
         let sim = self.stack.sim().clone();
-        let req = match PGetM::decode(&sim, &pkt.payload) {
-            Ok(r) => r,
-            Err(_) => return,
-        };
+        let req = PGetM::decode(&sim, &pkt.payload).map_err(|_| Malformed)?;
         let mut resp = PGetM::new();
         resp.id = Some(pkt.hdr.meta.req_id);
         match pkt.hdr.meta.msg_type {
             msg_type::PUT => {
                 let (Some(key), Some(val)) = (req.keys.first(), req.vals.first()) else {
-                    return;
+                    return Err(Malformed);
                 };
                 hdr.meta.flags = self.apply_put(pkt.hdr.meta.req_id, key, val);
                 hdr.version = self.version_of(key);
@@ -879,23 +894,22 @@ impl KvServer {
         self.record_reply(&hdr);
         let Ok(mut tx) = self.stack.alloc_tx(resp.encoded_len()) else {
             self.counters.reply_drops.inc();
-            return;
+            return Ok(());
         };
         let payload = resp.encode(&sim, tx.addr() + HEADER_BYTES as u64);
         tx.write_at(HEADER_BYTES, &payload);
         if self.stack.send_built(hdr, tx, payload.len()).is_err() {
             self.counters.reply_drops.inc();
         }
+        Ok(())
     }
 
     // ---- FlatBuffers baseline --------------------------------------------
 
-    fn handle_flatbuffers(&mut self, pkt: Packet) {
+    fn handle_flatbuffers(&mut self, pkt: Packet) -> Result<(), Malformed> {
         let mut hdr = pkt.hdr.reply(Self::reply_meta(&pkt));
         let sim = self.stack.sim().clone();
-        let Ok(req) = FlatGetMView::parse(&sim, &pkt.payload) else {
-            return;
-        };
+        let req = FlatGetMView::parse(&sim, &pkt.payload).map_err(|_| Malformed)?;
         let nkeys = req.keys_len().unwrap_or(0);
         // Recycled segment-slice scratch (`Vec` covariance shortens the
         // stored `'static` tag to this request's lifetime).
@@ -904,7 +918,7 @@ impl KvServer {
             msg_type::PUT => {
                 let (Ok(key), Ok(val)) = (req.key(0), req.val(0)) else {
                     self.flat_vals_spare = recycle_slices(vals);
-                    return;
+                    return Err(Malformed);
                 };
                 hdr.meta.flags = self.apply_put(pkt.hdr.meta.req_id, key, val);
                 hdr.version = self.version_of(key);
@@ -944,7 +958,7 @@ impl KvServer {
         self.flat_vals_spare = recycle_slices(vals);
         let Ok(mut tx) = self.stack.alloc_tx(built.len()) else {
             self.counters.reply_drops.inc();
-            return;
+            return Ok(());
         };
         sim.charge_memcpy(
             Category::SerializeCopy,
@@ -956,24 +970,23 @@ impl KvServer {
         if self.stack.send_built(hdr, tx, built.len()).is_err() {
             self.counters.reply_drops.inc();
         }
+        Ok(())
     }
 
     // ---- Cap'n Proto baseline ---------------------------------------------
 
-    fn handle_capnproto(&mut self, pkt: Packet) {
+    fn handle_capnproto(&mut self, pkt: Packet) -> Result<(), Malformed> {
         let mut hdr = pkt.hdr.reply(Self::reply_meta(&pkt));
         let sim = self.stack.sim().clone();
-        let Ok(req) = CapnReader::parse(&sim, &pkt.payload) else {
-            return;
-        };
-        let Ok(keys) = req.keys(&sim) else { return };
+        let req = CapnReader::parse(&sim, &pkt.payload).map_err(|_| Malformed)?;
+        let keys = req.keys(&sim).map_err(|_| Malformed)?;
         let mut resp = CapnGetM::new();
         resp.set_id(pkt.hdr.meta.req_id);
         match pkt.hdr.meta.msg_type {
             msg_type::PUT => {
-                let Ok(vals) = req.vals(&sim) else { return };
+                let vals = req.vals(&sim).map_err(|_| Malformed)?;
                 let (Some(key), Some(val)) = (keys.first(), vals.first()) else {
-                    return;
+                    return Err(Malformed);
                 };
                 hdr.meta.flags = self.apply_put(pkt.hdr.meta.req_id, key, val);
                 hdr.version = self.version_of(key);
@@ -1010,7 +1023,7 @@ impl KvServer {
         let framed = CapnGetM::frame(&segments);
         let Ok(mut tx) = self.stack.alloc_tx(framed.len()) else {
             self.counters.reply_drops.inc();
-            return;
+            return Ok(());
         };
         let mut off = HEADER_BYTES;
         // Frame table first (small), then per-segment staging.
@@ -1030,6 +1043,7 @@ impl KvServer {
         if self.stack.send_built(hdr, tx, framed.len()).is_err() {
             self.counters.reply_drops.inc();
         }
+        Ok(())
     }
 }
 

@@ -2,10 +2,12 @@
 //! simulated wire, for every serialization kind.
 
 use cf_mem::PoolConfig;
+use cf_net::{FrameMeta, HEADER_BYTES};
 use cf_sim::{MachineProfile, Sim};
 use cornflakes_core::SerializationConfig;
 
-use cf_kv::client::{client_server_pair, KvClient};
+use cf_kv::client::{client_server_pair, KvClient, SERVER_PORT};
+use cf_kv::msg_type;
 use cf_kv::server::{KvServer, SerKind};
 use cf_kv::store::KvStore;
 
@@ -256,4 +258,89 @@ fn cornflakes_service_time_beats_baselines_on_large_values() {
         );
         assert!(cf < c, "Cornflakes ({cf} ns) should beat {kind:?} ({c} ns)");
     }
+}
+
+/// Sends `payload` as the body of a well-formed frame: the NIC seals it with
+/// a valid FCS, so the bytes reach the request decoder.
+fn send_raw(client: &mut KvClient, mtype: u8, req_id: u32, payload: &[u8]) {
+    let meta = FrameMeta {
+        msg_type: mtype,
+        flags: 0,
+        req_id,
+    };
+    let hdr = client.stack.header_to(SERVER_PORT, meta);
+    let mut tx = client.stack.alloc_tx(payload.len()).expect("tx buffer");
+    tx.write_at(HEADER_BYTES, payload);
+    client
+        .stack
+        .send_built(hdr, tx, payload.len())
+        .expect("raw send");
+}
+
+/// No request vanishes: every frame the server handles is either answered or
+/// counted in `kv.<kind>.malformed_drops`.
+fn run_malformed_requests_are_counted(kind: SerKind) {
+    let (mut client, mut server) = pair(kind);
+    server
+        .store
+        .preload(server.stack.ctx(), b"key-a", &[300])
+        .unwrap();
+
+    client.send_get(&[b"key-a"]);
+    client.send_put(b"key-b", &[7u8; 200]);
+    // Garbage behind a valid header and FCS, on every message type.
+    for (i, mtype) in [msg_type::GET, msg_type::PUT, msg_type::GET_SEGMENT]
+        .into_iter()
+        .enumerate()
+    {
+        send_raw(&mut client, mtype, 9000 + i as u32, &[0xFF; 96]);
+    }
+    // Decodable, but not a request the type allows.
+    client.send_request(msg_type::PUT, None, &[b"key-c"], &[]);
+    client.send_request(msg_type::PUT, None, &[], &[]);
+    client.send_request(msg_type::GET_SEGMENT, Some(0), &[], &[]);
+    let sent = 8;
+
+    let mut handled = 0;
+    while handled < sent {
+        let n = server.poll();
+        assert!(n > 0, "{kind:?}: server stalled after {handled} requests");
+        handled += n;
+    }
+    let mut replies = 0;
+    while client.stack.recv_packet().is_some() {
+        replies += 1;
+    }
+    assert_eq!(server.requests_handled(), sent as u64, "{kind:?}");
+    assert!(replies >= 2, "{kind:?}: the valid GET and PUT are answered");
+    assert!(
+        server.malformed_drops() >= 5,
+        "{kind:?}: garbage and value-less PUTs are dropped, got {}",
+        server.malformed_drops()
+    );
+    assert_eq!(
+        server.requests_handled(),
+        replies + server.malformed_drops(),
+        "{kind:?}: requests == replies + malformed_drops"
+    );
+}
+
+#[test]
+fn malformed_requests_are_counted_cornflakes() {
+    run_malformed_requests_are_counted(SerKind::Cornflakes);
+}
+
+#[test]
+fn malformed_requests_are_counted_protobuf() {
+    run_malformed_requests_are_counted(SerKind::Protobuf);
+}
+
+#[test]
+fn malformed_requests_are_counted_flatbuffers() {
+    run_malformed_requests_are_counted(SerKind::FlatBuffers);
+}
+
+#[test]
+fn malformed_requests_are_counted_capnproto() {
+    run_malformed_requests_are_counted(SerKind::CapnProto);
 }

@@ -8,10 +8,11 @@
 //! the per-packet budget.
 //!
 //! [`CacheSim`] models a single unified last-level cache: set-associative,
-//! LRU replacement, 64-byte lines. Addresses are plain `u64`s — real heap
-//! addresses of the simulated buffers, or synthetic addresses for structures
-//! (such as hash-index buckets) whose residency matters but whose bytes are
-//! not simulated.
+//! LRU replacement (a set is its tags in recency order, so there are no
+//! timestamps to keep or scan), 64-byte lines. Addresses are plain `u64`s —
+//! real heap addresses of the simulated buffers, or synthetic addresses for
+//! structures (such as hash-index buckets) whose residency matters but whose
+//! bytes are not simulated.
 
 /// Result of a multi-line cache access.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -43,19 +44,44 @@ impl AccessResult {
 /// ```
 #[derive(Clone, Debug)]
 pub struct CacheSim {
-    /// `tags[set * ways + way]` holds the line address (address >> 6) plus
-    /// one, so that zero means "invalid".
+    /// `tags[set * ways..][..ways]` is one set in recency order, most
+    /// recently used first. An entry is the line address (address >> 6) plus
+    /// one; zero means "invalid", and invalid ways trail the valid ones.
     tags: Vec<u64>,
-    /// LRU timestamps parallel to `tags`.
-    stamps: Vec<u64>,
     ways: usize,
     set_mask: u64,
-    tick: u64,
     capacity_bytes: usize,
 }
 
 /// Cache line size in bytes. Fixed at 64 (x86 servers).
 pub const LINE: u64 = 64;
+
+/// Moves `tag` to the front of `set` and returns whether it was resident.
+/// On a miss the tail falls off: the least recently used line, or an invalid
+/// way while the set still has one. Which invalid way a fill lands in is
+/// unobservable, so this is the LRU policy exactly.
+#[inline(always)]
+fn promote(set: &mut [u64], tag: u64) -> bool {
+    let mut carry = tag;
+    for slot in set {
+        let shifted = std::mem::replace(slot, carry);
+        if shifted == tag {
+            return true;
+        }
+        carry = shifted;
+    }
+    false
+}
+
+/// Removes `tag` from `set` if resident, closing the gap so the invalid way
+/// joins the tail.
+#[inline(always)]
+fn evict(set: &mut [u64], tag: u64) {
+    if let Some(i) = set.iter().position(|&t| t == tag) {
+        set.copy_within(i + 1.., i);
+        set[set.len() - 1] = 0;
+    }
+}
 
 impl CacheSim {
     /// Creates a cache of `capacity_bytes` with the given associativity.
@@ -69,19 +95,12 @@ impl CacheSim {
     pub fn new(capacity_bytes: usize, ways: usize) -> Self {
         assert!(ways > 0, "associativity must be positive");
         let lines = capacity_bytes / LINE as usize;
-        let s = (lines / ways).max(1);
         // Round the set count down to a power of two for mask indexing.
-        let sets = if s.is_power_of_two() {
-            s
-        } else {
-            s.next_power_of_two() / 2
-        };
+        let sets = 1 << (lines / ways).max(1).ilog2();
         Self {
             tags: vec![0; sets * ways],
-            stamps: vec![0; sets * ways],
             ways,
             set_mask: (sets - 1) as u64,
-            tick: 0,
             capacity_bytes,
         }
     }
@@ -91,63 +110,59 @@ impl CacheSim {
         self.capacity_bytes
     }
 
+    /// Calls `op(set, tag)` for every line of `[addr, addr + len)` in address
+    /// order. Consecutive lines map to consecutive sets, so the walk steps
+    /// the set base instead of recomputing it, and it tells the compiler the
+    /// length of the 8- and 16-way sets the machine profiles use so that `op`
+    /// is unrolled with the tags in registers.
+    #[inline(always)]
+    fn walk(&mut self, addr: u64, len: usize, mut op: impl FnMut(&mut [u64], u64)) {
+        if len == 0 {
+            return;
+        }
+        let first = addr / LINE;
+        let last = (addr + len as u64 - 1) / LINE;
+        let ways = self.ways;
+        let mut base = (first & self.set_mask) as usize * ways;
+        for tag in first + 1..last + 2 {
+            let set = &mut self.tags[base..base + ways];
+            match ways {
+                16 => op(&mut set[..16], tag),
+                8 => op(&mut set[..8], tag),
+                _ => op(set, tag),
+            }
+            base += ways;
+            if base == self.tags.len() {
+                base = 0;
+            }
+        }
+    }
+
     /// Touches a single cache line containing `addr`. Returns `true` on hit.
     #[inline]
     pub fn touch(&mut self, addr: u64) -> bool {
-        self.tick += 1;
-        let line = (addr / LINE) + 1;
-        let set = ((line - 1) & self.set_mask) as usize;
-        let base = set * self.ways;
-        let slots = &mut self.tags[base..base + self.ways];
-        // Hit path: refresh the LRU stamp.
-        if let Some(i) = slots.iter().position(|&t| t == line) {
-            self.stamps[base + i] = self.tick;
-            return true;
-        }
-        // Miss path: evict the least recently used way.
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for (i, &s) in self.stamps[base..base + self.ways].iter().enumerate() {
-            if self.tags[base + i] == 0 {
-                victim = i;
-                break;
-            }
-            if s < oldest {
-                oldest = s;
-                victim = i;
-            }
-        }
-        self.tags[base + victim] = line;
-        self.stamps[base + victim] = self.tick;
-        false
+        let mut hit = false;
+        self.walk(addr, 1, |set, tag| hit = promote(set, tag));
+        hit
     }
 
     /// Accesses `len` bytes starting at `addr`, touching every line in the
     /// range. Returns hit/miss counts. A zero-length access touches nothing.
     pub fn access(&mut self, addr: u64, len: usize) -> AccessResult {
         let mut r = AccessResult::default();
-        if len == 0 {
-            return r;
-        }
-        let first = addr / LINE;
-        let last = (addr + len as u64 - 1) / LINE;
-        for line in first..=last {
-            if self.touch(line * LINE) {
-                r.hits += 1;
-            } else {
-                r.misses += 1;
-            }
-        }
+        self.walk(addr, len, |set, tag| match promote(set, tag) {
+            true => r.hits += 1,
+            false => r.misses += 1,
+        });
         r
     }
 
     /// Returns whether the line containing `addr` is currently resident,
     /// without updating LRU state.
     pub fn probe(&self, addr: u64) -> bool {
-        let line = (addr / LINE) + 1;
-        let set = ((line - 1) & self.set_mask) as usize;
-        let base = set * self.ways;
-        self.tags[base..base + self.ways].contains(&line)
+        let line = addr / LINE;
+        let base = (line & self.set_mask) as usize * self.ways;
+        self.tags[base..base + self.ways].contains(&(line + 1))
     }
 
     /// Invalidates every line in `[addr, addr + len)`: a device DMA write.
@@ -157,115 +172,17 @@ impl CacheSim {
     /// subsequent CPU reads of received data miss to memory (§2.2's "one
     /// copy" being expensive depends on exactly this).
     pub fn invalidate(&mut self, addr: u64, len: usize) {
-        if len == 0 {
-            return;
-        }
-        let first = addr / LINE;
-        let last = (addr + len as u64 - 1) / LINE;
-        for line_no in first..=last {
-            let line = line_no + 1;
-            let set = ((line - 1) & self.set_mask) as usize;
-            let base = set * self.ways;
-            for i in 0..self.ways {
-                if self.tags[base + i] == line {
-                    self.tags[base + i] = 0;
-                    self.stamps[base + i] = 0;
-                }
-            }
-        }
+        self.walk(addr, len, evict);
     }
 
     /// Empties the cache (used between sweep points so every offered-load
     /// point starts from the same state).
     pub fn clear(&mut self) {
-        self.tags.iter_mut().for_each(|t| *t = 0);
-        self.stamps.iter_mut().for_each(|s| *s = 0);
-        self.tick = 0;
+        self.tags.fill(0);
     }
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn cold_access_misses_then_hits() {
-        let mut c = CacheSim::new(1 << 16, 8);
-        assert!(!c.touch(0x40));
-        assert!(c.touch(0x40));
-        assert!(c.touch(0x7f)); // same line as 0x40
-        assert!(!c.touch(0x80)); // next line
-    }
-
-    #[test]
-    fn access_counts_lines() {
-        let mut c = CacheSim::new(1 << 16, 8);
-        let r = c.access(10, 100); // spans lines 0 and 1
-        assert_eq!(r, AccessResult { hits: 0, misses: 2 });
-        let r = c.access(10, 100);
-        assert_eq!(r, AccessResult { hits: 2, misses: 0 });
-    }
-
-    #[test]
-    fn zero_len_access_is_free() {
-        let mut c = CacheSim::new(1 << 16, 8);
-        assert_eq!(c.access(0, 0).lines(), 0);
-    }
-
-    #[test]
-    fn lru_evicts_oldest() {
-        // One set (64B * 2 ways = 128B capacity), 2-way.
-        let mut c = CacheSim::new(128, 2);
-        assert_eq!(c.set_mask, 0);
-        c.touch(0); // A
-        c.touch(1 << 20); // B
-        c.touch(0); // A again, so B is LRU
-        c.touch(2 << 20); // C evicts B
-        assert!(c.probe(0));
-        assert!(!c.probe(1 << 20));
-        assert!(c.probe(2 << 20));
-    }
-
-    #[test]
-    fn working_set_larger_than_cache_thrashes() {
-        let cap = 1 << 14; // 16 KiB
-        let mut c = CacheSim::new(cap, 8);
-        // Stream 10x the capacity twice; second pass should still mostly miss.
-        let span = (cap * 10) as u64;
-        for pass in 0..2 {
-            let r = c.access(0, span as usize);
-            if pass == 1 {
-                let ratio = r.hits as f64 / r.lines() as f64;
-                assert!(ratio < 0.2, "expected thrashing, hit ratio {ratio}");
-            }
-        }
-    }
-
-    #[test]
-    fn small_working_set_fully_resident() {
-        let mut c = CacheSim::new(1 << 20, 16);
-        c.access(0x5000, 4096);
-        let r = c.access(0x5000, 4096);
-        assert_eq!(r.misses, 0);
-    }
-
-    #[test]
-    fn probe_does_not_mutate() {
-        let mut c = CacheSim::new(128, 2);
-        c.touch(0);
-        c.touch(1 << 20);
-        // Probing A must not refresh it.
-        assert!(c.probe(0));
-        c.touch(2 << 20); // evicts A (LRU), not B
-        assert!(!c.probe(0));
-        assert!(c.probe(1 << 20));
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut c = CacheSim::new(1 << 16, 8);
-        c.touch(0x40);
-        c.clear();
-        assert!(!c.probe(0x40));
-    }
-}
+mod reference;
+#[cfg(test)]
+mod tests;

@@ -48,7 +48,7 @@ impl Clock {
     #[inline]
     pub fn advance_f(&self, ns: f64) {
         debug_assert!(ns >= 0.0, "cannot advance the clock backwards");
-        self.now_ns.set(self.now_ns.get() + ns.round() as u64);
+        self.now_ns.set(self.now_ns.get() + round_ns(ns));
     }
 
     /// Moves the clock forward to `t` if `t` is in the future; otherwise
@@ -65,6 +65,19 @@ impl Clock {
     pub fn reset(&self) {
         self.now_ns.set(0);
     }
+}
+
+/// `ns.round() as u64` for `0 <= ns < 2^63`, without the call into libm that
+/// `f64::round` compiles to on baseline x86-64: truncate, then add one when
+/// the fraction is at least a half. Both steps are exact (the truncated value
+/// and the fraction of a double are doubles), so ties round away from zero
+/// and `0.49999999999999994` rounds down, as `round` has it. Through `i64`
+/// because that is one conversion instruction each way where `u64` is a
+/// dozen; 2^63 ns is 292 years of virtual time.
+#[inline]
+fn round_ns(ns: f64) -> u64 {
+    let whole = ns as i64;
+    whole as u64 + (ns - whole as f64 >= 0.5) as u64
 }
 
 #[cfg(test)]
@@ -101,6 +114,42 @@ mod tests {
         assert_eq!(c.now(), 1);
         c.advance_f(1.6);
         assert_eq!(c.now(), 3);
+    }
+
+    #[test]
+    fn round_ns_is_f64_round_on_the_pinned_grid() {
+        #[track_caller]
+        fn check(x: f64) {
+            for x in [x.next_down().max(0.0), x, x.next_up()] {
+                assert_eq!(round_ns(x), x.round() as u64, "{x:?}");
+            }
+        }
+        check(0.0);
+        check(0.49999999999999994);
+        // Every tie k + 0.5 up to 2^20, then around each power of two up to
+        // 2^52, the last binade that still has halves.
+        (0..=1u64 << 20).for_each(|k| check(k as f64 + 0.5));
+        for p in 20..=52 {
+            for k in (1u64 << p) - 3..(1u64 << p) + 3 {
+                check(k as f64);
+                check(k as f64 + 0.5);
+            }
+        }
+        // Integers only from here on: the top of the range.
+        check(((1u64 << 53) - 1) as f64);
+        // Every product the cost model forms.
+        let m = crate::profile::CostModel::cloudlab_c6525();
+        for scale in [0.45, 0.55, 0.15, 0.25] {
+            check(m.per_packet_base * scale);
+        }
+        check(m.per_packet_base * 0.55 - m.doorbell_write);
+        for hits in 0..=256 {
+            for misses in 0..=256 {
+                check(m.copy_cost(hits, misses));
+                check(hits as f64 * m.header_write_per_byte + misses as f64 * m.copy_line_hit);
+                check(misses as f64 * m.copy_line_miss + hits as f64 * m.copy_line_hit);
+            }
+        }
     }
 
     #[test]

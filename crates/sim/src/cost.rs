@@ -13,7 +13,7 @@ use std::rc::Rc;
 
 use crate::cache::CacheSim;
 use crate::clock::Clock;
-use crate::profile::MachineProfile;
+use crate::profile::{CostModel, MachineProfile};
 
 /// Observer invoked on every virtual-time charge (see
 /// [`Sim::set_charge_observer`]). Observability layers use this to attribute
@@ -82,20 +82,10 @@ pub enum Category {
 pub const NUM_CATEGORIES: usize = 10;
 
 impl Category {
-    /// Index into the attribution array.
+    /// Index into the attribution array: the declaration order.
+    #[inline]
     pub fn index(self) -> usize {
-        match self {
-            Category::Rx => 0,
-            Category::Deserialize => 1,
-            Category::AppGet => 2,
-            Category::AppPut => 3,
-            Category::SerializeCopy => 4,
-            Category::SerializeZeroCopy => 5,
-            Category::HeaderWrite => 6,
-            Category::Tx => 7,
-            Category::Alloc => 8,
-            Category::Other => 9,
-        }
+        self as usize
     }
 
     /// All categories in index order.
@@ -165,7 +155,8 @@ pub struct SimCore {
     pub clock: Clock,
     /// Last-level cache model.
     pub cache: CacheSim,
-    /// Machine profile (cost constants + NIC model).
+    /// The machine profile this core was built from (cache geometry, NIC
+    /// model, and the cost constants [`Sim::new`] copied into the handle).
     pub profile: MachineProfile,
     /// Per-category cost attribution.
     pub attribution: Attribution,
@@ -202,7 +193,18 @@ impl SimCore {
 /// core), so the `RefCell` borrows never overlap.
 #[derive(Clone, Debug)]
 pub struct Sim {
-    core: Rc<RefCell<SimCore>>,
+    shared: Rc<Shared>,
+}
+
+/// What every clone of a [`Sim`] handle points at.
+#[derive(Debug)]
+struct Shared {
+    /// The profile's cost constants, outside the `RefCell` so that
+    /// [`Sim::costs`] and the charge paths read them without borrowing the
+    /// core or copying the model. Fixed at construction: editing
+    /// `SimCore::profile.costs` afterwards does not change what is charged.
+    costs: CostModel,
+    core: RefCell<SimCore>,
 }
 
 impl Sim {
@@ -210,15 +212,18 @@ impl Sim {
     pub fn new(profile: MachineProfile) -> Self {
         let cache = CacheSim::new(profile.cache.capacity_bytes, profile.cache.ways);
         Sim {
-            core: Rc::new(RefCell::new(SimCore {
-                clock: Clock::new(),
-                cache,
-                profile,
-                attribution: Attribution::default(),
-                queue_attribution: Vec::new(),
-                active_queue: None,
-                observer: ObserverSlot::default(),
-            })),
+            shared: Rc::new(Shared {
+                costs: profile.costs.clone(),
+                core: RefCell::new(SimCore {
+                    clock: Clock::new(),
+                    cache,
+                    profile,
+                    attribution: Attribution::default(),
+                    queue_attribution: Vec::new(),
+                    active_queue: None,
+                    observer: ObserverSlot::default(),
+                }),
+            }),
         }
     }
 
@@ -229,33 +234,33 @@ impl Sim {
 
     /// Current virtual time in nanoseconds.
     pub fn now(&self) -> u64 {
-        self.core.borrow().clock.now()
+        self.shared.core.borrow().clock.now()
     }
 
     /// A clone of the shared clock.
     pub fn clock(&self) -> Clock {
-        self.core.borrow().clock.clone()
+        self.shared.core.borrow().clock.clone()
     }
 
     /// Runs `f` with mutable access to the core (escape hatch for harnesses).
     pub fn with_core<R>(&self, f: impl FnOnce(&mut SimCore) -> R) -> R {
-        f(&mut self.core.borrow_mut())
+        f(&mut self.shared.core.borrow_mut())
     }
 
     /// The machine's NIC model.
     pub fn nic(&self) -> crate::profile::NicModel {
-        self.core.borrow().profile.nic
+        self.shared.core.borrow().profile.nic
     }
 
     /// Installs (or clears) the charge observer. At most one observer is
     /// active per machine; installing replaces any previous one.
     pub fn set_charge_observer(&self, observer: Option<Rc<dyn ChargeObserver>>) {
-        self.core.borrow_mut().observer = ObserverSlot(observer);
+        self.shared.core.borrow_mut().observer = ObserverSlot(observer);
     }
 
     /// Charges `ns` nanoseconds to `cat`.
     pub fn charge(&self, cat: Category, ns: f64) {
-        let mut c = self.core.borrow_mut();
+        let mut c = self.shared.core.borrow_mut();
         c.clock.advance_f(ns);
         c.attribute(cat, ns);
         c.observer.notify(cat, ns);
@@ -273,10 +278,10 @@ impl Sim {
         if len == 0 {
             return 0.0;
         }
-        let mut c = self.core.borrow_mut();
+        let mut c = self.shared.core.borrow_mut();
         let r = c.cache.access(src, len);
         c.cache.access(dst, len);
-        let ns = c.profile.costs.copy_cost(r.hits, r.misses);
+        let ns = self.shared.costs.copy_cost(r.hits, r.misses);
         c.clock.advance_f(ns);
         c.attribute(cat, ns);
         c.observer.notify(cat, ns);
@@ -288,10 +293,10 @@ impl Sim {
     /// charged at the configured per-byte header-write rate plus a per-line
     /// hit cost for non-resident lines.
     pub fn charge_write(&self, cat: Category, dst: u64, len: usize) -> f64 {
-        let mut c = self.core.borrow_mut();
+        let mut c = self.shared.core.borrow_mut();
         let r = c.cache.access(dst, len);
-        let ns = len as f64 * c.profile.costs.header_write_per_byte
-            + r.misses as f64 * c.profile.costs.copy_line_hit;
+        let ns = len as f64 * self.shared.costs.header_write_per_byte
+            + r.misses as f64 * self.shared.costs.copy_line_hit;
         c.clock.advance_f(ns);
         c.attribute(cat, ns);
         c.observer.notify(cat, ns);
@@ -301,10 +306,10 @@ impl Sim {
     /// Charges a read of `len` bytes at `src` (e.g. parsing a received
     /// header). Charged like a copy without the startup cost.
     pub fn charge_read(&self, cat: Category, src: u64, len: usize) -> f64 {
-        let mut c = self.core.borrow_mut();
+        let mut c = self.shared.core.borrow_mut();
         let r = c.cache.access(src, len);
-        let ns = r.misses as f64 * c.profile.costs.copy_line_miss
-            + r.hits as f64 * c.profile.costs.copy_line_hit;
+        let ns = r.misses as f64 * self.shared.costs.copy_line_miss
+            + r.hits as f64 * self.shared.costs.copy_line_hit;
         c.clock.advance_f(ns);
         c.attribute(cat, ns);
         c.observer.notify(cat, ns);
@@ -315,12 +320,12 @@ impl Sim {
     /// `addr` (refcounts, range-map nodes, hash buckets): `meta_miss` ns if
     /// the line is not resident, `meta_hit` ns if it is.
     pub fn charge_meta_access(&self, cat: Category, addr: u64) -> f64 {
-        let mut c = self.core.borrow_mut();
+        let mut c = self.shared.core.borrow_mut();
         let hit = c.cache.touch(addr);
         let ns = if hit {
-            c.profile.costs.meta_hit
+            self.shared.costs.meta_hit
         } else {
-            c.profile.costs.meta_miss
+            self.shared.costs.meta_miss
         };
         c.clock.advance_f(ns);
         c.attribute(cat, ns);
@@ -331,12 +336,12 @@ impl Sim {
     /// Records a device DMA write to `[addr, addr + len)`: invalidates the
     /// cached lines (no-DDIO AMD platform) without charging CPU time.
     pub fn dma_write(&self, addr: u64, len: usize) {
-        self.core.borrow_mut().cache.invalidate(addr, len);
+        self.shared.core.borrow_mut().cache.invalidate(addr, len);
     }
 
     /// Charges the NIC-specific cost of posting one scatter-gather entry.
     pub fn charge_sg_entry(&self, cat: Category) -> f64 {
-        let mut c = self.core.borrow_mut();
+        let mut c = self.shared.core.borrow_mut();
         let ns = c.profile.nic.sg_entry_cost_ns();
         c.clock.advance_f(ns);
         c.attribute(cat, ns);
@@ -346,21 +351,22 @@ impl Sim {
 
     /// Charges the fixed per-packet datapath cost, split between RX and TX.
     pub fn charge_per_packet(&self) {
-        let base = self.core.borrow().profile.costs.per_packet_base;
+        let base = self.shared.costs.per_packet_base;
         self.charge(Category::Rx, base * 0.45);
         self.charge(Category::Tx, base * 0.55);
     }
 
-    /// Snapshot of the cost model constants.
-    pub fn costs(&self) -> crate::profile::CostModel {
-        self.core.borrow().profile.costs.clone()
+    /// The cost model constants, fixed when the machine was created.
+    #[inline]
+    pub fn costs(&self) -> &CostModel {
+        &self.shared.costs
     }
 
     /// Resets clock, cache, and attribution — including per-queue
     /// attribution — between sweep points. The active-queue scope is
     /// configuration, not accumulation, and survives the reset.
     pub fn reset(&self) {
-        let mut c = self.core.borrow_mut();
+        let mut c = self.shared.core.borrow_mut();
         c.clock.reset();
         c.cache.clear();
         c.attribution.reset();
@@ -371,7 +377,7 @@ impl Sim {
 
     /// Returns a copy of the current attribution counters.
     pub fn attribution(&self) -> Attribution {
-        self.core.borrow().attribution.clone()
+        self.shared.core.borrow().attribution.clone()
     }
 
     /// Scopes subsequent charges to NIC queue `q`: in addition to the
@@ -381,18 +387,19 @@ impl Sim {
     /// per-queue RX/handle/TX work so multi-queue servers can account cost
     /// per queue even when queues share one simulated core.
     pub fn set_active_queue(&self, q: Option<usize>) {
-        self.core.borrow_mut().active_queue = q;
+        self.shared.core.borrow_mut().active_queue = q;
     }
 
     /// The queue scope currently active, if any.
     pub fn active_queue(&self) -> Option<usize> {
-        self.core.borrow().active_queue
+        self.shared.core.borrow().active_queue
     }
 
     /// Attribution accumulated under queue `q`'s scope (zeros for a queue
     /// that never charged anything).
     pub fn queue_attribution(&self, q: usize) -> Attribution {
-        self.core
+        self.shared
+            .core
             .borrow()
             .queue_attribution
             .get(q)
@@ -402,7 +409,7 @@ impl Sim {
 
     /// Number of queue-attribution slots in use (highest active queue + 1).
     pub fn attributed_queues(&self) -> usize {
-        self.core.borrow().queue_attribution.len()
+        self.shared.core.borrow().queue_attribution.len()
     }
 }
 
@@ -413,6 +420,13 @@ mod tests {
 
     fn sim() -> Sim {
         Sim::new(MachineProfile::tiny_for_tests())
+    }
+
+    #[test]
+    fn category_index_is_its_position_in_all() {
+        for (i, cat) in Category::all().into_iter().enumerate() {
+            assert_eq!(cat.index(), i, "{cat:?}");
+        }
     }
 
     #[test]
@@ -541,6 +555,81 @@ mod tests {
         assert_eq!(s.active_queue(), Some(0), "scope is config, survives reset");
         s.charge(Category::Tx, 5.0);
         assert_eq!(s.queue_attribution(0).total(), 5.0);
+    }
+
+    /// Replays a fixed pseudo-random charge sequence over a working set of
+    /// four cache capacities and returns the clock and every attribution
+    /// category.
+    fn replay(profile: MachineProfile) -> (u64, [f64; NUM_CATEGORIES]) {
+        let span = 4 * profile.cache.capacity_bytes as u64;
+        let s = Sim::new(profile);
+        let mut rng = crate::rng::SplitMix64::new(0xC0F1_A4E5);
+        let cats = Category::all();
+        for _ in 0..40_000 {
+            let cat = cats[rng.next_bounded(NUM_CATEGORIES as u64) as usize];
+            let a = 0x10_0000 + rng.next_bounded(span);
+            let b = 0x10_0000 + rng.next_bounded(span);
+            let len = rng.next_bounded(4200) as usize;
+            match rng.next_bounded(16) {
+                0..=3 => {
+                    s.charge_memcpy(cat, a, b, len);
+                }
+                4..=5 => {
+                    s.charge_read(cat, a, len);
+                }
+                6..=7 => {
+                    s.charge_write(cat, a, len);
+                }
+                8..=10 => {
+                    s.charge_meta_access(cat, a);
+                }
+                11..=12 => s.dma_write(a, len),
+                13 => s.charge(cat, rng.next_f64() * 300.0),
+                14 => {
+                    s.charge_sg_entry(cat);
+                }
+                _ => s.charge_per_packet(),
+            }
+        }
+        let a = s.attribution();
+        (s.now(), cats.map(|c| a.get(c)))
+    }
+
+    #[test]
+    fn replay_matches_recorded_clock_and_attribution() {
+        // Constants recorded from the timestamp-LRU `CacheSim` and the
+        // `f64::round` clock this cost model replaced: any drift in a hit/miss
+        // decision or a rounded nanosecond shows up here.
+        let (now, attr) = replay(MachineProfile::tiny_for_tests());
+        assert_eq!(now, 9_341_449, "tiny clock");
+        let tiny = [
+            1335306.1826911448,
+            821291.1822127636,
+            815736.6559895154,
+            811201.2953756978,
+            830147.6796700435,
+            823224.0542143019,
+            849676.5118350988,
+            1407368.541107279,
+            827039.6779431802,
+            819815.6024743326,
+        ];
+        assert_eq!(attr, tiny, "tiny attribution");
+        let (now, attr) = replay(MachineProfile::microbench());
+        assert_eq!(now, 9_466_934, "microbench clock");
+        let microbench = [
+            1349241.782691146,
+            827892.7822127647,
+            824496.6559895154,
+            825253.2953756963,
+            850377.2796700438,
+            828588.8542143027,
+            860078.1118351005,
+            1421051.741107278,
+            841961.2779431816,
+            837382.402474332,
+        ];
+        assert_eq!(attr, microbench, "microbench attribution");
     }
 
     #[test]

@@ -27,6 +27,9 @@ cargo test -q -p cf-nic --test rss_proptests
 echo "==> fcs gate: both CRC kernels against the bytewise reference, every length"
 cargo test -q -p cf-nic fcs
 
+echo "==> cost-model gate: CacheSim against the timestamp-LRU reference op by op, set-layout properties, rounding grid, charge replay"
+cargo test -q -p cf-sim --lib -- cache::tests round_ns_is_f64_round_on_the_pinned_grid replay_matches_recorded_clock_and_attribution
+
 echo "==> overload smoke: goodput holds past saturation with control on"
 cargo test -q -p cf-bench --lib experiments::overload
 
