@@ -38,8 +38,8 @@ use cf_net::tcp::{FLAG_ACK, FLAG_FIN, FLAG_SYN, OFF_ACK, OFF_DST, OFF_FLAGS, OFF
 use cf_net::{FlowConfig, TcpListener};
 use cf_nic::{link, Port, PortHub};
 use cf_sim::{MachineProfile, Sim};
-use cornflakes_core::obj::write_full_header;
-use cornflakes_core::{CornflakesObj, SerCtx, SerializationConfig};
+use cornflakes_core::obj::serialize_into;
+use cornflakes_core::SerializationConfig;
 
 use crate::artifacts::write_json_artifact;
 use crate::tables::print_table;
@@ -158,23 +158,6 @@ fn raw_frame(src: u16, seq: u32, ack: u32, flags: u8, payload: &[u8]) -> Vec<u8>
     f
 }
 
-/// Contiguous Cornflakes encode of a single-key GET — the same byte order
-/// `TcpKvClient::get` sends, minus the sub-header.
-fn encode_get(ctx: &SerCtx, key: &[u8]) -> Vec<u8> {
-    let mut req = GetMsg::new();
-    req.add_keys(ctx, key);
-    let mut hdr = vec![0u8; req.header_bytes()];
-    write_full_header(&req, &mut hdr);
-    let mut enc = hdr;
-    {
-        let enc = &mut enc;
-        req.for_each_copy_entry(&mut |b: &[u8]| enc.extend_from_slice(b));
-        req.for_each_zero_copy_entry(&mut |rc| enc.extend_from_slice(rc.as_slice()));
-    }
-    ctx.end_request();
-    enc
-}
-
 /// The raw-frame churn driver: per-slot seq/ack state for up to
 /// `concurrent` live flows, reusing one attached hub endpoint (and port)
 /// per slot across churn generations.
@@ -288,7 +271,7 @@ impl Driver {
     }
 
     fn mem_resident(&self) -> u64 {
-        (self.server.listener.resident_bytes() + self.server.listener.ctx().pool.registered_bytes())
+        (self.server.stack.resident_bytes() + self.server.stack.ctx().pool.registered_bytes())
             as u64
     }
 }
@@ -328,13 +311,17 @@ fn run_point(point: ChurnPoint, params: &ChurnParams) -> PointReport {
     let value = vec![0xC5u8; params.value_bytes];
     server
         .store
-        .put(server.listener.ctx(), key, &value, 8192)
+        .put(server.stack.ctx(), key, &value, 8192)
         .expect("preload");
-    let enc = encode_get(server.listener.ctx(), key);
+    // The bytes `TcpKvClient::get` sends: sub-header, then the request.
     let mut msg_template = sub_header(msg_type::GET, 0, 0).to_vec();
-    msg_template.extend_from_slice(&enc);
+    let mut req = GetMsg::new();
+    req.add_keys(server.stack.ctx(), key);
+    serialize_into(&req, &mut msg_template);
+    drop(req);
+    server.stack.ctx().end_request();
     let req_stream_len = (4 + msg_template.len()) as u32;
-    let pool_baseline = server.listener.ctx().pool.live_slots();
+    let pool_baseline = server.stack.ctx().pool.live_slots();
 
     let eps: Vec<Port> = (0..point.concurrent)
         .map(|s| hub.attach(Driver::port(s)))
@@ -373,13 +360,13 @@ fn run_point(point: ChurnPoint, params: &ChurnParams) -> PointReport {
         pos = (pos + params.batch) % point.concurrent;
         sample(&d, &mut mem_ceiling);
         assert!(
-            d.server.listener.active_flows() <= point.concurrent,
+            d.server.stack.active_flows() <= point.concurrent,
             "flow table exceeded its bound"
         );
     }
     let elapsed_ns = sim.clock().now() - t_start;
 
-    let stats = d.server.listener.stats();
+    let stats = d.server.stack.stats();
     assert_eq!(
         stats.accepts, point.flows_total as u64,
         "every driven handshake completed"
@@ -394,8 +381,8 @@ fn run_point(point: ChurnPoint, params: &ChurnParams) -> PointReport {
         sim.clock().advance(1_000_000_000);
         d.server.poll().expect("server poll");
     }
-    let reaped_to_zero = d.server.listener.active_flows() == 0
-        && d.server.listener.ctx().pool.live_slots() == pool_baseline;
+    let reaped_to_zero = d.server.stack.active_flows() == 0
+        && d.server.stack.ctx().pool.live_slots() == pool_baseline;
 
     rtts.sort_unstable();
     let p99_idx = (rtts.len() * 99).div_ceil(100).saturating_sub(1);

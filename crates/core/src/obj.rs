@@ -203,23 +203,24 @@ pub fn write_full_header(obj: &impl CornflakesObj, out: &mut [u8]) -> usize {
     w.entries_written()
 }
 
-/// Serializes `obj` into one contiguous buffer — the byte string a receiver
-/// observes after the NIC gathers all scatter entries. Used by tests and by
-/// single-buffer transports; the zero-copy datapath never materializes this.
-pub fn serialize_to_vec(obj: &impl CornflakesObj) -> Vec<u8> {
-    let mut out = vec![0u8; obj.object_len()];
+/// Appends the serialization of `obj` to `out` as one contiguous byte
+/// string — what a receiver observes after the NIC gathers all scatter
+/// entries. For tests and single-buffer transports; the zero-copy datapath
+/// never materializes this.
+pub fn serialize_into(obj: &impl CornflakesObj, out: &mut Vec<u8>) {
+    let start = out.len();
     let hb = obj.header_bytes();
-    write_full_header(obj, &mut out[..hb]);
-    let mut cursor = hb;
-    obj.for_each_copy_entry(&mut |bytes| {
-        out[cursor..cursor + bytes.len()].copy_from_slice(bytes);
-        cursor += bytes.len();
-    });
-    obj.for_each_zero_copy_entry(&mut |rc| {
-        out[cursor..cursor + rc.len()].copy_from_slice(rc.as_slice());
-        cursor += rc.len();
-    });
-    debug_assert_eq!(cursor, obj.object_len());
+    out.resize(start + hb, 0);
+    write_full_header(obj, &mut out[start..]);
+    obj.for_each_copy_entry(&mut |bytes| out.extend_from_slice(bytes));
+    obj.for_each_zero_copy_entry(&mut |rc| out.extend_from_slice(rc.as_slice()));
+    debug_assert_eq!(out.len() - start, obj.object_len());
+}
+
+/// [`serialize_into`] a fresh buffer.
+pub fn serialize_to_vec(obj: &impl CornflakesObj) -> Vec<u8> {
+    let mut out = Vec::with_capacity(obj.object_len());
+    serialize_into(obj, &mut out);
     out
 }
 

@@ -14,20 +14,16 @@
 use std::collections::{HashMap, HashSet};
 
 use cf_mem::PoolConfig;
-use cf_net::{FrameMeta, NetError, UdpStack, HEADER_BYTES};
+use cf_net::{FrameMeta, NetError, UdpStack};
 use cf_nic::link;
 use cf_sim::rng::SplitMix64;
 use cf_sim::{MachineProfile, Sim};
 use cf_telemetry::{Counter, FlightEvent, FlightRecorder, Telemetry};
-use cornflakes_core::{CornflakesObj, SerializationConfig};
+use cornflakes_core::SerializationConfig;
 
-use cf_baselines::capnlite::{CapnGetM, CapnReader};
-use cf_baselines::flatlite::{FlatGetM, FlatGetMView};
-use cf_baselines::protolite::PGetM;
-
+use crate::codec::{with_codec, Codecs, KvCodec};
 use crate::flags;
 use crate::msg_type;
-use crate::msgs::GetMsg;
 use crate::overload::{
     decorrelated_jitter, jitter_seed_for, BreakerConfig, BreakerDecision, BreakerState,
     CircuitBreaker, RetryBudget, RetryBudgetConfig,
@@ -191,12 +187,7 @@ pub struct KvClient {
     steer_ports: Vec<u16>,
     counters: ClientCounters,
     flight: FlightRecorder,
-    /// Scratch request/response messages for the Cornflakes datapath:
-    /// requests are rebuilt in `req_scratch` and replies decode in place
-    /// into `resp_scratch`, so list capacities persist across requests and
-    /// a warm client's encode/decode stays off the heap allocator.
-    req_scratch: GetMsg,
-    resp_scratch: GetMsg,
+    codecs: Codecs,
 }
 
 /// Creates a connected (client, server) pair: the client on its own
@@ -233,8 +224,7 @@ impl KvClient {
             steer_ports: Vec::new(),
             counters: ClientCounters::default(),
             flight: FlightRecorder::disabled(),
-            req_scratch: GetMsg::new(),
-            resp_scratch: GetMsg::new(),
+            codecs: Codecs::default(),
         }
     }
 
@@ -377,7 +367,7 @@ impl KvClient {
         let vals: Vec<Vec<u8>> = p.vals.clone();
         let key_refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
         let val_refs: Vec<&[u8]> = vals.iter().map(Vec::as_slice).collect();
-        let _ = self.transmit(meta, index, &key_refs, &val_refs);
+        let _ = self.transmit(meta, index, &key_refs, &val_refs, 0);
     }
 
     /// Fire-and-forget read-repair: pushes `(key, val)` at `version` to
@@ -388,7 +378,7 @@ impl KvClient {
     /// [`KvClient::recv_response`]. Returns the request id used.
     pub fn send_repair_put(&mut self, key: &[u8], val: &[u8], version: u64) -> u32 {
         let meta = self.meta(msg_type::REPL_PUT);
-        let _ = self.transmit_versioned(meta, None, &[key], &[val], version);
+        let _ = self.transmit(meta, None, &[key], &[val], version);
         meta.req_id
     }
 
@@ -477,7 +467,7 @@ impl KvClient {
         }
         self.flight
             .record(meta.req_id, self.stack.sim().now(), FlightEvent::ClientSend);
-        self.transmit(meta, index, keys, vals)
+        self.transmit(meta, index, keys, vals, 0)
             .expect("request send");
         meta.req_id
     }
@@ -554,16 +544,6 @@ impl KvClient {
             p.last_backoff = backoff;
             p.deadline = now.saturating_add(backoff);
             let retries_now = p.retries;
-            let meta = FrameMeta {
-                msg_type: p.mtype,
-                flags: 0,
-                req_id: id,
-            };
-            let index = p.index;
-            let keys: Vec<Vec<u8>> = p.keys.clone();
-            let vals: Vec<Vec<u8>> = p.vals.clone();
-            let key_refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-            let val_refs: Vec<&[u8]> = vals.iter().map(Vec::as_slice).collect();
             self.counters.retries.inc();
             self.flight.record(
                 id,
@@ -575,22 +555,12 @@ impl KvClient {
             );
             // A failed retransmission (e.g. transient tx-pool pressure) is
             // not fatal: the deadline fires again and we try once more.
-            let _ = self.transmit(meta, index, &key_refs, &val_refs);
+            self.resend_now(id);
         }
         timed_out
     }
 
     fn transmit(
-        &mut self,
-        meta: FrameMeta,
-        index: Option<u32>,
-        keys: &[&[u8]],
-        vals: &[&[u8]],
-    ) -> Result<(), NetError> {
-        self.transmit_versioned(meta, index, keys, vals, 0)
-    }
-
-    fn transmit_versioned(
         &mut self,
         meta: FrameMeta,
         index: Option<u32>,
@@ -606,70 +576,10 @@ impl KvClient {
                 hdr.src_port = self.steer_ports[shard];
             }
         }
-        match self.kind {
-            SerKind::Cornflakes => {
-                // Build the request in the reusable scratch message; its
-                // list capacities persist across sends so a warm encode
-                // never allocates.
-                let mut req = std::mem::take(&mut self.req_scratch);
-                req.id = index.map(|i| i as i32);
-                {
-                    let ctx = self.stack.ctx();
-                    for k in keys {
-                        req.add_keys(ctx, k);
-                    }
-                    for v in vals {
-                        req.add_vals(ctx, v);
-                    }
-                }
-                let sent = self.stack.send_object(hdr, &req);
-                req.id = None;
-                req.keys.clear();
-                req.vals.clear();
-                self.req_scratch = req;
-                sent?;
-            }
-            SerKind::Protobuf => {
-                let sim = self.stack.sim().clone();
-                let mut req = PGetM::new();
-                req.id = index;
-                for k in keys {
-                    req.add_key(&sim, k);
-                }
-                for v in vals {
-                    req.add_val(&sim, v);
-                }
-                let mut tx = self.stack.alloc_tx(req.encoded_len())?;
-                let payload = req.encode(&sim, tx.addr() + HEADER_BYTES as u64);
-                tx.write_at(HEADER_BYTES, &payload);
-                self.stack.send_built(hdr, tx, payload.len())?;
-            }
-            SerKind::FlatBuffers => {
-                let sim = self.stack.sim().clone();
-                let built = FlatGetM::encode(&sim, index, keys, vals);
-                let mut tx = self.stack.alloc_tx(built.len())?;
-                tx.write_at(HEADER_BYTES, &built);
-                self.stack.send_built(hdr, tx, built.len())?;
-            }
-            SerKind::CapnProto => {
-                let sim = self.stack.sim().clone();
-                let mut req = CapnGetM::new();
-                if let Some(i) = index {
-                    req.set_id(i);
-                }
-                for k in keys {
-                    req.add_key(&sim, k);
-                }
-                for v in vals {
-                    req.add_val(&sim, v);
-                }
-                let framed = CapnGetM::frame(&req.finish(&sim));
-                let mut tx = self.stack.alloc_tx(framed.len())?;
-                tx.write_at(HEADER_BYTES, &framed);
-                self.stack.send_built(hdr, tx, framed.len())?;
-            }
-        }
-        Ok(())
+        let stack = &mut self.stack;
+        let (keys, vals) = (keys.iter().copied(), vals.iter().copied());
+        with_codec!(self.kind, self.codecs, |codec| codec
+            .send_fields(stack, hdr, index, keys, vals))
     }
 
     /// Sends a get for one or more keys.
@@ -725,8 +635,11 @@ impl KvClient {
                 );
                 continue;
             }
-            let payload_bytes = pkt.payload.len();
             let flags = pkt.hdr.meta.flags;
+            out.flags = flags;
+            out.version = pkt.hdr.version;
+            out.from_host = pkt.hdr.src_host;
+            out.payload_bytes = pkt.payload.len();
             if flags & flags::SHED != 0 {
                 // Header-only fast reject: there is no payload to decode.
                 // The request was never served; a shed counts as a failure
@@ -744,11 +657,7 @@ impl KvClient {
                     self.counters.note_breaker(prev, prot.breaker.state());
                 }
                 out.id = Some(pkt.hdr.meta.req_id);
-                out.flags = flags;
                 out.vals.clear();
-                out.version = pkt.hdr.version;
-                out.from_host = pkt.hdr.src_host;
-                out.payload_bytes = payload_bytes;
                 return true;
             }
             if let Some(prot) = &mut self.protection {
@@ -762,86 +671,16 @@ impl KvClient {
                 self.stack.sim().now(),
                 FlightEvent::ClientRecv { flags },
             );
-            let sim = self.stack.sim().clone();
-            match self.kind {
-                SerKind::Cornflakes => {
-                    // Decode in place into the reusable scratch message,
-                    // then copy values out into the caller's recycled
-                    // buffers: the warm receive path never allocates.
-                    let mut m = std::mem::take(&mut self.resp_scratch);
-                    let decoded = m.deserialize_into(self.stack.ctx(), &pkt.payload);
-                    if decoded.is_err() {
-                        self.stash_resp_scratch(m);
-                        return false;
-                    }
-                    out.id = m.id.map(|i| i as u32);
-                    out.vals.truncate(m.vals.len());
-                    for (i, v) in m.vals.iter().enumerate() {
-                        set_val_slot(&mut out.vals, i, v.as_slice());
-                    }
-                    self.stash_resp_scratch(m);
-                }
-                SerKind::Protobuf => {
-                    let Ok(m) = PGetM::decode(&sim, &pkt.payload) else {
-                        return false;
-                    };
-                    out.id = m.id;
-                    out.vals = m.vals;
-                }
-                SerKind::FlatBuffers => {
-                    let Ok(v) = FlatGetMView::parse(&sim, &pkt.payload) else {
-                        return false;
-                    };
-                    let (Ok(id), Ok(n)) = (v.id(), v.vals_len()) else {
-                        return false;
-                    };
-                    out.id = id;
-                    out.vals.truncate(n);
-                    for i in 0..n {
-                        let Ok(b) = v.val(i) else { return false };
-                        set_val_slot(&mut out.vals, i, b);
-                    }
-                }
-                SerKind::CapnProto => {
-                    let Ok(r) = CapnReader::parse(&sim, &pkt.payload) else {
-                        return false;
-                    };
-                    let (Ok(id), Ok(vals)) = (r.id(), r.vals(&sim)) else {
-                        return false;
-                    };
-                    out.id = id;
-                    out.vals.truncate(vals.len());
-                    for (i, b) in vals.iter().enumerate() {
-                        set_val_slot(&mut out.vals, i, b);
-                    }
-                }
-            }
-            out.flags = flags;
-            out.version = pkt.hdr.version;
-            out.from_host = pkt.hdr.src_host;
-            out.payload_bytes = payload_bytes;
+            let ctx = self.stack.ctx();
+            let Ok(id) = with_codec!(self.kind, self.codecs, |codec| codec.read_reply(
+                ctx,
+                &pkt.payload,
+                &mut out.vals
+            )) else {
+                return false;
+            };
+            out.id = id;
             return true;
         }
-    }
-
-    /// Returns the Cornflakes response scratch: buffer references drop
-    /// (releasing the rx frame they pin) but list capacities persist for
-    /// the next receive.
-    fn stash_resp_scratch(&mut self, mut m: GetMsg) {
-        m.id = None;
-        m.keys.clear();
-        m.vals.clear();
-        self.resp_scratch = m;
-    }
-}
-
-/// Copies `data` into slot `i` of `vals`, reusing the slot's capacity when
-/// one is already there (the steady-state case for a fixed request shape).
-fn set_val_slot(vals: &mut Vec<Vec<u8>>, i: usize, data: &[u8]) {
-    if let Some(slot) = vals.get_mut(i) {
-        slot.clear();
-        slot.extend_from_slice(data);
-    } else {
-        vals.push(data.to_vec());
     }
 }

@@ -23,12 +23,9 @@
 
 use cf_net::{FrameMeta, Packet, UdpStack, HEADER_BYTES};
 use cf_sim::cost::Category;
-use cornflakes_core::{CFBytes, CornflakesObj};
+use cornflakes_core::CornflakesObj;
 
-use cf_baselines::capnlite::{CapnGetM, CapnReader};
-use cf_baselines::flatlite::{FlatGetM, FlatGetMView};
-use cf_baselines::protolite::PGetM;
-
+use crate::codec::{CapnProtoCodec, CornflakesCodec, FlatBuffersCodec, KvCodec, ProtobufCodec};
 use crate::msg_type;
 use crate::msgs::GetMsg;
 
@@ -124,10 +121,10 @@ impl EchoServer {
             EchoKind::ZeroCopyRaw => self.echo_zero_copy_raw(pkt),
             EchoKind::OneCopy => self.echo_n_copy(pkt, 1),
             EchoKind::TwoCopy => self.echo_n_copy(pkt, 2),
-            EchoKind::Cornflakes => self.echo_cornflakes(pkt),
-            EchoKind::Protobuf => self.echo_protobuf(pkt),
-            EchoKind::FlatBuffers => self.echo_flatbuffers(pkt),
-            EchoKind::CapnProto => self.echo_capnproto(pkt),
+            EchoKind::Cornflakes => self.echo_with(CornflakesCodec::default(), pkt),
+            EchoKind::Protobuf => self.echo_with(ProtobufCodec, pkt),
+            EchoKind::FlatBuffers => self.echo_with(FlatBuffersCodec::default(), pkt),
+            EchoKind::CapnProto => self.echo_with(CapnProtoCodec, pkt),
         }
     }
 
@@ -138,16 +135,12 @@ impl EchoServer {
     /// functionally safe; what is omitted is the *charged* safety cost.
     fn echo_zero_copy_raw(&mut self, pkt: Packet) {
         let hdr = pkt.hdr.reply(Self::reply_meta(&pkt));
-        let Ok(req) = GetMsg::deserialize(self.stack.ctx(), &pkt.payload) else {
-            return;
-        };
-        // Rebuild the same message reusing the deserialized views verbatim
-        // (they are already zero-copy references into the rx buffer).
-        let _ = if self.stack.ctx().config.serialize_and_send {
-            self.stack.send_object(hdr, &req)
-        } else {
-            self.stack.send_object_sga(hdr, &req)
-        };
+        let mut codec = CornflakesCodec::default();
+        // Send the deserialized views verbatim (they are already zero-copy
+        // references into the rx buffer).
+        if let Ok(req) = codec.decode(self.stack.ctx(), &pkt.payload) {
+            let _ = codec.send(&mut self.stack, hdr, req);
+        }
     }
 
     /// Manual 1- or 2-copy echo of the Cornflakes message fields.
@@ -205,103 +198,15 @@ impl EchoServer {
         let _ = self.stack.send_built(hdr, tx, payload_len);
     }
 
-    /// Full Cornflakes echo: re-run the hybrid heuristic per field.
-    fn echo_cornflakes(&mut self, pkt: Packet) {
+    /// Serializer echo: deserialize, then reserialize every field the way
+    /// the library does it (for Cornflakes, re-running the hybrid heuristic
+    /// per field) and send. Each message starts from a fresh codec, as an
+    /// application without per-connection state would.
+    fn echo_with<C: KvCodec>(&mut self, mut codec: C, pkt: Packet) {
         let hdr = pkt.hdr.reply(Self::reply_meta(&pkt));
-        let mut resp = GetMsg::new();
-        {
-            let ctx = self.stack.ctx();
-            let Ok(req) = GetMsg::deserialize(ctx, &pkt.payload) else {
-                return;
-            };
-            resp.id = req.id;
-            resp.init_vals(req.vals.len());
-            for v in req.vals.iter() {
-                resp.get_mut_vals().append(CFBytes::new(ctx, v.as_slice()));
-            }
+        if let Ok(req) = codec.decode(self.stack.ctx(), &pkt.payload) {
+            let _ = codec.echo(&mut self.stack, hdr, req);
         }
-        let _ = if self.stack.ctx().config.serialize_and_send {
-            self.stack.send_object(hdr, &resp)
-        } else {
-            self.stack.send_object_sga(hdr, &resp)
-        };
-    }
-
-    fn echo_protobuf(&mut self, pkt: Packet) {
-        let hdr = pkt.hdr.reply(Self::reply_meta(&pkt));
-        let sim = self.stack.sim().clone();
-        // Protobuf deserialization copies fields into the owned struct;
-        // re-serialization encodes them into DMA memory.
-        let Ok(req) = PGetM::decode(&sim, &pkt.payload) else {
-            return;
-        };
-        let Ok(mut tx) = self.stack.alloc_tx(req.encoded_len()) else {
-            return;
-        };
-        let payload = req.encode(&sim, tx.addr() + HEADER_BYTES as u64);
-        tx.write_at(HEADER_BYTES, &payload);
-        let _ = self.stack.send_built(hdr, tx, payload.len());
-    }
-
-    fn echo_flatbuffers(&mut self, pkt: Packet) {
-        let hdr = pkt.hdr.reply(Self::reply_meta(&pkt));
-        let sim = self.stack.sim().clone();
-        let Ok(req) = FlatGetMView::parse(&sim, &pkt.payload) else {
-            return;
-        };
-        let n = req.vals_len().unwrap_or(0);
-        let mut vals: Vec<&[u8]> = Vec::with_capacity(n);
-        for i in 0..n {
-            let Ok(v) = req.val(i) else { return };
-            vals.push(v);
-        }
-        let built = FlatGetM::encode(&sim, req.id().ok().flatten(), &[], &vals);
-        let Ok(mut tx) = self.stack.alloc_tx(built.len()) else {
-            return;
-        };
-        sim.charge_memcpy(
-            Category::SerializeCopy,
-            built.as_ptr() as u64,
-            tx.addr() + HEADER_BYTES as u64,
-            built.len(),
-        );
-        tx.write_at(HEADER_BYTES, &built);
-        let _ = self.stack.send_built(hdr, tx, built.len());
-    }
-
-    fn echo_capnproto(&mut self, pkt: Packet) {
-        let hdr = pkt.hdr.reply(Self::reply_meta(&pkt));
-        let sim = self.stack.sim().clone();
-        let Ok(req) = CapnReader::parse(&sim, &pkt.payload) else {
-            return;
-        };
-        let Ok(vals) = req.vals(&sim) else { return };
-        let mut resp = CapnGetM::new();
-        if let Ok(Some(id)) = req.id() {
-            resp.set_id(id);
-        }
-        for v in &vals {
-            resp.add_val(&sim, v);
-        }
-        let segments = resp.finish(&sim);
-        let framed = CapnGetM::frame(&segments);
-        let Ok(mut tx) = self.stack.alloc_tx(framed.len()) else {
-            return;
-        };
-        let table_len = framed.len() - segments.iter().map(Vec::len).sum::<usize>();
-        tx.write_at(HEADER_BYTES, &framed[..table_len]);
-        let mut off = HEADER_BYTES + table_len;
-        for seg in &segments {
-            sim.charge_memcpy(
-                Category::SerializeCopy,
-                seg.as_ptr() as u64,
-                tx.addr() + off as u64,
-                seg.len(),
-            );
-            tx.write_at(off, seg);
-            off += seg.len();
-        }
-        let _ = self.stack.send_built(hdr, tx, framed.len());
     }
 }
 

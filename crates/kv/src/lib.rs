@@ -5,9 +5,13 @@
 //! - [`store`] — the store engine: string keys mapping to values stored as
 //!   one or more pinned (DMA-safe) buffers (single buffers, linked lists,
 //!   or vectors of segments).
-//! - [`server`] — the UDP key-value server, generic over
-//!   [`server::SerKind`]: Cornflakes (via generated messages), Protobuf-,
-//!   FlatBuffers-, or Cap'n Proto-style baselines.
+//! - [`server`] — the key-value server: one request engine generic over
+//!   [`server::SerKind`] (Cornflakes via generated messages, or the
+//!   Protobuf-, FlatBuffers- and Cap'n Proto-style baselines; one private
+//!   codec per format) and over its transport, served here over UDP.
+//! - [`tcp_server`] — the same engine behind a TCP flow table.
+//! - [`engine`] — that engine: store, put dedup, versions and the single
+//!   PUT / GET_SEGMENT / GET handler, generic over serializer and transport.
 //! - [`client`] — the matching load-generator client (request encoding and
 //!   response validation per serialization kind). Clients run on their own
 //!   [`cf_sim::Sim`] so client-side costs never pollute server service
@@ -22,7 +26,9 @@
 //!   time.
 
 pub mod client;
+mod codec;
 pub mod echo;
+pub mod engine;
 pub mod overload;
 pub mod redis;
 pub mod server;

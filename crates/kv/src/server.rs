@@ -1,22 +1,23 @@
-//! The UDP key-value server, generic over the serialization approach
-//! (paper §6.1.3: each baseline gets the network API that minimizes its
-//! copies).
+//! The key-value server over UDP: the request engine of [`crate::engine`]
+//! — store, put dedup, versions and the one PUT / GET_SEGMENT / GET
+//! handler, generic over the serialization approach (paper §6.1.3: each
+//! baseline gets the network API that minimizes its copies) — behind a
+//! [`UdpStack`], with admission control, horizon-bounded polling and
+//! transmit batching. [`crate::tcp_server`] serves the same engine over
+//! TCP flows.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
-use cf_net::{FrameMeta, Packet, UdpStack, HEADER_BYTES};
-use cf_sim::cost::Category;
-use cf_telemetry::{Counter, FlightEvent, FlightRecorder, Gauge, Telemetry};
-use cornflakes_core::{CFBytes, CornflakesObj};
+use cf_mem::RcBuf;
+use cf_net::{FrameMeta, Packet, UdpStack};
+use cf_telemetry::{FlightEvent, FlightRecorder, Telemetry};
 
-use cf_baselines::capnlite::{CapnGetM, CapnReader};
-use cf_baselines::flatlite::{FlatGetM, FlatGetMView};
-use cf_baselines::protolite::PGetM;
-
-use crate::msgs::GetMsg;
+use crate::codec::{with_codec, KvCodec};
+use crate::engine::{KvCounters, KvEngine};
 use crate::overload::AdmissionConfig;
-use crate::store::KvStore;
 use crate::{flags, msg_type};
+
+pub use crate::engine::DEFAULT_DEDUP_CAPACITY;
 
 /// Which serialization library the server (and its clients) use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -64,175 +65,31 @@ impl SerKind {
     }
 }
 
-/// Per-[`SerKind`] server counters; default handles are unregistered no-ops.
-#[derive(Debug, Default)]
-struct KvCounters {
-    requests: Counter,
-    bytes_in: Counter,
-    bytes_out: Counter,
-    zero_copy_entries: Counter,
-    puts_applied: Counter,
-    dedup_hits: Counter,
-    degraded_replies: Counter,
-    reply_drops: Counter,
-    malformed_drops: Counter,
-    shed_drops: Counter,
-    backlog: Gauge,
-}
-
-/// Why a `handle_*` function dropped a request without replying: the payload
-/// did not decode, a segment fetch named no key, or a put lacked its key or
-/// value. Counted once, in [`KvServer::handle`], as `malformed_drops`.
-#[derive(Debug)]
-struct Malformed;
-
-/// Default [`DedupWindow`] capacity: far exceeds any plausible retry
-/// window. Configurable per server via [`KvServer::set_dedup_capacity`].
-pub const DEFAULT_DEDUP_CAPACITY: usize = 4096;
-
-/// A bounded window of recently applied put request-ids, giving retried
-/// puts exactly-once semantics under client retransmission. Eviction is
-/// FIFO; the default capacity far exceeds any plausible retry window.
-#[derive(Debug)]
-struct DedupWindow {
-    seen: HashSet<u32>,
-    order: VecDeque<u32>,
-    capacity: usize,
-}
-
-impl DedupWindow {
-    fn new(capacity: usize) -> Self {
-        DedupWindow {
-            seen: HashSet::new(),
-            order: VecDeque::new(),
-            capacity,
-        }
-    }
-
-    fn contains(&self, id: u32) -> bool {
-        self.seen.contains(&id)
-    }
-
-    fn record(&mut self, id: u32) {
-        if !self.seen.insert(id) {
-            return;
-        }
-        self.order.push_back(id);
-        self.trim();
-    }
-
-    /// Resizes the window, evicting oldest-first if shrinking below the
-    /// current occupancy.
-    fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity;
-        self.trim();
-    }
-
-    fn trim(&mut self) {
-        while self.order.len() > self.capacity {
-            if let Some(old) = self.order.pop_front() {
-                self.seen.remove(&old);
-            }
-        }
-    }
-}
-
 /// One request admitted into the pending backlog, stamped with its
 /// arrival time on the *arrival* clock (the caller's `now_ns`, which may
 /// run ahead of this shard's lagging service clock under overload).
 #[derive(Debug)]
-struct Admitted {
+pub(crate) struct Admitted {
     arrival_ns: u64,
     pkt: Packet,
 }
 
 /// Admission-control state: the bounded pending-request backlog.
 #[derive(Debug)]
-struct AdmissionState {
+pub(crate) struct AdmissionState {
     cfg: AdmissionConfig,
     backlog: VecDeque<Admitted>,
 }
 
-/// The key-value server: store + datapath + serialization strategy.
-#[derive(Debug)]
-pub struct KvServer {
-    /// The server's datapath.
-    pub stack: UdpStack,
-    /// The store engine.
-    pub store: KvStore,
-    /// Serialization strategy.
-    pub kind: SerKind,
-    /// Segment size used when storing put values.
-    pub put_segment_size: usize,
-    /// Raw scatter-gather mode (measurement study, §2.4/Figure 3): skip the
-    /// memory-safety bookkeeping entirely and post value buffers directly.
-    /// Only meaningful with [`SerKind::Cornflakes`].
-    pub raw_zero_copy: bool,
-    counters: KvCounters,
-    dedup: DedupWindow,
-    /// Per-key value versions. Populated only by the cluster layer's
-    /// versioned apply path; single-node servers leave it empty, so every
-    /// reply carries version 0 and the wire stays byte-identical to the
-    /// pre-versioning format.
-    versions: HashMap<Vec<u8>, u64>,
-    admission: Option<AdmissionState>,
-    flight: FlightRecorder,
-    /// Scratch request/response messages for the Cornflakes datapath:
-    /// requests decode in place into `req_scratch` and replies are rebuilt
-    /// in `resp_scratch`, so list capacities persist across requests and a
-    /// warm server handles GETs and PUTs without heap allocation.
-    req_scratch: GetMsg,
-    resp_scratch: GetMsg,
-    /// Recycled slice-scratch for the FlatBuffers batched-GET handler (the
-    /// per-request `Vec<&[u8]>` of value segments). Stored with a `'static`
-    /// tag but always empty between requests — see [`recycle_slices`].
-    flat_vals_spare: Vec<&'static [u8]>,
-}
+/// The key-value server over UDP: the request engine behind a [`UdpStack`].
+/// Public fields: `stack` (the datapath), `store`, `kind`,
+/// `put_segment_size` and `raw_zero_copy`.
+pub type KvServer = KvEngine<UdpStack>;
 
-/// Recycles a slice-scratch vector for storage between requests: emptied,
-/// then retagged `'static` so it can live in the server struct. Taking it
-/// back out needs no unsafety — `Vec` is covariant, so the `'static` tag
-/// shortens to the next request's lifetime implicitly.
-fn recycle_slices(mut v: Vec<&[u8]>) -> Vec<&'static [u8]> {
-    v.clear();
-    let ptr = v.as_mut_ptr();
-    let cap = v.capacity();
-    std::mem::forget(v);
-    // SAFETY: the vector was emptied above, so no borrowed slice survives
-    // into the returned vector; `len == 0` means no `&'static [u8]` value
-    // is ever fabricated. Only the allocation is reused, and the element
-    // layout is identical on both sides of the cast.
-    unsafe { Vec::from_raw_parts(ptr.cast::<&'static [u8]>(), 0, cap) }
-}
-
-impl KvServer {
+impl KvEngine<UdpStack> {
     /// Creates a server over `stack` with the given strategy.
     pub fn new(stack: UdpStack, kind: SerKind) -> Self {
-        let store = KvStore::new(stack.sim().clone());
-        KvServer {
-            stack,
-            store,
-            kind,
-            put_segment_size: 8192,
-            raw_zero_copy: false,
-            counters: KvCounters::default(),
-            dedup: DedupWindow::new(DEFAULT_DEDUP_CAPACITY),
-            versions: HashMap::new(),
-            admission: None,
-            flight: FlightRecorder::disabled(),
-            req_scratch: GetMsg::new(),
-            resp_scratch: GetMsg::new(),
-            flat_vals_spare: Vec::new(),
-        }
-    }
-
-    /// Resizes the put-dedup window (default
-    /// [`DEFAULT_DEDUP_CAPACITY`]). A smaller window uses less memory but
-    /// forgets old request ids sooner: a put retried after more than
-    /// `capacity` intervening successful puts would be re-applied.
-    /// Shrinking evicts oldest-first immediately.
-    pub fn set_dedup_capacity(&mut self, capacity: usize) {
-        self.dedup.set_capacity(capacity);
+        Self::over(stack, kind, DEFAULT_DEDUP_CAPACITY)
     }
 
     /// Wires the server into a telemetry handle: the datapath/NIC/memory
@@ -247,20 +104,7 @@ impl KvServer {
     /// shard as `shardN` so cross-queue accounting stays separable.
     pub fn set_telemetry_scoped(&mut self, tele: &Telemetry, scope: &str) {
         self.stack.set_telemetry(tele);
-        let k = scope;
-        self.counters = KvCounters {
-            requests: tele.counter(&format!("kv.{k}.requests")),
-            bytes_in: tele.counter(&format!("kv.{k}.bytes_in")),
-            bytes_out: tele.counter(&format!("kv.{k}.bytes_out")),
-            zero_copy_entries: tele.counter(&format!("kv.{k}.zero_copy_entries")),
-            puts_applied: tele.counter(&format!("kv.{k}.puts_applied")),
-            dedup_hits: tele.counter(&format!("kv.{k}.dedup_hits")),
-            degraded_replies: tele.counter(&format!("kv.{k}.degraded_replies")),
-            reply_drops: tele.counter(&format!("kv.{k}.reply_drops")),
-            malformed_drops: tele.counter(&format!("kv.{k}.malformed_drops")),
-            shed_drops: tele.counter(&format!("kv.{k}.shed_drops")),
-            backlog: tele.gauge(&format!("kv.{k}.backlog")),
-        };
+        self.counters = KvCounters::register(tele, scope);
     }
 
     /// Installs a request-scoped flight recorder on the server and its
@@ -274,41 +118,9 @@ impl KvServer {
         self.stack.set_flight_recorder(fr);
     }
 
-    /// Puts applied exactly once (excludes dedup hits and degraded
-    /// failures) — the ground truth the chaos tests compare against.
-    pub fn puts_applied(&self) -> u64 {
-        self.counters.puts_applied.get()
-    }
-
-    /// Retried puts absorbed by the dedup window.
-    pub fn dedup_hits(&self) -> u64 {
-        self.counters.dedup_hits.get()
-    }
-
-    /// Requests answered with [`flags::DEGRADED`] under memory pressure.
-    pub fn degraded_replies(&self) -> u64 {
-        self.counters.degraded_replies.get()
-    }
-
-    /// Requests handled (any message type).
-    pub fn requests_handled(&self) -> u64 {
-        self.counters.requests.get()
-    }
-
-    /// Requests dropped without a reply because they were malformed:
-    /// undecodable payload, key-less segment fetch, put without key or value.
-    pub fn malformed_drops(&self) -> u64 {
-        self.counters.malformed_drops.get()
-    }
-
     /// Requests rejected by the admission layer with a `SHED` fast-reject.
     pub fn shed_drops(&self) -> u64 {
         self.counters.shed_drops.get()
-    }
-
-    /// Whether admission control is enabled.
-    pub fn admission_enabled(&self) -> bool {
-        self.admission.is_some()
     }
 
     /// Pending requests currently queued by the admission layer.
@@ -344,20 +156,7 @@ impl KvServer {
             let now = self.stack.sim().now();
             return self.poll_admitted(now);
         }
-        let mut n = 0;
-        loop {
-            let pkt = {
-                // Receive-path charges (header parse, RX base) land in their
-                // own root span; request processing gets a span per packet.
-                let _rx = self.stack.telemetry().span("rx");
-                self.stack.recv_packet()
-            };
-            let Some(pkt) = pkt else { break };
-            self.handle(pkt);
-            n += 1;
-        }
-        self.flush_batched_replies();
-        n
+        self.serve_until(u64::MAX)
     }
 
     /// Uncontrolled horizon-bounded poll: serves FIFO from an unbounded
@@ -368,18 +167,28 @@ impl KvServer {
     /// (spare capacity cannot be banked across idle periods).
     pub fn poll_until(&mut self, now_ns: u64, horizon_ns: u64) -> usize {
         self.catch_up_if_idle(now_ns);
+        self.serve_until(horizon_ns)
+    }
+
+    /// Serves FIFO straight off the NIC while the service clock is before
+    /// `horizon_ns`, then flushes batched replies.
+    fn serve_until(&mut self, horizon_ns: u64) -> usize {
         let mut n = 0;
         while self.stack.sim().now() < horizon_ns {
-            let pkt = {
-                let _rx = self.stack.telemetry().span("rx");
-                self.stack.recv_packet()
-            };
-            let Some(pkt) = pkt else { break };
+            let Some(pkt) = self.recv() else { break };
             self.handle(pkt);
             n += 1;
         }
         self.flush_batched_replies();
         n
+    }
+
+    /// Receives the next packet. Receive-path charges (header parse, RX
+    /// base) land in their own root span; request processing gets a span
+    /// per packet.
+    fn recv(&mut self) -> Option<Packet> {
+        let _rx = self.stack.telemetry().span("rx");
+        self.stack.recv_packet()
     }
 
     /// Drains the NIC into the bounded backlog, stamping arrivals with
@@ -394,11 +203,7 @@ impl KvServer {
         self.stack.pump_rx();
         let mut admitted = 0;
         while self.backlog_len() < capacity {
-            let pkt = {
-                let _rx = self.stack.telemetry().span("rx");
-                self.stack.recv_packet()
-            };
-            let Some(pkt) = pkt else { break };
+            let Some(pkt) = self.recv() else { break };
             let req_id = pkt.hdr.meta.req_id;
             self.admission
                 .as_mut()
@@ -567,12 +372,15 @@ impl KvServer {
 
     /// Handles one request packet.
     pub fn handle(&mut self, pkt: Packet) {
-        let tele = self.stack.telemetry().clone();
-        let _req = tele.request_span("request", u64::from(pkt.hdr.meta.req_id));
+        let req_id = pkt.hdr.meta.req_id;
+        let _req = self
+            .stack
+            .telemetry()
+            .request_span("request", u64::from(req_id));
         self.counters.requests.inc();
         self.counters.bytes_in.add(pkt.frame.len() as u64);
         self.flight.record(
-            pkt.hdr.meta.req_id,
+            req_id,
             self.stack.sim().now(),
             FlightEvent::ShardDispatch {
                 shard: self.stack.queue().min(u8::MAX as usize) as u8,
@@ -582,68 +390,32 @@ impl KvServer {
         // other shards' traffic must never leak into this server's
         // accounting.
         let tx_before = self.stack.nic_queue_stats().tx_bytes;
-        let handled = match self.kind {
-            SerKind::Cornflakes => self.handle_cornflakes(pkt),
-            SerKind::Protobuf => self.handle_protobuf(pkt),
-            SerKind::FlatBuffers => self.handle_flatbuffers(pkt),
-            SerKind::CapnProto => self.handle_capnproto(pkt),
-        };
-        if handled.is_err() {
+        let meta = pkt.hdr.meta;
+        let mut hdr = pkt.hdr.reply(FrameMeta {
+            msg_type: meta.msg_type | msg_type::RESPONSE,
+            flags: 0,
+            req_id,
+        });
+        let mut codecs = std::mem::take(&mut self.codecs);
+        let served = with_codec!(self.kind, codecs, |codec| self.serve(
+            codec,
+            meta.msg_type,
+            req_id,
+            &pkt.payload,
+            |stack, codec, reply_flags, version, reply| {
+                hdr.meta.flags = reply_flags;
+                hdr.version = version;
+                codec.send(stack, hdr, reply).is_ok()
+            },
+        ));
+        self.codecs = codecs;
+        if served.is_err() {
             // Dropped without a reply, as the paper's server would.
             self.counters.malformed_drops.inc();
         }
         self.counters
             .bytes_out
             .add(self.stack.nic_queue_stats().tx_bytes - tx_before);
-    }
-
-    /// Records the reply lifecycle event (service clock) with the flags
-    /// the reply header carries (e.g. [`flags::DEGRADED`]).
-    fn record_reply(&self, hdr: &cf_net::PacketHeader) {
-        self.flight.record(
-            hdr.meta.req_id,
-            self.stack.sim().now(),
-            FlightEvent::Reply {
-                flags: hdr.meta.flags,
-            },
-        );
-    }
-
-    fn reply_meta(pkt: &Packet) -> FrameMeta {
-        FrameMeta {
-            msg_type: pkt.hdr.meta.msg_type | msg_type::RESPONSE,
-            flags: 0,
-            req_id: pkt.hdr.meta.req_id,
-        }
-    }
-
-    /// Applies a put at most once per request id: a replayed id (a client
-    /// retry whose original reply was lost) is acknowledged without
-    /// re-applying. Returns the reply flags — [`flags::DEGRADED`] when the
-    /// store could not apply the put under memory pressure. Only a
-    /// *successful* apply enters the dedup window, so a later retry of a
-    /// degraded put can still succeed once pressure subsides.
-    fn apply_put(&mut self, req_id: u32, key: &[u8], val: &[u8]) -> u8 {
-        if self.dedup.contains(req_id) {
-            self.counters.dedup_hits.inc();
-            self.flight
-                .record(req_id, self.stack.sim().now(), FlightEvent::DedupHit);
-            return 0;
-        }
-        match self
-            .store
-            .put(self.stack.ctx(), key, val, self.put_segment_size)
-        {
-            Ok(()) => {
-                self.dedup.record(req_id);
-                self.counters.puts_applied.inc();
-                0
-            }
-            Err(_) => {
-                self.counters.degraded_replies.inc();
-                flags::DEGRADED
-            }
-        }
     }
 
     // ---- Cluster replication hooks --------------------------------------
@@ -653,495 +425,9 @@ impl KvServer {
     /// layer uses this to route a client put to its replica set and to
     /// apply forwarded `REPL_PUT`s (whose payload is the client's put
     /// payload, byte-for-byte). Returns `None` on malformed payloads.
-    pub fn decode_put(&mut self, payload: &cf_mem::RcBuf) -> Option<(Vec<u8>, Vec<u8>)> {
-        match self.kind {
-            SerKind::Cornflakes => {
-                let req = GetMsg::deserialize(self.stack.ctx(), payload).ok()?;
-                let key = req.keys.get(0)?.as_slice().to_vec();
-                let val = req.vals.get(0)?.as_slice().to_vec();
-                Some((key, val))
-            }
-            SerKind::Protobuf => {
-                let sim = self.stack.sim().clone();
-                let req = PGetM::decode(&sim, payload).ok()?;
-                Some((req.keys.first()?.to_vec(), req.vals.first()?.to_vec()))
-            }
-            SerKind::FlatBuffers => {
-                let sim = self.stack.sim().clone();
-                let req = FlatGetMView::parse(&sim, payload).ok()?;
-                let key = req.key(0).ok()?.to_vec();
-                let val = req.val(0).ok()?.to_vec();
-                Some((key, val))
-            }
-            SerKind::CapnProto => {
-                let sim = self.stack.sim().clone();
-                let req = CapnReader::parse(&sim, payload).ok()?;
-                let key = req.keys(&sim).ok()?.first()?.to_vec();
-                let val = req.vals(&sim).ok()?.first()?.to_vec();
-                Some((key, val))
-            }
-        }
-    }
-
-    /// Applies a put on behalf of the replication layer, under the same
-    /// request-id dedup window as client puts — the forwarded `REPL_PUT`
-    /// keeps the client's request id, so a retried or replayed put applies
-    /// at most once per replica no matter which path delivered it. Returns
-    /// the apply flags ([`flags::DEGRADED`] on memory pressure, else 0).
-    pub fn apply_replicated_put(&mut self, req_id: u32, key: &[u8], val: &[u8]) -> u8 {
-        self.apply_put(req_id, key, val)
-    }
-
-    /// Whether `req_id` is in the put-dedup window (already applied).
-    pub fn dedup_contains(&self, req_id: u32) -> bool {
-        self.dedup.contains(req_id)
-    }
-
-    /// The version the cluster layer last applied for `key` (0 = never
-    /// versioned). Stamped onto GET replies and PUT acks so clients can
-    /// order values observed across replicas.
-    pub fn version_of(&self, key: &[u8]) -> u64 {
-        self.versions.get(key).copied().unwrap_or(0)
-    }
-
-    /// Applies a versioned put on behalf of the replication layer. The
-    /// dedup window is consulted first (a replayed request id never
-    /// re-applies, same as [`KvServer::apply_replicated_put`]); then
-    /// versions are compared — an incoming version at or below the stored
-    /// one is stale (a catch-up replay or read-repair racing a newer
-    /// write) and is acknowledged without clobbering the newer value.
-    /// Returns the reply flags plus whether the store actually applied
-    /// the bytes (and the version table advanced). Dedup hits, stale
-    /// rejections, and degraded applies all report `false`, so callers
-    /// maintaining replay logs record only genuine applies.
-    pub fn apply_versioned_put(
-        &mut self,
-        req_id: u32,
-        key: &[u8],
-        val: &[u8],
-        version: u64,
-    ) -> (u8, bool) {
-        if self.dedup.contains(req_id) {
-            return (self.apply_put(req_id, key, val), false); // counts the dedup hit
-        }
-        if version != 0 && version <= self.version_of(key) {
-            return (0, false); // stale: an equal-or-newer version already applied
-        }
-        let f = self.apply_put(req_id, key, val);
-        let applied = f & flags::DEGRADED == 0;
-        if applied && version != 0 {
-            self.versions.insert(key.to_vec(), version);
-        }
-        (f, applied)
-    }
-
-    // ---- Cornflakes ----------------------------------------------------
-
-    /// Returns the Cornflakes message scratch to the server: the request
-    /// and response drop their buffer references (releasing the rx frame
-    /// and any store segments they pin) but keep their list capacities for
-    /// the next request.
-    fn stash_cornflakes_scratch(&mut self, mut req: GetMsg, mut resp: GetMsg) {
-        req.id = None;
-        req.keys.clear();
-        req.vals.clear();
-        resp.id = None;
-        resp.keys.clear();
-        resp.vals.clear();
-        self.req_scratch = req;
-        self.resp_scratch = resp;
-    }
-
-    fn handle_cornflakes(&mut self, pkt: Packet) -> Result<(), Malformed> {
-        let tele = self.stack.telemetry().clone();
-        let mut hdr = pkt.hdr.reply(Self::reply_meta(&pkt));
-        let mut req = std::mem::take(&mut self.req_scratch);
-        let mut resp = std::mem::take(&mut self.resp_scratch);
-        {
-            let _de = tele.span("deserialize");
-            if req
-                .deserialize_into(self.stack.ctx(), &pkt.payload)
-                .is_err()
-            {
-                self.stash_cornflakes_scratch(req, resp);
-                return Err(Malformed);
-            }
-        }
-        resp.id = pkt.hdr.meta.req_id.checked_into_i32();
-        if pkt.hdr.meta.msg_type == msg_type::GET_SEGMENT && req.keys.get(0).is_none() {
-            // A segment fetch names its key.
-            self.stash_cornflakes_scratch(req, resp);
-            return Err(Malformed);
-        }
-        {
-            let ctx = self.stack.ctx();
-            let _app = tele.span("app");
-            match pkt.hdr.meta.msg_type {
-                msg_type::PUT => {
-                    // Applied below, outside the app span, borrowing the
-                    // decoded key/value views directly — no intermediate
-                    // copies.
-                }
-                msg_type::GET_SEGMENT => {
-                    // Key presence was checked before this block.
-                    if let Some(key) = req.keys.get(0) {
-                        hdr.version = self.version_of(key.as_slice());
-                        let seg = req.id.unwrap_or(0) as usize;
-                        if let Some(value) = self.store.get(key.as_slice()) {
-                            if let Some(buf) = value.segments.get(seg) {
-                                resp.get_mut_vals()
-                                    .append(CFBytes::new(ctx, buf.as_slice()));
-                            }
-                        }
-                    }
-                }
-                _ => {
-                    // GET / multi-get / list query: all segments of every
-                    // requested key, in order (paper Listing 4). The header
-                    // has one version slot, so only a single-key get can
-                    // attribute it; batches leave it 0.
-                    if req.keys.len() == 1 {
-                        if let Some(key) = req.keys.get(0) {
-                            hdr.version = self.version_of(key.as_slice());
-                        }
-                    }
-                    for key in req.keys.iter() {
-                        if let Some(value) = self.store.get(key.as_slice()) {
-                            for buf in &value.segments {
-                                let field = if self.raw_zero_copy {
-                                    // No recover_ptr, no charged refcounts:
-                                    // the idealized upper bound.
-                                    CFBytes::from_rcbuf(buf.clone())
-                                } else {
-                                    CFBytes::new(ctx, buf.as_slice())
-                                };
-                                resp.get_mut_vals().append(field);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if pkt.hdr.meta.msg_type == msg_type::PUT {
-            let (Some(key), Some(val)) = (req.keys.get(0), req.vals.get(0)) else {
-                self.stash_cornflakes_scratch(req, resp);
-                return Err(Malformed);
-            };
-            hdr.meta.flags = self.apply_put(pkt.hdr.meta.req_id, key.as_slice(), val.as_slice());
-            hdr.version = self.version_of(key.as_slice());
-        }
-        self.counters
-            .zero_copy_entries
-            .add(resp.zero_copy_entries() as u64);
-        self.record_reply(&hdr);
-        {
-            let _tx = tele.span("tx");
-            let sent = if self.stack.ctx().config.serialize_and_send {
-                self.stack.send_object(hdr, &resp)
-            } else {
-                self.stack.send_object_sga(hdr, &resp)
-            };
-            if sent.is_err() {
-                self.counters.reply_drops.inc();
-            }
-        }
-        self.stash_cornflakes_scratch(req, resp);
-        Ok(())
-    }
-
-    // ---- Protobuf baseline ----------------------------------------------
-
-    fn handle_protobuf(&mut self, pkt: Packet) -> Result<(), Malformed> {
-        let mut hdr = pkt.hdr.reply(Self::reply_meta(&pkt));
-        let sim = self.stack.sim().clone();
-        let req = PGetM::decode(&sim, &pkt.payload).map_err(|_| Malformed)?;
-        let mut resp = PGetM::new();
-        resp.id = Some(pkt.hdr.meta.req_id);
-        match pkt.hdr.meta.msg_type {
-            msg_type::PUT => {
-                let (Some(key), Some(val)) = (req.keys.first(), req.vals.first()) else {
-                    return Err(Malformed);
-                };
-                hdr.meta.flags = self.apply_put(pkt.hdr.meta.req_id, key, val);
-                hdr.version = self.version_of(key);
-            }
-            msg_type::GET_SEGMENT => {
-                if let Some(key) = req.keys.first() {
-                    hdr.version = self.version_of(key);
-                    let seg = req.id.unwrap_or(0) as usize;
-                    if let Some(value) = self.store.get(key) {
-                        if let Some(buf) = value.segments.get(seg) {
-                            resp.add_val(&sim, buf.as_slice());
-                        }
-                    }
-                }
-            }
-            _ => {
-                // One version slot in the header: single-key gets only.
-                if let [key] = req.keys.as_slice() {
-                    hdr.version = self.version_of(key);
-                }
-                for key in &req.keys {
-                    if let Some(value) = self.store.get(key) {
-                        for buf in &value.segments {
-                            resp.add_val(&sim, buf.as_slice());
-                        }
-                    }
-                }
-            }
-        }
-        // Protobuf encodes from its structs directly into DMA-safe memory.
-        self.record_reply(&hdr);
-        let Ok(mut tx) = self.stack.alloc_tx(resp.encoded_len()) else {
-            self.counters.reply_drops.inc();
-            return Ok(());
-        };
-        let payload = resp.encode(&sim, tx.addr() + HEADER_BYTES as u64);
-        tx.write_at(HEADER_BYTES, &payload);
-        if self.stack.send_built(hdr, tx, payload.len()).is_err() {
-            self.counters.reply_drops.inc();
-        }
-        Ok(())
-    }
-
-    // ---- FlatBuffers baseline --------------------------------------------
-
-    fn handle_flatbuffers(&mut self, pkt: Packet) -> Result<(), Malformed> {
-        let mut hdr = pkt.hdr.reply(Self::reply_meta(&pkt));
-        let sim = self.stack.sim().clone();
-        let req = FlatGetMView::parse(&sim, &pkt.payload).map_err(|_| Malformed)?;
-        let nkeys = req.keys_len().unwrap_or(0);
-        // Recycled segment-slice scratch (`Vec` covariance shortens the
-        // stored `'static` tag to this request's lifetime).
-        let mut vals: Vec<&[u8]> = std::mem::take(&mut self.flat_vals_spare);
-        match pkt.hdr.meta.msg_type {
-            msg_type::PUT => {
-                let (Ok(key), Ok(val)) = (req.key(0), req.val(0)) else {
-                    self.flat_vals_spare = recycle_slices(vals);
-                    return Err(Malformed);
-                };
-                hdr.meta.flags = self.apply_put(pkt.hdr.meta.req_id, key, val);
-                hdr.version = self.version_of(key);
-            }
-            msg_type::GET_SEGMENT => {
-                if let Ok(key) = req.key(0) {
-                    hdr.version = self.version_of(key);
-                    let seg = req.id().ok().flatten().unwrap_or(0) as usize;
-                    if let Some(value) = self.store.get(key) {
-                        if let Some(buf) = value.segments.get(seg) {
-                            vals.push(buf.as_slice());
-                        }
-                    }
-                }
-            }
-            _ => {
-                // One version slot in the header: single-key gets only.
-                if nkeys == 1 {
-                    if let Ok(key) = req.key(0) {
-                        hdr.version = self.version_of(key);
-                    }
-                }
-                for i in 0..nkeys {
-                    let Ok(key) = req.key(i) else { continue };
-                    if let Some(value) = self.store.get(key) {
-                        for buf in &value.segments {
-                            vals.push(buf.as_slice());
-                        }
-                    }
-                }
-            }
-        }
-        // Builder copies fields into its heap buffer (cold), then the
-        // contiguous buffer is staged into DMA memory (warm).
-        self.record_reply(&hdr);
-        let built = FlatGetM::encode(&sim, Some(pkt.hdr.meta.req_id), &[], &vals);
-        self.flat_vals_spare = recycle_slices(vals);
-        let Ok(mut tx) = self.stack.alloc_tx(built.len()) else {
-            self.counters.reply_drops.inc();
-            return Ok(());
-        };
-        sim.charge_memcpy(
-            Category::SerializeCopy,
-            built.as_ptr() as u64,
-            tx.addr() + HEADER_BYTES as u64,
-            built.len(),
-        );
-        tx.write_at(HEADER_BYTES, &built);
-        if self.stack.send_built(hdr, tx, built.len()).is_err() {
-            self.counters.reply_drops.inc();
-        }
-        Ok(())
-    }
-
-    // ---- Cap'n Proto baseline ---------------------------------------------
-
-    fn handle_capnproto(&mut self, pkt: Packet) -> Result<(), Malformed> {
-        let mut hdr = pkt.hdr.reply(Self::reply_meta(&pkt));
-        let sim = self.stack.sim().clone();
-        let req = CapnReader::parse(&sim, &pkt.payload).map_err(|_| Malformed)?;
-        let keys = req.keys(&sim).map_err(|_| Malformed)?;
-        let mut resp = CapnGetM::new();
-        resp.set_id(pkt.hdr.meta.req_id);
-        match pkt.hdr.meta.msg_type {
-            msg_type::PUT => {
-                let vals = req.vals(&sim).map_err(|_| Malformed)?;
-                let (Some(key), Some(val)) = (keys.first(), vals.first()) else {
-                    return Err(Malformed);
-                };
-                hdr.meta.flags = self.apply_put(pkt.hdr.meta.req_id, key, val);
-                hdr.version = self.version_of(key);
-            }
-            msg_type::GET_SEGMENT => {
-                if let Some(key) = keys.first() {
-                    hdr.version = self.version_of(key);
-                    let seg = req.id().ok().flatten().unwrap_or(0) as usize;
-                    if let Some(value) = self.store.get(key) {
-                        if let Some(buf) = value.segments.get(seg) {
-                            resp.add_val(&sim, buf.as_slice());
-                        }
-                    }
-                }
-            }
-            _ => {
-                // One version slot in the header: single-key gets only.
-                if let [key] = keys.as_slice() {
-                    hdr.version = self.version_of(key);
-                }
-                for key in &keys {
-                    if let Some(value) = self.store.get(key) {
-                        for buf in &value.segments {
-                            resp.add_val(&sim, buf.as_slice());
-                        }
-                    }
-                }
-            }
-        }
-        // The library yields a non-contiguous segment list; the stack
-        // stages each heap segment into the DMA buffer (warm copies).
-        self.record_reply(&hdr);
-        let segments = resp.finish(&sim);
-        let framed = CapnGetM::frame(&segments);
-        let Ok(mut tx) = self.stack.alloc_tx(framed.len()) else {
-            self.counters.reply_drops.inc();
-            return Ok(());
-        };
-        let mut off = HEADER_BYTES;
-        // Frame table first (small), then per-segment staging.
-        let table_len = framed.len() - segments.iter().map(Vec::len).sum::<usize>();
-        tx.write_at(off, &framed[..table_len]);
-        off += table_len;
-        for seg in &segments {
-            sim.charge_memcpy(
-                Category::SerializeCopy,
-                seg.as_ptr() as u64,
-                tx.addr() + off as u64,
-                seg.len(),
-            );
-            tx.write_at(off, seg);
-            off += seg.len();
-        }
-        if self.stack.send_built(hdr, tx, framed.len()).is_err() {
-            self.counters.reply_drops.inc();
-        }
-        Ok(())
-    }
-}
-
-/// Extension: `u32` request ids fit the schema's `int32 id` field.
-trait CheckedIntoI32 {
-    fn checked_into_i32(self) -> Option<i32>;
-}
-
-impl CheckedIntoI32 for u32 {
-    fn checked_into_i32(self) -> Option<i32> {
-        Some(self as i32)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn dedup_window_evicts_oldest_first() {
-        let mut w = DedupWindow::new(3);
-        for id in 1..=5 {
-            w.record(id);
-        }
-        // The newest `capacity` ids are retained — a retry of any of them
-        // is deduped — and eviction is strictly insertion-order (FIFO):
-        // the oldest ids fell out first.
-        for id in 3..=5 {
-            assert!(w.contains(id), "id {id} inside the window");
-        }
-        for id in 1..=2 {
-            assert!(!w.contains(id), "id {id} evicted oldest-first");
-        }
-        // Re-recording an id already in the window does not double-insert
-        // (and thus cannot double-evict later).
-        w.record(4);
-        w.record(6);
-        assert!(w.contains(4) && w.contains(5) && w.contains(6));
-        assert!(!w.contains(3), "3 was the oldest remaining");
-    }
-
-    #[test]
-    fn dedup_window_shrink_evicts_oldest_first() {
-        let mut w = DedupWindow::new(8);
-        for id in 1..=8 {
-            w.record(id);
-        }
-        w.set_capacity(2);
-        assert!(w.contains(7) && w.contains(8), "newest survive a shrink");
-        for id in 1..=6 {
-            assert!(!w.contains(id));
-        }
-        // Growing again changes only future retention.
-        w.set_capacity(3);
-        w.record(9);
-        assert!(w.contains(7) && w.contains(8) && w.contains(9));
-    }
-
-    #[test]
-    fn dedup_window_survives_req_id_wraparound() {
-        // A long-lived client's u32 request counter wraps; the window must
-        // treat post-wrap ids as ordinary values — FIFO on insertion order,
-        // no arithmetic assumptions about id magnitude.
-        let mut w = DedupWindow::new(4);
-        for id in [u32::MAX - 2, u32::MAX - 1, u32::MAX, 0, 1] {
-            w.record(id);
-        }
-        assert!(
-            !w.contains(u32::MAX - 2),
-            "oldest evicted despite being numerically largest-era"
-        );
-        for id in [u32::MAX - 1, u32::MAX, 0, 1] {
-            assert!(w.contains(id), "id {id} retained across the wrap");
-        }
-        // A retry of a pre-wrap id still inside the window dedups.
-        w.record(u32::MAX);
-        assert!(w.contains(u32::MAX));
-        assert!(
-            w.contains(u32::MAX - 1),
-            "re-record of a present id evicts nothing"
-        );
-    }
-
-    #[test]
-    fn dedup_window_wraparound_collision_is_exact_match_only() {
-        // After 2^32 requests the same id value legitimately returns. The
-        // window's guarantee is bounded: only an id *currently inside the
-        // window* dedups; once evicted, the reused id applies fresh.
-        let mut w = DedupWindow::new(2);
-        w.record(7);
-        w.record(8);
-        w.record(9); // evicts 7
-        assert!(
-            !w.contains(7),
-            "evicted id no longer dedups — a wrapped reuse applies"
-        );
-        w.record(7); // the wrapped generation re-enters cleanly
-        assert!(w.contains(7) && w.contains(9));
-        assert!(!w.contains(8), "FIFO continued across the reuse");
+    pub fn decode_put(&mut self, payload: &RcBuf) -> Option<(Vec<u8>, Vec<u8>)> {
+        let ctx = self.stack.ctx();
+        with_codec!(self.kind, self.codecs, |codec| codec
+            .decode_put(ctx, payload))
     }
 }

@@ -1,5 +1,6 @@
-//! The TCP-served key-value server: a [`TcpListener`] flow table in front
-//! of the same [`KvStore`] engine the UDP datapath serves.
+//! The TCP-served key-value server: the request engine of
+//! [`crate::server`] behind a [`TcpListener`] flow table instead of a UDP
+//! stack.
 //!
 //! The paper's TCP integration (§6.2.3) shows Cornflakes's zero-copy
 //! guarantee extending to "until ACKed"; this module extends it to *many*
@@ -11,18 +12,24 @@
 //!
 //! Stream framing: the transport length-prefixes each message; inside, an
 //! 8-byte sub-header `[msg_type u8 | flags u8 | pad u16 | req_id u32 LE]`
-//! stands in for the UDP frame header's application fields, followed by an
-//! optional serialized [`GetMsg`].
+//! stands in for the UDP frame header's application fields, followed by a
+//! serialized [`crate::msgs::GetMsg`] (replies always carry one, with the
+//! request id in `id`, exactly as over UDP).
+//!
+//! What TCP does not take from the engine: put dedup (each connection
+//! numbers its requests from 1 and the transport already delivers exactly
+//! once, so the window is sized 0), admission control, and the header's
+//! version slot (the sub-header has none; nothing reads versions over TCP).
 
 use cf_mem::RcBuf;
 use cf_net::{FlowId, NetError, TcpListener, TcpStack};
-use cf_telemetry::{Counter, FlightRecorder, Telemetry};
-use cornflakes_core::obj::write_full_header;
-use cornflakes_core::CornflakesObj;
+use cf_telemetry::{FlightRecorder, Telemetry};
+use cornflakes_core::obj::serialize_into;
 
-use crate::msgs::GetMsg;
-use crate::store::KvStore;
-use crate::{flags, msg_type};
+use crate::codec::{CornflakesCodec, KvCodec};
+use crate::engine::{KvCounters, KvEngine};
+use crate::msg_type;
+use crate::server::SerKind;
 
 /// Bytes of the per-message application sub-header.
 pub const TCP_SUBHDR_BYTES: usize = 8;
@@ -45,165 +52,71 @@ pub fn parse_sub_header(b: &[u8]) -> Option<(u8, u8, u32)> {
     Some((b[0], b[1], req_id))
 }
 
-/// Cached telemetry handles; defaults are unregistered no-ops.
-#[derive(Debug, Default)]
-struct TcpKvCounters {
-    requests: Counter,
-    puts_applied: Counter,
-    gets_served: Counter,
-    degraded_replies: Counter,
-    reply_drops: Counter,
-}
-
 /// A key-value server multiplexing Cornflakes-serialized requests over a
-/// bounded TCP flow table.
-pub struct TcpKvServer {
-    /// The flow-table transport.
-    pub listener: TcpListener,
-    /// The store engine.
-    pub store: KvStore,
-    /// Segment size used when storing put values.
-    pub put_segment_size: usize,
-    counters: TcpKvCounters,
-    req_scratch: GetMsg,
-    resp_scratch: GetMsg,
-}
+/// bounded TCP flow table (`stack` is the listener).
+pub type TcpKvServer = KvEngine<TcpListener>;
 
-impl TcpKvServer {
+impl KvEngine<TcpListener> {
     /// Creates a server over `listener`.
     pub fn new(listener: TcpListener) -> Self {
-        let store = KvStore::new(listener.ctx().sim.clone());
-        TcpKvServer {
-            listener,
-            store,
-            put_segment_size: 8192,
-            counters: TcpKvCounters::default(),
-            req_scratch: GetMsg::new(),
-            resp_scratch: GetMsg::new(),
-        }
+        Self::over(listener, SerKind::Cornflakes, 0)
     }
 
-    /// Wires the server into a telemetry handle: `kv.tcp.*` request
+    /// Wires the server into a telemetry handle: the `kv.tcp.*` request
     /// counters plus the listener's transport metrics.
     pub fn set_telemetry(&mut self, tele: &Telemetry) {
-        self.listener.set_telemetry(tele);
-        self.counters = TcpKvCounters {
-            requests: tele.counter("kv.tcp.requests"),
-            puts_applied: tele.counter("kv.tcp.puts_applied"),
-            gets_served: tele.counter("kv.tcp.gets_served"),
-            degraded_replies: tele.counter("kv.tcp.degraded_replies"),
-            reply_drops: tele.counter("kv.tcp.reply_drops"),
-        };
+        self.stack.set_telemetry(tele);
+        self.counters = KvCounters::register(tele, "tcp");
     }
 
     /// Installs a flight recorder on the transport.
     pub fn set_flight_recorder(&mut self, fr: &FlightRecorder) {
-        self.listener.set_flight_recorder(fr);
+        self.stack.set_flight_recorder(fr);
     }
 
     /// Pumps the transport and serves every complete buffered request.
     /// Call each scheduling quantum.
     pub fn poll(&mut self) -> Result<(), NetError> {
-        self.listener.poll()?;
+        self.stack.poll()?;
         loop {
-            match self.listener.recv_from() {
-                Ok(Some((flow, msg))) => self.handle(flow, msg)?,
-                Ok(None) => break,
+            match self.stack.recv_from() {
+                Ok(Some((flow, msg))) => self.handle(flow, &msg),
                 // Pool pressure: leave the message queued and retry next
                 // poll once replies release buffers (backpressure).
-                Err(NetError::RxPoolExhausted) => break,
+                Ok(None) | Err(NetError::RxPoolExhausted) => return Ok(()),
                 Err(e) => return Err(e),
             }
         }
-        Ok(())
     }
 
-    fn stash_scratch(&mut self, mut req: GetMsg, mut resp: GetMsg) {
-        req.id = None;
-        req.keys.clear();
-        req.vals.clear();
-        resp.id = None;
-        resp.keys.clear();
-        resp.vals.clear();
-        self.req_scratch = req;
-        self.resp_scratch = resp;
-    }
-
-    fn handle(&mut self, flow: FlowId, msg: RcBuf) -> Result<(), NetError> {
-        let Some((mtype, _, req_id)) = parse_sub_header(msg.as_slice()) else {
-            return Ok(()); // malformed runt: drop, like the UDP server
-        };
+    /// Serves one stream message: a sub-header, then a request for the
+    /// shared handler. A reply the flow cannot take (gone, retransmission
+    /// queue full, no transmit buffer) is counted, as over UDP.
+    fn handle(&mut self, flow: FlowId, msg: &RcBuf) {
         self.counters.requests.inc();
+        self.counters.bytes_in.add(msg.len() as u64);
+        let Some((mtype, _, req_id)) = parse_sub_header(msg.as_slice()) else {
+            self.counters.malformed_drops.inc();
+            return;
+        };
         let payload = msg.slice(TCP_SUBHDR_BYTES, msg.len() - TCP_SUBHDR_BYTES);
-        let mut req = std::mem::take(&mut self.req_scratch);
-        let mut resp = std::mem::take(&mut self.resp_scratch);
-        if req.deserialize_into(self.listener.ctx(), &payload).is_err() {
-            self.stash_scratch(req, resp);
-            return Ok(());
+        let mut codec = std::mem::take(&mut self.codecs.cornflakes);
+        let served = self.serve(
+            &mut codec,
+            mtype,
+            req_id,
+            &payload,
+            |listener, codec, reply_flags, _version, reply| {
+                let sub = sub_header(mtype | msg_type::RESPONSE, reply_flags, req_id);
+                let sent = listener.send_object_to(flow, &sub, &reply);
+                codec.recycle(reply);
+                matches!(sent, Ok(true))
+            },
+        );
+        self.codecs.cornflakes = codec;
+        if served.is_err() {
+            self.counters.malformed_drops.inc();
         }
-        match mtype {
-            msg_type::PUT => {
-                let reply_flags = match (req.keys.get(0), req.vals.get(0)) {
-                    (Some(key), Some(val)) => {
-                        match self.store.put(
-                            self.listener.ctx(),
-                            key.as_slice(),
-                            val.as_slice(),
-                            self.put_segment_size,
-                        ) {
-                            Ok(()) => {
-                                self.counters.puts_applied.inc();
-                                0
-                            }
-                            Err(_) => {
-                                self.counters.degraded_replies.inc();
-                                flags::DEGRADED
-                            }
-                        }
-                    }
-                    _ => {
-                        self.stash_scratch(req, resp);
-                        return Ok(());
-                    }
-                };
-                let sub = sub_header(msg_type::PUT | msg_type::RESPONSE, reply_flags, req_id);
-                if !self.listener.send_bytes_to(flow, &sub)? {
-                    self.counters.reply_drops.inc();
-                }
-            }
-            msg_type::GET => {
-                resp.id = i32::try_from(req_id).ok();
-                {
-                    let ctx = self.listener.ctx();
-                    for key in req.keys.iter() {
-                        if let Some(value) = self.store.get(key.as_slice()) {
-                            for buf in &value.segments {
-                                resp.get_mut_vals()
-                                    .append(cornflakes_core::CFBytes::new(ctx, buf.as_slice()));
-                            }
-                        }
-                    }
-                }
-                let sub = sub_header(msg_type::GET | msg_type::RESPONSE, 0, req_id);
-                if !self.listener.send_object_to(flow, &sub, &resp)? {
-                    self.counters.reply_drops.inc();
-                } else {
-                    self.counters.gets_served.inc();
-                }
-            }
-            _ => {} // unknown type: drop
-        }
-        self.stash_scratch(req, resp);
-        Ok(())
-    }
-}
-
-impl std::fmt::Debug for TcpKvServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpKvServer")
-            .field("listener", &self.listener)
-            .field("put_segment_size", &self.put_segment_size)
-            .finish()
     }
 }
 
@@ -212,7 +125,7 @@ impl std::fmt::Debug for TcpKvServer {
 pub struct TcpReply {
     /// Response message type (request type | `RESPONSE`).
     pub msg_type: u8,
-    /// Reply flags (e.g. [`flags::DEGRADED`]).
+    /// Reply flags (e.g. [`crate::flags::DEGRADED`]).
     pub flags: u8,
     /// Echoed request id.
     pub req_id: u32,
@@ -223,13 +136,12 @@ pub struct TcpReply {
 /// A well-behaved TCP client: one [`TcpStack`] connection, Cornflakes
 /// request encoding (built contiguously, since the client side sends with
 /// `send_bytes` — the server side is where zero-copy matters).
+#[derive(Debug)]
 pub struct TcpKvClient {
     /// The client's connection.
     pub stack: TcpStack,
-    scratch: GetMsg,
-    resp_scratch: GetMsg,
+    codec: CornflakesCodec,
     enc: Vec<u8>,
-    hdr_scratch: Vec<u8>,
     next_req_id: u32,
 }
 
@@ -238,10 +150,8 @@ impl TcpKvClient {
     pub fn new(stack: TcpStack) -> Self {
         TcpKvClient {
             stack,
-            scratch: GetMsg::new(),
-            resp_scratch: GetMsg::new(),
+            codec: CornflakesCodec::default(),
             enc: Vec::with_capacity(4096),
-            hdr_scratch: Vec::with_capacity(256),
             next_req_id: 1,
         }
     }
@@ -261,56 +171,34 @@ impl TcpKvClient {
         self.stack.is_established()
     }
 
-    fn encode_request(&mut self, mtype: u8, keys: &[&[u8]], vals: &[&[u8]]) -> u32 {
+    /// Sends one request; returns its id.
+    fn request(&mut self, mtype: u8, keys: &[&[u8]], vals: &[&[u8]]) -> Result<u32, NetError> {
         let req_id = self.next_req_id;
         self.next_req_id = self.next_req_id.wrapping_add(1);
-        let mut req = std::mem::take(&mut self.scratch);
-        {
-            let ctx = self.stack.ctx();
-            for k in keys {
-                req.add_keys(ctx, k);
-            }
-            for v in vals {
-                req.add_vals(ctx, v);
-            }
+        let ctx = self.stack.ctx();
+        let mut req = self.codec.begin(None);
+        for k in keys {
+            req.add_keys(ctx, k);
+        }
+        for v in vals {
+            req.add_vals(ctx, v);
         }
         self.enc.clear();
         self.enc.extend_from_slice(&sub_header(mtype, 0, req_id));
-        // Contiguous encode: object header, then copied entries, then
-        // zero-copy entries — the same byte order `send_object`'s gather
-        // produces on the wire.
-        let hb = req.header_bytes();
-        self.hdr_scratch.clear();
-        self.hdr_scratch.resize(hb, 0);
-        write_full_header(&req, &mut self.hdr_scratch);
-        self.enc.extend_from_slice(&self.hdr_scratch);
-        let enc = &mut self.enc;
-        req.for_each_copy_entry(&mut |bytes: &[u8]| enc.extend_from_slice(bytes));
-        req.for_each_zero_copy_entry(&mut |rc: &RcBuf| enc.extend_from_slice(rc.as_slice()));
-        req.id = None;
-        req.keys.clear();
-        req.vals.clear();
-        self.scratch = req;
-        self.stack.ctx().end_request();
-        req_id
+        serialize_into(&req, &mut self.enc);
+        self.codec.recycle(req);
+        ctx.end_request();
+        self.stack.send_bytes(&self.enc).map(|()| req_id)
     }
 
     /// Sends a put; returns the request id to match against replies.
     pub fn put(&mut self, key: &[u8], val: &[u8]) -> Result<u32, NetError> {
-        let req_id = self.encode_request(msg_type::PUT, &[key], &[val]);
-        let enc = std::mem::take(&mut self.enc);
-        let sent = self.stack.send_bytes(&enc);
-        self.enc = enc;
-        sent.map(|()| req_id)
+        self.request(msg_type::PUT, &[key], &[val])
     }
 
     /// Sends a (multi-)get; returns the request id.
     pub fn get(&mut self, keys: &[&[u8]]) -> Result<u32, NetError> {
-        let req_id = self.encode_request(msg_type::GET, keys, &[]);
-        let enc = std::mem::take(&mut self.enc);
-        let sent = self.stack.send_bytes(&enc);
-        self.enc = enc;
-        sent.map(|()| req_id)
+        self.request(msg_type::GET, keys, &[])
     }
 
     /// Pops the next complete reply, if any.
@@ -322,16 +210,10 @@ impl TcpKvClient {
             return Ok(None); // malformed reply: drop
         };
         let mut vals = Vec::new();
-        if msg.len() > TCP_SUBHDR_BYTES {
-            let payload = msg.slice(TCP_SUBHDR_BYTES, msg.len() - TCP_SUBHDR_BYTES);
-            let mut resp = std::mem::take(&mut self.resp_scratch);
-            if resp.deserialize_into(self.stack.ctx(), &payload).is_ok() {
-                vals.extend(resp.vals.iter().map(|v| v.as_slice().to_vec()));
-            }
-            resp.id = None;
-            resp.keys.clear();
-            resp.vals.clear();
-            self.resp_scratch = resp;
+        let payload = msg.slice(TCP_SUBHDR_BYTES, msg.len() - TCP_SUBHDR_BYTES);
+        if let Ok(resp) = self.codec.decode(self.stack.ctx(), &payload) {
+            vals.extend(resp.vals.iter().map(|v| v.as_slice().to_vec()));
+            self.codec.recycle(resp);
         }
         Ok(Some(TcpReply {
             msg_type: mtype,
@@ -339,14 +221,5 @@ impl TcpKvClient {
             req_id,
             vals,
         }))
-    }
-}
-
-impl std::fmt::Debug for TcpKvClient {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpKvClient")
-            .field("stack", &self.stack)
-            .field("next_req_id", &self.next_req_id)
-            .finish()
     }
 }

@@ -312,11 +312,11 @@ fn run_malformed_requests_are_counted(kind: SerKind) {
         replies += 1;
     }
     assert_eq!(server.requests_handled(), sent as u64, "{kind:?}");
-    assert!(replies >= 2, "{kind:?}: the valid GET and PUT are answered");
-    assert!(
-        server.malformed_drops() >= 5,
-        "{kind:?}: garbage and value-less PUTs are dropped, got {}",
-        server.malformed_drops()
+    assert_eq!(replies, 2, "{kind:?}: the valid GET and PUT are answered");
+    assert_eq!(
+        server.malformed_drops(),
+        6,
+        "{kind:?}: garbage, value-less PUTs and the key-less segment fetch are dropped"
     );
     assert_eq!(
         server.requests_handled(),

@@ -1,13 +1,20 @@
 //! KV-over-TCP end-to-end: a [`TcpKvServer`] on a flow-table listener
 //! serving [`TcpKvClient`]s through the hub — puts, multi-gets with
-//! zero-copy value segments, degraded puts under store pressure, and
-//! interleaved clients on one listener.
+//! zero-copy value segments, degraded puts under store pressure,
+//! interleaved clients on one listener, malformed messages, and reply
+//! parity with the UDP server.
 
-use cf_kv::tcp_server::{TcpKvClient, TcpKvServer};
+use cf_kv::client::client_server_pair;
+use cf_kv::msgs::GetMsg;
+use cf_kv::server::SerKind;
+use cf_kv::tcp_server::{sub_header, TcpKvClient, TcpKvServer, TCP_SUBHDR_BYTES};
 use cf_kv::{flags, msg_type};
+use cf_mem::PoolConfig;
 use cf_net::{FlowConfig, TcpListener, TcpStack};
 use cf_nic::PortHub;
 use cf_sim::{MachineProfile, Sim};
+use cf_telemetry::Telemetry;
+use cornflakes_core::obj::serialize_into;
 use cornflakes_core::SerializationConfig;
 
 const SERVER_PORT: u16 = 9000;
@@ -170,7 +177,7 @@ fn put_under_store_pressure_is_acked_degraded() {
     // header-only degraded ack uses the 64 B class — only apply_put's
     // 4090-byte segment allocation fails.
     let mut hogs = Vec::new();
-    while let Ok(b) = server.listener.ctx().pool.alloc(4096) {
+    while let Ok(b) = server.stack.ctx().pool.alloc(4096) {
         hogs.push(b);
     }
 
@@ -192,4 +199,108 @@ fn put_under_store_pressure_is_acked_degraded() {
     settle(&mut server, &mut hub, &mut client);
     let got = client.recv_reply().unwrap().expect("get served");
     assert_eq!(got.vals, vec![b"now it fits".to_vec()]);
+}
+
+/// A stream message of `mtype` carrying `keys` (and `index` in `id`), as a
+/// client that speaks more of the protocol than [`TcpKvClient`] would send.
+fn raw_request(
+    client: &TcpKvClient,
+    mtype: u8,
+    req_id: u32,
+    index: Option<i32>,
+    keys: &[&[u8]],
+) -> Vec<u8> {
+    let ctx = client.stack.ctx();
+    let mut req = GetMsg::new();
+    req.id = index;
+    for k in keys {
+        req.add_keys(ctx, k);
+    }
+    let mut msg = sub_header(mtype, 0, req_id).to_vec();
+    serialize_into(&req, &mut msg);
+    drop(req);
+    ctx.end_request();
+    msg
+}
+
+#[test]
+fn malformed_messages_are_counted_not_lost() {
+    let (mut server, mut hub, sim) = rig();
+    let tele = Telemetry::attach(&sim);
+    server.set_telemetry(&tele);
+    let mut client = connect(&mut server, &mut hub, &sim, 4000);
+
+    // A runt sub-header, an undecodable payload, a key-less segment fetch.
+    client.stack.send_bytes(&[msg_type::GET, 0, 0]).unwrap();
+    let mut garbage = sub_header(msg_type::GET, 0, 7).to_vec();
+    garbage.extend_from_slice(&[0xFF; 40]);
+    client.stack.send_bytes(&garbage).unwrap();
+    let keyless = raw_request(&client, msg_type::GET_SEGMENT, 8, Some(0), &[]);
+    client.stack.send_bytes(&keyless).unwrap();
+    client.get(&[b"absent"]).unwrap();
+    settle(&mut server, &mut hub, &mut client);
+
+    assert!(
+        client.recv_reply().unwrap().is_some(),
+        "the GET is answered"
+    );
+    assert!(client.recv_reply().unwrap().is_none(), "nothing else is");
+    assert_eq!(server.malformed_drops(), 3);
+    assert_eq!(tele.counter_value("kv.tcp.malformed_drops"), 3);
+    assert_eq!(server.requests_handled(), 4, "requests == replies + drops");
+}
+
+/// The engine behind both transports is the same: identical requests over
+/// identically loaded stores draw byte-identical reply payloads.
+#[test]
+fn replies_match_the_udp_server_byte_for_byte() {
+    let preload: [(&[u8], &[usize]); 4] = [
+        (b"hit", &[64]),
+        (b"big", &[2048]),
+        (b"mid", &[600]),
+        (b"list", &[700, 700, 700]),
+    ];
+    let put_value = [0x5Au8; 900];
+
+    let (mut udp_client, mut udp_server) = client_server_pair(
+        Sim::new(MachineProfile::tiny_for_tests()),
+        SerKind::Cornflakes,
+        SerializationConfig::hybrid(),
+        PoolConfig::small_for_tests(),
+    );
+    let (mut tcp_server, mut hub, sim) = rig();
+    for (key, segments) in preload {
+        let ctx = udp_server.stack.ctx();
+        udp_server.store.preload(ctx, key, segments).unwrap();
+        let ctx = tcp_server.stack.ctx();
+        tcp_server.store.preload(ctx, key, segments).unwrap();
+    }
+    let mut tcp_client = connect(&mut tcp_server, &mut hub, &sim, 4000);
+
+    // Both clients number requests from 1, so the echoed ids agree.
+    udp_client.send_get(&[b"hit"]);
+    udp_client.send_get(&[b"absent"]);
+    udp_client.send_get(&[b"hit", b"big", b"mid"]);
+    udp_client.send_put(b"new", &put_value);
+    udp_client.send_get_segment(b"list", 2);
+    assert_eq!(udp_server.poll(), 5);
+
+    tcp_client.get(&[b"hit"]).unwrap();
+    tcp_client.get(&[b"absent"]).unwrap();
+    tcp_client.get(&[b"hit", b"big", b"mid"]).unwrap();
+    tcp_client.put(b"new", &put_value).unwrap();
+    let segment_fetch = raw_request(&tcp_client, msg_type::GET_SEGMENT, 5, Some(2), &[b"list"]);
+    tcp_client.stack.send_bytes(&segment_fetch).unwrap();
+    settle(&mut tcp_server, &mut hub, &mut tcp_client);
+
+    for request in ["GET hit", "GET miss", "3-key GET", "PUT", "GET_SEGMENT"] {
+        let udp = udp_client.stack.recv_packet().expect(request);
+        let tcp = tcp_client.stack.recv_msg().unwrap().expect(request);
+        assert_eq!(
+            &tcp.as_slice()[TCP_SUBHDR_BYTES..],
+            udp.payload.as_slice(),
+            "{request}: reply payloads differ"
+        );
+        assert!(!udp.payload.is_empty(), "{request}: replies carry their id");
+    }
 }

@@ -707,33 +707,6 @@ impl UdpStack {
         Ok(())
     }
 
-    /// Sends pre-existing pinned segments zero-copy, with the packet header
-    /// in its own leading entry (Cap'n Proto-style segment lists, manual
-    /// scatter-gather baselines).
-    pub fn send_segments(
-        &mut self,
-        hdr: PacketHeader,
-        segments: Vec<RcBuf>,
-    ) -> Result<(), NetError> {
-        self.charge_tx_base();
-        let payload: usize = segments.iter().map(|s| s.len()).sum();
-        let mut h = hdr;
-        h.payload_len = payload as u32;
-        self.scratch.resize(HEADER_BYTES, 0);
-        let mut pkt_hdr = std::mem::take(&mut self.scratch);
-        h.encode(&mut pkt_hdr);
-        let mut hdr_buf = self.ctx.pool.alloc(HEADER_BYTES)?;
-        hdr_buf.write_at(0, &pkt_hdr);
-        self.scratch = pkt_hdr;
-        let mut entries = self.take_desc();
-        entries.reserve(1 + segments.len());
-        entries.push(hdr_buf);
-        entries.extend(segments);
-        self.post(entries)?;
-        self.finish_tx();
-        Ok(())
-    }
-
     /// L3-forwards a received frame back to its sender after swapping the
     /// UDP ports in place — the paper's "no serialization" echo baseline.
     pub fn forward_frame(&mut self, packet: Packet) -> Result<(), NetError> {

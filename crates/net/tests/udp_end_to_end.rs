@@ -144,18 +144,6 @@ fn send_built_contiguous_payload() {
 }
 
 #[test]
-fn send_segments_gathers() {
-    let (mut a, mut b) = pair();
-    let s1 = a.ctx().pool.alloc_from(b"seg-one|").unwrap();
-    let s2 = a.ctx().pool.alloc_from(b"seg-two|").unwrap();
-    let s3 = a.ctx().pool.alloc_from(b"seg-three").unwrap();
-    let hdr = a.header_to(2000, meta(4));
-    a.send_segments(hdr, vec![s1, s2, s3]).unwrap();
-    let pkt = b.recv_packet().unwrap();
-    assert_eq!(&*pkt.payload, b"seg-one|seg-two|seg-three");
-}
-
-#[test]
 fn forward_frame_echoes_and_swaps_ports() {
     let (mut a, mut b) = pair();
     let payload = b"echo me without serialization";

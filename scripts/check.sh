@@ -68,4 +68,7 @@ if [ "${1:-}" = "--full" ]; then
     CF_CHAOS_CASES=64 cargo test -q --test cluster_consistency
 fi
 
+echo "==> code lines (ROADMAP aim 2: a tracked number that should go down)"
+scripts/loc.sh
+
 echo "All checks passed."

@@ -176,7 +176,7 @@ fn normalize(name: &str) -> String {
             && (is_shard
                 || matches!(
                     *seg,
-                    "cornflakes" | "protobuf" | "flatbuffers" | "capnproto"
+                    "cornflakes" | "protobuf" | "flatbuffers" | "capnproto" | "tcp"
                 ))
         {
             out.push("<server>".to_string());

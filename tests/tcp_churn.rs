@@ -197,11 +197,11 @@ fn run_scenario(attack: bool) -> u64 {
             active <= CAPACITY as f64,
             "flow table exceeded capacity: {active} > {CAPACITY}"
         );
-        assert!(server.listener.active_flows() <= CAPACITY);
+        assert!(server.stack.active_flows() <= CAPACITY);
     }
 
     if attack {
-        let stats = server.listener.stats();
+        let stats = server.stack.stats();
         assert!(
             stats.syn_overflow_rsts > 0,
             "the flood must have overflowed the SYN backlog"
@@ -235,7 +235,7 @@ fn run_scenario(attack: bool) -> u64 {
             clock.advance(TICK_NS);
         }
         assert_eq!(
-            server.listener.established_flows(),
+            server.stack.established_flows(),
             WELL_BEHAVED,
             "only recently-active well-behaved flows survive the reaper"
         );
@@ -252,7 +252,7 @@ fn run_scenario(attack: bool) -> u64 {
         clock.advance(TICK_NS);
         server.poll().unwrap();
     }
-    assert_eq!(server.listener.active_flows(), 0, "all slots returned");
+    assert_eq!(server.stack.active_flows(), 0, "all slots returned");
     completed
 }
 
@@ -316,7 +316,7 @@ proptest! {
         let (mut server, mut hub, sim, _tele) = churn_rig(cfg);
         server.set_flight_recorder(&flight);
         let clock = sim.clock();
-        let pool_baseline = server.listener.ctx().pool.live_slots();
+        let pool_baseline = server.stack.ctx().pool.live_slots();
 
         let mut clients: Vec<TcpKvClient> = (0..3u16)
             .map(|i| connect(&mut server, &mut hub, &sim, 4000 + i))
@@ -326,7 +326,7 @@ proptest! {
         // handshakes above ran clean, so every client below is a live,
         // accepted connection whose requests MUST resolve.
         let p = |bp: u32| f64::from(bp) / 10_000.0;
-        let _requests = server.listener.install_faults(
+        let _requests = server.stack.install_faults(
             FaultPlan::seeded(seed)
                 .with_drop(p(drop_bp))
                 .with_duplicate(p(dup_bp))
@@ -377,7 +377,7 @@ proptest! {
         for c in clients.iter() {
             c.stack.install_faults(FaultPlan::none());
         }
-        server.listener.install_faults(FaultPlan::none());
+        server.stack.install_faults(FaultPlan::none());
         for c in clients.iter_mut() {
             c.stack.close().unwrap();
         }
@@ -386,7 +386,7 @@ proptest! {
             server.poll().unwrap();
             clock.advance(250_000);
         }
-        assert_eq!(server.listener.active_flows(), 0, "occupancy reaps to zero");
+        assert_eq!(server.stack.active_flows(), 0, "occupancy reaps to zero");
         // The store legitimately owns the segments of values the puts
         // created; everything else must be back.
         let stored_segments: usize = (0..clients.len())
@@ -394,7 +394,7 @@ proptest! {
             .map(|v| v.segments.len())
             .sum();
         assert_eq!(
-            server.listener.ctx().pool.live_slots(),
+            server.stack.ctx().pool.live_slots(),
             pool_baseline + stored_segments,
             "no leaked pool buffers after churn (beyond store-owned segments)"
         );
