@@ -28,25 +28,23 @@
 //!
 //! Generation counters make [`FlowId`] handles ABA-safe: a handle to a
 //! recycled slot goes stale instead of addressing the next occupant.
+//!
+//! Each slot's protocol is a [`crate::conn::Flow`], the state machine
+//! [`crate::tcp::TcpStack`] runs too; this module is what a table of them
+//! needs around it — demux, admission, timers, the ready queue, statistics.
 
-use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::mem::size_of;
-use std::rc::Rc;
 
-use cf_mem::{PoolConfig, RcBuf};
-use cf_nic::{Nic, Port};
-use cf_sim::cost::Category;
+use cf_mem::RcBuf;
+use cf_nic::Port;
 use cf_sim::Sim;
 use cf_telemetry::{Counter, FlightEvent, FlightRecorder, Gauge, Telemetry};
-use cornflakes_core::obj::write_full_header;
 use cornflakes_core::{CornflakesObj, SerCtx, SerializationConfig};
 
-use crate::tcp::{
-    build_header, seq_lt, FLAG_ACK, FLAG_FIN, FLAG_RST, FLAG_SYN, OFF_ACK, OFF_FLAGS, OFF_SEQ,
-    OFF_SRC, TCP_HEADER_BYTES,
-};
+use crate::conn::{Corrupt, Flow, FlowIo, Segment, State};
+use crate::tcp::{FLAG_ACK, FLAG_RST, FLAG_SYN};
 use crate::udp::NetError;
 
 /// Flow closed by the peer's FIN (orderly).
@@ -55,7 +53,7 @@ pub const FLOW_CLOSE_FIN: u8 = 0;
 pub const FLOW_CLOSE_RST: u8 = 1;
 /// Flow reaped by the idle timer.
 pub const FLOW_CLOSE_REAP: u8 = 2;
-/// Flow closed locally (`close_flow` / `abort_flow`).
+/// Flow closed locally (`close_flow`).
 pub const FLOW_CLOSE_LOCAL: u8 = 3;
 
 /// Sizing and policy knobs for a [`TcpListener`]'s flow table.
@@ -106,29 +104,9 @@ pub struct FlowId {
     pub gen: u32,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum FlowState {
-    Free,
-    SynRcvd,
-    Established,
-}
-
-struct FlowTxRecord {
-    seq: u32,
-    len: u32,
-    entries: Vec<RcBuf>,
-    sent_at: u64,
-}
-
 struct FlowSlot {
     gen: u32,
-    state: FlowState,
-    remote: u16,
-    snd_nxt: u32,
-    snd_una: u32,
-    rcv_nxt: u32,
-    reasm: Vec<u8>,
-    rtx: VecDeque<FlowTxRecord>,
+    flow: Flow,
     last_activity: u64,
     in_ready: bool,
     idle_armed: bool,
@@ -139,13 +117,7 @@ impl FlowSlot {
     fn fresh() -> Self {
         FlowSlot {
             gen: 0,
-            state: FlowState::Free,
-            remote: 0,
-            snd_nxt: 1,
-            snd_una: 1,
-            rcv_nxt: 1,
-            reasm: Vec::new(),
-            rtx: VecDeque::new(),
+            flow: Flow::new(),
             last_activity: 0,
             in_ready: false,
             idle_armed: false,
@@ -267,10 +239,7 @@ struct ListenCounters {
 /// A TCP listener multiplexing many flows over one NIC queue, with all
 /// per-connection state drawn from a bounded preallocated slab.
 pub struct TcpListener {
-    ctx: SerCtx,
-    nic: Rc<RefCell<Nic>>,
-    queue: usize,
-    local_port: u16,
+    io: FlowIo,
     cfg: FlowConfig,
     slots: Vec<FlowSlot>,
     free: Vec<u32>,
@@ -280,8 +249,6 @@ pub struct TcpListener {
     established: usize,
     wheel: TimerWheel,
     fired: Vec<WheelEntry>,
-    desc_spares: Vec<Vec<RcBuf>>,
-    scratch: Vec<u8>,
     stats: ListenerStats,
     counters: ListenCounters,
     flight: FlightRecorder,
@@ -296,36 +263,18 @@ impl TcpListener {
         config: SerializationConfig,
         flow_cfg: FlowConfig,
     ) -> Self {
-        Self::with_pool_config(
-            sim,
-            wire_port,
-            local_port,
-            config,
-            PoolConfig::default(),
-            flow_cfg,
-        )
-    }
-
-    /// Like [`TcpListener::new`] with explicit pinned-pool sizing (large
-    /// flow counts need more receive buffers in flight).
-    pub fn with_pool_config(
-        sim: Sim,
-        wire_port: Port,
-        local_port: u16,
-        config: SerializationConfig,
-        pool_cfg: PoolConfig,
-        flow_cfg: FlowConfig,
-    ) -> Self {
         assert!(flow_cfg.capacity > 0, "flow table needs at least one slot");
-        let nic = Rc::new(RefCell::new(Nic::new(sim.clone(), wire_port)));
-        let ctx = SerCtx::with_pool_config(sim, config, pool_cfg);
-        let now = ctx.sim.now();
+        let now = sim.now();
         let capacity = flow_cfg.capacity;
         TcpListener {
-            ctx,
-            nic,
-            queue: 0,
-            local_port,
+            io: FlowIo::new(
+                sim,
+                wire_port,
+                local_port,
+                config,
+                flow_cfg.reasm_cap,
+                flow_cfg.rto_ns,
+            ),
             cfg: flow_cfg,
             slots: (0..capacity).map(|_| FlowSlot::fresh()).collect(),
             free: (0..capacity as u32).rev().collect(),
@@ -335,8 +284,6 @@ impl TcpListener {
             established: 0,
             wheel: TimerWheel::new(flow_cfg.wheel_slots, flow_cfg.wheel_tick_ns, now),
             fired: Vec::new(),
-            desc_spares: Vec::new(),
-            scratch: Vec::with_capacity(4096),
             stats: ListenerStats::default(),
             counters: ListenCounters::default(),
             flight: FlightRecorder::disabled(),
@@ -346,8 +293,7 @@ impl TcpListener {
     /// Wires the listener into a telemetry handle: `net.tcp.listen.*` and
     /// `net.tcp.flow.*` metrics plus NIC/memory/serializer metrics.
     pub fn set_telemetry(&mut self, tele: &Telemetry) {
-        self.ctx.install_telemetry(tele);
-        self.nic.borrow_mut().set_telemetry(tele);
+        self.io.set_telemetry(tele);
         self.counters = ListenCounters {
             syns: tele.counter("net.tcp.listen.syns"),
             accepts: tele.counter("net.tcp.listen.accepts"),
@@ -370,12 +316,12 @@ impl TcpListener {
     /// peer's port (the flow key both ends know without wire changes).
     pub fn set_flight_recorder(&mut self, fr: &FlightRecorder) {
         self.flight = fr.clone();
-        self.nic.borrow_mut().set_flight_recorder(fr);
+        self.io.set_flight_recorder(fr);
     }
 
     /// The serialization context (pool, sim, config).
     pub fn ctx(&self) -> &SerCtx {
-        &self.ctx
+        &self.io.ctx
     }
 
     /// Slab capacity (maximum concurrent flows).
@@ -402,8 +348,7 @@ impl TcpListener {
     /// Installs a fault plan on the listener's receive direction (see
     /// [`cf_nic::Port::install_faults`]); returns the injector handle.
     pub fn install_faults(&self, plan: cf_nic::FaultPlan) -> cf_nic::FaultInjector {
-        let port = self.nic.borrow().port().clone();
-        port.install_faults(self.ctx.sim.clock(), plan)
+        self.io.install_faults(plan)
     }
 
     /// Aggregate statistics.
@@ -416,15 +361,11 @@ impl TcpListener {
     /// map. Deterministic, so the churn bench can ratchet a memory ceiling.
     pub fn resident_bytes(&self) -> usize {
         let mut total = self.slots.capacity() * size_of::<FlowSlot>();
-        for s in &self.slots {
-            total += s.reasm.capacity();
-            total += s.rtx.capacity() * size_of::<FlowTxRecord>();
-            total += s
-                .rtx
-                .iter()
-                .map(|r| r.entries.capacity() * size_of::<RcBuf>())
-                .sum::<usize>();
-        }
+        total += self
+            .slots
+            .iter()
+            .map(|s| s.flow.resident_bytes())
+            .sum::<usize>();
         total += self.free.capacity() * size_of::<u32>();
         total += self.ready.capacity() * size_of::<u32>();
         // HashMap node estimate: key + value + control byte + padding.
@@ -433,83 +374,31 @@ impl TcpListener {
             total += b.capacity() * size_of::<WheelEntry>();
         }
         total += self
-            .desc_spares
+            .io
+            .spares
             .iter()
             .map(|d| d.capacity() * size_of::<RcBuf>())
             .sum::<usize>()
-            + self.desc_spares.capacity() * size_of::<Vec<RcBuf>>();
+            + self.io.spares.capacity() * size_of::<Vec<RcBuf>>();
         total
-    }
-
-    /// Whether `flow` still addresses a live established flow.
-    pub fn is_live(&self, flow: FlowId) -> bool {
-        self.lookup(flow).is_some()
     }
 
     fn lookup(&self, flow: FlowId) -> Option<usize> {
         let i = flow.idx as usize;
         let slot = self.slots.get(i)?;
-        (slot.gen == flow.gen && slot.state == FlowState::Established).then_some(i)
+        (slot.gen == flow.gen && slot.flow.state() == State::Established).then_some(i)
     }
 
-    fn post_and_reap(&mut self, entries: Vec<RcBuf>) -> Result<(), NetError> {
-        let mut nic = self.nic.borrow_mut();
-        nic.post_tx_on(self.queue, entries)?;
-        nic.poll_completions_on(self.queue);
-        Ok(())
-    }
-
-    /// Sends a header-only control segment to `remote`, charged at `frac`
-    /// of the per-packet base (0.15 fast-reject, 0.25 control).
-    fn send_raw(
-        &mut self,
-        remote: u16,
-        seq: u32,
-        ack: u32,
-        flags: u8,
-        frac: f64,
-    ) -> Result<(), NetError> {
-        let costs = self.ctx.sim.costs();
-        self.ctx
-            .sim
-            .charge(Category::Tx, costs.per_packet_base * frac);
-        let hdr = build_header(self.local_port, remote, seq, ack, flags);
-        let mut buf = self.ctx.pool.alloc(TCP_HEADER_BYTES)?;
-        buf.write_at(0, &hdr);
-        let mut desc = self.nic.borrow_mut().take_desc(self.queue);
-        desc.push(buf);
-        self.post_and_reap(desc)
-    }
-
-    fn arm_idle(&mut self, idx: u32, at: u64) {
-        let i = idx as usize;
-        if !self.slots[i].idle_armed {
-            self.slots[i].idle_armed = true;
-            let gen = self.slots[i].gen;
-            self.wheel.schedule(
-                at,
-                WheelEntry {
-                    idx,
-                    gen,
-                    kind: TimerKind::Idle,
-                },
-            );
-        }
-    }
-
-    fn arm_rto(&mut self, idx: u32, at: u64) {
-        let i = idx as usize;
-        if !self.slots[i].rto_armed {
-            self.slots[i].rto_armed = true;
-            let gen = self.slots[i].gen;
-            self.wheel.schedule(
-                at,
-                WheelEntry {
-                    idx,
-                    gen,
-                    kind: TimerKind::Rto,
-                },
-            );
+    fn arm(&mut self, idx: u32, kind: TimerKind, at: u64) {
+        let slot = &mut self.slots[idx as usize];
+        let armed = match kind {
+            TimerKind::Idle => &mut slot.idle_armed,
+            TimerKind::Rto => &mut slot.rto_armed,
+        };
+        if !*armed {
+            *armed = true;
+            let gen = slot.gen;
+            self.wheel.schedule(at, WheelEntry { idx, gen, kind });
         }
     }
 
@@ -517,19 +406,18 @@ impl TcpListener {
     /// slot's retained capacity stays for the next occupant, and the
     /// generation bumps so outstanding [`FlowId`]s go stale.
     fn free_slot(&mut self, idx: u32, reason: u8) {
-        let i = idx as usize;
-        let slot = &mut self.slots[i];
-        debug_assert!(slot.state != FlowState::Free, "double free of flow slot");
-        match slot.state {
-            FlowState::SynRcvd => {
+        let slot = &mut self.slots[idx as usize];
+        match slot.flow.state() {
+            State::Closed => debug_assert!(false, "double free of flow slot"),
+            State::SynRcvd => {
                 self.syn_count -= 1;
                 self.counters.syn_backlog.set(self.syn_count as f64);
             }
-            FlowState::Established => self.established -= 1,
-            FlowState::Free => {}
+            _ => self.established -= 1,
         }
-        let remote = slot.remote;
-        slot.state = FlowState::Free;
+        let remote = slot.flow.remote();
+        slot.flow.release(&mut self.io);
+        slot.flow.discard_unread();
         slot.gen = slot.gen.wrapping_add(1);
         slot.in_ready = false;
         // Any wheel entries still pending for the old generation are now
@@ -538,17 +426,12 @@ impl TcpListener {
         // timer-less and unreapable.
         slot.idle_armed = false;
         slot.rto_armed = false;
-        slot.reasm.clear();
-        while let Some(mut rec) = slot.rtx.pop_front() {
-            rec.entries.clear();
-            self.desc_spares.push(rec.entries);
-        }
         self.by_port.remove(&remote);
         self.free.push(idx);
         self.counters.active.set(self.active_flows() as f64);
         self.flight.record(
             u32::from(remote),
-            self.ctx.sim.now(),
+            self.io.ctx.sim.now(),
             FlightEvent::TcpFlowClose { reason },
         );
     }
@@ -556,220 +439,117 @@ impl TcpListener {
     /// Processes received segments and fires due timers. Call each
     /// scheduling quantum.
     pub fn poll(&mut self) -> Result<(), NetError> {
-        loop {
-            let frame = self
-                .nic
-                .borrow_mut()
-                .recv_into_on(self.queue, &self.ctx.pool);
-            match frame {
-                Some(frame) => self.handle_frame(frame)?,
-                None => break,
+        while let Some(rx) = self.io.recv_segment() {
+            match rx {
+                Ok(seg) => match self.by_port.get(&seg.src).copied() {
+                    Some(idx) => self.handle_known(idx, &seg)?,
+                    None => self.handle_unknown(&seg)?,
+                },
+                Err(Corrupt) => {
+                    self.stats.rx_corrupt_drops += 1;
+                    self.counters.rx_corrupt_drops.inc();
+                }
             }
         }
         self.advance_timers()
-    }
-
-    fn handle_frame(&mut self, frame: RcBuf) -> Result<(), NetError> {
-        if frame.len() < TCP_HEADER_BYTES {
-            return Ok(()); // runt
-        }
-        // Corruption is dropped and counted; the peer's RTO recovers
-        // (checksum offload — not charged).
-        if !cf_nic::fcs_ok(frame.as_slice()) {
-            self.stats.rx_corrupt_drops += 1;
-            self.counters.rx_corrupt_drops.inc();
-            return Ok(());
-        }
-        let costs = self.ctx.sim.costs();
-        self.ctx
-            .sim
-            .charge(Category::Rx, costs.per_packet_base * 0.25);
-        let b = frame.as_slice();
-        let src = u16::from_be_bytes([b[OFF_SRC], b[OFF_SRC + 1]]);
-        let seq = u32::from_le_bytes(b[OFF_SEQ..OFF_SEQ + 4].try_into().expect("4 bytes"));
-        let ack = u32::from_le_bytes(b[OFF_ACK..OFF_ACK + 4].try_into().expect("4 bytes"));
-        let flags = b[OFF_FLAGS];
-        match self.by_port.get(&src).copied() {
-            Some(idx) => self.handle_known(idx, seq, ack, flags, frame),
-            None => self.handle_unknown(src, seq, flags),
-        }
     }
 
     /// A segment from a port with no flow: SYN opens (or is refused), and
     /// anything else is ignored — replying RST to strays would let our own
     /// teardown collapse (we free on FIN before the peer's last ACK
     /// arrives) turn into an RST storm.
-    fn handle_unknown(&mut self, src: u16, seq: u32, flags: u8) -> Result<(), NetError> {
-        if flags & FLAG_SYN == 0 || flags & FLAG_RST != 0 {
+    fn handle_unknown(&mut self, seg: &Segment) -> Result<(), NetError> {
+        if !seg.has(FLAG_SYN) || seg.has(FLAG_RST) {
             return Ok(());
         }
         self.stats.syns += 1;
         self.counters.syns.inc();
-        if self.free.is_empty() || self.syn_count >= self.cfg.syn_backlog {
+        let now = self.io.ctx.sim.now();
+        let admitted = if self.syn_count < self.cfg.syn_backlog {
+            self.free.pop()
+        } else {
+            None
+        };
+        let Some(idx) = admitted else {
             self.stats.syn_overflow_rsts += 1;
             self.counters.syn_overflow_rsts.inc();
-            self.flight.record(
-                u32::from(src),
-                self.ctx.sim.now(),
-                FlightEvent::TcpSynReject,
-            );
+            self.flight
+                .record(u32::from(seg.src), now, FlightEvent::TcpSynReject);
             // Fast reject: cheaper than accepting, so a flood can't starve
             // established flows of CPU.
-            return self.send_raw(src, 0, seq.wrapping_add(1), FLAG_RST | FLAG_ACK, 0.15);
-        }
-        let idx = self.free.pop().expect("checked non-empty");
-        let i = idx as usize;
-        let now = self.ctx.sim.now();
-        let slot = &mut self.slots[i];
-        debug_assert!(slot.reasm.is_empty() && slot.rtx.is_empty());
-        slot.state = FlowState::SynRcvd;
-        slot.remote = src;
-        slot.snd_nxt = 1;
-        slot.snd_una = 1;
-        slot.rcv_nxt = seq.wrapping_add(1);
+            let ack = seg.seq.wrapping_add(1);
+            return self
+                .io
+                .send_control(seg.src, 0, ack, FLAG_RST | FLAG_ACK, 0.15);
+        };
+        let slot = &mut self.slots[idx as usize];
+        debug_assert!(slot.flow.reasm_len() == 0 && slot.flow.rtx_len() == 0);
         slot.last_activity = now;
         slot.in_ready = false;
-        let rcv_nxt = slot.rcv_nxt;
-        self.by_port.insert(src, idx);
+        self.by_port.insert(seg.src, idx);
         self.syn_count += 1;
         self.counters.syn_backlog.set(self.syn_count as f64);
         self.counters.active.set(self.active_flows() as f64);
-        self.arm_idle(idx, now + self.cfg.idle_timeout_ns);
-        self.send_raw(src, 1, rcv_nxt, FLAG_SYN | FLAG_ACK, 0.25)
+        self.arm(idx, TimerKind::Idle, now + self.cfg.idle_timeout_ns);
+        // The fresh flow's passive open answers SYN|ACK.
+        self.slots[idx as usize]
+            .flow
+            .on_segment(&mut self.io, seg)
+            .map(drop)
     }
 
-    fn handle_known(
-        &mut self,
-        idx: u32,
-        seq: u32,
-        ack: u32,
-        flags: u8,
-        frame: RcBuf,
-    ) -> Result<(), NetError> {
-        let i = idx as usize;
-        let now = self.ctx.sim.now();
-        self.slots[i].last_activity = now;
-        if flags & FLAG_RST != 0 {
-            self.stats.resets += 1;
-            self.counters.resets.inc();
-            self.free_slot(idx, FLOW_CLOSE_RST);
-            return Ok(());
+    fn handle_known(&mut self, idx: u32, seg: &Segment) -> Result<(), NetError> {
+        let now = self.io.ctx.sim.now();
+        let slot = &mut self.slots[idx as usize];
+        slot.last_activity = now;
+        let ev = slot.flow.on_segment(&mut self.io, seg)?;
+        if ev.established {
+            self.syn_count -= 1;
+            self.counters.syn_backlog.set(self.syn_count as f64);
+            self.established += 1;
+            self.stats.accepts += 1;
+            self.counters.accepts.inc();
+            self.flight.record(
+                u32::from(seg.src),
+                now,
+                FlightEvent::TcpAccept {
+                    flows: self.established.min(u16::MAX as usize) as u16,
+                },
+            );
         }
-        if self.slots[i].state == FlowState::SynRcvd {
-            if flags & FLAG_SYN != 0 {
-                // Duplicate SYN (our SYN/ACK was lost): resend it.
-                let (remote, rcv_nxt) = (self.slots[i].remote, self.slots[i].rcv_nxt);
-                return self.send_raw(remote, 1, rcv_nxt, FLAG_SYN | FLAG_ACK, 0.25);
-            }
-            if flags & FLAG_ACK != 0 && ack == self.slots[i].snd_nxt.wrapping_add(1) {
-                let slot = &mut self.slots[i];
-                slot.snd_nxt = slot.snd_nxt.wrapping_add(1);
-                slot.snd_una = slot.snd_nxt;
-                slot.state = FlowState::Established;
-                self.syn_count -= 1;
-                self.counters.syn_backlog.set(self.syn_count as f64);
-                self.established += 1;
-                self.stats.accepts += 1;
-                self.counters.accepts.inc();
-                self.flight.record(
-                    u32::from(self.slots[i].remote),
-                    now,
-                    FlightEvent::TcpAccept {
-                        flows: self.established.min(u16::MAX as usize) as u16,
-                    },
-                );
-                // Fall through: the accept ACK may carry data.
-            } else {
-                return Ok(());
-            }
+        if ev.reasm_overflow {
+            self.stats.reasm_overflow_drops += 1;
+            self.counters.reasm_overflow_drops.inc();
         }
-        self.handle_established(idx, seq, ack, flags, frame)
-    }
-
-    fn handle_established(
-        &mut self,
-        idx: u32,
-        seq: u32,
-        ack: u32,
-        flags: u8,
-        frame: RcBuf,
-    ) -> Result<(), NetError> {
-        let i = idx as usize;
-        // Cumulative ACK: release fully-acknowledged retransmission
-        // records; their buffer references return to the pool now.
-        if flags & FLAG_ACK != 0 && seq_lt(self.slots[i].snd_una, ack.wrapping_add(1)) {
-            self.slots[i].snd_una = ack;
-            loop {
-                let released = {
-                    let slot = &self.slots[i];
-                    slot.rtx.front().is_some_and(|rec| {
-                        seq_lt(rec.seq.wrapping_add(rec.len), slot.snd_una.wrapping_add(1))
-                    })
-                };
-                if !released {
-                    break;
-                }
-                let mut rec = self.slots[i].rtx.pop_front().expect("checked non-empty");
-                rec.entries.clear();
-                self.desc_spares.push(rec.entries);
-            }
+        if ev.delivered && !slot.in_ready && slot.flow.has_complete_msg() {
+            slot.in_ready = true;
+            self.ready.push_back(idx);
         }
-        let payload_len = frame.len() - TCP_HEADER_BYTES;
-        if payload_len > 0 {
-            if seq == self.slots[i].rcv_nxt {
-                let slot = &mut self.slots[i];
-                if self.cfg.reasm_cap > 0 && slot.reasm.len() + payload_len > self.cfg.reasm_cap {
-                    // Per-flow memory cap: treat as loss; rcv_nxt stays, so
-                    // our ACK duplicates and the peer's RTO re-delivers
-                    // once the reader drains.
-                    self.stats.reasm_overflow_drops += 1;
-                    self.counters.reasm_overflow_drops.inc();
-                } else {
-                    let payload = &frame.as_slice()[TCP_HEADER_BYTES..];
-                    self.ctx.sim.charge_memcpy(
-                        Category::Rx,
-                        frame.addr() + TCP_HEADER_BYTES as u64,
-                        slot.reasm.as_ptr() as u64 + slot.reasm.len() as u64,
-                        payload_len,
-                    );
-                    slot.reasm.extend_from_slice(payload);
-                    slot.rcv_nxt = slot.rcv_nxt.wrapping_add(payload_len as u32);
-                    if !slot.in_ready && has_complete_msg(&slot.reasm) {
-                        slot.in_ready = true;
-                        self.ready.push_back(idx);
-                    }
-                }
+        // The peer ended the flow: recycle the slot at once. Undelivered
+        // messages die with it — the peer closed without reading replies.
+        match ev.closed_by {
+            Some(FLOW_CLOSE_RST) => {
+                self.stats.resets += 1;
+                self.counters.resets.inc();
+                self.free_slot(idx, FLOW_CLOSE_RST);
             }
-            let (remote, snd_nxt, rcv_nxt) = {
-                let slot = &self.slots[i];
-                (slot.remote, slot.snd_nxt, slot.rcv_nxt)
-            };
-            // ACK rcv_nxt (re-ACKs out-of-order and duplicate data too).
-            self.send_raw(remote, snd_nxt, rcv_nxt, FLAG_ACK, 0.25)?;
-        }
-        if flags & FLAG_FIN != 0 && seq.wrapping_add(payload_len as u32) == self.slots[i].rcv_nxt {
-            // Peer's orderly close with all data in hand: confirm with
-            // FIN/ACK and recycle the slot immediately. Undelivered
-            // messages die with the flow — the peer closed without
-            // reading them.
-            let slot = &mut self.slots[i];
-            slot.rcv_nxt = slot.rcv_nxt.wrapping_add(1);
-            let (remote, snd_nxt, rcv_nxt) = (slot.remote, slot.snd_nxt, slot.rcv_nxt);
-            self.send_raw(remote, snd_nxt, rcv_nxt, FLAG_FIN | FLAG_ACK, 0.25)?;
-            self.stats.closes += 1;
-            self.counters.closes.inc();
-            self.free_slot(idx, FLOW_CLOSE_FIN);
+            Some(reason) => {
+                self.stats.closes += 1;
+                self.counters.closes.inc();
+                self.free_slot(idx, reason);
+            }
+            None => {}
         }
         Ok(())
     }
 
     fn advance_timers(&mut self) -> Result<(), NetError> {
-        let now = self.ctx.sim.now();
+        let now = self.io.ctx.sim.now();
         let mut fired = std::mem::take(&mut self.fired);
         self.wheel.advance(now, &mut fired);
         for e in fired.drain(..) {
-            let i = e.idx as usize;
-            if self.slots[i].gen != e.gen || self.slots[i].state == FlowState::Free {
+            let slot = &self.slots[e.idx as usize];
+            if slot.gen != e.gen || slot.flow.state() == State::Closed {
                 continue; // stale: the flow this entry watched is gone
             }
             match e.kind {
@@ -782,52 +562,33 @@ impl TcpListener {
     }
 
     fn fire_idle(&mut self, idx: u32) -> Result<(), NetError> {
-        let i = idx as usize;
-        self.slots[i].idle_armed = false;
-        let now = self.ctx.sim.now();
-        let deadline = self.slots[i].last_activity + self.cfg.idle_timeout_ns;
+        let slot = &mut self.slots[idx as usize];
+        slot.idle_armed = false;
+        let now = self.io.ctx.sim.now();
+        let deadline = slot.last_activity + self.cfg.idle_timeout_ns;
         if now >= deadline {
             // Quiet too long (half-open ones included — the SYN-flood
             // backstop): courtesy RST, then recycle.
-            let (remote, snd_nxt, rcv_nxt) = {
-                let slot = &self.slots[i];
-                (slot.remote, slot.snd_nxt, slot.rcv_nxt)
-            };
-            self.send_raw(remote, snd_nxt, rcv_nxt, FLAG_RST | FLAG_ACK, 0.15)?;
+            slot.flow.send_rst(&mut self.io)?;
             self.stats.reaps += 1;
             self.counters.reaps.inc();
             self.free_slot(idx, FLOW_CLOSE_REAP);
         } else {
-            self.arm_idle(idx, deadline);
+            self.arm(idx, TimerKind::Idle, deadline);
         }
         Ok(())
     }
 
     fn fire_rto(&mut self, idx: u32) -> Result<(), NetError> {
-        let i = idx as usize;
-        self.slots[i].rto_armed = false;
-        let now = self.ctx.sim.now();
-        let overdue = self.slots[i]
-            .rtx
-            .front()
-            .is_some_and(|r| now.saturating_sub(r.sent_at) >= self.cfg.rto_ns);
-        if overdue {
-            let costs = self.ctx.sim.costs();
-            self.ctx
-                .sim
-                .charge(Category::Tx, costs.per_packet_base * 0.55);
-            let mut desc = self.nic.borrow_mut().take_desc(self.queue);
-            {
-                let rec = self.slots[i].rtx.front_mut().expect("checked non-empty");
-                rec.sent_at = now;
-                desc.extend(rec.entries.iter().cloned());
-            }
+        let slot = &mut self.slots[idx as usize];
+        slot.rto_armed = false;
+        let now = self.io.ctx.sim.now();
+        if slot.flow.on_rto(&mut self.io)? {
             self.stats.retransmissions += 1;
             self.counters.retransmissions.inc();
-            self.post_and_reap(desc)?;
         }
-        if !self.slots[i].rtx.is_empty() {
-            self.arm_rto(idx, now + self.cfg.rto_ns);
+        if slot.flow.rtx_len() > 0 {
+            self.arm(idx, TimerKind::Rto, now + self.cfg.rto_ns);
         }
         Ok(())
     }
@@ -837,49 +598,46 @@ impl TcpListener {
     /// message. [`NetError::RxPoolExhausted`] leaves the message queued
     /// (backpressure — retry after freeing buffers).
     pub fn recv_from(&mut self) -> Result<Option<(FlowId, RcBuf)>, NetError> {
-        loop {
-            let Some(idx) = self.ready.pop_front() else {
-                return Ok(None);
-            };
-            let i = idx as usize;
-            if !self.slots[i].in_ready {
+        while let Some(idx) = self.ready.pop_front() {
+            let slot = &mut self.slots[idx as usize];
+            if !slot.in_ready {
                 continue; // flow closed after queueing
             }
-            let len = {
-                let reasm = &self.slots[i].reasm;
-                debug_assert!(has_complete_msg(reasm), "ready flow lacks a message");
-                u32::from_le_bytes(reasm[..4].try_into().expect("4 bytes")) as usize
-            };
-            let mut buf = match self.ctx.pool.alloc(len.max(1)) {
-                Ok(b) => b,
-                Err(cf_mem::AllocError::Exhausted { .. }) => {
-                    self.ready.push_front(idx);
-                    return Err(NetError::RxPoolExhausted);
-                }
-                Err(e) => return Err(e.into()),
-            };
-            let slot = &mut self.slots[i];
-            self.ctx.sim.charge_memcpy(
-                Category::Rx,
-                slot.reasm.as_ptr() as u64 + 4,
-                buf.addr(),
-                len,
-            );
-            if len > 0 {
-                buf.write_at(0, &slot.reasm[4..4 + len]);
-            }
-            buf.truncate(len);
-            slot.reasm.drain(..4 + len);
-            if has_complete_msg(&slot.reasm) {
+            let msg = slot.flow.recv_msg(&self.io).inspect_err(|_| {
+                self.ready.push_front(idx);
+            })?;
+            if slot.flow.has_complete_msg() {
                 self.ready.push_back(idx);
             } else {
                 slot.in_ready = false;
             }
-            let flow = FlowId { idx, gen: slot.gen };
-            self.stats.msgs_received += 1;
-            self.counters.msgs_received.inc();
-            return Ok(Some((flow, buf)));
+            if let Some(buf) = msg {
+                self.stats.msgs_received += 1;
+                self.counters.msgs_received.inc();
+                return Ok(Some((FlowId { idx, gen: slot.gen }, buf)));
+            }
         }
+        Ok(None)
+    }
+
+    /// The slot `flow` can send on: `None` when the flow is gone (stale
+    /// handle) or its retransmission queue is at `max_tx_records` —
+    /// refusal, not unbounded queueing to a peer that stopped ACKing.
+    fn sendable(&mut self, flow: FlowId) -> Option<usize> {
+        let i = self.lookup(flow)?;
+        if self.slots[i].flow.rtx_len() >= self.cfg.max_tx_records {
+            self.stats.tx_cap_drops += 1;
+            self.counters.tx_cap_drops.inc();
+            return None;
+        }
+        Some(i)
+    }
+
+    fn on_sent(&mut self, i: usize) {
+        self.stats.msgs_sent += 1;
+        self.counters.msgs_sent.inc();
+        let at = self.io.ctx.sim.now() + self.cfg.rto_ns;
+        self.arm(i as u32, TimerKind::Rto, at);
     }
 
     /// Sends pre-serialized bytes to `flow` as one length-prefixed stream
@@ -887,40 +645,11 @@ impl TcpListener {
     /// retransmission queue is at `max_tx_records` — refusal, not
     /// unbounded queueing to a peer that stopped ACKing.
     pub fn send_bytes_to(&mut self, flow: FlowId, data: &[u8]) -> Result<bool, NetError> {
-        let Some(i) = self.lookup(flow) else {
+        let Some(i) = self.sendable(flow) else {
             return Ok(false);
         };
-        if self.slots[i].rtx.len() >= self.cfg.max_tx_records {
-            self.stats.tx_cap_drops += 1;
-            self.counters.tx_cap_drops.inc();
-            return Ok(false);
-        }
-        let costs = self.ctx.sim.costs();
-        self.ctx
-            .sim
-            .charge(Category::Tx, costs.per_packet_base * 0.55);
-        let (remote, snd_nxt, rcv_nxt) = {
-            let slot = &self.slots[i];
-            (slot.remote, slot.snd_nxt, slot.rcv_nxt)
-        };
-        let stream_len = 4 + data.len() as u32;
-        let mut buf = self.ctx.pool.alloc(TCP_HEADER_BYTES + 4 + data.len())?;
-        let hdr = build_header(self.local_port, remote, snd_nxt, rcv_nxt, FLAG_ACK);
-        buf.write_at(0, &hdr);
-        buf.write_at(TCP_HEADER_BYTES, &(data.len() as u32).to_le_bytes());
-        self.ctx.sim.charge_memcpy(
-            Category::SerializeCopy,
-            data.as_ptr() as u64,
-            buf.addr() + (TCP_HEADER_BYTES + 4) as u64,
-            data.len(),
-        );
-        buf.write_at(TCP_HEADER_BYTES + 4, data);
-        let mut retained = self.desc_spares.pop().unwrap_or_default();
-        retained.push(buf.clone());
-        let mut desc = self.nic.borrow_mut().take_desc(self.queue);
-        desc.push(buf);
-        self.post_and_reap(desc)?;
-        self.finish_send(i, snd_nxt, stream_len, retained);
+        self.slots[i].flow.send_bytes(&mut self.io, data)?;
+        self.on_sent(i);
         Ok(true)
     }
 
@@ -935,98 +664,12 @@ impl TcpListener {
         prefix: &[u8],
         obj: &impl CornflakesObj,
     ) -> Result<bool, NetError> {
-        let Some(i) = self.lookup(flow) else {
+        let Some(i) = self.sendable(flow) else {
             return Ok(false);
         };
-        if self.slots[i].rtx.len() >= self.cfg.max_tx_records {
-            self.stats.tx_cap_drops += 1;
-            self.counters.tx_cap_drops.inc();
-            return Ok(false);
-        }
-        let costs = self.ctx.sim.costs();
-        self.ctx
-            .sim
-            .charge(Category::Tx, costs.per_packet_base * 0.55);
-        let (remote, snd_nxt, rcv_nxt) = {
-            let slot = &self.slots[i];
-            (slot.remote, slot.snd_nxt, slot.rcv_nxt)
-        };
-
-        let hb = obj.header_bytes();
-        let cb = obj.copy_bytes();
-        let msg_len = prefix.len() as u32 + obj.object_len() as u32;
-        let stream_len = 4 + msg_len;
-
-        let mut first = self
-            .ctx
-            .pool
-            .alloc(TCP_HEADER_BYTES + 4 + prefix.len() + hb + cb)?;
-        let hdr = build_header(self.local_port, remote, snd_nxt, rcv_nxt, FLAG_ACK);
-        first.write_at(0, &hdr);
-        first.write_at(TCP_HEADER_BYTES, &msg_len.to_le_bytes());
-        first.write_at(TCP_HEADER_BYTES + 4, prefix);
-
-        self.scratch.clear();
-        self.scratch.resize(hb, 0);
-        let mut hdr_scratch = std::mem::take(&mut self.scratch);
-        let entries_written = write_full_header(obj, &mut hdr_scratch);
-        self.ctx.sim.charge(
-            Category::HeaderWrite,
-            costs.header_fixed + entries_written as f64 * costs.per_field,
-        );
-        let obj_off = TCP_HEADER_BYTES + 4 + prefix.len();
-        self.ctx
-            .sim
-            .charge_write(Category::HeaderWrite, first.addr() + obj_off as u64, hb);
-        first.write_at(obj_off, &hdr_scratch);
-        self.scratch = hdr_scratch;
-
-        let mut cursor = obj_off + hb;
-        let sim = &self.ctx.sim;
-        let first_addr = first.addr();
-        obj.for_each_copy_entry(&mut |bytes: &[u8]| {
-            sim.charge_memcpy(
-                Category::SerializeCopy,
-                bytes.as_ptr() as u64,
-                first_addr + cursor as u64,
-                bytes.len(),
-            );
-            first.write_at(cursor, bytes);
-            cursor += bytes.len();
-        });
-
-        let mut retained = self.desc_spares.pop().unwrap_or_default();
-        retained.push(first);
-        obj.for_each_zero_copy_entry(&mut |rc: &RcBuf| {
-            self.ctx
-                .sim
-                .charge_meta_access(Category::SerializeZeroCopy, rc.refcount_addr());
-            self.ctx
-                .sim
-                .charge(Category::SerializeZeroCopy, costs.refcount_update);
-            retained.push(rc.clone());
-        });
-        let mut desc = self.nic.borrow_mut().take_desc(self.queue);
-        desc.extend(retained.iter().cloned());
-        self.post_and_reap(desc)?;
-        self.finish_send(i, snd_nxt, stream_len, retained);
-        self.ctx.end_request();
+        self.slots[i].flow.send_object(&mut self.io, prefix, obj)?;
+        self.on_sent(i);
         Ok(true)
-    }
-
-    fn finish_send(&mut self, i: usize, seq: u32, stream_len: u32, retained: Vec<RcBuf>) {
-        let now = self.ctx.sim.now();
-        let slot = &mut self.slots[i];
-        slot.rtx.push_back(FlowTxRecord {
-            seq,
-            len: stream_len,
-            entries: retained,
-            sent_at: now,
-        });
-        slot.snd_nxt = slot.snd_nxt.wrapping_add(stream_len);
-        self.stats.msgs_sent += 1;
-        self.counters.msgs_sent.inc();
-        self.arm_rto(i as u32, now + self.cfg.rto_ns);
     }
 
     /// Orderly local close: FIN to the peer, slot recycled immediately
@@ -1035,45 +678,18 @@ impl TcpListener {
         let Some(i) = self.lookup(flow) else {
             return Ok(false);
         };
-        let (remote, snd_nxt, rcv_nxt) = {
-            let slot = &self.slots[i];
-            (slot.remote, slot.snd_nxt, slot.rcv_nxt)
-        };
-        self.send_raw(remote, snd_nxt, rcv_nxt, FLAG_FIN | FLAG_ACK, 0.25)?;
+        self.slots[i].flow.close(&mut self.io)?;
         self.stats.closes += 1;
         self.counters.closes.inc();
         self.free_slot(flow.idx, FLOW_CLOSE_LOCAL);
         Ok(true)
-    }
-
-    /// Abortive local close: best-effort RST, slot recycled immediately.
-    pub fn abort_flow(&mut self, flow: FlowId) -> Result<bool, NetError> {
-        let Some(i) = self.lookup(flow) else {
-            return Ok(false);
-        };
-        let (remote, snd_nxt, rcv_nxt) = {
-            let slot = &self.slots[i];
-            (slot.remote, slot.snd_nxt, slot.rcv_nxt)
-        };
-        self.send_raw(remote, snd_nxt, rcv_nxt, FLAG_RST | FLAG_ACK, 0.15)?;
-        self.stats.closes += 1;
-        self.counters.closes.inc();
-        self.free_slot(flow.idx, FLOW_CLOSE_LOCAL);
-        Ok(true)
-    }
-}
-
-fn has_complete_msg(reasm: &[u8]) -> bool {
-    reasm.len() >= 4 && {
-        let len = u32::from_le_bytes(reasm[..4].try_into().expect("4 bytes")) as usize;
-        reasm.len() >= 4 + len
     }
 }
 
 impl fmt::Debug for TcpListener {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TcpListener")
-            .field("local_port", &self.local_port)
+            .field("local_port", &self.io.local_port)
             .field("capacity", &self.cfg.capacity)
             .field("active", &self.active_flows())
             .field("established", &self.established)
@@ -1140,14 +756,5 @@ mod tests {
         let mut fired = Vec::new();
         w.advance(1_000_000, &mut fired);
         assert_eq!(fired.len(), 5, "a lap drains every bucket");
-    }
-
-    #[test]
-    fn complete_msg_detection_handles_prefix_splits() {
-        assert!(!has_complete_msg(&[]));
-        assert!(!has_complete_msg(&[3, 0]));
-        assert!(!has_complete_msg(&[3, 0, 0, 0, 1, 2]));
-        assert!(has_complete_msg(&[3, 0, 0, 0, 1, 2, 3]));
-        assert!(has_complete_msg(&[0, 0, 0, 0]));
     }
 }

@@ -10,7 +10,7 @@
 //! [`udp::UdpStack::send_object_sga`] materializes one, reproducing the
 //! Table 5 comparison.
 //!
-//! Two transports are provided:
+//! Two transports are provided, sharing one object gather:
 //!
 //! - [`udp::UdpStack`] — the main datapath, modeled on the paper's custom
 //!   UDP stack over Mellanox/Intel drivers.
@@ -18,9 +18,12 @@
 //!   sequence numbers, cumulative ACKs, and timeout retransmission. Its
 //!   retransmission queue holds `RcBuf` references, extending the
 //!   use-after-free guarantee to "until ACKed", not merely "until DMA'd"
-//!   (§6.2.3).
+//!   (§6.2.3). [`flow::TcpListener`] serves many such connections from a
+//!   bounded slab; both run the same per-connection state machine.
 
+mod conn;
 pub mod flow;
+mod gather;
 pub mod header;
 pub mod tcp;
 pub mod udp;

@@ -12,20 +12,21 @@
 //! `[TCP header | length prefix | object header | copied fields]` in the
 //! first scatter-gather entry and zero-copy fields in further entries —
 //! the same combined serialize-and-send structure as UDP.
+//!
+//! The protocol itself is [`crate::conn::Flow`], shared with the flow-table
+//! listener; [`TcpStack`] is one flow, the endpoint context it runs on, and
+//! a `poll` that drives its retransmission timer.
 
-use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::fmt;
-use std::rc::Rc;
 
-use cf_mem::{PoolConfig, RcBuf};
-use cf_nic::{FaultInjector, FaultPlan, Nic, Port};
-use cf_sim::cost::Category;
+use cf_mem::RcBuf;
+use cf_nic::{FaultInjector, FaultPlan, Port};
 use cf_sim::Sim;
 use cf_telemetry::{Counter, FlightEvent, FlightRecorder, Telemetry};
-use cornflakes_core::obj::write_full_header;
 use cornflakes_core::{CornflakesObj, SerCtx, SerializationConfig};
 
+use crate::conn::{Corrupt, Flow, FlowIo, Segment, State, QUEUE};
+use crate::flow::FLOW_CLOSE_RST;
 use crate::udp::NetError;
 
 /// TCP frame header size (L2/L3 stub + ports + seq/ack + flags).
@@ -84,23 +85,6 @@ pub(crate) fn build_header(
     h
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum State {
-    Closed,
-    SynSent,
-    SynReceived,
-    Established,
-    /// We sent a FIN and are waiting for it to be acknowledged.
-    FinSent,
-}
-
-struct TxRecord {
-    seq: u32,
-    len: u32,
-    entries: Vec<RcBuf>,
-    sent_at: u64,
-}
-
 /// Cached TCP metric handles; default handles are unregistered no-ops.
 #[derive(Debug, Default)]
 struct TcpCounters {
@@ -116,28 +100,11 @@ struct TcpCounters {
 
 /// A TCP connection endpoint.
 pub struct TcpStack {
-    ctx: SerCtx,
-    nic: Rc<RefCell<Nic>>,
-    /// The NIC queue pair this endpoint posts to and polls from.
-    queue: usize,
-    /// Whether `nic` is shared with other stacks (telemetry registered by
-    /// the NIC's owner instead of here).
-    shared_nic: bool,
-    local_port: u16,
-    remote_port: u16,
-    state: State,
+    io: FlowIo,
+    flow: Flow,
     /// Bound on this endpoint's NIC rx staging ring (0 = unbounded).
     rx_backlog_limit: usize,
-    snd_nxt: u32,
-    snd_una: u32,
-    rcv_nxt: u32,
-    rtx: VecDeque<TxRecord>,
-    reasm: Vec<u8>,
-    /// Cap on `reasm` growth in bytes (0 = unbounded).
-    reasm_limit: usize,
     reasm_overflow_drops: u64,
-    rto_ns: u64,
-    scratch: Vec<u8>,
     retransmissions: u64,
     counters: TcpCounters,
     flight: FlightRecorder,
@@ -146,51 +113,18 @@ pub struct TcpStack {
 impl TcpStack {
     /// Creates an endpoint on `wire_port` with the given local port.
     pub fn new(sim: Sim, wire_port: Port, local_port: u16, config: SerializationConfig) -> Self {
-        let nic = Rc::new(RefCell::new(Nic::new(sim.clone(), wire_port)));
-        Self::build(sim, nic, 0, false, local_port, config)
-    }
-
-    /// Creates an endpoint bound to queue `queue` of a shared multi-queue
-    /// NIC: the endpoint polls and posts only its own queue, whose NIC-side
-    /// descriptor costs are charged to this endpoint's `sim`.
-    pub fn on_queue(
-        sim: Sim,
-        nic: Rc<RefCell<Nic>>,
-        queue: usize,
-        local_port: u16,
-        config: SerializationConfig,
-    ) -> Self {
-        nic.borrow_mut().bind_queue_sim(queue, sim.clone());
-        Self::build(sim, nic, queue, true, local_port, config)
-    }
-
-    fn build(
-        sim: Sim,
-        nic: Rc<RefCell<Nic>>,
-        queue: usize,
-        shared_nic: bool,
-        local_port: u16,
-        config: SerializationConfig,
-    ) -> Self {
-        let ctx = SerCtx::with_pool_config(sim, config, PoolConfig::default());
         TcpStack {
-            ctx,
-            nic,
-            queue,
-            shared_nic,
-            local_port,
-            remote_port: 0,
-            state: State::Closed,
+            io: FlowIo::new(
+                sim,
+                wire_port,
+                local_port,
+                config,
+                DEFAULT_REASM_CAP,
+                DEFAULT_RTO_NS,
+            ),
+            flow: Flow::new(),
             rx_backlog_limit: 0,
-            snd_nxt: 1,
-            snd_una: 1,
-            rcv_nxt: 1,
-            rtx: VecDeque::new(),
-            reasm: Vec::new(),
-            reasm_limit: DEFAULT_REASM_CAP,
             reasm_overflow_drops: 0,
-            rto_ns: DEFAULT_RTO_NS,
-            scratch: Vec::with_capacity(4096),
             retransmissions: 0,
             counters: TcpCounters::default(),
             flight: FlightRecorder::disabled(),
@@ -200,10 +134,7 @@ impl TcpStack {
     /// Wires this endpoint into a telemetry handle: `net.tcp.*` message
     /// counters plus the NIC, memory, and serializer-decision metrics.
     pub fn set_telemetry(&mut self, tele: &Telemetry) {
-        self.ctx.install_telemetry(tele);
-        if !self.shared_nic {
-            self.nic.borrow_mut().set_telemetry(tele);
-        }
+        self.io.set_telemetry(tele);
         self.counters = TcpCounters {
             msgs_sent: tele.counter("net.tcp.msgs_sent"),
             msgs_received: tele.counter("net.tcp.msgs_received"),
@@ -219,34 +150,31 @@ impl TcpStack {
     /// Installs a request-scoped flight recorder. TCP has no per-request
     /// wire ids, so stream events are keyed by the message's starting
     /// sequence number (the sender's `snd_nxt` at send time), which both
-    /// ends can compute without touching the wire format. Forwarded to the
-    /// NIC only when this endpoint owns it (mirroring `set_telemetry`).
+    /// ends can compute without touching the wire format.
     pub fn set_flight_recorder(&mut self, fr: &FlightRecorder) {
         self.flight = fr.clone();
-        if !self.shared_nic {
-            self.nic.borrow_mut().set_flight_recorder(fr);
-        }
+        self.io.set_flight_recorder(fr);
     }
 
     /// The serialization context.
     pub fn ctx(&self) -> &SerCtx {
-        &self.ctx
+        &self.io.ctx
     }
 
     /// Whether the handshake has completed.
     pub fn is_established(&self) -> bool {
-        self.state == State::Established
+        self.flow.state() == State::Established
     }
 
     /// Whether the connection is fully torn down (never opened, or closed
-    /// by FIN exchange, RST, or [`TcpStack::abort`]).
+    /// by FIN exchange or RST).
     pub fn is_closed(&self) -> bool {
-        self.state == State::Closed
+        self.flow.state() == State::Closed
     }
 
     /// Bytes currently buffered in the reassembly buffer.
     pub fn reasm_len(&self) -> usize {
-        self.reasm.len()
+        self.flow.reasm_len()
     }
 
     /// In-order payload bytes dropped because the reassembly buffer was at
@@ -262,27 +190,22 @@ impl TcpStack {
     /// peer retransmits after its RTO — a slow reader costs latency, not
     /// unbounded memory.
     pub fn set_reasm_limit(&mut self, limit: usize) {
-        self.reasm_limit = limit;
+        self.io.reasm_cap = limit;
     }
 
     /// Bytes sent but not yet cumulatively ACKed.
     pub fn unacked_bytes(&self) -> u32 {
-        self.snd_nxt.wrapping_sub(self.snd_una)
+        self.flow.unacked_bytes()
     }
 
     /// Segments currently held for possible retransmission.
     pub fn retransmit_queue_len(&self) -> usize {
-        self.rtx.len()
+        self.flow.rtx_len()
     }
 
     /// Total retransmissions performed (diagnostic).
     pub fn retransmissions(&self) -> u64 {
         self.retransmissions
-    }
-
-    /// Overrides the retransmission timeout.
-    pub fn set_rto(&mut self, rto_ns: u64) {
-        self.rto_ns = rto_ns;
     }
 
     /// Bounds this endpoint's rx backlog (its NIC staging ring) to `limit`
@@ -293,14 +216,7 @@ impl TcpStack {
     /// never loses stream data.
     pub fn set_rx_backlog_limit(&mut self, limit: usize) {
         self.rx_backlog_limit = limit;
-        self.nic
-            .borrow_mut()
-            .set_rx_backlog_limit(self.queue, limit);
-    }
-
-    /// Current rx-backlog occupancy (segments staged, not yet processed).
-    pub fn rx_backlog_len(&self) -> usize {
-        self.nic.borrow().rx_staged_on(self.queue)
+        self.io.nic.set_rx_backlog_limit(QUEUE, limit);
     }
 
     /// Arms deterministic fault injection on this endpoint's receive
@@ -308,38 +224,12 @@ impl TcpStack {
     /// injector handle for surgical faults (drop/duplicate/corrupt/delay/
     /// reorder of in-flight frames) and statistics.
     pub fn install_faults(&self, plan: FaultPlan) -> FaultInjector {
-        let port = self.nic.borrow().port().clone();
-        port.install_faults(self.ctx.sim.clock(), plan)
-    }
-
-    /// Posts one descriptor on this endpoint's queue and reaps it.
-    fn post_and_reap(&mut self, entries: Vec<RcBuf>) -> Result<(), NetError> {
-        let mut nic = self.nic.borrow_mut();
-        nic.post_tx_on(self.queue, entries)?;
-        nic.poll_completions_on(self.queue);
-        Ok(())
-    }
-
-    fn header(&self, seq: u32, ack: u32, flags: u8) -> [u8; TCP_HEADER_BYTES] {
-        build_header(self.local_port, self.remote_port, seq, ack, flags)
-    }
-
-    fn send_control(&mut self, flags: u8) -> Result<(), NetError> {
-        let costs = self.ctx.sim.costs();
-        self.ctx
-            .sim
-            .charge(Category::Tx, costs.per_packet_base * 0.25);
-        let hdr = self.header(self.snd_nxt, self.rcv_nxt, flags);
-        let mut buf = self.ctx.pool.alloc(TCP_HEADER_BYTES)?;
-        buf.write_at(0, &hdr);
-        self.post_and_reap(vec![buf])
+        self.io.install_faults(plan)
     }
 
     /// Initiates a connection to `remote_port` (sends SYN).
     pub fn connect(&mut self, remote_port: u16) -> Result<(), NetError> {
-        self.remote_port = remote_port;
-        self.state = State::SynSent;
-        self.send_control(FLAG_SYN)
+        self.flow.connect(&mut self.io, remote_port)
     }
 
     /// Initiates an orderly close: sends FIN and waits (via [`TcpStack::poll`])
@@ -347,33 +237,18 @@ impl TcpStack {
     /// as the close completes — pool occupancy returns to baseline on
     /// close, not only when the stack is dropped.
     pub fn close(&mut self) -> Result<(), NetError> {
-        if self.state != State::Established {
+        if self.flow.state() != State::Established {
             self.teardown();
             return Ok(());
         }
-        self.send_control(FLAG_FIN | FLAG_ACK)?;
-        self.snd_nxt = self.snd_nxt.wrapping_add(1); // FIN consumes a seq
-        self.state = State::FinSent;
-        Ok(())
-    }
-
-    /// Abortive close: best-effort RST to the peer, then immediate local
-    /// teardown (all retransmission references released).
-    pub fn abort(&mut self) {
-        if self.state != State::Closed && self.remote_port != 0 {
-            let _ = self.send_control(FLAG_RST | FLAG_ACK);
-        }
-        self.teardown();
+        self.flow.close(&mut self.io)
     }
 
     /// Releases every buffer the connection pins: retransmission records
     /// (their `RcBuf` references return to the pool) and the reassembly
     /// buffer's heap allocation.
     fn teardown(&mut self) {
-        self.state = State::Closed;
-        self.rtx.clear();
-        self.reasm = Vec::new();
-        self.snd_una = self.snd_nxt;
+        self.flow = Flow::new();
     }
 
     /// Sends a serialization object as one length-prefixed message on the
@@ -382,83 +257,8 @@ impl TcpStack {
     /// The posted buffers are retained in the retransmission queue until
     /// cumulatively ACKed — Cornflakes's use-after-free guarantee over TCP.
     pub fn send_object(&mut self, obj: &impl CornflakesObj) -> Result<(), NetError> {
-        assert!(
-            self.state == State::Established,
-            "send_object on an unestablished connection"
-        );
-        let costs = self.ctx.sim.costs();
-        self.ctx
-            .sim
-            .charge(Category::Tx, costs.per_packet_base * 0.55);
-
-        let hb = obj.header_bytes();
-        let cb = obj.copy_bytes();
-        let msg_len = obj.object_len() as u32;
-        let stream_len = 4 + msg_len; // length prefix + object
-
-        let mut first = self.ctx.pool.alloc(TCP_HEADER_BYTES + 4 + hb + cb)?;
-        let hdr = self.header(self.snd_nxt, self.rcv_nxt, FLAG_ACK);
-        first.write_at(0, &hdr);
-        first.write_at(TCP_HEADER_BYTES, &msg_len.to_le_bytes());
-
-        self.scratch.clear();
-        self.scratch.resize(hb, 0);
-        let mut hdr_scratch = std::mem::take(&mut self.scratch);
-        let entries_written = write_full_header(obj, &mut hdr_scratch);
-        self.ctx.sim.charge(
-            Category::HeaderWrite,
-            costs.header_fixed + entries_written as f64 * costs.per_field,
-        );
-        self.ctx.sim.charge_write(
-            Category::HeaderWrite,
-            first.addr() + (TCP_HEADER_BYTES + 4) as u64,
-            hb,
-        );
-        first.write_at(TCP_HEADER_BYTES + 4, &hdr_scratch);
-        self.scratch = hdr_scratch;
-
-        let mut cursor = TCP_HEADER_BYTES + 4 + hb;
-        let sim = &self.ctx.sim;
-        let first_addr = first.addr();
-        obj.for_each_copy_entry(&mut |bytes: &[u8]| {
-            sim.charge_memcpy(
-                Category::SerializeCopy,
-                bytes.as_ptr() as u64,
-                first_addr + cursor as u64,
-                bytes.len(),
-            );
-            first.write_at(cursor, bytes);
-            cursor += bytes.len();
-        });
-
-        let mut entries = Vec::with_capacity(1 + obj.zero_copy_entries());
-        entries.push(first);
-        obj.for_each_zero_copy_entry(&mut |rc: &RcBuf| {
-            self.ctx
-                .sim
-                .charge_meta_access(Category::SerializeZeroCopy, rc.refcount_addr());
-            self.ctx
-                .sim
-                .charge(Category::SerializeZeroCopy, costs.refcount_update);
-            entries.push(rc.clone());
-        });
-
-        // Post, but keep the entry references until ACKed.
-        self.post_and_reap(entries.clone())?;
-        self.rtx.push_back(TxRecord {
-            seq: self.snd_nxt,
-            len: stream_len,
-            entries,
-            sent_at: self.ctx.sim.now(),
-        });
-        self.flight.record(
-            self.snd_nxt,
-            self.ctx.sim.now(),
-            FlightEvent::TcpMsgSend { bytes: stream_len },
-        );
-        self.snd_nxt = self.snd_nxt.wrapping_add(stream_len);
-        self.ctx.end_request();
-        self.counters.msgs_sent.inc();
+        let sent = self.flow.send_object(&mut self.io, &[], obj)?;
+        self.on_sent(sent);
         Ok(())
     }
 
@@ -467,253 +267,67 @@ impl TcpStack {
     /// bytes are staged into a DMA buffer (charged copy) behind the TCP
     /// header.
     pub fn send_bytes(&mut self, data: &[u8]) -> Result<(), NetError> {
-        assert!(
-            self.state == State::Established,
-            "send_bytes on an unestablished connection"
-        );
-        let costs = self.ctx.sim.costs();
-        self.ctx
-            .sim
-            .charge(Category::Tx, costs.per_packet_base * 0.55);
-        let stream_len = 4 + data.len() as u32;
-        let mut buf = self.ctx.pool.alloc(TCP_HEADER_BYTES + 4 + data.len())?;
-        let hdr = self.header(self.snd_nxt, self.rcv_nxt, FLAG_ACK);
-        buf.write_at(0, &hdr);
-        buf.write_at(TCP_HEADER_BYTES, &(data.len() as u32).to_le_bytes());
-        self.ctx.sim.charge_memcpy(
-            Category::SerializeCopy,
-            data.as_ptr() as u64,
-            buf.addr() + (TCP_HEADER_BYTES + 4) as u64,
-            data.len(),
-        );
-        buf.write_at(TCP_HEADER_BYTES + 4, data);
-        let entries = vec![buf];
-        self.post_and_reap(entries.clone())?;
-        self.rtx.push_back(TxRecord {
-            seq: self.snd_nxt,
-            len: stream_len,
-            entries,
-            sent_at: self.ctx.sim.now(),
-        });
+        let sent = self.flow.send_bytes(&mut self.io, data)?;
+        self.on_sent(sent);
+        Ok(())
+    }
+
+    /// Accounts for the message of `stream_len` bytes just sent.
+    fn on_sent(&mut self, stream_len: u32) {
         self.flight.record(
-            self.snd_nxt,
-            self.ctx.sim.now(),
+            self.flow.snd_nxt().wrapping_sub(stream_len),
+            self.io.ctx.sim.now(),
             FlightEvent::TcpMsgSend { bytes: stream_len },
         );
-        self.snd_nxt = self.snd_nxt.wrapping_add(stream_len);
         self.counters.msgs_sent.inc();
-        Ok(())
     }
 
     /// Processes incoming segments, ACKs, and retransmission timers. Call
     /// regularly (each scheduling quantum).
     pub fn poll(&mut self) -> Result<(), NetError> {
-        if self.shared_nic {
-            self.ctx.sim.set_active_queue(Some(self.queue));
-        }
         if self.rx_backlog_limit > 0 {
             // Enforce the bounded staging ring before processing: excess
             // segments are tail-dropped NIC-side and counted; the peer's
             // RTO retransmits them later.
-            let before = self.nic.borrow().queue_stats(self.queue).rx_backlog_drops;
-            self.nic.borrow_mut().pump();
-            let after = self.nic.borrow().queue_stats(self.queue).rx_backlog_drops;
+            let before = self.io.nic.queue_stats(QUEUE).rx_backlog_drops;
+            self.io.nic.pump();
+            let after = self.io.nic.queue_stats(QUEUE).rx_backlog_drops;
             self.counters.backlog_drops.add(after - before);
         }
-        loop {
-            let frame = self
-                .nic
-                .borrow_mut()
-                .recv_into_on(self.queue, &self.ctx.pool);
-            match frame {
-                Some(frame) => self.handle_segment(frame)?,
-                None => break,
+        while let Some(rx) = self.io.recv_segment() {
+            match rx {
+                Ok(seg) => self.handle_segment(&seg)?,
+                Err(Corrupt) => self.counters.rx_corrupt_drops.inc(),
             }
         }
-        self.check_retransmit()?;
-        Ok(())
-    }
-
-    fn handle_segment(&mut self, frame: RcBuf) -> Result<(), NetError> {
-        if frame.len() < TCP_HEADER_BYTES {
-            return Ok(()); // runt; drop
-        }
-        // FCS verification (checksum offload: not charged). A corrupted
-        // segment is dropped; the sender's RTO recovers it.
-        if !cf_nic::fcs_ok(frame.as_slice()) {
-            self.counters.rx_corrupt_drops.inc();
-            return Ok(());
-        }
-        let costs = self.ctx.sim.costs();
-        self.ctx
-            .sim
-            .charge(Category::Rx, costs.per_packet_base * 0.25);
-        let b = frame.as_slice();
-        let src = u16::from_be_bytes([b[OFF_SRC], b[OFF_SRC + 1]]);
-        let seq = u32::from_le_bytes(b[OFF_SEQ..OFF_SEQ + 4].try_into().expect("4 bytes"));
-        let ack = u32::from_le_bytes(b[OFF_ACK..OFF_ACK + 4].try_into().expect("4 bytes"));
-        let flags = b[OFF_FLAGS];
-
-        // RST aborts whatever state we are in: all pinned buffers release
-        // immediately (the teardown guarantee a misbehaving peer cannot
-        // deny us).
-        if flags & FLAG_RST != 0 {
-            if self.state != State::Closed {
-                self.counters.resets.inc();
-                self.flight.record(
-                    self.rcv_nxt,
-                    self.ctx.sim.now(),
-                    FlightEvent::TcpFlowClose {
-                        reason: crate::flow::FLOW_CLOSE_RST,
-                    },
-                );
-                self.teardown();
-            }
-            return Ok(());
-        }
-
-        match self.state {
-            State::Closed => {
-                if flags & FLAG_SYN != 0 {
-                    // Passive open.
-                    self.remote_port = src;
-                    self.rcv_nxt = seq.wrapping_add(1);
-                    self.state = State::SynReceived;
-                    self.send_control(FLAG_SYN | FLAG_ACK)?;
-                }
-            }
-            State::SynSent => {
-                if flags & FLAG_SYN != 0 && flags & FLAG_ACK != 0 {
-                    self.rcv_nxt = seq.wrapping_add(1);
-                    self.snd_nxt = self.snd_nxt.wrapping_add(1);
-                    self.snd_una = self.snd_nxt;
-                    self.state = State::Established;
-                    self.send_control(FLAG_ACK)?;
-                }
-            }
-            State::SynReceived => {
-                if flags & FLAG_ACK != 0 {
-                    self.snd_nxt = self.snd_nxt.wrapping_add(1);
-                    self.snd_una = self.snd_nxt;
-                    self.state = State::Established;
-                }
-            }
-            State::Established => {
-                // Cumulative ACK: release fully-acknowledged records.
-                if flags & FLAG_ACK != 0 && seq_lt(self.snd_una, ack.wrapping_add(1)) {
-                    self.snd_una = ack;
-                    while let Some(rec) = self.rtx.front() {
-                        let end = rec.seq.wrapping_add(rec.len);
-                        if seq_lt(end, self.snd_una.wrapping_add(1)) {
-                            self.rtx.pop_front(); // drops the RcBuf references
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                let payload = &b[TCP_HEADER_BYTES..];
-                if !payload.is_empty() {
-                    if seq == self.rcv_nxt {
-                        if self.reasm_limit > 0
-                            && self.reasm.len() + payload.len() > self.reasm_limit
-                        {
-                            // Reassembly cap: treat the segment as lost.
-                            // rcv_nxt stays put, so our ACK is a duplicate
-                            // and the peer's RTO re-delivers once the
-                            // reader drains. Bounded memory, no data loss.
-                            self.reasm_overflow_drops += 1;
-                            self.counters.reasm_overflow_drops.inc();
-                        } else {
-                            // In-order data: append to the reassembly buffer.
-                            self.ctx.sim.charge_memcpy(
-                                Category::Rx,
-                                frame.addr() + TCP_HEADER_BYTES as u64,
-                                self.reasm.as_ptr() as u64 + self.reasm.len() as u64,
-                                payload.len(),
-                            );
-                            self.reasm.extend_from_slice(payload);
-                            self.rcv_nxt = self.rcv_nxt.wrapping_add(payload.len() as u32);
-                        }
-                    }
-                    // ACK rcv_nxt (also re-ACKs out-of-order/duplicate data).
-                    self.send_control(FLAG_ACK)?;
-                }
-                if flags & FLAG_FIN != 0 && seq.wrapping_add(payload.len() as u32) == self.rcv_nxt {
-                    // Peer's orderly close, with all preceding data in hand.
-                    // Reply FIN/ACK and collapse CLOSE-WAIT/LAST-ACK: drop
-                    // retransmission references now, keep `reasm` so the
-                    // application can still drain delivered messages.
-                    self.rcv_nxt = self.rcv_nxt.wrapping_add(1);
-                    self.send_control(FLAG_FIN | FLAG_ACK)?;
-                    self.rtx.clear();
-                    self.snd_una = self.snd_nxt;
-                    self.state = State::Closed;
-                    self.flight.record(
-                        self.rcv_nxt,
-                        self.ctx.sim.now(),
-                        FlightEvent::TcpFlowClose {
-                            reason: crate::flow::FLOW_CLOSE_FIN,
-                        },
-                    );
-                }
-            }
-            State::FinSent => {
-                if flags & FLAG_ACK != 0 && seq_lt(self.snd_una, ack.wrapping_add(1)) {
-                    self.snd_una = ack;
-                    while let Some(rec) = self.rtx.front() {
-                        let end = rec.seq.wrapping_add(rec.len);
-                        if seq_lt(end, self.snd_una.wrapping_add(1)) {
-                            self.rtx.pop_front();
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                if flags & FLAG_FIN != 0 {
-                    // Peer's FIN (usually FIN/ACK of ours): acknowledge it
-                    // and finish. Simultaneous-close and LAST-ACK collapse
-                    // into the same terminal transition.
-                    self.rcv_nxt = seq.wrapping_add(1);
-                    self.send_control(FLAG_ACK)?;
-                    self.rtx.clear();
-                    self.snd_una = self.snd_nxt;
-                    self.state = State::Closed;
-                    self.flight.record(
-                        self.rcv_nxt,
-                        self.ctx.sim.now(),
-                        FlightEvent::TcpFlowClose {
-                            reason: crate::flow::FLOW_CLOSE_FIN,
-                        },
-                    );
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn check_retransmit(&mut self) -> Result<(), NetError> {
-        if self.state != State::Established && self.state != State::FinSent {
-            return Ok(());
-        }
-        let now = self.ctx.sim.now();
-        let rto = self.rto_ns;
-        // Only the head-of-line record retransmits (go-back-N would resend
-        // the rest once the head is repaired; our in-order receiver re-ACKs).
-        let needs_rtx = self
-            .rtx
-            .front()
-            .is_some_and(|r| now.saturating_sub(r.sent_at) >= rto);
-        if needs_rtx {
-            let costs = self.ctx.sim.costs();
-            self.ctx
-                .sim
-                .charge(Category::Tx, costs.per_packet_base * 0.55);
-            let rec = self.rtx.front_mut().expect("checked nonempty");
-            rec.sent_at = now;
-            let entries = rec.entries.clone();
+        if self.flow.on_rto(&mut self.io)? {
             self.retransmissions += 1;
             self.counters.retransmissions.inc();
-            self.post_and_reap(entries)?;
+        }
+        Ok(())
+    }
+
+    fn handle_segment(&mut self, seg: &Segment) -> Result<(), NetError> {
+        let ev = self.flow.on_segment(&mut self.io, seg)?;
+        if ev.reasm_overflow {
+            self.reasm_overflow_drops += 1;
+            self.counters.reasm_overflow_drops.inc();
+        }
+        if let Some(reason) = ev.closed_by {
+            self.flight.record(
+                self.flow.rcv_nxt(),
+                self.io.ctx.sim.now(),
+                FlightEvent::TcpFlowClose { reason },
+            );
+            if reason == FLOW_CLOSE_RST {
+                self.counters.resets.inc();
+                self.teardown();
+            } else {
+                // Orderly close: retransmission references drop now, the
+                // stream data already delivered stays for the application
+                // to drain.
+                self.flow.release(&mut self.io);
+            }
         }
         Ok(())
     }
@@ -728,56 +342,40 @@ impl TcpStack {
     /// reassembly buffer: backpressure, so the caller can free buffers and
     /// retry, never a panic and never data loss.
     pub fn recv_msg(&mut self) -> Result<Option<RcBuf>, NetError> {
-        if self.reasm.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(self.reasm[..4].try_into().expect("4 bytes")) as usize;
-        if self.reasm.len() < 4 + len {
-            return Ok(None);
-        }
-        let mut buf = match self.ctx.pool.alloc(len.max(1)) {
-            Ok(b) => b,
-            Err(cf_mem::AllocError::Exhausted { .. }) => {
-                self.counters.rx_pool_exhausted.inc();
-                return Err(NetError::RxPoolExhausted);
-            }
-            Err(e) => return Err(e.into()),
-        };
-        self.ctx.sim.charge_memcpy(
-            Category::Rx,
-            self.reasm.as_ptr() as u64 + 4,
-            buf.addr(),
-            len,
-        );
-        if len > 0 {
-            buf.write_at(0, &self.reasm[4..4 + len]);
-        }
-        buf.truncate(len);
         // The seq of the front of the reassembly buffer is `rcv_nxt` minus
         // what is buffered — i.e. the sender's `snd_nxt` when it sent this
         // message, so deliver correlates with the peer's send event.
-        let msg_seq = self.rcv_nxt.wrapping_sub(self.reasm.len() as u32);
-        self.reasm.drain(..4 + len);
-        self.counters.msgs_received.inc();
-        self.flight.record(
-            msg_seq,
-            self.ctx.sim.now(),
-            FlightEvent::TcpMsgDeliver {
-                bytes: 4 + len as u32,
-            },
-        );
-        Ok(Some(buf))
+        let msg_seq = self
+            .flow
+            .rcv_nxt()
+            .wrapping_sub(self.flow.reasm_len() as u32);
+        let msg = self.flow.recv_msg(&self.io).inspect_err(|e| {
+            if matches!(e, NetError::RxPoolExhausted) {
+                self.counters.rx_pool_exhausted.inc();
+            }
+        })?;
+        if let Some(buf) = &msg {
+            self.counters.msgs_received.inc();
+            self.flight.record(
+                msg_seq,
+                self.io.ctx.sim.now(),
+                FlightEvent::TcpMsgDeliver {
+                    bytes: 4 + buf.len() as u32,
+                },
+            );
+        }
+        Ok(msg)
     }
 }
 
 impl fmt::Debug for TcpStack {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TcpStack")
-            .field("state", &self.state)
-            .field("snd_nxt", &self.snd_nxt)
-            .field("snd_una", &self.snd_una)
-            .field("rcv_nxt", &self.rcv_nxt)
-            .field("rtx_queue", &self.rtx.len())
+            .field("state", &self.flow.state())
+            .field("snd_nxt", &self.flow.snd_nxt())
+            .field("unacked_bytes", &self.flow.unacked_bytes())
+            .field("rcv_nxt", &self.flow.rcv_nxt())
+            .field("rtx_queue", &self.flow.rtx_len())
             .finish()
     }
 }

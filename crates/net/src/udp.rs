@@ -9,9 +9,9 @@ use cf_nic::{Nic, NicError, Port};
 use cf_sim::cost::Category;
 use cf_sim::Sim;
 use cf_telemetry::{Counter, FlightEvent, FlightRecorder, Gauge, Telemetry};
-use cornflakes_core::obj::write_full_header;
 use cornflakes_core::{CornflakesObj, SerCtx, SerializationConfig};
 
+use crate::gather;
 use crate::header::{FrameMeta, PacketHeader, HEADER_BYTES};
 
 /// Datapath errors.
@@ -485,7 +485,6 @@ impl UdpStack {
             0
         };
         let mut tx = self.ctx.pool.alloc(base + hb + cb + extra_capacity)?;
-        let costs = self.ctx.sim.costs();
 
         if include_packet_header {
             self.scratch.resize(HEADER_BYTES, 0);
@@ -497,56 +496,8 @@ impl UdpStack {
             self.scratch = pkt_hdr;
         }
 
-        // Object header: assembled in scratch, then stored to the DMA
-        // buffer. Charged as header-write bytes plus per-field accounting.
-        self.scratch.clear();
-        self.scratch.resize(hb, 0);
-        let mut hdr_scratch = std::mem::take(&mut self.scratch);
-        let entries = write_full_header(obj, &mut hdr_scratch);
-        self.ctx.sim.charge(
-            Category::HeaderWrite,
-            costs.header_fixed + entries as f64 * costs.per_field,
-        );
-        self.ctx
-            .sim
-            .charge_write(Category::HeaderWrite, tx.addr() + base as u64, hb);
-        tx.write_at(base, &hdr_scratch);
-        self.scratch = hdr_scratch;
-
-        // Copied field data, in iteration order (which matches the offsets
-        // the header writer assigned).
-        let mut cursor = base + hb;
-        let sim = &self.ctx.sim;
-        let tx_addr = tx.addr();
-        obj.for_each_copy_entry(&mut |bytes: &[u8]| {
-            sim.charge_memcpy(
-                Category::SerializeCopy,
-                bytes.as_ptr() as u64,
-                tx_addr + cursor as u64,
-                bytes.len(),
-            );
-            tx.write_at(cursor, bytes);
-            cursor += bytes.len();
-        });
+        gather::write_head(&self.ctx, &mut self.scratch, obj, &mut tx, base);
         Ok(tx)
-    }
-
-    /// Collects the zero-copy entries of `obj`, charging the per-entry
-    /// reference-count clone.
-    fn collect_zc_entries(&self, obj: &impl CornflakesObj, entries: &mut Vec<RcBuf>) {
-        let costs = self.ctx.sim.costs();
-        let raw = self.ctx.config.raw_scatter_gather;
-        obj.for_each_zero_copy_entry(&mut |rc: &RcBuf| {
-            if !raw {
-                self.ctx
-                    .sim
-                    .charge_meta_access(Category::SerializeZeroCopy, rc.refcount_addr());
-                self.ctx
-                    .sim
-                    .charge(Category::SerializeZeroCopy, costs.refcount_update);
-            }
-            entries.push(rc.clone());
-        });
     }
 
     /// The combined serialize-and-send API (paper Listing 2's
@@ -570,7 +521,7 @@ impl UdpStack {
         let mut entries = self.take_desc();
         entries.reserve(1 + obj.zero_copy_entries());
         entries.push(first);
-        self.collect_zc_entries(obj, &mut entries);
+        gather::collect_zero_copy(&self.ctx, obj, &mut entries);
         self.flight.record(
             hdr.meta.req_id,
             self.ctx.sim.now(),
@@ -662,7 +613,7 @@ impl UdpStack {
         entries.reserve(2 + obj.zero_copy_entries());
         entries.push(hdr_buf);
         entries.push(obj_buf);
-        self.collect_zc_entries(obj, &mut entries);
+        gather::collect_zero_copy(&self.ctx, obj, &mut entries);
         self.flight.record(
             hdr.meta.req_id,
             self.ctx.sim.now(),

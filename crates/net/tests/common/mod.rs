@@ -1,4 +1,6 @@
-//! Shared by the UDP, `TcpStack` and flow-listener fault tests.
+//! Shared by the UDP, `TcpStack` and flow-listener tests.
+
+#![allow(dead_code)] // each test binary uses its own subset
 
 /// Frame lengths on either side of the FCS kernels' hand-overs (the body
 /// starts at byte 22): too short to fold, exactly one 64-byte fold group,
@@ -42,4 +44,39 @@ pub fn fcs_boundary_bursts(len: usize) -> Vec<(usize, usize)> {
         })
         .filter(|(first_bit, width)| first_bit + width <= 8 * len)
         .collect()
+}
+
+/// A header-only TCP segment as raw bytes, for drivers that play a peer
+/// without a stack behind it (unsealed: seal it with `Frame::seal` or send
+/// it through `PortHub::inject`).
+pub fn raw_segment(src: u16, dst: u16, seq: u32, ack: u32, flags: u8) -> Vec<u8> {
+    use cf_net::tcp::{OFF_ACK, OFF_DST, OFF_FLAGS, OFF_SEQ, OFF_SRC, TCP_HEADER_BYTES};
+    let mut f = vec![0u8; TCP_HEADER_BYTES];
+    f[OFF_SRC..OFF_SRC + 2].copy_from_slice(&src.to_be_bytes());
+    f[OFF_DST..OFF_DST + 2].copy_from_slice(&dst.to_be_bytes());
+    f[OFF_SEQ..OFF_SEQ + 4].copy_from_slice(&seq.to_le_bytes());
+    f[OFF_ACK..OFF_ACK + 4].copy_from_slice(&ack.to_le_bytes());
+    f[OFF_FLAGS] = flags;
+    f
+}
+
+/// Seals `bytes` the way a transmitting NIC would and puts them on `wire`.
+pub fn send_raw(wire: &cf_nic::Port, bytes: Vec<u8>) {
+    let mut frame = cf_nic::Frame::new(bytes);
+    frame.seal();
+    wire.send(frame);
+}
+
+/// A `TcpStack` on port 2000 facing a raw wire end the test plays the peer
+/// on.
+pub fn stack_and_raw_peer() -> (cf_net::TcpStack, cf_nic::Port, cf_sim::Sim) {
+    let sim = cf_sim::Sim::new(cf_sim::MachineProfile::tiny_for_tests());
+    let (raw, wire) = cf_nic::link();
+    let stack = cf_net::TcpStack::new(
+        sim.clone(),
+        wire,
+        2000,
+        cornflakes_core::SerializationConfig::hybrid(),
+    );
+    (stack, raw, sim)
 }

@@ -3,7 +3,7 @@
 
 mod common;
 
-use cf_net::tcp::{FLAG_ACK, FLAG_SYN, OFF_ACK, OFF_DST, OFF_FLAGS, OFF_SEQ, OFF_SRC};
+use cf_net::tcp::{FLAG_ACK, FLAG_SYN, OFF_FLAGS};
 use cf_net::{FlowConfig, FlowId, NetError, TcpListener, TcpStack};
 use cf_nic::PortHub;
 use cf_sim::{Clock, MachineProfile, Sim};
@@ -77,23 +77,12 @@ fn roundtrip(
 
 /// A raw SYN frame from `src` (adversarial drivers skip the full stack).
 fn raw_syn(src: u16) -> Vec<u8> {
-    let mut f = vec![0u8; 48];
-    f[OFF_SRC..OFF_SRC + 2].copy_from_slice(&src.to_be_bytes());
-    f[OFF_DST..OFF_DST + 2].copy_from_slice(&SERVER_PORT.to_be_bytes());
-    f[OFF_SEQ..OFF_SEQ + 4].copy_from_slice(&1u32.to_le_bytes());
-    f[OFF_FLAGS] = FLAG_SYN;
-    f
+    common::raw_segment(src, SERVER_PORT, 1, 0, FLAG_SYN)
 }
 
 /// The matching raw handshake-completing ACK (client ISS = 1).
 fn raw_handshake_ack(src: u16) -> Vec<u8> {
-    let mut f = vec![0u8; 48];
-    f[OFF_SRC..OFF_SRC + 2].copy_from_slice(&src.to_be_bytes());
-    f[OFF_DST..OFF_DST + 2].copy_from_slice(&SERVER_PORT.to_be_bytes());
-    f[OFF_SEQ..OFF_SEQ + 4].copy_from_slice(&2u32.to_le_bytes());
-    f[OFF_ACK..OFF_ACK + 4].copy_from_slice(&2u32.to_le_bytes());
-    f[OFF_FLAGS] = FLAG_ACK;
-    f
+    common::raw_segment(src, SERVER_PORT, 2, 2, FLAG_ACK)
 }
 
 #[test]
@@ -336,6 +325,55 @@ fn error_bursts_at_every_fcs_kernel_boundary_are_dropped_counted_and_repaired() 
     }
     assert_eq!(client.retransmissions(), drops);
     assert_eq!(listener.established_flows(), 1, "the flow survived it all");
+}
+
+#[test]
+fn ack_for_bytes_never_sent_releases_nothing_and_the_rto_still_repairs() {
+    let (mut listener, mut hub, sim, clock) = rig(FlowConfig::default());
+    let mut client = connect_client(&mut listener, &mut hub, &sim, 4000);
+    client.send_bytes(b"request").unwrap();
+    hub.pump();
+    listener.poll().unwrap();
+    let (flow, _) = listener.recv_from().unwrap().expect("request");
+    assert!(listener.send_bytes_to(flow, b"reply").unwrap());
+    hub.pump();
+    let to_client = client.install_faults(cf_nic::FaultPlan::none());
+    assert!(
+        to_client.drop_pending(),
+        "the reply's only transmission is lost"
+    );
+    let pinned = listener.ctx().pool.live_slots();
+
+    // The listener's snd_nxt is 2 + 4 + 5 = 11; a forged segment from the
+    // client's port acknowledges 1000 bytes past it.
+    hub.inject(common::raw_segment(
+        4000,
+        SERVER_PORT,
+        13,
+        11 + 1000,
+        FLAG_ACK,
+    ));
+    hub.pump();
+    listener.poll().unwrap();
+    assert_eq!(
+        listener.ctx().pool.live_slots(),
+        pinned,
+        "the unACKed reply stays referenced for retransmission"
+    );
+
+    clock.advance(300_000);
+    listener.poll().unwrap();
+    assert_eq!(listener.stats().retransmissions, 1, "the RTO still fires");
+    hub.pump();
+    client.poll().unwrap();
+    let reply = client
+        .recv_msg()
+        .unwrap()
+        .expect("retransmission delivered");
+    assert_eq!(reply.as_slice(), b"reply");
+    hub.pump();
+    listener.poll().unwrap(); // the genuine ACK releases the record
+    assert!(listener.ctx().pool.live_slots() < pinned);
 }
 
 /// Advances the world one RTO-ish step: clock, client timers, wire, server.

@@ -5,9 +5,11 @@
 
 mod common;
 
+use cf_net::tcp::{FLAG_ACK, FLAG_SYN};
 use cf_net::TcpStack;
 use cf_nic::{link, FaultPlan};
 use cf_sim::{Clock, MachineProfile, Sim};
+use common::{raw_segment, send_raw, stack_and_raw_peer};
 use cornflakes_core::msgs::Single;
 use cornflakes_core::{CFBytes, CornflakesObj, SerializationConfig};
 
@@ -376,4 +378,73 @@ fn close_returns_pool_occupancy_to_baseline() {
         "close returns every pool buffer, not just on drop"
     );
     assert_eq!(a.retransmit_queue_len(), 0);
+}
+
+#[test]
+fn ack_for_bytes_never_sent_releases_nothing_and_the_rto_still_repairs() {
+    let (mut a, raw, sim) = stack_and_raw_peer();
+    let clock = sim.clock();
+    a.connect(1000).unwrap();
+    raw.recv().expect("SYN");
+    send_raw(&raw, raw_segment(1000, 2000, 1, 2, FLAG_SYN | FLAG_ACK));
+    a.poll().unwrap();
+    assert!(a.is_established());
+    raw.recv().expect("handshake ACK");
+
+    let value = a.ctx().pool.alloc(2048).unwrap();
+    let mut m = Single::default();
+    m.val = Some(CFBytes::new(a.ctx(), value.as_slice()));
+    a.send_object(&m).unwrap();
+    drop(m);
+    raw.recv().expect("the data segment, lost here");
+    let sent = a.unacked_bytes();
+
+    send_raw(&raw, raw_segment(1000, 2000, 2, 2 + sent + 1000, FLAG_ACK));
+    a.poll().unwrap();
+    assert_eq!(a.retransmit_queue_len(), 1, "the record survives");
+    assert_eq!(a.unacked_bytes(), sent, "snd_una did not pass snd_nxt");
+    assert_eq!(value.refcount(), 2, "still held for retransmission");
+
+    clock.advance(300_000);
+    a.poll().unwrap();
+    assert_eq!(a.retransmissions(), 1, "the RTO still repairs the flow");
+    raw.recv().expect("retransmission");
+    send_raw(&raw, raw_segment(1000, 2000, 2, 2 + sent, FLAG_ACK));
+    a.poll().unwrap();
+    assert_eq!(a.retransmit_queue_len(), 0);
+    assert_eq!(value.refcount(), 1, "released by the genuine ACK");
+}
+
+#[test]
+fn passive_open_completes_only_on_the_ack_of_its_syn() {
+    let (mut b, raw, _sim) = stack_and_raw_peer();
+    send_raw(&raw, raw_segment(1000, 2000, 1, 0, FLAG_SYN));
+    b.poll().unwrap();
+    raw.recv().expect("SYN|ACK");
+    send_raw(&raw, raw_segment(1000, 2000, 2, 77, FLAG_ACK));
+    b.poll().unwrap();
+    assert!(!b.is_established(), "a stray ACK must not establish");
+    send_raw(&raw, raw_segment(1000, 2000, 2, 2, FLAG_ACK));
+    b.poll().unwrap();
+    assert!(b.is_established());
+}
+
+#[test]
+fn lost_synack_is_repaired_by_a_resent_syn() {
+    let sim = Sim::new(MachineProfile::tiny_for_tests());
+    let (pa, pb) = link();
+    let mut a = TcpStack::new(sim.clone(), pa, 1000, SerializationConfig::hybrid());
+    let mut b = TcpStack::new(sim, pb, 2000, SerializationConfig::hybrid());
+    let to_a = a.install_faults(FaultPlan::none());
+    a.connect(2000).unwrap();
+    b.poll().unwrap(); // SYN -> SYN|ACK
+    assert!(to_a.drop_pending(), "the SYN|ACK is lost");
+    a.poll().unwrap();
+    assert!(!a.is_established());
+
+    a.connect(2000).unwrap(); // the application retries
+    b.poll().unwrap(); // duplicate SYN -> SYN|ACK again
+    a.poll().unwrap(); // SYN|ACK -> ACK
+    b.poll().unwrap();
+    assert!(a.is_established() && b.is_established());
 }

@@ -49,6 +49,10 @@ cargo test -q --test tcp_churn
 cargo test -q -p cf-bench --lib experiments::churn
 CF_QUICK=1 cargo bench -p cf-bench --bench churn
 
+echo "==> transport parity gate: recorded TCP charge traces and end times, the stack and listener suites, TCP KV"
+cargo test -q -p cf-net --test tcp_charge_trace --test tcp_end_to_end --test tcp_proptests
+cargo test -q -p cf-kv --test tcp_kv
+
 echo "==> failover smoke: cluster goodput recovers before the killed node rejoins"
 cargo test -q -p cf-bench --lib experiments::failover
 
