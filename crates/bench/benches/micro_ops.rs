@@ -1,7 +1,8 @@
 //! Microbenchmarks of the hot-path operations: hybrid pointer construction,
-//! header writing, wire-format round trips, cache-simulator accesses, and
-//! workload generators. These measure the *real* (host) cost of the library
-//! code itself, complementing the virtual-time experiments.
+//! header writing, wire-format round trips, cache-simulator accesses, the
+//! pinned pool and registry, and workload generators. These measure the
+//! *real* (host) cost of the library code itself, complementing the
+//! virtual-time experiments.
 //!
 //! Hand-rolled timing harness (median of per-batch averages) instead of
 //! criterion, so the workspace builds with no external dependencies.
@@ -9,6 +10,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use cf_mem::{PinnedPool, PoolConfig, RcBuf, Registry};
 use cf_sim::{CacheSim, Category, Histogram, MachineProfile, Sim};
 use cf_workloads::Zipf;
 use cornflakes_core::msgs::GetM;
@@ -120,6 +122,54 @@ fn bench_cache_sim() {
     });
 }
 
+/// A pool of 8-slot regions with `regions` of them full in the 64 B class,
+/// and the buffers that fill them (to be kept).
+fn pool_with_full_regions(regions: usize) -> (PinnedPool, Vec<RcBuf>) {
+    let config = PoolConfig {
+        slots_per_region: 8,
+        max_regions_per_class: 2048,
+        ..PoolConfig::default()
+    };
+    let pool = PinnedPool::new(Registry::new(), config);
+    let held = (0..8 * regions).map(|_| pool.alloc(64).expect("pool"));
+    let held = held.collect();
+    (pool, held)
+}
+
+fn bench_pool() {
+    // The allocation lands in the first region with a free slot; the full
+    // regions ahead of it in the class are what a PUT-heavy store leaves.
+    for ahead in [0, 8, 64] {
+        let (pool, _held) = pool_with_full_regions(ahead);
+        bench_function(&format!("pool_alloc_drop_{ahead}_full_ahead"), || {
+            pool.alloc(black_box(64))
+        });
+    }
+    // `recover_ptr` against a registry of 1, 64 and 1,024 regions: the
+    // region the previous lookup found, two regions in turn, and an address
+    // no region holds.
+    let heap = vec![0u8; 64];
+    for regions in [1, 64, 1024] {
+        let (pool, held) = pool_with_full_regions(regions);
+        let registry = pool.registry();
+        let (first, last) = (held[0].addr(), held[held.len() - 1].addr());
+        if regions == 1 {
+            bench_function("rcbuf_clone_drop", || black_box(&held[0]).clone());
+        }
+        bench_function(&format!("recover_same_region_of_{regions}"), || {
+            registry.recover_addr(black_box(first + 8), 32)
+        });
+        let mut turn = false;
+        bench_function(&format!("recover_alternating_of_{regions}"), || {
+            turn = !turn;
+            registry.recover_addr(black_box(if turn { first } else { last }), 32)
+        });
+        bench_function(&format!("recover_miss_of_{regions}"), || {
+            registry.recover(black_box(&heap))
+        });
+    }
+}
+
 fn bench_workloads() {
     let mut zipf = Zipf::new(1_000_000, 0.99, 42);
     bench_function("zipf_sample", || zipf.next());
@@ -136,5 +186,6 @@ fn main() {
     bench_header_write();
     bench_roundtrip();
     bench_cache_sim();
+    bench_pool();
     bench_workloads();
 }

@@ -10,9 +10,8 @@
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::rc::Rc;
-use std::sync::atomic::Ordering;
 
-use crate::stats::ArenaStats;
+use crate::stats::{update, ArenaStats};
 
 /// Default arena chunk size: large enough for a jumbo frame of copied
 /// fields plus headers.
@@ -108,7 +107,7 @@ impl Arena {
     pub fn with_chunk_size(chunk_size: usize) -> Self {
         assert!(chunk_size > 0, "chunk size must be positive");
         let stats = ArenaStats::default();
-        stats.chunks_allocated.fetch_add(1, Ordering::Relaxed);
+        update(&stats.chunks_allocated, |v| v + 1);
         Arena {
             current: RefCell::new(Chunk::new(chunk_size)),
             spares: RefCell::new(Vec::with_capacity(MAX_SPARE_CHUNKS)),
@@ -127,13 +126,11 @@ impl Arena {
     /// Allocations larger than the chunk size get a dedicated chunk.
     pub fn copy_in(&self, src: &[u8]) -> ArenaBytes {
         let len = src.len();
-        self.stats.copies.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes_copied
-            .fetch_add(len as u64, Ordering::Relaxed);
+        update(&self.stats.copies, |v| v + 1);
+        update(&self.stats.bytes_copied, |v| v + len as u64);
         if len > self.chunk_size {
             // Oversized: dedicated chunk, not installed as current.
-            self.stats.chunks_allocated.fetch_add(1, Ordering::Relaxed);
+            update(&self.stats.chunks_allocated, |v| v + 1);
             let chunk = Chunk::new(len.max(1));
             // SAFETY: the fresh chunk's [0, len) range is exclusively ours.
             unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), chunk.data, len) };
@@ -146,7 +143,7 @@ impl Arena {
         }
         let mut current = self.current.borrow_mut();
         if current.used.get() + len > current.capacity {
-            self.stats.chunks_allocated.fetch_add(1, Ordering::Relaxed);
+            update(&self.stats.chunks_allocated, |v| v + 1);
             *current = Chunk::new(self.chunk_size);
         }
         let offset = current.used.get();
@@ -172,7 +169,7 @@ impl Arena {
     /// between two chunks without ever touching the heap allocator. Only
     /// when every spare is still pinned does a fresh chunk get allocated.
     pub fn reset(&self) {
-        self.stats.resets.fetch_add(1, Ordering::Relaxed);
+        update(&self.stats.resets, |v| v + 1);
         let mut current = self.current.borrow_mut();
         if Rc::strong_count(&current) == 1 {
             current.used.set(0);
@@ -186,7 +183,7 @@ impl Arena {
                 chunk
             }
             None => {
-                self.stats.chunks_allocated.fetch_add(1, Ordering::Relaxed);
+                update(&self.stats.chunks_allocated, |v| v + 1);
                 Chunk::new(self.chunk_size)
             }
         };

@@ -15,7 +15,7 @@
 //! old, immutable bytes.
 
 use crate::pool::{AllocError, PinnedPool};
-use crate::rcbuf::RcBuf;
+use crate::rcbuf::{fits, RcBuf};
 
 /// A pinned buffer with copy-on-write semantics over its reference count.
 #[derive(Debug)]
@@ -78,7 +78,7 @@ impl CowBuf {
         data: &[u8],
     ) -> Result<(), AllocError> {
         assert!(
-            offset + data.len() <= self.buf.len(),
+            fits(offset, data.len(), self.buf.len()),
             "write of {} bytes at {offset} exceeds CowBuf of {}",
             data.len(),
             self.buf.len()
@@ -160,6 +160,21 @@ mod tests {
         assert_eq!(&*old, b"old");
         assert_eq!(c.read(), b"new value");
         assert_eq!(c.len(), 9);
+    }
+
+    #[test]
+    fn write_at_refuses_ranges_whose_end_wraps() {
+        use crate::rcbuf::{panic_message, WRAPPING_WRITES};
+        let p = pool();
+        let mut c = CowBuf::from_bytes(&p, &[0u8; 64]).unwrap();
+        for (offset, len) in WRAPPING_WRITES {
+            let msg = panic_message(|| c.write_at(&p, offset, &[0xEE; 16][..len]));
+            assert!(msg.contains("exceeds CowBuf"), "({offset}, {len}): {msg}");
+        }
+        assert!(
+            c.read().iter().all(|&x| x == 0),
+            "a refused write writes nothing"
+        );
     }
 
     #[test]

@@ -24,12 +24,64 @@
 //! side of hybrid serialization: fast allocation, mass deallocation per
 //! request batch (§3.2.2).
 //!
+//! # Who owns pinned memory
+//!
+//! One pool and one registry per datapath core, owned like the `SerCtx` that
+//! holds them (DESIGN.md §13). Slot reference counts, free lists, the class
+//! table and the registry are plain `Cell`/`RefCell` state and region handles
+//! are `Rc`s, so the types below are neither `Send` nor `Sync`: a buffer
+//! cannot be cloned, dropped, recovered or read on another thread, and the
+//! request path executes no lock and no atomic read-modify-write. Only the
+//! statistic cells ([`MemStats`], [`ArenaStats`]) may be shared, for reading.
+//! The contract is part of the interface; these must keep failing to compile:
+//!
+//! ```compile_fail,E0277
+//! fn is_send<T: Send>() {}
+//! is_send::<cf_mem::RcBuf>();
+//! ```
+//! ```compile_fail,E0277
+//! fn is_sync<T: Sync>() {}
+//! is_sync::<cf_mem::RcBuf>();
+//! ```
+//! ```compile_fail,E0277
+//! fn is_send<T: Send>() {}
+//! is_send::<cf_mem::PinnedPool>();
+//! ```
+//! ```compile_fail,E0277
+//! fn is_sync<T: Sync>() {}
+//! is_sync::<cf_mem::PinnedPool>();
+//! ```
+//! ```compile_fail,E0277
+//! fn is_send<T: Send>() {}
+//! is_send::<cf_mem::Registry>();
+//! ```
+//! ```compile_fail,E0277
+//! fn is_sync<T: Sync>() {}
+//! is_sync::<cf_mem::Registry>();
+//! ```
+//! ```compile_fail,E0277
+//! fn is_send<T: Send>() {}
+//! is_send::<cf_mem::region::Region>();
+//! ```
+//! ```compile_fail,E0277
+//! fn is_sync<T: Sync>() {}
+//! is_sync::<cf_mem::region::Region>();
+//! ```
+//!
+//! while the same probes accept what a metrics thread holds:
+//!
+//! ```
+//! fn is_send_and_sync<T: Send + Sync>() {}
+//! is_send_and_sync::<cf_mem::MemStats>();
+//! is_send_and_sync::<cf_mem::ArenaStats>();
+//! ```
+//!
 //! # Unsafe policy
 //!
 //! This crate is the workspace's unsafe boundary: it manages raw memory that
-//! is concurrently referenced by the application, the serialization layer,
-//! and the simulated NIC. All `unsafe` blocks carry `// SAFETY:` comments;
-//! everything above this crate is safe code.
+//! is referenced at once by the application, the serialization layer, and
+//! the simulated NIC — all on one thread. All `unsafe` blocks carry
+//! `// SAFETY:` comments; everything above this crate is safe code.
 
 pub mod arena;
 pub mod cow;

@@ -8,15 +8,14 @@
 //! that fits, growing the class with a fresh region on exhaustion (up to a
 //! configurable cap).
 
+use std::cell::{Cell, RefCell};
 use std::fmt;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
-
-use std::sync::Mutex;
+use std::rc::Rc;
 
 use crate::rcbuf::RcBuf;
 use crate::region::Region;
 use crate::registry::Registry;
+use crate::stats::update;
 
 /// Allocation failure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,14 +88,19 @@ impl PoolConfig {
 
 struct SizeClass {
     slot_size: usize,
-    regions: Vec<Arc<Region>>,
+    regions: Vec<Rc<Region>>,
+    /// Allocation hint, shared with every region of the class: no region
+    /// below this index has a free slot. A region lowers it to its own index
+    /// when a slot frees there; `alloc` raises it past the regions it found
+    /// full.
+    first_free: Rc<Cell<usize>>,
 }
 
 /// A pinned, registered, size-class slab allocator.
 pub struct PinnedPool {
     registry: Registry,
     config: PoolConfig,
-    classes: Mutex<Vec<SizeClass>>,
+    classes: RefCell<Vec<SizeClass>>,
 }
 
 impl PinnedPool {
@@ -115,13 +119,14 @@ impl PinnedPool {
             classes.push(SizeClass {
                 slot_size: size,
                 regions: Vec::new(),
+                first_free: Rc::default(),
             });
             size *= 2;
         }
         PinnedPool {
             registry,
             config,
-            classes: Mutex::new(classes),
+            classes: RefCell::new(classes),
         }
     }
 
@@ -141,41 +146,37 @@ impl PinnedPool {
                 max: self.config.max_class,
             });
         }
-        let mut classes = self.classes.lock().unwrap();
-        let idx = class_index(self.config.min_class, size);
-        let class = &mut classes[idx];
+        let mut classes = self.classes.borrow_mut();
+        let class = &mut classes[class_index(self.config.min_class, size)];
         let stats = self.registry.stats();
-        // Fast path: pop from an existing region.
-        for region in &class.regions {
-            if let Some(slot) = region.take_slot() {
-                stats.pool_allocs.fetch_add(1, Ordering::Relaxed);
-                stats
-                    .pool_alloc_bytes
-                    .fetch_add(size as u64, Ordering::Relaxed);
-                return Ok(RcBuf::from_counted(
-                    Arc::clone(region),
-                    slot,
-                    0,
-                    size as u32,
-                ));
+        // Fast path: the lowest-indexed region with a free slot and, within
+        // it, the most recently freed one. The regions below the hint are
+        // full and are not visited.
+        let hint = class.first_free.get();
+        let mut candidates = class.regions.iter().enumerate().skip(hint);
+        let (at, slot) = match candidates.find_map(|(at, r)| Some((at, r.take_slot()?))) {
+            Some(found) => found,
+            // Slow path: grow the class.
+            None if class.regions.len() < self.config.max_regions_per_class => {
+                let slots = self.config.slots_per_region;
+                let region = self.registry.register_region(class.slot_size, slots);
+                region.join_class(class.regions.len(), Rc::clone(&class.first_free));
+                let slot = region.take_slot().expect("fresh region has free slots");
+                class.regions.push(region);
+                (class.regions.len() - 1, slot)
             }
-        }
-        // Slow path: grow the class.
-        if class.regions.len() >= self.config.max_regions_per_class {
-            stats.pool_exhausted.fetch_add(1, Ordering::Relaxed);
-            return Err(AllocError::Exhausted {
-                class: class.slot_size,
-            });
-        }
-        let region = self
-            .registry
-            .register_region(class.slot_size, self.config.slots_per_region);
-        let slot = region.take_slot().expect("fresh region has free slots");
-        class.regions.push(Arc::clone(&region));
-        stats.pool_allocs.fetch_add(1, Ordering::Relaxed);
-        stats
-            .pool_alloc_bytes
-            .fetch_add(size as u64, Ordering::Relaxed);
+            None => {
+                class.first_free.set(class.regions.len());
+                update(&stats.pool_exhausted, |v| v + 1);
+                return Err(AllocError::Exhausted {
+                    class: class.slot_size,
+                });
+            }
+        };
+        class.first_free.set(at);
+        update(&stats.pool_allocs, |v| v + 1);
+        update(&stats.pool_alloc_bytes, |v| v + size as u64);
+        let region = Rc::clone(&class.regions[at]);
         Ok(RcBuf::from_counted(region, slot, 0, size as u32))
     }
 
@@ -189,24 +190,18 @@ impl PinnedPool {
 
     /// Total bytes of registered region memory currently owned by the pool.
     pub fn registered_bytes(&self) -> usize {
-        self.classes
-            .lock()
-            .unwrap()
-            .iter()
-            .flat_map(|c| c.regions.iter())
-            .map(|r| r.len())
-            .sum()
+        self.sum_over_regions(Region::len)
     }
 
     /// Number of live (referenced) slots across all regions; diagnostic.
     pub fn live_slots(&self) -> usize {
-        self.classes
-            .lock()
-            .unwrap()
-            .iter()
-            .flat_map(|c| c.regions.iter())
-            .map(|r| r.num_slots() - r.free_slots())
-            .sum()
+        self.sum_over_regions(|r| r.num_slots() - r.free_slots())
+    }
+
+    fn sum_over_regions(&self, f: impl Fn(&Region) -> usize) -> usize {
+        let classes = self.classes.borrow();
+        let regions = classes.iter().flat_map(|c| c.regions.iter());
+        regions.map(|r| f(r)).sum()
     }
 }
 
@@ -334,5 +329,220 @@ mod tests {
         assert_eq!(p.live_slots(), 1);
         drop(b);
         assert_eq!(p.live_slots(), 0);
+    }
+
+    #[test]
+    fn exhausted_class_resumes_in_the_lowest_region_that_frees() {
+        let cfg = PoolConfig {
+            slots_per_region: 2,
+            max_regions_per_class: 3,
+            ..PoolConfig::small_for_tests()
+        };
+        let p = PinnedPool::new(Registry::new(), cfg);
+        let mut bufs: Vec<_> = (0..6).map(|_| p.alloc(64).unwrap()).collect();
+        for _ in 0..2 {
+            assert!(matches!(
+                p.alloc(64),
+                Err(AllocError::Exhausted { class: 64 })
+            ));
+        }
+        assert_eq!(p.registry().stats().pool_exhausted.load(Relaxed), 2);
+        // Free one slot of the last region, then one of the first: the
+        // first region's is handed out first.
+        let (first, last) = (bufs.remove(1).addr(), bufs.pop().unwrap().addr());
+        let again: Vec<_> = (0..2).map(|_| p.alloc(64).unwrap()).collect();
+        assert_eq!((again[0].addr(), again[1].addr()), (first, last));
+    }
+
+    // Property tests over arbitrary buffer lifecycles: the allocator against
+    // the one it replaced, and the statistic cells against a recount.
+
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+    use std::sync::atomic::Ordering::Relaxed;
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        Alloc(usize),
+        Clone(usize),
+        Slice(usize, usize, usize),
+        Drop(usize),
+        Recover(usize, usize, usize),
+    }
+
+    /// Sequences over two size classes, alloc-heavy so that regions fill,
+    /// with enough drops to leave holes in the early ones. Each starts with
+    /// twenty 64 B allocations: the class spills over three 8-slot regions.
+    fn op_sequences() -> impl Strategy<Value = Vec<Op>> {
+        let op = prop_oneof![
+            (1usize..=128).prop_map(Op::Alloc),
+            (1usize..=128).prop_map(Op::Alloc),
+            (1usize..=64).prop_map(Op::Alloc),
+            any::<usize>().prop_map(Op::Clone),
+            (any::<usize>(), 0usize..128, 0usize..128).prop_map(|(i, s, l)| Op::Slice(i, s, l)),
+            any::<usize>().prop_map(Op::Drop),
+            any::<usize>().prop_map(Op::Drop),
+            (any::<usize>(), 0usize..128, 1usize..128).prop_map(|(i, o, l)| Op::Recover(i, o, l)),
+        ];
+        proptest::collection::vec(op, 1..200).prop_map(|ops| {
+            let prologue = std::iter::repeat_n(Op::Alloc(64), 20);
+            prologue.chain(ops).collect()
+        })
+    }
+
+    /// A pool, its registry and the buffers a sequence has live.
+    struct World {
+        reg: Registry,
+        pool: PinnedPool,
+        live: Vec<RcBuf>,
+    }
+
+    impl World {
+        fn new() -> Self {
+            let reg = Registry::new();
+            let pool = PinnedPool::new(reg.clone(), PoolConfig::small_for_tests());
+            let live = Vec::new();
+            World { reg, pool, live }
+        }
+
+        /// Applies `op`, allocating through `alloc`. Returns the
+        /// `(region id, slot)` of the buffer it produced, if it produced one.
+        fn apply(
+            &mut self,
+            op: &Op,
+            alloc: fn(&PinnedPool, usize) -> Result<RcBuf, AllocError>,
+        ) -> Option<(u32, u32)> {
+            let live = &self.live;
+            let pick = |i: usize| (!live.is_empty()).then(|| &live[i % live.len()]);
+            let made = match *op {
+                Op::Alloc(size) => alloc(&self.pool, size).ok(),
+                Op::Clone(i) => pick(i).cloned(),
+                Op::Slice(i, start, len) => pick(i).map(|b| {
+                    let start = start % b.len().max(1);
+                    b.slice(start, len.min(b.len() - start))
+                }),
+                Op::Recover(i, offset, len) => pick(i).and_then(|b| {
+                    let addr = b.addr() + (offset % b.len().max(1)) as u64;
+                    self.reg.recover_addr(addr, len)
+                }),
+                Op::Drop(i) => {
+                    if !live.is_empty() {
+                        self.live.swap_remove(i % self.live.len());
+                    }
+                    None
+                }
+            };
+            let place = made.as_ref().map(|b| {
+                let region = self.reg.region_of(b.addr()).expect("live, so registered");
+                (region.id(), region.slot_of(b.addr()))
+            });
+            self.live.extend(made);
+            place
+        }
+    }
+
+    /// The allocator `PinnedPool::alloc` replaced, kept as the oracle of the
+    /// differential test: ask every region of the class, in order, until one
+    /// yields a slot; grow the class when none does.
+    fn alloc_asking_every_region(pool: &PinnedPool, size: usize) -> Result<RcBuf, AllocError> {
+        let size = size.max(1);
+        if size > pool.config.max_class {
+            return Err(AllocError::SizeTooLarge {
+                requested: size,
+                max: pool.config.max_class,
+            });
+        }
+        let mut classes = pool.classes.borrow_mut();
+        let class = &mut classes[class_index(pool.config.min_class, size)];
+        for region in &class.regions {
+            if let Some(slot) = region.take_slot() {
+                return Ok(RcBuf::from_counted(Rc::clone(region), slot, 0, size as u32));
+            }
+        }
+        if class.regions.len() >= pool.config.max_regions_per_class {
+            return Err(AllocError::Exhausted {
+                class: class.slot_size,
+            });
+        }
+        let region = pool
+            .registry
+            .register_region(class.slot_size, pool.config.slots_per_region);
+        let slot = region.take_slot().expect("fresh region has free slots");
+        class.regions.push(Rc::clone(&region));
+        Ok(RcBuf::from_counted(region, slot, 0, size as u32))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The hint changes which regions `alloc` visits, never which slot
+        /// it returns: same `(region id, slot)` as the full scan, every time.
+        #[test]
+        fn hinted_alloc_picks_what_the_full_scan_picks(ops in op_sequences()) {
+            let (mut hinted, mut scanned) = (World::new(), World::new());
+            for op in &ops {
+                let got = hinted.apply(op, PinnedPool::alloc);
+                let want = scanned.apply(op, alloc_asking_every_region);
+                prop_assert_eq!(got, want, "{:?}", op);
+                for class in hinted.pool.classes.borrow().iter() {
+                    let below_hint = class.regions.iter().take(class.first_free.get());
+                    prop_assert!(below_hint.map(|r| r.free_slots()).sum::<usize>() == 0);
+                }
+            }
+            prop_assert!(hinted.reg.num_regions() >= 3);
+        }
+
+        /// The single-writer cells count exactly what `fetch_add` /
+        /// `fetch_sub` / `fetch_max` counted.
+        #[test]
+        fn stat_cells_match_a_recount(ops in op_sequences()) {
+            let mut w = World::new();
+            let stats = w.reg.stats().clone();
+            let read = |cell: &std::sync::atomic::AtomicU64| cell.load(Relaxed);
+            let (mut peak, mut lookups, mut hits, mut bytes, mut exhausted) = (0, 0, 0, 0, 0);
+            for op in &ops {
+                let had_live = !w.live.is_empty();
+                let made = w.apply(op, PinnedPool::alloc).is_some();
+                match *op {
+                    Op::Alloc(size) if made => bytes += size as u64,
+                    Op::Alloc(_) => exhausted += 1,
+                    Op::Recover(..) if had_live => {
+                        lookups += 1;
+                        hits += made as u64;
+                    }
+                    _ => {}
+                }
+                let live_slots = read(&stats.live_slots);
+                peak = peak.max(live_slots);
+                prop_assert_eq!(read(&stats.pool_allocs) - read(&stats.pool_frees), live_slots);
+                prop_assert_eq!(w.pool.live_slots() as u64, live_slots);
+                prop_assert_eq!(read(&stats.live_slots_high_water), peak);
+                // Every handle holds one count of its slot.
+                let slots: BTreeMap<u64, u32> =
+                    w.live.iter().map(|b| (b.refcount_addr(), b.refcount())).collect();
+                let counts: u64 = slots.values().map(|&c| c as u64).sum();
+                prop_assert_eq!(counts, w.live.len() as u64);
+                prop_assert_eq!(
+                    read(&stats.pool_allocs) + read(&stats.increfs) - read(&stats.decrefs),
+                    counts
+                );
+                prop_assert_eq!(read(&stats.pool_alloc_bytes), bytes);
+                prop_assert_eq!(read(&stats.pool_exhausted), exhausted);
+                prop_assert_eq!(read(&stats.recover_lookups), lookups);
+                prop_assert_eq!(read(&stats.recover_hits), hits);
+                prop_assert!(hits <= lookups);
+            }
+            w.live.clear();
+            prop_assert_eq!(read(&stats.live_slots), 0);
+            prop_assert_eq!(w.pool.live_slots(), 0);
+            prop_assert_eq!(read(&stats.pool_allocs), read(&stats.pool_frees));
+            prop_assert_eq!(read(&stats.pool_allocs) + read(&stats.increfs), read(&stats.decrefs));
+            prop_assert_eq!(read(&stats.live_slots_high_water), peak);
+            prop_assert_eq!(
+                read(&stats.registered_bytes),
+                w.pool.registered_bytes() as u64
+            );
+            prop_assert_eq!(read(&stats.regions_registered), w.reg.num_regions() as u64);
+        }
     }
 }

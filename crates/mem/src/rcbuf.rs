@@ -2,7 +2,7 @@
 
 use std::fmt;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::region::Region;
 
@@ -22,17 +22,23 @@ use crate::region::Region;
 /// concurrently being sent — compatible applications replace updates with
 /// new allocations and pointer swaps.
 pub struct RcBuf {
-    region: Arc<Region>,
+    region: Rc<Region>,
     slot: u32,
     offset: u32,
     len: u32,
+}
+
+/// Whether `[start, start + len)` lies within `[0, cap)`. The sum is checked:
+/// release builds wrap `start + len`, and a wrapped sum passes any bound.
+pub(crate) fn fits(start: usize, len: usize, cap: usize) -> bool {
+    start.checked_add(len).is_some_and(|end| end <= cap)
 }
 
 impl RcBuf {
     /// Creates an `RcBuf` that owns one reference which was already counted
     /// (e.g. the count set by [`Region::take_slot`] or added by
     /// [`Region::incref`]).
-    pub(crate) fn from_counted(region: Arc<Region>, slot: u32, offset: u32, len: u32) -> Self {
+    pub(crate) fn from_counted(region: Rc<Region>, slot: u32, offset: u32, len: u32) -> Self {
         debug_assert!(offset as usize + len as usize <= region.slot_size());
         debug_assert!(region.refcount(slot) > 0);
         RcBuf {
@@ -68,11 +74,12 @@ impl RcBuf {
 
     /// The bytes of this view.
     pub fn as_slice(&self) -> &[u8] {
-        // SAFETY: the refcount held by `self` keeps the slot (and region)
-        // alive; offset+len were bounds-checked at construction. Concurrent
-        // mutation is excluded by the Cornflakes memory model (no in-place
-        // writes to buffers that have been sent) and by the
-        // single-threaded-per-machine simulation.
+        // SAFETY: the `Rc<Region>` in `self` keeps the region's memory
+        // allocated and the slot count `self` holds keeps the slot off the
+        // free list; offset+len were bounds-checked at construction. No
+        // other thread can touch the bytes (`RcBuf` is `!Send + !Sync`), and
+        // on this one the Cornflakes memory model excludes mutation under a
+        // reader (no in-place writes to buffers that have been sent).
         unsafe { std::slice::from_raw_parts(self.as_ptr(), self.len as usize) }
     }
 
@@ -83,7 +90,7 @@ impl RcBuf {
     /// Panics if the write would run past the end of the view.
     pub fn write_at(&mut self, offset: usize, src: &[u8]) {
         assert!(
-            offset + src.len() <= self.len as usize,
+            fits(offset, src.len(), self.len as usize),
             "write of {} bytes at {offset} exceeds RcBuf of {}",
             src.len(),
             self.len
@@ -112,10 +119,10 @@ impl RcBuf {
     ///
     /// Panics if the range exceeds the view.
     pub fn slice(&self, start: usize, len: usize) -> RcBuf {
-        assert!(start + len <= self.len as usize, "slice out of range");
+        assert!(fits(start, len, self.len as usize), "slice out of range");
         self.region.incref(self.slot);
         RcBuf {
-            region: Arc::clone(&self.region),
+            region: Rc::clone(&self.region),
             slot: self.slot,
             offset: self.offset + start as u32,
             len: len as u32,
@@ -153,7 +160,7 @@ impl Clone for RcBuf {
     fn clone(&self) -> Self {
         self.region.incref(self.slot);
         RcBuf {
-            region: Arc::clone(&self.region),
+            region: Rc::clone(&self.region),
             slot: self.slot,
             offset: self.offset,
             len: self.len,
@@ -200,8 +207,33 @@ impl PartialEq for RcBuf {
 }
 impl Eq for RcBuf {}
 
+/// `(offset, length)` of writes whose end wraps `usize` (and one whose
+/// offset an `as u32` would cut to zero): release builds must refuse them too.
+#[cfg(test)]
+pub(crate) const WRAPPING_WRITES: [(usize, usize); 4] = [
+    (usize::MAX, 1),
+    (usize::MAX - 16 + 1, 16),
+    (usize::MAX - 3, 8),
+    (u32::MAX as usize + 1, 8),
+];
+
+/// Runs `f`, which must panic, and returns its panic message.
+#[cfg(test)]
+pub(crate) fn panic_message<R>(f: impl FnOnce() -> R) -> String {
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+    let payload = caught.err().expect("the call must panic");
+    match payload.downcast::<String>() {
+        Ok(msg) => *msg,
+        Err(payload) => payload
+            .downcast::<&str>()
+            .expect("a string panic")
+            .to_string(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::{panic_message, WRAPPING_WRITES};
     use crate::pool::{PinnedPool, PoolConfig};
     use crate::registry::Registry;
 
@@ -274,6 +306,39 @@ mod tests {
         let p = pool();
         let mut b = p.alloc(64).unwrap();
         b.write_at(60, &[0u8; 10]);
+    }
+
+    #[test]
+    fn slice_refuses_ranges_whose_end_wraps() {
+        let p = pool();
+        let b = p.alloc(64).unwrap();
+        let past_u32 = u32::MAX as usize + 1;
+        for (start, len) in [
+            (usize::MAX, 1),
+            (1, usize::MAX),
+            (8, usize::MAX - 8 + 1),
+            (past_u32, usize::MAX - past_u32 + 1),
+            (past_u32, 8),
+            (0, past_u32),
+        ] {
+            let msg = panic_message(|| b.slice(start, len));
+            assert!(
+                msg.contains("slice out of range"),
+                "({start}, {len}): {msg}"
+            );
+        }
+        assert_eq!(b.refcount(), 1, "a refused slice takes no reference");
+    }
+
+    #[test]
+    fn write_at_refuses_ranges_whose_end_wraps() {
+        let p = pool();
+        let mut b = p.alloc(64).unwrap();
+        for (offset, len) in WRAPPING_WRITES {
+            let msg = panic_message(|| b.write_at(offset, &[0xEE; 16][..len]));
+            assert!(msg.contains("exceeds RcBuf"), "({offset}, {len}): {msg}");
+        }
+        assert!(b.iter().all(|&x| x == 0), "a refused write writes nothing");
     }
 
     #[test]

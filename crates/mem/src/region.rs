@@ -1,17 +1,18 @@
 //! Registered pinned memory regions.
 //!
 //! A [`Region`] models one contiguous range of pinned, NIC-registered memory
-//! carved into fixed power-of-two slots. Each slot has its own atomic
-//! reference count, exactly as in the paper's `RcBuf` (Listing 2): the count
-//! lives in a side table so that recovering it from a raw data pointer is a
-//! range lookup plus index arithmetic.
+//! carved into fixed power-of-two slots. Each slot has its own reference
+//! count, exactly as in the paper's `RcBuf` (Listing 2): the count lives in a
+//! side table so that recovering it from a raw data pointer is a range
+//! lookup plus index arithmetic. The counts and the free list are plain
+//! `Cell`/`RefCell` state: a region belongs to the one datapath core that
+//! registered it (crate docs, "Who owns pinned memory") and is `!Sync`.
 
 use std::alloc::{alloc_zeroed, dealloc, Layout};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::cell::{Cell, OnceCell, RefCell};
+use std::rc::Rc;
 
-use std::sync::Mutex;
-
-use crate::stats::MemStats;
+use crate::stats::{update, MemStats};
 
 /// Alignment of region backing memory. 4 KiB matches page-pinned DMA memory.
 pub const REGION_ALIGN: usize = 4096;
@@ -29,40 +30,27 @@ pub struct Region {
     slot_size: usize,
     num_slots: usize,
     /// Per-slot reference counts. Index = slot number.
-    refcounts: Box<[AtomicU32]>,
+    refcounts: Box<[Cell<u32>]>,
     /// Stack of free slot indices.
-    free: Mutex<Vec<u32>>,
+    free: RefCell<Vec<u32>>,
     /// Stable identifier assigned by the registry.
     id: u32,
     /// Shared statistics cells (slot lifecycle, refcount traffic).
     stats: MemStats,
+    /// Set by the pool that owns this region: its index in its size class
+    /// and that class's allocation hint (see [`Region::join_class`]).
+    class: OnceCell<(usize, Rc<Cell<usize>>)>,
 }
 
-// SAFETY: `Region` owns its allocation exclusively; raw-pointer access to
-// slot bytes is coordinated by the slot reference counts and (in this
-// simulation) by the single-threaded-per-machine execution model. The free
-// list is mutex-protected and refcounts are atomic, so the bookkeeping
-// itself is thread-safe.
-unsafe impl Send for Region {}
-// SAFETY: See `Send` above; shared access only touches atomics, the mutex,
-// and immutable geometry fields, or goes through raw pointers whose
-// concurrent use the Cornflakes memory model forbids (no in-place writes
-// during sends, paper §3/§4.1).
-unsafe impl Sync for Region {}
-
 impl Region {
-    /// Allocates a region with `num_slots` slots of `slot_size` bytes.
+    /// Allocates a region with `num_slots` slots of `slot_size` bytes,
+    /// reporting slot/refcount traffic into shared `stats` cells (the
+    /// registry passes its own).
     ///
     /// # Panics
     ///
     /// Panics if `slot_size` is not a power of two, either dimension is
     /// zero, or the allocation fails.
-    pub fn new(id: u32, slot_size: usize, num_slots: usize) -> Self {
-        Self::with_stats(id, slot_size, num_slots, MemStats::default())
-    }
-
-    /// [`Region::new`] reporting slot/refcount traffic into shared `stats`
-    /// cells (the registry passes its own).
     pub fn with_stats(id: u32, slot_size: usize, num_slots: usize, stats: MemStats) -> Self {
         assert!(
             slot_size.is_power_of_two(),
@@ -77,19 +65,26 @@ impl Region {
         // alignment; a null return is handled by the explicit panic.
         let base = unsafe { alloc_zeroed(layout) };
         assert!(!base.is_null(), "region allocation of {bytes} bytes failed");
-        let refcounts: Box<[AtomicU32]> = (0..num_slots).map(|_| AtomicU32::new(0)).collect();
-        // Hand slots out low-to-high for address locality.
-        let free = (0..num_slots as u32).rev().collect();
         Region {
             base,
             layout,
             slot_size,
             num_slots,
-            refcounts,
-            free: Mutex::new(free),
+            refcounts: (0..num_slots).map(|_| Cell::new(0)).collect(),
+            // Hand slots out low-to-high for address locality.
+            free: RefCell::new((0..num_slots as u32).rev().collect()),
             id,
             stats,
+            class: OnceCell::new(),
         }
+    }
+
+    /// Makes this region number `index` of a pool size class. `hint` is the
+    /// class's allocation hint — no region below that index has a free slot
+    /// — which the region lowers to `index` whenever a slot frees here.
+    pub(crate) fn join_class(&self, index: usize, hint: Rc<Cell<usize>>) {
+        let joined = self.class.set((index, hint));
+        assert!(joined.is_ok(), "a region joins one size class, once");
     }
 
     /// The registry-assigned region id.
@@ -125,7 +120,7 @@ impl Region {
 
     /// Number of currently free slots.
     pub fn free_slots(&self) -> usize {
-        self.free.lock().unwrap().len()
+        self.free.borrow().len()
     }
 
     /// Whether `addr` falls inside this region.
@@ -158,19 +153,19 @@ impl Region {
     /// Address of the reference count for `slot` — the "metadata address"
     /// that upper layers charge cache costs against.
     pub fn refcount_addr(&self, slot: u32) -> u64 {
-        &self.refcounts[slot as usize] as *const AtomicU32 as u64
+        self.refcounts[slot as usize].as_ptr() as u64
     }
 
     /// Current reference count of `slot` (test/diagnostic use).
     pub fn refcount(&self, slot: u32) -> u32 {
-        self.refcounts[slot as usize].load(Ordering::Acquire)
+        self.refcounts[slot as usize].get()
     }
 
     /// Pops a free slot, setting its refcount to one. Returns `None` when
     /// the region is exhausted.
     pub fn take_slot(&self) -> Option<u32> {
-        let slot = self.free.lock().unwrap().pop()?;
-        let prev = self.refcounts[slot as usize].swap(1, Ordering::AcqRel);
+        let slot = self.free.borrow_mut().pop()?;
+        let prev = self.refcounts[slot as usize].replace(1);
         debug_assert_eq!(prev, 0, "free slot had live references");
         self.stats.slot_taken();
         Some(slot)
@@ -183,28 +178,34 @@ impl Region {
     /// Panics in debug builds if the slot was free (count zero): recovering
     /// a pointer into freed memory indicates an application bug.
     pub fn incref(&self, slot: u32) {
-        let prev = self.refcounts[slot as usize].fetch_add(1, Ordering::AcqRel);
-        debug_assert!(prev > 0, "incref on a free slot");
-        self.stats.increfs.fetch_add(1, Ordering::Relaxed);
+        let count = &self.refcounts[slot as usize];
+        debug_assert!(count.get() > 0, "incref on a free slot");
+        count.set(count.get() + 1);
+        update(&self.stats.increfs, |v| v + 1);
     }
 
     /// Decrements the refcount of `slot`; at zero the slot returns to the
     /// free list.
     pub fn decref(&self, slot: u32) {
-        let prev = self.refcounts[slot as usize].fetch_sub(1, Ordering::AcqRel);
-        debug_assert!(prev > 0, "decref underflow");
-        self.stats.decrefs.fetch_add(1, Ordering::Relaxed);
-        if prev == 1 {
-            self.free.lock().unwrap().push(slot);
+        let count = &self.refcounts[slot as usize];
+        debug_assert!(count.get() > 0, "decref underflow");
+        count.set(count.get() - 1);
+        update(&self.stats.decrefs, |v| v + 1);
+        if count.get() == 0 {
+            self.free.borrow_mut().push(slot);
             self.stats.slot_freed();
+            if let Some((index, hint)) = self.class.get() {
+                hint.set(hint.get().min(*index));
+            }
         }
     }
 }
 
 impl Drop for Region {
     fn drop(&mut self) {
-        // SAFETY: `base` was allocated with exactly this layout in `new` and
-        // is only deallocated here, once, when the last Arc reference drops.
+        // SAFETY: `base` was allocated with exactly this layout in
+        // `with_stats` and is only deallocated here, once, when the last
+        // `Rc` handle (registry, pool class or `RcBuf`) drops.
         unsafe { dealloc(self.base, self.layout) };
     }
 }
@@ -213,9 +214,13 @@ impl Drop for Region {
 mod tests {
     use super::*;
 
+    fn region(slot_size: usize, num_slots: usize) -> Region {
+        Region::with_stats(0, slot_size, num_slots, MemStats::default())
+    }
+
     #[test]
     fn geometry() {
-        let r = Region::new(0, 1024, 8);
+        let r = region(1024, 8);
         assert_eq!(r.len(), 8192);
         assert_eq!(r.slot_size(), 1024);
         assert_eq!(r.num_slots(), 8);
@@ -226,12 +231,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "power of two")]
     fn rejects_non_power_of_two() {
-        let _ = Region::new(0, 1000, 4);
+        let _ = region(1000, 4);
     }
 
     #[test]
     fn take_and_release_slots() {
-        let r = Region::new(0, 64, 2);
+        let r = region(64, 2);
         let a = r.take_slot().unwrap();
         let b = r.take_slot().unwrap();
         assert_ne!(a, b);
@@ -247,7 +252,7 @@ mod tests {
 
     #[test]
     fn refcounting() {
-        let r = Region::new(0, 64, 1);
+        let r = region(64, 1);
         let s = r.take_slot().unwrap();
         assert_eq!(r.refcount(s), 1);
         r.incref(s);
@@ -261,7 +266,7 @@ mod tests {
 
     #[test]
     fn slots_are_low_to_high_and_disjoint() {
-        let r = Region::new(0, 128, 4);
+        let r = region(128, 4);
         let s0 = r.take_slot().unwrap();
         let s1 = r.take_slot().unwrap();
         assert_eq!(s0, 0);
@@ -273,7 +278,7 @@ mod tests {
 
     #[test]
     fn contains_and_slot_of() {
-        let r = Region::new(0, 256, 4);
+        let r = region(256, 4);
         let base = r.base_addr();
         assert!(r.contains(base));
         assert!(r.contains(base + 1023));
@@ -284,7 +289,7 @@ mod tests {
 
     #[test]
     fn memory_is_zeroed_and_writable() {
-        let r = Region::new(0, 64, 2);
+        let r = region(64, 2);
         let s = r.take_slot().unwrap();
         let p = r.slot_ptr(s);
         // SAFETY: `s` is a live slot we exclusively hold; the 64-byte range
@@ -299,7 +304,7 @@ mod tests {
 
     #[test]
     fn alignment() {
-        let r = Region::new(0, 512, 4);
+        let r = region(512, 4);
         assert_eq!(r.base_addr() % REGION_ALIGN as u64, 0);
     }
 }

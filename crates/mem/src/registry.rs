@@ -3,32 +3,36 @@
 //! Memory transparency (paper §2.3, §3.2.2) requires mapping an *arbitrary*
 //! application pointer back to the pinned region that contains it — or
 //! discovering that no region does, in which case the data must be copied.
-//! The registry keeps registered regions in an ordered map keyed by base
-//! address; recovery is a predecessor lookup plus a bounds check plus slot
+//! The registry keeps registered regions in an array sorted by base address;
+//! recovery is a predecessor search (skipped when the address falls in the
+//! region the previous lookup found) plus a bounds check plus slot
 //! arithmetic, mirroring the "map lookup and fast arithmetic operation" the
 //! paper describes.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
-
-use std::sync::RwLock;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use crate::rcbuf::RcBuf;
 use crate::region::Region;
-use crate::stats::MemStats;
+use crate::stats::{update, MemStats};
 
-/// Shared registry of pinned regions. Cheap to clone.
+/// Registry of one datapath core's pinned regions. Cheap to clone; clones
+/// share the region table and the statistics.
 #[derive(Clone, Debug, Default)]
 pub struct Registry {
-    inner: Arc<RwLock<Inner>>,
+    inner: Rc<RefCell<Inner>>,
     stats: MemStats,
 }
 
 #[derive(Debug, Default)]
 struct Inner {
-    /// Regions ordered by base address.
-    by_base: BTreeMap<u64, Arc<Region>>,
+    /// `(base address, region)`, ordered by base address. The base sits
+    /// beside the handle so that a search reads this array only.
+    by_base: Vec<(u64, Rc<Region>)>,
+    /// Index in `by_base` of the last lookup hit, tried before searching.
+    /// Only a hint: registering or unregistering may leave it pointing at
+    /// another entry or past the end, so it is range-checked like any other.
+    last_hit: usize,
     next_id: u32,
 }
 
@@ -45,55 +49,58 @@ impl Registry {
     }
 
     /// Allocates and registers a new region.
-    pub fn register_region(&self, slot_size: usize, num_slots: usize) -> Arc<Region> {
-        let mut inner = self.inner.write().unwrap();
-        let region = Arc::new(Region::with_stats(
+    pub fn register_region(&self, slot_size: usize, num_slots: usize) -> Rc<Region> {
+        let mut inner = self.inner.borrow_mut();
+        let region = Rc::new(Region::with_stats(
             inner.next_id,
             slot_size,
             num_slots,
             self.stats.clone(),
         ));
         inner.next_id += 1;
-        inner
-            .by_base
-            .insert(region.base_addr(), Arc::clone(&region));
-        self.stats
-            .regions_registered
-            .fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .registered_bytes
-            .fetch_add(region.len() as u64, Ordering::Relaxed);
+        let base = region.base_addr();
+        let at = inner.by_base.partition_point(|&(b, _)| b < base);
+        inner.by_base.insert(at, (base, Rc::clone(&region)));
+        update(&self.stats.regions_registered, |v| v + 1);
+        update(&self.stats.registered_bytes, |v| v + region.len() as u64);
         region
     }
 
     /// Removes a region from the registry. Outstanding `RcBuf`s keep the
-    /// backing memory alive via their `Arc`, but new pointers into it will
+    /// backing memory alive via their `Rc`, but new pointers into it will
     /// no longer be recoverable.
-    pub fn unregister_region(&self, region: &Arc<Region>) {
-        self.inner
-            .write()
-            .unwrap()
+    pub fn unregister_region(&self, region: &Rc<Region>) {
+        let mut inner = self.inner.borrow_mut();
+        inner
             .by_base
-            .remove(&region.base_addr());
+            .retain(|&(base, _)| base != region.base_addr());
     }
 
     /// Number of registered regions.
     pub fn num_regions(&self) -> usize {
-        self.inner.read().unwrap().by_base.len()
+        self.inner.borrow().by_base.len()
     }
 
     /// A stable address representing the registry's range-map storage, used
     /// by upper layers to charge the metadata cache line touched by a
     /// `recover_ptr` lookup.
     pub fn meta_addr(&self) -> u64 {
-        Arc::as_ptr(&self.inner) as u64
+        Rc::as_ptr(&self.inner) as u64
     }
 
     /// Looks up the region containing `addr`, if any.
-    pub fn region_of(&self, addr: u64) -> Option<Arc<Region>> {
-        let inner = self.inner.read().unwrap();
-        let (_, region) = inner.by_base.range(..=addr).next_back()?;
-        region.contains(addr).then(|| Arc::clone(region))
+    pub fn region_of(&self, addr: u64) -> Option<Rc<Region>> {
+        let mut inner = self.inner.borrow_mut();
+        let Inner {
+            by_base, last_hit, ..
+        } = &mut *inner;
+        let holds = |at: usize| by_base.get(at).is_some_and(|(_, r)| r.contains(addr));
+        if !holds(*last_hit) {
+            // Predecessor search: the last region starting at or below `addr`.
+            let after = by_base.partition_point(|&(base, _)| base <= addr);
+            *last_hit = after.checked_sub(1).filter(|&at| holds(at))?;
+        }
+        Some(Rc::clone(&by_base[*last_hit].1))
     }
 
     /// Whether `addr` lies inside any registered region.
@@ -109,7 +116,7 @@ impl Registry {
     /// inside a single slot of a registered region. (A zero-copy DMA entry
     /// must reference one contiguous registered allocation.)
     pub fn recover_addr(&self, addr: u64, len: usize) -> Option<RcBuf> {
-        self.stats.recover_lookups.fetch_add(1, Ordering::Relaxed);
+        update(&self.stats.recover_lookups, |v| v + 1);
         if len == 0 {
             return None;
         }
@@ -117,18 +124,20 @@ impl Registry {
         let slot = region.slot_of(addr);
         let slot_base = region.base_addr() + slot as u64 * region.slot_size() as u64;
         let offset = (addr - slot_base) as usize;
-        if offset + len > region.slot_size() {
-            // Straddles a slot boundary: not a single allocation.
+        // Straddles a slot boundary (a sum that overflows certainly does):
+        // not a single allocation.
+        if offset.checked_add(len)? > region.slot_size() {
             return None;
         }
+        let (offset, len) = (u32::try_from(offset).ok()?, u32::try_from(len).ok()?);
         // Freed slots are unrecoverable: a zero refcount means the pointer
         // is dangling into the pool's free memory.
         if region.refcount(slot) == 0 {
             return None;
         }
         region.incref(slot);
-        self.stats.recover_hits.fetch_add(1, Ordering::Relaxed);
-        Some(RcBuf::from_counted(region, slot, offset as u32, len as u32))
+        update(&self.stats.recover_hits, |v| v + 1);
+        Some(RcBuf::from_counted(region, slot, offset, len))
     }
 
     /// Convenience wrapper over [`Registry::recover_addr`] for slices.
@@ -184,6 +193,26 @@ mod tests {
     }
 
     #[test]
+    fn recover_refuses_lengths_whose_end_wraps() {
+        let reg = Registry::new();
+        let pool = PinnedPool::new(reg.clone(), PoolConfig::small_for_tests());
+        let b = pool.alloc(64).unwrap();
+        let past_u32 = u32::MAX as usize + 1;
+        for (offset, len) in [
+            (1, usize::MAX),
+            (8, usize::MAX - 8 + 1),
+            (63, usize::MAX - 63 + 1),
+            (0, usize::MAX),
+            (0, past_u32),
+            (1, past_u32),
+        ] {
+            let r = reg.recover_addr(b.addr() + offset, len);
+            assert!(r.is_none(), "({offset}, {len}) recovered {r:?}");
+        }
+        assert_eq!(b.refcount(), 1, "a refused recovery takes no reference");
+    }
+
+    #[test]
     fn freed_slot_not_recovered() {
         let reg = Registry::new();
         let pool = PinnedPool::new(reg.clone(), PoolConfig::small_for_tests());
@@ -223,6 +252,55 @@ mod tests {
     }
 
     #[test]
+    fn lookups_alternate_between_two_regions() {
+        let reg = Registry::new();
+        let (r1, r2) = (reg.register_region(64, 4), reg.register_region(64, 4));
+        for i in 0..8u64 {
+            // Each lookup lands in the region the previous one did not
+            // cache, then once more in the cached one.
+            for r in [&r1, &r2, &r2, &r1] {
+                assert_eq!(reg.region_of(r.base_addr() + i * 17).unwrap().id(), r.id());
+            }
+        }
+    }
+
+    #[test]
+    fn one_past_the_cached_regions_end_misses() {
+        let reg = Registry::new();
+        let region = reg.register_region(256, 4);
+        let end = region.base_addr() + region.len() as u64;
+        assert!(reg.region_of(end - 1).is_some(), "caches the region");
+        assert!(reg.region_of(end).is_none(), "one past the end");
+        assert!(reg.recover_addr(end, 1).is_none());
+        assert!(reg.region_of(region.base_addr().wrapping_sub(1)).is_none());
+        assert!(
+            reg.region_of(end - 1).is_some(),
+            "misses leave the cache intact"
+        );
+    }
+
+    #[test]
+    fn cache_never_returns_an_unregistered_region() {
+        let reg = Registry::new();
+        let regions: Vec<_> = (0..3).map(|_| reg.register_region(64, 4)).collect();
+        // Whichever region the cache points at — by address order the first,
+        // a middle or the last — unregistering it must end its lookups, and
+        // must not disturb the others'.
+        for gone in &regions {
+            assert!(reg.region_of(gone.base_addr()).is_some(), "cached");
+            reg.unregister_region(gone);
+            assert!(reg.region_of(gone.base_addr()).is_none());
+            assert!(reg.recover_addr(gone.base_addr(), 8).is_none());
+            for kept in &regions {
+                let found = reg.region_of(kept.base_addr() + 63).map(|r| r.id());
+                let registered = reg.num_regions() > 0 && kept.id() > gone.id();
+                assert_eq!(found, registered.then(|| kept.id()));
+            }
+        }
+        assert_eq!(reg.num_regions(), 0);
+    }
+
+    #[test]
     fn unregister_stops_recovery() {
         let reg = Registry::new();
         let pool = PinnedPool::new(reg.clone(), PoolConfig::small_for_tests());
@@ -230,7 +308,7 @@ mod tests {
         let region = reg.region_of(b.addr()).unwrap();
         reg.unregister_region(&region);
         assert!(reg.recover_addr(b.addr(), 8).is_none());
-        // The RcBuf itself remains valid (Arc keeps the region alive).
+        // The RcBuf itself remains valid (Rc keeps the region alive).
         assert_eq!(b.len(), 64);
     }
 }

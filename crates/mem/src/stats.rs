@@ -1,11 +1,14 @@
-//! Thread-safe memory statistics.
+//! Single-writer memory statistics.
 //!
-//! `cf-mem` is the one crate in the workspace that must stay `Send`/`Sync`
-//! (regions and `RcBuf`s cross simulated-machine boundaries), so it cannot
-//! hold an `Rc`-based telemetry handle. Instead each statistic is a shared
-//! `Arc<AtomicU64>` cell, updated with `Relaxed` ordering on the owning
-//! structure's normal paths and handed to a metrics registry (see
-//! `cf-telemetry`'s `register_external`) which reads them at snapshot time.
+//! Every statistic is an `Arc<AtomicU64>` cell with exactly one writer: the
+//! datapath core that owns the pool, registry or arena it describes (those
+//! types are `!Send`; see the crate docs, "Who owns pinned memory"). The
+//! owner updates a cell through [`update`] — a plain load and a plain store,
+//! never a locked read-modify-write — and any thread may *read* a snapshot:
+//! the cells are handed to a metrics registry (`cf-telemetry`'s
+//! `register_external`), which loads them at snapshot time. They are atomics
+//! behind `Arc`s rather than plain integers only so that such a reader can
+//! hold them without `cf-mem` depending on the telemetry crate.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -40,46 +43,53 @@ pub struct MemStats {
     pub recover_hits: Arc<AtomicU64>,
 }
 
+/// Replaces a cell's value `v` with `f(v)` and returns the new value.
+///
+/// This is the only way `cf-mem` writes a statistic. It is correct because
+/// each cell has a single writer (see the module docs); on x86-64 and
+/// AArch64 it compiles to a load, the arithmetic and a store, with no `lock`
+/// prefix and no exclusive-monitor loop.
+pub(crate) fn update(cell: &AtomicU64, f: impl FnOnce(u64) -> u64) -> u64 {
+    let v = f(cell.load(Ordering::Relaxed));
+    cell.store(v, Ordering::Relaxed);
+    v
+}
+
 impl MemStats {
     /// Notes one slot becoming live, maintaining the high-water mark.
     pub(crate) fn slot_taken(&self) {
-        let live = self.live_slots.fetch_add(1, Ordering::Relaxed) + 1;
-        self.live_slots_high_water
-            .fetch_max(live, Ordering::Relaxed);
+        let live = update(&self.live_slots, |v| v + 1);
+        update(&self.live_slots_high_water, |hw| hw.max(live));
     }
 
     /// Notes one slot returning to the free list.
     pub(crate) fn slot_freed(&self) {
-        self.live_slots.fetch_sub(1, Ordering::Relaxed);
-        self.pool_frees.fetch_add(1, Ordering::Relaxed);
+        update(&self.live_slots, |v| v - 1);
+        update(&self.pool_frees, |v| v + 1);
     }
 
     /// All cells with their canonical metric names, for bulk registration
     /// into a metrics registry.
     pub fn cells(&self) -> Vec<(&'static str, Arc<AtomicU64>)> {
-        vec![
-            ("mem.pool.allocs", Arc::clone(&self.pool_allocs)),
-            ("mem.pool.alloc_bytes", Arc::clone(&self.pool_alloc_bytes)),
-            ("mem.pool.frees", Arc::clone(&self.pool_frees)),
-            ("mem.pool.exhausted", Arc::clone(&self.pool_exhausted)),
-            ("mem.pool.live_slots", Arc::clone(&self.live_slots)),
+        [
+            ("mem.pool.allocs", &self.pool_allocs),
+            ("mem.pool.alloc_bytes", &self.pool_alloc_bytes),
+            ("mem.pool.frees", &self.pool_frees),
+            ("mem.pool.exhausted", &self.pool_exhausted),
+            ("mem.pool.live_slots", &self.live_slots),
             (
                 "mem.pool.live_slots_high_water",
-                Arc::clone(&self.live_slots_high_water),
+                &self.live_slots_high_water,
             ),
-            ("mem.registry.regions", Arc::clone(&self.regions_registered)),
-            (
-                "mem.registry.registered_bytes",
-                Arc::clone(&self.registered_bytes),
-            ),
-            ("mem.rcbuf.increfs", Arc::clone(&self.increfs)),
-            ("mem.rcbuf.decrefs", Arc::clone(&self.decrefs)),
-            (
-                "mem.registry.recover_lookups",
-                Arc::clone(&self.recover_lookups),
-            ),
-            ("mem.registry.recover_hits", Arc::clone(&self.recover_hits)),
+            ("mem.registry.regions", &self.regions_registered),
+            ("mem.registry.registered_bytes", &self.registered_bytes),
+            ("mem.rcbuf.increfs", &self.increfs),
+            ("mem.rcbuf.decrefs", &self.decrefs),
+            ("mem.registry.recover_lookups", &self.recover_lookups),
+            ("mem.registry.recover_hits", &self.recover_hits),
         ]
+        .map(|(name, cell)| (name, Arc::clone(cell)))
+        .into()
     }
 }
 
@@ -99,15 +109,14 @@ pub struct ArenaStats {
 impl ArenaStats {
     /// All cells with their canonical metric names.
     pub fn cells(&self) -> Vec<(&'static str, Arc<AtomicU64>)> {
-        vec![
-            ("mem.arena.copies", Arc::clone(&self.copies)),
-            ("mem.arena.bytes_copied", Arc::clone(&self.bytes_copied)),
-            (
-                "mem.arena.chunks_allocated",
-                Arc::clone(&self.chunks_allocated),
-            ),
-            ("mem.arena.resets", Arc::clone(&self.resets)),
+        [
+            ("mem.arena.copies", &self.copies),
+            ("mem.arena.bytes_copied", &self.bytes_copied),
+            ("mem.arena.chunks_allocated", &self.chunks_allocated),
+            ("mem.arena.resets", &self.resets),
         ]
+        .map(|(name, cell)| (name, Arc::clone(cell)))
+        .into()
     }
 }
 
@@ -132,7 +141,7 @@ mod tests {
     fn clones_share_cells() {
         let a = MemStats::default();
         let b = a.clone();
-        a.increfs.fetch_add(5, Ordering::Relaxed);
+        update(&a.increfs, |v| v + 5);
         assert_eq!(b.increfs.load(Ordering::Relaxed), 5);
     }
 

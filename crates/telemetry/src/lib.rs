@@ -24,8 +24,9 @@
 //! and no memory is allocated, so instrumented code needs no cfg gates.
 //!
 //! Telemetry is intentionally `!Send` (`Rc`/`RefCell`-based) because each
-//! simulated machine is single-threaded by construction. The thread-safe
-//! `cf-mem` crate publishes `Arc<AtomicU64>` cells instead, registered via
+//! simulated machine is single-threaded by construction. `cf-mem` — just as
+//! core-local, but below this crate in the dependency graph — publishes
+//! `Arc<AtomicU64>` cells instead, registered via
 //! [`Telemetry::register_external`].
 
 use std::cell::RefCell;

@@ -5,9 +5,10 @@
 //! hot path. The registry itself is only consulted when a metric is created
 //! or a snapshot is taken.
 //!
-//! Thread-safe producers (cf-mem, which is `Send`/`Sync`) publish
+//! Producers that cannot depend on this crate (cf-mem) publish
 //! `Arc<AtomicU64>` cells instead, registered here as *external* gauges and
-//! read at snapshot time.
+//! read at snapshot time. Such a cell has one writer, the core that owns the
+//! pool or arena it describes; any holder may read it.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -213,8 +214,9 @@ impl MetricsRegistry {
         h
     }
 
-    /// Registers a thread-safe external cell (read with `Ordering::Relaxed`
-    /// at snapshot time). Used by `cf-mem`, whose stats must stay `Sync`.
+    /// Registers an external cell (read with `Ordering::Relaxed` at snapshot
+    /// time). Used by `cf-mem`, which sits below this crate and so cannot
+    /// hold a [`Counter`]; its owner is the cell's only writer.
     pub fn register_external(&self, name: &str, cell: Arc<AtomicU64>) {
         self.inner
             .borrow_mut()

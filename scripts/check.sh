@@ -30,6 +30,22 @@ cargo test -q -p cf-nic fcs
 echo "==> cost-model gate: CacheSim against the timestamp-LRU reference op by op, set-layout properties, rounding grid, charge replay"
 cargo test -q -p cf-sim --lib -- cache::tests round_ns_is_f64_round_on_the_pinned_grid replay_matches_recorded_clock_and_attribution
 
+echo "==> memory gate: cf-mem in release (bounds checks that must not wrap), then its unit + property tests and tests/memory_safety.rs under AddressSanitizer"
+cargo test -q --release -p cf-mem
+if cargo +nightly --version >/dev/null 2>&1; then
+    # A target directory of its own (sanitized objects do not mix with the
+    # others) and an explicit --target (so the flag skips build scripts).
+    # Doctests do not link under the sanitizer, hence --lib --tests.
+    (
+        export CARGO_TARGET_DIR=target/asan RUSTFLAGS=-Zsanitizer=address
+        host=$(rustc +nightly -vV | sed -n 's/^host: //p')
+        cargo +nightly test -q -p cf-mem --lib --tests --target "$host"
+        cargo +nightly test -q --test memory_safety --target "$host"
+    )
+else
+    echo "notice: no nightly toolchain (cargo +nightly): AddressSanitizer run skipped"
+fi
+
 echo "==> overload smoke: goodput holds past saturation with control on"
 cargo test -q -p cf-bench --lib experiments::overload
 
