@@ -596,7 +596,10 @@ impl ClusterNode {
     /// (completing puts that were only waiting on them), re-forward to
     /// stragglers, and abandon entries the client gave up on long ago.
     fn maintain_pending(&mut self, now: u64) {
-        let ids: Vec<u32> = self.pending.keys().copied().collect();
+        // In request-id order, so re-forwards leave in the same order on
+        // every run of one seed (the map's own order does not repeat).
+        let mut ids: Vec<u32> = self.pending.keys().copied().collect();
+        ids.sort_unstable();
         for req_id in ids {
             let Some(p) = self.pending.get_mut(&req_id) else {
                 continue;

@@ -311,10 +311,12 @@ impl KvClient {
         self.stack.set_flight_recorder(fr);
     }
 
-    /// Request ids still awaiting a response (empty unless retries are
-    /// enabled).
+    /// Request ids still awaiting a response, in send order (empty unless
+    /// retries are enabled).
     pub fn pending_ids(&self) -> Vec<u32> {
-        self.pending.keys().copied().collect()
+        let mut ids: Vec<u32> = self.pending.keys().copied().collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// The request id the next send will use. Lets routing layers make
@@ -487,12 +489,16 @@ impl KvClient {
             return timed_out;
         };
         let now = self.stack.sim().now();
-        let due: Vec<u32> = self
+        let mut due: Vec<u32> = self
             .pending
             .iter()
             .filter(|(_, p)| p.deadline <= now)
             .map(|(&id, _)| id)
             .collect();
+        // Request-id order is send order. The map's own order changes with
+        // every `RandomState`, and this loop hands out the last retry-budget
+        // token and the jitter draws: unsorted, one seed replays differently.
+        due.sort_unstable();
         for id in due {
             let p = self.pending.get_mut(&id).expect("due id is pending");
             if p.retries >= retry.max_retries {

@@ -4,9 +4,10 @@
 use cf_mem::PoolConfig;
 use cf_net::{FrameMeta, HEADER_BYTES};
 use cf_sim::{MachineProfile, Sim};
+use cf_telemetry::{FlightEvent, FlightRecord, FlightRecorder};
 use cornflakes_core::SerializationConfig;
 
-use cf_kv::client::{client_server_pair, KvClient, SERVER_PORT};
+use cf_kv::client::{client_server_pair, KvClient, ProtectionConfig, RetryConfig, SERVER_PORT};
 use cf_kv::msg_type;
 use cf_kv::server::{KvServer, SerKind};
 use cf_kv::store::KvStore;
@@ -343,4 +344,52 @@ fn malformed_requests_are_counted_flatbuffers() {
 #[test]
 fn malformed_requests_are_counted_capnproto() {
     run_malformed_requests_are_counted(SerKind::CapnProto);
+}
+
+/// What one seeded client does at a `poll_timers` that finds 32 requests
+/// overdue at once: which ids are retransmitted, with which backoff, and
+/// which are refused by the retry budget, in order.
+fn overdue_retry_sequence() -> Vec<FlightRecord> {
+    let (mut client, _server) = pair(SerKind::Cornflakes);
+    client.enable_retries(RetryConfig {
+        timeout_ns: 100_000,
+        max_retries: 3,
+        jitter_seed: Some(0x5EED),
+        ..RetryConfig::default()
+    });
+    // A full bank of 10 tokens: 10 of the 32 may retry.
+    client.enable_protection(ProtectionConfig::default());
+    let flight = FlightRecorder::with_capacity(1024);
+    client.set_flight_recorder(&flight);
+    for i in 0..32u32 {
+        client.send_get(&[format!("key-{i}").as_bytes()]);
+    }
+    // The server is never polled, so every request is overdue together.
+    client.stack.sim().clock().advance(150_000);
+    let timed_out = client.poll_timers();
+    assert_eq!(timed_out.len(), 22, "the budget refused the rest");
+    assert_eq!(client.pending_ids().len(), 10);
+    flight
+        .drain()
+        .into_iter()
+        .filter(|r| {
+            matches!(
+                r.event,
+                FlightEvent::ClientRetry { .. } | FlightEvent::RetryBudgetExhausted
+            )
+        })
+        .collect()
+}
+
+/// Seeded replay: two same-seeded clients in one process (each `HashMap`
+/// gets its own `RandomState`) must spend the retry budget on the same
+/// requests and draw the same jitter for each, in send order.
+#[test]
+fn same_seed_replays_the_same_retry_sequence() {
+    let a = overdue_retry_sequence();
+    let b = overdue_retry_sequence();
+    assert_eq!(a.len(), 32);
+    assert_eq!(a, b, "one seed, one retry sequence");
+    let ids: Vec<u32> = a.iter().map(|r| r.req_id).collect();
+    assert!(ids.windows(2).all(|w| w[0] < w[1]), "send order: {ids:?}");
 }
