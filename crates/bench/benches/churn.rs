@@ -1,75 +1,11 @@
 //! Connection-churn sweep: accept goodput, p99 request RTT, and the
 //! flow-table memory ceiling as 1k → 64k flows churn through a bounded
-//! [`cf_net::TcpListener`], plus the CI ratchet gate against the
-//! committed `BENCH_churn.json`. Emits `churn.json`.
-//!
-//! Env knobs:
-//! - `CF_QUICK` — CI-sized preset.
-//! - `CF_CHURN_BASELINE` — baseline path (default `BENCH_churn.json`,
-//!   falling back to the workspace root when invoked from elsewhere).
-//! - `CF_CHURN_TOLERANCE` — goodput/RTT regression multiplier (default
-//!   2.0; the memory ceiling always gets the fixed hard slack).
-//! - `CF_CHURN_NO_RATCHET` — measure and emit only (used when
-//!   regenerating the baseline itself).
+//! [`cf_net::TcpListener`]. Emits `churn.json` and holds it to the
+//! committed `BENCH_churn.json` (`cf_bench::ratchet`: `CF_QUICK=1` smoke
+//! run, `CF_BLESS=1` regenerate).
 
-use cf_bench::experiments::churn;
-use cf_telemetry::CountingAlloc;
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-fn baseline_path() -> std::path::PathBuf {
-    if let Some(p) = std::env::var_os("CF_CHURN_BASELINE") {
-        return p.into();
-    }
-    let local = std::path::PathBuf::from("BENCH_churn.json");
-    if local.exists() {
-        return local;
-    }
-    // Invoked from outside the workspace root: resolve relative to this
-    // crate's manifest.
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_churn.json")
-}
+use cf_bench::experiments::churn::{self, ChurnParams};
 
 fn main() {
-    let params = if std::env::var("CF_QUICK").is_ok() {
-        churn::ChurnParams::quick()
-    } else {
-        churn::ChurnParams::full()
-    };
-    let report = churn::run(&params);
-
-    if std::env::var_os("CF_CHURN_NO_RATCHET").is_some() {
-        println!("  ratchet: skipped (CF_CHURN_NO_RATCHET)");
-        return;
-    }
-    let tolerance: f64 = std::env::var("CF_CHURN_TOLERANCE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2.0);
-    let path = baseline_path();
-    match std::fs::read_to_string(&path) {
-        Ok(base) => {
-            let violations = churn::ratchet(&report, &base, tolerance);
-            if violations.is_empty() {
-                println!(
-                    "  ratchet: green against {} (time tolerance {tolerance:.2}x, memory hard)",
-                    path.display()
-                );
-            } else {
-                eprintln!("churn ratchet FAILED against {}:", path.display());
-                for v in &violations {
-                    eprintln!("  - {v}");
-                }
-                std::process::exit(1);
-            }
-        }
-        Err(e) => {
-            // A missing baseline is not a silent pass in CI: the committed
-            // file ships with the repo, so failing loudly here catches a
-            // deleted/renamed baseline.
-            eprintln!("churn ratchet: baseline {} unreadable: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    cf_bench::ratchet::bench_main("churn", ChurnParams::quick, ChurnParams::full, churn::run);
 }

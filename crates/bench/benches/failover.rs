@@ -1,15 +1,15 @@
 //! Fault-driven failover: kill a replica mid-workload in a 3-node R=3
 //! cluster; measure the availability dip, detection time, and time for
 //! goodput to recover to ≥90% of the pre-kill baseline. Emits
-//! `failover.json`.
+//! `failover.json` and holds it to the committed `BENCH_failover.json`.
 
-use cf_bench::experiments::failover;
+use cf_bench::experiments::failover::{self, FailoverParams};
 
 fn main() {
-    let params = if std::env::var("CF_QUICK").is_ok() {
-        failover::FailoverParams::quick()
-    } else {
-        failover::FailoverParams::full()
-    };
-    failover::run(&params);
+    cf_bench::ratchet::bench_main(
+        "failover",
+        FailoverParams::quick,
+        FailoverParams::full,
+        failover::run,
+    );
 }

@@ -1,80 +1,19 @@
 //! Hot-path microbenchmark: real-time ns/op and allocs/op per SerKind for
-//! steady-state GET / batched-GET / PUT round trips, plus the CI ratchet
-//! gate against the committed `BENCH_hotpath.json`. Emits `hotpath.json`.
-//!
-//! Env knobs:
-//! - `CF_QUICK` — CI-sized preset.
-//! - `CF_HOTPATH_BASELINE` — baseline path (default `BENCH_hotpath.json`,
-//!   falling back to the workspace root when invoked from elsewhere).
-//! - `CF_HOTPATH_TOLERANCE` — ns/op regression multiplier (default 2.0).
-//! - `CF_HOTPATH_NO_RATCHET` — measure and emit only (used when
-//!   regenerating the baseline itself).
+//! steady-state GET / batched-GET / PUT round trips. Emits `hotpath.json`
+//! and holds it to the committed `BENCH_hotpath.json`
+//! (`cf_bench::ratchet`: `CF_QUICK=1` smoke run, `CF_BLESS=1` regenerate).
 
-use cf_bench::experiments::hotpath;
+use cf_bench::experiments::hotpath::{self, HotpathParams};
 use cf_telemetry::CountingAlloc;
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-fn baseline_path() -> std::path::PathBuf {
-    if let Some(p) = std::env::var_os("CF_HOTPATH_BASELINE") {
-        return p.into();
-    }
-    let local = std::path::PathBuf::from("BENCH_hotpath.json");
-    if local.exists() {
-        return local;
-    }
-    // Invoked from outside the workspace root: resolve relative to this
-    // crate's manifest.
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_hotpath.json")
-}
-
 fn main() {
-    let params = if std::env::var("CF_QUICK").is_ok() {
-        hotpath::HotpathParams::quick()
-    } else {
-        hotpath::HotpathParams::full()
-    };
-    let report = hotpath::run(&params);
-    assert!(
-        report.alloc_counted,
-        "bench binary must install the counting allocator"
+    cf_bench::ratchet::bench_main(
+        "hotpath",
+        HotpathParams::quick,
+        HotpathParams::full,
+        hotpath::run,
     );
-
-    if std::env::var_os("CF_HOTPATH_NO_RATCHET").is_some() {
-        println!("  ratchet: skipped (CF_HOTPATH_NO_RATCHET)");
-        return;
-    }
-    let tolerance: f64 = std::env::var("CF_HOTPATH_TOLERANCE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2.0);
-    let path = baseline_path();
-    match std::fs::read_to_string(&path) {
-        Ok(base) => {
-            let violations = hotpath::ratchet(&report, &base, tolerance);
-            if violations.is_empty() {
-                println!(
-                    "  ratchet: green against {} (ns tolerance {tolerance:.2}x, allocs hard floor)",
-                    path.display()
-                );
-            } else {
-                eprintln!("hotpath ratchet FAILED against {}:", path.display());
-                for v in &violations {
-                    eprintln!("  - {v}");
-                }
-                std::process::exit(1);
-            }
-        }
-        Err(e) => {
-            // A missing baseline is not a silent pass in CI: the committed
-            // file ships with the repo, so failing loudly here catches a
-            // deleted/renamed baseline.
-            eprintln!(
-                "hotpath ratchet: baseline {} unreadable: {e}",
-                path.display()
-            );
-            std::process::exit(1);
-        }
-    }
 }

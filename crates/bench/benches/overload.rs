@@ -1,14 +1,15 @@
 //! Goodput under overload: offered load 0.5×–4× of measured capacity on
 //! the sharded multi-queue server, with overload control on and off.
-//! Emits `overload.json`.
+//! Emits `overload.json` and holds it to the committed
+//! `BENCH_overload.json`.
 
-use cf_bench::experiments::overload;
+use cf_bench::experiments::overload::{self, OverloadParams};
 
 fn main() {
-    let params = if std::env::var("CF_QUICK").is_ok() {
-        overload::OverloadParams::quick()
-    } else {
-        overload::OverloadParams::full()
-    };
-    overload::run(&params);
+    cf_bench::ratchet::bench_main(
+        "overload",
+        OverloadParams::quick,
+        OverloadParams::full,
+        overload::run,
+    );
 }

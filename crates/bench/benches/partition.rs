@@ -1,15 +1,15 @@
 //! Split-brain partition: run the same workload under `ReadMode::Any`
 //! and `ReadMode::Quorum` across a partition/isolate/heal schedule;
 //! measure per-window goodput and stale-read rate for both. Emits
-//! `partition.json`.
+//! `partition.json` and holds it to the committed `BENCH_partition.json`.
 
-use cf_bench::experiments::partition;
+use cf_bench::experiments::partition::{self, PartitionParams};
 
 fn main() {
-    let params = if std::env::var("CF_QUICK").is_ok() {
-        partition::PartitionParams::quick()
-    } else {
-        partition::PartitionParams::full()
-    };
-    partition::run(&params);
+    cf_bench::ratchet::bench_main(
+        "partition",
+        PartitionParams::quick,
+        PartitionParams::full,
+        partition::run,
+    );
 }

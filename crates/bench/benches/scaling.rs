@@ -1,11 +1,15 @@
 //! Multi-queue scaling: aggregate throughput vs queue count, 1→8 queues
-//! over YCSB-C and the Twitter cache trace. Emits `scaling.json`.
+//! over YCSB-C and the Twitter cache trace. Emits `scaling.json` and holds
+//! it to the committed `BENCH_scaling.json`.
+
+use cf_bench::experiments::scaling;
 
 fn main() {
-    let (keys, requests) = if cf_bench::quick_mode() {
-        (2_048, 4_000)
-    } else {
-        (16_384, 40_000)
-    };
-    cf_bench::experiments::scaling::run(keys, requests);
+    // (keys, requests) per swept configuration.
+    cf_bench::ratchet::bench_main(
+        "scaling",
+        || (2_048, 4_000),
+        || (16_384, 40_000),
+        |&(keys, requests)| scaling::run(keys, requests),
+    );
 }

@@ -15,7 +15,7 @@ use cf_kv::client::{client_server_pair, KvClient};
 use cf_kv::server::{KvServer, SerKind};
 use cf_workloads::{key_string, CdnTrace};
 
-use crate::artifacts::write_metrics_artifact;
+use crate::artifacts::write_artifact;
 use crate::harness::large_pool;
 use crate::tables::{f1, print_expectation, print_table};
 
@@ -112,11 +112,8 @@ pub fn run(num_objects: u64, requests: u64) -> Vec<Breakdown> {
         .iter()
         .map(|&k| {
             let (b, tele) = breakdown_instrumented(k, num_objects, requests);
-            let name = format!("fig11-{}", k.metric_key());
-            match write_metrics_artifact(&name, &tele) {
-                Ok(path) => println!("  metrics artifact: {}", path.display()),
-                Err(e) => eprintln!("  metrics artifact for {name} not written: {e}"),
-            }
+            let name = format!("fig11-{}-metrics.json", k.metric_key());
+            write_artifact(&name, &tele.snapshot_json());
             b
         })
         .collect();

@@ -23,12 +23,11 @@
 //!   `hotpath` bench does; the in-lib smoke test does not, and reports
 //!   `alloc_counted: false`).
 //!
-//! Emits `hotpath.json` (schema in EXPERIMENTS.md). The committed
-//! `BENCH_hotpath.json` is the ratchet baseline: the bench binary itself
-//! compares a fresh run against it and fails on regression — allocs/op is
-//! a hard floor (deterministic), ns/op gets a configurable tolerance
-//! (`CF_HOTPATH_TOLERANCE`, default 2.0×, wall clocks differ across
-//! machines).
+//! Emits `hotpath.json` (schema in EXPERIMENTS.md); the committed
+//! `BENCH_hotpath.json` is the full preset's, gated by [`RULES`]. What
+//! repeats run to run: the driver is fixed, so allocs/op repeats up to a
+//! handful of one-off allocations per window (see [`STRAY_ALLOC_BUDGET`]);
+//! ns/op is host time and repeats to within the machine's noise.
 
 use std::time::Instant;
 
@@ -41,10 +40,16 @@ use cornflakes_core::SerializationConfig;
 use cf_kv::client::{KvClient, Response, CLIENT_PORT, SERVER_PORT};
 use cf_kv::server::{KvServer, SerKind};
 
-use crate::artifacts::write_json_artifact;
-use crate::tables::print_table;
+use cf_telemetry::json::Value;
 
-/// Harness knobs; [`HotpathParams::quick`] is the CI-sized preset.
+use crate::artifacts::{fixed, int, list, text, write_artifact};
+use crate::ratchet::{Gate, Rule};
+use crate::tables::print_rows;
+
+/// Timed rounds per op in the full preset (the one [`RULES`] gates).
+const FULL_ROUNDS: u64 = 16_384;
+
+/// Harness knobs; [`HotpathParams::quick`] is the smoke preset.
 #[derive(Clone, Debug)]
 pub struct HotpathParams {
     /// Untimed rounds per op before measurement (pools, maps, and scratch
@@ -64,13 +69,13 @@ impl HotpathParams {
     pub fn full() -> Self {
         HotpathParams {
             warmup: 1_024,
-            rounds: 16_384,
+            rounds: FULL_ROUNDS,
             value_bytes: 256,
             batch_keys: 8,
         }
     }
 
-    /// CI smoke preset: the same shape, a fraction of the volume.
+    /// Smoke preset: the same shape, a fraction of the volume.
     pub fn quick() -> Self {
         HotpathParams {
             warmup: 256,
@@ -78,49 +83,6 @@ impl HotpathParams {
             ..HotpathParams::full()
         }
     }
-}
-
-/// Per-op measurement.
-#[derive(Clone, Debug)]
-pub struct OpStats {
-    /// Operation label (`get`, `batch_get`, `put`).
-    pub op: &'static str,
-    /// Wall-clock nanoseconds per round trip.
-    pub ns_per_op: f64,
-    /// Heap acquisitions per round trip (0.0 when not counted).
-    pub allocs_per_op: f64,
-    /// Client encode+send segment of `ns_per_op`.
-    pub encode_ns_per_op: f64,
-    /// Server poll (decode + app + reply) segment.
-    pub serve_ns_per_op: f64,
-    /// Client receive+decode segment.
-    pub recv_ns_per_op: f64,
-}
-
-/// One serialization kind's measurements.
-#[derive(Clone, Debug)]
-pub struct KindReport {
-    /// Kind label (lowercase).
-    pub kind: &'static str,
-    /// `get`, `batch_get`, `put` in order.
-    pub ops: Vec<OpStats>,
-}
-
-/// The full report, as emitted to `hotpath.json`.
-#[derive(Clone, Debug)]
-pub struct HotpathReport {
-    /// Timed rounds per op.
-    pub rounds: u64,
-    /// Warmup rounds per op.
-    pub warmup: u64,
-    /// Value size driven.
-    pub value_bytes: usize,
-    /// Whether the binary counts heap acquisitions (global allocator is
-    /// [`cf_telemetry::CountingAlloc`]). When false, allocs/op is 0 by
-    /// construction and must not be ratcheted against.
-    pub alloc_counted: bool,
-    /// Per-kind measurements.
-    pub kinds: Vec<KindReport>,
 }
 
 const KINDS: [(SerKind, &str); 4] = [
@@ -154,6 +116,7 @@ fn alloc_counting_active() -> bool {
     alloc_count() != before
 }
 
+#[derive(Default)]
 struct RoundTimer {
     encode_ns: f64,
     serve_ns: f64,
@@ -162,25 +125,23 @@ struct RoundTimer {
 }
 
 impl RoundTimer {
-    fn new() -> Self {
-        RoundTimer {
-            encode_ns: 0.0,
-            serve_ns: 0.0,
-            recv_ns: 0.0,
-            allocs: 0,
-        }
-    }
-
-    fn stats(&self, op: &'static str, rounds: u64) -> OpStats {
-        let per = |total: f64| total / rounds as f64;
-        OpStats {
-            op,
-            ns_per_op: per(self.encode_ns + self.serve_ns + self.recv_ns),
-            allocs_per_op: self.allocs as f64 / rounds as f64,
-            encode_ns_per_op: per(self.encode_ns),
-            serve_ns_per_op: per(self.serve_ns),
-            recv_ns_per_op: per(self.recv_ns),
-        }
+    /// The `ops` row for `op`: per-round-trip means over `rounds`.
+    fn row(&self, op: &str, rounds: u64) -> Value {
+        let per = |total: f64| fixed(total / rounds as f64, 1);
+        Value::obj([
+            ("op", text(op)),
+            (
+                "ns_per_op",
+                per(self.encode_ns + self.serve_ns + self.recv_ns),
+            ),
+            (
+                "allocs_per_op",
+                fixed(self.allocs as f64 / rounds as f64, 4),
+            ),
+            ("encode_ns_per_op", per(self.encode_ns)),
+            ("serve_ns_per_op", per(self.serve_ns)),
+            ("recv_ns_per_op", per(self.recv_ns)),
+        ])
     }
 }
 
@@ -212,7 +173,7 @@ fn timed_round(
     assert_eq!(resp.id, Some(id), "response matches request");
 }
 
-fn measure_kind(params: &HotpathParams, kind: SerKind, label: &'static str) -> KindReport {
+fn measure_kind(params: &HotpathParams, kind: SerKind, label: &str) -> Value {
     let (mut client, mut server) = fixture(kind);
     let value = vec![0x5A_u8; params.value_bytes];
     let key: &[u8] = b"hotpath-key";
@@ -237,7 +198,7 @@ fn measure_kind(params: &HotpathParams, kind: SerKind, label: &'static str) -> K
     assert!(client.recv_response_into(&mut resp), "seed put answered");
     assert_eq!(resp.id, Some(id));
     for _ in 0..params.warmup {
-        let mut sink = RoundTimer::new();
+        let mut sink = RoundTimer::default();
         timed_round(&mut client, &mut server, &mut sink, &mut resp, |c| {
             c.send_get(&[key])
         });
@@ -250,117 +211,69 @@ fn measure_kind(params: &HotpathParams, kind: SerKind, label: &'static str) -> K
     }
 
     let mut ops = Vec::new();
-    let mut get_t = RoundTimer::new();
+    let mut get_t = RoundTimer::default();
     for _ in 0..params.rounds {
         timed_round(&mut client, &mut server, &mut get_t, &mut resp, |c| {
             c.send_get(&[key])
         });
     }
-    ops.push(get_t.stats("get", params.rounds));
+    ops.push(get_t.row("get", params.rounds));
 
-    let mut batch_t = RoundTimer::new();
+    let mut batch_t = RoundTimer::default();
     for _ in 0..params.rounds {
         timed_round(&mut client, &mut server, &mut batch_t, &mut resp, |c| {
             c.send_get(&batch_refs)
         });
     }
-    ops.push(batch_t.stats("batch_get", params.rounds));
+    ops.push(batch_t.row("batch_get", params.rounds));
 
-    let mut put_t = RoundTimer::new();
+    let mut put_t = RoundTimer::default();
     for _ in 0..params.rounds {
         timed_round(&mut client, &mut server, &mut put_t, &mut resp, |c| {
             c.send_put(key, &value)
         });
     }
-    ops.push(put_t.stats("put", params.rounds));
+    ops.push(put_t.row("put", params.rounds));
 
-    KindReport { kind: label, ops }
-}
-
-fn report_json(r: &HotpathReport) -> String {
-    let mut kinds = String::new();
-    for (i, k) in r.kinds.iter().enumerate() {
-        let ops: Vec<String> = k
-            .ops
-            .iter()
-            .map(|o| {
-                format!(
-                    "      {{\"op\": \"{}\", \"ns_per_op\": {:.1}, \"allocs_per_op\": {:.4}, \
-                     \"encode_ns_per_op\": {:.1}, \"serve_ns_per_op\": {:.1}, \
-                     \"recv_ns_per_op\": {:.1}}}",
-                    o.op,
-                    o.ns_per_op,
-                    o.allocs_per_op,
-                    o.encode_ns_per_op,
-                    o.serve_ns_per_op,
-                    o.recv_ns_per_op
-                )
-            })
-            .collect();
-        kinds.push_str(&format!(
-            "    {{\"kind\": \"{}\", \"ops\": [\n{}\n    ]}}{}\n",
-            k.kind,
-            ops.join(",\n"),
-            if i + 1 < r.kinds.len() { "," } else { "" }
-        ));
-    }
-    format!(
-        "{{\n  \"experiment\": \"hotpath\",\n  \"rounds\": {},\n  \"warmup\": {},\n  \
-         \"value_bytes\": {},\n  \"alloc_counted\": {},\n  \"kinds\": [\n{}  ]\n}}\n",
-        r.rounds, r.warmup, r.value_bytes, r.alloc_counted, kinds
-    )
+    Value::obj([("kind", text(label)), ("ops", Value::Arr(ops))])
 }
 
 /// Runs the microbenchmark, prints the table, writes `hotpath.json`.
-pub fn run(params: &HotpathParams) -> HotpathReport {
-    let report = HotpathReport {
-        rounds: params.rounds,
-        warmup: params.warmup,
-        value_bytes: params.value_bytes,
-        alloc_counted: alloc_counting_active(),
-        kinds: KINDS
-            .iter()
-            .map(|(kind, label)| measure_kind(params, *kind, label))
-            .collect(),
-    };
-
-    let mut rows = Vec::new();
-    for k in &report.kinds {
-        for o in &k.ops {
-            rows.push(vec![
-                k.kind.to_string(),
-                o.op.to_string(),
-                format!("{:.0}", o.ns_per_op),
-                if report.alloc_counted {
-                    format!("{:.2}", o.allocs_per_op)
-                } else {
-                    "n/a".to_string()
-                },
-                format!("{:.0}", o.encode_ns_per_op),
-                format!("{:.0}", o.serve_ns_per_op),
-                format!("{:.0}", o.recv_ns_per_op),
-            ]);
-        }
-    }
-    print_table(
+pub fn run(params: &HotpathParams) -> Value {
+    let tree = Value::obj([
+        ("experiment", text("hotpath")),
+        (
+            "params",
+            Value::obj([
+                ("rounds", int(params.rounds)),
+                ("warmup", int(params.warmup)),
+                ("value_bytes", int(params.value_bytes as u64)),
+                ("batch_keys", int(params.batch_keys as u64)),
+            ]),
+        ),
+        // False when the binary keeps the system allocator: allocs/op is
+        // then 0 by construction. The committed artifact says true, so a
+        // bench built without `CountingAlloc` fails the gate.
+        ("alloc_counted", Value::Bool(alloc_counting_active())),
+        (
+            "kinds",
+            list(KINDS, |(kind, label)| measure_kind(params, kind, label)),
+        ),
+    ]);
+    print_rows(
         "Hot path: ns/op and allocs/op per round trip (real time)",
+        &tree,
+        "kinds[kind].ops[op]",
         &[
-            "kind",
-            "op",
-            "ns/op",
-            "allocs/op",
-            "encode",
-            "serve",
-            "recv",
+            "ns_per_op",
+            "allocs_per_op",
+            "encode_ns_per_op",
+            "serve_ns_per_op",
+            "recv_ns_per_op",
         ],
-        &rows,
     );
-
-    match write_json_artifact("hotpath", &report_json(&report)) {
-        Ok(path) => println!("  artifact: {}", path.display()),
-        Err(e) => eprintln!("  artifact write failed: {e}"),
-    }
-    report
+    write_artifact("hotpath.json", &tree.render());
+    tree
 }
 
 /// Stray-allocation budget per measured window: a handful of one-off
@@ -372,99 +285,59 @@ pub fn run(params: &HotpathParams) -> HotpathReport {
 /// orders of magnitude above this budget, and still trips.
 const STRAY_ALLOC_BUDGET: f64 = 16.0;
 
-/// Compares a fresh report against the committed `BENCH_hotpath.json`
-/// baseline. Returns every violation found (empty = ratchet holds).
-///
-/// - **allocs/op is a hard floor** (modulo [`STRAY_ALLOC_BUDGET`] one-off
-///   allocations per window): the driver is deterministic, so any
-///   per-request rise over the baseline is a regression. Only enforced
-///   when both the baseline and the current run actually counted
-///   allocations.
-/// - **ns/op gets `tolerance`** (a multiplier, e.g. 2.0): wall clocks
-///   differ across machines, so the gate catches structural regressions,
-///   not scheduler noise.
-/// - A kind/op present in the baseline but missing from the current run is
-///   a violation — coverage only ratchets up.
-pub fn ratchet(current: &HotpathReport, baseline_json: &str, tolerance: f64) -> Vec<String> {
-    let mut violations = Vec::new();
-    let baseline = match cf_telemetry::json::parse(baseline_json) {
-        Ok(v) => v,
-        Err(e) => return vec![format!("baseline is not valid JSON: {e}")],
-    };
-    let base_counted = matches!(
-        baseline.get("alloc_counted"),
-        Some(cf_telemetry::json::Value::Bool(true))
-    );
-    let enforce_allocs = base_counted && current.alloc_counted;
-    let alloc_slack = STRAY_ALLOC_BUDGET / current.rounds.max(1) as f64;
-
-    let kinds = baseline
-        .get("kinds")
-        .and_then(|v| v.as_arr().map(<[_]>::to_vec))
-        .unwrap_or_default();
-    if kinds.is_empty() {
-        violations.push("baseline has no kinds".to_string());
-    }
-    for bk in &kinds {
-        let kind = bk.get("kind").and_then(|v| v.as_str()).unwrap_or("?");
-        let Some(ck) = current.kinds.iter().find(|k| k.kind == kind) else {
-            violations.push(format!("kind {kind} present in baseline, missing from run"));
-            continue;
-        };
-        for bo in bk.get("ops").and_then(|v| v.as_arr()).unwrap_or(&[]).iter() {
-            let op = bo.get("op").and_then(|v| v.as_str()).unwrap_or("?");
-            let Some(co) = ck.ops.iter().find(|o| o.op == op) else {
-                violations.push(format!("{kind}.{op} present in baseline, missing from run"));
-                continue;
-            };
-            let base_ns = bo.get("ns_per_op").and_then(|v| v.as_f64()).unwrap_or(0.0);
-            if base_ns > 0.0 && co.ns_per_op > base_ns * tolerance {
-                violations.push(format!(
-                    "{kind}.{op}: ns/op regressed {:.0} -> {:.0} (> {tolerance:.2}x tolerance)",
-                    base_ns, co.ns_per_op
-                ));
-            }
-            if enforce_allocs {
-                let base_allocs = bo
-                    .get("allocs_per_op")
-                    .and_then(|v| v.as_f64())
-                    .unwrap_or(0.0);
-                if co.allocs_per_op > base_allocs + alloc_slack {
-                    violations.push(format!(
-                        "{kind}.{op}: allocs/op rose {:.4} -> {:.4} (hard floor)",
-                        base_allocs, co.allocs_per_op
-                    ));
-                }
-            }
-        }
-    }
-    violations
-}
+/// What `BENCH_hotpath.json` is held to (see [`crate::ratchet`]).
+pub const RULES: &[Rule] = &[
+    Rule("alloc_counted", Gate::Same),
+    // Host clock: machines and neighbours differ, so one multiplicative
+    // bound (3x, what CI used) that only a structural regression crosses.
+    Rule("kinds[kind].ops[op].ns_per_op", Gate::Lower(2.0)),
+    // A hard floor: the driver is fixed, so a per-request rise is a
+    // regression; the slack is the stray budget over the window.
+    Rule(
+        "kinds[kind].ops[op].allocs_per_op",
+        Gate::LowerBy(STRAY_ALLOC_BUDGET / FULL_ROUNDS as f64),
+    ),
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifacts::select;
 
     #[test]
     fn quick_run_reports_all_kinds_and_ops() {
-        let report = run(&HotpathParams {
+        let tree = run(&HotpathParams {
             warmup: 16,
             rounds: 64,
             ..HotpathParams::quick()
         });
-        assert_eq!(report.kinds.len(), 4);
-        for k in &report.kinds {
-            let labels: Vec<_> = k.ops.iter().map(|o| o.op).collect();
-            assert_eq!(labels, ["get", "batch_get", "put"], "kind {}", k.kind);
-            for o in &k.ops {
-                assert!(o.ns_per_op > 0.0, "{}:{} measured nothing", k.kind, o.op);
-                let segments = o.encode_ns_per_op + o.serve_ns_per_op + o.recv_ns_per_op;
-                assert!((segments - o.ns_per_op).abs() < 1e-6, "segments telescope");
-            }
+        let field = |f: &str| -> Vec<(String, f64)> {
+            select(&tree, &format!("kinds[kind].ops[op].{f}"))
+                .into_iter()
+                .map(|(row, v)| (row, v.and_then(Value::as_f64).expect("a number")))
+                .collect()
+        };
+        let total = field("ns_per_op");
+        let rows: Vec<&str> = total.iter().map(|(row, _)| row.as_str()).collect();
+        let expected: Vec<String> = KINDS
+            .iter()
+            .flat_map(|(_, kind)| {
+                ["get", "batch_get", "put"].map(|op| format!("kinds[{kind}].ops[{op}]."))
+            })
+            .collect();
+        assert_eq!(rows, expected);
+        let segments = [
+            field("encode_ns_per_op"),
+            field("serve_ns_per_op"),
+            field("recv_ns_per_op"),
+        ];
+        for (i, (row, ns)) in total.iter().enumerate() {
+            assert!(*ns > 0.0, "{row} measured nothing");
+            let sum: f64 = segments.iter().map(|s| s[i].1).sum();
+            assert!((sum - ns).abs() < 0.2, "{row}: segments telescope");
         }
         // The lib test binary keeps the system allocator.
-        assert!(!report.alloc_counted);
-        let json = report_json(&report);
-        cf_telemetry::json::validate(&json).expect("artifact is valid JSON");
+        assert_eq!(tree.get("alloc_counted"), Some(&Value::Bool(false)));
+        crate::ratchet::assert_gates_itself(RULES, &tree);
     }
 }

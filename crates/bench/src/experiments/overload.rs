@@ -15,28 +15,45 @@
 //!   exponential-backoff retries.
 //!
 //! Goodput counts replies that arrive within the SLO
-//! ([`OverloadParams::slo_ns`]) and were actually served (`SHED`
+//! ([`OpenLoopParams::slo_ns`]) and were actually served (`SHED`
 //! fast-rejects are not goodput — but they cost almost nothing and keep
 //! latency bounded). The artifact (`overload.json`) shows goodput holding
 //! within ~15 % of peak past saturation with control on, and collapsing —
 //! or p99 inflating by ≥2× — with control off.
+//!
+//! The rig ([`Rig`]), the capacity probe ([`measure_capacity`]) and the
+//! open-loop driver ([`Rig::drive`]) are also what `tail_anatomy` runs; the
+//! two differ in the shard profile, the wire faults, the flight recorder
+//! and the clock the server is polled to, and pass those in.
+//!
+//! What repeats run to run: `offered` and the probe exactly; below
+//! saturation every field. Past it the client retries, a retry's timing
+//! follows virtual time, and virtual time follows real heap addresses (see
+//! `churn`), so goodput repeats to ~1 %, the median to ~2 % and the p99 to
+//! ~6 %.
 
 use std::collections::HashMap;
 
 use cf_sim::rng::SplitMix64;
+use cf_sim::MachineProfile;
+use cf_telemetry::json::Value;
+use cf_telemetry::{FlightRecord, FlightRecorder};
 
-use cf_kv::client::{ProtectionConfig, RetryConfig};
+use cf_kv::client::{KvClient, ProtectionConfig, RetryConfig};
 use cf_kv::flags;
 use cf_kv::overload::AdmissionConfig;
+use cf_kv::sharded::ShardedKvServer;
 use cf_workloads::key_string;
 
-use crate::artifacts::write_json_artifact;
+use crate::artifacts::{fixed, int, list, text, write_artifact};
 use crate::experiments::scaling::{scaling_fixture, ScaleWorkload};
-use crate::tables::{f1, print_table};
+use crate::ratchet::{Gate, Rule};
+use crate::tables::print_rows;
 
-/// Sweep knobs; [`OverloadParams::quick`] is the CI-sized preset.
+/// What an open-loop experiment fixes about its rig and load;
+/// [`OpenLoopParams::quick`] is the smoke preset.
 #[derive(Clone, Debug)]
-pub struct OverloadParams {
+pub struct OpenLoopParams {
     /// Shard (= NIC queue) count.
     pub queues: usize,
     /// Distinct keys, preloaded and uniformly addressed (uniform keys keep
@@ -50,36 +67,73 @@ pub struct OverloadParams {
     /// slices of this many virtual nanoseconds.
     pub slice_ns: u64,
     /// Reply-latency SLO: completions slower than this are not goodput.
+    /// Also the client's retry deadline and twice the CoDel sojourn target.
     pub slo_ns: u64,
-    /// Offered-load multipliers applied to the measured capacity.
-    pub multipliers: Vec<f64>,
     /// PUT fraction (the rest are GETs), exercising GET priority.
     pub put_fraction: f64,
 }
 
-impl OverloadParams {
-    /// Full sweep: 2 shards, 0.5×–4×.
+impl OpenLoopParams {
+    /// Full preset: 2 shards, 3 ms of load in 50 µs slices, 1 ms SLO.
     pub fn full() -> Self {
-        OverloadParams {
+        OpenLoopParams {
             queues: 2,
             num_keys: 1024,
             probe_requests: 3_000,
             duration_ns: 3_000_000,
             slice_ns: 50_000,
             slo_ns: 1_000_000,
-            multipliers: vec![0.5, 1.0, 1.5, 2.0, 3.0, 4.0],
             put_fraction: 0.1,
         }
     }
 
-    /// CI smoke preset: the same shape, a fraction of the volume.
+    /// Smoke preset: the same shape, a fraction of the volume.
     pub fn quick() -> Self {
-        OverloadParams {
+        OpenLoopParams {
             num_keys: 256,
             probe_requests: 1_200,
             duration_ns: 1_200_000,
+            ..OpenLoopParams::full()
+        }
+    }
+
+    /// The `load` member of an open-loop artifact's `params`.
+    pub fn tree(&self) -> Value {
+        Value::obj([
+            ("queues", int(self.queues as u64)),
+            ("num_keys", int(self.num_keys)),
+            ("probe_requests", int(self.probe_requests)),
+            ("duration_ns", int(self.duration_ns)),
+            ("slice_ns", int(self.slice_ns)),
+            ("slo_ns", int(self.slo_ns)),
+            ("put_fraction", Value::Num(self.put_fraction)),
+        ])
+    }
+}
+
+/// Sweep knobs; [`OverloadParams::quick`] is the smoke preset.
+#[derive(Clone, Debug)]
+pub struct OverloadParams {
+    /// The rig and the load offered at each point.
+    pub load: OpenLoopParams,
+    /// Offered-load multipliers applied to the measured capacity.
+    pub multipliers: Vec<f64>,
+}
+
+impl OverloadParams {
+    /// Full sweep: 0.5×–4×.
+    pub fn full() -> Self {
+        OverloadParams {
+            load: OpenLoopParams::full(),
+            multipliers: vec![0.5, 1.0, 1.5, 2.0, 3.0, 4.0],
+        }
+    }
+
+    /// Smoke preset: four multipliers at a fraction of the volume.
+    pub fn quick() -> Self {
+        OverloadParams {
+            load: OpenLoopParams::quick(),
             multipliers: vec![0.5, 1.0, 2.0, 4.0],
-            ..OverloadParams::full()
         }
     }
 }
@@ -139,17 +193,22 @@ impl OverloadResult {
     }
 }
 
-/// Measures closed-loop capacity (requests/s of virtual time) on the
-/// scaling fixture: saturating bursts, makespan = furthest shard clock.
-pub fn measure_capacity(params: &OverloadParams) -> f64 {
-    let (mut client, mut server) =
-        scaling_fixture(ScaleWorkload::YcsbC, params.queues, params.num_keys);
+/// Measures closed-loop capacity (requests/s of virtual time) of the
+/// sharded fixture on `shard_profile`: saturating bursts of uniform GETs,
+/// makespan = furthest shard clock.
+pub fn measure_capacity(load: &OpenLoopParams, shard_profile: &MachineProfile) -> f64 {
+    let (mut client, mut server) = scaling_fixture(
+        shard_profile,
+        ScaleWorkload::YcsbC,
+        load.queues,
+        load.num_keys,
+    );
     let mut rng = SplitMix64::new(0xCAFE);
     let mut sent = 0u64;
-    while sent < params.probe_requests {
-        let burst = 16.min(params.probe_requests - sent);
+    while sent < load.probe_requests {
+        let burst = 16.min(load.probe_requests - sent);
         for _ in 0..burst {
-            let key = key_string(rng.next_bounded(params.num_keys));
+            let key = key_string(rng.next_bounded(load.num_keys));
             client.send_get(&[key.as_bytes()]);
             sent += 1;
         }
@@ -160,118 +219,172 @@ pub fn measure_capacity(params: &OverloadParams) -> f64 {
     server.total_requests() as f64 / elapsed as f64 * 1e9
 }
 
-/// Runs one (multiplier, control) point at `rate_rps` offered load.
-pub fn run_point(
-    params: &OverloadParams,
-    multiplier: f64,
-    rate_rps: f64,
-    control: bool,
-) -> OverloadPoint {
-    let (mut client, mut server) =
-        scaling_fixture(ScaleWorkload::YcsbC, params.queues, params.num_keys);
-    if control {
-        // The bounded NIC ring is the primary steady-state shedder: like
-        // hardware ring overflow, a tail drop there costs zero CPU. A
-        // deeper backlog with sojourn shedding retains less goodput, not
-        // more — every frame that crosses rx pays full ingest cost, so
-        // shedding it afterwards wastes work the ring rejects for free.
-        // The CoDel layer guards the *transition* (admitted entries aged
-        // past patience by a service stall), not sustained excess.
-        server.enable_admission(AdmissionConfig {
-            target_sojourn_ns: params.slo_ns / 2,
-            ..AdmissionConfig::default()
-        });
+/// The steered client and sharded server an open-loop run drives.
+pub struct Rig {
+    /// The load generator (its machine clock is the run's wall clock).
+    pub client: KvClient,
+    /// One shard per NIC queue, each a core of its own.
+    pub server: ShardedKvServer,
+    /// Shared by every machine once installed; drained every slice.
+    pub flight: FlightRecorder,
+    controlled: bool,
+}
+
+/// What one open-loop run saw.
+#[derive(Debug, Default)]
+pub struct OpenLoopRun {
+    /// Arrivals offered during the load phase.
+    pub offered: u64,
+    /// `SHED` fast-rejects observed by the client.
+    pub shed: u64,
+    /// Requests concluded client-side as timed out.
+    pub timed_out: u64,
+    /// Per served (non-`SHED`) reply: request id, and the time from the
+    /// instant it was offered to the slice edge its reply was collected at.
+    pub served: Vec<(u32, u64)>,
+    /// Every flight record of the run, by request id (empty unless
+    /// [`Rig::flight`] is enabled).
+    pub events: HashMap<u32, Vec<FlightRecord>>,
+}
+
+impl Rig {
+    /// Builds the scaling fixture on `shard_profile` and configures the
+    /// arm. `control: Some(jitter_seed)` is the overload-control stack:
+    /// server-side admission, and client retries under a budget, a breaker
+    /// and seeded jitter. `None` is what a system has before it grows one:
+    /// unbounded FIFO service and naive exponential-backoff retries.
+    pub fn new(load: &OpenLoopParams, shard_profile: &MachineProfile, control: Option<u64>) -> Rig {
+        let (mut client, mut server) = scaling_fixture(
+            shard_profile,
+            ScaleWorkload::YcsbC,
+            load.queues,
+            load.num_keys,
+        );
+        if control.is_some() {
+            // The bounded NIC ring is the primary steady-state shedder: like
+            // hardware ring overflow, a tail drop there costs zero CPU. A
+            // deeper backlog with sojourn shedding retains less goodput, not
+            // more — every frame that crosses rx pays full ingest cost, so
+            // shedding it afterwards wastes work the ring rejects for free.
+            // The CoDel layer guards the *transition* (admitted entries aged
+            // past patience by a service stall), not sustained excess.
+            server.enable_admission(AdmissionConfig {
+                target_sojourn_ns: load.slo_ns / 2,
+                ..AdmissionConfig::default()
+            });
+            client.enable_protection(ProtectionConfig::default());
+        }
         client.enable_retries(RetryConfig {
-            timeout_ns: params.slo_ns,
+            timeout_ns: load.slo_ns,
             max_retries: 2,
-            max_backoff_ns: 4 * params.slo_ns,
-            jitter_seed: Some(0x5EED ^ multiplier.to_bits()),
+            max_backoff_ns: if control.is_some() {
+                4 * load.slo_ns
+            } else {
+                0
+            },
+            jitter_seed: control,
         });
-        client.enable_protection(ProtectionConfig::default());
-    } else {
-        client.enable_retries(RetryConfig {
-            timeout_ns: params.slo_ns,
-            max_retries: 2,
-            max_backoff_ns: 0,
-            jitter_seed: None,
-        });
+        Rig {
+            client,
+            server,
+            flight: FlightRecorder::disabled(),
+            controlled: control.is_some(),
+        }
     }
 
-    let mut rng = SplitMix64::new(0xD15EA5E ^ multiplier.to_bits());
-    let interarrival = 1e9 / rate_rps;
-    let put_scratch = vec![0xB0u8; 1024];
+    /// Offers `multiplier × capacity_rps` for `load.duration_ns` in slices
+    /// of `load.slice_ns`, then drains (bounded, so a pathological arm
+    /// still terminates). Each send is paced to its arrival instant on the
+    /// client clock; if send-side work outruns the pace the clock drifts
+    /// ahead and arrivals go out back-to-back at client capacity. Once per
+    /// slice the server is polled to `serve_clock(rig, slice_end)` — each
+    /// shard serves only until that instant — replies and timers are
+    /// collected at the slice end, and the flight ring is drained so it
+    /// never overwrites.
+    pub fn drive(
+        &mut self,
+        load: &OpenLoopParams,
+        capacity_rps: f64,
+        multiplier: f64,
+        mut serve_clock: impl FnMut(&Rig, u64) -> u64,
+    ) -> OpenLoopRun {
+        let mut rng = SplitMix64::new(0xD15EA5E ^ multiplier.to_bits());
+        let interarrival = 1e9 / (capacity_rps * multiplier);
+        let put_scratch = vec![0xB0u8; 1024];
+        let client_clock = self.client.stack.sim().clock();
 
-    let mut send_time: HashMap<u32, u64> = HashMap::new();
-    let mut latencies: Vec<u64> = Vec::new();
-    let mut offered = 0u64;
-    let mut good = 0u64;
-    let mut shed = 0u64;
-    let mut timed_out = 0u64;
-    let mut next_arrival = 0.0f64;
-
-    let mut t = 0u64;
-    // Load phase, then a drain phase long enough for the uncontrolled
-    // backlog to clear (bounded so a pathological arm still terminates).
-    let drain_deadline = params.duration_ns.saturating_mul(8);
-    loop {
-        let t_next = t + params.slice_ns;
-        // Offer this slice's arrivals (load phase only).
-        if t < params.duration_ns {
-            let client_clock = client.stack.sim().clock();
-            if client_clock.now() < t {
-                client_clock.advance_to(t);
-            }
-            while next_arrival < t_next as f64 && (next_arrival as u64) < params.duration_ns {
-                let key = key_string(rng.next_bounded(params.num_keys));
-                let id = if rng.next_f64() < params.put_fraction {
-                    client.send_put(key.as_bytes(), &put_scratch)
+        let mut run = OpenLoopRun::default();
+        let mut offered_at: HashMap<u32, u64> = HashMap::new();
+        let mut next_arrival = 0.0f64;
+        let mut t = 0u64;
+        let drain_deadline = load.duration_ns.saturating_mul(8);
+        loop {
+            let t_next = t + load.slice_ns;
+            while next_arrival < t_next as f64 && (next_arrival as u64) < load.duration_ns {
+                client_clock.advance_to(next_arrival as u64);
+                let key = key_string(rng.next_bounded(load.num_keys));
+                let id = if rng.next_f64() < load.put_fraction {
+                    self.client.send_put(key.as_bytes(), &put_scratch)
                 } else {
-                    client.send_get(&[key.as_bytes()])
+                    self.client.send_get(&[key.as_bytes()])
                 };
-                send_time.insert(id, next_arrival as u64);
-                offered += 1;
+                offered_at.insert(id, next_arrival as u64);
+                run.offered += 1;
                 next_arrival += interarrival;
             }
-        }
-        // Serve: each shard runs only until the harness clock.
-        if control {
-            server.poll_admitted_until(t_next, t_next);
-        } else {
-            server.poll_until(t_next, t_next);
-        }
-        // Collect replies and fire timers on the advanced client clock.
-        let client_clock = client.stack.sim().clock();
-        if client_clock.now() < t_next {
+            let until = serve_clock(self, t_next);
+            if self.controlled {
+                self.server.poll_admitted_until(until, until);
+            } else {
+                self.server.poll_until(until, until);
+            }
+            // Collect replies and fire timers on the advanced client clock.
             client_clock.advance_to(t_next);
-        }
-        while let Some(resp) = client.recv_response() {
-            let Some(id) = resp.id else { continue };
-            let Some(sent_at) = send_time.remove(&id) else {
-                continue;
-            };
-            if resp.flags & flags::SHED != 0 {
-                shed += 1;
-                continue;
+            while let Some(resp) = self.client.recv_response() {
+                let Some(id) = resp.id else { continue };
+                let Some(at) = offered_at.remove(&id) else {
+                    continue;
+                };
+                if resp.flags & flags::SHED != 0 {
+                    run.shed += 1;
+                } else {
+                    run.served.push((id, t_next.saturating_sub(at)));
+                }
             }
-            let lat = t_next.saturating_sub(sent_at);
-            latencies.push(lat);
-            if lat <= params.slo_ns {
-                good += 1;
+            for id in self.client.poll_timers() {
+                if offered_at.remove(&id).is_some() {
+                    run.timed_out += 1;
+                }
             }
-        }
-        for id in client.poll_timers() {
-            if send_time.remove(&id).is_some() {
-                timed_out += 1;
+            for rec in self.flight.drain() {
+                run.events.entry(rec.req_id).or_default().push(rec);
             }
-        }
-        t = t_next;
-        let loading = t < params.duration_ns;
-        let draining = !send_time.is_empty() || server.backlog_len() > 0;
-        if !loading && (!draining || t >= drain_deadline) {
-            break;
+            t = t_next;
+            let loading = t < load.duration_ns;
+            let draining = !offered_at.is_empty() || self.server.backlog_len() > 0;
+            if !loading && (!draining || t >= drain_deadline) {
+                return run;
+            }
         }
     }
+}
 
+/// Runs one (multiplier, control) point against `capacity_rps`.
+pub fn run_point(
+    params: &OverloadParams,
+    capacity_rps: f64,
+    multiplier: f64,
+    control: bool,
+) -> OverloadPoint {
+    let load = &params.load;
+    let jitter_seed = control.then_some(0x5EED ^ multiplier.to_bits());
+    let mut rig = Rig::new(load, &MachineProfile::microbench(), jitter_seed);
+    // Shards serve to the nominal slice edge: one client machine cannot
+    // offer 4x this fixture's capacity in coherent time, so the arrival
+    // clock is the harness's, not the client's.
+    let run = rig.drive(load, capacity_rps, multiplier, |_, slice_end| slice_end);
+
+    let mut latencies: Vec<u64> = run.served.iter().map(|&(_, waited)| waited).collect();
     latencies.sort_unstable();
     let pick = |q: f64| -> u64 {
         if latencies.is_empty() {
@@ -280,29 +393,29 @@ pub fn run_point(
         let idx = ((latencies.len() - 1) as f64 * q).round() as usize;
         latencies[idx]
     };
+    let good = latencies.iter().filter(|&&l| l <= load.slo_ns).count() as u64;
     OverloadPoint {
         multiplier,
         control,
-        offered,
+        offered: run.offered,
         good,
-        goodput_krps: good as f64 / params.duration_ns as f64 * 1e6,
+        goodput_krps: good as f64 / load.duration_ns as f64 * 1e6,
         p50_ns: pick(0.50),
         p99_ns: pick(0.99),
-        shed,
-        timed_out,
-        retries: client.retries_sent(),
-        rx_dropped: server.rx_backlog_drops(),
+        shed: run.shed,
+        timed_out: run.timed_out,
+        retries: rig.client.retries_sent(),
+        rx_dropped: rig.server.rx_backlog_drops(),
     }
 }
 
 /// Runs the sweep: measure capacity once, then every multiplier × arm.
 pub fn sweep(params: &OverloadParams) -> OverloadResult {
-    let capacity_rps = measure_capacity(params);
+    let capacity_rps = measure_capacity(&params.load, &MachineProfile::microbench());
     let mut points = Vec::new();
     for &m in &params.multipliers {
-        let rate = capacity_rps * m;
         for control in [true, false] {
-            points.push(run_point(params, m, rate, control));
+            points.push(run_point(params, capacity_rps, m, control));
         }
     }
     OverloadResult {
@@ -311,72 +424,78 @@ pub fn sweep(params: &OverloadParams) -> OverloadResult {
     }
 }
 
-/// Renders the sweep as the `overload.json` artifact body.
-pub fn to_json(r: &OverloadResult) -> String {
-    let mut out = format!(
-        "{{\n  \"experiment\": \"overload\",\n  \"capacity_rps\": {:.1},\n  \"points\": [\n",
-        r.capacity_rps
-    );
-    for (i, p) in r.points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"multiplier\": {:.2}, \"control\": {}, \"offered\": {}, \"good\": {}, \"goodput_krps\": {:.3}, \"p50_ns\": {}, \"p99_ns\": {}, \"shed\": {}, \"timed_out\": {}, \"rx_dropped\": {}}}{}\n",
-            p.multiplier,
-            p.control,
-            p.offered,
-            p.good,
-            p.goodput_krps,
-            p.p50_ns,
-            p.p99_ns,
-            p.shed,
-            p.timed_out,
-            p.rx_dropped,
-            if i + 1 < r.points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 /// Runs the full sweep, prints the table, writes `overload.json`.
-pub fn run(params: &OverloadParams) -> OverloadResult {
+pub fn run(params: &OverloadParams) -> Value {
     let r = sweep(params);
-    let rows: Vec<Vec<String>> = r
-        .points
-        .iter()
-        .map(|p| {
-            vec![
-                format!("{:.1}x", p.multiplier),
-                if p.control { "on" } else { "off" }.to_string(),
-                f1(p.goodput_krps),
-                format!("{}", p.p99_ns / 1000),
-                p.shed.to_string(),
-                p.timed_out.to_string(),
-                p.rx_dropped.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
+    let point = |p: &OverloadPoint| {
+        Value::obj([
+            ("multiplier", Value::Num(p.multiplier)),
+            ("control", Value::Bool(p.control)),
+            ("offered", int(p.offered)),
+            ("good", int(p.good)),
+            ("goodput_krps", fixed(p.goodput_krps, 3)),
+            ("p50_ns", int(p.p50_ns)),
+            ("p99_ns", int(p.p99_ns)),
+            ("shed", int(p.shed)),
+            ("timed_out", int(p.timed_out)),
+            ("retries", int(p.retries)),
+            ("rx_dropped", int(p.rx_dropped)),
+        ])
+    };
+    let tree = Value::obj([
+        ("experiment", text("overload")),
+        (
+            "params",
+            Value::obj([
+                ("load", params.load.tree()),
+                ("multipliers", list(&params.multipliers, |&m| Value::Num(m))),
+            ]),
+        ),
+        ("capacity_rps", fixed(r.capacity_rps, 1)),
+        ("points", list(&r.points, point)),
+    ]);
+    print_rows(
         &format!(
             "Overload: goodput vs offered load (capacity {:.0} krps)",
             r.capacity_rps / 1e3
         ),
+        &tree,
+        "points[multiplier,control]",
         &[
-            "Offered",
-            "Control",
-            "Goodput krps",
-            "p99 us",
-            "Shed",
-            "TimedOut",
-            "RxDrop",
+            "goodput_krps",
+            "p50_ns",
+            "p99_ns",
+            "shed",
+            "timed_out",
+            "retries",
+            "rx_dropped",
         ],
-        &rows,
     );
-    match write_json_artifact("overload", &to_json(&r)) {
-        Ok(path) => println!("  artifact: {}", path.display()),
-        Err(e) => println!("  artifact write failed: {e}"),
-    }
-    r
+    write_artifact("overload.json", &tree.render());
+    tree
 }
+
+/// What `BENCH_overload.json` is held to (see [`crate::ratchet`]; spreads
+/// are five full-preset runs, EXPERIMENTS.md "Artifacts and ratchet").
+/// `p99_ns`, `timed_out` and `shed` are recorded and not gated: past
+/// saturation they hang on a handful of retries and spread 6 %, 8 % and
+/// 150 %, so a bound three spreads wide would let a tenth through.
+pub const RULES: &[Rule] = &[
+    // The closed-loop probe repeats exactly.
+    Rule("capacity_rps", Gate::Higher(0.03)),
+    // Fixed by the arrival process.
+    Rule("points[multiplier,control].offered", Gate::Same),
+    // Spread at most 1.1 % (3x, control off).
+    Rule(
+        "points[multiplier,control].goodput_krps",
+        Gate::Higher(0.05),
+    ),
+    // Spread at most 2.3 % (1.5x, control off).
+    Rule("points[multiplier,control].p50_ns", Gate::Lower(0.08)),
+    // Spread at most 0.3 %; exactly 0 below saturation, where any retry is
+    // a regression.
+    Rule("points[multiplier,control].retries", Gate::Lower(0.03)),
+];
 
 #[cfg(test)]
 mod tests {
@@ -428,15 +547,28 @@ mod tests {
     }
 
     #[test]
-    fn artifact_json_is_valid() {
+    fn artifact_records_its_parameters_and_gates_itself() {
         let mut params = OverloadParams::quick();
         params.multipliers = vec![0.5, 2.0];
-        params.probe_requests = 400;
-        params.duration_ns = 400_000;
-        let r = sweep(&params);
-        let json = to_json(&r);
-        cf_telemetry::json::validate(&json).expect("valid JSON");
-        assert!(json.contains("\"control\": true"));
-        assert!(!json.contains("\"multiplier\": 4.00"));
+        params.load.probe_requests = 400;
+        params.load.duration_ns = 400_000;
+        let tree = run(&params);
+        crate::ratchet::assert_gates_itself(RULES, &tree);
+        let load = tree
+            .get("params")
+            .and_then(|p| p.get("load"))
+            .expect("load");
+        assert_eq!(load.get("duration_ns"), Some(&int(400_000)));
+        let rows = crate::artifacts::select(&tree, "points[multiplier,control].retries");
+        let labels: Vec<&str> = rows.iter().map(|(row, _)| row.as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                "points[0.5,true].",
+                "points[0.5,false].",
+                "points[2,true].",
+                "points[2,false]."
+            ]
+        );
     }
 }

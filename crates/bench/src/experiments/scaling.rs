@@ -11,13 +11,16 @@
 //!
 //! The sweep covers YCSB-C (read-only, Zipf 0.99) and the Twitter cache
 //! trace (mixed get/put), 1→8 queues, and emits a `scaling.json` artifact
-//! with one `{queues, krps, elapsed_ns, per_shard_requests}` point per
-//! configuration.
+//! with one `{queues, krps, elapsed_ns, requests, per_shard_requests}`
+//! point per configuration; the committed `BENCH_scaling.json` is the full
+//! preset's, gated by [`RULES`]. Request counts repeat exactly run to run;
+//! `elapsed_ns` (and so `krps`) to within 0.03 % (virtual time follows real
+//! heap addresses — see `churn`).
 
-use cf_mem::PoolConfig;
 use cf_net::UdpStack;
 use cf_nic::link;
 use cf_sim::{MachineProfile, Sim};
+use cf_telemetry::json::Value;
 use cf_telemetry::Telemetry;
 use cornflakes_core::SerializationConfig;
 
@@ -26,9 +29,10 @@ use cf_kv::server::SerKind;
 use cf_kv::sharded::ShardedKvServer;
 use cf_workloads::{key_string, TwitterConfig, TwitterOp, TwitterTrace, Ycsb, YcsbConfig};
 
-use crate::artifacts::write_json_artifact;
+use crate::artifacts::{fixed, int, list, text, write_artifact};
 use crate::harness::large_pool;
-use crate::tables::{f1, print_table};
+use crate::ratchet::{Gate, Rule};
+use crate::tables::print_rows;
 
 /// Requests batched per client burst (one server poll per burst): the
 /// shape that lets transmit batching coalesce doorbells.
@@ -77,15 +81,17 @@ impl ScaleWorkload {
     }
 }
 
-/// Builds a steered client + sharded server pair with `queues` shards and
-/// the workload's keys preloaded onto their owning shards.
+/// Builds a steered client + sharded server pair with `queues` shards,
+/// each a core of its own on `shard_profile`, and the workload's keys
+/// preloaded onto their owning shards.
 pub fn scaling_fixture(
+    shard_profile: &MachineProfile,
     workload: ScaleWorkload,
     queues: usize,
     num_keys: u64,
 ) -> (KvClient, ShardedKvServer) {
     let sims: Vec<Sim> = (0..queues)
-        .map(|_| Sim::new(MachineProfile::microbench()))
+        .map(|_| Sim::new(shard_profile.clone()))
         .collect();
     let (cp, sp) = link();
     let mut server = ShardedKvServer::on_sims(
@@ -93,7 +99,10 @@ pub fn scaling_fixture(
         sp,
         SerKind::Cornflakes,
         SerializationConfig::hybrid(),
-        shard_pool(queues),
+        // Each shard holds ~its share of the keys, but the Zipf head
+        // concentrates the RX-buffer working set: size every shard's pool
+        // for the full keyspace.
+        large_pool(),
     );
     server.enable_tx_batch(BURST as usize);
     let client_sim = Sim::new(MachineProfile::cloudlab_c6525());
@@ -118,12 +127,6 @@ pub fn scaling_fixture(
     (client, server)
 }
 
-/// Each shard holds ~its share of the keys, but the Zipf head concentrates
-/// the RX-buffer working set: size every shard's pool for the full keyspace.
-fn shard_pool(_queues: usize) -> PoolConfig {
-    large_pool()
-}
-
 /// Runs one (workload, queue count) configuration for `requests` requests;
 /// `tele` (if given) is wired through the server for counter crosschecks.
 pub fn run_point(
@@ -133,7 +136,8 @@ pub fn run_point(
     requests: u64,
     tele: Option<&Telemetry>,
 ) -> ScalePoint {
-    let (mut client, mut server) = scaling_fixture(workload, queues, num_keys);
+    let (mut client, mut server) =
+        scaling_fixture(&MachineProfile::microbench(), workload, queues, num_keys);
     if let Some(tele) = tele {
         server.set_telemetry(tele);
     }
@@ -210,72 +214,67 @@ pub fn sweep(
     }
 }
 
-/// Renders the sweep results as the `scaling.json` artifact body.
-pub fn to_json(results: &[ScalingResult]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"scaling\",\n  \"workloads\": [\n");
-    for (wi, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"points\": [\n",
-            r.workload
-        ));
-        for (pi, p) in r.points.iter().enumerate() {
-            let shards: Vec<String> = p.per_shard_requests.iter().map(u64::to_string).collect();
-            out.push_str(&format!(
-                "      {{\"queues\": {}, \"krps\": {:.3}, \"elapsed_ns\": {}, \"requests\": {}, \"per_shard_requests\": [{}]}}{}\n",
-                p.queues,
-                p.krps,
-                p.elapsed_ns,
-                p.requests,
-                shards.join(", "),
-                if pi + 1 < r.points.len() { "," } else { "" }
-            ));
-        }
-        out.push_str(&format!(
-            "    ]}}{}\n",
-            if wi + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 /// Runs the full scaling sweep (1→8 queues, both workloads), prints the
 /// table, and writes the `scaling.json` artifact.
-pub fn run(num_keys: u64, requests: u64) -> Vec<ScalingResult> {
+pub fn run(num_keys: u64, requests: u64) -> Value {
     let queue_counts = [1usize, 2, 4, 8];
-    let results: Vec<ScalingResult> = [ScaleWorkload::YcsbC, ScaleWorkload::Twitter]
-        .iter()
-        .map(|&w| sweep(w, &queue_counts, num_keys, requests))
-        .collect();
-    let rows: Vec<Vec<String>> = results
-        .iter()
-        .flat_map(|r| {
-            let base = r.points[0].krps;
-            r.points.iter().map(move |p| {
-                vec![
-                    r.workload.to_string(),
-                    p.queues.to_string(),
-                    f1(p.krps),
-                    format!("{:.2}x", p.krps / base),
-                ]
-            })
-        })
-        .collect();
-    print_table(
+    let point = |p: &ScalePoint| {
+        Value::obj([
+            ("queues", int(p.queues as u64)),
+            ("krps", fixed(p.krps, 3)),
+            ("elapsed_ns", int(p.elapsed_ns)),
+            ("requests", int(p.requests)),
+            (
+                "per_shard_requests",
+                list(&p.per_shard_requests, |&n| int(n)),
+            ),
+        ])
+    };
+    let workloads = [ScaleWorkload::YcsbC, ScaleWorkload::Twitter].map(|w| {
+        let r = sweep(w, &queue_counts, num_keys, requests);
+        Value::obj([
+            ("workload", text(r.workload)),
+            ("points", list(&r.points, point)),
+        ])
+    });
+    let tree = Value::obj([
+        ("experiment", text("scaling")),
+        (
+            "params",
+            Value::obj([("num_keys", int(num_keys)), ("requests", int(requests))]),
+        ),
+        ("workloads", Value::Arr(workloads.into())),
+    ]);
+    print_rows(
         "Scaling: aggregate throughput vs queue count (sharded KV)",
-        &["Workload", "Queues", "krps", "Speedup"],
-        &rows,
+        &tree,
+        "workloads[workload].points[queues]",
+        &["krps", "elapsed_ns", "per_shard_requests"],
     );
-    match write_json_artifact("scaling", &to_json(&results)) {
-        Ok(path) => println!("  artifact: {}", path.display()),
-        Err(e) => println!("  artifact write failed: {e}"),
-    }
-    results
+    write_artifact("scaling.json", &tree.render());
+    tree
 }
+
+/// What `BENCH_scaling.json` is held to (see [`crate::ratchet`]; spreads are
+/// five full-preset runs, EXPERIMENTS.md "Artifacts and ratchet").
+pub const RULES: &[Rule] = &[
+    // Spread at most 0.03 %.
+    Rule(
+        "workloads[workload].points[queues].krps",
+        Gate::Higher(0.03),
+    ),
+    // Fixed by the driver and the key-to-shard hash: exact.
+    Rule("workloads[workload].points[queues].requests", Gate::Same),
+    Rule(
+        "workloads[workload].points[queues].per_shard_requests",
+        Gate::Same,
+    ),
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifacts::select;
 
     #[test]
     fn throughput_scales_monotonically_on_ycsb() {
@@ -319,7 +318,8 @@ mod tests {
 
     #[test]
     fn shard_clocks_attribute_only_their_own_queue() {
-        let (mut client, mut server) = scaling_fixture(ScaleWorkload::YcsbC, 3, 512);
+        let (mut client, mut server) =
+            scaling_fixture(&MachineProfile::microbench(), ScaleWorkload::YcsbC, 3, 512);
         let mut ycsb = Ycsb::new(
             YcsbConfig {
                 num_keys: 512,
@@ -347,11 +347,24 @@ mod tests {
     }
 
     #[test]
-    fn artifact_json_is_valid() {
-        let r = sweep(ScaleWorkload::Twitter, &[1, 2], 256, 400);
-        let json = to_json(&[r]);
-        cf_telemetry::json::validate(&json).expect("valid JSON");
-        assert!(json.contains("\"workload\": \"twitter\""));
-        assert!(json.contains("\"queues\": 2"));
+    fn artifact_records_its_parameters_and_gates_itself() {
+        let tree = run(256, 400);
+        crate::ratchet::assert_gates_itself(RULES, &tree);
+        let params = tree.get("params").expect("params");
+        assert_eq!(params.get("requests"), Some(&int(400)));
+        let twitter_at_2 = select(
+            &tree,
+            "workloads[workload].points[queues].per_shard_requests",
+        )
+        .into_iter()
+        .find(|(row, _)| row == "workloads[twitter].points[2].")
+        .and_then(|(_, v)| v.and_then(Value::as_arr));
+        let per_shard: Vec<u64> = twitter_at_2
+            .expect("the row exists")
+            .iter()
+            .filter_map(Value::as_u64)
+            .collect();
+        assert_eq!(per_shard.len(), 2);
+        assert_eq!(per_shard.iter().sum::<u64>(), 400);
     }
 }

@@ -5,8 +5,9 @@
 //! define the tail. The fixture is the same steered multi-queue sharded
 //! server at a fixed overload multiplier (default 2× measured capacity)
 //! with wire faults armed, driven by the same slice-based open-loop
-//! harness — but with a [`FlightRecorder`] shared across the client and
-//! every shard, drained once per slice so the ring never overwrites.
+//! harness ([`Rig::drive`]) — but on derated shards, polled to the client's
+//! wall clock, with a [`FlightRecorder`] shared across the client and
+//! every shard.
 //!
 //! For each served request the recorded lifecycle anchors — first send,
 //! last (re)transmission, backlog admission, shard dispatch, reply post,
@@ -29,27 +30,23 @@
 //! breakdown plus full event timeline; the `kv.client.e2e_latency_ns`
 //! histogram carries exemplar request ids (bucket maxima), so the same
 //! outlier is reachable from the metrics side too. Emits
-//! `tail_anatomy.json`.
+//! `tail_anatomy.json`; the committed `BENCH_tail_anatomy.json` is the full
+//! preset's, gated by [`RULES`]. `offered` and the probe repeat exactly run
+//! to run; which request sits at a quantile does not (retry timing follows
+//! virtual time, which follows real heap addresses — see `churn`), so the
+//! gate holds the quantiles' latencies, not their request ids.
 
 use std::collections::HashMap;
 
-use cf_net::UdpStack;
-use cf_nic::{link, FaultPlan};
-use cf_sim::rng::SplitMix64;
-use cf_sim::{MachineProfile, Sim};
+use cf_nic::FaultPlan;
+use cf_sim::MachineProfile;
+use cf_telemetry::json::Value;
 use cf_telemetry::{FlightEvent, FlightRecord, FlightRecorder, Telemetry};
-use cornflakes_core::SerializationConfig;
 
-use cf_kv::client::{KvClient, ProtectionConfig, RetryConfig, CLIENT_PORT};
-use cf_kv::flags;
-use cf_kv::overload::AdmissionConfig;
-use cf_kv::server::SerKind;
-use cf_kv::sharded::ShardedKvServer;
-use cf_workloads::key_string;
-
-use crate::artifacts::{write_json_artifact, write_metrics_artifact};
-use crate::harness::large_pool;
-use crate::tables::print_table;
+use crate::artifacts::{fixed, int, list, text, write_artifact};
+use crate::experiments::overload::{measure_capacity, OpenLoopParams, Rig};
+use crate::ratchet::{Gate, Rule};
+use crate::tables::print_rows;
 
 /// Service-cost multiplier applied to the shards' per-packet base cost.
 /// A single simulated load-generator machine pays ~426 ns per send, which
@@ -61,29 +58,22 @@ use crate::tables::print_table;
 /// derated fixture, so "2×" is honest.
 const SHARD_DERATE: f64 = 6.0;
 
-/// Requests per closed-loop probe burst (matches the scaling harness).
-const BURST: u64 = 16;
+/// The derated shard core (see [`SHARD_DERATE`]).
+fn derated_shard() -> MachineProfile {
+    let mut profile = MachineProfile::microbench();
+    profile.name = "derated shard (tail-anatomy load rig)";
+    profile.costs.per_packet_base *= SHARD_DERATE;
+    profile
+}
 
-/// Harness knobs; [`TailAnatomyParams::quick`] is the CI-sized preset.
+/// Harness knobs; [`TailAnatomyParams::quick`] is the smoke preset.
 #[derive(Clone, Debug)]
 pub struct TailAnatomyParams {
-    /// Shard (= NIC queue) count.
-    pub queues: usize,
-    /// Distinct keys, preloaded and uniformly addressed.
-    pub num_keys: u64,
-    /// Closed-loop requests used to measure capacity.
-    pub probe_requests: u64,
-    /// Virtual time the open-loop load is offered for.
-    pub duration_ns: u64,
-    /// Harness slice (arrival-clock granularity).
-    pub slice_ns: u64,
-    /// Client retry deadline (also the CoDel sojourn target's base).
-    pub slo_ns: u64,
+    /// The rig and the load; `slo_ns` is the client's retry deadline.
+    pub load: OpenLoopParams,
     /// Offered load as a multiple of measured capacity (the paper's tail
     /// stories live past saturation; default 2×).
     pub multiplier: f64,
-    /// PUT fraction (the rest are GETs).
-    pub put_fraction: f64,
     /// Wire drop probability on the server's receive direction — faults
     /// make retries and dedup hits show up in the anatomy.
     pub drop_prob: f64,
@@ -91,32 +81,31 @@ pub struct TailAnatomyParams {
     pub flight_capacity: usize,
 }
 
+/// `load` in slices finer than the overload sweep's 50 µs: flight anchors
+/// on different machine clocks can skew by up to one slice, so the slice
+/// must be small against the phases it resolves.
+fn finely_sliced(load: OpenLoopParams) -> OpenLoopParams {
+    OpenLoopParams {
+        slice_ns: 10_000,
+        ..load
+    }
+}
+
 impl TailAnatomyParams {
     /// Full run: 2 shards at 2× capacity for 3 ms of virtual time.
     pub fn full() -> Self {
         TailAnatomyParams {
-            queues: 2,
-            num_keys: 1024,
-            probe_requests: 3_000,
-            duration_ns: 3_000_000,
-            // Finer than the overload harness's 50 µs: flight anchors on
-            // different machine clocks can skew by up to one slice, so the
-            // slice must be small against the phase durations it resolves.
-            slice_ns: 10_000,
-            slo_ns: 1_000_000,
+            load: finely_sliced(OpenLoopParams::full()),
             multiplier: 2.0,
-            put_fraction: 0.1,
             drop_prob: 0.02,
             flight_capacity: 1 << 16,
         }
     }
 
-    /// CI smoke preset: the same shape, a fraction of the volume.
+    /// Smoke preset: the same shape, a fraction of the volume.
     pub fn quick() -> Self {
         TailAnatomyParams {
-            num_keys: 256,
-            probe_requests: 1_200,
-            duration_ns: 1_200_000,
+            load: finely_sliced(OpenLoopParams::quick()),
             ..TailAnatomyParams::full()
         }
     }
@@ -240,189 +229,46 @@ pub struct TailAnatomyResult {
 }
 
 /// Runs the harness: measures capacity, offers `multiplier ×` that rate
-/// Steered client + sharded server, like the scaling fixture but with the
-/// shards' per-packet cost derated by [`SHARD_DERATE`] (see there).
-fn anatomy_fixture(queues: usize, num_keys: u64) -> (KvClient, ShardedKvServer) {
-    let mut profile = MachineProfile::microbench();
-    profile.name = "derated shard (tail-anatomy load rig)";
-    profile.costs.per_packet_base *= SHARD_DERATE;
-    let sims: Vec<Sim> = (0..queues).map(|_| Sim::new(profile.clone())).collect();
-    let (cp, sp) = link();
-    let mut server = ShardedKvServer::on_sims(
-        sims,
-        sp,
-        SerKind::Cornflakes,
-        SerializationConfig::hybrid(),
-        large_pool(),
-    );
-    server.enable_tx_batch(BURST as usize);
-    let client_sim = Sim::new(MachineProfile::cloudlab_c6525());
-    let client_stack = UdpStack::with_pool_config(
-        client_sim,
-        cp,
-        CLIENT_PORT,
-        SerializationConfig::hybrid(),
-        large_pool(),
-    );
-    let mut client = KvClient::new(client_stack, SerKind::Cornflakes);
-    client.enable_steering(&server.rss());
-    for id in 0..num_keys {
-        server
-            .preload(key_string(id).as_bytes(), &[1024])
-            .expect("pool sized for anatomy workload");
-    }
-    (client, server)
-}
-
-/// Closed-loop capacity of the *derated* fixture (requests/s of virtual
-/// time): saturating bursts, makespan = furthest shard clock.
-fn measure_derated_capacity(params: &TailAnatomyParams) -> f64 {
-    let (mut client, mut server) = anatomy_fixture(params.queues, params.num_keys);
-    let mut rng = SplitMix64::new(0xCAFE);
-    let mut sent = 0u64;
-    while sent < params.probe_requests {
-        let burst = BURST.min(params.probe_requests - sent);
-        for _ in 0..burst {
-            let key = key_string(rng.next_bounded(params.num_keys));
-            client.send_get(&[key.as_bytes()]);
-            sent += 1;
-        }
-        server.poll();
-        while client.recv_response().is_some() {}
-    }
-    let elapsed = server.max_clock_ns().max(1);
-    server.total_requests() as f64 / elapsed as f64 * 1e9
-}
-
 /// with faults armed and the flight recorder installed end to end, and
 /// decomposes the tail. `tele` receives the `kv.client.e2e_latency_ns`
 /// histogram (with exemplars) alongside the full datapath metrics.
 pub fn run_anatomy(params: &TailAnatomyParams, tele: &Telemetry) -> TailAnatomyResult {
-    let capacity_rps = measure_derated_capacity(params);
-    let rate_rps = capacity_rps * params.multiplier;
+    let (load, shard) = (&params.load, derated_shard());
+    let capacity_rps = measure_capacity(load, &shard);
 
-    let (mut client, mut server) = anatomy_fixture(params.queues, params.num_keys);
-    server.enable_admission(AdmissionConfig {
-        target_sojourn_ns: params.slo_ns / 2,
-        ..AdmissionConfig::default()
-    });
-    client.enable_retries(RetryConfig {
-        timeout_ns: params.slo_ns,
-        max_retries: 2,
-        max_backoff_ns: 4 * params.slo_ns,
-        jitter_seed: Some(0x7A11),
-    });
-    client.enable_protection(ProtectionConfig::default());
-    let _faults = server.install_faults(FaultPlan::seeded(0xFA17).with_drop(params.drop_prob));
-
+    let mut rig = Rig::new(load, &shard, Some(0x7A11));
+    let _faults = rig
+        .server
+        .install_faults(FaultPlan::seeded(0xFA17).with_drop(params.drop_prob));
     // One recorder shared by every machine: client, shards, and the
     // server NIC interleave into a single per-request timeline.
-    let flight = FlightRecorder::with_capacity(params.flight_capacity);
-    client.set_flight_recorder(&flight);
-    server.set_flight_recorder(&flight);
-    client.set_telemetry(tele);
+    rig.flight = FlightRecorder::with_capacity(params.flight_capacity);
+    rig.client.set_flight_recorder(&rig.flight);
+    rig.server.set_flight_recorder(&rig.flight);
+    rig.client.set_telemetry(tele);
     let e2e_hist = tele.histogram("kv.client.e2e_latency_ns");
 
-    let mut rng = SplitMix64::new(0xD15EA5E ^ params.multiplier.to_bits());
-    let interarrival = 1e9 / rate_rps;
-    let put_scratch = vec![0xB0u8; 1024];
-
-    let mut in_flight: HashMap<u32, ()> = HashMap::new();
-    let mut events: HashMap<u32, Vec<FlightRecord>> = HashMap::new();
-    let mut served_ids: Vec<u32> = Vec::new();
-    let mut offered = 0u64;
-    let mut shed = 0u64;
-    let mut timed_out = 0u64;
-    let mut next_arrival = 0.0f64;
-
-    let mut t = 0u64;
+    // Poll the server to the wall clock — the load generator's machine
+    // clock — not the nominal slice edge: shard service clocks then track
+    // the timebase the client stamps with, so admit/dispatch/reply anchors
+    // land *after* the sends they answer instead of being clamped away by
+    // skew. A shard whose backlog emptied mid-slice parks its clock where
+    // service stopped; catch lagging clocks up to the previous wall first —
+    // unused slice budget is idle time, not banked burst capacity.
     let mut prev_wall = 0u64;
-    let drain_deadline = params.duration_ns.saturating_mul(8);
-    loop {
-        let t_next = t + params.slice_ns;
-        if t < params.duration_ns {
-            let client_clock = client.stack.sim().clock();
-            if client_clock.now() < t {
-                client_clock.advance_to(t);
-            }
-            while next_arrival < t_next as f64 && (next_arrival as u64) < params.duration_ns {
-                // Pace each send to its arrival instant on the client
-                // clock: the load generator's machine clock is the
-                // experiment's wall clock, so flight stamps from every
-                // layer stay comparable. If send-side work outruns the
-                // pace the clock drifts ahead and arrivals go out
-                // back-to-back at client capacity.
-                if client_clock.now() < next_arrival as u64 {
-                    client_clock.advance_to(next_arrival as u64);
-                }
-                let key = key_string(rng.next_bounded(params.num_keys));
-                let id = if rng.next_f64() < params.put_fraction {
-                    client.send_put(key.as_bytes(), &put_scratch)
-                } else {
-                    client.send_get(&[key.as_bytes()])
-                };
-                in_flight.insert(id, ());
-                offered += 1;
-                next_arrival += interarrival;
-            }
+    let run = rig.drive(load, capacity_rps, params.multiplier, |rig, slice_end| {
+        for sim in rig.server.sims() {
+            sim.clock().advance_to(prev_wall);
         }
-        // Poll the server to the wall clock, not the nominal slice edge:
-        // shard service clocks then track the same timebase the client
-        // stamps with, so admit/dispatch/reply anchors land *after* the
-        // sends they answer instead of being clamped away by skew. A shard
-        // whose backlog emptied mid-slice parks its clock where service
-        // stopped; catch lagging clocks up to the previous wall first —
-        // unused slice budget is idle time, not banked burst capacity.
-        let wall = client.stack.sim().now().max(t_next);
-        for sim in server.sims() {
-            let shard_clock = sim.clock();
-            if shard_clock.now() < prev_wall {
-                shard_clock.advance_to(prev_wall);
-            }
-        }
-        server.poll_admitted_until(wall, wall);
-        prev_wall = wall;
-        let client_clock = client.stack.sim().clock();
-        if client_clock.now() < t_next {
-            client_clock.advance_to(t_next);
-        }
-        while let Some(resp) = client.recv_response() {
-            let Some(id) = resp.id else { continue };
-            if in_flight.remove(&id).is_none() {
-                continue;
-            }
-            if resp.flags & flags::SHED != 0 {
-                shed += 1;
-                continue;
-            }
-            served_ids.push(id);
-        }
-        for id in client.poll_timers() {
-            if in_flight.remove(&id).is_some() {
-                timed_out += 1;
-            }
-        }
-        // Drain the shared ring every slice: the per-request index grows
-        // on the harness heap, the hot-path ring stays bounded and never
-        // overwrites.
-        for rec in flight.drain() {
-            events.entry(rec.req_id).or_default().push(rec);
-        }
-        t = t_next;
-        let loading = t < params.duration_ns;
-        let draining = !in_flight.is_empty() || server.backlog_len() > 0;
-        if !loading && (!draining || t >= drain_deadline) {
-            break;
-        }
-    }
-    for rec in flight.drain() {
-        events.entry(rec.req_id).or_default().push(rec);
-    }
+        prev_wall = rig.client.stack.sim().now().max(slice_end);
+        prev_wall
+    });
+    let events = &run.events;
 
     // Event-derived end-to-end latencies; exemplars link each histogram
     // magnitude bucket back to the slowest concrete request in it.
     let mut lats: Vec<(u64, u32, Phases)> = Vec::new();
-    for &id in &served_ids {
+    for &(id, _) in &run.served {
         if let Some((e2e, phases)) = events.get(&id).and_then(|evs| decompose(evs)) {
             e2e_hist.record_exemplar(e2e, u64::from(id));
             lats.push((e2e, id, phases));
@@ -470,11 +316,11 @@ pub fn run_anatomy(params: &TailAnatomyParams, tele: &Telemetry) -> TailAnatomyR
 
     TailAnatomyResult {
         capacity_rps,
-        offered,
+        offered: run.offered,
         served: lats.len() as u64,
-        shed,
-        timed_out,
-        retries: client.retries_sent(),
+        shed: run.shed,
+        timed_out: run.timed_out,
+        retries: rig.client.retries_sent(),
         shed_sojourn_mean_ns,
         rows,
         timelines,
@@ -486,116 +332,99 @@ pub fn run_anatomy(params: &TailAnatomyParams, tele: &Telemetry) -> TailAnatomyR
     }
 }
 
-fn timeline_json(events: &[FlightRecord]) -> String {
-    let mut out = String::from("[");
-    for (i, rec) in events.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"ts_ns\": {}, \"event\": \"{}\"",
-            rec.ts_ns,
-            rec.event.label()
-        ));
-        if let Some((k, v)) = rec.event.detail() {
-            out.push_str(&format!(", \"{k}\": {v}"));
-        }
-        out.push('}');
-    }
-    out.push(']');
-    out
-}
-
-/// Renders the result as the `tail_anatomy.json` artifact body.
-pub fn to_json(params: &TailAnatomyParams, r: &TailAnatomyResult) -> String {
-    let mut out = format!(
-        "{{\n  \"experiment\": \"tail_anatomy\",\n  \"multiplier\": {:.2},\n  \"capacity_rps\": {:.1},\n  \"offered\": {},\n  \"served\": {},\n  \"shed\": {},\n  \"timed_out\": {},\n  \"retries\": {},\n  \"shed_sojourn_mean_ns\": {},\n  \"quantiles\": [\n",
-        params.multiplier,
-        r.capacity_rps,
-        r.offered,
-        r.served,
-        r.shed,
-        r.timed_out,
-        r.retries,
-        r.shed_sojourn_mean_ns,
-    );
-    for (i, row) in r.rows.iter().enumerate() {
-        let p = &row.phases;
-        out.push_str(&format!(
-            "    {{\"quantile\": \"{}\", \"q\": {}, \"req_id\": {}, \"e2e_ns\": {}, \"phase_sum_ns\": {}, \"phases\": {{\"retry_wait_ns\": {}, \"queueing_ns\": {}, \"sojourn_ns\": {}, \"service_ns\": {}, \"wire_ns\": {}}}, \"timeline\": {}}}{}\n",
-            row.label,
-            row.q,
-            row.req_id,
-            row.e2e_ns,
-            p.sum_ns(),
-            p.retry_wait_ns,
-            p.queueing_ns,
-            p.sojourn_ns,
-            p.service_ns,
-            p.wire_ns,
-            r.timelines
-                .get(&row.req_id)
-                .map_or_else(|| "[]".to_string(), |evs| timeline_json(evs)),
-            if i + 1 < r.rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"exemplars\": [\n");
-    for (i, (value, req_id)) in r.exemplars.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"value\": {value}, \"req_id\": {req_id}}}{}\n",
-            if i + 1 < r.exemplars.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 /// Runs the harness, prints the anatomy table, writes `tail_anatomy.json`
 /// and the `tail_anatomy-metrics.json` snapshot.
-pub fn run(params: &TailAnatomyParams) -> TailAnatomyResult {
+pub fn run(params: &TailAnatomyParams) -> Value {
     let tele = Telemetry::new(
         cf_sim::Clock::new(),
         cf_telemetry::TelemetryConfig::default(),
     );
     let r = run_anatomy(params, &tele);
-    let rows: Vec<Vec<String>> = r
-        .rows
-        .iter()
-        .map(|row| {
-            let p = &row.phases;
-            vec![
-                row.label.to_string(),
-                row.req_id.to_string(),
-                format!("{:.1}", row.e2e_ns as f64 / 1000.0),
-                format!("{:.1}", p.retry_wait_ns as f64 / 1000.0),
-                format!("{:.1}", p.queueing_ns as f64 / 1000.0),
-                format!("{:.1}", p.sojourn_ns as f64 / 1000.0),
-                format!("{:.1}", p.service_ns as f64 / 1000.0),
-                format!("{:.1}", p.wire_ns as f64 / 1000.0),
-            ]
-        })
-        .collect();
-    print_table(
+    let quantile = |row: &QuantileRow| {
+        let p = &row.phases;
+        let timeline = r.timelines.get(&row.req_id).map_or(&[][..], Vec::as_slice);
+        Value::obj([
+            ("quantile", text(row.label)),
+            ("q", Value::Num(row.q)),
+            ("req_id", int(row.req_id.into())),
+            ("e2e_ns", int(row.e2e_ns)),
+            ("phase_sum_ns", int(p.sum_ns())),
+            (
+                "phases",
+                Value::obj([
+                    ("retry_wait_ns", int(p.retry_wait_ns)),
+                    ("queueing_ns", int(p.queueing_ns)),
+                    ("sojourn_ns", int(p.sojourn_ns)),
+                    ("service_ns", int(p.service_ns)),
+                    ("wire_ns", int(p.wire_ns)),
+                ]),
+            ),
+            ("timeline", list(timeline, FlightRecord::to_value)),
+        ])
+    };
+    let exemplar = |&(value, req_id): &(u64, u64)| {
+        Value::obj([("value", int(value)), ("req_id", int(req_id))])
+    };
+    let tree = Value::obj([
+        ("experiment", text("tail_anatomy")),
+        (
+            "params",
+            Value::obj([
+                ("load", params.load.tree()),
+                ("multiplier", Value::Num(params.multiplier)),
+                ("drop_prob", Value::Num(params.drop_prob)),
+                ("flight_capacity", int(params.flight_capacity as u64)),
+            ]),
+        ),
+        ("capacity_rps", fixed(r.capacity_rps, 1)),
+        ("offered", int(r.offered)),
+        ("served", int(r.served)),
+        ("shed", int(r.shed)),
+        ("timed_out", int(r.timed_out)),
+        ("retries", int(r.retries)),
+        ("shed_sojourn_mean_ns", int(r.shed_sojourn_mean_ns)),
+        ("quantiles", list(&r.rows, quantile)),
+        ("exemplars", list(&r.exemplars, exemplar)),
+    ]);
+    print_rows(
         &format!(
-            "Tail anatomy at {:.1}x capacity ({:.0} krps): where the time goes (us)",
+            "Tail anatomy at {:.1}x capacity ({:.0} krps): where the time goes (ns)",
             params.multiplier,
             r.capacity_rps / 1e3
         ),
+        &tree,
+        "quantiles[quantile]",
         &[
-            "Quantile", "ReqId", "e2e", "Retry", "Queue", "Sojourn", "Service", "Wire",
+            "req_id",
+            "e2e_ns",
+            "phases.retry_wait_ns",
+            "phases.queueing_ns",
+            "phases.sojourn_ns",
+            "phases.service_ns",
+            "phases.wire_ns",
         ],
-        &rows,
     );
-    match write_json_artifact("tail_anatomy", &to_json(params, &r)) {
-        Ok(path) => println!("  artifact: {}", path.display()),
-        Err(e) => println!("  artifact write failed: {e}"),
-    }
-    match write_metrics_artifact("tail_anatomy", &tele) {
-        Ok(path) => println!("  metrics:  {}", path.display()),
-        Err(e) => println!("  metrics write failed: {e}"),
-    }
-    r
+    write_artifact("tail_anatomy.json", &tree.render());
+    write_artifact("tail_anatomy-metrics.json", &tele.snapshot_json());
+    tree
 }
+
+/// What `BENCH_tail_anatomy.json` is held to (see [`crate::ratchet`];
+/// spreads are five full-preset runs, EXPERIMENTS.md "Artifacts and
+/// ratchet"). The quantiles' request ids, phases and timelines are recorded
+/// and not gated: several requests share a latency to the nanosecond, and
+/// which of them sorts into the quantile's slot changes run to run.
+pub const RULES: &[Rule] = &[
+    // The closed-loop probe repeats exactly.
+    Rule("capacity_rps", Gate::Higher(0.03)),
+    // Fixed by the arrival process.
+    Rule("offered", Gate::Same),
+    // Repeated exactly in five runs.
+    Rule("served", Gate::Higher(0.03)),
+    Rule("retries", Gate::Lower(0.03)),
+    // Spread 0.002 %.
+    Rule("quantiles[quantile].e2e_ns", Gate::Lower(0.03)),
+];
 
 #[cfg(test)]
 mod tests {
@@ -604,12 +433,11 @@ mod tests {
     use cf_telemetry::TelemetryConfig;
 
     fn test_params() -> TailAnatomyParams {
-        TailAnatomyParams {
-            num_keys: 128,
-            probe_requests: 600,
-            duration_ns: 600_000,
-            ..TailAnatomyParams::quick()
-        }
+        let mut params = TailAnatomyParams::quick();
+        params.load.num_keys = 128;
+        params.load.probe_requests = 600;
+        params.load.duration_ns = 600_000;
+        params
     }
 
     #[test]
@@ -705,14 +533,11 @@ mod tests {
     }
 
     #[test]
-    fn artifact_json_is_valid_and_complete() {
-        let tele = Telemetry::new(Clock::new(), TelemetryConfig::default());
-        let params = test_params();
-        let r = run_anatomy(&params, &tele);
-        let json = to_json(&params, &r);
-        let v = cf_telemetry::json::parse(&json).expect("valid JSON");
-        let quantiles = v.get("quantiles").unwrap().as_arr().unwrap();
-        assert_eq!(quantiles.len(), r.rows.len());
+    fn artifact_is_complete_and_gates_itself() {
+        let tree = run(&test_params());
+        crate::ratchet::assert_gates_itself(RULES, &tree);
+        let quantiles = tree.get("quantiles").unwrap().as_arr().unwrap();
+        assert_eq!(quantiles.len(), 3);
         for q in quantiles {
             let e2e = q.get("e2e_ns").unwrap().as_u64().unwrap();
             let sum = q.get("phase_sum_ns").unwrap().as_u64().unwrap();
@@ -722,6 +547,6 @@ mod tests {
                 "each quantile carries its exemplar timeline"
             );
         }
-        assert!(!v.get("exemplars").unwrap().as_arr().unwrap().is_empty());
+        assert!(!tree.get("exemplars").unwrap().as_arr().unwrap().is_empty());
     }
 }

@@ -10,13 +10,24 @@
 //! - Experiments print the same rows/series the paper reports, as aligned
 //!   text tables, plus a one-line comparison against the paper's headline
 //!   number.
-//! - All randomness is seeded; output is deterministic.
+//! - All randomness is seeded, and one seed replays one request stream:
+//!   every count a driver fixes (requests offered, per-shard requests, flows,
+//!   window grids, probe counts) repeats exactly run to run. Virtual *times*
+//!   do not repeat to the bit: the cost model charges a copy by the real
+//!   heap address of its source (`charge_memcpy(src.as_ptr(), …)`), and
+//!   addresses move with ASLR and with `RandomState`-timed rehashes. Below
+//!   saturation the spread is under 0.05 %; where a client retries it
+//!   reaches a few percent (EXPERIMENTS.md, "Artifacts and ratchet", has
+//!   the per-field spread of five runs).
 //! - Setting `CF_QUICK=1` shrinks durations ~10× for smoke runs; the
-//!   recorded numbers in `EXPERIMENTS.md` come from full runs.
+//!   recorded numbers in `EXPERIMENTS.md` and every committed
+//!   `BENCH_*.json` come from full runs, and only full runs are gated
+//!   ([`ratchet`]).
 
 pub mod artifacts;
 pub mod experiments;
 pub mod harness;
+pub mod ratchet;
 pub mod tables;
 
 /// True when `CF_QUICK=1`: run shortened sweeps.

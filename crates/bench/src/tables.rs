@@ -1,5 +1,9 @@
 //! Aligned text-table output for experiment results.
 
+use cf_telemetry::json::Value;
+
+use crate::artifacts::{label, select};
+
 /// Prints a titled, aligned table.
 ///
 /// # Examples
@@ -35,6 +39,29 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     for row in rows {
         line(row);
     }
+}
+
+/// Prints the rows of a result tree as a table: `rows` is a [`select`] path
+/// to them (`kinds[kind].ops[op]`), the first column
+/// is each row's label, and every name in `fields` is one more column.
+pub fn print_rows(title: &str, tree: &Value, rows: &str, fields: &[&str]) {
+    let columns: Vec<_> = fields
+        .iter()
+        .map(|f| select(tree, &format!("{rows}.{f}")))
+        .collect();
+    let cell = |v: Option<&Value>| v.map_or("-".to_string(), label);
+    let body: Vec<Vec<String>> = (0..columns[0].len())
+        .map(|r| {
+            let label = columns[0][r].0.trim_end_matches('.').to_string();
+            std::iter::once(label)
+                .chain(columns.iter().map(|c| cell(c[r].1)))
+                .collect()
+        })
+        .collect();
+    let headers: Vec<&str> = std::iter::once(rows)
+        .chain(fields.iter().copied())
+        .collect();
+    print_table(title, &headers, &body);
 }
 
 /// Formats a float with one decimal.

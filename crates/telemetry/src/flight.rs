@@ -30,7 +30,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use crate::json;
+use crate::json::Value;
 
 /// One typed lifecycle event. `Copy`, fixed-size, and allocation-free by
 /// construction — variants carry only small scalars.
@@ -172,6 +172,26 @@ pub struct FlightRecord {
     pub ts_ns: u64,
     /// What happened.
     pub event: FlightEvent,
+}
+
+impl FlightRecord {
+    /// The record as a JSON object: `{"req_id": …, "ts_ns": …, "event":
+    /// "<label>"}` plus the event's detail member, if it has one. The one
+    /// rendering of a flight event; a timeline is an array of these.
+    pub fn to_value(&self) -> Value {
+        let mut members = vec![
+            ("req_id", Value::Num(f64::from(self.req_id))),
+            ("ts_ns", Value::Num(self.ts_ns as f64)),
+            ("event", Value::Str(self.event.label().into())),
+        ];
+        members.extend(self.event.detail().map(|(k, d)| (k, Value::Num(d as f64))));
+        Value::Obj(
+            members
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
 }
 
 struct Ring {
@@ -330,28 +350,6 @@ impl FlightRecorder {
             inner.borrow_mut().clear();
         }
     }
-
-    /// Renders one request's timeline as a JSON array of event objects
-    /// (`{"ts_ns": …, "event": "…", "detail_key": detail_value}`).
-    pub fn timeline_json(&self, req_id: u32) -> String {
-        let mut out = String::from("[");
-        for (i, rec) in self.events_for(req_id).iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"ts_ns\": {}, \"event\": \"{}\"",
-                rec.ts_ns,
-                json::escape(rec.event.label())
-            ));
-            if let Some((k, v)) = rec.event.detail() {
-                out.push_str(&format!(", \"{}\": {v}", json::escape(k)));
-            }
-            out.push('}');
-        }
-        out.push(']');
-        out
-    }
 }
 
 impl std::fmt::Debug for FlightRecorder {
@@ -378,7 +376,6 @@ mod tests {
         assert_eq!(fr.recorded(), 0);
         assert!(fr.drain().is_empty());
         assert!(fr.events_for(1).is_empty());
-        assert_eq!(fr.timeline_json(1), "[]");
     }
 
     #[test]
@@ -442,7 +439,7 @@ mod tests {
     }
 
     #[test]
-    fn timeline_json_is_valid_and_carries_details() {
+    fn records_render_with_their_details() {
         let fr = FlightRecorder::with_capacity(8);
         fr.record(3, 10, FlightEvent::ClientSend);
         fr.record(
@@ -454,11 +451,20 @@ mod tests {
             },
         );
         fr.record(3, 30, FlightEvent::BacklogShed { sojourn_ns: 1234 });
-        let tl = fr.timeline_json(3);
-        json::validate(&tl).expect("timeline is valid JSON");
-        assert!(tl.contains("\"event\": \"client_retry\""));
-        assert!(tl.contains("\"attempt\": 1"));
-        assert!(tl.contains("\"sojourn_ns\": 1234"));
+        let tl: Vec<String> = fr
+            .events_for(3)
+            .iter()
+            .map(|r| r.to_value().render())
+            .collect();
+        assert_eq!(
+            tl[0],
+            "{\"req_id\": 3, \"ts_ns\": 10, \"event\": \"client_send\"}\n"
+        );
+        assert_eq!(
+            tl[1],
+            "{\"req_id\": 3, \"ts_ns\": 20, \"event\": \"client_retry\", \"attempt\": 1}\n"
+        );
+        assert!(tl[2].contains("\"sojourn_ns\": 1234"));
     }
 
     #[test]

@@ -97,6 +97,58 @@ impl Value {
             _ => None,
         }
     }
+
+    /// An object from `(name, value)` pairs, in the order given.
+    pub fn obj<const N: usize>(members: [(&str, Value); N]) -> Value {
+        Value::Obj(members.map(|(k, v)| (k.to_string(), v)).into())
+    }
+
+    /// Renders the tree as JSON text, ending in a newline, that [`parse`]
+    /// reads back to an equal tree: strings through [`escape`], numbers
+    /// through [`num`] (so a non-finite number is written, and read back,
+    /// as 0). An array of scalars, and an object whose members are scalars
+    /// or arrays of scalars, take one line; anything deeper takes one line
+    /// per element, so a table of rows reads (and diffs) a row per line.
+    pub fn render(&self) -> String {
+        self.text(0) + "\n"
+    }
+
+    /// Levels of container at and below this value (0 for a scalar).
+    fn height(&self) -> usize {
+        match self {
+            Value::Arr(items) => 1 + items.iter().map(Value::height).max().unwrap_or(0),
+            Value::Obj(members) => 1 + members.iter().map(|(_, v)| v.height()).max().unwrap_or(0),
+            _ => 0,
+        }
+    }
+
+    fn text(&self, depth: usize) -> String {
+        let member = |(k, v): &(String, Value)| format!("\"{}\": {}", escape(k), v.text(depth + 1));
+        let (open, close, one_line, parts): (_, _, _, Vec<String>) = match self {
+            Value::Null => return "null".to_string(),
+            Value::Bool(b) => return b.to_string(),
+            Value::Num(n) => return num(*n),
+            Value::Str(s) => return format!("\"{}\"", escape(s)),
+            Value::Arr(items) => {
+                let parts = items.iter().map(|v| v.text(depth + 1)).collect();
+                ('[', ']', self.height() <= 1, parts)
+            }
+            Value::Obj(members) => (
+                '{',
+                '}',
+                self.height() <= 2,
+                members.iter().map(member).collect(),
+            ),
+        };
+        if one_line || parts.is_empty() {
+            return format!("{open}{}{close}", parts.join(", "));
+        }
+        let pad = "  ".repeat(depth);
+        format!(
+            "{open}\n{pad}  {}\n{pad}{close}",
+            parts.join(&format!(",\n{pad}  "))
+        )
+    }
 }
 
 /// Parses `s` as one complete JSON value. Returns the byte offset and
@@ -318,6 +370,88 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
+
+    /// Arbitrary trees up to `0` levels of container deep: every scalar
+    /// kind, strings that need every escape, integers to 2^53, fractions,
+    /// and containers that are often empty.
+    struct Tree(u32);
+
+    impl Strategy for Tree {
+        type Value = Value;
+        fn generate(&self, rng: &mut TestRng) -> Option<Value> {
+            let text = |rng: &mut TestRng| {
+                let pick = [
+                    "",
+                    "plain",
+                    "q\"uote",
+                    "back\\slash",
+                    "nl\n\r\t",
+                    "\u{1}\u{1f}",
+                    "é π 🦀",
+                ];
+                let n = rng.gen_range(0, 4) as usize;
+                (0..n)
+                    .map(|_| pick[rng.gen_range(0, pick.len() as u128) as usize])
+                    .collect::<String>()
+            };
+            let kinds = if self.0 == 0 { 6 } else { 8 };
+            Some(match rng.gen_range(0, kinds) {
+                0 => Value::Null,
+                1 => Value::Bool(rng.gen_ratio(1, 2)),
+                2 => Value::Num(rng.gen_range(0, (1u128 << 53) + 1) as f64),
+                3 => Value::Num(-(rng.gen_range(0, 1 << 53) as f64)),
+                4 => Value::Num(rng.gen_range(0, 1 << 40) as f64 / 1024.0 - 1e6),
+                5 => Value::Str(text(rng)),
+                6 => Value::Arr(
+                    (0..rng.gen_range(0, 4))
+                        .map(|_| Tree(self.0 - 1).generate(rng).expect("unfiltered"))
+                        .collect(),
+                ),
+                _ => Value::Obj(
+                    (0..rng.gen_range(0, 4))
+                        .map(|_| {
+                            let v = Tree(self.0 - 1).generate(rng).expect("unfiltered");
+                            (text(rng), v)
+                        })
+                        .collect(),
+                ),
+            })
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn render_then_parse_is_identity(v in Tree(4)) {
+            let text = v.render();
+            prop_assert_eq!(parse(&text).as_ref(), Ok(&v), "{}", text);
+        }
+    }
+
+    #[test]
+    fn render_writes_non_finite_numbers_as_zero_and_rows_on_one_line() {
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(parse(&Value::Num(n).render()), Ok(Value::Num(0.0)));
+        }
+        let row = |q: f64| {
+            Value::obj([
+                ("q", Value::Num(q)),
+                ("shards", Value::Arr(vec![Value::Num(q)])),
+            ])
+        };
+        let doc = Value::obj([
+            ("params", Value::obj([("keys", Value::Num(8.0))])),
+            ("points", Value::Arr(vec![row(1.0), row(2.0)])),
+            ("none", Value::Arr(vec![])),
+        ]);
+        assert_eq!(
+            doc.render(),
+            "{\n  \"params\": {\"keys\": 8},\n  \"points\": [\n    {\"q\": 1, \"shards\": [1]},\n    \
+             {\"q\": 2, \"shards\": [2]}\n  ],\n  \"none\": []\n}\n"
+        );
+    }
 
     #[test]
     fn accepts_valid_json() {

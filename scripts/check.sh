@@ -54,16 +54,19 @@ cargo test -q --test flight_zero_alloc
 cargo test -q --test metric_namespace
 cargo test -q -p cf-bench --lib experiments::tail_anatomy
 
-echo "==> hot-path gates: allocator-count proofs + bench ratchet (quick preset)"
+echo "==> hot-path gates: allocator-count proofs"
 cargo test -q --test hotpath_zero_alloc
 cargo test -q -p cf-bench --lib experiments::hotpath
-CF_QUICK=1 cargo bench -p cf-bench --bench hotpath
 
-echo "==> churn gates: bounded flow table + churn bench ratchet (quick preset)"
+echo "==> churn gates: bounded flow table"
 cargo test -q -p cf-net --test flow_table
 cargo test -q --test tcp_churn
 cargo test -q -p cf-bench --lib experiments::churn
-CF_QUICK=1 cargo bench -p cf-bench --bench churn
+
+echo "==> bench artifacts: the ratchet's own tests, then the seven extension benches at the full preset, each held to its committed BENCH_*.json (CF_BLESS=1 regenerates one)"
+cargo test -q -p cf-bench --lib ratchet
+cargo bench -p cf-bench --bench hotpath --bench churn --bench scaling --bench overload \
+    --bench tail_anatomy --bench failover --bench partition
 
 echo "==> transport parity gate: recorded TCP charge traces and end times, the stack and listener suites, TCP KV"
 cargo test -q -p cf-net --test tcp_charge_trace --test tcp_end_to_end --test tcp_proptests

@@ -13,11 +13,11 @@
 //!
 //! CI uploads the file on failure; on success it is never written.
 
-use std::fmt::Write as _;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
-use cf_telemetry::FlightRecorder;
+use cf_telemetry::json::Value;
+use cf_telemetry::{FlightRecord, FlightRecorder};
 
 /// Where the repro artifact lands: `$CF_REPRO_DIR` or `target/`.
 fn repro_path() -> PathBuf {
@@ -25,24 +25,6 @@ fn repro_path() -> PathBuf {
         .map(PathBuf::from)
         .unwrap_or_else(|_| PathBuf::from("target"));
     dir.join("chaos_repro.json")
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Extracts a printable message from a panic payload.
@@ -54,30 +36,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "<non-string panic payload>".to_string()
     }
-}
-
-/// Serializes every recorded flight event as a JSON array of
-/// `{req_id, ts_ns, event, detail_key?, detail?}` objects.
-fn flight_json(flight: &FlightRecorder) -> String {
-    let mut out = String::from("[");
-    for (i, rec) in flight.snapshot().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"req_id\":{},\"ts_ns\":{},\"event\":\"{}\"",
-            rec.req_id,
-            rec.ts_ns,
-            rec.event.label()
-        );
-        if let Some((key, val)) = rec.event.detail() {
-            let _ = write!(out, ",\"{key}\":{val}");
-        }
-        out.push('}');
-    }
-    out.push(']');
-    out
 }
 
 /// Runs `body` as one chaos case. On panic, writes
@@ -94,30 +52,24 @@ pub fn guard<F: FnOnce()>(
     let result = catch_unwind(AssertUnwindSafe(body));
     let Err(payload) = result else { return };
 
-    let mut doc = String::from("{");
-    let _ = write!(doc, "\"test\":\"{}\"", json_escape(test));
-    let _ = write!(doc, ",\"seed\":{seed}");
-    let _ = write!(
-        doc,
-        ",\"panic\":\"{}\"",
-        json_escape(&panic_message(payload.as_ref()))
-    );
-    doc.push_str(",\"params\":{");
-    for (i, (name, value)) in params.iter().enumerate() {
-        if i > 0 {
-            doc.push(',');
-        }
-        let _ = write!(doc, "\"{}\":\"{}\"", json_escape(name), json_escape(value));
-    }
-    doc.push('}');
-    let _ = write!(
-        doc,
-        ",\"flight_recorded\":{},\"flight_dropped\":{}",
-        flight.recorded(),
-        flight.dropped()
-    );
-    let _ = write!(doc, ",\"flight\":{}", flight_json(flight));
-    doc.push('}');
+    let text = |s: &str| Value::Str(s.to_string());
+    let params = params.iter().map(|(name, v)| (name.to_string(), text(v)));
+    let timeline = flight.snapshot();
+    let doc = Value::obj([
+        ("test", text(test)),
+        // In decimal, as a string: a JSON number is a double and a seed is
+        // any u64, and a seed that lost its low bits replays nothing.
+        ("seed", text(&seed.to_string())),
+        ("panic", text(&panic_message(payload.as_ref()))),
+        ("params", Value::Obj(params.collect())),
+        ("flight_recorded", Value::Num(flight.recorded() as f64)),
+        ("flight_dropped", Value::Num(flight.dropped() as f64)),
+        (
+            "flight",
+            Value::Arr(timeline.iter().map(FlightRecord::to_value).collect()),
+        ),
+    ])
+    .render();
 
     let path = repro_path();
     if let Some(parent) = path.parent() {
@@ -171,13 +123,24 @@ mod tests {
         assert!(caught.is_err(), "guard re-raises the panic");
         let body = std::fs::read_to_string(dir.join("chaos_repro.json")).expect("artifact written");
         std::env::remove_var("CF_REPRO_DIR");
-        assert!(body.contains("\"test\":\"demo_fail\""));
-        assert!(body.contains(&format!("\"seed\":{}", 0xDEADu64)));
-        assert!(body.contains("\"drop_bp\":\"150\""));
-        assert!(body.contains("invariant \\\"x\\\" violated"));
-        assert!(body.contains("\"event\":\"failover\""));
-        assert!(body.contains("\"node\":2"));
-        // The artifact is valid JSON by the in-tree parser.
-        cf_telemetry::json::parse(&body).expect("artifact parses as JSON");
+        let doc = cf_telemetry::json::parse(&body).expect("artifact parses as JSON");
+        let member = |name: &str| {
+            doc.get(name)
+                .unwrap_or_else(|| panic!("no {name} in {body}"))
+        };
+        assert_eq!(member("test").as_str(), Some("demo_fail"));
+        assert_eq!(member("seed").as_str(), Some("57005"));
+        assert_eq!(
+            member("params").get("drop_bp").and_then(Value::as_str),
+            Some("150")
+        );
+        assert_eq!(member("panic").as_str(), Some("invariant \"x\" violated"));
+        let failover = &member("flight").as_arr().expect("timeline")[1];
+        assert_eq!(
+            failover.get("event").and_then(Value::as_str),
+            Some("failover")
+        );
+        assert_eq!(failover.get("req_id").and_then(Value::as_u64), Some(42));
+        assert_eq!(failover.get("node").and_then(Value::as_u64), Some(2));
     }
 }
