@@ -10,9 +10,11 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use cf_kv::store::KvStore;
 use cf_mem::{PinnedPool, PoolConfig, RcBuf, Registry};
+use cf_sim::rng::SplitMix64;
 use cf_sim::{CacheSim, Category, Histogram, MachineProfile, Sim};
-use cf_workloads::Zipf;
+use cf_workloads::{key_string, GoogleSizeDist, Zipf};
 use cornflakes_core::msgs::GetM;
 use cornflakes_core::obj::{serialize_to_vec, write_full_header};
 use cornflakes_core::{CFBytes, CornflakesObj, SerCtx, SerializationConfig};
@@ -170,6 +172,41 @@ fn bench_pool() {
     }
 }
 
+/// The store's index on the host clock, where the repo benchmark cannot
+/// show it (its `kv.store_get_ns` replays a hot 1,024-request sample):
+/// 65,536 keys with Google-distribution value sizes, looked up in random
+/// order over all of them — table, values and modelled tag array together
+/// far past the host L2, so every lookup misses — and over 64 of them, which
+/// stay resident. `mget8` is what the engine does for an 8-key GET.
+fn bench_store() {
+    const KEYS: u64 = 65_536;
+    let ctx = SerCtx::new(
+        Sim::new(MachineProfile::microbench()),
+        SerializationConfig::hybrid(),
+    );
+    let mut store = KvStore::new(ctx.sim.clone());
+    let keys: Vec<String> = (0..KEYS).map(key_string).collect();
+    for (id, key) in keys.iter().enumerate() {
+        let size = GoogleSizeDist::object_for_key(id as u64, 1)[0];
+        store.preload(&ctx, key.as_bytes(), &[size]).expect("pool");
+    }
+    for (name, span) in [("cold", KEYS), ("resident", 64)] {
+        let mut rng = SplitMix64::new(0x5707E);
+        let mut draw = || keys[rng.next_bounded(span) as usize].as_bytes();
+        bench_function(&format!("store_get_{name}"), || {
+            store.get(black_box(draw())).map(|v| v.segments[0][0])
+        });
+        bench_function(&format!("store_mget8_{name}"), || {
+            let batch: [&[u8]; 8] = std::array::from_fn(|_| draw());
+            let mut first_bytes = 0;
+            store.get_each(batch.iter().copied(), |value| {
+                first_bytes += value.segments[0][0] as u32;
+            });
+            first_bytes
+        });
+    }
+}
+
 fn bench_workloads() {
     let mut zipf = Zipf::new(1_000_000, 0.99, 42);
     bench_function("zipf_sample", || zipf.next());
@@ -187,5 +224,6 @@ fn main() {
     bench_roundtrip();
     bench_cache_sim();
     bench_pool();
+    bench_store();
     bench_workloads();
 }

@@ -308,14 +308,13 @@ impl<T: Transport> KvEngine<T> {
                         _ => 0,
                     };
                     reply = codec.begin(Some(req_id));
-                    for key in req.keys() {
-                        let Some(value) = self.store.get(key) else {
-                            continue;
-                        };
+                    let ctx = self.stack.ctx();
+                    let raw = self.raw_zero_copy;
+                    self.store.get_each(req.keys(), |value| {
                         for buf in &value.segments {
-                            C::add_segment(self.stack.ctx(), &mut reply, buf, self.raw_zero_copy);
+                            C::add_segment(ctx, &mut reply, buf, raw);
                         }
-                    }
+                    });
                 }
             }
             drop(app);
@@ -365,7 +364,11 @@ impl<T: Transport> KvEngine<T> {
         let f = self.apply_put(req_id, key, val);
         let applied = f & flags::DEGRADED == 0;
         if applied && version != 0 {
-            self.versions.insert(key.to_vec(), version);
+            // The map owns a key it has seen: only a first write copies it.
+            match self.versions.get_mut(key) {
+                Some(stored) => *stored = version,
+                None => drop(self.versions.insert(key.to_vec(), version)),
+            }
         }
         (f, applied)
     }

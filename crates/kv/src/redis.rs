@@ -145,11 +145,9 @@ impl RedisServer {
     /// Collects every segment of every requested key.
     fn lookup_all(&self, keys: &[Vec<u8>]) -> Vec<cf_mem::RcBuf> {
         let mut out = Vec::new();
-        for key in keys {
-            if let Some(v) = self.store.get(key) {
-                out.extend(v.segments.iter().cloned());
-            }
-        }
+        let keys = keys.iter().map(Vec::as_slice);
+        self.store
+            .get_each(keys, |v| out.extend(v.segments.iter().cloned()));
         out
     }
 

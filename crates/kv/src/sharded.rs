@@ -35,7 +35,7 @@ use crate::store;
 /// clients, servers, and tests all agree on placement.
 pub fn shard_of_key(key: &[u8], shards: usize) -> usize {
     assert!(shards > 0, "at least one shard");
-    (store::fxhash(key) % shards as u64) as usize
+    (store::fnv1a(key) % shards as u64) as usize
 }
 
 /// A multi-queue KV server: one [`KvServer`] shard per NIC queue, sharing

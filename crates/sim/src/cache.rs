@@ -56,6 +56,22 @@ pub struct CacheSim {
 /// Cache line size in bytes. Fixed at 64 (x86 servers).
 pub const LINE: u64 = 64;
 
+/// Asks the host CPU to start loading the line at `p`: a hint that reads
+/// nothing and cannot fault, so any address is allowed, mapped or not. The
+/// model's own bookkeeping and the store's index use it to overlap host
+/// cache misses; it is invisible to the virtual clock. A no-op off x86-64.
+pub fn prefetch<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: PREFETCHT0 performs no architectural access: it never faults
+    // and never reads or writes memory the program can observe, whatever
+    // `p` holds (dangling, unaligned or null included).
+    unsafe {
+        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(p.cast())
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
+
 /// Moves `tag` to the front of `set` and returns whether it was resident.
 /// On a miss the tail falls off: the least recently used line, or an invalid
 /// way while the set still has one. Which invalid way a fill lands in is
@@ -163,6 +179,19 @@ impl CacheSim {
         let line = addr / LINE;
         let base = (line & self.set_mask) as usize * self.ways;
         self.tags[base..base + self.ways].contains(&(line + 1))
+    }
+
+    /// Host-only hint that the set of `addr` is about to be touched: starts
+    /// loading its tags (a 16-way set is 128 bytes and not line-aligned, so
+    /// up to three host lines) and reads none of them, so no later
+    /// [`CacheSim::touch`], `access`, `probe` or `invalidate` can tell
+    /// whether it was called.
+    #[inline]
+    pub fn hint(&self, addr: u64) {
+        let base = ((addr / LINE) & self.set_mask) as usize * self.ways;
+        for way in (0..self.ways).step_by(8).chain([self.ways - 1]) {
+            prefetch(&self.tags[base + way]);
+        }
     }
 
     /// Invalidates every line in `[addr, addr + len)`: a device DMA write.

@@ -157,7 +157,10 @@ fn matches_timestamp_lru_op_by_op() {
                     new.clear();
                     old.clear();
                 }
-                _ => {}
+                // A host-only hint, to the new cache alone: the reference has
+                // no such call, so every later comparison also says that no
+                // interleaving of hints changes what the model returns.
+                _ => new.hint(addr),
             }
         }
         // Same residents at the end, over every address the run could draw.

@@ -333,6 +333,13 @@ impl Sim {
         ns
     }
 
+    /// Host-only hint that a charge is about to touch the modelled line of
+    /// `addr` ([`CacheSim::hint`]): charges nothing and changes no state.
+    #[inline]
+    pub fn hint(&self, addr: u64) {
+        self.shared.core.borrow().cache.hint(addr);
+    }
+
     /// Records a device DMA write to `[addr, addr + len)`: invalidates the
     /// cached lines (no-DDIO AMD platform) without charging CPU time.
     pub fn dma_write(&self, addr: u64, len: usize) {

@@ -30,7 +30,7 @@ cargo test -q -p cf-nic fcs
 echo "==> cost-model gate: CacheSim against the timestamp-LRU reference op by op, set-layout properties, rounding grid, charge replay"
 cargo test -q -p cf-sim --lib -- cache::tests round_ns_is_f64_round_on_the_pinned_grid replay_matches_recorded_clock_and_attribution
 
-echo "==> memory gate: cf-mem in release (bounds checks that must not wrap), then its unit + property tests and tests/memory_safety.rs under AddressSanitizer"
+echo "==> memory gate: cf-mem in release (bounds checks that must not wrap), then its unit + property tests, tests/memory_safety.rs, cf-sim (the prefetch helper) and the store's tests under AddressSanitizer"
 cargo test -q --release -p cf-mem
 if cargo +nightly --version >/dev/null 2>&1; then
     # A target directory of its own (sanitized objects do not mix with the
@@ -41,10 +41,18 @@ if cargo +nightly --version >/dev/null 2>&1; then
         host=$(rustc +nightly -vV | sed -n 's/^host: //p')
         cargo +nightly test -q -p cf-mem --lib --tests --target "$host"
         cargo +nightly test -q --test memory_safety --target "$host"
+        cargo +nightly test -q -p cf-sim --lib --tests --target "$host"
+        cargo +nightly test -q -p cf-kv --lib --target "$host" store::
     )
 else
     echo "notice: no nightly toolchain (cargo +nightly): AddressSanitizer run skipped"
 fi
+
+echo "==> store parity gate: the table against a HashMap model, hints against the hint-free reference cache, recorded charge traces, allocator counts"
+cargo test -q -p cf-kv --lib store::
+cargo test -q -p cf-sim --lib cache::tests::matches_timestamp_lru_op_by_op
+cargo test -q -p cf-kv --test charge_trace
+cargo test -q --test hotpath_zero_alloc
 
 echo "==> overload smoke: goodput holds past saturation with control on"
 cargo test -q -p cf-bench --lib experiments::overload
