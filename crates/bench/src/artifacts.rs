@@ -108,7 +108,9 @@ mod tests {
     fn artifacts_are_valid_json() {
         let sim = Sim::new(MachineProfile::tiny_for_tests());
         let tele = Telemetry::attach(&sim);
-        tele.counter("test.counter").add(3);
+        let counter = cf_telemetry::Counter::default();
+        tele.adopt_counter("test.counter", &counter);
+        counter.add(3);
         write_artifact("unit-test-metrics.json", &tele.snapshot_json());
         let path = artifact_dir().join("unit-test-metrics.json");
         let text = fs::read_to_string(&path).expect("readable");

@@ -298,21 +298,21 @@ mod tests {
         let p = run_point(ScaleWorkload::YcsbC, 4, 1024, 1_500, Some(&tele));
         assert_eq!(p.requests, 1_500);
         let shard_total: u64 = (0..4)
-            .map(|q| tele.counter(&format!("kv.shard{q}.requests")).get())
+            .map(|q| tele.counter_value(&format!("kv.shard{q}.requests")))
             .sum();
         assert_eq!(shard_total, tele_total(&tele, "kv.shard", ".requests", 4));
         assert_eq!(shard_total, p.requests);
         let qframes: u64 = (0..4)
-            .map(|q| tele.counter(&format!("nic.q{q}.tx_frames")).get())
+            .map(|q| tele.counter_value(&format!("nic.q{q}.tx_frames")))
             .sum();
-        let aggregate = tele.counter("nic.tx_frames").get();
+        let aggregate = tele.counter_value("nic.tx_frames");
         assert_eq!(qframes, aggregate, "per-queue NIC counters sum to nic.*");
         assert!(aggregate >= p.requests, "every request got a reply frame");
     }
 
     fn tele_total(tele: &Telemetry, prefix: &str, suffix: &str, n: usize) -> u64 {
         (0..n)
-            .map(|q| tele.counter(&format!("{prefix}{q}{suffix}")).get())
+            .map(|q| tele.counter_value(&format!("{prefix}{q}{suffix}")))
             .sum()
     }
 

@@ -243,9 +243,9 @@ pub fn run_anatomy(params: &TailAnatomyParams, tele: &Telemetry) -> TailAnatomyR
     // One recorder shared by every machine: client, shards, and the
     // server NIC interleave into a single per-request timeline.
     rig.flight = FlightRecorder::with_capacity(params.flight_capacity);
-    rig.client.set_flight_recorder(&rig.flight);
-    rig.server.set_flight_recorder(&rig.flight);
-    rig.client.set_telemetry(tele);
+    rig.client.set_telemetry(&tele.with_flight(&rig.flight));
+    rig.server
+        .set_telemetry(&Telemetry::disabled().with_flight(&rig.flight));
     let e2e_hist = tele.histogram("kv.client.e2e_latency_ns");
 
     // Poll the server to the wall clock — the load generator's machine

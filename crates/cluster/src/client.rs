@@ -47,7 +47,7 @@ use cf_kv::client::{KvClient, Response, RetryConfig};
 use cf_kv::flags;
 use cf_kv::overload::{BreakerConfig, BreakerDecision, BreakerState, CircuitBreaker};
 use cf_sim::Sim;
-use cf_telemetry::{Counter, FlightEvent, FlightRecorder, Telemetry};
+use cf_telemetry::{Counter, FlightEvent, Telemetry};
 
 use crate::history::{ConsistencyHistory, OpKind, OpRecord};
 use crate::map::ClusterMap;
@@ -116,16 +116,11 @@ pub struct ClusterClient {
     breakers: Vec<CircuitBreaker>,
     route: Option<Route>,
     quorum: Option<QuorumRead>,
-    failovers: u64,
-    quorum_reads: u64,
-    read_repairs: u64,
-    partition_suspects: u64,
-    failover_counter: Counter,
-    quorum_counter: Counter,
-    repair_counter: Counter,
-    suspect_counter: Counter,
+    failovers: Counter,
+    quorum_reads: Counter,
+    read_repairs: Counter,
+    partition_suspects: Counter,
     history: ConsistencyHistory,
-    flight: FlightRecorder,
 }
 
 impl ClusterClient {
@@ -161,16 +156,11 @@ impl ClusterClient {
             breakers,
             route: None,
             quorum: None,
-            failovers: 0,
-            quorum_reads: 0,
-            read_repairs: 0,
-            partition_suspects: 0,
-            failover_counter: Counter::default(),
-            quorum_counter: Counter::default(),
-            repair_counter: Counter::default(),
-            suspect_counter: Counter::default(),
+            failovers: Counter::default(),
+            quorum_reads: Counter::default(),
+            read_repairs: Counter::default(),
+            partition_suspects: Counter::default(),
             history: ConsistencyHistory::disabled(),
-            flight: FlightRecorder::disabled(),
         }
     }
 
@@ -205,47 +195,42 @@ impl ClusterClient {
         self.history = history.clone();
     }
 
-    /// Registers `cluster.client.failovers`, `cluster.client.quorum_reads`,
-    /// `cluster.client.read_repairs`, and
-    /// `cluster.client.partition_suspects` (and nothing else — the inner
-    /// client's `kv.client.*` metrics register via
-    /// [`KvClient::set_telemetry`] separately if wanted).
+    /// Attaches `tele` to the wrapped [`KvClient`] (its `kv.client.*`,
+    /// stack and NIC) and adopts `cluster.client.failovers`,
+    /// `cluster.client.quorum_reads`, `cluster.client.read_repairs` and
+    /// `cluster.client.partition_suspects`, holding whatever they have
+    /// counted so far; failover events join `tele`'s flight recorder.
     pub fn set_telemetry(&mut self, tele: &Telemetry) {
-        self.failover_counter = tele.counter("cluster.client.failovers");
-        self.quorum_counter = tele.counter("cluster.client.quorum_reads");
-        self.repair_counter = tele.counter("cluster.client.read_repairs");
-        self.suspect_counter = tele.counter("cluster.client.partition_suspects");
-        self.failover_counter.add(self.failovers);
-        self.quorum_counter.add(self.quorum_reads);
-        self.repair_counter.add(self.read_repairs);
-        self.suspect_counter.add(self.partition_suspects);
-    }
-
-    /// Installs a flight recorder on failover events.
-    pub fn set_flight_recorder(&mut self, fr: &FlightRecorder) {
-        self.flight = fr.clone();
+        self.kv.set_telemetry(tele);
+        tele.adopt_counter("cluster.client.failovers", &self.failovers);
+        tele.adopt_counter("cluster.client.quorum_reads", &self.quorum_reads);
+        tele.adopt_counter("cluster.client.read_repairs", &self.read_repairs);
+        tele.adopt_counter(
+            "cluster.client.partition_suspects",
+            &self.partition_suspects,
+        );
     }
 
     /// Replica rotations performed due to suspected node failure.
     pub fn failovers(&self) -> u64 {
-        self.failovers
+        self.failovers.get()
     }
 
     /// Quorum-mode GETs issued.
     pub fn quorum_reads(&self) -> u64 {
-        self.quorum_reads
+        self.quorum_reads.get()
     }
 
     /// Read-repair `REPL_PUT`s pushed to stale replicas.
     pub fn read_repairs(&self) -> u64 {
-        self.read_repairs
+        self.read_repairs.get()
     }
 
     /// Frames that arrived from a node whose breaker is open: the node
     /// is alive and the switch delivers, yet requests routed to it kept
     /// failing — a partition, not a crash.
     pub fn partition_suspects(&self) -> u64 {
-        self.partition_suspects
+        self.partition_suspects.get()
     }
 
     /// The node the outstanding request is currently targeting.
@@ -320,8 +305,7 @@ impl ClusterClient {
             self.kv.stack.set_peer_host(t);
             self.kv.resend_now(id);
         }
-        self.quorum_reads += 1;
-        self.quorum_counter.inc();
+        self.quorum_reads.inc();
         self.quorum = Some(QuorumRead {
             id,
             key: key.to_vec(),
@@ -380,8 +364,7 @@ impl ClusterClient {
             .get(host as usize)
             .is_some_and(|b| b.state() == BreakerState::Open);
         if open {
-            self.partition_suspects += 1;
-            self.suspect_counter.inc();
+            self.partition_suspects.inc();
         }
     }
 
@@ -428,10 +411,12 @@ impl ClusterClient {
                 route.idx += 1;
                 let next = route.replicas[route.idx % route.replicas.len()];
                 self.kv.stack.set_peer_host(next);
-                self.failovers += 1;
-                self.failover_counter.inc();
-                self.flight
-                    .record(route.id, now, FlightEvent::Failover { node: next });
+                self.failovers.inc();
+                self.kv.stack.telemetry().flight().record(
+                    route.id,
+                    now,
+                    FlightEvent::Failover { node: next },
+                );
             }
             self.route = Some(route);
         }
@@ -456,9 +441,11 @@ impl ClusterClient {
         }
         self.kv.stack.set_peer_host(next);
         self.kv.resend_now(q.id);
-        self.failovers += 1;
-        self.failover_counter.inc();
-        self.flight
+        self.failovers.inc();
+        self.kv
+            .stack
+            .telemetry()
+            .flight()
             .record(q.id, now, FlightEvent::Failover { node: next });
     }
 
@@ -557,10 +544,12 @@ impl ClusterClient {
                     if r.version < best_version {
                         self.kv.stack.set_peer_host(*h);
                         self.kv.send_repair_put(&q.key, &val, best_version);
-                        self.read_repairs += 1;
-                        self.repair_counter.inc();
-                        self.flight
-                            .record(q.id, now, FlightEvent::ReplicaPut { node: *h });
+                        self.read_repairs.inc();
+                        self.kv.stack.telemetry().flight().record(
+                            q.id,
+                            now,
+                            FlightEvent::ReplicaPut { node: *h },
+                        );
                     }
                 }
             }
@@ -581,8 +570,8 @@ impl std::fmt::Debug for ClusterClient {
         f.debug_struct("ClusterClient")
             .field("host", &self.host)
             .field("mode", &self.mode)
-            .field("failovers", &self.failovers)
-            .field("quorum_reads", &self.quorum_reads)
+            .field("failovers", &self.failovers())
+            .field("quorum_reads", &self.quorum_reads())
             .finish()
     }
 }

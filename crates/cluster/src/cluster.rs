@@ -16,7 +16,7 @@ use cf_mem::PoolConfig;
 use cf_net::UdpStack;
 use cf_nic::{FaultInjector, FaultPlan, SimSwitch};
 use cf_sim::Sim;
-use cf_telemetry::{FlightRecorder, Telemetry};
+use cf_telemetry::Telemetry;
 use cornflakes_core::SerializationConfig;
 
 use crate::client::ClusterClient;
@@ -200,20 +200,17 @@ impl Cluster {
         self.nodes[node as usize].server.install_faults(plan)
     }
 
-    /// Registers cluster-layer telemetry: switch counters, every node's
-    /// `cluster.node<N>.*` protocol counters.
+    /// Attaches `tele` to everything the cluster owns: the switch
+    /// (`cluster.switch.*`), every node's protocol cells
+    /// (`cluster.node<N>.*`) and every node's whole server — protocol
+    /// events and the full per-shard pipeline join `tele`'s flight
+    /// recorder. All nodes share the `kv.shardN.*` / `nic.*` names, so
+    /// under this one handle those read the sum over nodes; to tell nodes
+    /// apart, attach `nodes[n].server` to a handle of its own.
     pub fn set_telemetry(&mut self, tele: &Telemetry) {
-        self.switch.install_telemetry(tele);
+        self.switch.set_telemetry(tele);
         for node in &mut self.nodes {
-            node.set_cluster_telemetry(tele);
-        }
-    }
-
-    /// Installs a flight recorder on every node (protocol events and the
-    /// full per-shard server pipeline).
-    pub fn set_flight_recorder(&mut self, fr: &FlightRecorder) {
-        for node in &mut self.nodes {
-            node.set_flight_recorder(fr);
+            node.attach_telemetry(tele);
         }
     }
 

@@ -114,7 +114,8 @@ struct PendingRepl {
     last_send_ns: u64,
 }
 
-/// Cached `cluster.nodeN.*` telemetry handles; defaults are no-ops.
+/// The node's protocol counter cells, owned from construction and adopted
+/// as `cluster.nodeN.*` when the cluster is attached.
 #[derive(Debug, Default)]
 struct NodeCounters {
     repl_puts: Counter,
@@ -149,7 +150,6 @@ pub struct ClusterNode {
     probe_seq: u32,
     cfg: NodeConfig,
     counters: NodeCounters,
-    flight: FlightRecorder,
 }
 
 impl ClusterNode {
@@ -188,35 +188,40 @@ impl ClusterNode {
             probe_seq: 0,
             cfg,
             counters: NodeCounters::default(),
-            flight: FlightRecorder::disabled(),
         }
     }
 
-    /// Registers this node's cluster-protocol counters as
-    /// `cluster.node<id>.*`. The underlying server's `kv.*`/`nic.*`
-    /// metrics register separately (per-node registries in multi-node
-    /// tests, since shard scopes collide across nodes).
-    pub fn set_cluster_telemetry(&mut self, tele: &Telemetry) {
-        let n = self.id;
-        self.counters = NodeCounters {
-            repl_puts: tele.counter(&format!("cluster.node{n}.repl_puts")),
-            repl_acks: tele.counter(&format!("cluster.node{n}.repl_acks")),
-            repl_applies: tele.counter(&format!("cluster.node{n}.repl_applies")),
-            repl_abandoned: tele.counter(&format!("cluster.node{n}.repl_abandoned")),
-            probes_sent: tele.counter(&format!("cluster.node{n}.probes_sent")),
-            probe_timeouts: tele.counter(&format!("cluster.node{n}.probe_timeouts")),
-            peer_down: tele.counter(&format!("cluster.node{n}.peer_down")),
-            peer_up: tele.counter(&format!("cluster.node{n}.peer_up")),
-            catchup_replays: tele.counter(&format!("cluster.node{n}.catchup_replays")),
-            repl_pending: tele.gauge(&format!("cluster.node{n}.repl_pending")),
-        };
+    /// [`crate::Cluster::set_telemetry`]'s per-node half: attaches `tele`
+    /// to the node's whole server and adopts its protocol cells as
+    /// `cluster.node<id>.*`.
+    pub(crate) fn attach_telemetry(&mut self, tele: &Telemetry) {
+        self.server.set_telemetry(tele);
+        let (c, n) = (&self.counters, self.id);
+        tele.adopt_counter(&format!("cluster.node{n}.repl_puts"), &c.repl_puts);
+        tele.adopt_counter(&format!("cluster.node{n}.repl_acks"), &c.repl_acks);
+        tele.adopt_counter(&format!("cluster.node{n}.repl_applies"), &c.repl_applies);
+        tele.adopt_counter(
+            &format!("cluster.node{n}.repl_abandoned"),
+            &c.repl_abandoned,
+        );
+        tele.adopt_counter(&format!("cluster.node{n}.probes_sent"), &c.probes_sent);
+        tele.adopt_counter(
+            &format!("cluster.node{n}.probe_timeouts"),
+            &c.probe_timeouts,
+        );
+        tele.adopt_counter(&format!("cluster.node{n}.peer_down"), &c.peer_down);
+        tele.adopt_counter(&format!("cluster.node{n}.peer_up"), &c.peer_up);
+        tele.adopt_counter(
+            &format!("cluster.node{n}.catchup_replays"),
+            &c.catchup_replays,
+        );
+        tele.adopt_gauge(&format!("cluster.node{n}.repl_pending"), &c.repl_pending);
     }
 
-    /// Installs a flight recorder on the node's protocol events and its
-    /// whole server.
-    pub fn set_flight_recorder(&mut self, fr: &FlightRecorder) {
-        self.flight = fr.clone();
-        self.server.set_flight_recorder(fr);
+    /// The flight recorder of the handle the node's server carries (every
+    /// shard carries the same one).
+    fn flight(&self) -> &FlightRecorder {
+        self.server.shards()[0].stack.telemetry().flight()
     }
 
     /// Whether this node currently believes `node` is alive.
@@ -443,7 +448,7 @@ impl ClusterNode {
         self.peer_seen(from);
         let req_id = pkt.hdr.meta.req_id;
         self.counters.repl_acks.inc();
-        self.flight
+        self.flight()
             .record(req_id, self.now(), FlightEvent::ReplicaAck { node: from });
         let done = match self.pending.get_mut(&req_id) {
             Some(p) => {
@@ -492,7 +497,7 @@ impl ClusterNode {
         tx.write_at(HEADER_BYTES, payload);
         if stack.send_built(hdr, tx, payload.len()).is_ok() {
             self.counters.repl_puts.inc();
-            self.flight
+            self.flight()
                 .record(req_id, self.now(), FlightEvent::ReplicaPut { node });
         }
     }
@@ -587,7 +592,7 @@ impl ClusterNode {
         for (req_id, key, payload, version) in entries {
             self.send_repl_put(node, req_id, &key, &payload, version);
             self.counters.catchup_replays.inc();
-            self.flight
+            self.flight()
                 .record(req_id, self.now(), FlightEvent::CatchupReplay { node });
         }
     }

@@ -30,8 +30,11 @@ pub struct SerCtx {
     /// overrides `config.zero_copy_threshold` and is fed cost observations
     /// by [`crate::CFBytes::new`].
     pub adaptive: Option<AdaptiveThreshold>,
-    /// Observability sink: hybrid-serializer decisions and memory metrics.
-    /// Disabled by default; install with [`SerCtx::install_telemetry`].
+    /// The machine's telemetry handle — spans, metrics, serializer
+    /// decisions and the flight recorder — and the one place it is stored
+    /// above the NIC: every stack, engine and client reaches it through the
+    /// context it holds. Disabled by default; attach with
+    /// [`SerCtx::set_telemetry`].
     pub telemetry: Telemetry,
 }
 
@@ -66,17 +69,18 @@ impl SerCtx {
         }
     }
 
-    /// Installs a telemetry handle: future [`crate::CFBytes`] constructions
-    /// log their copy-vs-zero-copy decisions, and the registry/arena
-    /// statistic cells are registered as external `mem.*` metrics.
-    pub fn install_telemetry(&mut self, tele: &Telemetry) {
+    /// Attaches `tele`: future [`crate::CFBytes`] constructions log their
+    /// copy-vs-zero-copy decisions, and the registry/arena statistic cells
+    /// are adopted as external `mem.*` metrics. A half (metrics, flight
+    /// recorder) `tele` has disabled keeps what was installed before.
+    pub fn set_telemetry(&mut self, tele: &Telemetry) {
         for (name, cell) in self.registry.stats().cells() {
             tele.register_external(name, cell);
         }
         for (name, cell) in self.arena.stats().cells() {
             tele.register_external(name, cell);
         }
-        self.telemetry = tele.clone();
+        self.telemetry = tele.over(&self.telemetry);
     }
 
     /// Enables the self-tuning threshold, seeded from the static one.

@@ -134,7 +134,8 @@ struct PendingReq {
     last_backoff: u64,
 }
 
-/// Client-side reliability counters; defaults are unregistered no-ops.
+/// The client's reliability counter cells, owned from construction and
+/// adopted as `kv.client.*` by [`KvClient::set_telemetry`].
 #[derive(Debug, Default)]
 struct ClientCounters {
     retries: Counter,
@@ -186,7 +187,6 @@ pub struct KvClient {
     /// [`SERVER_PORT`] RSS-steers to queue `q`. Empty = steering disabled.
     steer_ports: Vec<u16>,
     counters: ClientCounters,
-    flight: FlightRecorder,
     codecs: Codecs,
 }
 
@@ -223,7 +223,6 @@ impl KvClient {
             stale_sources: Vec::new(),
             steer_ports: Vec::new(),
             counters: ClientCounters::default(),
-            flight: FlightRecorder::disabled(),
             codecs: Codecs::default(),
         }
     }
@@ -283,32 +282,33 @@ impl KvClient {
         self.protection.as_ref().map(|p| p.budget.tokens())
     }
 
-    /// Registers the client's reliability counters (`kv.client.retries`,
-    /// `kv.client.timeouts`, `kv.client.stale_responses`) and the
-    /// underlying stack's metrics with `tele`.
+    /// Attaches `tele` to the client and its stack (and so the client-side
+    /// NIC): the `kv.client.*` cells are adopted holding whatever they have
+    /// counted so far, and client lifecycle events — sends, retries,
+    /// breaker fast-fails, timeouts, stale/shed replies, receives — join
+    /// `tele`'s flight recorder, stamped with the *client's* virtual clock
+    /// and keyed by the same request id the server sees on the wire.
     pub fn set_telemetry(&mut self, tele: &Telemetry) {
         self.stack.set_telemetry(tele);
-        self.counters = ClientCounters {
-            retries: tele.counter("kv.client.retries"),
-            timeouts: tele.counter("kv.client.timeouts"),
-            stale_responses: tele.counter("kv.client.stale_responses"),
-            shed_replies: tele.counter("kv.client.shed_replies"),
-            retry_budget_exhausted: tele.counter("kv.client.retry_budget_exhausted"),
-            breaker_fast_fails: tele.counter("kv.client.breaker_fast_fails"),
-            breaker_open: tele.counter("kv.client.breaker_open"),
-            breaker_half_open: tele.counter("kv.client.breaker_half_open"),
-            breaker_close: tele.counter("kv.client.breaker_close"),
-        };
+        let c = &self.counters;
+        tele.adopt_counter("kv.client.retries", &c.retries);
+        tele.adopt_counter("kv.client.timeouts", &c.timeouts);
+        tele.adopt_counter("kv.client.stale_responses", &c.stale_responses);
+        tele.adopt_counter("kv.client.shed_replies", &c.shed_replies);
+        tele.adopt_counter(
+            "kv.client.retry_budget_exhausted",
+            &c.retry_budget_exhausted,
+        );
+        tele.adopt_counter("kv.client.breaker_fast_fails", &c.breaker_fast_fails);
+        tele.adopt_counter("kv.client.breaker_open", &c.breaker_open);
+        tele.adopt_counter("kv.client.breaker_half_open", &c.breaker_half_open);
+        tele.adopt_counter("kv.client.breaker_close", &c.breaker_close);
     }
 
-    /// Installs a request-scoped flight recorder on the client and its
-    /// stack (and so the client-side NIC). Client lifecycle events — sends,
-    /// retries, breaker fast-fails, timeouts, stale/shed replies, receives
-    /// — are stamped with the *client's* virtual clock, keyed by the same
-    /// request id the server sees on the wire.
+    /// [`KvClient::set_telemetry`] with the handle already attached,
+    /// carrying `fr` as its flight recorder.
     pub fn set_flight_recorder(&mut self, fr: &FlightRecorder) {
-        self.flight = fr.clone();
-        self.stack.set_flight_recorder(fr);
+        self.set_telemetry(&self.stack.telemetry().with_flight(fr));
     }
 
     /// Request ids still awaiting a response, in send order (empty unless
@@ -447,8 +447,8 @@ impl KvClient {
                 // Fast-fail locally: never touches the wire. The id is
                 // surfaced through poll_timers like a timeout.
                 self.counters.breaker_fast_fails.inc();
-                self.flight
-                    .record(meta.req_id, now, FlightEvent::BreakerFastFail);
+                let flight = self.stack.telemetry().flight();
+                flight.record(meta.req_id, now, FlightEvent::BreakerFastFail);
                 prot.fast_failed.push(meta.req_id);
                 return meta.req_id;
             }
@@ -467,8 +467,8 @@ impl KvClient {
                 },
             );
         }
-        self.flight
-            .record(meta.req_id, self.stack.sim().now(), FlightEvent::ClientSend);
+        let flight = self.stack.telemetry().flight();
+        flight.record(meta.req_id, self.stack.sim().now(), FlightEvent::ClientSend);
         self.transmit(meta, index, keys, vals, 0)
             .expect("request send");
         meta.req_id
@@ -504,7 +504,10 @@ impl KvClient {
             if p.retries >= retry.max_retries {
                 self.pending.remove(&id);
                 self.counters.timeouts.inc();
-                self.flight.record(id, now, FlightEvent::ClientTimeout);
+                self.stack
+                    .telemetry()
+                    .flight()
+                    .record(id, now, FlightEvent::ClientTimeout);
                 if let Some(prot) = &mut self.protection {
                     let prev = prot.breaker.state();
                     prot.breaker.on_failure(now, id);
@@ -520,8 +523,8 @@ impl KvClient {
                     self.pending.remove(&id);
                     self.counters.timeouts.inc();
                     self.counters.retry_budget_exhausted.inc();
-                    self.flight
-                        .record(id, now, FlightEvent::RetryBudgetExhausted);
+                    let flight = self.stack.telemetry().flight();
+                    flight.record(id, now, FlightEvent::RetryBudgetExhausted);
                     let prev = prot.breaker.state();
                     prot.breaker.on_failure(now, id);
                     self.counters.note_breaker(prev, prot.breaker.state());
@@ -551,7 +554,7 @@ impl KvClient {
             p.deadline = now.saturating_add(backoff);
             let retries_now = p.retries;
             self.counters.retries.inc();
-            self.flight.record(
+            self.stack.telemetry().flight().record(
                 id,
                 now,
                 FlightEvent::ClientRetry {
@@ -634,7 +637,7 @@ impl KvClient {
             {
                 self.counters.stale_responses.inc();
                 self.stale_sources.push(pkt.hdr.src_host);
-                self.flight.record(
+                self.stack.telemetry().flight().record(
                     pkt.hdr.meta.req_id,
                     self.stack.sim().now(),
                     FlightEvent::StaleReply,
@@ -651,7 +654,7 @@ impl KvClient {
                 // The request was never served; a shed counts as a failure
                 // for the breaker (the server is telling us to back off).
                 self.counters.shed_replies.inc();
-                self.flight.record(
+                self.stack.telemetry().flight().record(
                     pkt.hdr.meta.req_id,
                     self.stack.sim().now(),
                     FlightEvent::ShedReply,
@@ -672,7 +675,7 @@ impl KvClient {
                 prot.breaker.on_success(now, pkt.hdr.meta.req_id);
                 self.counters.note_breaker(prev, prot.breaker.state());
             }
-            self.flight.record(
+            self.stack.telemetry().flight().record(
                 pkt.hdr.meta.req_id,
                 self.stack.sim().now(),
                 FlightEvent::ClientRecv { flags },

@@ -12,7 +12,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 
 use cf_mem::RcBuf;
 use cf_net::{TcpListener, UdpStack};
-use cf_telemetry::{Counter, FlightEvent, FlightRecorder, Gauge, Telemetry};
+use cf_telemetry::{Counter, FlightEvent, Gauge, Telemetry};
 use cornflakes_core::SerCtx;
 
 use crate::codec::{Codecs, GetM, KvCodec, Malformed};
@@ -23,13 +23,19 @@ use crate::{flags, msg_type};
 /// What the engine needs of the transport under it: implemented for the
 /// two transports an engine can be built over.
 pub trait Transport {
-    /// The serialization context replies are built in.
+    /// The serialization context replies are built in — and where the
+    /// engine finds its telemetry handle.
     fn ctx(&self) -> &SerCtx;
+    /// Attaches `tele` to the transport (its `set_telemetry`).
+    fn attach_telemetry(&mut self, tele: &Telemetry);
 }
 
 impl Transport for UdpStack {
     fn ctx(&self) -> &SerCtx {
         UdpStack::ctx(self)
+    }
+    fn attach_telemetry(&mut self, tele: &Telemetry) {
+        self.set_telemetry(tele);
     }
 }
 
@@ -37,10 +43,13 @@ impl Transport for TcpListener {
     fn ctx(&self) -> &SerCtx {
         TcpListener::ctx(self)
     }
+    fn attach_telemetry(&mut self, tele: &Telemetry) {
+        self.set_telemetry(tele);
+    }
 }
 
-/// Server counters, registered as `kv.<scope>.*`; default handles are
-/// unregistered no-ops.
+/// The server's counter cells, owned from construction and adopted as
+/// `kv.<scope>.*` by [`KvEngine::set_telemetry`].
 #[derive(Debug, Default)]
 pub(crate) struct KvCounters {
     pub requests: Counter,
@@ -54,24 +63,6 @@ pub(crate) struct KvCounters {
     pub malformed_drops: Counter,
     pub shed_drops: Counter,
     pub backlog: Gauge,
-}
-
-impl KvCounters {
-    pub(crate) fn register(tele: &Telemetry, k: &str) -> Self {
-        KvCounters {
-            requests: tele.counter(&format!("kv.{k}.requests")),
-            bytes_in: tele.counter(&format!("kv.{k}.bytes_in")),
-            bytes_out: tele.counter(&format!("kv.{k}.bytes_out")),
-            zero_copy_entries: tele.counter(&format!("kv.{k}.zero_copy_entries")),
-            puts_applied: tele.counter(&format!("kv.{k}.puts_applied")),
-            dedup_hits: tele.counter(&format!("kv.{k}.dedup_hits")),
-            degraded_replies: tele.counter(&format!("kv.{k}.degraded_replies")),
-            reply_drops: tele.counter(&format!("kv.{k}.reply_drops")),
-            malformed_drops: tele.counter(&format!("kv.{k}.malformed_drops")),
-            shed_drops: tele.counter(&format!("kv.{k}.shed_drops")),
-            backlog: tele.gauge(&format!("kv.{k}.backlog")),
-        }
-    }
 }
 
 /// Default put-dedup window capacity: far exceeds any plausible retry
@@ -142,6 +133,11 @@ pub struct KvEngine<T> {
     /// memory-safety bookkeeping entirely and post value buffers directly.
     /// Only meaningful with [`SerKind::Cornflakes`].
     pub raw_zero_copy: bool,
+    /// The `<scope>` of this server's `kv.<scope>.*` metric names: the
+    /// serializer's [`SerKind::metric_key`], `tcp`, or the `shardN` a
+    /// sharded server gives each shard so cross-queue accounting stays
+    /// separable.
+    pub(crate) scope: String,
     pub(crate) counters: KvCounters,
     dedup: DedupWindow,
     /// Per-key value versions. Populated only by the cluster layer's
@@ -151,7 +147,6 @@ pub struct KvEngine<T> {
     versions: HashMap<Vec<u8>, u64>,
     /// UDP front-end state: the admission backlog, when enabled.
     pub(crate) admission: Option<AdmissionState>,
-    pub(crate) flight: FlightRecorder,
     pub(crate) codecs: Codecs,
 }
 
@@ -206,9 +201,10 @@ impl<T> KvEngine<T> {
 }
 
 impl<T: Transport> KvEngine<T> {
-    /// A server over `stack` with the default settings and a put-dedup
-    /// window of `dedup_capacity` request ids.
-    pub(crate) fn over(stack: T, kind: SerKind, dedup_capacity: usize) -> Self {
+    /// A server over `stack` with the default settings, counting as
+    /// `kv.<scope>.*`, with a put-dedup window of `dedup_capacity` request
+    /// ids.
+    pub(crate) fn over(stack: T, kind: SerKind, scope: &str, dedup_capacity: usize) -> Self {
         let store = KvStore::new(stack.ctx().sim.clone());
         KvEngine {
             stack,
@@ -216,13 +212,35 @@ impl<T: Transport> KvEngine<T> {
             kind,
             put_segment_size: 8192,
             raw_zero_copy: false,
+            scope: scope.to_string(),
             counters: KvCounters::default(),
             dedup: DedupWindow::new(dedup_capacity),
             versions: HashMap::new(),
             admission: None,
-            flight: FlightRecorder::disabled(),
             codecs: Codecs::default(),
         }
+    }
+
+    /// Attaches `tele` to the server and the transport under it: the
+    /// `kv.<scope>.*` cells are adopted holding whatever they have counted
+    /// so far, every handled request opens a span tree, and — keyed by the
+    /// wire request id — admission and shedding (stamped on the arrival
+    /// clock), shard dispatch, dedup hits and replies (on the service
+    /// clock) join `tele`'s flight recorder.
+    pub fn set_telemetry(&mut self, tele: &Telemetry) {
+        self.stack.attach_telemetry(tele);
+        let (c, k) = (&self.counters, &self.scope);
+        tele.adopt_counter(&format!("kv.{k}.requests"), &c.requests);
+        tele.adopt_counter(&format!("kv.{k}.bytes_in"), &c.bytes_in);
+        tele.adopt_counter(&format!("kv.{k}.bytes_out"), &c.bytes_out);
+        tele.adopt_counter(&format!("kv.{k}.zero_copy_entries"), &c.zero_copy_entries);
+        tele.adopt_counter(&format!("kv.{k}.puts_applied"), &c.puts_applied);
+        tele.adopt_counter(&format!("kv.{k}.dedup_hits"), &c.dedup_hits);
+        tele.adopt_counter(&format!("kv.{k}.degraded_replies"), &c.degraded_replies);
+        tele.adopt_counter(&format!("kv.{k}.reply_drops"), &c.reply_drops);
+        tele.adopt_counter(&format!("kv.{k}.malformed_drops"), &c.malformed_drops);
+        tele.adopt_counter(&format!("kv.{k}.shed_drops"), &c.shed_drops);
+        tele.adopt_gauge(&format!("kv.{k}.backlog"), &c.backlog);
     }
 
     /// Applies a put at most once per request id: a replayed id (a client
@@ -235,8 +253,8 @@ impl<T: Transport> KvEngine<T> {
         let ctx = self.stack.ctx();
         if self.dedup.contains(req_id) {
             self.counters.dedup_hits.inc();
-            self.flight
-                .record(req_id, ctx.sim.now(), FlightEvent::DedupHit);
+            let flight = ctx.telemetry.flight();
+            flight.record(req_id, ctx.sim.now(), FlightEvent::DedupHit);
             return 0;
         }
         match self.store.put(ctx, key, val, self.put_segment_size) {
@@ -321,7 +339,7 @@ impl<T: Transport> KvEngine<T> {
             self.counters
                 .zero_copy_entries
                 .add(C::zero_copy_entries(&reply) as u64);
-            self.flight.record(
+            self.stack.ctx().telemetry.flight().record(
                 req_id,
                 self.stack.ctx().sim.now(),
                 FlightEvent::Reply { flags: reply_flags },

@@ -10,10 +10,10 @@ use std::collections::VecDeque;
 
 use cf_mem::RcBuf;
 use cf_net::{FrameMeta, Packet, UdpStack};
-use cf_telemetry::{FlightEvent, FlightRecorder, Telemetry};
+use cf_telemetry::{FlightEvent, FlightRecorder};
 
 use crate::codec::{with_codec, KvCodec};
-use crate::engine::{KvCounters, KvEngine};
+use crate::engine::KvEngine;
 use crate::overload::AdmissionConfig;
 use crate::{flags, msg_type};
 
@@ -87,35 +87,16 @@ pub(crate) struct AdmissionState {
 pub type KvServer = KvEngine<UdpStack>;
 
 impl KvEngine<UdpStack> {
-    /// Creates a server over `stack` with the given strategy.
+    /// Creates a server over `stack` with the given strategy, counting as
+    /// `kv.<kind>.*` ([`SerKind::metric_key`]).
     pub fn new(stack: UdpStack, kind: SerKind) -> Self {
-        Self::over(stack, kind, DEFAULT_DEDUP_CAPACITY)
+        Self::over(stack, kind, kind.metric_key(), DEFAULT_DEDUP_CAPACITY)
     }
 
-    /// Wires the server into a telemetry handle: the datapath/NIC/memory
-    /// metrics via [`UdpStack::set_telemetry`], plus per-[`SerKind`]
-    /// `kv.<kind>.*` counters and a span tree per handled request.
-    pub fn set_telemetry(&mut self, tele: &Telemetry) {
-        self.set_telemetry_scoped(tele, self.kind.metric_key());
-    }
-
-    /// Like [`KvServer::set_telemetry`] with an explicit metric scope:
-    /// counters register as `kv.<scope>.*`. Sharded servers scope each
-    /// shard as `shardN` so cross-queue accounting stays separable.
-    pub fn set_telemetry_scoped(&mut self, tele: &Telemetry, scope: &str) {
-        self.stack.set_telemetry(tele);
-        self.counters = KvCounters::register(tele, scope);
-    }
-
-    /// Installs a request-scoped flight recorder on the server and its
-    /// stack (and, when this server owns its NIC, the NIC's per-queue
-    /// events). Server events — admission, shedding (with sojourn), shard
-    /// dispatch, dedup hits, replies — are keyed by the wire request id
-    /// and stamped with this server's clocks (arrival clock for admission
-    /// and shedding, service clock for dispatch and reply).
+    /// [`KvServer::set_telemetry`] with the handle already attached,
+    /// carrying `fr` as its flight recorder.
     pub fn set_flight_recorder(&mut self, fr: &FlightRecorder) {
-        self.flight = fr.clone();
-        self.stack.set_flight_recorder(fr);
+        self.set_telemetry(&self.stack.telemetry().with_flight(fr));
     }
 
     /// Requests rejected by the admission layer with a `SHED` fast-reject.
@@ -213,7 +194,7 @@ impl KvEngine<UdpStack> {
                     arrival_ns: now_ns,
                     pkt,
                 });
-            self.flight.record(
+            self.stack.telemetry().flight().record(
                 req_id,
                 now_ns,
                 FlightEvent::BacklogAdmit {
@@ -306,7 +287,7 @@ impl KvEngine<UdpStack> {
                 .backlog
                 .pop_front()
                 .expect("checked nonempty");
-            self.flight.record(
+            self.stack.telemetry().flight().record(
                 victim.pkt.hdr.meta.req_id,
                 now_ns,
                 FlightEvent::BacklogShed {
@@ -379,7 +360,7 @@ impl KvEngine<UdpStack> {
             .request_span("request", u64::from(req_id));
         self.counters.requests.inc();
         self.counters.bytes_in.add(pkt.frame.len() as u64);
-        self.flight.record(
+        self.stack.telemetry().flight().record(
             req_id,
             self.stack.sim().now(),
             FlightEvent::ShardDispatch {

@@ -22,7 +22,7 @@ use cf_mem::PoolConfig;
 use cf_net::UdpStack;
 use cf_nic::{FaultInjector, FaultPlan, Nic, Port, RssConfig};
 use cf_sim::Sim;
-use cf_telemetry::{FlightRecorder, Telemetry};
+use cf_telemetry::Telemetry;
 use cornflakes_core::SerializationConfig;
 
 use crate::client::SERVER_PORT;
@@ -78,7 +78,9 @@ impl ShardedKvServer {
                     config,
                     pool_cfg.clone(),
                 );
-                KvServer::new(stack, kind)
+                let mut shard = KvServer::new(stack, kind);
+                shard.scope = format!("shard{q}");
+                shard
             })
             .collect();
         ShardedKvServer { nic, shards, sims }
@@ -120,26 +122,13 @@ impl ShardedKvServer {
         Rc::clone(&self.nic)
     }
 
-    /// Wires the whole server into `tele`: the NIC's aggregate `nic.*` and
-    /// per-queue `nic.qN.*` counters are registered once (the queues are
-    /// shared hardware, not per-shard state), and each shard's KV counters
-    /// register under its own `kv.shardN.*` scope.
+    /// Attaches `tele` to every shard — each counts as `kv.shardN.*` and
+    /// stamps its flight events with its own clocks — and through them to
+    /// the shared NIC, whose `nic.*` / `nic.qN.*` cells are adopted once
+    /// (the queues are shared hardware, not per-shard state).
     pub fn set_telemetry(&mut self, tele: &Telemetry) {
-        self.nic.borrow_mut().set_telemetry(tele);
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            shard.set_telemetry_scoped(tele, &format!("shard{i}"));
-        }
-    }
-
-    /// Installs a request-scoped flight recorder across the whole server:
-    /// once on the shared NIC (per-queue tx/rx/tail-drop events) and on
-    /// every shard (admission, shedding, dispatch, reply — each stamped
-    /// with that shard's own clocks). The shards share the NIC, so their
-    /// stacks record only stack-level events; the NIC records its own.
-    pub fn set_flight_recorder(&mut self, fr: &FlightRecorder) {
-        self.nic.borrow_mut().set_flight_recorder(fr);
         for shard in &mut self.shards {
-            shard.set_flight_recorder(fr);
+            shard.set_telemetry(tele);
         }
     }
 

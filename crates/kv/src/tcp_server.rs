@@ -23,11 +23,10 @@
 
 use cf_mem::RcBuf;
 use cf_net::{FlowId, NetError, TcpListener, TcpStack};
-use cf_telemetry::{FlightRecorder, Telemetry};
 use cornflakes_core::obj::serialize_into;
 
 use crate::codec::{CornflakesCodec, KvCodec};
-use crate::engine::{KvCounters, KvEngine};
+use crate::engine::KvEngine;
 use crate::msg_type;
 use crate::server::SerKind;
 
@@ -57,21 +56,9 @@ pub fn parse_sub_header(b: &[u8]) -> Option<(u8, u8, u32)> {
 pub type TcpKvServer = KvEngine<TcpListener>;
 
 impl KvEngine<TcpListener> {
-    /// Creates a server over `listener`.
+    /// Creates a server over `listener`, counting as `kv.tcp.*`.
     pub fn new(listener: TcpListener) -> Self {
-        Self::over(listener, SerKind::Cornflakes, 0)
-    }
-
-    /// Wires the server into a telemetry handle: the `kv.tcp.*` request
-    /// counters plus the listener's transport metrics.
-    pub fn set_telemetry(&mut self, tele: &Telemetry) {
-        self.stack.set_telemetry(tele);
-        self.counters = KvCounters::register(tele, "tcp");
-    }
-
-    /// Installs a flight recorder on the transport.
-    pub fn set_flight_recorder(&mut self, fr: &FlightRecorder) {
-        self.stack.set_flight_recorder(fr);
+        Self::over(listener, SerKind::Cornflakes, "tcp", 0)
     }
 
     /// Pumps the transport and serves every complete buffered request.

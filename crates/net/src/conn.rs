@@ -19,7 +19,6 @@ use cf_mem::{AllocError, RcBuf};
 use cf_nic::{FaultInjector, FaultPlan, Nic, Port};
 use cf_sim::cost::Category;
 use cf_sim::Sim;
-use cf_telemetry::{FlightRecorder, Telemetry};
 use cornflakes_core::{CornflakesObj, SerCtx, SerializationConfig};
 
 use crate::flow::{FLOW_CLOSE_FIN, FLOW_CLOSE_RST};
@@ -108,16 +107,6 @@ impl FlowIo {
             scratch: Vec::with_capacity(4096),
             spares: Vec::new(),
         }
-    }
-
-    /// Registers the NIC, memory and serializer-decision metrics.
-    pub fn set_telemetry(&mut self, tele: &Telemetry) {
-        self.ctx.install_telemetry(tele);
-        self.nic.set_telemetry(tele);
-    }
-
-    pub fn set_flight_recorder(&mut self, fr: &FlightRecorder) {
-        self.nic.set_flight_recorder(fr);
     }
 
     pub fn install_faults(&self, plan: FaultPlan) -> FaultInjector {

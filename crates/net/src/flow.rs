@@ -40,7 +40,7 @@ use std::mem::size_of;
 use cf_mem::RcBuf;
 use cf_nic::Port;
 use cf_sim::Sim;
-use cf_telemetry::{Counter, FlightEvent, FlightRecorder, Gauge, Telemetry};
+use cf_telemetry::{Counter, FlightEvent, Gauge, Telemetry};
 use cornflakes_core::{CornflakesObj, SerCtx, SerializationConfig};
 
 use crate::conn::{Corrupt, Flow, FlowIo, Segment, State};
@@ -188,7 +188,7 @@ impl TimerWheel {
     }
 }
 
-/// Aggregate listener statistics (also mirrored to telemetry counters).
+/// Aggregate listener statistics: a snapshot of the listener's counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ListenerStats {
     /// SYNs for new flows seen (accepted or rejected).
@@ -217,7 +217,9 @@ pub struct ListenerStats {
     pub msgs_received: u64,
 }
 
-/// Cached telemetry handles; defaults are unregistered no-ops.
+/// The listener's counter cells, owned from construction — the only place
+/// its facts are counted — and adopted as `net.tcp.listen.*` /
+/// `net.tcp.flow.*` by [`TcpListener::set_telemetry`].
 #[derive(Debug, Default)]
 struct ListenCounters {
     syns: Counter,
@@ -249,9 +251,7 @@ pub struct TcpListener {
     established: usize,
     wheel: TimerWheel,
     fired: Vec<WheelEntry>,
-    stats: ListenerStats,
     counters: ListenCounters,
-    flight: FlightRecorder,
 }
 
 impl TcpListener {
@@ -284,39 +284,33 @@ impl TcpListener {
             established: 0,
             wheel: TimerWheel::new(flow_cfg.wheel_slots, flow_cfg.wheel_tick_ns, now),
             fired: Vec::new(),
-            stats: ListenerStats::default(),
             counters: ListenCounters::default(),
-            flight: FlightRecorder::disabled(),
         }
     }
 
-    /// Wires the listener into a telemetry handle: `net.tcp.listen.*` and
-    /// `net.tcp.flow.*` metrics plus NIC/memory/serializer metrics.
-    pub fn set_telemetry(&mut self, tele: &Telemetry) {
-        self.io.set_telemetry(tele);
-        self.counters = ListenCounters {
-            syns: tele.counter("net.tcp.listen.syns"),
-            accepts: tele.counter("net.tcp.listen.accepts"),
-            syn_overflow_rsts: tele.counter("net.tcp.listen.syn_overflow_rsts"),
-            rx_corrupt_drops: tele.counter("net.tcp.listen.rx_corrupt_drops"),
-            syn_backlog: tele.gauge("net.tcp.listen.syn_backlog"),
-            active: tele.gauge("net.tcp.flow.active"),
-            closes: tele.counter("net.tcp.flow.closes"),
-            resets: tele.counter("net.tcp.flow.resets"),
-            reaps: tele.counter("net.tcp.flow.reaps"),
-            reasm_overflow_drops: tele.counter("net.tcp.flow.reasm_overflow_drops"),
-            tx_cap_drops: tele.counter("net.tcp.flow.tx_cap_drops"),
-            retransmissions: tele.counter("net.tcp.flow.retransmissions"),
-            msgs_sent: tele.counter("net.tcp.flow.msgs_sent"),
-            msgs_received: tele.counter("net.tcp.flow.msgs_received"),
-        };
-    }
-
-    /// Installs a flight recorder; flow lifecycle events are keyed by the
+    /// Attaches `tele` to the listener, its serialization context and its
+    /// NIC: the `net.tcp.listen.*`, `net.tcp.flow.*`, `nic.*` and `mem.*`
+    /// cells are adopted holding whatever they have counted so far, and
+    /// flow lifecycle events join `tele`'s flight recorder, keyed by the
     /// peer's port (the flow key both ends know without wire changes).
-    pub fn set_flight_recorder(&mut self, fr: &FlightRecorder) {
-        self.flight = fr.clone();
-        self.io.set_flight_recorder(fr);
+    pub fn set_telemetry(&mut self, tele: &Telemetry) {
+        self.io.ctx.set_telemetry(tele);
+        self.io.nic.set_telemetry(tele);
+        let c = &self.counters;
+        tele.adopt_counter("net.tcp.listen.syns", &c.syns);
+        tele.adopt_counter("net.tcp.listen.accepts", &c.accepts);
+        tele.adopt_counter("net.tcp.listen.syn_overflow_rsts", &c.syn_overflow_rsts);
+        tele.adopt_counter("net.tcp.listen.rx_corrupt_drops", &c.rx_corrupt_drops);
+        tele.adopt_gauge("net.tcp.listen.syn_backlog", &c.syn_backlog);
+        tele.adopt_gauge("net.tcp.flow.active", &c.active);
+        tele.adopt_counter("net.tcp.flow.closes", &c.closes);
+        tele.adopt_counter("net.tcp.flow.resets", &c.resets);
+        tele.adopt_counter("net.tcp.flow.reaps", &c.reaps);
+        tele.adopt_counter("net.tcp.flow.reasm_overflow_drops", &c.reasm_overflow_drops);
+        tele.adopt_counter("net.tcp.flow.tx_cap_drops", &c.tx_cap_drops);
+        tele.adopt_counter("net.tcp.flow.retransmissions", &c.retransmissions);
+        tele.adopt_counter("net.tcp.flow.msgs_sent", &c.msgs_sent);
+        tele.adopt_counter("net.tcp.flow.msgs_received", &c.msgs_received);
     }
 
     /// The serialization context (pool, sim, config).
@@ -353,7 +347,21 @@ impl TcpListener {
 
     /// Aggregate statistics.
     pub fn stats(&self) -> ListenerStats {
-        self.stats
+        let c = &self.counters;
+        ListenerStats {
+            syns: c.syns.get(),
+            accepts: c.accepts.get(),
+            syn_overflow_rsts: c.syn_overflow_rsts.get(),
+            rx_corrupt_drops: c.rx_corrupt_drops.get(),
+            closes: c.closes.get(),
+            resets: c.resets.get(),
+            reaps: c.reaps.get(),
+            reasm_overflow_drops: c.reasm_overflow_drops.get(),
+            tx_cap_drops: c.tx_cap_drops.get(),
+            retransmissions: c.retransmissions.get(),
+            msgs_sent: c.msgs_sent.get(),
+            msgs_received: c.msgs_received.get(),
+        }
     }
 
     /// Estimated resident bytes of the flow-table subsystem: the slab, the
@@ -429,7 +437,7 @@ impl TcpListener {
         self.by_port.remove(&remote);
         self.free.push(idx);
         self.counters.active.set(self.active_flows() as f64);
-        self.flight.record(
+        self.io.ctx.telemetry.flight().record(
             u32::from(remote),
             self.io.ctx.sim.now(),
             FlightEvent::TcpFlowClose { reason },
@@ -446,7 +454,6 @@ impl TcpListener {
                     None => self.handle_unknown(&seg)?,
                 },
                 Err(Corrupt) => {
-                    self.stats.rx_corrupt_drops += 1;
                     self.counters.rx_corrupt_drops.inc();
                 }
             }
@@ -462,7 +469,6 @@ impl TcpListener {
         if !seg.has(FLAG_SYN) || seg.has(FLAG_RST) {
             return Ok(());
         }
-        self.stats.syns += 1;
         self.counters.syns.inc();
         let now = self.io.ctx.sim.now();
         let admitted = if self.syn_count < self.cfg.syn_backlog {
@@ -471,10 +477,9 @@ impl TcpListener {
             None
         };
         let Some(idx) = admitted else {
-            self.stats.syn_overflow_rsts += 1;
             self.counters.syn_overflow_rsts.inc();
-            self.flight
-                .record(u32::from(seg.src), now, FlightEvent::TcpSynReject);
+            let flight = self.io.ctx.telemetry.flight();
+            flight.record(u32::from(seg.src), now, FlightEvent::TcpSynReject);
             // Fast reject: cheaper than accepting, so a flood can't starve
             // established flows of CPU.
             let ack = seg.seq.wrapping_add(1);
@@ -507,9 +512,8 @@ impl TcpListener {
             self.syn_count -= 1;
             self.counters.syn_backlog.set(self.syn_count as f64);
             self.established += 1;
-            self.stats.accepts += 1;
             self.counters.accepts.inc();
-            self.flight.record(
+            self.io.ctx.telemetry.flight().record(
                 u32::from(seg.src),
                 now,
                 FlightEvent::TcpAccept {
@@ -518,7 +522,6 @@ impl TcpListener {
             );
         }
         if ev.reasm_overflow {
-            self.stats.reasm_overflow_drops += 1;
             self.counters.reasm_overflow_drops.inc();
         }
         if ev.delivered && !slot.in_ready && slot.flow.has_complete_msg() {
@@ -529,12 +532,10 @@ impl TcpListener {
         // messages die with it — the peer closed without reading replies.
         match ev.closed_by {
             Some(FLOW_CLOSE_RST) => {
-                self.stats.resets += 1;
                 self.counters.resets.inc();
                 self.free_slot(idx, FLOW_CLOSE_RST);
             }
             Some(reason) => {
-                self.stats.closes += 1;
                 self.counters.closes.inc();
                 self.free_slot(idx, reason);
             }
@@ -570,7 +571,6 @@ impl TcpListener {
             // Quiet too long (half-open ones included — the SYN-flood
             // backstop): courtesy RST, then recycle.
             slot.flow.send_rst(&mut self.io)?;
-            self.stats.reaps += 1;
             self.counters.reaps.inc();
             self.free_slot(idx, FLOW_CLOSE_REAP);
         } else {
@@ -584,7 +584,6 @@ impl TcpListener {
         slot.rto_armed = false;
         let now = self.io.ctx.sim.now();
         if slot.flow.on_rto(&mut self.io)? {
-            self.stats.retransmissions += 1;
             self.counters.retransmissions.inc();
         }
         if slot.flow.rtx_len() > 0 {
@@ -612,7 +611,6 @@ impl TcpListener {
                 slot.in_ready = false;
             }
             if let Some(buf) = msg {
-                self.stats.msgs_received += 1;
                 self.counters.msgs_received.inc();
                 return Ok(Some((FlowId { idx, gen: slot.gen }, buf)));
             }
@@ -626,7 +624,6 @@ impl TcpListener {
     fn sendable(&mut self, flow: FlowId) -> Option<usize> {
         let i = self.lookup(flow)?;
         if self.slots[i].flow.rtx_len() >= self.cfg.max_tx_records {
-            self.stats.tx_cap_drops += 1;
             self.counters.tx_cap_drops.inc();
             return None;
         }
@@ -634,7 +631,6 @@ impl TcpListener {
     }
 
     fn on_sent(&mut self, i: usize) {
-        self.stats.msgs_sent += 1;
         self.counters.msgs_sent.inc();
         let at = self.io.ctx.sim.now() + self.cfg.rto_ns;
         self.arm(i as u32, TimerKind::Rto, at);
@@ -679,7 +675,6 @@ impl TcpListener {
             return Ok(false);
         };
         self.slots[i].flow.close(&mut self.io)?;
-        self.stats.closes += 1;
         self.counters.closes.inc();
         self.free_slot(flow.idx, FLOW_CLOSE_LOCAL);
         Ok(true)

@@ -22,7 +22,7 @@ use std::fmt;
 use cf_mem::RcBuf;
 use cf_nic::{FaultInjector, FaultPlan, Port};
 use cf_sim::Sim;
-use cf_telemetry::{Counter, FlightEvent, FlightRecorder, Telemetry};
+use cf_telemetry::{Counter, FlightEvent, Telemetry};
 use cornflakes_core::{CornflakesObj, SerCtx, SerializationConfig};
 
 use crate::conn::{Corrupt, Flow, FlowIo, Segment, State, QUEUE};
@@ -85,7 +85,8 @@ pub(crate) fn build_header(
     h
 }
 
-/// Cached TCP metric handles; default handles are unregistered no-ops.
+/// The endpoint's counter cells, owned from construction and adopted as
+/// `net.tcp.*` by [`TcpStack::set_telemetry`].
 #[derive(Debug, Default)]
 struct TcpCounters {
     msgs_sent: Counter,
@@ -104,10 +105,7 @@ pub struct TcpStack {
     flow: Flow,
     /// Bound on this endpoint's NIC rx staging ring (0 = unbounded).
     rx_backlog_limit: usize,
-    reasm_overflow_drops: u64,
-    retransmissions: u64,
     counters: TcpCounters,
-    flight: FlightRecorder,
 }
 
 impl TcpStack {
@@ -124,36 +122,29 @@ impl TcpStack {
             ),
             flow: Flow::new(),
             rx_backlog_limit: 0,
-            reasm_overflow_drops: 0,
-            retransmissions: 0,
             counters: TcpCounters::default(),
-            flight: FlightRecorder::disabled(),
         }
     }
 
-    /// Wires this endpoint into a telemetry handle: `net.tcp.*` message
-    /// counters plus the NIC, memory, and serializer-decision metrics.
+    /// Attaches `tele` to this endpoint, its serialization context and its
+    /// NIC: the `net.tcp.*`, `nic.*` and `mem.*` cells are adopted holding
+    /// whatever they have counted so far, and stream events join `tele`'s
+    /// flight recorder. TCP has no per-request wire ids, so those are keyed
+    /// by the message's starting sequence number (the sender's `snd_nxt` at
+    /// send time), which both ends can compute without touching the wire
+    /// format.
     pub fn set_telemetry(&mut self, tele: &Telemetry) {
-        self.io.set_telemetry(tele);
-        self.counters = TcpCounters {
-            msgs_sent: tele.counter("net.tcp.msgs_sent"),
-            msgs_received: tele.counter("net.tcp.msgs_received"),
-            retransmissions: tele.counter("net.tcp.retransmissions"),
-            rx_corrupt_drops: tele.counter("net.tcp.rx_corrupt_drops"),
-            rx_pool_exhausted: tele.counter("net.tcp.rx_pool_exhausted"),
-            backlog_drops: tele.counter("net.tcp.backlog_drops"),
-            reasm_overflow_drops: tele.counter("net.tcp.reasm_overflow_drops"),
-            resets: tele.counter("net.tcp.resets"),
-        };
-    }
-
-    /// Installs a request-scoped flight recorder. TCP has no per-request
-    /// wire ids, so stream events are keyed by the message's starting
-    /// sequence number (the sender's `snd_nxt` at send time), which both
-    /// ends can compute without touching the wire format.
-    pub fn set_flight_recorder(&mut self, fr: &FlightRecorder) {
-        self.flight = fr.clone();
-        self.io.set_flight_recorder(fr);
+        self.io.ctx.set_telemetry(tele);
+        self.io.nic.set_telemetry(tele);
+        let c = &self.counters;
+        tele.adopt_counter("net.tcp.msgs_sent", &c.msgs_sent);
+        tele.adopt_counter("net.tcp.msgs_received", &c.msgs_received);
+        tele.adopt_counter("net.tcp.retransmissions", &c.retransmissions);
+        tele.adopt_counter("net.tcp.rx_corrupt_drops", &c.rx_corrupt_drops);
+        tele.adopt_counter("net.tcp.rx_pool_exhausted", &c.rx_pool_exhausted);
+        tele.adopt_counter("net.tcp.backlog_drops", &c.backlog_drops);
+        tele.adopt_counter("net.tcp.reasm_overflow_drops", &c.reasm_overflow_drops);
+        tele.adopt_counter("net.tcp.resets", &c.resets);
     }
 
     /// The serialization context.
@@ -180,7 +171,7 @@ impl TcpStack {
     /// In-order payload bytes dropped because the reassembly buffer was at
     /// its cap (the peer's RTO re-delivers them once the reader drains).
     pub fn reasm_overflow_drops(&self) -> u64 {
-        self.reasm_overflow_drops
+        self.counters.reasm_overflow_drops.get()
     }
 
     /// Caps the reassembly buffer at `limit` bytes (0 = unbounded;
@@ -205,7 +196,7 @@ impl TcpStack {
 
     /// Total retransmissions performed (diagnostic).
     pub fn retransmissions(&self) -> u64 {
-        self.retransmissions
+        self.counters.retransmissions.get()
     }
 
     /// Bounds this endpoint's rx backlog (its NIC staging ring) to `limit`
@@ -274,7 +265,7 @@ impl TcpStack {
 
     /// Accounts for the message of `stream_len` bytes just sent.
     fn on_sent(&mut self, stream_len: u32) {
-        self.flight.record(
+        self.io.ctx.telemetry.flight().record(
             self.flow.snd_nxt().wrapping_sub(stream_len),
             self.io.ctx.sim.now(),
             FlightEvent::TcpMsgSend { bytes: stream_len },
@@ -301,7 +292,6 @@ impl TcpStack {
             }
         }
         if self.flow.on_rto(&mut self.io)? {
-            self.retransmissions += 1;
             self.counters.retransmissions.inc();
         }
         Ok(())
@@ -310,11 +300,10 @@ impl TcpStack {
     fn handle_segment(&mut self, seg: &Segment) -> Result<(), NetError> {
         let ev = self.flow.on_segment(&mut self.io, seg)?;
         if ev.reasm_overflow {
-            self.reasm_overflow_drops += 1;
             self.counters.reasm_overflow_drops.inc();
         }
         if let Some(reason) = ev.closed_by {
-            self.flight.record(
+            self.io.ctx.telemetry.flight().record(
                 self.flow.rcv_nxt(),
                 self.io.ctx.sim.now(),
                 FlightEvent::TcpFlowClose { reason },
@@ -356,7 +345,7 @@ impl TcpStack {
         })?;
         if let Some(buf) = &msg {
             self.counters.msgs_received.inc();
-            self.flight.record(
+            self.io.ctx.telemetry.flight().record(
                 msg_seq,
                 self.io.ctx.sim.now(),
                 FlightEvent::TcpMsgDeliver {

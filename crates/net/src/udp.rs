@@ -8,7 +8,7 @@ use cf_mem::{AllocError, PoolConfig, RcBuf};
 use cf_nic::{Nic, NicError, Port};
 use cf_sim::cost::Category;
 use cf_sim::Sim;
-use cf_telemetry::{Counter, FlightEvent, FlightRecorder, Gauge, Telemetry};
+use cf_telemetry::{Counter, FlightEvent, Gauge, Telemetry};
 use cornflakes_core::{CornflakesObj, SerCtx, SerializationConfig};
 
 use crate::gather;
@@ -75,7 +75,8 @@ pub struct Packet {
 /// the simulated NIC. All virtual-time costs of the datapath are charged
 /// here or in the NIC; application/serialization costs are charged by
 /// [`cornflakes_core`].
-/// Cached datapath counters; default handles are unregistered no-ops.
+/// The datapath's counter cells, owned from construction and adopted as
+/// `net.udp.*` by [`UdpStack::set_telemetry`].
 #[derive(Debug, Default)]
 struct UdpCounters {
     rx_packets: Counter,
@@ -92,9 +93,8 @@ pub struct UdpStack {
     nic: Rc<RefCell<Nic>>,
     /// The NIC queue pair this stack posts to and polls from.
     queue: usize,
-    /// Whether `nic` is shared with other stacks (sharded serving). A
-    /// shared NIC's telemetry is registered once by whoever owns the NIC,
-    /// not by each stack.
+    /// Whether `nic` is shared with other stacks (sharded serving), each
+    /// charging its own queue.
     shared_nic: bool,
     local_port: u16,
     /// This stack's host id in a multi-host topology (0 on point-to-point
@@ -110,8 +110,6 @@ pub struct UdpStack {
     /// Flush threshold for `tx_batch`; 0 disables batching.
     tx_batch_limit: usize,
     counters: UdpCounters,
-    /// Request-scoped lifecycle events (disabled by default).
-    flight: FlightRecorder,
 }
 
 impl UdpStack {
@@ -144,7 +142,6 @@ impl UdpStack {
             tx_batch: Vec::new(),
             tx_batch_limit: 0,
             counters: UdpCounters::default(),
-            flight: FlightRecorder::disabled(),
         }
     }
 
@@ -175,45 +172,26 @@ impl UdpStack {
             tx_batch: Vec::new(),
             tx_batch_limit: 0,
             counters: UdpCounters::default(),
-            flight: FlightRecorder::disabled(),
         }
     }
 
-    /// Wires this stack (and its NIC and serialization context) into a
-    /// telemetry handle: `net.udp.*` packet counters, `nic.*` counters,
-    /// `mem.*` external metrics, and serializer decision logging. A shared
-    /// NIC's counters are registered by the NIC's owner instead.
+    /// Attaches `tele` to this stack, its serialization context and its
+    /// NIC: the `net.udp.*`, `nic.*` and `mem.*` cells are adopted holding
+    /// whatever they have counted so far, serializer decisions are logged,
+    /// and serializer and per-queue NIC events join `tele`'s flight
+    /// recorder. Every stack sharing a NIC attaches it; the NIC's cells are
+    /// adopted once.
     pub fn set_telemetry(&mut self, tele: &Telemetry) {
-        self.ctx.install_telemetry(tele);
-        if !self.shared_nic {
-            self.nic.borrow_mut().set_telemetry(tele);
-        }
-        self.counters = UdpCounters {
-            rx_packets: tele.counter("net.udp.rx_packets"),
-            rx_runt_drops: tele.counter("net.udp.rx_runt_drops"),
-            rx_corrupt_drops: tele.counter("net.udp.rx_corrupt_drops"),
-            tx_packets: tele.counter("net.udp.tx_packets"),
-            tx_copy_fallbacks: tele.counter("net.udp.tx_copy_fallbacks"),
-            backlog_drops: tele.counter("net.udp.backlog_drops"),
-            rx_backlog: tele.gauge("net.udp.rx_backlog"),
-        };
-    }
-
-    /// Installs a flight recorder on this stack and (for an unshared NIC)
-    /// its NIC, so serializer and per-queue NIC events join the shared
-    /// per-request timeline. Shared-NIC stacks record only their own
-    /// events; the NIC's owner installs the recorder on the NIC once.
-    pub fn set_flight_recorder(&mut self, fr: &FlightRecorder) {
-        self.flight = fr.clone();
-        if !self.shared_nic {
-            self.nic.borrow_mut().set_flight_recorder(fr);
-        }
-    }
-
-    /// The flight recorder installed via
-    /// [`UdpStack::set_flight_recorder`] (disabled by default).
-    pub fn flight_recorder(&self) -> &FlightRecorder {
-        &self.flight
+        self.ctx.set_telemetry(tele);
+        self.nic.borrow_mut().set_telemetry(tele);
+        let c = &self.counters;
+        tele.adopt_counter("net.udp.rx_packets", &c.rx_packets);
+        tele.adopt_counter("net.udp.rx_runt_drops", &c.rx_runt_drops);
+        tele.adopt_counter("net.udp.rx_corrupt_drops", &c.rx_corrupt_drops);
+        tele.adopt_counter("net.udp.tx_packets", &c.tx_packets);
+        tele.adopt_counter("net.udp.tx_copy_fallbacks", &c.tx_copy_fallbacks);
+        tele.adopt_counter("net.udp.backlog_drops", &c.backlog_drops);
+        tele.adopt_gauge("net.udp.rx_backlog", &c.rx_backlog);
     }
 
     /// The telemetry handle installed via [`UdpStack::set_telemetry`]
@@ -358,7 +336,7 @@ impl UdpStack {
 
     /// Drains the wire into NIC staging, enforcing the rx backlog bound.
     /// Returns the number of frames tail-dropped from *this* socket's queue
-    /// during the pump, mirrored into `net.udp.backlog_drops`; also updates
+    /// during the pump, counted in `net.udp.backlog_drops`; also updates
     /// the `net.udp.rx_backlog` occupancy gauge.
     pub fn pump_rx(&mut self) -> u64 {
         let before = self.nic.borrow().queue_stats(self.queue).rx_backlog_drops;
@@ -522,7 +500,7 @@ impl UdpStack {
         entries.reserve(1 + obj.zero_copy_entries());
         entries.push(first);
         gather::collect_zero_copy(&self.ctx, obj, &mut entries);
-        self.flight.record(
+        self.ctx.telemetry.flight().record(
             hdr.meta.req_id,
             self.ctx.sim.now(),
             FlightEvent::Serialize {
@@ -544,7 +522,7 @@ impl UdpStack {
         obj: &impl CornflakesObj,
     ) -> Result<(), NetError> {
         self.counters.tx_copy_fallbacks.inc();
-        self.flight.record(
+        self.ctx.telemetry.flight().record(
             hdr.meta.req_id,
             self.ctx.sim.now(),
             FlightEvent::CopyFallback,
@@ -614,7 +592,7 @@ impl UdpStack {
         entries.push(hdr_buf);
         entries.push(obj_buf);
         gather::collect_zero_copy(&self.ctx, obj, &mut entries);
-        self.flight.record(
+        self.ctx.telemetry.flight().record(
             hdr.meta.req_id,
             self.ctx.sim.now(),
             FlightEvent::Serialize {
@@ -683,6 +661,7 @@ impl UdpStack {
     /// Statistics for the NIC queue this stack owns — what a sharded
     /// server reads so one shard's accounting never includes another
     /// shard's traffic.
+    #[inline]
     pub fn nic_queue_stats(&self) -> cf_nic::NicStats {
         self.nic.borrow().queue_stats(self.queue)
     }

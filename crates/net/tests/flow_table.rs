@@ -165,9 +165,8 @@ fn syn_flood_overflow_answers_rst_and_table_never_exceeds_capacity() {
     assert_eq!(listener.syn_backlog_len(), 4, "backlog capped");
     assert_eq!(listener.stats().syn_overflow_rsts, 36);
     assert!(listener.active_flows() <= listener.capacity());
-    // The gauge agrees with the accessor — benches assert on it. (Gauge
-    // handles are interned, so re-requesting the name reads the same cell.)
-    let active = tele.gauge("net.tcp.flow.active").get();
+    // The gauge agrees with the accessor — benches assert on it.
+    let active = tele.gauge_value("net.tcp.flow.active");
     assert_eq!(active, listener.active_flows() as f64);
 
     // A well-behaved client still gets in: the flood holds backlog slots,

@@ -143,9 +143,11 @@ pub struct FaultStats {
     pub delayed: u64,
 }
 
-/// Cached `fault.*` telemetry handles; defaults are unregistered no-ops.
+/// The channel's counter cells, the only place fault events are counted;
+/// [`FaultStats`] is a snapshot of them.
 #[derive(Debug, Default)]
 struct FaultCounters {
+    delivered: Counter,
     dropped: Counter,
     reordered: Counter,
     duplicated: Counter,
@@ -162,7 +164,6 @@ pub(crate) struct FaultState {
     /// Held-back frames: (release-at virtual ns, frame). Released ahead of
     /// the queue once due, without facing the plan a second time.
     delayed: Vec<(u64, Frame)>,
-    stats: FaultStats,
     counters: FaultCounters,
 }
 
@@ -173,7 +174,6 @@ impl FaultState {
             plan,
             clock,
             delayed: Vec::new(),
-            stats: FaultStats::default(),
             counters: FaultCounters::default(),
         }
     }
@@ -198,7 +198,6 @@ impl FaultState {
         for bit in first_bit..first_bit + burst {
             frame.data[bit / 8] ^= 1 << (bit % 8);
         }
-        self.stats.corrupted += 1;
         self.counters.corrupted.inc();
     }
 
@@ -209,13 +208,13 @@ impl FaultState {
         // and are not re-rolled: each frame faces the plan once.
         let now = self.clock.now();
         if let Some(i) = self.delayed.iter().position(|(t, _)| *t <= now) {
-            self.stats.delivered += 1;
+            self.counters.delivered.inc();
             return Some(self.delayed.remove(i).1);
         }
         if self.plan.is_quiet() {
             let f = queue.pop_front();
             if f.is_some() {
-                self.stats.delivered += 1;
+                self.counters.delivered.inc();
             }
             return f;
         }
@@ -225,19 +224,16 @@ impl FaultState {
         loop {
             let mut frame = queue.pop_front()?;
             if self.rng.next_bool(self.plan.drop) {
-                self.stats.dropped += 1;
                 self.counters.dropped.inc();
                 continue;
             }
             if !reordered && !queue.is_empty() && self.rng.next_bool(self.plan.reorder) {
-                self.stats.reordered += 1;
                 self.counters.reordered.inc();
                 queue.insert(1, frame);
                 reordered = true;
                 continue;
             }
             if !frame.wire_copy && self.rng.next_bool(self.plan.duplicate) {
-                self.stats.duplicated += 1;
                 self.counters.duplicated.inc();
                 let mut copy = frame.clone();
                 copy.wire_copy = true;
@@ -255,11 +251,10 @@ impl FaultState {
                     lo
                 };
                 self.delayed.push((now + d, frame));
-                self.stats.delayed += 1;
                 self.counters.delayed.inc();
                 continue;
             }
-            self.stats.delivered += 1;
+            self.counters.delivered.inc();
             return Some(frame);
         }
     }
@@ -292,7 +287,14 @@ impl FaultInjector {
 
     /// Counts of fault events applied so far on this channel.
     pub fn stats(&self) -> FaultStats {
-        self.with_state(|s, _| s.stats)
+        self.with_state(|s, _| FaultStats {
+            delivered: s.counters.delivered.get(),
+            dropped: s.counters.dropped.get(),
+            reordered: s.counters.reordered.get(),
+            duplicated: s.counters.duplicated.get(),
+            corrupted: s.counters.corrupted.get(),
+            delayed: s.counters.delayed.get(),
+        })
     }
 
     /// Replaces the probabilistic plan (restarting its RNG from the new
@@ -317,7 +319,6 @@ impl FaultInjector {
         self.with_state(|s, q| {
             let hit = q.pop_front().is_some();
             if hit {
-                s.stats.dropped += 1;
                 s.counters.dropped.inc();
             }
             hit
@@ -333,7 +334,6 @@ impl FaultInjector {
             };
             copy.wire_copy = true;
             q.push_back(copy);
-            s.stats.duplicated += 1;
             s.counters.duplicated.inc();
             true
         })
@@ -385,7 +385,6 @@ impl FaultInjector {
             };
             let release = s.clock.now() + delay_ns;
             s.delayed.push((release, frame));
-            s.stats.delayed += 1;
             s.counters.delayed.inc();
             true
         })
@@ -399,28 +398,24 @@ impl FaultInjector {
                 return false;
             }
             q.swap(0, 1);
-            s.stats.reordered += 1;
             s.counters.reordered.inc();
             true
         })
     }
 
-    /// Registers this channel's fault counters as `fault.<prefix>.*` in
-    /// `tele`, seeding them with the totals so far.
-    pub fn install_telemetry(&self, tele: &Telemetry, prefix: &str) {
+    /// Attaches `tele`: this channel's fault counter cells are adopted as
+    /// `fault.<prefix>.*`, holding whatever they have counted so far.
+    pub fn set_telemetry(&self, tele: &Telemetry, prefix: &str) {
         self.with_state(|s, _| {
-            s.counters = FaultCounters {
-                dropped: tele.counter(&format!("fault.{prefix}.drops")),
-                reordered: tele.counter(&format!("fault.{prefix}.reorders")),
-                duplicated: tele.counter(&format!("fault.{prefix}.duplicates")),
-                corrupted: tele.counter(&format!("fault.{prefix}.corruptions")),
-                delayed: tele.counter(&format!("fault.{prefix}.delays")),
-            };
-            s.counters.dropped.add(s.stats.dropped);
-            s.counters.reordered.add(s.stats.reordered);
-            s.counters.duplicated.add(s.stats.duplicated);
-            s.counters.corrupted.add(s.stats.corrupted);
-            s.counters.delayed.add(s.stats.delayed);
+            for (name, cell) in [
+                ("drops", &s.counters.dropped),
+                ("reorders", &s.counters.reordered),
+                ("duplicates", &s.counters.duplicated),
+                ("corruptions", &s.counters.corrupted),
+                ("delays", &s.counters.delayed),
+            ] {
+                tele.adopt_counter(&format!("fault.{prefix}.{name}"), cell);
+            }
         });
     }
 }
@@ -584,7 +579,7 @@ mod tests {
         use cf_telemetry::{Telemetry, TelemetryConfig};
         let (b, inj, _clock) = flood(2);
         let tele = Telemetry::new(Clock::new(), TelemetryConfig::default());
-        inj.install_telemetry(&tele, "b_rx");
+        inj.set_telemetry(&tele, "b_rx");
         assert!(inj.drop_pending());
         assert_eq!(tele.counter_value("fault.b_rx.drops"), 1);
         assert_eq!(drain(&b).len(), 1);

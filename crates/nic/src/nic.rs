@@ -6,8 +6,9 @@
 //! for queue 0); received frames are steered to a queue by the
 //! [`RssConfig`] hash over the frame's flow key and drained per queue
 //! ([`Nic::recv_into_on`]) or round-robin across queues
-//! ([`Nic::recv_into`]). Each queue keeps its own [`NicStats`], completion
-//! queue, and `nic.qN.*` telemetry counters, and can be bound to its own
+//! ([`Nic::recv_into`]). Each queue keeps its own completion queue and its
+//! own counters (read as a [`NicStats`], adopted by telemetry as
+//! `nic.qN.*`), and can be bound to its own
 //! [`Sim`] ([`Nic::bind_queue_sim`]) so a sharded server charges each
 //! queue's descriptor costs to the core that owns the queue.
 
@@ -129,23 +130,9 @@ pub struct NicStats {
     pub rx_backlog_drops: u64,
 }
 
-impl NicStats {
-    fn accumulate(&mut self, o: &NicStats) {
-        self.tx_frames += o.tx_frames;
-        self.tx_bytes += o.tx_bytes;
-        self.tx_sg_entries += o.tx_sg_entries;
-        self.doorbells += o.doorbells;
-        self.completions += o.completions;
-        self.rx_frames += o.rx_frames;
-        self.rx_bytes += o.rx_bytes;
-        self.rx_nobuf_drops += o.rx_nobuf_drops;
-        self.rx_backlog_drops += o.rx_backlog_drops;
-    }
-}
-
-/// Cached metric handles mirroring [`NicStats`] into a telemetry registry.
-/// Default handles are functional but unregistered, so the hot path never
-/// branches on whether telemetry is attached.
+/// One queue's counter cells, the only place its facts are counted.
+/// [`NicStats`] is a snapshot of them; [`Nic::set_telemetry`] files each
+/// cell under its `nic.qN.*` name and under the aggregate `nic.*` name.
 #[derive(Debug, Default)]
 struct NicCounters {
     tx_frames: Counter,
@@ -160,33 +147,39 @@ struct NicCounters {
 }
 
 impl NicCounters {
-    fn attach(tele: &Telemetry, prefix: &str, seed: &NicStats) -> Self {
-        let c = NicCounters {
-            tx_frames: tele.counter(&format!("{prefix}.tx_frames")),
-            tx_bytes: tele.counter(&format!("{prefix}.tx_bytes")),
-            tx_sg_entries: tele.counter(&format!("{prefix}.tx_sg_entries")),
-            doorbells: tele.counter(&format!("{prefix}.doorbells")),
-            rx_frames: tele.counter(&format!("{prefix}.rx_frames")),
-            rx_bytes: tele.counter(&format!("{prefix}.rx_bytes")),
-            rx_nobuf_drops: tele.counter(&format!("{prefix}.rx_nobuf_drops")),
-            rx_backlog_drops: tele.counter(&format!("{prefix}.rx_backlog_drops")),
-            completions: tele.counter(&format!("{prefix}.completions")),
-        };
-        c.tx_frames.add(seed.tx_frames);
-        c.tx_bytes.add(seed.tx_bytes);
-        c.tx_sg_entries.add(seed.tx_sg_entries);
-        c.doorbells.add(seed.doorbells);
-        c.rx_frames.add(seed.rx_frames);
-        c.rx_bytes.add(seed.rx_bytes);
-        c.rx_nobuf_drops.add(seed.rx_nobuf_drops);
-        c.rx_backlog_drops.add(seed.rx_backlog_drops);
-        c.completions.add(seed.completions);
-        c
+    fn adopt_into(&self, tele: &Telemetry, prefix: &str) {
+        for (name, cell) in [
+            ("tx_frames", &self.tx_frames),
+            ("tx_bytes", &self.tx_bytes),
+            ("tx_sg_entries", &self.tx_sg_entries),
+            ("doorbells", &self.doorbells),
+            ("rx_frames", &self.rx_frames),
+            ("rx_bytes", &self.rx_bytes),
+            ("rx_nobuf_drops", &self.rx_nobuf_drops),
+            ("rx_backlog_drops", &self.rx_backlog_drops),
+            ("completions", &self.completions),
+        ] {
+            tele.adopt_counter(&format!("{prefix}.{name}"), cell);
+        }
+    }
+
+    /// Adds this queue's counts to `total`.
+    #[inline]
+    fn add_to(&self, total: &mut NicStats) {
+        total.tx_frames += self.tx_frames.get();
+        total.tx_bytes += self.tx_bytes.get();
+        total.tx_sg_entries += self.tx_sg_entries.get();
+        total.doorbells += self.doorbells.get();
+        total.completions += self.completions.get();
+        total.rx_frames += self.rx_frames.get();
+        total.rx_bytes += self.rx_bytes.get();
+        total.rx_nobuf_drops += self.rx_nobuf_drops.get();
+        total.rx_backlog_drops += self.rx_backlog_drops.get();
     }
 }
 
 /// One TX/RX queue pair: its completion queue, RSS-staged receive frames,
-/// stats, telemetry counters, and (optionally) its own charging context.
+/// counters, and (optionally) its own charging context.
 #[derive(Default)]
 struct Queue {
     /// Buffers held by "in-flight DMA": released when completions are
@@ -201,7 +194,6 @@ struct Queue {
     /// Bound on `rx_staging` (0 = unbounded). When full, newly steered
     /// frames are tail-dropped — the rx-ring overflow every real NIC has.
     rx_limit: usize,
-    stats: NicStats,
     counters: NicCounters,
     /// Charging context override for this queue (sharded servers bind the
     /// owning core's `Sim`); `None` falls back to the NIC's base `Sim`.
@@ -214,11 +206,11 @@ pub struct Nic {
     port: Port,
     rss: RssConfig,
     queues: Vec<Queue>,
-    /// Aggregate `nic.*` counters across queues.
-    counters: NicCounters,
     /// Round-robin start for aggregate receive draining.
     rx_rotor: usize,
-    /// Request-scoped lifecycle events (disabled by default).
+    /// Request-scoped lifecycle events (disabled by default): the recorder
+    /// of the handle last attached. The NIC sits below `cornflakes-core`, so
+    /// it cannot reach a `SerCtx` and keeps its own clone.
     flight: FlightRecorder,
 }
 
@@ -238,7 +230,6 @@ impl Nic {
             port,
             rss: RssConfig::new(num_queues),
             queues: (0..num_queues).map(|_| Queue::default()).collect(),
-            counters: NicCounters::default(),
             rx_rotor: 0,
             flight: FlightRecorder::disabled(),
         }
@@ -276,23 +267,21 @@ impl Nic {
         self.queues[q].sim.as_ref().unwrap_or(&self.sim)
     }
 
-    /// Mirrors this NIC's counters into `tele`'s metrics registry: the
-    /// aggregate `nic.*` names plus per-queue `nic.qN.*` names. Counters
-    /// registered before any traffic flows start at zero; attaching mid-run
-    /// seeds them with the totals so far.
+    /// Attaches `tele`: every queue's counter cells are adopted under their
+    /// `nic.qN.*` names and under the aggregate `nic.*` names (which so read
+    /// Σ queues), holding whatever they have counted so far; and per-queue
+    /// tx/rx enqueues and tail drops are recorded in `tele`'s flight
+    /// recorder against the request id each frame already carries, on the
+    /// clock of the core that owns the queue. A handle without a recorder
+    /// leaves the installed one in place.
     pub fn set_telemetry(&mut self, tele: &Telemetry) {
-        let total = self.stats();
-        self.counters = NicCounters::attach(tele, "nic", &total);
-        for (i, q) in self.queues.iter_mut().enumerate() {
-            q.counters = NicCounters::attach(tele, &format!("nic.q{i}"), &q.stats);
+        for (i, q) in self.queues.iter().enumerate() {
+            q.counters.adopt_into(tele, "nic");
+            q.counters.adopt_into(tele, &format!("nic.q{i}"));
         }
-    }
-
-    /// Installs a flight recorder: per-queue tx/rx enqueues and tail drops
-    /// are recorded against the request id each frame already carries, on
-    /// the clock of the core that owns the queue.
-    pub fn set_flight_recorder(&mut self, fr: &FlightRecorder) {
-        self.flight = fr.clone();
+        if tele.flight().is_enabled() {
+            self.flight = tele.flight().clone();
+        }
     }
 
     /// Maximum scatter-gather entries per descriptor for this NIC (a
@@ -358,16 +347,10 @@ impl Nic {
                     .record(id, now, FlightEvent::NicTxEnqueue { queue: q as u8 });
             }
         }
-        let queue = &mut self.queues[q];
-        queue.stats.tx_frames += 1;
-        queue.stats.tx_bytes += size as u64;
-        queue.stats.tx_sg_entries += entries.len() as u64;
-        queue.counters.tx_frames.inc();
-        queue.counters.tx_bytes.add(size as u64);
-        queue.counters.tx_sg_entries.add(entries.len() as u64);
-        self.counters.tx_frames.inc();
-        self.counters.tx_bytes.add(size as u64);
-        self.counters.tx_sg_entries.add(entries.len() as u64);
+        let counters = &self.queues[q].counters;
+        counters.tx_frames.inc();
+        counters.tx_bytes.add(size as u64);
+        counters.tx_sg_entries.add(entries.len() as u64);
         // Checksum offload: the NIC writes the frame check sequence as part
         // of the gather (NIC-side work, no CPU charge).
         let mut frame = Frame::new(data);
@@ -377,9 +360,7 @@ impl Nic {
     }
 
     fn ring_doorbell(&mut self, q: usize) {
-        self.queues[q].stats.doorbells += 1;
         self.queues[q].counters.doorbells.inc();
-        self.counters.doorbells.inc();
     }
 
     /// Posts a transmit descriptor on queue 0 (the single-queue API), then
@@ -465,9 +446,7 @@ impl Nic {
                 queue.desc_spares.push(desc);
             }
         }
-        queue.stats.completions += n as u64;
         queue.counters.completions.add(n as u64);
-        self.counters.completions.add(n as u64);
         n
     }
 
@@ -515,10 +494,13 @@ impl Nic {
     /// explicit pump makes the bounded rings actually bound memory when the
     /// receiver is slower than the wire.
     pub fn pump(&mut self) -> u64 {
-        let before: u64 = self.queues.iter().map(|q| q.stats.rx_backlog_drops).sum();
+        let drops = |queues: &[Queue]| -> u64 {
+            let per_queue = queues.iter().map(|q| q.counters.rx_backlog_drops.get());
+            per_queue.sum()
+        };
+        let before = drops(&self.queues);
         while self.pull_one().is_some() {}
-        let after: u64 = self.queues.iter().map(|q| q.stats.rx_backlog_drops).sum();
-        after - before
+        drops(&self.queues) - before
     }
 
     /// Pulls one frame off the wire and stages it on the queue RSS steers
@@ -552,9 +534,7 @@ impl Nic {
         }
         let queue = &mut self.queues[q];
         if full {
-            queue.stats.rx_backlog_drops += 1;
             queue.counters.rx_backlog_drops.inc();
-            self.counters.rx_backlog_drops.inc();
             return Some(q);
         }
         queue.rx_staging.push_back(frame);
@@ -565,19 +545,13 @@ impl Nic {
     /// queue `q`. `None` means the frame was dropped (pool exhausted).
     fn dma_rx(&mut self, q: usize, frame: Frame, rx_pool: &PinnedPool) -> Option<RcBuf> {
         let Ok(mut buf) = rx_pool.alloc(frame.len().max(1)) else {
-            self.queues[q].stats.rx_nobuf_drops += 1;
             self.queues[q].counters.rx_nobuf_drops.inc();
-            self.counters.rx_nobuf_drops.inc();
             self.port.recycle_rx_data(frame.data);
             return None;
         };
-        let queue = &mut self.queues[q];
-        queue.stats.rx_frames += 1;
-        queue.stats.rx_bytes += frame.len() as u64;
-        queue.counters.rx_frames.inc();
-        queue.counters.rx_bytes.add(frame.len() as u64);
-        self.counters.rx_frames.inc();
-        self.counters.rx_bytes.add(frame.len() as u64);
+        let counters = &self.queues[q].counters;
+        counters.rx_frames.inc();
+        counters.rx_bytes.add(frame.len() as u64);
         if !frame.is_empty() {
             buf.write_at(0, &frame.data);
         }
@@ -649,14 +623,19 @@ impl Nic {
     pub fn stats(&self) -> NicStats {
         let mut total = NicStats::default();
         for q in &self.queues {
-            total.accumulate(&q.stats);
+            q.counters.add_to(&mut total);
         }
         total
     }
 
-    /// Queue `q`'s transmit/receive counters.
+    /// Queue `q`'s transmit/receive counters. Inlined, so a caller that
+    /// reads one field (a server reads `tx_bytes` around every request)
+    /// loads one cell, not nine.
+    #[inline]
     pub fn queue_stats(&self, q: usize) -> NicStats {
-        self.queues[q].stats
+        let mut stats = NicStats::default();
+        self.queues[q].counters.add_to(&mut stats);
+        stats
     }
 
     /// The attached wire port (test hook).

@@ -37,7 +37,8 @@ pub struct SwitchStats {
     pub dropped_unknown: u64,
 }
 
-/// Cached `cluster.switch.*` telemetry handles; defaults are no-ops.
+/// The switch's counter cells, the only place forwarding is counted;
+/// [`SwitchStats`] is a snapshot of them.
 #[derive(Debug, Default)]
 struct SwitchCounters {
     forwarded: Counter,
@@ -56,7 +57,6 @@ pub struct SimSwitch {
     uplinks: Vec<Uplink>,
     /// Partitioned host pairs, stored with the smaller id first.
     partitions: Vec<(u8, u8)>,
-    stats: SwitchStats,
     counters: SwitchCounters,
 }
 
@@ -72,7 +72,6 @@ impl SimSwitch {
         SimSwitch {
             uplinks: Vec::new(),
             partitions: Vec::new(),
-            stats: SwitchStats::default(),
             counters: SwitchCounters::default(),
         }
     }
@@ -158,53 +157,44 @@ impl SimSwitch {
 
     fn route(&mut self, src: u8, frame: Frame) {
         if !self.uplinks[src as usize].alive {
-            self.stats.dropped_dead += 1;
             self.counters.dropped_dead.inc();
             return;
         }
         let dst = frame.data.get(OFF_DST_HOST).copied().unwrap_or(0) as usize;
         let Some(uplink) = self.uplinks.get(dst) else {
-            self.stats.dropped_unknown += 1;
             self.counters.dropped_unknown.inc();
             return;
         };
         if !uplink.alive {
-            self.stats.dropped_dead += 1;
             self.counters.dropped_dead.inc();
             return;
         }
         if self.partitioned(src, dst as u8) {
-            self.stats.dropped_partitioned += 1;
             self.counters.dropped_partitioned.inc();
             return;
         }
         uplink.port.send(frame);
-        self.stats.forwarded += 1;
         self.counters.forwarded.inc();
     }
 
     /// Forwarding statistics so far.
     pub fn stats(&self) -> SwitchStats {
-        self.stats
+        SwitchStats {
+            forwarded: self.counters.forwarded.get(),
+            dropped_dead: self.counters.dropped_dead.get(),
+            dropped_partitioned: self.counters.dropped_partitioned.get(),
+            dropped_unknown: self.counters.dropped_unknown.get(),
+        }
     }
 
-    /// Registers the switch counters as `cluster.switch.*`, seeding them
-    /// with the totals so far.
-    pub fn install_telemetry(&mut self, tele: &Telemetry) {
-        self.counters = SwitchCounters {
-            forwarded: tele.counter("cluster.switch.forwarded"),
-            dropped_dead: tele.counter("cluster.switch.dropped_dead"),
-            dropped_partitioned: tele.counter("cluster.switch.dropped_partitioned"),
-            dropped_unknown: tele.counter("cluster.switch.dropped_unknown"),
-        };
-        self.counters.forwarded.add(self.stats.forwarded);
-        self.counters.dropped_dead.add(self.stats.dropped_dead);
-        self.counters
-            .dropped_partitioned
-            .add(self.stats.dropped_partitioned);
-        self.counters
-            .dropped_unknown
-            .add(self.stats.dropped_unknown);
+    /// Attaches `tele`: the switch's counter cells are adopted as
+    /// `cluster.switch.*`, holding whatever they have counted so far.
+    pub fn set_telemetry(&self, tele: &Telemetry) {
+        let c = &self.counters;
+        tele.adopt_counter("cluster.switch.forwarded", &c.forwarded);
+        tele.adopt_counter("cluster.switch.dropped_dead", &c.dropped_dead);
+        tele.adopt_counter("cluster.switch.dropped_partitioned", &c.dropped_partitioned);
+        tele.adopt_counter("cluster.switch.dropped_unknown", &c.dropped_unknown);
     }
 }
 
@@ -213,7 +203,7 @@ impl std::fmt::Debug for SimSwitch {
         f.debug_struct("SimSwitch")
             .field("hosts", &self.uplinks.len())
             .field("partitions", &self.partitions)
-            .field("stats", &self.stats)
+            .field("stats", &self.stats())
             .finish()
     }
 }

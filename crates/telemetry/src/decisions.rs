@@ -6,7 +6,7 @@
 //! field size, active threshold, outcome, and recover hit/miss — as running
 //! aggregates plus a small ring of recent decisions for debugging.
 
-use crate::json;
+use crate::json::Value;
 
 /// One hybrid-serializer decision (a single `CFBytes` construction).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -109,26 +109,24 @@ impl DecisionLog {
         *self = DecisionLog::new(self.capacity);
     }
 
-    /// Renders the aggregates as one JSON object.
-    pub fn summary_json(&self) -> String {
-        format!(
-            "{{\"total\": {}, \"zero_copy\": {}, \"copied\": {}, \"recover_attempts\": {}, \
-             \"recover_hits\": {}, \"recover_misses\": {}, \"bytes_zero_copy\": {}, \
-             \"bytes_copied\": {}, \"zero_copy_fraction\": {}}}",
-            self.total,
-            self.zero_copy,
-            self.copied,
-            self.recover_attempts,
-            self.recover_hits,
-            self.recover_misses(),
-            self.bytes_zero_copy,
-            self.bytes_copied,
-            json::num(if self.total == 0 {
-                0.0
-            } else {
-                self.zero_copy as f64 / self.total as f64
-            }),
-        )
+    /// The aggregates as one JSON object.
+    pub fn summary(&self) -> Value {
+        let fraction = if self.total == 0 {
+            0.0
+        } else {
+            self.zero_copy as f64 / self.total as f64
+        };
+        Value::obj([
+            ("total", Value::Num(self.total as f64)),
+            ("zero_copy", Value::Num(self.zero_copy as f64)),
+            ("copied", Value::Num(self.copied as f64)),
+            ("recover_attempts", Value::Num(self.recover_attempts as f64)),
+            ("recover_hits", Value::Num(self.recover_hits as f64)),
+            ("recover_misses", Value::Num(self.recover_misses() as f64)),
+            ("bytes_zero_copy", Value::Num(self.bytes_zero_copy as f64)),
+            ("bytes_copied", Value::Num(self.bytes_copied as f64)),
+            ("zero_copy_fraction", Value::Num(fraction)),
+        ])
     }
 }
 
@@ -199,8 +197,9 @@ mod tests {
     fn summary_is_valid_json() {
         let mut log = DecisionLog::default();
         log.record(zc(9000));
-        crate::json::validate(&log.summary_json()).expect("valid JSON");
-        assert!(log.summary_json().contains("\"zero_copy_fraction\": 1"));
+        let summary = log.summary().render();
+        crate::json::validate(&summary).expect("valid JSON");
+        assert!(summary.contains("\"zero_copy_fraction\": 1"));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! `cf-telemetry`: virtual-time observability for the Cornflakes datapath.
 //!
-//! Three instruments behind one cheaply clonable [`Telemetry`] handle:
+//! Five instruments behind one cheaply clonable [`Telemetry`] handle:
 //!
 //! 1. **Span tracing** ([`trace`]): per-request phase spans stamped in
 //!    *virtual* nanoseconds from the shared [`cf_sim::Clock`], stored in a
@@ -8,25 +8,32 @@
 //!    (open in `chrome://tracing` or Perfetto). Virtual-time charges are
 //!    attributed to the innermost open span via [`cf_sim::ChargeObserver`].
 //! 2. **Metrics** ([`metrics`]): named counters, gauges, and virtual-time
-//!    histograms, snapshotable to JSON and Prometheus text.
-//! 3. **Serializer decision logging** ([`decisions`]): every `CFBytes`
+//!    histograms, snapshotable to JSON and Prometheus text. A layer owns
+//!    the cells it counts in from construction; attaching a handle *adopts*
+//!    those cells by name ([`Telemetry::adopt_counter`]) and a name reads as
+//!    the sum of its cells — nothing is minted, seeded or reset on attach.
+//! 3. **Exemplars** ([`metrics::Exemplar`]): each histogram keeps the
+//!    request id of the largest value per magnitude group, the link from a
+//!    tail bucket to a recorded request.
+//! 4. **Serializer decision logging** ([`decisions`]): every `CFBytes`
 //!    construction records size, threshold, copy-vs-zero-copy choice, and
 //!    `recover_ptr` hit/miss.
-//!
-//! A fourth instrument, the request-scoped **flight recorder** ([`flight`]),
-//! is a standalone handle rather than part of [`Telemetry`]: one recorder is
-//! shared across *machines* (client and server install the same clone), so
-//! a request's events interleave into a single cross-layer timeline keyed
-//! by the wire's request id.
+//! 5. The request-scoped **flight recorder** ([`flight`]): one ring shared
+//!    across *machines* (client and server carry the same recorder), so a
+//!    request's events interleave into a single cross-layer timeline keyed
+//!    by the wire's request id. The handle carries it
+//!    ([`Telemetry::with_flight`] / [`Telemetry::flight`]) beside the other
+//!    four, so a flight-only handle exists.
 //!
 //! A disabled handle ([`Telemetry::disabled`]) is a `None` inside an
-//! `Option<Rc<_>>`: every hot-path operation short-circuits on one branch
-//! and no memory is allocated, so instrumented code needs no cfg gates.
+//! `Option<Rc<_>>` beside a disabled recorder (another `None`): every
+//! hot-path operation short-circuits on one branch and no memory is
+//! allocated, so instrumented code needs no cfg gates.
 //!
 //! Telemetry is intentionally `!Send` (`Rc`/`RefCell`-based) because each
 //! simulated machine is single-threaded by construction. `cf-mem` — just as
 //! core-local, but below this crate in the dependency graph — publishes
-//! `Arc<AtomicU64>` cells instead, registered via
+//! `Arc<AtomicU64>` cells instead, adopted via
 //! [`Telemetry::register_external`].
 
 use std::cell::RefCell;
@@ -36,6 +43,8 @@ use std::sync::Arc;
 
 use cf_sim::cost::{Category, ChargeObserver, NUM_CATEGORIES};
 use cf_sim::{Clock, Sim};
+
+use json::Value;
 
 pub mod alloctrack;
 pub mod decisions;
@@ -87,6 +96,9 @@ impl ChargeObserver for Inner {
 #[derive(Clone)]
 pub struct Telemetry {
     inner: Option<Rc<Inner>>,
+    /// Beside `inner`, not inside it: a flight-only handle exists, and
+    /// `flight().record()` is one branch whatever `inner` is.
+    flight: FlightRecorder,
 }
 
 impl Default for Telemetry {
@@ -97,17 +109,19 @@ impl Default for Telemetry {
 
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.inner {
-            Some(_) => f.write_str("Telemetry(enabled)"),
-            None => f.write_str("Telemetry(disabled)"),
-        }
+        let (metrics, flight) = (self.enabled(), self.flight.is_enabled());
+        write!(f, "Telemetry(metrics: {metrics}, flight: {flight})")
     }
 }
 
 impl Telemetry {
-    /// A no-op handle: spans, counters, and decisions all short-circuit.
+    /// A no-op handle: spans, metrics, decisions and flight events all
+    /// short-circuit.
     pub fn disabled() -> Self {
-        Telemetry { inner: None }
+        Telemetry {
+            inner: None,
+            flight: FlightRecorder::disabled(),
+        }
     }
 
     /// Creates an enabled handle reading virtual time from `clock`.
@@ -122,6 +136,7 @@ impl Telemetry {
                 metrics: MetricsRegistry::default(),
                 decisions: RefCell::new(decisions::DecisionLog::new(config.decision_capacity)),
             })),
+            flight: FlightRecorder::disabled(),
         }
     }
 
@@ -139,9 +154,38 @@ impl Telemetry {
         t
     }
 
-    /// Whether this handle records anything.
+    /// Whether this handle records spans, metrics and decisions (flight
+    /// events are [`FlightRecorder::is_enabled`] on [`Telemetry::flight`]).
     pub fn enabled(&self) -> bool {
         self.inner.is_some()
+    }
+
+    // ---- flight recorder ------------------------------------------------
+
+    /// This handle carrying `fr` as its flight recorder.
+    /// `Telemetry::disabled().with_flight(&fr)` is a flight-only handle.
+    pub fn with_flight(&self, fr: &FlightRecorder) -> Telemetry {
+        Telemetry {
+            inner: self.inner.clone(),
+            flight: fr.clone(),
+        }
+    }
+
+    /// The flight recorder this handle carries (disabled by default).
+    #[inline]
+    pub fn flight(&self) -> &FlightRecorder {
+        &self.flight
+    }
+
+    /// What installing this handle over `prev` leaves installed: each half
+    /// (metrics, flight) this handle has disabled stays `prev`'s, so
+    /// attaching metrics and attaching a recorder commute.
+    pub fn over(&self, prev: &Telemetry) -> Telemetry {
+        let ours = self.flight.is_enabled();
+        Telemetry {
+            inner: self.inner.clone().or_else(|| prev.inner.clone()),
+            flight: if ours { &self.flight } else { &prev.flight }.clone(),
+        }
     }
 
     // ---- spans ----------------------------------------------------------
@@ -165,14 +209,7 @@ impl Telemetry {
             inner.tracer.borrow_mut().open(name, req_id, now);
         }
         SpanGuard {
-            telemetry: self.clone(),
-        }
-    }
-
-    fn span_close(&self) {
-        if let Some(inner) = &self.inner {
-            let now = inner.clock.now();
-            inner.tracer.borrow_mut().close(now);
+            inner: self.inner.clone(),
         }
     }
 
@@ -210,20 +247,18 @@ impl Telemetry {
 
     // ---- metrics --------------------------------------------------------
 
-    /// Counter handle for `name`. Disabled handles return an unregistered
-    /// (but functional) counter, so call sites never branch.
-    pub fn counter(&self, name: &str) -> Counter {
-        match &self.inner {
-            Some(inner) => inner.metrics.counter(name),
-            None => Counter::default(),
+    /// Adopts `cell`, which its layer owns and keeps writing, as (one of)
+    /// the counter(s) named `name`. No-op when disabled.
+    pub fn adopt_counter(&self, name: &str, cell: &Counter) {
+        if let Some(inner) = &self.inner {
+            inner.metrics.adopt_counter(name, cell);
         }
     }
 
-    /// Gauge handle for `name` (unregistered when disabled).
-    pub fn gauge(&self, name: &str) -> Gauge {
-        match &self.inner {
-            Some(inner) => inner.metrics.gauge(name),
-            None => Gauge::default(),
+    /// Adopts `cell` as (one of) the gauge(s) named `name`.
+    pub fn adopt_gauge(&self, name: &str, cell: &Gauge) {
+        if let Some(inner) = &self.inner {
+            inner.metrics.adopt_gauge(name, cell);
         }
     }
 
@@ -235,7 +270,7 @@ impl Telemetry {
         }
     }
 
-    /// Registers a thread-safe external cell (e.g. cf-mem pool stats) that
+    /// Adopts a thread-safe external cell (e.g. cf-mem pool stats) that
     /// snapshots read at collection time. No-op when disabled.
     pub fn register_external(&self, name: &str, cell: Arc<AtomicU64>) {
         if let Some(inner) = &self.inner {
@@ -249,17 +284,15 @@ impl Telemetry {
         self.inner.as_ref().map(|i| f(&i.metrics))
     }
 
-    /// Current value of counter `name` (externals included); 0 if absent or
-    /// disabled. Convenience for tests.
+    /// Current value of counter `name` (externals included): the sum of
+    /// the cells adopted under it; 0 if absent or disabled.
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.with_metrics(|m| {
-            m.counter_values()
-                .into_iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| v)
-                .unwrap_or(0)
-        })
-        .unwrap_or(0)
+        self.with_metrics(|m| m.counter_value(name)).unwrap_or(0)
+    }
+
+    /// Current value of gauge `name`; 0 if absent or disabled.
+    pub fn gauge_value(&self, name: &str) -> f64 {
+        self.with_metrics(|m| m.gauge_value(name)).unwrap_or(0.0)
     }
 
     // ---- serializer decisions -------------------------------------------
@@ -284,23 +317,25 @@ impl Telemetry {
     /// span bookkeeping as one JSON object.
     pub fn snapshot_json(&self) -> String {
         let Some(inner) = &self.inner else {
-            return "{}\n".to_string();
+            return Value::Obj(Vec::new()).render();
         };
         let tracer = inner.tracer.borrow();
-        let spans = format!(
-            "{{\"closed\": {}, \"dropped\": {}, \"open\": {}, \"orphan_ns\": {}}}",
-            tracer.spans_closed,
-            tracer.dropped_spans,
-            tracer.open_depth(),
-            json::num(tracer.orphan_cat_ns.iter().sum()),
-        );
-        format!(
-            "{{\n\"virtual_now_ns\": {},\n{},\n\"decisions\": {},\n\"spans\": {}\n}}\n",
-            inner.clock.now(),
-            inner.metrics.snapshot_json_members(),
-            inner.decisions.borrow().summary_json(),
-            spans,
-        )
+        let spans = Value::obj([
+            ("closed", Value::Num(tracer.spans_closed as f64)),
+            ("dropped", Value::Num(tracer.dropped_spans as f64)),
+            ("open", Value::Num(tracer.open_depth() as f64)),
+            ("orphan_ns", Value::Num(tracer.orphan_cat_ns.iter().sum())),
+        ]);
+        let [counters, gauges, histograms] = inner.metrics.snapshot_members();
+        Value::obj([
+            ("virtual_now_ns", Value::Num(inner.clock.now() as f64)),
+            counters,
+            gauges,
+            histograms,
+            ("decisions", inner.decisions.borrow().summary()),
+            ("spans", spans),
+        ])
+        .render()
     }
 
     /// Counters/gauges/histograms in Prometheus text exposition format.
@@ -313,12 +348,15 @@ impl Telemetry {
 /// RAII guard closing its span on drop.
 #[must_use = "the span closes when the guard drops"]
 pub struct SpanGuard {
-    telemetry: Telemetry,
+    inner: Option<Rc<Inner>>,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        self.telemetry.span_close();
+        if let Some(inner) = &self.inner {
+            let now = inner.clock.now();
+            inner.tracer.borrow_mut().close(now);
+        }
     }
 }
 
@@ -333,7 +371,8 @@ mod tests {
         assert!(!t.enabled());
         {
             let _g = t.request_span("request", 1);
-            t.counter("x").inc();
+            t.adopt_counter("x", &Counter::default());
+            t.flight().record(1, 0, FlightEvent::ClientSend);
             t.record_decision(FieldDecision {
                 len: 1,
                 threshold: 2,
@@ -345,6 +384,37 @@ mod tests {
         assert_eq!(t.snapshot_json(), "{}\n");
         assert_eq!(t.chrome_trace_json(), "[]\n");
         assert_eq!(t.counter_value("x"), 0);
+        assert!(t.flight().is_empty());
+    }
+
+    #[test]
+    fn the_handle_carries_the_recorder_beside_the_metrics() {
+        let sim = Sim::new(MachineProfile::tiny_for_tests());
+        let fr = FlightRecorder::with_capacity(8);
+        // A flight-only handle records events and nothing else.
+        let flight_only = Telemetry::disabled().with_flight(&fr);
+        assert!(!flight_only.enabled());
+        flight_only.flight().record(7, 1, FlightEvent::ClientSend);
+        assert_eq!(fr.len(), 1);
+        // Installing metrics and installing a recorder commute.
+        let metrics_only = Telemetry::attach(&sim);
+        for installed in [
+            flight_only.over(&metrics_only.over(&Telemetry::disabled())),
+            metrics_only.over(&flight_only.over(&Telemetry::disabled())),
+            metrics_only.with_flight(&fr),
+        ] {
+            assert!(installed.enabled());
+            installed.flight().record(7, 2, FlightEvent::DedupHit);
+            let c = Counter::default();
+            installed.adopt_counter("shared", &c);
+            c.inc();
+        }
+        assert_eq!(fr.len(), 4, "every handle wrote the one ring");
+        assert_eq!(
+            metrics_only.counter_value("shared"),
+            3,
+            "and the one registry"
+        );
     }
 
     #[test]
@@ -393,8 +463,11 @@ mod tests {
     fn snapshot_json_is_valid_and_complete() {
         let sim = Sim::new(MachineProfile::tiny_for_tests());
         let t = Telemetry::attach(&sim);
-        t.counter("nic.tx_frames").add(3);
-        t.gauge("mem.pool.occupancy").set(0.5);
+        let (frames, occupancy) = (Counter::default(), Gauge::default());
+        t.adopt_counter("nic.tx_frames", &frames);
+        t.adopt_gauge("mem.pool.occupancy", &occupancy);
+        frames.add(3);
+        occupancy.set(0.5);
         t.histogram("kv.latency_ns").record(1_234);
         t.record_decision(FieldDecision {
             len: 4096,

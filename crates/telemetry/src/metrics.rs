@@ -1,12 +1,13 @@
 //! Named counters, gauges, and virtual-time histograms.
 //!
-//! Handles ([`Counter`], [`Gauge`], [`VtHistogram`]) are cheap `Rc` clones
-//! that call sites cache once and update without any registry lookup on the
-//! hot path. The registry itself is only consulted when a metric is created
-//! or a snapshot is taken.
+//! Handles ([`Counter`], [`Gauge`], [`VtHistogram`]) are cheap `Rc` clones.
+//! The layer that counts a fact owns its `Counter` / `Gauge` cell from
+//! construction and updates it without any registry lookup on the hot
+//! path; the registry *adopts* cells by name when telemetry is attached
+//! and is consulted again only when a snapshot is taken.
 //!
 //! Producers that cannot depend on this crate (cf-mem) publish
-//! `Arc<AtomicU64>` cells instead, registered here as *external* gauges and
+//! `Arc<AtomicU64>` cells instead, adopted here as *external* gauges and
 //! read at snapshot time. Such a cell has one writer, the core that owns the
 //! pool or arena it describes; any holder may read it.
 
@@ -18,7 +19,7 @@ use std::sync::Arc;
 
 use cf_sim::Histogram;
 
-use crate::json;
+use crate::json::{self, Value};
 
 /// Monotonically increasing counter handle.
 #[derive(Clone, Debug, Default)]
@@ -168,39 +169,56 @@ impl VtHistogram {
 
 #[derive(Default)]
 struct RegistryInner {
-    counters: BTreeMap<String, Counter>,
-    gauges: BTreeMap<String, Gauge>,
+    counters: BTreeMap<String, Vec<Counter>>,
+    gauges: BTreeMap<String, Vec<Gauge>>,
     histograms: BTreeMap<String, VtHistogram>,
-    externals: BTreeMap<String, Arc<AtomicU64>>,
+    externals: BTreeMap<String, Vec<Arc<AtomicU64>>>,
+}
+
+/// Files `cell` under `name` unless that very cell (`same`) is already
+/// there, so attaching one handle twice doubles nothing.
+fn adopt<T>(map: &mut BTreeMap<String, Vec<T>>, name: &str, cell: T, same: fn(&T, &T) -> bool) {
+    let cells = map.entry(name.to_string()).or_default();
+    if !cells.iter().any(|c| same(c, &cell)) {
+        cells.push(cell);
+    }
+}
+
+fn counter_sum(cells: &[Counter]) -> u64 {
+    cells.iter().map(Counter::get).sum()
+}
+
+fn gauge_sum(cells: &[Gauge]) -> f64 {
+    cells.iter().map(Gauge::get).sum()
+}
+
+fn external_sum(cells: &[Arc<AtomicU64>]) -> u64 {
+    cells.iter().map(|c| c.load(Ordering::Relaxed)).sum()
 }
 
 /// Registry of named metrics, snapshotable to JSON and Prometheus text.
+///
+/// A name maps to the cells adopted under it and reads as their sum: the
+/// layer that counts a fact owns its cell from construction, and attaching
+/// telemetry files that same cell here — the registry never mints, seeds or
+/// replaces one. Two machines on one handle, or a NIC's queues under the
+/// aggregate `nic.*` names, are several cells under one name.
 #[derive(Default)]
 pub struct MetricsRegistry {
     inner: RefCell<RegistryInner>,
 }
 
 impl MetricsRegistry {
-    /// Returns (creating on first use) the counter named `name`.
-    pub fn counter(&self, name: &str) -> Counter {
-        let mut inner = self.inner.borrow_mut();
-        if let Some(c) = inner.counters.get(name) {
-            return c.clone();
-        }
-        let c = Counter::default();
-        inner.counters.insert(name.to_string(), c.clone());
-        c
+    /// Adopts `cell` as (one of) the counter(s) named `name`.
+    pub fn adopt_counter(&self, name: &str, cell: &Counter) {
+        let counters = &mut self.inner.borrow_mut().counters;
+        adopt(counters, name, cell.clone(), |a, b| Rc::ptr_eq(&a.0, &b.0));
     }
 
-    /// Returns (creating on first use) the gauge named `name`.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut inner = self.inner.borrow_mut();
-        if let Some(g) = inner.gauges.get(name) {
-            return g.clone();
-        }
-        let g = Gauge::default();
-        inner.gauges.insert(name.to_string(), g.clone());
-        g
+    /// Adopts `cell` as (one of) the gauge(s) named `name`.
+    pub fn adopt_gauge(&self, name: &str, cell: &Gauge) {
+        let gauges = &mut self.inner.borrow_mut().gauges;
+        adopt(gauges, name, cell.clone(), |a, b| Rc::ptr_eq(&a.0, &b.0));
     }
 
     /// Returns (creating on first use) the histogram named `name`.
@@ -214,102 +232,70 @@ impl MetricsRegistry {
         h
     }
 
-    /// Registers an external cell (read with `Ordering::Relaxed` at snapshot
+    /// Adopts an external cell (read with `Ordering::Relaxed` at snapshot
     /// time). Used by `cf-mem`, which sits below this crate and so cannot
     /// hold a [`Counter`]; its owner is the cell's only writer.
     pub fn register_external(&self, name: &str, cell: Arc<AtomicU64>) {
-        self.inner
-            .borrow_mut()
-            .externals
-            .insert(name.to_string(), cell);
+        let externals = &mut self.inner.borrow_mut().externals;
+        adopt(externals, name, cell, Arc::ptr_eq);
     }
 
-    /// All counter values plus externals, sorted by name (for assertions).
-    pub fn counter_values(&self) -> Vec<(String, u64)> {
+    /// Current value of counter (or external) `name`; 0 if absent.
+    pub fn counter_value(&self, name: &str) -> u64 {
         let inner = self.inner.borrow();
-        inner
+        inner.counters.get(name).map_or(0, |c| counter_sum(c))
+            + inner.externals.get(name).map_or(0, |c| external_sum(c))
+    }
+
+    /// Current value of gauge `name`; 0 if absent.
+    pub fn gauge_value(&self, name: &str) -> f64 {
+        let inner = self.inner.borrow();
+        inner.gauges.get(name).map_or(0.0, |g| gauge_sum(g))
+    }
+
+    /// The `"counters"` (externals included), `"gauges"` and `"histograms"`
+    /// members of a JSON snapshot object.
+    pub(crate) fn snapshot_members(&self) -> [(&'static str, Value); 3] {
+        let inner = self.inner.borrow();
+        let counters = inner
             .counters
             .iter()
-            .map(|(n, c)| (n.clone(), c.get()))
+            .map(|(n, c)| (n.clone(), Value::Num(counter_sum(c) as f64)))
             .chain(
                 inner
                     .externals
                     .iter()
-                    .map(|(n, e)| (n.clone(), e.load(Ordering::Relaxed))),
-            )
-            .collect()
-    }
-
-    /// Renders the `"counters"`, `"gauges"`, and `"histograms"` members of a
-    /// JSON snapshot object (no surrounding braces).
-    pub(crate) fn snapshot_json_members(&self) -> String {
-        let inner = self.inner.borrow();
-        let mut out = String::new();
-        out.push_str("\"counters\": {");
-        let mut first = true;
-        for (name, c) in &inner.counters {
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            out.push_str(&format!("\"{}\": {}", json::escape(name), c.get()));
-        }
-        for (name, e) in &inner.externals {
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            out.push_str(&format!(
-                "\"{}\": {}",
-                json::escape(name),
-                e.load(Ordering::Relaxed)
-            ));
-        }
-        out.push_str("},\n\"gauges\": {");
-        first = true;
-        for (name, g) in &inner.gauges {
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            out.push_str(&format!(
-                "\"{}\": {}",
-                json::escape(name),
-                json::num(g.get())
-            ));
-        }
-        out.push_str("},\n\"histograms\": {");
-        first = true;
-        for (name, h) in &inner.histograms {
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            h.with(|h2| {
-                out.push_str(&format!(
-                    "\"{}\": {{\"count\": {}, \"min\": {}, \"max\": {}, \"mean\": {}, \"p50\": {}, \"p99\": {}, \"exemplars\": [",
-                    json::escape(name),
-                    h2.count(),
-                    h2.min(),
-                    h2.max(),
-                    json::num(h2.mean()),
-                    h2.p50(),
-                    h2.p99(),
-                ));
+                    .map(|(n, e)| (n.clone(), Value::Num(external_sum(e) as f64))),
+            );
+        let gauges = inner
+            .gauges
+            .iter()
+            .map(|(n, g)| (n.clone(), Value::Num(gauge_sum(g))));
+        let histograms = inner.histograms.iter().map(|(n, h)| {
+            let exemplars = h.exemplars().into_iter().map(|e| {
+                Value::obj([
+                    ("value", Value::Num(e.value as f64)),
+                    ("req_id", Value::Num(e.req_id as f64)),
+                ])
             });
-            for (i, e) in h.exemplars().iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!(
-                    "{{\"value\": {}, \"req_id\": {}}}",
-                    e.value, e.req_id
-                ));
-            }
-            out.push_str("]}");
-        }
-        out.push('}');
-        out
+            let summary = h.with(|h| {
+                Value::obj([
+                    ("count", Value::Num(h.count() as f64)),
+                    ("min", Value::Num(h.min() as f64)),
+                    ("max", Value::Num(h.max() as f64)),
+                    ("mean", Value::Num(h.mean())),
+                    ("p50", Value::Num(h.p50() as f64)),
+                    ("p99", Value::Num(h.p99() as f64)),
+                    ("exemplars", Value::Arr(exemplars.collect())),
+                ])
+            });
+            (n.clone(), summary)
+        });
+        [
+            ("counters", Value::Obj(counters.collect())),
+            ("gauges", Value::Obj(gauges.collect())),
+            ("histograms", Value::Obj(histograms.collect())),
+        ]
     }
 
     /// Renders the registry in Prometheus text exposition format.
@@ -347,7 +333,7 @@ impl MetricsRegistry {
             let block = format!(
                 "# HELP {n} counter `{}`\n# TYPE {n} counter\n{n} {}\n",
                 escape_help(name),
-                c.get()
+                counter_sum(c)
             );
             families.push((n, block));
         }
@@ -356,7 +342,7 @@ impl MetricsRegistry {
             let block = format!(
                 "# HELP {n} gauge `{}`\n# TYPE {n} gauge\n{n} {}\n",
                 escape_help(name),
-                e.load(Ordering::Relaxed)
+                external_sum(e)
             );
             families.push((n, block));
         }
@@ -365,7 +351,7 @@ impl MetricsRegistry {
             let block = format!(
                 "# HELP {n} gauge `{}`\n# TYPE {n} gauge\n{n} {}\n",
                 escape_help(name),
-                g.get()
+                gauge_sum(g)
             );
             families.push((n, block));
         }
@@ -404,41 +390,70 @@ impl MetricsRegistry {
 mod tests {
     use super::*;
 
+    /// A counter owned by the caller, adopted under `name`.
+    fn counter(r: &MetricsRegistry, name: &str) -> Counter {
+        let c = Counter::default();
+        r.adopt_counter(name, &c);
+        c
+    }
+
+    fn gauge(r: &MetricsRegistry, name: &str) -> Gauge {
+        let g = Gauge::default();
+        r.adopt_gauge(name, &g);
+        g
+    }
+
+    fn snapshot(r: &MetricsRegistry) -> String {
+        Value::obj(r.snapshot_members()).render()
+    }
+
     #[test]
-    fn handles_share_state_with_registry() {
+    fn adopted_cells_keep_their_values_and_share_state_with_registry() {
         let r = MetricsRegistry::default();
-        let c = r.counter("a.b");
+        let c = Counter::default();
+        c.add(4); // counted before anything was attached
+        r.adopt_counter("a.b", &c);
         c.inc();
-        c.add(4);
-        assert_eq!(r.counter("a.b").get(), 5);
-        let g = r.gauge("g");
+        assert_eq!(r.counter_value("a.b"), 5);
+        let g = gauge(&r, "g");
         g.set(2.5);
         g.add(-1.0);
-        assert_eq!(r.gauge("g").get(), 1.5);
+        assert_eq!(r.gauge_value("g"), 1.5);
         let h = r.histogram("h");
         h.record(10);
         h.record(20);
         assert_eq!(r.histogram("h").with(|h| h.count()), 2);
+        assert_eq!(r.counter_value("absent"), 0);
     }
 
     #[test]
-    fn externals_appear_in_counter_values() {
+    fn a_name_reads_the_sum_of_its_cells_and_adopting_twice_doubles_nothing() {
         let r = MetricsRegistry::default();
-        let cell = Arc::new(AtomicU64::new(0));
-        r.register_external("mem.x", Arc::clone(&cell));
-        cell.store(42, Ordering::Relaxed);
-        let vals = r.counter_values();
-        assert!(vals.contains(&("mem.x".to_string(), 42)));
+        let (q0, q1) = (counter(&r, "nic.tx_frames"), counter(&r, "nic.tx_frames"));
+        r.adopt_counter("nic.q0.tx_frames", &q0);
+        q0.add(3);
+        q1.add(4);
+        r.adopt_counter("nic.tx_frames", &q0); // the same cell again
+        assert_eq!(r.counter_value("nic.tx_frames"), 7);
+        assert_eq!(r.counter_value("nic.q0.tx_frames"), 3);
+        // Two machines' external cells under one name: both are read.
+        let (a, b) = (Arc::new(AtomicU64::new(5)), Arc::new(AtomicU64::new(6)));
+        r.register_external("mem.x", Arc::clone(&a));
+        r.register_external("mem.x", Arc::clone(&b));
+        r.register_external("mem.x", a);
+        assert_eq!(r.counter_value("mem.x"), 11);
+        assert!(snapshot(&r).contains("\"mem.x\": 11"));
+        assert!(r.prometheus_text().contains("nic_tx_frames_total 7"));
     }
 
     #[test]
     fn snapshot_members_are_valid_json() {
         let r = MetricsRegistry::default();
-        r.counter("c.one").add(7);
-        r.gauge("g-two").set(0.25);
+        counter(&r, "c.one").add(7);
+        gauge(&r, "g-two").set(0.25);
         r.histogram("h three").record(99);
         r.register_external("ext", Arc::new(AtomicU64::new(3)));
-        let json_doc = format!("{{{}}}", r.snapshot_json_members());
+        let json_doc = snapshot(&r);
         crate::json::validate(&json_doc).expect("valid snapshot JSON");
         assert!(json_doc.contains("\"c.one\": 7"));
         assert!(json_doc.contains("\"ext\": 3"));
@@ -447,7 +462,7 @@ mod tests {
     #[test]
     fn prometheus_text_shape() {
         let r = MetricsRegistry::default();
-        r.counter("nic.tx-frames").add(2);
+        counter(&r, "nic.tx-frames").add(2);
         r.histogram("lat").record(5);
         let text = r.prometheus_text();
         assert!(text.contains("# TYPE nic_tx_frames_total counter"));
@@ -461,12 +476,12 @@ mod tests {
     #[test]
     fn prometheus_output_is_stable_sorted_and_escaped() {
         let r = MetricsRegistry::default();
-        r.counter("zzz.last").inc();
-        r.gauge("aaa.first").set(1.0);
+        counter(&r, "zzz.last").inc();
+        gauge(&r, "aaa.first").set(1.0);
         r.histogram("mmm.mid").record(3);
         r.register_external("bbb.ext", Arc::new(AtomicU64::new(9)));
         // A hostile name: sanitized for the sample, escaped in HELP.
-        r.counter("weird\\name\nwith \"stuff\"").inc();
+        counter(&r, "weird\\name\nwith \"stuff\"").inc();
         let text = r.prometheus_text();
         // Families appear in sorted exposition-name order.
         let fams: Vec<&str> = text
@@ -495,9 +510,9 @@ mod tests {
     #[test]
     fn prometheus_scrape_round_trips() {
         let r = MetricsRegistry::default();
-        r.counter("kv.client.retries").add(17);
-        r.counter("nic.q0.tx_frames").add(3);
-        r.gauge("kv.shard0.backlog").set(4.0);
+        counter(&r, "kv.client.retries").add(17);
+        counter(&r, "nic.q0.tx_frames").add(3);
+        gauge(&r, "kv.shard0.backlog").set(4.0);
         r.register_external("mem.pool.allocs", Arc::new(AtomicU64::new(12)));
         let h = r.histogram("kv.client.e2e_latency_ns");
         for v in [100, 200, 300, 400] {
@@ -548,7 +563,7 @@ mod tests {
         assert!(all.windows(2).all(|w| w[0].value <= w[1].value));
         assert!(all.len() <= super::EXEMPLAR_GROUPS);
         // Snapshot JSON carries them.
-        let json_doc = format!("{{{}}}", r.snapshot_json_members());
+        let json_doc = snapshot(&r);
         json::validate(&json_doc).expect("valid");
         assert!(json_doc.contains("\"req_id\": 777"));
     }

@@ -13,7 +13,7 @@
 
 use cf_sim::cost::{Category, NUM_CATEGORIES};
 
-use crate::json;
+use crate::json::Value;
 
 /// A completed span.
 #[derive(Clone, Debug)]
@@ -168,38 +168,31 @@ impl Tracer {
     /// of `ph:"X"` (complete) events, `ts`/`dur` in microseconds of virtual
     /// time. Loadable in `chrome://tracing` or <https://ui.perfetto.dev>.
     pub fn chrome_trace_json(&self) -> String {
-        let mut out = String::from("[\n");
-        let mut first = true;
-        for span in self.iter_chronological() {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            let ts_us = span.start_ns as f64 / 1_000.0;
-            let dur_us = (span.end_ns.saturating_sub(span.start_ns)) as f64 / 1_000.0;
-            let mut args = format!("\"req_id\": {}", span.req_id);
-            for cat in Category::all() {
-                let ns = span.cat_ns[cat.index()];
-                if ns > 0.0 {
-                    args.push_str(&format!(
-                        ", \"{}_ns\": {}",
-                        json::escape(cat.label()),
-                        json::num(ns)
-                    ));
-                }
-            }
-            out.push_str(&format!(
-                "{{\"name\": \"{}\", \"cat\": \"vt\", \"ph\": \"X\", \"ts\": {}, \"dur\": {}, \
-                 \"pid\": 0, \"tid\": {}, \"args\": {{{}}}}}",
-                json::escape(span.name),
-                json::num(ts_us),
-                json::num(dur_us),
-                span.depth,
-                args
-            ));
-        }
-        out.push_str("\n]\n");
-        out
+        let event = |span: &SpanRecord| {
+            let cats = Category::all()
+                .into_iter()
+                .filter(|cat| span.cat_ns[cat.index()] > 0.0)
+                .map(|cat| {
+                    let ns = Value::Num(span.cat_ns[cat.index()]);
+                    (format!("{}_ns", cat.label()), ns)
+                });
+            let mut args = vec![("req_id".to_string(), Value::Num(span.req_id as f64))];
+            args.extend(cats);
+            Value::obj([
+                ("name", Value::Str(span.name.into())),
+                ("cat", Value::Str("vt".into())),
+                ("ph", Value::Str("X".into())),
+                ("ts", Value::Num(span.start_ns as f64 / 1_000.0)),
+                (
+                    "dur",
+                    Value::Num(span.end_ns.saturating_sub(span.start_ns) as f64 / 1_000.0),
+                ),
+                ("pid", Value::Num(0.0)),
+                ("tid", Value::Num(f64::from(span.depth))),
+                ("args", Value::Obj(args)),
+            ])
+        };
+        Value::Arr(self.iter_chronological().map(event).collect()).render()
     }
 }
 

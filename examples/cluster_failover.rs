@@ -4,15 +4,16 @@
 //! little traffic, kills a node mid-workload, and narrates what the
 //! failover machinery does: probe-timeout detection on the survivors,
 //! client breaker tripping and re-routing, and catch-up replay when the
-//! node rejoins. A flight recorder captures the per-request timeline of
-//! the first request that fails over.
+//! node rejoins. A flight recorder — carried to the cluster and the client
+//! by one flight-only `Telemetry` handle — captures the per-request
+//! timeline of the first request that fails over.
 //!
 //! Run with: `cargo run --example cluster_failover`
 
 use cornflakes::cluster::{Cluster, ClusterClient, ClusterConfig};
 use cornflakes::kv::client::RetryConfig;
 use cornflakes::sim::{MachineProfile, Sim};
-use cornflakes::telemetry::FlightRecorder;
+use cornflakes::telemetry::{FlightRecorder, Telemetry};
 use cornflakes::workloads::key_string;
 
 /// Drives one request to a response or a terminal timeout.
@@ -42,9 +43,10 @@ fn main() {
         },
     );
     let flight = FlightRecorder::with_capacity(4096);
-    cluster.set_flight_recorder(&flight);
+    let tele = Telemetry::disabled().with_flight(&flight);
+    cluster.set_telemetry(&tele);
     let mut client = cluster.client();
-    client.set_flight_recorder(&flight);
+    client.set_telemetry(&tele);
     client.enable_retries_seeded(
         7,
         RetryConfig {

@@ -1,9 +1,10 @@
 //! Observability tour: trace a request through the whole datapath.
 //!
-//! Attaches a [`cornflakes::telemetry::Telemetry`] handle and a
-//! request-scoped [`cornflakes::telemetry::FlightRecorder`] to a simulated
-//! KV client/server pair, serves a handful of GET requests, and writes two
-//! artifacts next to the current directory:
+//! Attaches one [`cornflakes::telemetry::Telemetry`] handle — carrying a
+//! request-scoped [`cornflakes::telemetry::FlightRecorder`] — to a
+//! simulated KV client/server pair with one `set_telemetry` call per end,
+//! serves a handful of GET requests, and writes two artifacts next to the
+//! current directory:
 //!
 //! - `trace.json` — Chrome Trace Event JSON of every request's span tree
 //!   (`rx` → `request` → `deserialize`/`app`/`tx`), stamped in **virtual**
@@ -98,15 +99,16 @@ fn main() {
         .preload(server.stack.ctx(), b"img:full", &[8192])
         .expect("preload");
 
-    // Attach telemetry: installs the charge observer on the machine and
-    // wires NIC, memory, and per-SerKind counters into the registry. The
-    // flight recorder is one shared ring; client and server interleave
-    // their lifecycle events into a single per-request timeline.
-    let tele = Telemetry::attach(&sim);
-    server.set_telemetry(&tele);
+    // Attach telemetry: `Telemetry::attach` installs the charge observer
+    // on the machine, and one `set_telemetry` on the server adopts its NIC,
+    // memory and per-SerKind counter cells into the registry. The handle
+    // carries the flight recorder, one shared ring: the client takes a
+    // flight-only handle, so client and server interleave their lifecycle
+    // events into a single per-request timeline.
     let flight = FlightRecorder::with_capacity(4096);
-    client.set_flight_recorder(&flight);
-    server.set_flight_recorder(&flight);
+    let tele = Telemetry::attach(&sim).with_flight(&flight);
+    server.set_telemetry(&tele);
+    client.set_telemetry(&Telemetry::disabled().with_flight(&flight));
 
     let e2e_hist = tele.histogram("kv.client.e2e_latency_ns");
     for _ in 0..5 {

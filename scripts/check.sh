@@ -48,18 +48,19 @@ else
     echo "notice: no nightly toolchain (cargo +nightly): AddressSanitizer run skipped"
 fi
 
-echo "==> store parity gate: the table against a HashMap model, hints against the hint-free reference cache, recorded charge traces, allocator counts"
+echo "==> store parity gate: the table against a HashMap model, hints against the hint-free reference cache, recorded charge traces (its allocator counts run once, with the hot-path gates below)"
 cargo test -q -p cf-kv --lib store::
 cargo test -q -p cf-sim --lib cache::tests::matches_timestamp_lru_op_by_op
 cargo test -q -p cf-kv --test charge_trace
-cargo test -q --test hotpath_zero_alloc
 
 echo "==> overload smoke: goodput holds past saturation with control on"
 cargo test -q -p cf-bench --lib experiments::overload
 
-echo "==> observability gates: zero-alloc flight recorder, metric namespace, tail anatomy"
+echo "==> observability gates: zero-alloc flight recorder, metric namespace + exported name set, attach resets nothing, stats accessors equal the snapshot, tail anatomy"
 cargo test -q --test flight_zero_alloc
 cargo test -q --test metric_namespace
+cargo test -q --test telemetry_attach
+cargo test -q --test stats_parity
 cargo test -q -p cf-bench --lib experiments::tail_anatomy
 
 echo "==> hot-path gates: allocator-count proofs"

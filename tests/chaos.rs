@@ -340,7 +340,7 @@ proptest! {
         let mut client = KvClient::new(client_stack, SerKind::Cornflakes);
         client.enable_steering(&server.rss());
         client.enable_retries(RetryConfig { timeout_ns: 100_000, max_retries: 3, ..RetryConfig::default() });
-        server.set_flight_recorder(&flight);
+        server.set_telemetry(&Telemetry::disabled().with_flight(&flight));
         client.set_flight_recorder(&flight);
 
         let keys: Vec<Vec<u8>> = (0..NUM_KEYS)

@@ -26,7 +26,7 @@ use cornflakes::kv::client::RetryConfig;
 use cornflakes::mem::PoolConfig;
 use cornflakes::nic::FaultPlan;
 use cornflakes::sim::{MachineProfile, Sim};
-use cornflakes::telemetry::FlightRecorder;
+use cornflakes::telemetry::{FlightRecorder, Telemetry};
 use cornflakes::workloads::{key_string, Ycsb, YcsbConfig};
 
 const NUM_KEYS: u64 = 12;
@@ -157,9 +157,10 @@ fn run_case(
     flight: FlightRecorder,
 ) {
     let mut cluster = build_cluster();
-    cluster.set_flight_recorder(&flight);
+    let tele = Telemetry::disabled().with_flight(&flight);
+    cluster.set_telemetry(&tele);
     let mut client = cluster.client();
-    client.set_flight_recorder(&flight);
+    client.set_telemetry(&tele);
     client.enable_retries_seeded(seed, retry_cfg());
     client.set_read_mode(mode);
 

@@ -253,7 +253,7 @@ fn quorum_mode_witness_stays_consistent_and_read_repairs() {
     assert_eq!(client.quorum_reads(), 1);
     assert!(client.read_repairs() >= 1, "the stale victim got repaired");
     assert_eq!(
-        tele.counter("cluster.client.read_repairs").get(),
+        tele.counter_value("cluster.client.read_repairs"),
         client.read_repairs(),
         "counter mirrors the getter"
     );
@@ -300,7 +300,7 @@ fn quorum_mode_witness_stays_consistent_and_read_repairs() {
         "quorum history must be consistent, got {violations:?}"
     );
     assert_eq!(
-        tele.counter("cluster.client.quorum_reads").get(),
+        tele.counter_value("cluster.client.quorum_reads"),
         client.quorum_reads()
     );
 }
@@ -368,7 +368,7 @@ fn partitioned_but_alive_node_is_reported_as_partition_suspect() {
         "a reply from a breaker-open node is a partition suspect"
     );
     assert_eq!(
-        tele.counter("cluster.client.partition_suspects").get(),
+        tele.counter_value("cluster.client.partition_suspects"),
         client.partition_suspects()
     );
 }
@@ -498,9 +498,10 @@ fn run_quorum_case(
 ) {
     const NUM_KEYS: u64 = 6;
     let mut cluster = build_cluster();
-    cluster.set_flight_recorder(&flight);
+    let tele = Telemetry::disabled().with_flight(&flight);
+    cluster.set_telemetry(&tele);
     let mut client = cluster.client();
-    client.set_flight_recorder(&flight);
+    client.set_telemetry(&tele);
     client.enable_retries_seeded(seed, retry_cfg());
     client.set_read_mode(ReadMode::Quorum);
     let history = ConsistencyHistory::with_capacity(256);

@@ -20,14 +20,16 @@ use cornflakes::kv::server::{KvServer, SerKind};
 use cornflakes::net::UdpStack;
 use cornflakes::nic::link;
 use cornflakes::sim::{MachineProfile, Sim};
-use cornflakes::telemetry::{alloc_count, CountingAlloc, FlightEvent, FlightRecorder};
+use cornflakes::telemetry::{alloc_count, CountingAlloc, FlightEvent, FlightRecorder, Telemetry};
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 #[test]
 fn disabled_record_hook_is_alloc_free() {
-    let fr = FlightRecorder::disabled();
+    // The recorder as every layer reaches it: through the handle.
+    let tele = Telemetry::disabled();
+    let fr = tele.flight();
     let before = alloc_count();
     for i in 0..10_000u32 {
         fr.record(i, u64::from(i), FlightEvent::ClientSend);
@@ -106,7 +108,7 @@ fn round(client: &mut KvClient, server: &mut KvServer, value: &[u8]) {
 
 #[test]
 fn enabled_recorder_adds_zero_allocations_to_warm_request_path() {
-    let (mut client, mut server, _sim) = pair();
+    let (mut client, mut server, sim) = pair();
     let value = [0x5A_u8; 256];
 
     // Warm everything: pools, maps, and scratch buffers reach their
@@ -139,4 +141,22 @@ fn enabled_recorder_adds_zero_allocations_to_warm_request_path() {
         with_recorder, baseline,
         "recording must not add a single allocation to the warm request path"
     );
+
+    // Attaching metrics afterwards keeps the recorder installed (the two
+    // halves of the handle commute), and the full handle allocates no more
+    // on the warm path than no handle did.
+    let tele = Telemetry::attach(&sim);
+    client.set_telemetry(&tele);
+    server.set_telemetry(&tele);
+    round(&mut client, &mut server, &value);
+    let (recorded, before) = (fr.recorded(), alloc_count());
+    for _ in 0..64 {
+        round(&mut client, &mut server, &value);
+    }
+    assert!(
+        alloc_count() - before <= baseline,
+        "metrics + flight must not add an allocation either"
+    );
+    assert!(fr.recorded() > recorded, "the recorder stayed installed");
+    assert!(tele.counter_value("kv.cornflakes.requests") >= 2 * (128 + 64 + 64));
 }

@@ -34,7 +34,7 @@ use cornflakes::kv::server::{KvServer, SerKind};
 use cornflakes::net::UdpStack;
 use cornflakes::nic::link;
 use cornflakes::sim::{MachineProfile, Sim};
-use cornflakes::telemetry::{alloc_count, CountingAlloc, Telemetry};
+use cornflakes::telemetry::{alloc_count, CountingAlloc, FlightRecorder, Telemetry};
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
@@ -293,28 +293,53 @@ fn steady_state_shed_fast_reject_is_alloc_free() {
 
 #[test]
 fn telemetry_enabled_warm_path_is_also_alloc_free() {
-    let (mut client, mut server, sim) = pair();
-    // Full telemetry: metrics registry + span tree + charge attribution.
-    // The span ring and counter cells are allocated at attach/registration
-    // time (outside any measured window); recording is fixed-slot writes.
-    let tele = Telemetry::attach(&sim);
-    client.set_telemetry(&tele);
-    server.set_telemetry(&tele);
-    let mut resp = Response::default();
-    put_round(&mut client, &mut server, KEY, &VALUE, &mut resp);
+    // The one handle in each of its four states. Full telemetry is the
+    // metrics registry + span tree + charge attribution; the span ring, the
+    // flight ring and the adoption of the layers' counter cells all happen
+    // at attach time (outside any measured window); recording is
+    // fixed-slot writes.
+    for (state, metrics, flight) in [
+        ("disabled", false, false),
+        ("flight-only", false, true),
+        ("metrics-only", true, false),
+        ("both", true, true),
+    ] {
+        let (mut client, mut server, sim) = pair();
+        let fr = if flight {
+            FlightRecorder::with_capacity(1 << 14)
+        } else {
+            FlightRecorder::disabled()
+        };
+        let tele = if metrics {
+            Telemetry::attach(&sim).with_flight(&fr)
+        } else {
+            Telemetry::disabled().with_flight(&fr)
+        };
+        client.set_telemetry(&tele);
+        server.set_telemetry(&tele);
+        let mut resp = Response::default();
+        put_round(&mut client, &mut server, KEY, &VALUE, &mut resp);
 
-    for _ in 0..WARMUP {
-        get_round(&mut client, &mut server, &[KEY], &mut resp);
+        for _ in 0..WARMUP {
+            get_round(&mut client, &mut server, &[KEY], &mut resp);
+        }
+        let before = alloc_count();
+        for _ in 0..WINDOW {
+            get_round(&mut client, &mut server, &[KEY], &mut resp);
+        }
+        assert_eq!(
+            alloc_count() - before,
+            0,
+            "{state}: spans, counters, charge attribution and flight events \
+             must stay off the heap allocator on the warm request path — \
+             their buffers preallocate at attach time"
+        );
+        assert_eq!(
+            fr.recorded() > 0,
+            flight,
+            "{state}: recorder saw the traffic"
+        );
+        let served = tele.counter_value("kv.cornflakes.requests");
+        assert_eq!(served > 0, metrics, "{state}: registry saw the traffic");
     }
-    let before = alloc_count();
-    for _ in 0..WINDOW {
-        get_round(&mut client, &mut server, &[KEY], &mut resp);
-    }
-    assert_eq!(
-        alloc_count() - before,
-        0,
-        "spans, counters, and charge attribution must stay off the heap \
-         allocator on the warm request path — their buffers preallocate \
-         at attach time"
-    );
 }

@@ -192,7 +192,7 @@ fn run_scenario(attack: bool) -> u64 {
         clock.advance(TICK_NS);
 
         // The hard bound, asserted every quantum: the slab never grows.
-        let active = tele.gauge("net.tcp.flow.active").get();
+        let active = tele.gauge_value("net.tcp.flow.active");
         assert!(
             active <= CAPACITY as f64,
             "flow table exceeded capacity: {active} > {CAPACITY}"
@@ -314,7 +314,7 @@ proptest! {
             ..FlowConfig::default()
         };
         let (mut server, mut hub, sim, _tele) = churn_rig(cfg);
-        server.set_flight_recorder(&flight);
+        server.set_telemetry(&Telemetry::disabled().with_flight(&flight));
         let clock = sim.clock();
         let pool_baseline = server.stack.ctx().pool.live_slots();
 
