@@ -19,6 +19,12 @@
 //! - nested `message` types (by name, declared in the same file)
 //! - `repeated` over all of the above
 //!
+//! The crate is text to text and depends on nothing, the runtime
+//! included: a `build.rs` that calls it compiles a parser and an emitter,
+//! not `cornflakes-core`. The interpreter of the same schemas,
+//! `cornflakes_core::dynamic::DynMessage`, lives with the runtime it needs
+//! and is the reference this compiler's output is tested against.
+//!
 //! Use [`compile_schema`] for string-to-string compilation, or
 //! [`generate_to_file`] from a `build.rs`:
 //!
@@ -29,7 +35,6 @@
 //! ```
 
 pub mod ast;
-pub mod dynamic;
 pub mod emit;
 pub mod parser;
 pub mod printer;
@@ -37,7 +42,6 @@ pub mod printer;
 use std::path::Path;
 
 pub use ast::{Field, FieldType, Message, ScalarType, Schema};
-pub use dynamic::{DynMessage, DynValue};
 pub use parser::CodegenError;
 pub use printer::print_schema;
 

@@ -1,28 +1,32 @@
 //! Runtime-schema messages: interpret a parsed [`Schema`] without code
-//! generation.
+//! generation — the executable specification of the wire format.
 //!
-//! The compiled path (build-time code generation) is what production
-//! services use; this dynamic counterpart serves tooling — trace decoders,
-//! schema-aware proxies, debuggers — and doubles as an executable
-//! specification of the wire format: a [`DynMessage`] must be wire-
-//! compatible with the generated code for the same schema (tested below
-//! and in `tests/`).
+//! Everything that runs uses the compiled path ([`crate::msgs`],
+//! `cf_kv::msgs`: build-time output of `cf-codegen`). A [`DynMessage`] is
+//! the second, independent statement of the same format, written against
+//! the schema's AST instead of emitted from it, and exists to be compared
+//! with the first: for every message of both schemas it must produce the
+//! generated type's bytes from the same fields, and accept, reject (with
+//! the same error) and read the same fields from the same frames, valid or
+//! mutated, as the generated `deserialize` and in-place `deserialize_into`
+//! do (`tests/wire_differential.rs`, `crates/core/tests/dynamic_parity.rs`,
+//! `crates/kv/tests/codegen_parity.rs`). It is not on any request path.
 //!
 //! Only the field shapes the static path supports are interpreted: scalars,
 //! `string`/`bytes`, `repeated` over those, nested messages and repeated
 //! nested messages, and packed repeated scalars.
 
+use cf_codegen::ast::{Field, FieldType, Message, Schema};
 use cf_mem::RcBuf;
-use cornflakes_core::cfbytes::{CFBytes, CFString};
-use cornflakes_core::ctx::SerCtx;
-use cornflakes_core::list::ListElem;
-use cornflakes_core::obj::{charge_deserialize, CornflakesObj, HeaderWriter};
-use cornflakes_core::wire::{
+
+use crate::cfbytes::CFBytes;
+use crate::ctx::SerCtx;
+use crate::list::{ListElem, MAX_LIST_LEN};
+use crate::obj::{charge_deserialize, CornflakesObj, HeaderWriter};
+use crate::wire::{
     bitmap_bytes, bitmap_set, get_u32, get_u64, put_u32, put_u64, Bitmap, ForwardPtr, WireError,
     BITMAP_LEN_PREFIX, PTR_SIZE,
 };
-
-use crate::ast::{FieldType, Message, ScalarType, Schema};
 
 /// A dynamically typed field value.
 #[derive(Clone, Debug)]
@@ -189,7 +193,7 @@ impl DynMessage {
         }
     }
 
-    fn scalar_list_bytes(f: &crate::ast::Field, l: &[u64]) -> usize {
+    fn scalar_list_bytes(f: &Field, l: &[u64]) -> usize {
         let w = match f.ty {
             FieldType::Scalar(s) => s.wire_width(),
             _ => 8,
@@ -493,7 +497,7 @@ impl DynMessage {
                     let ptr = ForwardPtr::get(buf, cursor)?;
                     cursor += PTR_SIZE;
                     let w = s.wire_width();
-                    let count = ptr.len as usize;
+                    let count = list_count(ptr)?;
                     let (off, _) = ptr.check_range(count * w, buf.len())?;
                     let mut l = Vec::with_capacity(count);
                     for j in 0..count {
@@ -513,7 +517,7 @@ impl DynMessage {
                 (FieldType::Bytes | FieldType::Str, true) => {
                     let ptr = ForwardPtr::get(buf, cursor)?;
                     cursor += PTR_SIZE;
-                    let count = ptr.len as usize;
+                    let count = list_count(ptr)?;
                     let (table, _) = ptr.check_range(count * PTR_SIZE, buf.len())?;
                     let mut l = Vec::with_capacity(count);
                     for j in 0..count {
@@ -530,7 +534,7 @@ impl DynMessage {
                 (FieldType::Message(t), true) => {
                     let ptr = ForwardPtr::get(buf, cursor)?;
                     cursor += PTR_SIZE;
-                    let count = ptr.len as usize;
+                    let count = list_count(ptr)?;
                     let (table, _) = ptr.check_range(count * PTR_SIZE, buf.len())?;
                     let mut l = Vec::with_capacity(count);
                     for j in 0..count {
@@ -553,26 +557,12 @@ impl DynMessage {
     }
 }
 
-/// Convenience: a `string` view with deferred validation from a dynamic
-/// bytes value.
-pub fn as_string(v: &DynValue) -> Option<CFString> {
-    match v {
-        DynValue::Bytes(b) => Some(CFString::from_bytes(b.clone())),
-        _ => None,
+/// A list pointer's element count, refused above the format's limit before
+/// anything is multiplied by it or sized from it.
+fn list_count(ptr: ForwardPtr) -> Result<usize, WireError> {
+    let count = ptr.len as usize;
+    if count > MAX_LIST_LEN {
+        return Err(WireError::TooLarge);
     }
-}
-
-/// Widens a scalar into the value a generated accessor would return.
-pub fn scalar_as<T: From<u32>>(v: &DynValue) -> Option<T> {
-    match v {
-        DynValue::Scalar(s) => Some(T::from(*s as u32)),
-        _ => None,
-    }
-}
-
-impl ScalarType {
-    /// Whether this scalar occupies 8 wire bytes.
-    pub fn is_wide(self) -> bool {
-        self.wire_width() == 8
-    }
+    Ok(count)
 }

@@ -28,11 +28,23 @@
 //! objects as pointers to nested header blocks. Deserialization is
 //! zero-copy: getters return views into the received packet buffer, and
 //! UTF-8 validation of string fields is deferred until access (§6.4).
+//!
+//! Who defines a message: a schema. [`msgs`] is what `cf-codegen` emits
+//! from `schema/msgs.proto` at build time (no message type in this crate is
+//! written by hand); [`dynamic::DynMessage`] interprets the same schema
+//! text at run time and is the reference the emitted code is tested
+//! against; the byte layout itself is pinned by recorded fixtures
+//! (`tests/golden/core_msgs/`).
+
+// Generated code names this crate by its external path; `msgs` includes
+// generated code, so the path must resolve from inside the crate too.
+extern crate self as cornflakes_core;
 
 pub mod adaptive;
 pub mod cfbytes;
 pub mod config;
 pub mod ctx;
+pub mod dynamic;
 pub mod list;
 pub mod msgs;
 pub mod obj;

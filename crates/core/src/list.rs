@@ -148,7 +148,7 @@ pub fn nested_read_elem<M: CornflakesObj>(
 /// Implements [`ListElem`] for a message type, making it usable both as a
 /// nested field and inside `repeated` lists. A blanket impl over
 /// `CornflakesObj` would overlap with the `CFBytes`/`CFString` impls under
-/// coherence rules, so message types (hand-written or generated) invoke
+/// coherence rules, so generated message types invoke
 /// this macro instead.
 #[macro_export]
 macro_rules! impl_message_list_elem {

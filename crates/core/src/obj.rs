@@ -96,8 +96,8 @@ impl<'a> HeaderWriter<'a> {
     }
 }
 
-/// A serializable Cornflakes object (generated from a schema by
-/// `cf-codegen`, or hand-written to the same shape).
+/// A serializable Cornflakes object: generated from a schema by
+/// `cf-codegen`, or interpreted from one ([`crate::dynamic::DynMessage`]).
 ///
 /// Layout invariants every implementation must uphold:
 ///

@@ -1,18 +1,22 @@
-//! Wire parity between dynamic (runtime-schema) messages and the reference
-//! implementation: a `DynMessage` built against Listing 1's schema must
-//! serialize to the exact bytes `cornflakes_core::msgs::GetM` produces, and
-//! must decode them back.
+//! Wire parity between dynamic (runtime-schema) messages and the generated
+//! code: a `DynMessage` built against `schema/msgs.proto` must serialize to
+//! the exact bytes the generated `cornflakes_core::msgs::GetM` produces —
+//! which are the bytes recorded from the hand-written `GetM` before it was
+//! deleted — and must decode them back.
 
 use cf_sim::{MachineProfile, Sim};
 use cornflakes_core::msgs::GetM;
 use cornflakes_core::obj::serialize_to_vec;
 use cornflakes_core::{CFBytes, CornflakesObj, SerCtx, SerializationConfig};
 
-use cf_codegen::dynamic::{DynMessage, DynValue};
 use cf_codegen::parser::parse;
+use cornflakes_core::dynamic::{DynMessage, DynValue};
 
-const SCHEMA: &str =
-    "message GetM { int32 id = 1; repeated bytes keys = 2; repeated bytes vals = 3; }";
+/// The schema `cornflakes_core::msgs` is generated from.
+const SCHEMA: &str = include_str!("../schema/msgs.proto");
+
+/// The instance below as the hand-written `GetM` serialized it.
+const RECORDED: &[u8] = include_bytes!("../../../tests/golden/core_msgs/GetM_parity_77.bin");
 
 fn ctx() -> SerCtx {
     SerCtx::new(
@@ -45,6 +49,11 @@ fn dynamic_encoding_matches_reference_bytes() {
         serialize_to_vec(&dynamic),
         serialize_to_vec(&reference),
         "dynamic and generated wire bytes must be identical"
+    );
+    assert_eq!(
+        serialize_to_vec(&dynamic),
+        RECORDED,
+        "and identical to the recorded hand-written encoding"
     );
 }
 

@@ -21,9 +21,8 @@
 //!   libraries, and Cornflakes.
 //! - [`redis`] — mini-Redis: RESP command parsing with either handwritten
 //!   RESP serialization or Cornflakes responses (§6.2.2).
-//! - [`msgs`] — the schema-generated message types (`GetMsg`, `PairMsg`,
-//!   `BatchMsg`), compiled by `cf-codegen` from `schema/kv.proto` at build
-//!   time.
+//! - [`msgs`] — the schema-generated message type (`GetMsg`), compiled by
+//!   `cf-codegen` from `schema/kv.proto` at build time.
 
 pub mod client;
 mod codec;

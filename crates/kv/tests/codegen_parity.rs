@@ -1,18 +1,25 @@
-//! Parity between schema-generated messages and the hand-written reference
-//! messages in `cornflakes_core::msgs`.
+//! Parity between the schema-generated messages, the `DynMessage`
+//! interpreter and the recorded hand-written encoding.
 //!
 //! `GetMsg` (generated from `schema/kv.proto`) and `cornflakes_core::msgs::
-//! GetM` share the same schema, so their wire encodings must be
-//! byte-identical and cross-deserializable. This is the compiler's
-//! correctness proof: the emitter and the hand-written reference implement
-//! the same format.
+//! GetM` (generated from core's `schema/msgs.proto`) have the same layout,
+//! so their wire encodings must be byte-identical and cross-deserializable
+//! — and identical to what `DynMessage` produces from the schema text and
+//! to the bytes recorded from the hand-written `GetM` before it was
+//! deleted. The emitter, the interpreter and the recording are three
+//! independent statements of one format.
 
+use cf_codegen::parser::parse;
 use cf_sim::{MachineProfile, Sim};
-use cornflakes_core::msgs::GetM;
+use cornflakes_core::dynamic::{DynMessage, DynValue};
+use cornflakes_core::msgs::{Batch, GetM, KvPair};
 use cornflakes_core::obj::serialize_to_vec;
 use cornflakes_core::{CFBytes, CornflakesObj, SerCtx, SerializationConfig};
 
-use cf_kv::msgs::{BatchMsg, GetMsg, PairMsg};
+use cf_kv::msgs::GetMsg;
+
+/// The instance of the first test as the hand-written `GetM` serialized it.
+const RECORDED: &[u8] = include_bytes!("../../../tests/golden/core_msgs/GetM_parity_42.bin");
 
 fn ctx() -> SerCtx {
     SerCtx::new(
@@ -22,7 +29,7 @@ fn ctx() -> SerCtx {
 }
 
 #[test]
-fn generated_and_handwritten_encodings_match() {
+fn generated_interpreted_and_recorded_encodings_match() {
     let c = ctx();
     let pinned = c.pool.alloc(2048).unwrap();
 
@@ -32,23 +39,40 @@ fn generated_and_handwritten_encodings_match() {
     generated.add_keys(&c, b"key-two");
     generated.add_vals(&c, pinned.as_slice());
 
-    let mut handwritten = GetM::new();
-    handwritten.id = Some(42);
-    handwritten.keys.append(CFBytes::new(&c, b"key-one"));
-    handwritten.keys.append(CFBytes::new(&c, b"key-two"));
-    handwritten.vals.append(CFBytes::new(&c, pinned.as_slice()));
+    let mut core_msg = GetM::new();
+    core_msg.id = Some(42);
+    core_msg.keys.append(CFBytes::new(&c, b"key-one"));
+    core_msg.keys.append(CFBytes::new(&c, b"key-two"));
+    core_msg.vals.append(CFBytes::new(&c, pinned.as_slice()));
 
-    assert_eq!(generated.object_len(), handwritten.object_len());
-    assert_eq!(generated.header_bytes(), handwritten.header_bytes());
+    let schema = parse(include_str!("../schema/kv.proto")).expect("parses");
+    let mut interpreted = DynMessage::new(&schema, "GetMsg").expect("message exists");
+    assert!(interpreted.set_scalar("id", 42));
+    assert!(interpreted.push_bytes(&c, "keys", b"key-one"));
+    assert!(interpreted.push_bytes(&c, "keys", b"key-two"));
+    assert!(interpreted.push_bytes(&c, "vals", pinned.as_slice()));
+
+    assert_eq!(generated.object_len(), core_msg.object_len());
+    assert_eq!(generated.header_bytes(), core_msg.header_bytes());
+    assert_eq!(generated.zero_copy_entries(), core_msg.zero_copy_entries());
+    assert_eq!(generated.object_len(), interpreted.object_len());
+    assert_eq!(generated.header_bytes(), interpreted.header_bytes());
     assert_eq!(
         generated.zero_copy_entries(),
-        handwritten.zero_copy_entries()
+        interpreted.zero_copy_entries()
     );
+    let wire = serialize_to_vec(&generated);
     assert_eq!(
-        serialize_to_vec(&generated),
-        serialize_to_vec(&handwritten),
+        wire,
+        serialize_to_vec(&core_msg),
         "wire encodings must be byte-identical"
     );
+    assert_eq!(
+        wire,
+        serialize_to_vec(&interpreted),
+        "and the interpreter's"
+    );
+    assert_eq!(wire, RECORDED, "and the recorded hand-written encoding");
 }
 
 #[test]
@@ -61,15 +85,24 @@ fn cross_deserialization() {
     let wire = serialize_to_vec(&generated);
     let pkt = rx.pool.alloc_from(&wire).unwrap();
 
-    // Hand-written type decodes the generated encoding...
-    let hw = GetM::deserialize(&rx, &pkt).unwrap();
-    assert_eq!(hw.id, Some(7));
-    assert_eq!(hw.vals.get(0).unwrap().as_slice(), &[0xAB; 600][..]);
+    // The core message decodes the KV message's encoding...
+    let core_msg = GetM::deserialize(&rx, &pkt).unwrap();
+    assert_eq!(core_msg.id, Some(7));
+    assert_eq!(core_msg.vals.get(0).unwrap().as_slice(), &[0xAB; 600][..]);
 
-    // ...and the generated type decodes its own encoding.
+    // ...the generated type decodes its own encoding...
     let gen = GetMsg::deserialize(&rx, &pkt).unwrap();
     assert_eq!(gen.id, Some(7));
     assert_eq!(gen.vals.get(0).unwrap().as_slice(), &[0xAB; 600][..]);
+
+    // ...and so does the interpreter.
+    let schema = parse(include_str!("../schema/kv.proto")).expect("parses");
+    let interpreted = DynMessage::decode(&rx, &schema, "GetMsg", &pkt).unwrap();
+    assert!(matches!(interpreted.get("id"), Some(DynValue::Scalar(7))));
+    match interpreted.get("vals") {
+        Some(DynValue::BytesList(l)) => assert_eq!(l[0].as_slice(), &[0xAB; 600][..]),
+        other => panic!("expected vals list, got {other:?}"),
+    }
 }
 
 #[test]
@@ -77,10 +110,10 @@ fn generated_nested_messages_roundtrip() {
     let c = ctx();
     let rx = ctx();
     let pinned = c.pool.alloc(1024).unwrap();
-    let mut batch = BatchMsg::new();
+    let mut batch = Batch::new();
     batch.set_id(99);
     for i in 0..3u64 {
-        let mut pair = PairMsg::new();
+        let mut pair = KvPair::new();
         pair.set_key(&c, format!("k{i}").as_bytes());
         pair.set_val(&c, if i == 1 { pinned.as_slice() } else { b"small" });
         batch.add_pairs(pair);
@@ -90,7 +123,7 @@ fn generated_nested_messages_roundtrip() {
 
     let wire = serialize_to_vec(&batch);
     let pkt = rx.pool.alloc_from(&wire).unwrap();
-    let d = BatchMsg::deserialize(&rx, &pkt).unwrap();
+    let d = Batch::deserialize(&rx, &pkt).unwrap();
     assert_eq!(d.get_id(), Some(99));
     assert_eq!(d.get_pairs().len(), 3);
     assert_eq!(d.get_pairs().get(1).unwrap().get_val().unwrap().len(), 1024);

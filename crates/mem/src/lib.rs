@@ -84,7 +84,6 @@
 //! `// SAFETY:` comments; everything above this crate is safe code.
 
 pub mod arena;
-pub mod cow;
 pub mod pool;
 pub mod rcbuf;
 pub mod region;
@@ -92,7 +91,6 @@ pub mod registry;
 pub mod stats;
 
 pub use arena::{Arena, ArenaBytes};
-pub use cow::CowBuf;
 pub use pool::{AllocError, PinnedPool, PoolConfig};
 pub use rcbuf::RcBuf;
 pub use registry::Registry;

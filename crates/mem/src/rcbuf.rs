@@ -30,7 +30,7 @@ pub struct RcBuf {
 
 /// Whether `[start, start + len)` lies within `[0, cap)`. The sum is checked:
 /// release builds wrap `start + len`, and a wrapped sum passes any bound.
-pub(crate) fn fits(start: usize, len: usize, cap: usize) -> bool {
+fn fits(start: usize, len: usize, cap: usize) -> bool {
     start.checked_add(len).is_some_and(|end| end <= cap)
 }
 

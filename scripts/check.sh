@@ -19,9 +19,13 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
-echo "==> wire-format gates: differential + golden suites"
-cargo test -q -p cf-kv --test differential
+echo "==> wire-format gates: both schemas through the compiler, generated code against the DynMessage interpreter (encode parity, three-way decode under mutation, recorded crashers), the recorded byte layout, the parity suites, the serializer differential + golden frames"
+cargo run -q -p cf-codegen --bin cornflakes-compile -- --check crates/core/schema/msgs.proto
+cargo run -q -p cf-codegen --bin cornflakes-compile -- --check crates/kv/schema/kv.proto
+cargo test -q --test wire_differential
 cargo test -q --test golden
+cargo test -q -p cornflakes-core --test dynamic_parity
+cargo test -q -p cf-kv --test codegen_parity --test differential
 cargo test -q -p cf-nic --test rss_proptests
 
 echo "==> fcs gate: both CRC kernels against the bytewise reference, every length"
@@ -30,7 +34,7 @@ cargo test -q -p cf-nic fcs
 echo "==> cost-model gate: CacheSim against the timestamp-LRU reference op by op, set-layout properties, rounding grid, charge replay"
 cargo test -q -p cf-sim --lib -- cache::tests round_ns_is_f64_round_on_the_pinned_grid replay_matches_recorded_clock_and_attribution
 
-echo "==> memory gate: cf-mem in release (bounds checks that must not wrap), then its unit + property tests, tests/memory_safety.rs, cf-sim (the prefetch helper) and the store's tests under AddressSanitizer"
+echo "==> memory gate: cf-mem in release (bounds checks that must not wrap), then its unit + property tests, tests/memory_safety.rs, the wire-format differential (hostile offsets and counts through every decoder), cf-sim (the prefetch helper) and the store's tests under AddressSanitizer"
 cargo test -q --release -p cf-mem
 if cargo +nightly --version >/dev/null 2>&1; then
     # A target directory of its own (sanitized objects do not mix with the
@@ -40,7 +44,7 @@ if cargo +nightly --version >/dev/null 2>&1; then
         export CARGO_TARGET_DIR=target/asan RUSTFLAGS=-Zsanitizer=address
         host=$(rustc +nightly -vV | sed -n 's/^host: //p')
         cargo +nightly test -q -p cf-mem --lib --tests --target "$host"
-        cargo +nightly test -q --test memory_safety --target "$host"
+        cargo +nightly test -q --test memory_safety --test wire_differential --target "$host"
         cargo +nightly test -q -p cf-sim --lib --tests --target "$host"
         cargo +nightly test -q -p cf-kv --lib --target "$host" store::
     )

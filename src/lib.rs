@@ -15,9 +15,12 @@
 //!   (`alloc` / `recv_packet` / `recover_ptr` / `send_object`).
 //! - [`wire`] (in [`core`]) — the Cornflakes hybrid serialization library:
 //!   `CFPtr` smart pointers, `CornflakesObj`, the 512-byte zero-copy
-//!   threshold heuristic.
+//!   threshold heuristic; `core::msgs`, the message set generated from
+//!   `crates/core/schema/msgs.proto`; and `core::dynamic`, the schema
+//!   interpreter the generated code is tested against.
 //! - [`codegen`] — the schema compiler that generates Cornflakes message
-//!   types from Protobuf-style schemas.
+//!   types from Protobuf-style schemas (text to text; it depends on
+//!   nothing, the runtime included).
 //! - [`baselines`] — from-scratch Protobuf-, FlatBuffers-, and Cap'n
 //!   Proto-style serializers plus the manual copy baselines of Figure 1.
 //! - [`workloads`] — YCSB, Google-distribution, Twitter-cache, and CDN trace

@@ -22,15 +22,18 @@
 
 use std::path::PathBuf;
 
-use cornflakes::core::SerializationConfig;
+use cornflakes::core::msgs::{Batch, GetM, KvPair, Put, Single};
+use cornflakes::core::obj::serialize_to_vec;
+use cornflakes::core::{CFBytes, CornflakesObj, SerCtx, SerializationConfig};
 use cornflakes::kv::client::{client_server_pair, KvClient, CLIENT_PORT, SERVER_PORT};
 use cornflakes::kv::server::{KvServer, SerKind};
 use cornflakes::kv::sharded::ShardedKvServer;
 use cornflakes::kv::{flags, store::KvStore};
-use cornflakes::mem::PoolConfig;
+use cornflakes::mem::{PoolConfig, RcBuf};
 use cornflakes::net::{TcpStack, UdpStack};
 use cornflakes::nic::{fcs_ok, link, Frame, Port, FCS_OFFSET};
 use cornflakes::sim::{MachineProfile, Sim};
+use proptest::test_runner::TestRng;
 
 /// Frame-header offsets pinned by the fixtures (see `cf-net`).
 const OFF_VERSION: usize = 24;
@@ -42,16 +45,22 @@ fn golden_dir() -> PathBuf {
 }
 
 /// Compares `bytes` against the checked-in fixture `name`, or rewrites
-/// the fixture when `CF_BLESS=1`. Every fixture must also carry a valid
-/// FCS — the NIC seals each gathered frame, and the fixture pins that.
+/// the fixture when `CF_BLESS=1`. Every frame fixture must also carry a
+/// valid FCS — the NIC seals each gathered frame, and the fixture pins that.
 fn check_golden(name: &str, bytes: &[u8]) {
     assert!(
         bytes.len() >= FCS_OFFSET + 4 && fcs_ok(bytes),
         "{name}: captured frame must carry a valid FCS"
     );
+    check_fixture(name, bytes);
+}
+
+/// The compare-or-bless half of [`check_golden`], for fixtures that are not
+/// sealed frames.
+fn check_fixture(name: &str, bytes: &[u8]) {
     let path = golden_dir().join(name);
     if std::env::var_os("CF_BLESS").is_some() {
-        std::fs::create_dir_all(golden_dir()).expect("fixture dir");
+        std::fs::create_dir_all(path.parent().expect("fixture dir")).expect("fixture dir");
         std::fs::write(&path, bytes).expect("bless fixture");
         return;
     }
@@ -427,4 +436,158 @@ fn single_queue_sharded_server_is_wire_identical_to_plain_server() {
     sp_tap.send(Frame::new(sharded_reply));
     let resp = client.recv_response().expect("sharded reply decodes");
     assert_eq!(resp.vals.len(), 1);
+}
+
+// ---- `cornflakes_core::msgs`: the byte layout, recorded ------------------
+//
+// The five messages of `crates/core/schema/msgs.proto` used to be written
+// by hand; `tests/golden/core_msgs/*.bin` were recorded from that code
+// before it was deleted. The generated types must reproduce every recorded
+// instance bit for bit, so an error the emitter and the `DynMessage`
+// interpreter share still has something to fail against.
+
+/// Instances per message in the recorded corpus.
+const CORPUS_INSTANCES: u64 = 48;
+
+/// Field sizes on both sides of the 512-byte zero-copy threshold.
+const FIELD_SIZES: [usize; 10] = [0, 1, 9, 64, 511, 512, 513, 600, 1024, 2048];
+
+/// Seeded source of message contents. Fields drawn from pinned memory take
+/// the zero-copy arm at 512 bytes and above; everything else is copied.
+struct Corpus {
+    ctx: SerCtx,
+    rng: TestRng,
+    /// Pinned source buffers of the instance being built.
+    pinned: Vec<RcBuf>,
+}
+
+impl Corpus {
+    /// Presence bits for instance `i`: the first `2^bits` instances
+    /// enumerate every absent/present combination, the rest are drawn.
+    fn shape(&mut self, i: u64, bits: u32) -> u64 {
+        if i < 1 << bits {
+            i
+        } else {
+            self.rng.next_u64()
+        }
+    }
+
+    fn field(&mut self) -> CFBytes {
+        let len = FIELD_SIZES[self.rng.gen_range(0, FIELD_SIZES.len() as u128) as usize];
+        let data: Vec<u8> = (0..len).map(|_| self.rng.next_u64() as u8).collect();
+        // (The pool has no empty buffers: an empty field is never pinned.)
+        if self.rng.gen_ratio(2, 3) && len > 0 {
+            let buf = self.ctx.pool.alloc_from(&data).expect("pool");
+            let field = CFBytes::new(&self.ctx, buf.as_slice());
+            self.pinned.push(buf);
+            field
+        } else {
+            CFBytes::new(&self.ctx, &data)
+        }
+    }
+
+    /// A list length: 0 when absent, else 1 or many.
+    fn count(&mut self, present: bool) -> usize {
+        match (present, self.rng.gen_ratio(1, 3)) {
+            (false, _) => 0,
+            (true, true) => 1,
+            (true, false) => self.rng.gen_range(2, 7) as usize,
+        }
+    }
+
+    fn id(&mut self, present: bool) -> Option<u32> {
+        present.then(|| self.rng.next_u64() as u32)
+    }
+
+    fn opt_field(&mut self, present: bool) -> Option<CFBytes> {
+        present.then(|| self.field())
+    }
+
+    fn kv_pair(&mut self, shape: u64) -> KvPair {
+        KvPair {
+            key: self.opt_field(shape & 1 != 0),
+            val: self.opt_field(shape & 2 != 0),
+        }
+    }
+}
+
+/// Builds the corpus of one message type and holds it to its fixture: per
+/// instance `object_len`, `header_bytes`, `zero_copy_entries` (u32 LE each)
+/// and the serialized bytes.
+fn check_corpus<M: CornflakesObj>(name: &str, build: impl Fn(&mut Corpus, u64) -> M) {
+    let mut corpus = Corpus {
+        ctx: SerCtx::new(
+            Sim::new(MachineProfile::tiny_for_tests()),
+            SerializationConfig::hybrid(),
+        ),
+        rng: TestRng::deterministic(name),
+        pinned: Vec::new(),
+    };
+    let mut recorded = Vec::new();
+    for i in 0..CORPUS_INSTANCES {
+        let msg = build(&mut corpus, i);
+        let wire = serialize_to_vec(&msg);
+        assert_eq!(wire.len(), msg.object_len(), "{name} instance {i}");
+        for n in [
+            msg.object_len(),
+            msg.header_bytes(),
+            msg.zero_copy_entries(),
+        ] {
+            recorded.extend_from_slice(&(n as u32).to_le_bytes());
+        }
+        recorded.extend_from_slice(&wire);
+        drop(msg);
+        corpus.pinned.clear();
+    }
+    check_fixture(&format!("core_msgs/{name}.bin"), &recorded);
+}
+
+#[test]
+fn core_messages_reproduce_the_recorded_layout() {
+    check_corpus("GetM", |c, i| {
+        let shape = c.shape(i, 3);
+        let mut m = GetM::new();
+        m.id = c.id(shape & 1 != 0);
+        for _ in 0..c.count(shape & 2 != 0) {
+            m.keys.append(c.field());
+        }
+        for _ in 0..c.count(shape & 4 != 0) {
+            m.vals.append(c.field());
+        }
+        m
+    });
+    check_corpus("Put", |c, i| {
+        let shape = c.shape(i, 3);
+        Put {
+            id: c.id(shape & 1 != 0),
+            key: c.opt_field(shape & 2 != 0),
+            val: c.opt_field(shape & 4 != 0),
+        }
+    });
+    check_corpus("Single", |c, i| {
+        let shape = c.shape(i, 2);
+        Single {
+            id: c.id(shape & 1 != 0),
+            val: c.opt_field(shape & 2 != 0),
+        }
+    });
+    check_corpus("KvPair", |c, i| {
+        let shape = c.shape(i, 2);
+        c.kv_pair(shape)
+    });
+    check_corpus("Batch", |c, i| {
+        let shape = c.shape(i, 3);
+        let mut m = Batch {
+            id: c.id(shape & 1 != 0),
+            ..Batch::default()
+        };
+        for _ in 0..c.count(shape & 2 != 0) {
+            let pair_shape = c.rng.next_u64();
+            m.pairs.append(c.kv_pair(pair_shape));
+        }
+        for _ in 0..c.count(shape & 4 != 0) {
+            m.versions.push(c.rng.next_u64());
+        }
+        m
+    });
 }
