@@ -7,8 +7,7 @@
 
 use cf_net::{FrameMeta, UdpStack, HEADER_BYTES};
 use cf_nic::link;
-use cf_sim::queueing::{load_ladder, OpenLoopSim};
-use cf_sim::{MachineProfile, Sim};
+use cf_sim::{LoadPoint, MachineProfile, Sim};
 use cornflakes_core::obj::serialize_to_vec;
 use cornflakes_core::{CFBytes, SerializationConfig};
 
@@ -19,7 +18,8 @@ use cf_kv::echo::{EchoKind, EchoServer};
 use cf_kv::msg_type;
 use cf_kv::msgs::GetMsg;
 
-use crate::tables::{f1, print_expectation, print_table};
+use crate::harness::{curve, Curve, Load};
+use crate::tables::{f1, print_curve, print_expectation, print_table};
 
 /// An echo fixture: client stack + echo server over one wire.
 pub struct EchoBench {
@@ -34,12 +34,7 @@ pub struct EchoBench {
 impl EchoBench {
     /// Creates a fixture for one echo variant.
     pub fn new(kind: EchoKind) -> Self {
-        Self::with_profile(MachineProfile::cloudlab_c6525(), kind)
-    }
-
-    /// Creates a fixture on an explicit profile.
-    pub fn with_profile(profile: MachineProfile, kind: EchoKind) -> Self {
-        let server_sim = Sim::new(profile);
+        let server_sim = Sim::new(MachineProfile::cloudlab_c6525());
         let (cp, sp) = link();
         let client = UdpStack::new(
             Sim::new(MachineProfile::cloudlab_c6525()),
@@ -118,50 +113,36 @@ impl EchoBench {
 pub struct VariantResult {
     /// The variant.
     pub kind: EchoKind,
-    /// Maximum achieved payload throughput (Gbps).
+    /// Maximum achieved payload throughput (Gbps), the capacity probe's
+    /// included.
     pub max_gbps: f64,
-    /// (offered krps, achieved krps, p99 µs) curve points.
-    pub curve: Vec<(f64, f64, f64)>,
+    /// The throughput-latency curve.
+    pub curve: Curve,
 }
 
 /// Runs Figure 2 and returns per-variant results (also printed).
 pub fn run(duration_ns: u64) -> Vec<VariantResult> {
     let fields = vec![vec![0x5Au8; 2048], vec![0xA5u8; 2048]];
+    let load = Load {
+        seed: 2,
+        warmup: 500,
+        probe: 4_000,
+        lo: 0.3,
+        hi: 0.99,
+        steps: 6,
+        duration_ns,
+    };
     let mut results = Vec::new();
     for kind in EchoKind::figure2() {
         let mut bench = EchoBench::new(kind);
-        // Capacity probe: closed-loop saturation.
         let payload = bench.build_payload(&fields);
-        bench.server_sim.reset();
-        let ol = OpenLoopSim {
-            clock: bench.server_sim.clock(),
-            seed: 2,
-            one_way_wire_ns: 5_000,
-            duration_ns,
-            warmup_requests: 500,
-        };
-        let sat = {
-            let b = &mut bench;
-            ol.run_saturated(4_000, |seq| b.echo_once(&payload, seq))
-        };
-        let cap_rps = sat.achieved_rps;
-        // Open-loop sweep up to capacity.
-        let loads = load_ladder(cap_rps * 0.3, cap_rps * 0.99, 6);
-        let mut curve = Vec::new();
-        let mut max_gbps: f64 = sat.gbps();
-        for load in loads {
-            bench.server_sim.reset();
-            let p = {
-                let b = &mut bench;
-                ol.run(load, |seq| b.echo_once(&payload, seq))
-            };
-            max_gbps = max_gbps.max(p.gbps());
-            curve.push((
-                p.offered_rps / 1e3,
-                p.achieved_rps / 1e3,
-                p.latency.p99() as f64 / 1e3,
-            ));
-        }
+        let sim = bench.server_sim.clone();
+        let curve = curve(&sim, &load, |seq| bench.echo_once(&payload, seq));
+        let max_gbps = curve
+            .points
+            .iter()
+            .map(LoadPoint::gbps)
+            .fold(curve.capacity.gbps(), f64::max);
         results.push(VariantResult {
             kind,
             max_gbps,
@@ -173,9 +154,9 @@ pub fn run(duration_ns: u64) -> Vec<VariantResult> {
         .iter()
         .map(|r| {
             let mut row = vec![r.kind.name().to_string(), f1(r.max_gbps)];
-            let last = r.curve.last().expect("nonempty curve");
-            row.push(f1(last.1));
-            row.push(f1(last.2));
+            let last = r.curve.points.last().expect("nonempty curve");
+            row.push(f1(last.achieved_rps / 1e3));
+            row.push(f1(last.p99_ns() as f64 / 1e3));
             row
         })
         .collect();
@@ -195,10 +176,7 @@ pub fn run(duration_ns: u64) -> Vec<VariantResult> {
     );
     // Throughput-latency curves for the figure itself.
     for r in &results {
-        println!("  curve [{}]:", r.kind.name());
-        for (off, ach, p99) in &r.curve {
-            println!("    offered {off:8.1} krps  achieved {ach:8.1} krps  p99 {p99:7.1} us");
-        }
+        print_curve(r.kind.name(), &r.curve);
     }
     results
 }

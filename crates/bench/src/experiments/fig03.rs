@@ -10,84 +10,52 @@
 //! 64-byte buffers, but with software overheads scatter-gather only wins
 //! at 512 bytes and above.
 
-use cf_sim::{MachineProfile, Sim};
+use cf_sim::MachineProfile;
 use cornflakes_core::SerializationConfig;
 
-use cf_kv::client::client_server_pair;
 use cf_kv::server::SerKind;
 use cf_workloads::{key_string, Zipf};
 
-use crate::harness::large_pool;
+use crate::harness::{capacity, KvBench};
 use crate::tables::{f1, print_expectation, print_table};
 
 /// One microbenchmark measurement on `profile`: max payload throughput in
-/// Gbps for values of `segments` buffers of `seg_size` bytes.
-#[allow(clippy::too_many_arguments)]
+/// Gbps for values of `segments` buffers of `seg_size` bytes, over
+/// `requests` Zipf(0.99) GETs after `requests / 10` of warmup.
 pub fn microbench_gbps_on(
     profile: MachineProfile,
     config: SerializationConfig,
-    raw_zero_copy: bool,
     num_keys: u64,
     segments: usize,
     seg_size: usize,
     requests: u64,
-    warmup: u64,
 ) -> f64 {
-    let server_sim = Sim::new(profile);
-    let (mut client, mut server) = client_server_pair(
-        server_sim.clone(),
-        SerKind::Cornflakes,
-        config,
-        large_pool(),
-    );
-    server.raw_zero_copy = raw_zero_copy;
-    let sizes = vec![seg_size; segments];
-    for id in 0..num_keys {
-        server
-            .store
-            .preload(server.stack.ctx(), key_string(id).as_bytes(), &sizes)
-            .expect("pool sized for microbench");
-    }
+    let mut b = KvBench::new(profile, SerKind::Cornflakes, config);
+    b.preload(num_keys, |_| vec![seg_size; segments]);
     let mut zipf = Zipf::new(num_keys, 0.99, 0x5eed);
-    let ol = cf_sim::queueing::OpenLoopSim {
-        clock: server_sim.clock(),
-        seed: 3,
-        one_way_wire_ns: 5_000,
-        duration_ns: u64::MAX / 4,
-        warmup_requests: warmup,
-    };
-    let point = ol.run_saturated(requests, |_| {
+    let sim = b.server_sim.clone();
+    capacity(&sim, requests, requests / 10, |_| {
         let key = key_string(zipf.next());
-        client.send_get(&[key.as_bytes()]);
-        server.poll();
-        client
-            .recv_response()
-            .map(|r| r.payload_bytes as u64)
-            .unwrap_or(0)
-    });
-    point.gbps()
+        b.request(|c| c.send_get(&[key.as_bytes()]))
+    })
+    .gbps()
 }
 
 /// [`microbench_gbps_on`] with the scaled-LLC microbench profile.
-#[allow(clippy::too_many_arguments)]
 pub fn microbench_gbps(
     config: SerializationConfig,
-    raw_zero_copy: bool,
     num_keys: u64,
     segments: usize,
     seg_size: usize,
     requests: u64,
-    warmup: u64,
 ) -> f64 {
     microbench_gbps_on(
         MachineProfile::microbench(),
         config,
-        raw_zero_copy,
         num_keys,
         segments,
         seg_size,
         requests,
-        warmup,
     )
 }
 
@@ -112,34 +80,10 @@ pub fn run(num_keys: u64, requests: u64) -> Vec<Fig3Row> {
     let mut rows = Vec::new();
     for &segments in &[32usize, 16, 8, 4, 2, 1] {
         let seg_size = TOTAL / segments;
-        let warmup = requests / 10;
-        let copy = microbench_gbps(
-            SerializationConfig::always_copy(),
-            false,
-            num_keys,
-            segments,
-            seg_size,
-            requests,
-            warmup,
-        );
-        let sg = microbench_gbps(
-            SerializationConfig::always_zero_copy(),
-            false,
-            num_keys,
-            segments,
-            seg_size,
-            requests,
-            warmup,
-        );
-        let raw = microbench_gbps(
-            SerializationConfig::raw(),
-            true,
-            num_keys,
-            segments,
-            seg_size,
-            requests,
-            warmup,
-        );
+        let gbps = |config| microbench_gbps(config, num_keys, segments, seg_size, requests);
+        let copy = gbps(SerializationConfig::always_copy());
+        let sg = gbps(SerializationConfig::always_zero_copy());
+        let raw = gbps(SerializationConfig::raw());
         rows.push(Fig3Row {
             segments,
             seg_size,

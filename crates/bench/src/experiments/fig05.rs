@@ -30,7 +30,6 @@ pub struct Cell {
 pub fn run(num_keys: u64, requests: u64) -> Vec<Cell> {
     let totals = [256usize, 512, 1024, 2048, 4096, 8192];
     let entry_counts = [1usize, 2, 4, 8, 16, 32];
-    let warmup = requests / 10;
     let mut cells = Vec::new();
     for &entries in &entry_counts {
         for &total in &totals {
@@ -38,24 +37,9 @@ pub fn run(num_keys: u64, requests: u64) -> Vec<Cell> {
                 continue;
             }
             let field_size = total / entries;
-            let copy = microbench_gbps(
-                SerializationConfig::always_copy(),
-                false,
-                num_keys,
-                entries,
-                field_size,
-                requests,
-                warmup,
-            );
-            let sg = microbench_gbps(
-                SerializationConfig::always_zero_copy(),
-                false,
-                num_keys,
-                entries,
-                field_size,
-                requests,
-                warmup,
-            );
+            let gbps = |config| microbench_gbps(config, num_keys, entries, field_size, requests);
+            let copy = gbps(SerializationConfig::always_copy());
+            let sg = gbps(SerializationConfig::always_zero_copy());
             cells.push(Cell {
                 total,
                 entries,

@@ -6,16 +6,35 @@
 //! at 1 and 1–4 values, ahead of everything at 1–8 and 1–16; Cap'n Proto
 //! trails throughout.
 
-use cf_sim::queueing::{load_ladder, OpenLoopSim};
-use cf_sim::{MachineProfile, Sim};
+use cf_sim::MachineProfile;
 use cornflakes_core::SerializationConfig;
 
-use cf_kv::client::client_server_pair;
 use cf_kv::server::SerKind;
-use cf_workloads::{key_string, Zipf};
+use cf_workloads::{key_string, GoogleSizeDist, Zipf};
 
-use crate::harness::large_pool;
-use crate::tables::{f1, print_expectation, print_table};
+use crate::harness::{capacity, curve, KvBench, Load};
+use crate::tables::{f1, print_curve, print_expectation, print_table};
+
+/// A `kind` server holding `num_keys` Google-distribution lists of
+/// 1..=`max_fields` fields, and its Zipf(0.99) GET stream.
+fn google_bench(
+    kind: SerKind,
+    config: SerializationConfig,
+    num_keys: u64,
+    max_fields: usize,
+) -> (KvBench, Zipf) {
+    let mut b = KvBench::new(MachineProfile::microbench(), kind, config);
+    b.preload(num_keys, |id| {
+        GoogleSizeDist::object_for_key(id, max_fields)
+    });
+    (b, Zipf::new(num_keys, 0.99, 0x60061e))
+}
+
+/// GETs the stream's next key.
+fn get_next(b: &mut KvBench, zipf: &mut Zipf) -> u64 {
+    let key = key_string(zipf.next());
+    b.request(|c| c.send_get(&[key.as_bytes()]))
+}
 
 /// Max sustained krps for one (system, list-length) cell.
 pub fn google_krps(
@@ -25,34 +44,13 @@ pub fn google_krps(
     max_fields: usize,
     requests: u64,
 ) -> f64 {
-    let server_sim = Sim::new(MachineProfile::microbench());
-    let (mut client, mut server) =
-        client_server_pair(server_sim.clone(), kind, config, large_pool());
-    for id in 0..num_keys {
-        let sizes = cf_workloads::GoogleSizeDist::object_for_key(id, max_fields);
-        server
-            .store
-            .preload(server.stack.ctx(), key_string(id).as_bytes(), &sizes)
-            .expect("pool sized for Google workload");
-    }
-    let mut zipf = Zipf::new(num_keys, 0.99, 0x60061e);
-    let ol = OpenLoopSim {
-        clock: server_sim.clock(),
-        seed: 6,
-        one_way_wire_ns: 5_000,
-        duration_ns: u64::MAX / 4,
-        warmup_requests: requests / 10,
-    };
-    let point = ol.run_saturated(requests, |_| {
-        let key = key_string(zipf.next());
-        client.send_get(&[key.as_bytes()]);
-        server.poll();
-        client
-            .recv_response()
-            .map(|r| r.payload_bytes as u64)
-            .unwrap_or(0)
-    });
-    point.achieved_rps / 1e3
+    let (mut b, mut zipf) = google_bench(kind, config, num_keys, max_fields);
+    let sim = b.server_sim.clone();
+    capacity(&sim, requests, requests / 10, |_| {
+        get_next(&mut b, &mut zipf)
+    })
+    .achieved_rps
+        / 1e3
 }
 
 /// Runs Table 1 (max krps per system per list length). Returns
@@ -105,65 +103,20 @@ pub fn run_table1(num_keys: u64, requests: u64) -> Vec<(SerKind, Vec<f64>)> {
 /// Runs the Figure 6 throughput-latency sweep (1–8 values per list).
 pub fn run_fig6_curves(num_keys: u64, duration_ns: u64) {
     println!("\n=== Figure 6: throughput vs p99, Google 1-8 vals ===");
+    let load = Load {
+        seed: 6,
+        warmup: 2_000,
+        probe: 3_000,
+        lo: 0.4,
+        hi: 0.98,
+        steps: 5,
+        duration_ns,
+    };
     for kind in SerKind::all() {
-        let server_sim = Sim::new(MachineProfile::microbench());
-        let (mut client, mut server) = client_server_pair(
-            server_sim.clone(),
-            kind,
-            SerializationConfig::hybrid(),
-            large_pool(),
-        );
-        for id in 0..num_keys {
-            let sizes = cf_workloads::GoogleSizeDist::object_for_key(id, 8);
-            server
-                .store
-                .preload(server.stack.ctx(), key_string(id).as_bytes(), &sizes)
-                .expect("pool sized");
-        }
-        let mut zipf = Zipf::new(num_keys, 0.99, 0x60061e);
-        let ol = OpenLoopSim {
-            clock: server_sim.clock(),
-            seed: 6,
-            one_way_wire_ns: 5_000,
-            duration_ns,
-            warmup_requests: 2_000,
-        };
-        // Probe capacity, then sweep.
-        let cap = {
-            let c = &mut client;
-            let s = &mut server;
-            ol.run_saturated(3_000, |_| {
-                let key = key_string(zipf.next());
-                c.send_get(&[key.as_bytes()]);
-                s.poll();
-                c.recv_response()
-                    .map(|r| r.payload_bytes as u64)
-                    .unwrap_or(0)
-            })
-            .achieved_rps
-        };
-        println!("  [{}]", kind.name());
-        for load in load_ladder(cap * 0.4, cap * 0.98, 5) {
-            server_sim.reset();
-            let p = {
-                let c = &mut client;
-                let s = &mut server;
-                ol.run(load, |_| {
-                    let key = key_string(zipf.next());
-                    c.send_get(&[key.as_bytes()]);
-                    s.poll();
-                    c.recv_response()
-                        .map(|r| r.payload_bytes as u64)
-                        .unwrap_or(0)
-                })
-            };
-            println!(
-                "    offered {:8.1} krps  achieved {:8.1} krps  p99 {:6.1} us",
-                p.offered_rps / 1e3,
-                p.achieved_rps / 1e3,
-                p.latency.p99() as f64 / 1e3
-            );
-        }
+        let (mut b, mut zipf) = google_bench(kind, SerializationConfig::hybrid(), num_keys, 8);
+        let sim = b.server_sim.clone();
+        let curve = curve(&sim, &load, |_| get_next(&mut b, &mut zipf));
+        print_curve(kind.name(), &curve);
     }
 }
 

@@ -4,68 +4,24 @@
 //! are puts. Paper result: Cornflakes achieves 15.4 % higher throughput
 //! than Protobuf at a ~53 µs p99 SLO, and beats all other baselines.
 
-use cf_sim::queueing::{load_ladder, OpenLoopSim, SweepResult};
-use cf_sim::{MachineProfile, Sim};
+use cf_sim::MachineProfile;
 use cornflakes_core::SerializationConfig;
 
-use cf_kv::client::{client_server_pair, KvClient};
-use cf_kv::server::{KvServer, SerKind};
+use cf_kv::server::SerKind;
 use cf_workloads::{key_string, TwitterConfig, TwitterOp, TwitterTrace};
 
-use crate::harness::large_pool;
-use crate::tables::{f1, pct, print_expectation, print_table};
+use crate::harness::{curve, Curve, KvBench, Load};
+use crate::tables::{f1, pct, print_curve, print_expectation, print_table};
 
-/// Builds a Twitter-workload fixture for one system.
-pub fn twitter_fixture(
-    kind: SerKind,
-    config: SerializationConfig,
-    num_keys: u64,
-) -> (Sim, KvClient, KvServer) {
-    let server_sim = Sim::new(MachineProfile::microbench());
-    let (client, mut server) = client_server_pair(server_sim.clone(), kind, config, large_pool());
-    for id in 0..num_keys {
-        let size = TwitterTrace::value_size(id);
-        server
-            .store
-            .preload(server.stack.ctx(), key_string(id).as_bytes(), &[size])
-            .expect("pool sized for Twitter workload");
-    }
-    (server_sim, client, server)
-}
-
-/// Drives one Twitter-trace request (get or put) and returns the response
-/// payload size.
-pub fn drive_twitter(
-    client: &mut KvClient,
-    server: &mut KvServer,
-    trace: &mut TwitterTrace,
-    put_scratch: &[u8],
-) -> u64 {
-    match trace.next() {
-        TwitterOp::Get { key } => {
-            let k = key_string(key);
-            client.send_get(&[k.as_bytes()]);
-        }
-        TwitterOp::Put { key, size } => {
-            let k = key_string(key);
-            client.send_put(k.as_bytes(), &put_scratch[..size]);
-        }
-    }
-    server.poll();
-    client
-        .recv_response()
-        .map(|r| r.payload_bytes as u64)
-        .unwrap_or(0)
-}
-
-/// Runs the Figure 7 sweep for one system; returns the sweep.
+/// Runs the Figure 7 sweep for one system; returns its curve.
 pub fn sweep_twitter(
     kind: SerKind,
     config: SerializationConfig,
     num_keys: u64,
     duration_ns: u64,
-) -> SweepResult {
-    let (server_sim, mut client, mut server) = twitter_fixture(kind, config, num_keys);
+) -> Curve {
+    let mut b = KvBench::new(MachineProfile::microbench(), kind, config);
+    b.preload(num_keys, |id| vec![TwitterTrace::value_size(id)]);
     let mut trace = TwitterTrace::new(
         TwitterConfig {
             num_keys,
@@ -74,36 +30,28 @@ pub fn sweep_twitter(
         0x7A17,
     );
     let put_scratch = vec![0xB0u8; 8192];
-    let ol = OpenLoopSim {
-        clock: server_sim.clock(),
+    let load = Load {
         seed: 7,
-        one_way_wire_ns: 5_000,
+        warmup: 2_000,
+        probe: 3_000,
+        lo: 0.4,
+        hi: 0.99,
+        steps: 6,
         duration_ns,
-        warmup_requests: 2_000,
     };
-    let cap = {
-        let c = &mut client;
-        let s = &mut server;
-        let t = &mut trace;
-        ol.run_saturated(3_000, |_| drive_twitter(c, s, t, &put_scratch))
-            .achieved_rps
-    };
-    let loads = load_ladder(cap * 0.4, cap * 0.99, 6);
-    let points = loads
-        .iter()
-        .map(|&load| {
-            server_sim.reset();
-            let c = &mut client;
-            let s = &mut server;
-            let t = &mut trace;
-            ol.run(load, |_| drive_twitter(c, s, t, &put_scratch))
+    let sim = b.server_sim.clone();
+    curve(&sim, &load, |_| {
+        b.request(|c| match trace.next() {
+            TwitterOp::Get { key } => c.send_get(&[key_string(key).as_bytes()]),
+            TwitterOp::Put { key, size } => {
+                c.send_put(key_string(key).as_bytes(), &put_scratch[..size])
+            }
         })
-        .collect();
-    SweepResult { points }
+    })
 }
 
 /// Runs Figure 7 for all systems, printing curves and the SLO comparison.
-pub fn run(num_keys: u64, duration_ns: u64, slo_ns: u64) -> Vec<(SerKind, SweepResult)> {
+pub fn run(num_keys: u64, duration_ns: u64, slo_ns: u64) -> Vec<(SerKind, Curve)> {
     let mut results = Vec::new();
     for kind in SerKind::all() {
         let sweep = sweep_twitter(kind, SerializationConfig::hybrid(), num_keys, duration_ns);
@@ -136,16 +84,7 @@ pub fn run(num_keys: u64, duration_ns: u64, slo_ns: u64) -> Vec<(SerKind, SweepR
         &pct((cf - proto) / proto * 100.0),
     );
     for (kind, sweep) in &results {
-        println!("  curve [{}]:", kind.name());
-        for p in &sweep.points {
-            println!(
-                "    offered {:8.1} krps  achieved {:8.1} krps  p99 {:6.1} us{}",
-                p.offered_rps / 1e3,
-                p.achieved_rps / 1e3,
-                p.latency.p99() as f64 / 1e3,
-                if p.is_stable() { "" } else { "  (unstable)" }
-            );
-        }
+        print_curve(kind.name(), sweep);
     }
     results
 }

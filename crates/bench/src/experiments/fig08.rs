@@ -8,14 +8,13 @@
 
 use cf_net::{FrameMeta, UdpStack, HEADER_BYTES};
 use cf_nic::link;
-use cf_sim::queueing::{load_ladder, OpenLoopSim, SweepResult};
 use cf_sim::{MachineProfile, Sim};
 use cornflakes_core::SerializationConfig;
 
 use cf_kv::redis::{client as rclient, RedisBackend, RedisServer};
 use cf_workloads::{key_string, TwitterConfig, TwitterOp, TwitterTrace, Zipf};
 
-use crate::harness::large_pool;
+use crate::harness::{capacity, curve, large_pool, preload, Curve, Load};
 use crate::tables::{f1, pct, print_expectation, print_table};
 
 /// A Redis fixture: RESP-speaking client + mini-Redis server.
@@ -83,16 +82,12 @@ impl RedisBench {
 }
 
 /// Figure 8: the Twitter trace through Redis get/set commands.
-pub fn sweep_redis_twitter(backend: RedisBackend, num_keys: u64, duration_ns: u64) -> SweepResult {
+pub fn sweep_redis_twitter(backend: RedisBackend, num_keys: u64, duration_ns: u64) -> Curve {
     let mut bench = RedisBench::new(backend);
-    for id in 0..num_keys {
-        let size = TwitterTrace::value_size(id);
-        bench
-            .server
-            .store
-            .preload(bench.server.stack.ctx(), key_string(id).as_bytes(), &[size])
-            .expect("pool sized");
-    }
+    let server = &mut bench.server;
+    preload(&mut server.store, server.stack.ctx(), num_keys, |id| {
+        vec![TwitterTrace::value_size(id)]
+    });
     let mut trace = TwitterTrace::new(
         TwitterConfig {
             num_keys,
@@ -101,77 +96,39 @@ pub fn sweep_redis_twitter(backend: RedisBackend, num_keys: u64, duration_ns: u6
         0x3ED15,
     );
     let scratch = vec![0xB7u8; 8192];
-    let ol = OpenLoopSim {
-        clock: bench.server_sim.clock(),
+    let load = Load {
         seed: 9,
-        one_way_wire_ns: 5_000,
+        warmup: 2_000,
+        probe: 3_000,
+        lo: 0.4,
+        hi: 0.99,
+        steps: 6,
         duration_ns,
-        warmup_requests: 2_000,
     };
-    let drive = |bench: &mut RedisBench, trace: &mut TwitterTrace| match trace.next() {
-        TwitterOp::Get { key } => {
-            let k = key_string(key);
-            bench.command(&[b"GET", k.as_bytes()])
-        }
+    let sim = bench.server_sim.clone();
+    curve(&sim, &load, |_| match trace.next() {
+        TwitterOp::Get { key } => bench.command(&[b"GET", key_string(key).as_bytes()]),
         TwitterOp::Put { key, size } => {
-            let k = key_string(key);
-            bench.command(&[b"SET", k.as_bytes(), &scratch[..size]])
+            bench.command(&[b"SET", key_string(key).as_bytes(), &scratch[..size]])
         }
-    };
-    let cap = {
-        let b = &mut bench;
-        let t = &mut trace;
-        ol.run_saturated(3_000, |_| drive(b, t)).achieved_rps
-    };
-    let points = load_ladder(cap * 0.4, cap * 0.99, 6)
-        .into_iter()
-        .map(|load| {
-            bench.server_sim.reset();
-            let b = &mut bench;
-            let t = &mut trace;
-            ol.run(load, |_| drive(b, t))
-        })
-        .collect();
-    SweepResult { points }
+    })
 }
 
 /// Table 3: max krps per command (4096-byte total payloads, YCSB keys).
 pub fn table3_krps(backend: RedisBackend, num_keys: u64, requests: u64) -> [f64; 3] {
     let mut out = [0.0; 3];
+    // One 4096-byte value; two keys of 2048 bytes each (mget hits key+1
+    // too); a list value of two 2048-byte buffers.
+    let values: [&[usize]; 3] = [&[4096], &[2048], &[2048, 2048]];
     for (i, cmd) in ["get", "mget-2", "lrange-2"].iter().enumerate() {
         let mut bench = RedisBench::new(backend);
-        for id in 0..num_keys {
-            let key = key_string(id);
-            match *cmd {
-                // One 4096-byte value.
-                "get" => bench
-                    .server
-                    .store
-                    .preload(bench.server.stack.ctx(), key.as_bytes(), &[4096])
-                    .expect("pool"),
-                // Two keys of 2048 bytes each; mget hits key+1 too.
-                "mget-2" => bench
-                    .server
-                    .store
-                    .preload(bench.server.stack.ctx(), key.as_bytes(), &[2048])
-                    .expect("pool"),
-                // A list value of two 2048-byte buffers.
-                _ => bench
-                    .server
-                    .store
-                    .preload(bench.server.stack.ctx(), key.as_bytes(), &[2048, 2048])
-                    .expect("pool"),
-            }
-        }
+        let server = &mut bench.server;
+        preload(&mut server.store, server.stack.ctx(), num_keys, |_| {
+            values[i].to_vec()
+        });
         let mut zipf = Zipf::new(num_keys, 0.99, 0x2ED15);
-        let ol = OpenLoopSim {
-            clock: bench.server_sim.clock(),
-            seed: 10,
-            one_way_wire_ns: 5_000,
-            duration_ns: u64::MAX / 4,
-            warmup_requests: requests / 10,
-        };
-        let point = ol.run_saturated(requests, |_| {
+        let sim = bench.server_sim.clone();
+        let point = capacity(&sim, requests, requests / 10, |_| {
             let id = zipf.next();
             let k = key_string(id);
             match *cmd {

@@ -63,7 +63,7 @@ pub fn run_variant(kind: TcpEchoKind, rounds: u64) -> TcpEchoResult {
     server.poll().expect("established");
     assert!(client.is_established() && server.is_established());
 
-    let wire_one_way = 5_000u64;
+    let wire_one_way = sim.costs().one_way_wire_ns as u64;
     let fields = [vec![0x11u8; 2048], vec![0x22u8; 2048]];
     let mut latency = Histogram::new();
     for round in 0..rounds {

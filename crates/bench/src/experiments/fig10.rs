@@ -6,23 +6,11 @@
 //! result: on both NICs, scatter-gather overtakes copy exactly when
 //! elements reach 512 bytes — the threshold is NIC-insensitive.
 
-use cf_sim::profile::{CacheConfig, MachineProfile, NicModel};
+use cf_sim::profile::{MachineProfile, NicModel};
 use cornflakes_core::SerializationConfig;
 
 use super::fig03::microbench_gbps_on;
 use crate::tables::{f1, print_expectation, print_table};
-
-fn nic_profile(nic: NicModel) -> MachineProfile {
-    MachineProfile {
-        name: "milan (scaled LLC)",
-        costs: cf_sim::profile::CostModel::cloudlab_c6525(),
-        cache: CacheConfig {
-            capacity_bytes: 16 << 20,
-            ways: 16,
-        },
-        nic,
-    }
-}
 
 /// One cell: (entries, copy Gbps, sg Gbps) for a NIC.
 pub type NicRow = (usize, f64, f64);
@@ -35,26 +23,15 @@ pub fn run_nic(nic: NicModel, num_keys: u64, requests: u64) -> Vec<NicRow> {
         // 6 entries does not divide 1024 evenly; ~170-byte elements keep
         // the total at ~1 KiB, as the paper's figure does.
         let seg = TOTAL / entries;
-        let copy = microbench_gbps_on(
-            nic_profile(nic),
-            SerializationConfig::always_copy(),
-            false,
-            num_keys,
-            entries,
-            seg,
-            requests,
-            requests / 10,
-        );
-        let sg = microbench_gbps_on(
-            nic_profile(nic),
-            SerializationConfig::always_zero_copy(),
-            false,
-            num_keys,
-            entries,
-            seg,
-            requests,
-            requests / 10,
-        );
+        let gbps = |config| {
+            let profile = MachineProfile {
+                nic,
+                ..MachineProfile::microbench()
+            };
+            microbench_gbps_on(profile, config, num_keys, entries, seg, requests)
+        };
+        let copy = gbps(SerializationConfig::always_copy());
+        let sg = gbps(SerializationConfig::always_zero_copy());
         rows.push((entries, copy, sg));
     }
     rows
@@ -123,26 +100,27 @@ mod tests {
         // e810 (max 8): the serialize-and-send path degrades to the copy
         // path instead of failing, and the reply still arrives bit-exact.
         // (The experiment grid stops at 6 entries for exactly this reason.)
-        use cf_kv::client::client_server_pair;
+        use crate::harness::KvBench;
         use cf_kv::server::SerKind;
-        use cf_sim::Sim;
         use cf_telemetry::{Telemetry, TelemetryConfig};
-        let server_sim = Sim::new(nic_profile(NicModel::IntelE810));
-        let tele = Telemetry::new(server_sim.clock(), TelemetryConfig::default());
-        let (mut client, mut server) = client_server_pair(
-            server_sim,
+        let e810 = MachineProfile {
+            nic: NicModel::IntelE810,
+            ..MachineProfile::microbench()
+        };
+        let mut b = KvBench::new(
+            e810,
             SerKind::Cornflakes,
             SerializationConfig::always_zero_copy(),
-            crate::harness::large_pool(),
         );
-        server.set_telemetry(&tele);
-        server
+        let tele = Telemetry::new(b.server_sim.clock(), TelemetryConfig::default());
+        b.server.set_telemetry(&tele);
+        b.server
             .store
-            .preload(server.stack.ctx(), b"k", &[128; 8])
+            .preload(b.server.stack.ctx(), b"k", &[128; 8])
             .unwrap();
-        client.send_get(&[b"k"]);
-        server.poll();
-        let resp = client.recv_response().expect("reply via copy fallback");
+        b.client.send_get(&[b"k"]);
+        b.server.poll();
+        let resp = b.client.recv_response().expect("reply via copy fallback");
         assert_eq!(resp.vals.len(), 8);
         assert!(resp.vals.iter().all(|v| v.len() == 128));
         assert_eq!(

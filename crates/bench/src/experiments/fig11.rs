@@ -6,17 +6,15 @@
 //! zero-copy), its gets complete faster (more cache left for keys), and its
 //! deserialization is shorter (deferred UTF-8 validation).
 
-use cf_sim::cost::Category;
-use cf_sim::{MachineProfile, Sim};
+use cf_sim::cost::{Attribution, Category};
 use cf_telemetry::Telemetry;
-use cornflakes_core::SerializationConfig;
 
-use cf_kv::client::{client_server_pair, KvClient};
-use cf_kv::server::{KvServer, SerKind};
-use cf_workloads::{key_string, CdnTrace};
+use cf_kv::server::SerKind;
+use cf_workloads::CdnTrace;
 
+use super::table2::{cdn_bench, fetch_next};
 use crate::artifacts::write_artifact;
-use crate::harness::large_pool;
+use crate::harness::capacity;
 use crate::tables::{f1, print_expectation, print_table};
 
 /// Per-category average ns/request for one system.
@@ -28,61 +26,35 @@ pub struct Breakdown {
     pub per_request_ns: Vec<(Category, f64)>,
     /// Total ns per request.
     pub total_ns: f64,
+    /// The simulator's attribution over the measured window.
+    pub attribution: Attribution,
 }
 
-/// Measures the attribution breakdown for one system on the CDN workload.
-pub fn breakdown(kind: SerKind, num_objects: u64, requests: u64) -> Breakdown {
-    breakdown_instrumented(kind, num_objects, requests).0
-}
-
-/// [`breakdown`] plus the telemetry handle that observed the measured
-/// window — spans, metrics, and serializer decisions cover exactly the
-/// post-warmup requests (the handle attaches at the attribution reset).
+/// Measures the attribution breakdown for one system on the CDN workload,
+/// with the telemetry handle that observed the measured window — spans,
+/// metrics, and serializer decisions cover exactly the post-warmup requests
+/// (the handle attaches at the attribution reset).
 pub fn breakdown_instrumented(
     kind: SerKind,
     num_objects: u64,
     requests: u64,
 ) -> (Breakdown, Telemetry) {
-    let server_sim = Sim::new(MachineProfile::microbench());
-    let (mut client, mut server) = client_server_pair(
-        server_sim.clone(),
-        kind,
-        SerializationConfig::hybrid(),
-        large_pool(),
-    );
-    for id in 0..num_objects {
-        let sizes: Vec<usize> = (0..CdnTrace::num_segments(id))
-            .map(|s| CdnTrace::segment_size(id, s))
-            .collect();
-        server
-            .store
-            .preload(server.stack.ctx(), key_string(id).as_bytes(), &sizes)
-            .expect("pool sized");
-    }
+    let mut b = cdn_bench(kind, num_objects);
     let mut trace = CdnTrace::new(num_objects, 0xF16);
-    let mut drive = |client: &mut KvClient, server: &mut KvServer| {
-        let (id, seg, _last) = trace.next();
-        let key = key_string(id);
-        client.send_get_segment(key.as_bytes(), seg as u32);
-        server.poll();
-        client
-            .recv_response()
-            .map(|r| r.payload_bytes as u64)
-            .unwrap_or(0)
-    };
-    // Warm:
-    for _ in 0..requests / 5 {
-        drive(&mut client, &mut server);
-    }
-    let tele = Telemetry::attach(&server_sim);
-    server.set_telemetry(&tele);
-    server_sim.with_core(|c| c.attribution.reset());
-    let t0 = server_sim.now();
-    for _ in 0..requests {
-        drive(&mut client, &mut server);
-    }
-    let elapsed = (server_sim.now() - t0) as f64;
-    let attr = server_sim.attribution();
+    let sim = b.server_sim.clone();
+    let warmup = requests / 5;
+    let mut tele = Telemetry::disabled();
+    let window = capacity(&sim, requests, warmup, |seq| {
+        if seq == warmup {
+            // The measured window opens: telemetry attaches at the instant
+            // the simulator's attribution resets, so both see its charges.
+            tele = Telemetry::attach(&sim);
+            b.server.set_telemetry(&tele);
+            sim.with_core(|c| c.attribution.reset());
+        }
+        fetch_next(&mut b, &mut trace).0
+    });
+    let attribution = sim.attribution();
     let order = [
         Category::Rx,
         Category::Deserialize,
@@ -97,9 +69,10 @@ pub fn breakdown_instrumented(
         kind,
         per_request_ns: order
             .iter()
-            .map(|&c| (c, attr.get(c) / requests as f64))
+            .map(|&c| (c, attribution.get(c) / requests as f64))
             .collect(),
-        total_ns: elapsed / requests as f64,
+        total_ns: window.mean_service_ns,
+        attribution,
     };
     (result, tele)
 }

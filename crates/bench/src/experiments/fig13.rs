@@ -14,13 +14,12 @@
 use cf_net::{FrameMeta, UdpStack};
 use cf_nic::link;
 use cf_sim::cost::Category;
-use cf_sim::queueing::OpenLoopSim;
 use cf_sim::rng::SplitMix64;
 use cf_sim::{MachineProfile, Sim};
 use cornflakes_core::msgs::GetM;
 use cornflakes_core::{CFBytes, CornflakesObj, SerializationConfig};
 
-use crate::harness::large_pool;
+use crate::harness::{capacity, large_pool};
 use crate::tables::{f1, print_expectation, print_table};
 
 /// Aggregate NIC ceiling in Gbps (payload goodput the paper's CX-6
@@ -64,14 +63,7 @@ pub fn id_server_gbps(copy_mode: bool, num_values: u64, requests: u64) -> f64 {
         .collect();
 
     let mut rng = SplitMix64::new(0x13);
-    let ol = OpenLoopSim {
-        clock: server_sim.clock(),
-        seed: 13,
-        one_way_wire_ns: 5_000,
-        duration_ns: u64::MAX / 4,
-        warmup_requests: requests / 10,
-    };
-    let point = ol.run_saturated(requests, |seq| {
+    let point = capacity(&server_sim, requests, requests / 10, |seq| {
         // Client: a minimal ID request.
         let req = GetM {
             id: Some(rng.next_bounded(num_values) as u32),

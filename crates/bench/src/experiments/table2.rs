@@ -7,62 +7,64 @@
 //! 161.0, FlatBuffers 181.2, Protobuf 186.1, Cornflakes 366.5 — Cornflakes
 //! 97–128 % ahead, because every field is ≥ 1 KB and zero-copy.
 
-use cf_sim::queueing::OpenLoopSim;
-use cf_sim::{MachineProfile, Sim};
+use cf_sim::{LoadPoint, MachineProfile};
 use cornflakes_core::SerializationConfig;
 
-use cf_kv::client::client_server_pair;
 use cf_kv::server::SerKind;
 use cf_workloads::{key_string, CdnTrace};
 
-use crate::harness::large_pool;
+use crate::harness::{capacity, KvBench};
 use crate::tables::{f1, pct, print_expectation, print_table};
+
+/// Seed of Table 2's request stream.
+const TRACE_SEED: u64 = 0xCD;
+
+/// A `kind` server holding `num_objects` CDN objects, each a vector of
+/// jumbo-frame segments (Table 2 and Figure 11).
+pub fn cdn_bench(kind: SerKind, num_objects: u64) -> KvBench {
+    let mut b = KvBench::new(
+        MachineProfile::microbench(),
+        kind,
+        SerializationConfig::hybrid(),
+    );
+    b.preload(num_objects, |id| {
+        (0..CdnTrace::num_segments(id))
+            .map(|s| CdnTrace::segment_size(id, s))
+            .collect()
+    });
+    b
+}
+
+/// Fetches the trace's next sub-object: the reply's payload size, and
+/// whether the fetch completed its object.
+pub fn fetch_next(b: &mut KvBench, trace: &mut CdnTrace) -> (u64, bool) {
+    let (id, seg, last) = trace.next();
+    let key = key_string(id);
+    let bytes = b.request(|c| c.send_get_segment(key.as_bytes(), seg as u32));
+    (bytes, last)
+}
+
+/// One system's closed-loop CDN run: the full objects completed by the
+/// `requests` measured fetches, and the point they make. The `requests /
+/// 10` warmup fetches, and their virtual time, count in neither.
+pub fn cdn_window(kind: SerKind, num_objects: u64, requests: u64) -> (u64, LoadPoint) {
+    let mut b = cdn_bench(kind, num_objects);
+    let mut trace = CdnTrace::new(num_objects, TRACE_SEED);
+    let warmup = requests / 10;
+    let mut objects = 0;
+    let sim = b.server_sim.clone();
+    let point = capacity(&sim, requests, warmup, |seq| {
+        let (bytes, last) = fetch_next(&mut b, &mut trace);
+        objects += u64::from(last && seq >= warmup);
+        bytes
+    });
+    (objects, point)
+}
 
 /// Max sustained throughput in thousands of full objects per second.
 pub fn cdn_kobjs(kind: SerKind, num_objects: u64, requests: u64) -> f64 {
-    let server_sim = Sim::new(MachineProfile::microbench());
-    let (mut client, mut server) = client_server_pair(
-        server_sim.clone(),
-        kind,
-        SerializationConfig::hybrid(),
-        large_pool(),
-    );
-    for id in 0..num_objects {
-        let sizes: Vec<usize> = (0..CdnTrace::num_segments(id))
-            .map(|s| CdnTrace::segment_size(id, s))
-            .collect();
-        server
-            .store
-            .preload(server.stack.ctx(), key_string(id).as_bytes(), &sizes)
-            .expect("pool sized for CDN workload");
-    }
-    let mut trace = CdnTrace::new(num_objects, 0xCD);
-    let ol = OpenLoopSim {
-        clock: server_sim.clock(),
-        seed: 8,
-        one_way_wire_ns: 5_000,
-        duration_ns: u64::MAX / 4,
-        warmup_requests: requests / 10,
-    };
-    let mut objects_completed = 0u64;
-    let t0 = server_sim.now();
-    let point = ol.run_saturated(requests, |_| {
-        let (id, seg, last) = trace.next();
-        let key = key_string(id);
-        client.send_get_segment(key.as_bytes(), seg as u32);
-        server.poll();
-        let bytes = client
-            .recv_response()
-            .map(|r| r.payload_bytes as u64)
-            .unwrap_or(0);
-        if last {
-            objects_completed += 1;
-        }
-        bytes
-    });
-    let _ = point;
-    let elapsed = server_sim.now() - t0;
-    objects_completed as f64 * 1e9 / elapsed as f64 / 1e3
+    let (objects, point) = cdn_window(kind, num_objects, requests);
+    objects as f64 * point.achieved_rps / point.completed as f64 / 1e3
 }
 
 /// Runs Table 2.
@@ -124,5 +126,19 @@ mod tests {
                 "gain {gain:.0}% vs {kind:?} implausibly large"
             );
         }
+    }
+
+    #[test]
+    fn only_measured_fetches_complete_objects() {
+        let (num_objects, requests) = (300, 400);
+        let (objects, point) = cdn_window(SerKind::Cornflakes, num_objects, requests);
+        let warmup = requests / 10;
+        let mut trace = CdnTrace::new(num_objects, TRACE_SEED);
+        let lasts: Vec<bool> = (0..warmup + requests).map(|_| trace.next().2).collect();
+        let measured = lasts[warmup as usize..].iter().filter(|&&l| l).count();
+        let warm = lasts[..warmup as usize].iter().filter(|&&l| l).count();
+        assert!(warm > 0, "the warmup completes objects too");
+        assert_eq!(objects, measured as u64);
+        assert_eq!(point.completed, requests);
     }
 }

@@ -42,16 +42,8 @@ pub fn run(
     results.push(("Twitter".to_string(), t_with, t_without, "krps"));
 
     // YCSB 4 x 1024 B (Gbps).
-    let y_with = microbench_gbps(with_cfg, false, num_keys, 4, 1024, requests, requests / 10);
-    let y_without = microbench_gbps(
-        without_cfg,
-        false,
-        num_keys,
-        4,
-        1024,
-        requests,
-        requests / 10,
-    );
+    let y_with = microbench_gbps(with_cfg, num_keys, 4, 1024, requests);
+    let y_without = microbench_gbps(without_cfg, num_keys, 4, 1024, requests);
     results.push(("YCSB 1024x4".to_string(), y_with, y_without, "Gbps"));
 
     let rows: Vec<Vec<String>> = results

@@ -7,6 +7,12 @@
 //!
 //! Conventions:
 //!
+//! - Every paper figure is measured with one rig, [`harness`] (§6.1): a
+//!   fixture per server kind ([`harness::KvBench`] for the KV store), a
+//!   closed-loop [`harness::capacity`] probe, and a [`harness::curve`] of
+//!   Poisson open-loop points on a ladder below it, printed by
+//!   [`tables::print_curve`]. The wire floor is the machine profile's
+//!   `CostModel::one_way_wire_ns`.
 //! - Experiments print the same rows/series the paper reports, as aligned
 //!   text tables, plus a one-line comparison against the paper's headline
 //!   number.
@@ -18,7 +24,11 @@
 //!   addresses move with ASLR and with `RandomState`-timed rehashes. Below
 //!   saturation the spread is under 0.05 %; where a client retries it
 //!   reaches a few percent (EXPERIMENTS.md, "Artifacts and ratchet", has
-//!   the per-field spread of five runs).
+//!   the per-field spread of five runs). A curve's arrivals are seeded from
+//!   its seed and the offered rate, so a capacity that moves in its fifth
+//!   digit draws another Poisson sample at every point: achieved rates move
+//!   by the window's sampling noise, and a p99-SLO pick can move a whole
+//!   ladder step.
 //! - Setting `CF_QUICK=1` shrinks durations ~10× for smoke runs; the
 //!   recorded numbers in `EXPERIMENTS.md` and every committed
 //!   `BENCH_*.json` come from full runs, and only full runs are gated

@@ -3,6 +3,7 @@
 use cf_telemetry::json::Value;
 
 use crate::artifacts::{label, select};
+use crate::harness::Curve;
 
 /// Prints a titled, aligned table.
 ///
@@ -62,6 +63,20 @@ pub fn print_rows(title: &str, tree: &Value, rows: &str, fields: &[&str]) {
         .chain(fields.iter().copied())
         .collect();
     print_table(title, &headers, &body);
+}
+
+/// Prints `name`'s throughput-latency curve, one line per offered load.
+pub fn print_curve(name: &str, curve: &Curve) {
+    println!("  curve [{name}]:");
+    for p in &curve.points {
+        println!(
+            "    offered {:8.1} krps  achieved {:8.1} krps  p99 {:6.1} us{}",
+            p.offered_rps / 1e3,
+            p.achieved_rps / 1e3,
+            p.p99_ns() as f64 / 1e3,
+            if p.is_stable() { "" } else { "  (unstable)" }
+        );
+    }
 }
 
 /// Formats a float with one decimal.

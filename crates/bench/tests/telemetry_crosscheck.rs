@@ -3,56 +3,22 @@
 //!
 //! The telemetry tracer attributes every charge to the innermost open span,
 //! so summing one category across all spans (plus any orphan charges) must
-//! reproduce `SimCore`'s attribution array exactly. This test drives a
-//! fig11-style CDN run per serialization system and requires agreement
-//! within 1% per category — and that (almost) nothing lands outside a span.
+//! reproduce `SimCore`'s attribution array exactly. This test runs Figure
+//! 11's own measurement (`fig11::breakdown_instrumented`: CDN fixture,
+//! warmup, telemetry attached at the attribution reset), scaled down, per
+//! serialization system and requires agreement within 1% per category —
+//! and that (almost) nothing lands outside a span.
 
-use cf_bench::harness::KvBench;
+use cf_bench::experiments::fig11::breakdown_instrumented;
 use cf_sim::cost::Category;
-use cf_sim::MachineProfile;
-use cf_workloads::{key_string, CdnTrace};
-use cornflakes_core::SerializationConfig;
 
 use cf_kv::server::SerKind;
 
 fn crosscheck(kind: SerKind) {
-    let mut b = KvBench::with_profile(
-        MachineProfile::microbench(),
-        kind,
-        SerializationConfig::hybrid(),
-    );
-    let num_objects = 200;
-    for id in 0..num_objects {
-        let sizes: Vec<usize> = (0..CdnTrace::num_segments(id))
-            .map(|s| CdnTrace::segment_size(id, s))
-            .collect();
-        b.server
-            .store
-            .preload(b.server.stack.ctx(), key_string(id).as_bytes(), &sizes)
-            .expect("pool sized");
-    }
-    let mut trace = CdnTrace::new(num_objects, 0x11C);
-    let mut drive = |b: &mut KvBench| {
-        let (id, seg, _last) = trace.next();
-        let key = key_string(id);
-        b.client.send_get_segment(key.as_bytes(), seg as u32);
-        b.server.poll();
-        let _ = b.client.recv_response();
-    };
-    for _ in 0..100 {
-        drive(&mut b);
-    }
-    // Measured window: telemetry attaches at the same instant the
-    // simulator's attribution resets, so both see identical charges.
-    let tele = b.install_telemetry();
-    b.server_sim.with_core(|c| c.attribution.reset());
-    for _ in 0..400 {
-        drive(&mut b);
-    }
-
+    let (breakdown, tele) = breakdown_instrumented(kind, 200, 400);
     let spans = tele.span_cat_totals();
     let orphans = tele.orphan_cat_totals();
-    let attr = b.server_sim.attribution();
+    let attr = &breakdown.attribution;
     let mut covered = 0.0;
     for cat in Category::all() {
         let expected = attr.get(cat);

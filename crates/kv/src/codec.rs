@@ -62,10 +62,8 @@ pub(crate) trait KvCodec {
 
     fn add_val<'f>(ctx: &SerCtx, msg: &mut Self::Builder<'f>, val: &'f [u8]);
 
-    /// Appends one segment of a stored value to `vals`. `raw` asks a
-    /// zero-copy format to skip its memory-safety bookkeeping (the
-    /// measurement study's upper bound, [`crate::engine::KvEngine::raw_zero_copy`]).
-    fn add_segment<'f>(ctx: &SerCtx, msg: &mut Self::Builder<'f>, seg: &'f RcBuf, _raw: bool) {
+    /// Appends one segment of a stored value to `vals`.
+    fn add_segment<'f>(ctx: &SerCtx, msg: &mut Self::Builder<'f>, seg: &'f RcBuf) {
         Self::add_val(ctx, msg, seg.as_slice());
     }
 
@@ -270,9 +268,11 @@ impl KvCodec for CornflakesCodec {
         msg.add_vals(ctx, val);
     }
 
-    fn add_segment(ctx: &SerCtx, msg: &mut GetMsg, seg: &RcBuf, raw: bool) {
-        if raw {
-            // No recover_ptr, no charged refcounts: the idealized upper bound.
+    /// Under [`cornflakes_core::SerializationConfig::raw_scatter_gather`] the segment is
+    /// posted as is: no `recover_ptr`, no charged refcount (the measurement
+    /// study's upper bound, §2.4).
+    fn add_segment(ctx: &SerCtx, msg: &mut GetMsg, seg: &RcBuf) {
+        if ctx.config.raw_scatter_gather {
             msg.get_mut_vals().append(CFBytes::from_rcbuf(seg.clone()));
         } else {
             msg.add_vals(ctx, seg.as_slice());

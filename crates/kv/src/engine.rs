@@ -129,10 +129,6 @@ pub struct KvEngine<T> {
     pub kind: SerKind,
     /// Segment size used when storing put values.
     pub put_segment_size: usize,
-    /// Raw scatter-gather mode (measurement study, §2.4/Figure 3): skip the
-    /// memory-safety bookkeeping entirely and post value buffers directly.
-    /// Only meaningful with [`SerKind::Cornflakes`].
-    pub raw_zero_copy: bool,
     /// The `<scope>` of this server's `kv.<scope>.*` metric names: the
     /// serializer's [`SerKind::metric_key`], `tcp`, or the `shardN` a
     /// sharded server gives each shard so cross-queue accounting stays
@@ -211,7 +207,6 @@ impl<T: Transport> KvEngine<T> {
             store,
             kind,
             put_segment_size: 8192,
-            raw_zero_copy: false,
             scope: scope.to_string(),
             counters: KvCounters::default(),
             dedup: DedupWindow::new(dedup_capacity),
@@ -312,7 +307,7 @@ impl<T: Transport> KvEngine<T> {
                     let seg = req.id().unwrap_or(0) as usize;
                     let value = self.store.get(key);
                     if let Some(buf) = value.and_then(|v| v.segments.get(seg)) {
-                        C::add_segment(self.stack.ctx(), &mut reply, buf, self.raw_zero_copy);
+                        C::add_segment(self.stack.ctx(), &mut reply, buf);
                     }
                 }
                 _ => {
@@ -327,10 +322,9 @@ impl<T: Transport> KvEngine<T> {
                     };
                     reply = codec.begin(Some(req_id));
                     let ctx = self.stack.ctx();
-                    let raw = self.raw_zero_copy;
                     self.store.get_each(req.keys(), |value| {
                         for buf in &value.segments {
-                            C::add_segment(ctx, &mut reply, buf, raw);
+                            C::add_segment(ctx, &mut reply, buf);
                         }
                     });
                 }

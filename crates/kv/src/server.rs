@@ -82,8 +82,8 @@ pub(crate) struct AdmissionState {
 }
 
 /// The key-value server over UDP: the request engine behind a [`UdpStack`].
-/// Public fields: `stack` (the datapath), `store`, `kind`,
-/// `put_segment_size` and `raw_zero_copy`.
+/// Public fields: `stack` (the datapath), `store`, `kind` and
+/// `put_segment_size`.
 pub type KvServer = KvEngine<UdpStack>;
 
 impl KvEngine<UdpStack> {

@@ -3,6 +3,7 @@
 
 use cf_mem::PoolConfig;
 use cf_net::{FrameMeta, HEADER_BYTES};
+use cf_sim::cost::Category;
 use cf_sim::{MachineProfile, Sim};
 use cf_telemetry::{FlightEvent, FlightRecord, FlightRecorder};
 use cornflakes_core::SerializationConfig;
@@ -153,6 +154,42 @@ fn cornflakes_zero_copies_large_values_only() {
     client.recv_response().unwrap();
     let sg_small = server.stack.nic_stats().tx_sg_entries - sg_after_big;
     assert_eq!(sg_small, 1, "small value is copied into the first entry");
+}
+
+/// `SerializationConfig::raw()` alone selects the measurement study's raw
+/// scatter-gather (§2.4): stored segments go out with no `recover_ptr` and
+/// no charged refcount, and the reply carries what a hybrid server's does.
+#[test]
+fn raw_config_serves_large_values_without_safety_charges() {
+    let serve = |config| {
+        let server_sim = Sim::new(MachineProfile::tiny_for_tests());
+        let (mut client, mut server) = client_server_pair(
+            server_sim.clone(),
+            SerKind::Cornflakes,
+            config,
+            PoolConfig::small_for_tests(),
+        );
+        server
+            .store
+            .preload(server.stack.ctx(), b"big", &[2048, 512])
+            .unwrap();
+        client.send_get(&[b"big"]);
+        server.poll();
+        let resp = client.recv_response().expect("response");
+        let zero_copy_ns = server_sim.attribution().get(Category::SerializeZeroCopy);
+        (resp.vals, zero_copy_ns)
+    };
+    let (raw_vals, raw_ns) = serve(SerializationConfig::raw());
+    let (hybrid_vals, hybrid_ns) = serve(SerializationConfig::hybrid());
+    assert_eq!(
+        raw_ns, 0.0,
+        "raw scatter-gather charges no safety bookkeeping"
+    );
+    assert!(
+        hybrid_ns > 0.0,
+        "the hybrid server pays it for the same fields"
+    );
+    assert_eq!(raw_vals, hybrid_vals);
 }
 
 #[test]

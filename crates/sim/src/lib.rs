@@ -37,4 +37,4 @@ pub use clock::Clock;
 pub use cost::{Attribution, Category, ChargeObserver, Sim, SimCore, NUM_CATEGORIES};
 pub use histogram::Histogram;
 pub use profile::{CacheConfig, CostModel, MachineProfile, NicModel};
-pub use queueing::{LoadPoint, OpenLoopSim, SweepResult};
+pub use queueing::{LoadPoint, OpenLoopSim};

@@ -54,11 +54,6 @@ impl NicModel {
         }
     }
 
-    /// Line rate in gigabits per second.
-    pub fn line_rate_gbps(self) -> f64 {
-        100.0
-    }
-
     /// CPU-side cost of posting one additional scatter-gather entry on the
     /// transmit ring (descriptor write; the NIC's extra PCIe read is not CPU
     /// time but shows up indirectly as a slightly higher per-entry charge on
@@ -153,6 +148,7 @@ pub struct CostModel {
     /// One-way wire + client latency floor added to every request's latency
     /// (not server occupancy): models propagation, switch, and client-side
     /// processing so latency scales match the paper's ~20–60 µs curves.
+    /// Every experiment's floor: [`crate::OpenLoopSim`] reads it.
     pub one_way_wire_ns: f64,
 }
 
@@ -222,15 +218,6 @@ impl MachineProfile {
             costs: CostModel::cloudlab_c6525(),
             cache: CacheConfig::CLOUDLAB_C6525,
             nic: NicModel::MlxCx6,
-        }
-    }
-
-    /// The §6.3 AMD EPYC Milan 7313P host with a Mellanox CX-6.
-    pub fn milan_mlx_cx6() -> Self {
-        MachineProfile {
-            name: "EPYC Milan 7313P, Mellanox CX-6",
-            nic: NicModel::MlxCx6,
-            ..Self::cloudlab_c6525()
         }
     }
 

@@ -12,6 +12,7 @@
 //! its charged costs become the service time.
 
 use crate::clock::Clock;
+use crate::cost::Sim;
 use crate::histogram::Histogram;
 use crate::rng::SplitMix64;
 use crate::stats;
@@ -56,76 +57,42 @@ impl LoadPoint {
     }
 }
 
-/// A sweep across offered loads.
-#[derive(Clone, Debug, Default)]
-pub struct SweepResult {
-    /// One entry per offered load, in run order.
-    pub points: Vec<LoadPoint>,
-}
-
-impl SweepResult {
-    /// Highest achieved request throughput across all offered loads.
-    pub fn max_achieved_rps(&self) -> f64 {
-        self.points
-            .iter()
-            .map(|p| p.achieved_rps)
-            .fold(0.0, f64::max)
-    }
-
-    /// Highest achieved payload throughput in Gbps.
-    pub fn max_achieved_gbps(&self) -> f64 {
-        self.points.iter().map(|p| p.gbps()).fold(0.0, f64::max)
-    }
-
-    /// Highest achieved throughput among stable points whose p99 round-trip
-    /// latency meets `slo_ns` (the paper's "throughput at a p99 SLO").
-    pub fn rps_at_p99_slo(&self, slo_ns: u64) -> f64 {
-        self.points
-            .iter()
-            .filter(|p| p.is_stable() && p.p99_ns() <= slo_ns)
-            .map(|p| p.achieved_rps)
-            .fold(0.0, f64::max)
-    }
-
-    /// Stable points only (achieved within 95 % of offered).
-    pub fn stable_points(&self) -> impl Iterator<Item = &LoadPoint> {
-        self.points.iter().filter(|p| p.is_stable())
-    }
-}
-
-/// Configuration for one open-loop measurement.
+/// The load generator of one server machine (§6.1): Poisson open-loop
+/// points ([`OpenLoopSim::run`]) and closed-loop saturation
+/// ([`OpenLoopSim::run_saturated`]), each after the same warmup.
 #[derive(Clone, Debug)]
 pub struct OpenLoopSim {
-    /// Shared virtual clock; request handlers advance it.
-    pub clock: Clock,
-    /// RNG seed for the arrival process.
-    pub seed: u64,
-    /// One-way wire/client latency floor in nanoseconds, added twice to each
-    /// round-trip latency (it does not occupy the server).
-    pub one_way_wire_ns: u64,
-    /// Virtual measurement window in nanoseconds.
-    pub duration_ns: u64,
-    /// Requests executed before the window starts, to warm caches. Not
+    /// The server's virtual clock; request handlers advance it.
+    clock: Clock,
+    /// One-way wire/client latency floor, added twice to each round-trip
+    /// latency (it does not occupy the server).
+    one_way_wire_ns: u64,
+    /// Requests executed before measurement starts, to warm caches. Not
     /// measured.
-    pub warmup_requests: u64,
+    warmup_requests: u64,
 }
 
 impl OpenLoopSim {
-    /// A configuration suitable for most experiments: 50 ms virtual window,
-    /// 2000 warmup requests, 5 µs one-way wire latency.
-    pub fn standard(clock: Clock) -> Self {
+    /// A generator over `sim`'s clock whose wire floor is the machine
+    /// profile's [`CostModel::one_way_wire_ns`](crate::CostModel::one_way_wire_ns).
+    pub fn new(sim: &Sim, warmup_requests: u64) -> Self {
         OpenLoopSim {
-            clock,
-            seed: 0xC0FFEE,
-            one_way_wire_ns: 5_000,
-            duration_ns: 50_000_000,
-            warmup_requests: 2_000,
+            clock: sim.clock(),
+            one_way_wire_ns: sim.costs().one_way_wire_ns as u64,
+            warmup_requests,
         }
     }
 
-    /// Runs one offered-load point. `handler(seq)` processes request `seq`,
+    /// Runs one offered-load point: arrivals drawn from `seed` over a
+    /// `duration_ns` window. `handler(seq)` processes request `seq`,
     /// advancing the clock, and returns the response payload size in bytes.
-    pub fn run(&self, offered_rps: f64, mut handler: impl FnMut(u64) -> u64) -> LoadPoint {
+    pub fn run(
+        &self,
+        seed: u64,
+        offered_rps: f64,
+        duration_ns: u64,
+        mut handler: impl FnMut(u64) -> u64,
+    ) -> LoadPoint {
         assert!(offered_rps > 0.0 && offered_rps.is_finite());
         let mut seq = 0u64;
         for _ in 0..self.warmup_requests {
@@ -133,9 +100,9 @@ impl OpenLoopSim {
             seq += 1;
         }
         let t0 = self.clock.now();
-        let end = t0 + self.duration_ns;
+        let end = t0 + duration_ns;
         let rate_per_ns = offered_rps / 1e9;
-        let mut rng = SplitMix64::new(self.seed ^ offered_rps.to_bits());
+        let mut rng = SplitMix64::new(seed ^ offered_rps.to_bits());
         let mut arrival_f = t0 as f64;
         let mut latency = Histogram::new();
         let mut completed = 0u64;
@@ -168,7 +135,7 @@ impl OpenLoopSim {
         }
         LoadPoint {
             offered_rps,
-            achieved_rps: stats::rps(completed, self.duration_ns),
+            achieved_rps: stats::rps(completed, duration_ns),
             completed,
             payload_bytes,
             latency,
@@ -215,16 +182,6 @@ impl OpenLoopSim {
     }
 }
 
-/// Runs `f` for every load in `loads` and collects the results.
-///
-/// The callback is responsible for resetting machine state between points
-/// (typically `sim.reset()` plus re-warming).
-pub fn sweep(loads: &[f64], mut f: impl FnMut(f64) -> LoadPoint) -> SweepResult {
-    SweepResult {
-        points: loads.iter().map(|&l| f(l)).collect(),
-    }
-}
-
 /// Builds a geometric load ladder from `lo` to `hi` (inclusive-ish) with
 /// `steps` points, suitable for throughput-latency sweeps.
 pub fn load_ladder(lo: f64, hi: f64, steps: usize) -> Vec<f64> {
@@ -245,22 +202,21 @@ mod tests {
         }
     }
 
-    fn sim(clock: &Clock) -> OpenLoopSim {
-        OpenLoopSim {
-            clock: clock.clone(),
-            seed: 7,
-            one_way_wire_ns: 5_000,
-            duration_ns: 20_000_000, // 20 ms
-            warmup_requests: 10,
-        }
+    /// Arrival seed and measurement window of the open-loop tests.
+    const SEED: u64 = 7;
+    const WINDOW_NS: u64 = 20_000_000;
+
+    /// A generator with 10 warmup requests over a fresh machine's clock.
+    fn sim() -> (Clock, OpenLoopSim) {
+        let sim = Sim::new(crate::MachineProfile::tiny_for_tests());
+        (sim.clock(), OpenLoopSim::new(&sim, 10))
     }
 
     #[test]
     fn light_load_achieves_offered() {
-        let clock = Clock::new();
-        let s = sim(&clock);
+        let (clock, s) = sim();
         // 1 µs service => capacity 1 Mrps; offer 100 krps.
-        let p = s.run(100_000.0, fixed_service(&clock));
+        let p = s.run(SEED, 100_000.0, WINDOW_NS, fixed_service(&clock));
         assert!(
             p.is_stable(),
             "achieved={} offered={}",
@@ -275,18 +231,16 @@ mod tests {
 
     #[test]
     fn overload_caps_at_capacity() {
-        let clock = Clock::new();
-        let s = sim(&clock);
+        let (clock, s) = sim();
         // Offer 3 Mrps against 1 Mrps capacity.
-        let p = s.run(3_000_000.0, fixed_service(&clock));
+        let p = s.run(SEED, 3_000_000.0, WINDOW_NS, fixed_service(&clock));
         assert!(!p.is_stable());
         assert!(p.achieved_rps < 1_100_000.0, "achieved={}", p.achieved_rps);
     }
 
     #[test]
     fn saturated_run_measures_capacity() {
-        let clock = Clock::new();
-        let s = sim(&clock);
+        let (clock, s) = sim();
         let p = s.run_saturated(10_000, fixed_service(&clock));
         assert!(
             (p.achieved_rps - 1_000_000.0).abs() < 10_000.0,
@@ -298,10 +252,9 @@ mod tests {
 
     #[test]
     fn latency_grows_with_load() {
-        let clock = Clock::new();
-        let s = sim(&clock);
-        let low = s.run(100_000.0, fixed_service(&clock));
-        let high = s.run(900_000.0, fixed_service(&clock));
+        let (clock, s) = sim();
+        let low = s.run(SEED, 100_000.0, WINDOW_NS, fixed_service(&clock));
+        let high = s.run(SEED, 900_000.0, WINDOW_NS, fixed_service(&clock));
         assert!(
             high.latency.p99() > low.latency.p99(),
             "p99 low={} high={}",
@@ -312,33 +265,12 @@ mod tests {
 
     #[test]
     fn gbps_accounts_payload() {
-        let clock = Clock::new();
-        let s = sim(&clock);
+        let (clock, s) = sim();
         let p = s.run_saturated(1_000, |_| {
             clock.advance(1_000);
             1_000 // 1 kB per request at 1 Mrps = 8 Gbps
         });
         assert!((p.gbps() - 8.0).abs() < 0.2, "{}", p.gbps());
-    }
-
-    #[test]
-    fn sweep_and_slo_selection() {
-        let clock = Clock::new();
-        let s = sim(&clock);
-        let loads = load_ladder(100_000.0, 950_000.0, 5);
-        let result = sweep(&loads, |l| {
-            clock.reset();
-            s.run(l, fixed_service(&clock))
-        });
-        assert_eq!(result.points.len(), 5);
-        let max = result.max_achieved_rps();
-        assert!(max > 900_000.0, "{max}");
-        // A generous SLO admits the highest stable load; a tight one only
-        // admits light loads.
-        let at_loose = result.rps_at_p99_slo(1_000_000);
-        let at_tight = result.rps_at_p99_slo(12_500);
-        assert!(at_loose >= at_tight);
-        assert!(at_tight > 0.0);
     }
 
     #[test]
@@ -351,8 +283,7 @@ mod tests {
 
     #[test]
     fn variable_service_mean_tracked() {
-        let clock = Clock::new();
-        let s = sim(&clock);
+        let (clock, s) = sim();
         let mut i = 0u64;
         let p = s.run_saturated(1_000, |_| {
             i += 1;

@@ -76,6 +76,10 @@ cargo test -q -p cf-net --test flow_table
 cargo test -q --test tcp_churn
 cargo test -q -p cf-bench --lib experiments::churn
 
+echo "==> paper-figure gate: every table and figure's shape test (scaled down), the rig they share, and the span-vs-attribution cross-check of Figure 11's own measurement"
+cargo test -q --release -p cf-bench --lib -- experiments::fig experiments::table harness
+cargo test -q --release -p cf-bench --test telemetry_crosscheck
+
 echo "==> bench artifacts: the ratchet's own tests, then the seven extension benches at the full preset, each held to its committed BENCH_*.json (CF_BLESS=1 regenerates one)"
 cargo test -q -p cf-bench --lib ratchet
 cargo bench -p cf-bench --bench hotpath --bench churn --bench scaling --bench overload \
