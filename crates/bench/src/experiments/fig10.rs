@@ -99,10 +99,12 @@ mod tests {
         // 1024 B in 8 x 128 B would need 9 entries with the header on the
         // e810 (max 8): the serialize-and-send path degrades to the copy
         // path instead of failing, and the reply still arrives bit-exact.
+        // The demoted fields are not looked up again: the only registry
+        // lookups are the eight `CFBytes::new` made building the reply.
         // (The experiment grid stops at 6 entries for exactly this reason.)
         use crate::harness::KvBench;
         use cf_kv::server::SerKind;
-        use cf_telemetry::{Telemetry, TelemetryConfig};
+        use cf_telemetry::Telemetry;
         let e810 = MachineProfile {
             nic: NicModel::IntelE810,
             ..MachineProfile::microbench()
@@ -112,14 +114,20 @@ mod tests {
             SerKind::Cornflakes,
             SerializationConfig::always_zero_copy(),
         );
-        let tele = Telemetry::new(b.server_sim.clock(), TelemetryConfig::default());
+        let tele = Telemetry::new(b.server_sim.clock());
         b.server.set_telemetry(&tele);
         b.server
             .store
             .preload(b.server.stack.ctx(), b"k", &[128; 8])
             .unwrap();
         b.client.send_get(&[b"k"]);
+        let lookups = tele.counter_value("mem.registry.recover_lookups");
         b.server.poll();
+        assert_eq!(
+            tele.counter_value("mem.registry.recover_lookups") - lookups,
+            8,
+            "one lookup per field, none in the copy path"
+        );
         let resp = b.client.recv_response().expect("reply via copy fallback");
         assert_eq!(resp.vals.len(), 8);
         assert!(resp.vals.iter().all(|v| v.len() == 128));

@@ -31,9 +31,12 @@ pub struct Breakdown {
 }
 
 /// Measures the attribution breakdown for one system on the CDN workload,
-/// with the telemetry handle that observed the measured window — spans,
-/// metrics, and serializer decisions cover exactly the post-warmup requests
-/// (the handle attaches at the attribution reset).
+/// with the telemetry handle that observed the measured window. Its spans
+/// cover exactly the post-warmup requests (the handle attaches at the
+/// attribution reset). Its counters do not: `kv.*`, `nic.*` and the `mem.*`
+/// cells that count the serializer's copy-vs-zero-copy choices are the
+/// layers' own cells, live from construction, so the (ungated) metrics
+/// artifact [`run`] writes includes the warmup and the preload.
 pub fn breakdown_instrumented(
     kind: SerKind,
     num_objects: u64,

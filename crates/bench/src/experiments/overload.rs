@@ -227,7 +227,6 @@ pub struct Rig {
     pub server: ShardedKvServer,
     /// Shared by every machine once installed; drained every slice.
     pub flight: FlightRecorder,
-    controlled: bool,
 }
 
 /// What one open-loop run saw.
@@ -288,7 +287,6 @@ impl Rig {
             client,
             server,
             flight: FlightRecorder::disabled(),
-            controlled: control.is_some(),
         }
     }
 
@@ -333,11 +331,7 @@ impl Rig {
                 next_arrival += interarrival;
             }
             let until = serve_clock(self, t_next);
-            if self.controlled {
-                self.server.poll_admitted_until(until, until);
-            } else {
-                self.server.poll_until(until, until);
-            }
+            self.server.poll_until(until, until);
             // Collect replies and fire timers on the advanced client clock.
             client_clock.advance_to(t_next);
             while let Some(resp) = self.client.recv_response() {

@@ -329,19 +329,25 @@ mod tests {
             },
             7,
         );
-        for _ in 0..128 {
+        let mut sent = 0;
+        while sent < 128 {
             let key = key_string(ycsb.next_key());
-            client.send_get(&[key.as_bytes()]);
+            if server.shard_of(key.as_bytes()) == 0 {
+                client.send_get(&[key.as_bytes()]);
+                sent += 1;
+            }
         }
-        server.poll();
+        // Preloading charged every shard's core; count the poll alone.
+        for sim in server.sims() {
+            sim.with_core(|c| c.attribution.reset());
+        }
+        assert_eq!(server.poll(), 128);
         for (q, sim) in server.sims().iter().enumerate() {
-            for other in 0..3 {
-                let attributed = sim.queue_attribution(other).total();
-                if other == q {
-                    assert!(attributed > 0.0, "shard {q} did work on its queue");
-                } else {
-                    assert_eq!(attributed, 0.0, "shard {q} must not charge queue {other}");
-                }
+            let ns = sim.attribution().total();
+            if q == 0 {
+                assert!(ns > 0.0, "shard 0 did the work on its own core");
+            } else {
+                assert_eq!(ns, 0.0, "shard {q} was charged for shard 0's queue");
             }
         }
     }

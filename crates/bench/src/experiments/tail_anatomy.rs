@@ -335,10 +335,7 @@ pub fn run_anatomy(params: &TailAnatomyParams, tele: &Telemetry) -> TailAnatomyR
 /// Runs the harness, prints the anatomy table, writes `tail_anatomy.json`
 /// and the `tail_anatomy-metrics.json` snapshot.
 pub fn run(params: &TailAnatomyParams) -> Value {
-    let tele = Telemetry::new(
-        cf_sim::Clock::new(),
-        cf_telemetry::TelemetryConfig::default(),
-    );
+    let tele = Telemetry::new(cf_sim::Clock::new());
     let r = run_anatomy(params, &tele);
     let quantile = |row: &QuantileRow| {
         let p = &row.phases;
@@ -430,7 +427,6 @@ pub const RULES: &[Rule] = &[
 mod tests {
     use super::*;
     use cf_sim::Clock;
-    use cf_telemetry::TelemetryConfig;
 
     fn test_params() -> TailAnatomyParams {
         let mut params = TailAnatomyParams::quick();
@@ -486,7 +482,7 @@ mod tests {
 
     #[test]
     fn phase_sums_match_e2e_within_two_percent() {
-        let tele = Telemetry::new(Clock::new(), TelemetryConfig::default());
+        let tele = Telemetry::new(Clock::new());
         let r = run_anatomy(&test_params(), &tele);
         assert!(r.served > 0, "overloaded run still serves requests");
         assert!(!r.rows.is_empty(), "quantile rows produced");
@@ -518,7 +514,7 @@ mod tests {
 
     #[test]
     fn histogram_exemplars_link_to_recorded_timelines() {
-        let tele = Telemetry::new(Clock::new(), TelemetryConfig::default());
+        let tele = Telemetry::new(Clock::new());
         let r = run_anatomy(&test_params(), &tele);
         assert!(!r.exemplars.is_empty(), "exemplars recorded");
         let p99_row = r.rows.iter().find(|row| row.label == "p99").unwrap();

@@ -27,8 +27,8 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use cf_kv::client::{CLIENT_PORT, SERVER_PORT};
-use cf_kv::sharded::{shard_of_key, ShardedKvServer};
+use cf_kv::client::SERVER_PORT;
+use cf_kv::sharded::{shard_of_key, steering_ports, ShardedKvServer};
 use cf_kv::{flags, msg_type};
 use cf_net::{FrameMeta, Packet, PacketHeader, HEADER_BYTES};
 use cf_telemetry::{Counter, FlightEvent, FlightRecorder, Gauge, Telemetry};
@@ -162,14 +162,7 @@ impl ClusterNode {
         r: usize,
         cfg: NodeConfig,
     ) -> Self {
-        let rss = server.rss();
-        let steer_ports: Vec<u16> = (0..rss.num_queues())
-            .map(|q| {
-                (CLIENT_PORT..u16::MAX)
-                    .find(|&p| rss.queue_for_flow(p, SERVER_PORT) == q)
-                    .expect("a steering source port exists for every queue")
-            })
-            .collect();
+        let steer_ports = steering_ports(&server.rss());
         for shard in server.shards_mut() {
             shard.stack.set_local_host(id);
         }

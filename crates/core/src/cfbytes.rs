@@ -4,7 +4,6 @@ use std::fmt;
 
 use cf_mem::{ArenaBytes, RcBuf};
 use cf_sim::cost::Category;
-use cf_telemetry::FieldDecision;
 
 use crate::ctx::SerCtx;
 use crate::wire::WireError;
@@ -36,10 +35,7 @@ impl CFBytes {
     pub fn new(ctx: &SerCtx, data: &[u8]) -> CFBytes {
         let costs = ctx.sim.costs();
         let t0 = ctx.sim.now();
-        let threshold = ctx.effective_threshold();
-        let mut recover_attempted = false;
-        if data.len() >= threshold {
-            recover_attempted = true;
+        if data.len() >= ctx.effective_threshold() {
             // recover_ptr: range-map lookup (compute + one metadata line —
             // the map is small and usually cache-resident) ...
             ctx.sim
@@ -60,13 +56,6 @@ impl CFBytes {
                         ctx.sim.nic().sg_entry_cost_ns() + costs.meta_hit + costs.refcount_update;
                     adaptive.observe_zero_copy((ctx.sim.now() - t0) as f64 + send_side);
                 }
-                ctx.telemetry.record_decision(FieldDecision {
-                    len: data.len(),
-                    threshold,
-                    recover_attempted: true,
-                    recover_hit: true,
-                    zero_copy: true,
-                });
                 return CFBytes::ZeroCopy(rc);
             }
             // Not in DMA-safe memory: fall through to the copy path
@@ -86,13 +75,6 @@ impl CFBytes {
             let send_side = costs.copy_cost(data.len().div_ceil(64) as u64, 0);
             adaptive.observe_copy(data.len(), (ctx.sim.now() - t0) as f64 + send_side);
         }
-        ctx.telemetry.record_decision(FieldDecision {
-            len: data.len(),
-            threshold,
-            recover_attempted,
-            recover_hit: false,
-            zero_copy: false,
-        });
         CFBytes::Copied(copy)
     }
 

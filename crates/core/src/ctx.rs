@@ -30,8 +30,8 @@ pub struct SerCtx {
     /// overrides `config.zero_copy_threshold` and is fed cost observations
     /// by [`crate::CFBytes::new`].
     pub adaptive: Option<AdaptiveThreshold>,
-    /// The machine's telemetry handle — spans, metrics, serializer
-    /// decisions and the flight recorder — and the one place it is stored
+    /// The machine's telemetry handle — spans, metrics and the flight
+    /// recorder — and the one place it is stored
     /// above the NIC: every stack, engine and client reaches it through the
     /// context it holds. Disabled by default; attach with
     /// [`SerCtx::set_telemetry`].
@@ -69,10 +69,11 @@ impl SerCtx {
         }
     }
 
-    /// Attaches `tele`: future [`crate::CFBytes`] constructions log their
-    /// copy-vs-zero-copy decisions, and the registry/arena statistic cells
-    /// are adopted as external `mem.*` metrics. A half (metrics, flight
-    /// recorder) `tele` has disabled keeps what was installed before.
+    /// Attaches `tele`: the registry/arena statistic cells — where every
+    /// [`crate::CFBytes`] construction's copy-vs-zero-copy choice is
+    /// counted, from construction on — are adopted as external `mem.*`
+    /// metrics. A half (metrics, flight recorder) `tele` has disabled keeps
+    /// what was installed before.
     pub fn set_telemetry(&mut self, tele: &Telemetry) {
         for (name, cell) in self.registry.stats().cells() {
             tele.register_external(name, cell);

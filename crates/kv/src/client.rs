@@ -29,7 +29,7 @@ use crate::overload::{
     CircuitBreaker, RetryBudget, RetryBudgetConfig,
 };
 use crate::server::{KvServer, SerKind};
-use crate::sharded::shard_of_key;
+use crate::sharded::{shard_of_key, steering_ports};
 
 /// Client-side ports.
 pub const CLIENT_PORT: u16 = 4000;
@@ -236,13 +236,7 @@ impl KvClient {
     /// hash function and key are documented precisely so software can
     /// predict placements.
     pub fn enable_steering(&mut self, rss: &cf_nic::RssConfig) {
-        self.steer_ports = (0..rss.num_queues())
-            .map(|q| {
-                (CLIENT_PORT..u16::MAX)
-                    .find(|&p| rss.queue_for_flow(p, SERVER_PORT) == q)
-                    .expect("a steering source port exists for every queue")
-            })
-            .collect();
+        self.steer_ports = steering_ports(rss);
     }
 
     /// The per-shard source ports steering is using (empty when disabled).

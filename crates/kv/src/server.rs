@@ -116,10 +116,8 @@ impl KvEngine<UdpStack> {
     /// NIC rx staging ring, so load beyond what the backlog absorbs is
     /// tail-dropped for free before the host touches it.
     ///
-    /// With admission on, [`KvServer::poll`] routes through
-    /// [`KvServer::poll_admitted`]; overload harnesses drive
-    /// [`KvServer::poll_admitted_until`] directly with an explicit arrival
-    /// clock and service horizon.
+    /// With admission on, [`KvServer::poll`] and [`KvServer::poll_until`]
+    /// serve through the admission layer.
     pub fn enable_admission(&mut self, cfg: AdmissionConfig) {
         self.stack.set_rx_backlog_limit(cfg.rx_backlog_limit);
         self.admission = Some(AdmissionState {
@@ -128,39 +126,49 @@ impl KvEngine<UdpStack> {
         });
     }
 
-    /// Processes all pending requests; returns how many were handled. Any
-    /// replies staged by transmit batching are flushed (one doorbell) at
-    /// the end of the poll. With admission control enabled this routes
-    /// through the admission layer at the current service clock.
+    /// Processes all pending requests at the current service clock;
+    /// returns how many were handled (see [`KvServer::poll_until`]).
     pub fn poll(&mut self) -> usize {
-        if self.admission.is_some() {
-            let now = self.stack.sim().now();
-            return self.poll_admitted(now);
-        }
-        self.serve_until(u64::MAX)
+        let now = self.stack.sim().now();
+        self.poll_until(now, u64::MAX)
     }
 
-    /// Uncontrolled horizon-bounded poll: serves FIFO from an unbounded
-    /// queue until the service clock reaches `horizon_ns`. This is the
-    /// overload experiment's control-off arm — the behavior every system
-    /// has before it grows an admission layer. `now_ns` is the arrival
-    /// clock; an idle server's service clock is advanced to it first
-    /// (spare capacity cannot be banked across idle periods).
+    /// Horizon-bounded poll: serves requests while this server's *service*
+    /// clock is before `horizon_ns`, then flushes any replies staged by
+    /// transmit batching (one doorbell). `now_ns` is the arrival clock; an
+    /// idle server's service clock is advanced to it first (spare capacity
+    /// cannot be banked across idle periods). Overload harnesses pass
+    /// `horizon_ns = now_ns`, so a shard can fall behind the arrival clock —
+    /// that lag is what makes offered load above capacity mean something in
+    /// virtual time. Returns how many requests were served.
+    ///
+    /// Without admission control this serves FIFO straight off the NIC —
+    /// the behavior every system has before it grows an admission layer.
+    /// With it ([`KvServer::enable_admission`]) arrivals are ingested into
+    /// the bounded backlog stamped `now_ns`, entries whose sojourn exceeded
+    /// the CoDel target are shed (oldest first, `SHED` fast-rejects), and
+    /// admitted requests are served.
     pub fn poll_until(&mut self, now_ns: u64, horizon_ns: u64) -> usize {
-        self.catch_up_if_idle(now_ns);
-        self.serve_until(horizon_ns)
+        let n = if self.admission.is_some() {
+            self.serve_admitted(now_ns, horizon_ns)
+        } else {
+            self.catch_up_if_idle(now_ns);
+            self.serve_fifo(horizon_ns)
+        };
+        // Staged descriptors were validated when they were staged.
+        let _ = self.stack.flush_tx();
+        n
     }
 
     /// Serves FIFO straight off the NIC while the service clock is before
-    /// `horizon_ns`, then flushes batched replies.
-    fn serve_until(&mut self, horizon_ns: u64) -> usize {
+    /// `horizon_ns`.
+    fn serve_fifo(&mut self, horizon_ns: u64) -> usize {
         let mut n = 0;
         while self.stack.sim().now() < horizon_ns {
             let Some(pkt) = self.recv() else { break };
             self.handle(pkt);
             n += 1;
         }
-        self.flush_batched_replies();
         n
     }
 
@@ -207,26 +215,8 @@ impl KvEngine<UdpStack> {
         admitted
     }
 
-    /// Admission-controlled poll with no service horizon: ingests at
-    /// `now_ns`, sheds expired entries, and serves the whole admitted
-    /// backlog.
-    pub fn poll_admitted(&mut self, now_ns: u64) -> usize {
-        self.poll_admitted_until(now_ns, u64::MAX)
-    }
-
-    /// Admission-controlled poll: ingests arrivals (stamped `now_ns` on
-    /// the arrival clock), sheds entries whose sojourn exceeded the
-    /// CoDel target (oldest first, `SHED` fast-rejects), and serves
-    /// admitted requests while this server's *service* clock is before
-    /// `horizon_ns`. Overload harnesses pass `horizon_ns = now_ns` so a
-    /// shard can fall behind the arrival clock — that lag is what makes
-    /// offered load above capacity mean something in virtual time.
-    /// Returns how many requests were served.
-    pub fn poll_admitted_until(&mut self, now_ns: u64, horizon_ns: u64) -> usize {
-        assert!(
-            self.admission.is_some(),
-            "poll_admitted_until requires enable_admission"
-        );
+    /// The admission-controlled half of [`KvServer::poll_until`].
+    fn serve_admitted(&mut self, now_ns: u64, horizon_ns: u64) -> usize {
         if self.backlog_len() == 0 {
             self.catch_up_if_idle(now_ns);
         }
@@ -250,7 +240,6 @@ impl KvEngine<UdpStack> {
             // Refill as we drain so the NIC ring sheds only true excess.
             self.ingest(now_ns);
         }
-        self.flush_batched_replies();
         self.counters.backlog.set(self.backlog_len() as f64);
         n
     }
@@ -339,18 +328,6 @@ impl KvEngine<UdpStack> {
         adm.backlog.pop_front().map(|a| a.pkt)
     }
 
-    /// Flushes replies staged by transmit batching; their bytes were not
-    /// visible to the per-request delta in `handle`, so account them
-    /// here.
-    fn flush_batched_replies(&mut self) {
-        let tx_before = self.stack.nic_queue_stats().tx_bytes;
-        if self.stack.flush_tx().unwrap_or(0) > 0 {
-            self.counters
-                .bytes_out
-                .add(self.stack.nic_queue_stats().tx_bytes - tx_before);
-        }
-    }
-
     /// Handles one request packet.
     pub fn handle(&mut self, pkt: Packet) {
         let req_id = pkt.hdr.meta.req_id;
@@ -367,10 +344,6 @@ impl KvEngine<UdpStack> {
                 shard: self.stack.queue().min(u8::MAX as usize) as u8,
             },
         );
-        // Per-queue stats, not aggregate: on a shared multi-queue NIC the
-        // other shards' traffic must never leak into this server's
-        // accounting.
-        let tx_before = self.stack.nic_queue_stats().tx_bytes;
         let meta = pkt.hdr.meta;
         let mut hdr = pkt.hdr.reply(FrameMeta {
             msg_type: meta.msg_type | msg_type::RESPONSE,
@@ -394,9 +367,6 @@ impl KvEngine<UdpStack> {
             // Dropped without a reply, as the paper's server would.
             self.counters.malformed_drops.inc();
         }
-        self.counters
-            .bytes_out
-            .add(self.stack.nic_queue_stats().tx_bytes - tx_before);
     }
 
     // ---- Cluster replication hooks --------------------------------------

@@ -25,7 +25,7 @@ use cf_sim::Sim;
 use cf_telemetry::Telemetry;
 use cornflakes_core::SerializationConfig;
 
-use crate::client::SERVER_PORT;
+use crate::client::{CLIENT_PORT, SERVER_PORT};
 use crate::overload::AdmissionConfig;
 use crate::server::{KvServer, SerKind};
 use crate::store;
@@ -36,6 +36,21 @@ use crate::store;
 pub fn shard_of_key(key: &[u8], shards: usize) -> usize {
     assert!(shards > 0, "at least one shard");
     (store::fnv1a(key) % shards as u64) as usize
+}
+
+/// One client source port per queue of `rss`: entry `q` is the first port
+/// from [`CLIENT_PORT`] up whose flow to [`SERVER_PORT`] RSS-steers to
+/// queue `q`. Clients send each request from the port of the shard owning
+/// its first key; cluster nodes forward to peers the same way (one RSS
+/// configuration cluster-wide, so one table serves every peer).
+pub fn steering_ports(rss: &RssConfig) -> Vec<u16> {
+    (0..rss.num_queues())
+        .map(|q| {
+            (CLIENT_PORT..u16::MAX)
+                .find(|&p| rss.queue_for_flow(p, SERVER_PORT) == q)
+                .expect("a steering source port exists for every queue")
+        })
+        .collect()
 }
 
 /// A multi-queue KV server: one [`KvServer`] shard per NIC queue, sharing
@@ -168,20 +183,10 @@ impl ShardedKvServer {
         }
     }
 
-    /// Admission-controlled poll across shards: each shard ingests at the
+    /// Horizon-bounded poll across shards: each shard takes arrivals at the
     /// arrival clock `now_ns` and serves while its own service clock is
-    /// before `horizon_ns` (overload harnesses pass `horizon_ns =
-    /// now_ns`; closed-loop callers pass `u64::MAX`). Returns the total
-    /// requests served.
-    pub fn poll_admitted_until(&mut self, now_ns: u64, horizon_ns: u64) -> usize {
-        self.shards
-            .iter_mut()
-            .map(|s| s.poll_admitted_until(now_ns, horizon_ns))
-            .sum()
-    }
-
-    /// Uncontrolled horizon-bounded poll across shards (the overload
-    /// experiment's control-off arm; see [`KvServer::poll_until`]).
+    /// before `horizon_ns`, through its admission layer when enabled (see
+    /// [`KvServer::poll_until`]). Returns the total requests served.
     pub fn poll_until(&mut self, now_ns: u64, horizon_ns: u64) -> usize {
         self.shards
             .iter_mut()

@@ -68,13 +68,6 @@ pub struct Packet {
     pub payload: RcBuf,
 }
 
-/// The Cornflakes UDP networking stack: a kernel-bypass datapath co-designed
-/// with the serialization library.
-///
-/// Owns the machine's [`SerCtx`] (registry, pools, arena, hybrid config) and
-/// the simulated NIC. All virtual-time costs of the datapath are charged
-/// here or in the NIC; application/serialization costs are charged by
-/// [`cornflakes_core`].
 /// The datapath's counter cells, owned from construction and adopted as
 /// `net.udp.*` by [`UdpStack::set_telemetry`].
 #[derive(Debug, Default)]
@@ -88,14 +81,18 @@ struct UdpCounters {
     rx_backlog: Gauge,
 }
 
+/// The Cornflakes UDP networking stack: a kernel-bypass datapath co-designed
+/// with the serialization library.
+///
+/// Owns the machine's [`SerCtx`] (registry, pools, arena, hybrid config) and
+/// the simulated NIC. All virtual-time costs of the datapath are charged
+/// here or in the NIC; application/serialization costs are charged by
+/// [`cornflakes_core`].
 pub struct UdpStack {
     ctx: SerCtx,
     nic: Rc<RefCell<Nic>>,
     /// The NIC queue pair this stack posts to and polls from.
     queue: usize,
-    /// Whether `nic` is shared with other stacks (sharded serving), each
-    /// charging its own queue.
-    shared_nic: bool,
     local_port: u16,
     /// This stack's host id in a multi-host topology (0 on point-to-point
     /// links; see [`crate::header`] for the addressing scheme).
@@ -129,20 +126,7 @@ impl UdpStack {
     ) -> Self {
         let ctx = SerCtx::with_pool_config(sim.clone(), config, pool_cfg);
         let nic = Rc::new(RefCell::new(Nic::new(sim, wire_port)));
-        UdpStack {
-            ctx,
-            nic,
-            queue: 0,
-            shared_nic: false,
-            local_port,
-            local_host: 0,
-            peer_host: 0,
-            scratch: Vec::with_capacity(4096),
-            auto_complete: true,
-            tx_batch: Vec::new(),
-            tx_batch_limit: 0,
-            counters: UdpCounters::default(),
-        }
+        Self::over(ctx, nic, 0, local_port)
     }
 
     /// Creates a stack bound to queue `queue` of a shared multi-queue NIC
@@ -159,11 +143,15 @@ impl UdpStack {
     ) -> Self {
         let ctx = SerCtx::with_pool_config(sim.clone(), config, pool_cfg);
         nic.borrow_mut().bind_queue_sim(queue, sim);
+        Self::over(ctx, nic, queue, local_port)
+    }
+
+    /// A stack of `ctx` on queue `queue` of `nic`, with the defaults.
+    fn over(ctx: SerCtx, nic: Rc<RefCell<Nic>>, queue: usize, local_port: u16) -> Self {
         UdpStack {
             ctx,
             nic,
             queue,
-            shared_nic: true,
             local_port,
             local_host: 0,
             peer_host: 0,
@@ -177,10 +165,9 @@ impl UdpStack {
 
     /// Attaches `tele` to this stack, its serialization context and its
     /// NIC: the `net.udp.*`, `nic.*` and `mem.*` cells are adopted holding
-    /// whatever they have counted so far, serializer decisions are logged,
-    /// and serializer and per-queue NIC events join `tele`'s flight
-    /// recorder. Every stack sharing a NIC attaches it; the NIC's cells are
-    /// adopted once.
+    /// whatever they have counted so far, and serializer and per-queue NIC
+    /// events join `tele`'s flight recorder. Every stack sharing a NIC
+    /// attaches it; the NIC's cells are adopted once.
     pub fn set_telemetry(&mut self, tele: &Telemetry) {
         self.ctx.set_telemetry(tele);
         self.nic.borrow_mut().set_telemetry(tele);
@@ -293,8 +280,6 @@ impl UdpStack {
         Ok(n)
     }
 
-    /// Hands a fully built descriptor to the NIC — or stages it when
-    /// batching is on.
     /// An empty scatter-gather entry vector for the next send, reusing one
     /// the NIC recovered from a completed transmit when available (see
     /// [`Nic::take_desc`]) — warm send paths build descriptors without
@@ -303,6 +288,8 @@ impl UdpStack {
         self.nic.borrow_mut().take_desc(self.queue)
     }
 
+    /// Hands a fully built descriptor to the NIC — or stages it when
+    /// batching is on.
     fn post(&mut self, entries: Vec<RcBuf>) -> Result<(), NetError> {
         if self.tx_batch_limit > 0 {
             self.nic.borrow().validate_descriptor(&entries)?;
@@ -356,9 +343,6 @@ impl UdpStack {
     /// of the per-packet base so shedding costs far less than serving (the
     /// whole point of a fast reject).
     pub fn send_fast_reject(&mut self, hdr: PacketHeader) -> Result<(), NetError> {
-        if self.shared_nic {
-            self.ctx.sim.set_active_queue(Some(self.queue));
-        }
         let costs = self.ctx.sim.costs();
         self.ctx
             .sim
@@ -383,12 +367,8 @@ impl UdpStack {
     /// The payload is a zero-copy view into the pinned receive buffer.
     /// Frames failing the CRC32 frame check sequence, and runt frames, are
     /// dropped (counted) and the next frame is tried. Shared-NIC stacks
-    /// poll only their own queue and scope subsequent cost attribution to
-    /// it.
+    /// poll only their own queue.
     pub fn recv_packet(&mut self) -> Option<Packet> {
-        if self.shared_nic {
-            self.ctx.sim.set_active_queue(Some(self.queue));
-        }
         loop {
             let frame = self
                 .nic
@@ -422,9 +402,6 @@ impl UdpStack {
     }
 
     fn charge_tx_base(&self) {
-        if self.shared_nic {
-            self.ctx.sim.set_active_queue(Some(self.queue));
-        }
         let costs = self.ctx.sim.costs();
         // When batching, the doorbell is rung once per burst (charged by
         // the NIC at flush) instead of once per frame inside the base.
@@ -515,7 +492,8 @@ impl UdpStack {
     /// Copy-path fallback for [`UdpStack::send_object`]: gathers every
     /// would-be zero-copy field into the first entry by memcpy, producing a
     /// single-descriptor frame with byte-identical wire contents. Each
-    /// demoted field is charged as a copy and recorded in the decision log.
+    /// demoted field is charged as a copy (it was counted as a zero-copy
+    /// field when its `CFBytes` was built; no second lookup runs here).
     fn send_object_copied(
         &mut self,
         hdr: PacketHeader,
@@ -531,8 +509,6 @@ impl UdpStack {
         let mut tx = self.build_first_entry(&hdr, obj, true, zcb)?;
         let mut cursor = HEADER_BYTES + obj.header_bytes() + obj.copy_bytes();
         let sim = self.ctx.sim.clone();
-        let tele = self.ctx.telemetry.clone();
-        let threshold = self.ctx.effective_threshold();
         let tx_addr = tx.addr();
         obj.for_each_zero_copy_entry(&mut |rc: &RcBuf| {
             sim.charge_memcpy(
@@ -543,13 +519,6 @@ impl UdpStack {
             );
             tx.write_at(cursor, rc.as_slice());
             cursor += rc.len();
-            tele.record_decision(cf_telemetry::FieldDecision {
-                len: rc.len(),
-                threshold,
-                recover_attempted: true,
-                recover_hit: true,
-                zero_copy: false,
-            });
         });
         let mut entries = self.take_desc();
         entries.push(tx);

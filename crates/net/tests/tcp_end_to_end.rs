@@ -179,10 +179,10 @@ fn corrupted_segment_is_dropped_and_retransmitted() {
 
 #[test]
 fn error_bursts_at_every_fcs_kernel_boundary_are_dropped_counted_and_repaired() {
-    use cf_telemetry::{Telemetry, TelemetryConfig};
+    use cf_telemetry::Telemetry;
 
     let (mut a, mut b, clock) = established_pair();
-    let tele = Telemetry::new(clock.clone(), TelemetryConfig::default());
+    let tele = Telemetry::new(clock.clone());
     b.set_telemetry(&tele);
     let to_b = b.install_faults(FaultPlan::none());
     let to_a = a.install_faults(FaultPlan::none());
@@ -257,10 +257,10 @@ fn random_loss_plan_is_recovered_by_retransmission() {
 
 #[test]
 fn bounded_rx_backlog_drops_are_recovered_by_rto() {
-    use cf_telemetry::{Telemetry, TelemetryConfig};
+    use cf_telemetry::Telemetry;
 
     let (mut a, mut b, clock) = established_pair();
-    let tele = Telemetry::new(clock.clone(), TelemetryConfig::default());
+    let tele = Telemetry::new(clock.clone());
     b.set_telemetry(&tele);
     b.set_rx_backlog_limit(1);
 

@@ -206,8 +206,9 @@ fn service_time_depends_on_serialization_strategy() {
 #[test]
 fn kv_server_counters_flow_through_udp_stack() {
     // The per-SerKind counters the KV server registers (requests served,
-    // bytes in/out, zero-copy entries posted) must agree with what actually
-    // crossed this UDP stack's wire.
+    // bytes in, zero-copy entries posted) must agree with what actually
+    // crossed this UDP stack's wire, and cf-mem's cells with the hybrid
+    // serializer's per-field choices.
     use cf_kv::client::client_server_pair;
     use cf_kv::server::SerKind;
     use cf_mem::PoolConfig;
@@ -246,9 +247,12 @@ fn kv_server_counters_flow_through_udp_stack() {
 
     assert_eq!(tele.counter_value("kv.cornflakes.requests"), requests);
     assert_eq!(tele.counter_value("kv.cornflakes.bytes_in"), rx_total);
-    assert_eq!(tele.counter_value("kv.cornflakes.bytes_out"), tx_total);
-    // 3 of the 6 responses carried the 2048 B value zero-copy.
+    // 3 of the 6 responses carried the 2048 B value zero-copy ...
     assert_eq!(tele.counter_value("kv.cornflakes.zero_copy_entries"), 3);
+    assert_eq!(tele.counter_value("mem.registry.recover_hits"), 3);
+    // ... and 3 the 64 B value copied into the arena.
+    assert_eq!(tele.counter_value("mem.arena.copies"), 3);
+    assert_eq!(tele.counter_value("mem.arena.bytes_copied"), 3 * 64);
     assert!(tx_total > 3 * 2048, "responses actually carried the values");
     // The stack-level counters the server's telemetry wires in agree.
     assert_eq!(tele.counter_value("net.udp.rx_packets"), requests);
@@ -258,10 +262,10 @@ fn kv_server_counters_flow_through_udp_stack() {
 #[test]
 fn corrupt_frames_are_dropped_and_counted() {
     use cf_nic::FaultPlan;
-    use cf_telemetry::{Telemetry, TelemetryConfig};
+    use cf_telemetry::Telemetry;
 
     let (mut a, mut b) = pair();
-    let tele = Telemetry::new(b.sim().clock(), TelemetryConfig::default());
+    let tele = Telemetry::new(b.sim().clock());
     b.set_telemetry(&tele);
     let faults = b.install_faults(FaultPlan::none());
 
@@ -287,10 +291,10 @@ fn corrupt_frames_are_dropped_and_counted() {
 #[test]
 fn error_bursts_at_every_fcs_kernel_boundary_are_dropped_and_counted() {
     use cf_nic::FaultPlan;
-    use cf_telemetry::{Telemetry, TelemetryConfig};
+    use cf_telemetry::Telemetry;
 
     let (mut a, mut b) = pair();
-    let tele = Telemetry::new(b.sim().clock(), TelemetryConfig::default());
+    let tele = Telemetry::new(b.sim().clock());
     b.set_telemetry(&tele);
     let faults = b.install_faults(FaultPlan::none());
     let hdr = a.header_to(2000, meta(1));
@@ -336,7 +340,7 @@ fn kv_client_retries_lost_requests_and_dedups_retried_puts() {
     use cf_kv::server::SerKind;
     use cf_mem::PoolConfig;
     use cf_nic::FaultPlan;
-    use cf_telemetry::{Telemetry, TelemetryConfig};
+    use cf_telemetry::Telemetry;
 
     let server_sim = Sim::new(MachineProfile::tiny_for_tests());
     let (mut client, mut server) = client_server_pair(
@@ -348,7 +352,7 @@ fn kv_client_retries_lost_requests_and_dedups_retried_puts() {
     let server_tele = Telemetry::attach(&server_sim);
     server.set_telemetry(&server_tele);
     let client_sim = client.stack.sim().clone();
-    let client_tele = Telemetry::new(client_sim.clock(), TelemetryConfig::default());
+    let client_tele = Telemetry::new(client_sim.clock());
     client.set_telemetry(&client_tele);
     client.enable_retries(RetryConfig {
         timeout_ns: 100_000,
@@ -427,10 +431,10 @@ fn frame_too_large_is_an_error() {
 
 #[test]
 fn bounded_rx_backlog_tail_drops_bursts_and_counts_them() {
-    use cf_telemetry::{Telemetry, TelemetryConfig};
+    use cf_telemetry::Telemetry;
 
     let (mut a, mut b) = pair();
-    let tele = Telemetry::new(b.sim().clock(), TelemetryConfig::default());
+    let tele = Telemetry::new(b.sim().clock());
     b.set_telemetry(&tele);
     b.set_rx_backlog_limit(3);
 

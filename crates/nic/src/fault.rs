@@ -576,9 +576,9 @@ mod tests {
 
     #[test]
     fn telemetry_counters_mirror_stats() {
-        use cf_telemetry::{Telemetry, TelemetryConfig};
+        use cf_telemetry::Telemetry;
         let (b, inj, _clock) = flood(2);
-        let tele = Telemetry::new(Clock::new(), TelemetryConfig::default());
+        let tele = Telemetry::new(Clock::new());
         inj.set_telemetry(&tele, "b_rx");
         assert!(inj.drop_pending());
         assert_eq!(tele.counter_value("fault.b_rx.drops"), 1);

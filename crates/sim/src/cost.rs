@@ -160,30 +160,8 @@ pub struct SimCore {
     pub profile: MachineProfile,
     /// Per-category cost attribution.
     pub attribution: Attribution,
-    /// Per-NIC-queue cost attribution, indexed by queue. Grows on demand
-    /// when a queue first becomes active; queues that never charged anything
-    /// simply have no entry.
-    pub queue_attribution: Vec<Attribution>,
-    /// Queue whose attribution additionally accumulates every charge (set
-    /// by the datapath around per-queue work; `None` outside queue scopes).
-    pub active_queue: Option<usize>,
     /// Optional charge observer (e.g. a span tracer).
     pub observer: ObserverSlot,
-}
-
-impl SimCore {
-    /// Adds `ns` to the machine-wide attribution and, when a queue scope is
-    /// active, to that queue's attribution.
-    fn attribute(&mut self, cat: Category, ns: f64) {
-        self.attribution.add(cat, ns);
-        if let Some(q) = self.active_queue {
-            if self.queue_attribution.len() <= q {
-                self.queue_attribution
-                    .resize_with(q + 1, Attribution::default);
-            }
-            self.queue_attribution[q].add(cat, ns);
-        }
-    }
 }
 
 /// Cheaply clonable handle to a [`SimCore`].
@@ -219,8 +197,6 @@ impl Sim {
                     cache,
                     profile,
                     attribution: Attribution::default(),
-                    queue_attribution: Vec::new(),
-                    active_queue: None,
                     observer: ObserverSlot::default(),
                 }),
             }),
@@ -262,7 +238,7 @@ impl Sim {
     pub fn charge(&self, cat: Category, ns: f64) {
         let mut c = self.shared.core.borrow_mut();
         c.clock.advance_f(ns);
-        c.attribute(cat, ns);
+        c.attribution.add(cat, ns);
         c.observer.notify(cat, ns);
     }
 
@@ -283,7 +259,7 @@ impl Sim {
         c.cache.access(dst, len);
         let ns = self.shared.costs.copy_cost(r.hits, r.misses);
         c.clock.advance_f(ns);
-        c.attribute(cat, ns);
+        c.attribution.add(cat, ns);
         c.observer.notify(cat, ns);
         ns
     }
@@ -298,7 +274,7 @@ impl Sim {
         let ns = len as f64 * self.shared.costs.header_write_per_byte
             + r.misses as f64 * self.shared.costs.copy_line_hit;
         c.clock.advance_f(ns);
-        c.attribute(cat, ns);
+        c.attribution.add(cat, ns);
         c.observer.notify(cat, ns);
         ns
     }
@@ -311,7 +287,7 @@ impl Sim {
         let ns = r.misses as f64 * self.shared.costs.copy_line_miss
             + r.hits as f64 * self.shared.costs.copy_line_hit;
         c.clock.advance_f(ns);
-        c.attribute(cat, ns);
+        c.attribution.add(cat, ns);
         c.observer.notify(cat, ns);
         ns
     }
@@ -328,7 +304,7 @@ impl Sim {
             self.shared.costs.meta_miss
         };
         c.clock.advance_f(ns);
-        c.attribute(cat, ns);
+        c.attribution.add(cat, ns);
         c.observer.notify(cat, ns);
         ns
     }
@@ -351,7 +327,7 @@ impl Sim {
         let mut c = self.shared.core.borrow_mut();
         let ns = c.profile.nic.sg_entry_cost_ns();
         c.clock.advance_f(ns);
-        c.attribute(cat, ns);
+        c.attribution.add(cat, ns);
         c.observer.notify(cat, ns);
         ns
     }
@@ -369,54 +345,17 @@ impl Sim {
         &self.shared.costs
     }
 
-    /// Resets clock, cache, and attribution — including per-queue
-    /// attribution — between sweep points. The active-queue scope is
-    /// configuration, not accumulation, and survives the reset.
+    /// Resets clock, cache, and attribution between sweep points.
     pub fn reset(&self) {
         let mut c = self.shared.core.borrow_mut();
         c.clock.reset();
         c.cache.clear();
         c.attribution.reset();
-        for a in &mut c.queue_attribution {
-            a.reset();
-        }
     }
 
     /// Returns a copy of the current attribution counters.
     pub fn attribution(&self) -> Attribution {
         self.shared.core.borrow().attribution.clone()
-    }
-
-    /// Scopes subsequent charges to NIC queue `q`: in addition to the
-    /// machine-wide attribution, they accumulate in that queue's
-    /// [`Attribution`] (read back via [`Sim::queue_attribution`]). Pass
-    /// `None` to leave the queue scope. The datapath sets this around
-    /// per-queue RX/handle/TX work so multi-queue servers can account cost
-    /// per queue even when queues share one simulated core.
-    pub fn set_active_queue(&self, q: Option<usize>) {
-        self.shared.core.borrow_mut().active_queue = q;
-    }
-
-    /// The queue scope currently active, if any.
-    pub fn active_queue(&self) -> Option<usize> {
-        self.shared.core.borrow().active_queue
-    }
-
-    /// Attribution accumulated under queue `q`'s scope (zeros for a queue
-    /// that never charged anything).
-    pub fn queue_attribution(&self, q: usize) -> Attribution {
-        self.shared
-            .core
-            .borrow()
-            .queue_attribution
-            .get(q)
-            .cloned()
-            .unwrap_or_default()
-    }
-
-    /// Number of queue-attribution slots in use (highest active queue + 1).
-    pub fn attributed_queues(&self) -> usize {
-        self.shared.core.borrow().queue_attribution.len()
     }
 }
 
@@ -497,71 +436,6 @@ mod tests {
         assert!((a.total() - base).abs() < 1.0);
         assert!(a.get(Category::Rx) > 0.0);
         assert!(a.get(Category::Tx) > 0.0);
-    }
-
-    #[test]
-    fn queue_attribution_tracks_active_scope() {
-        let s = sim();
-        s.charge(Category::Rx, 10.0); // outside any queue scope
-        s.set_active_queue(Some(1));
-        s.charge(Category::Rx, 100.0);
-        s.charge(Category::Tx, 40.0);
-        s.set_active_queue(Some(0));
-        s.charge(Category::Tx, 5.0);
-        s.set_active_queue(None);
-        s.charge(Category::Tx, 7.0);
-
-        // Machine-wide attribution sees everything.
-        assert_eq!(s.attribution().total(), 162.0);
-        // Queue scopes see only their own charges.
-        let q0 = s.queue_attribution(0);
-        let q1 = s.queue_attribution(1);
-        assert_eq!(q0.total(), 5.0);
-        assert_eq!(q1.get(Category::Rx), 100.0);
-        assert_eq!(q1.get(Category::Tx), 40.0);
-        assert_eq!(s.attributed_queues(), 2);
-        // A queue that never charged reads as zeros.
-        assert_eq!(s.queue_attribution(7).total(), 0.0);
-    }
-
-    #[test]
-    fn queue_attribution_covers_all_charge_paths() {
-        let s = sim();
-        s.set_active_queue(Some(2));
-        s.charge(Category::Other, 3.0);
-        s.charge_memcpy(Category::SerializeCopy, 0x1000, 0x9000, 256);
-        s.charge_write(Category::HeaderWrite, 0x5000, 64);
-        s.charge_read(Category::Rx, 0x5000, 64);
-        s.charge_meta_access(Category::SerializeZeroCopy, 0x7000);
-        s.charge_sg_entry(Category::Tx);
-        let q = s.queue_attribution(2);
-        assert_eq!(
-            q.total(),
-            s.attribution().total(),
-            "every charge path must flow into the active queue's attribution"
-        );
-        for cat in [
-            Category::Other,
-            Category::SerializeCopy,
-            Category::HeaderWrite,
-            Category::Rx,
-            Category::SerializeZeroCopy,
-            Category::Tx,
-        ] {
-            assert!(q.get(cat) > 0.0, "{cat:?} missing from queue attribution");
-        }
-    }
-
-    #[test]
-    fn reset_clears_queue_attribution_but_keeps_scope() {
-        let s = sim();
-        s.set_active_queue(Some(0));
-        s.charge(Category::Tx, 50.0);
-        s.reset();
-        assert_eq!(s.queue_attribution(0).total(), 0.0);
-        assert_eq!(s.active_queue(), Some(0), "scope is config, survives reset");
-        s.charge(Category::Tx, 5.0);
-        assert_eq!(s.queue_attribution(0).total(), 5.0);
     }
 
     /// Replays a fixed pseudo-random charge sequence over a working set of

@@ -31,6 +31,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::json::Value;
+use crate::ring::Ring;
 
 /// One typed lifecycle event. `Copy`, fixed-size, and allocation-free by
 /// construction — variants carry only small scalars.
@@ -194,52 +195,11 @@ impl FlightRecord {
     }
 }
 
-struct Ring {
-    records: Vec<FlightRecord>,
-    capacity: usize,
-    head: usize, // index of the oldest record when full
-    len: usize,
+/// What every clone of an enabled [`FlightRecorder`] shares.
+struct Log {
+    ring: Ring<FlightRecord>,
     recorded: u64,
     dropped: u64,
-}
-
-impl Ring {
-    fn new(capacity: usize) -> Self {
-        Ring {
-            records: Vec::with_capacity(capacity),
-            capacity,
-            head: 0,
-            len: 0,
-            recorded: 0,
-            dropped: 0,
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, rec: FlightRecord) {
-        self.recorded += 1;
-        if self.len < self.capacity {
-            self.records.push(rec);
-            self.len += 1;
-        } else {
-            // Overwrite the oldest slot; no allocation past warm-up.
-            self.records[self.head] = rec;
-            self.head = (self.head + 1) % self.capacity;
-            self.dropped += 1;
-        }
-    }
-
-    /// Records in chronological (insertion) order.
-    fn chronological(&self) -> impl Iterator<Item = &FlightRecord> {
-        let (tail, head) = self.records.split_at(self.head.min(self.records.len()));
-        head.iter().chain(tail.iter())
-    }
-
-    fn clear(&mut self) {
-        self.records.clear();
-        self.head = 0;
-        self.len = 0;
-    }
 }
 
 /// Cheaply clonable handle to a shared flight-recorder ring.
@@ -248,7 +208,7 @@ impl Ring {
 /// enabled/disabled contract.
 #[derive(Clone, Default)]
 pub struct FlightRecorder {
-    inner: Option<Rc<RefCell<Ring>>>,
+    inner: Option<Rc<RefCell<Log>>>,
 }
 
 impl FlightRecorder {
@@ -261,7 +221,11 @@ impl FlightRecorder {
     /// ring is preallocated here; recording never allocates.
     pub fn with_capacity(capacity: usize) -> Self {
         FlightRecorder {
-            inner: Some(Rc::new(RefCell::new(Ring::new(capacity.max(1))))),
+            inner: Some(Rc::new(RefCell::new(Log {
+                ring: Ring::new(capacity.max(1)),
+                recorded: 0,
+                dropped: 0,
+            }))),
         }
     }
 
@@ -275,17 +239,21 @@ impl FlightRecorder {
     #[inline]
     pub fn record(&self, req_id: u32, ts_ns: u64, event: FlightEvent) {
         if let Some(inner) = &self.inner {
-            inner.borrow_mut().push(FlightRecord {
+            let mut log = inner.borrow_mut();
+            log.recorded += 1;
+            if log.ring.push(FlightRecord {
                 req_id,
                 ts_ns,
                 event,
-            });
+            }) {
+                log.dropped += 1;
+            }
         }
     }
 
     /// Number of records currently held (≤ capacity).
     pub fn len(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.borrow().len)
+        self.inner.as_ref().map_or(0, |i| i.borrow().ring.len())
     }
 
     /// True when no records are held (or the recorder is disabled).
@@ -295,7 +263,9 @@ impl FlightRecorder {
 
     /// Ring capacity (0 when disabled).
     pub fn capacity(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.borrow().capacity)
+        self.inner
+            .as_ref()
+            .map_or(0, |i| i.borrow().ring.capacity())
     }
 
     /// Total events ever recorded (including overwritten ones).
@@ -303,7 +273,7 @@ impl FlightRecorder {
         self.inner.as_ref().map_or(0, |i| i.borrow().recorded)
     }
 
-    /// Events lost to ring overwrite since creation (or last `drain`).
+    /// Events lost to ring overwrite since creation.
     pub fn dropped(&self) -> u64 {
         self.inner.as_ref().map_or(0, |i| i.borrow().dropped)
     }
@@ -315,8 +285,8 @@ impl FlightRecorder {
         match &self.inner {
             None => Vec::new(),
             Some(inner) => {
-                let mut ring = inner.borrow_mut();
-                let out: Vec<FlightRecord> = ring.chronological().copied().collect();
+                let ring = &mut inner.borrow_mut().ring;
+                let out: Vec<FlightRecord> = ring.iter().copied().collect();
                 ring.clear();
                 out
             }
@@ -329,7 +299,8 @@ impl FlightRecorder {
             None => Vec::new(),
             Some(inner) => inner
                 .borrow()
-                .chronological()
+                .ring
+                .iter()
                 .filter(|r| r.req_id == req_id)
                 .copied()
                 .collect(),
@@ -340,14 +311,14 @@ impl FlightRecorder {
     pub fn snapshot(&self) -> Vec<FlightRecord> {
         match &self.inner {
             None => Vec::new(),
-            Some(inner) => inner.borrow().chronological().copied().collect(),
+            Some(inner) => inner.borrow().ring.iter().copied().collect(),
         }
     }
 
     /// Drops all held records (capacity and drop counters are kept).
     pub fn clear(&self) {
         if let Some(inner) = &self.inner {
-            inner.borrow_mut().clear();
+            inner.borrow_mut().ring.clear();
         }
     }
 }

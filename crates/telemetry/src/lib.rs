@@ -1,6 +1,6 @@
 //! `cf-telemetry`: virtual-time observability for the Cornflakes datapath.
 //!
-//! Five instruments behind one cheaply clonable [`Telemetry`] handle:
+//! Four instruments behind one cheaply clonable [`Telemetry`] handle:
 //!
 //! 1. **Span tracing** ([`trace`]): per-request phase spans stamped in
 //!    *virtual* nanoseconds from the shared [`cf_sim::Clock`], stored in a
@@ -12,18 +12,23 @@
 //!    the cells it counts in from construction; attaching a handle *adopts*
 //!    those cells by name ([`Telemetry::adopt_counter`]) and a name reads as
 //!    the sum of its cells — nothing is minted, seeded or reset on attach.
+//!    The hybrid serializer's per-field choice (§3.2.1) is read here too,
+//!    from the cells cf-mem counts it in: `mem.arena.copies` /
+//!    `mem.arena.bytes_copied` for copies, `mem.registry.recover_lookups` /
+//!    `mem.registry.recover_hits` for `recover_ptr`.
 //! 3. **Exemplars** ([`metrics::Exemplar`]): each histogram keeps the
 //!    request id of the largest value per magnitude group, the link from a
 //!    tail bucket to a recorded request.
-//! 4. **Serializer decision logging** ([`decisions`]): every `CFBytes`
-//!    construction records size, threshold, copy-vs-zero-copy choice, and
-//!    `recover_ptr` hit/miss.
-//! 5. The request-scoped **flight recorder** ([`flight`]): one ring shared
+//! 4. The request-scoped **flight recorder** ([`flight`]): one ring shared
 //!    across *machines* (client and server carry the same recorder), so a
 //!    request's events interleave into a single cross-layer timeline keyed
 //!    by the wire's request id. The handle carries it
 //!    ([`Telemetry::with_flight`] / [`Telemetry::flight`]) beside the other
-//!    four, so a flight-only handle exists.
+//!    three, so a flight-only handle exists.
+//!
+//! The span tracer and the flight recorder keep their records in one kind
+//! of preallocated overwrite-on-wrap ring; each counts its own closed and
+//! dropped records.
 //!
 //! A disabled handle ([`Telemetry::disabled`]) is a `None` inside an
 //! `Option<Rc<_>>` beside a disabled recorder (another `None`): every
@@ -47,41 +52,24 @@ use cf_sim::{Clock, Sim};
 use json::Value;
 
 pub mod alloctrack;
-pub mod decisions;
 pub mod flight;
 pub mod json;
 pub mod metrics;
+mod ring;
 pub mod trace;
 
 pub use alloctrack::{alloc_count, AllocTrap, CountingAlloc};
-pub use decisions::FieldDecision;
 pub use flight::{FlightEvent, FlightRecord, FlightRecorder};
 pub use metrics::{Counter, Gauge, MetricsRegistry, VtHistogram};
 pub use trace::{SpanRecord, Tracer};
 
-/// Sizing knobs for the preallocated telemetry buffers.
-#[derive(Clone, Copy, Debug)]
-pub struct TelemetryConfig {
-    /// Completed spans retained in the trace ring.
-    pub span_capacity: usize,
-    /// Recent serializer decisions retained (aggregates are unbounded).
-    pub decision_capacity: usize,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            span_capacity: 16_384,
-            decision_capacity: 256,
-        }
-    }
-}
+/// Completed spans an enabled handle's trace ring retains.
+const SPAN_CAPACITY: usize = 16_384;
 
 struct Inner {
     clock: Clock,
     tracer: RefCell<Tracer>,
     metrics: MetricsRegistry,
-    decisions: RefCell<decisions::DecisionLog>,
 }
 
 impl ChargeObserver for Inner {
@@ -115,8 +103,7 @@ impl std::fmt::Debug for Telemetry {
 }
 
 impl Telemetry {
-    /// A no-op handle: spans, metrics, decisions and flight events all
-    /// short-circuit.
+    /// A no-op handle: spans, metrics and flight events all short-circuit.
     pub fn disabled() -> Self {
         Telemetry {
             inner: None,
@@ -128,13 +115,12 @@ impl Telemetry {
     ///
     /// This does **not** hook charge attribution; prefer
     /// [`Telemetry::attach`] which also installs the [`ChargeObserver`].
-    pub fn new(clock: Clock, config: TelemetryConfig) -> Self {
+    pub fn new(clock: Clock) -> Self {
         Telemetry {
             inner: Some(Rc::new(Inner {
                 clock,
-                tracer: RefCell::new(Tracer::new(config.span_capacity)),
+                tracer: RefCell::new(Tracer::new(SPAN_CAPACITY)),
                 metrics: MetricsRegistry::default(),
-                decisions: RefCell::new(decisions::DecisionLog::new(config.decision_capacity)),
             })),
             flight: FlightRecorder::disabled(),
         }
@@ -143,19 +129,15 @@ impl Telemetry {
     /// Creates an enabled handle for `sim`'s machine and installs it as the
     /// machine's charge observer, so per-category cost flows into spans.
     pub fn attach(sim: &Sim) -> Self {
-        Self::attach_with(sim, TelemetryConfig::default())
-    }
-
-    /// [`Telemetry::attach`] with explicit buffer sizing.
-    pub fn attach_with(sim: &Sim, config: TelemetryConfig) -> Self {
-        let t = Telemetry::new(sim.clock(), config);
-        let inner = Rc::clone(t.inner.as_ref().expect("just created enabled"));
-        sim.set_charge_observer(Some(inner));
+        let t = Telemetry::new(sim.clock());
+        if let Some(inner) = &t.inner {
+            sim.set_charge_observer(Some(inner.clone()));
+        }
         t
     }
 
-    /// Whether this handle records spans, metrics and decisions (flight
-    /// events are [`FlightRecorder::is_enabled`] on [`Telemetry::flight`]).
+    /// Whether this handle records spans and metrics (flight events are
+    /// [`FlightRecorder::is_enabled`] on [`Telemetry::flight`]).
     pub fn enabled(&self) -> bool {
         self.inner.is_some()
     }
@@ -237,8 +219,7 @@ impl Telemetry {
             .unwrap_or_else(|| "[]\n".to_string())
     }
 
-    /// Clears spans and span totals (e.g. after warmup), keeping metrics
-    /// and decision aggregates.
+    /// Clears spans and span totals (e.g. after warmup), keeping metrics.
     pub fn reset_tracing(&self) {
         if let Some(inner) = &self.inner {
             inner.tracer.borrow_mut().reset();
@@ -295,26 +276,10 @@ impl Telemetry {
         self.with_metrics(|m| m.gauge_value(name)).unwrap_or(0.0)
     }
 
-    // ---- serializer decisions -------------------------------------------
-
-    /// Records one hybrid-serializer decision. No-op when disabled.
-    #[inline]
-    pub fn record_decision(&self, d: FieldDecision) {
-        if let Some(inner) = &self.inner {
-            inner.decisions.borrow_mut().record(d);
-        }
-    }
-
-    /// Runs `f` with the decision log (no-op returning `None` when
-    /// disabled).
-    pub fn with_decisions<R>(&self, f: impl FnOnce(&decisions::DecisionLog) -> R) -> Option<R> {
-        self.inner.as_ref().map(|i| f(&i.decisions.borrow()))
-    }
-
     // ---- exporters ------------------------------------------------------
 
-    /// Snapshot of counters, gauges, histograms, serializer decisions, and
-    /// span bookkeeping as one JSON object.
+    /// Snapshot of counters, gauges, histograms and span bookkeeping as one
+    /// JSON object.
     pub fn snapshot_json(&self) -> String {
         let Some(inner) = &self.inner else {
             return Value::Obj(Vec::new()).render();
@@ -332,7 +297,6 @@ impl Telemetry {
             counters,
             gauges,
             histograms,
-            ("decisions", inner.decisions.borrow().summary()),
             ("spans", spans),
         ])
         .render()
@@ -373,13 +337,6 @@ mod tests {
             let _g = t.request_span("request", 1);
             t.adopt_counter("x", &Counter::default());
             t.flight().record(1, 0, FlightEvent::ClientSend);
-            t.record_decision(FieldDecision {
-                len: 1,
-                threshold: 2,
-                recover_attempted: false,
-                recover_hit: false,
-                zero_copy: false,
-            });
         }
         assert_eq!(t.snapshot_json(), "{}\n");
         assert_eq!(t.chrome_trace_json(), "[]\n");
@@ -469,13 +426,6 @@ mod tests {
         frames.add(3);
         occupancy.set(0.5);
         t.histogram("kv.latency_ns").record(1_234);
-        t.record_decision(FieldDecision {
-            len: 4096,
-            threshold: 512,
-            recover_attempted: true,
-            recover_hit: true,
-            zero_copy: true,
-        });
         {
             let _g = t.request_span("request", 7);
             sim.charge(Category::Rx, 10.0);
@@ -486,8 +436,6 @@ mod tests {
             "\"nic.tx_frames\": 3",
             "\"mem.pool.occupancy\": 0.5",
             "\"kv.latency_ns\"",
-            "\"decisions\"",
-            "\"zero_copy\": 1",
             "\"spans\"",
             "\"virtual_now_ns\": 10",
         ] {

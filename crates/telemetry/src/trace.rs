@@ -14,6 +14,7 @@
 use cf_sim::cost::{Category, NUM_CATEGORIES};
 
 use crate::json::Value;
+use crate::ring::Ring;
 
 /// A completed span.
 #[derive(Clone, Debug)]
@@ -43,12 +44,7 @@ struct OpenSpan {
 /// Ring-buffered span storage plus running per-category totals.
 #[derive(Debug)]
 pub struct Tracer {
-    ring: Vec<SpanRecord>,
-    capacity: usize,
-    /// Next slot to (over)write.
-    head: usize,
-    /// Number of valid records (`<= capacity`).
-    len: usize,
+    ring: Ring<SpanRecord>,
     stack: Vec<OpenSpan>,
     /// Spans evicted from the ring because it was full.
     pub dropped_spans: u64,
@@ -64,12 +60,8 @@ pub struct Tracer {
 impl Tracer {
     /// Creates a tracer whose ring holds `capacity` completed spans.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "tracer ring capacity must be positive");
         Tracer {
-            ring: Vec::with_capacity(capacity),
-            capacity,
-            head: 0,
-            len: 0,
+            ring: Ring::new(capacity),
             stack: Vec::with_capacity(64),
             dropped_spans: 0,
             spans_closed: 0,
@@ -106,14 +98,9 @@ impl Tracer {
             depth: self.stack.len() as u16,
             cat_ns: open.cat_ns,
         };
-        if self.ring.len() < self.capacity {
-            self.ring.push(record);
-        } else {
-            self.ring[self.head] = record;
+        if self.ring.push(record) {
             self.dropped_spans += 1;
         }
-        self.head = (self.head + 1) % self.capacity;
-        self.len = self.ring.len();
     }
 
     /// Attributes a charge to the innermost open span (or the orphan bucket).
@@ -144,19 +131,12 @@ impl Tracer {
 
     /// Completed spans in chronological (oldest-first) order.
     pub fn iter_chronological(&self) -> impl Iterator<Item = &SpanRecord> {
-        let start = if self.len < self.capacity {
-            0
-        } else {
-            self.head
-        };
-        (0..self.len).map(move |i| &self.ring[(start + i) % self.len.max(1)])
+        self.ring.iter()
     }
 
     /// Clears spans, totals, and the open stack (e.g. after warmup).
     pub fn reset(&mut self) {
         self.ring.clear();
-        self.head = 0;
-        self.len = 0;
         self.stack.clear();
         self.dropped_spans = 0;
         self.spans_closed = 0;

@@ -11,7 +11,8 @@
 //!   nanoseconds. Open it in `chrome://tracing` or <https://ui.perfetto.dev>.
 //! - `metrics.json` — a snapshot of the metrics registry: NIC frame/byte
 //!   counters, memory-pool occupancy, per-system KV counters, and the
-//!   hybrid serializer's copy-vs-zero-copy decision summary.
+//!   `mem.*` cells where the hybrid serializer's copy-vs-zero-copy choice
+//!   is counted (arena copies, `recover_ptr` lookups and hits).
 //!
 //! It then walks the "diagnose a slow request" workflow from DESIGN.md:
 //! the `kv.client.e2e_latency_ns` histogram's exemplars name the slowest
@@ -88,8 +89,8 @@ fn main() {
     let mut client = KvClient::new(client_stack, SerKind::Cornflakes);
     let mut server = KvServer::new(server_stack, SerKind::Cornflakes);
 
-    // One small (copied) and one large (zero-copy) value, so the decision
-    // log shows both sides of the hybrid threshold.
+    // One small (copied) and one large (zero-copy) value, so the `mem.*`
+    // cells show both sides of the hybrid threshold.
     server
         .store
         .preload(server.stack.ctx(), b"cfg:motd", &[64])
@@ -145,13 +146,13 @@ fn main() {
         "mem.pool.allocs",
         "kv.cornflakes.requests",
         "kv.cornflakes.zero_copy_entries",
+        "mem.arena.copies",
+        "mem.arena.bytes_copied",
+        "mem.registry.recover_lookups",
+        "mem.registry.recover_hits",
     ] {
         println!("  {name:<32} {}", tele.counter_value(name));
     }
-    let (zero_copy, copied) = tele
-        .with_decisions(|d| (d.zero_copy, d.copied))
-        .expect("telemetry enabled");
-    println!("  serializer decisions: {zero_copy} zero-copy, {copied} copied");
     println!();
     println!("Prometheus exposition preview:");
     for line in tele.prometheus_text().lines().take(6) {

@@ -60,12 +60,14 @@ cargo test -q -p cf-kv --test charge_trace
 echo "==> overload smoke: goodput holds past saturation with control on"
 cargo test -q -p cf-bench --lib experiments::overload
 
-echo "==> observability gates: zero-alloc flight recorder, metric namespace + exported name set, attach resets nothing, stats accessors equal the snapshot, tail anatomy"
+echo "==> observability gates: zero-alloc flight recorder, metric namespace + exported name set, attach resets nothing, stats accessors equal the snapshot, counters equal the wire and the serializer's choices, tail anatomy, the trace tour"
 cargo test -q --test flight_zero_alloc
 cargo test -q --test metric_namespace
 cargo test -q --test telemetry_attach
 cargo test -q --test stats_parity
+cargo test -q -p cf-net --test udp_end_to_end
 cargo test -q -p cf-bench --lib experiments::tail_anatomy
+cargo run -q --example trace_request
 
 echo "==> hot-path gates: allocator-count proofs"
 cargo test -q --test hotpath_zero_alloc

@@ -31,8 +31,8 @@
 //!   switch: consistent-hash placement, R-way replication, probe-based
 //!   failure detection, and client failover.
 //! - [`telemetry`] — virtual-time observability: request span tracing with
-//!   Chrome-trace export, a metrics registry, and hybrid-serializer
-//!   decision logging.
+//!   Chrome-trace export, a metrics registry, and a request-scoped flight
+//!   recorder.
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the architecture and
 //! experiment index.

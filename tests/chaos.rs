@@ -586,7 +586,7 @@ proptest! {
         let mut concluded = std::collections::HashSet::new();
         for _round in 0..400 {
             let now = sim.now();
-            server.poll_admitted_until(now, now + 30_000);
+            server.poll_until(now, now + 30_000);
             while let Some(resp) = client.recv_response() {
                 let id = resp.id.expect("replies echo the request id");
                 prop_assert!(concluded.insert(id), "double conclusion for {}", id);

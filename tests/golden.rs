@@ -239,7 +239,7 @@ fn shed_fast_reject_matches_fixture() {
     // Ingest only — the horizon is already reached, so nothing is served
     // and the request sits in the admission backlog.
     let now = server.stack.sim().now();
-    server.poll_admitted_until(now, now);
+    server.poll_until(now, now);
     assert_eq!(server.backlog_len(), 1, "request admitted but unserved");
     // The shard stalls past the sojourn target; the next poll sheds the
     // aged entry with a header-only SHED fast-reject.

@@ -267,7 +267,7 @@ fn steady_state_shed_fast_reject_is_alloc_free() {
         client.send_get(&[KEY]);
         let now = sim.now();
         server.ingest(now);
-        server.poll_admitted(now + 300_000);
+        server.poll_until(now + 300_000, u64::MAX);
         assert!(client.recv_response_into(resp), "shed reply delivered");
         assert_ne!(
             resp.flags & cornflakes::kv::flags::SHED,
