@@ -26,11 +26,13 @@
 //! two differ in the shard profile, the wire faults, the flight recorder
 //! and the clock the server is polled to, and pass those in.
 //!
-//! What repeats run to run: `offered` and the probe exactly; below
-//! saturation every field. Past it the client retries, a retry's timing
-//! follows virtual time, and virtual time follows real heap addresses (see
-//! `churn`), so goodput repeats to ~1 %, the median to ~2 % and the p99 to
-//! ~6 %.
+//! What repeats run to run: nothing to the bit. Virtual time follows real
+//! heap addresses (see `churn`), so the capacity probe repeats to ~0.01 %
+//! (a change that only resized allocations moved it by −0.007 %), and
+//! `offered`, ⌈duration × capacity × multiplier⌉, moves with it by an
+//! arrival or three. Past saturation the client retries and a retry's
+//! timing follows virtual time too, so goodput repeats to ~1 %, the median
+//! to ~2 % and the p99 to ~6 %.
 
 use std::collections::HashMap;
 
@@ -474,11 +476,11 @@ pub fn run(params: &OverloadParams) -> Value {
 /// `p99_ns`, `timed_out` and `shed` are recorded and not gated: past
 /// saturation they hang on a handful of retries and spread 6 %, 8 % and
 /// 150 %, so a bound three spreads wide would let a tenth through.
+/// `offered` is recorded and not gated: it is derived from `capacity_rps`.
 pub const RULES: &[Rule] = &[
-    // The closed-loop probe repeats exactly.
+    // The closed-loop probe: virtual time, so it follows heap layout
+    // (−0.007 % seen).
     Rule("capacity_rps", Gate::Higher(0.03)),
-    // Fixed by the arrival process.
-    Rule("points[multiplier,control].offered", Gate::Same),
     // Spread at most 1.1 % (3x, control off).
     Rule(
         "points[multiplier,control].goodput_krps",
@@ -553,6 +555,22 @@ mod tests {
             .and_then(|p| p.get("load"))
             .expect("load");
         assert_eq!(load.get("duration_ns"), Some(&int(400_000)));
+        // `offered` is ⌈duration × capacity × multiplier⌉, give or take the
+        // one arrival floating-point pacing can add or drop.
+        let capacity = tree.get("capacity_rps").and_then(Value::as_f64);
+        let capacity = capacity.expect("capacity_rps");
+        for p in tree.get("points").and_then(Value::as_arr).expect("points") {
+            let m = p
+                .get("multiplier")
+                .and_then(Value::as_f64)
+                .expect("multiplier");
+            let offered = p.get("offered").and_then(Value::as_u64).expect("offered");
+            let derived = (400_000.0 * capacity * m / 1e9).ceil();
+            assert!(
+                (offered as f64 - derived).abs() <= 1.0,
+                "{m}x: offered {offered}, derived {derived}"
+            );
+        }
         let rows = crate::artifacts::select(&tree, "points[multiplier,control].retries");
         let labels: Vec<&str> = rows.iter().map(|(row, _)| row.as_str()).collect();
         assert_eq!(

@@ -31,10 +31,12 @@
 //! histogram carries exemplar request ids (bucket maxima), so the same
 //! outlier is reachable from the metrics side too. Emits
 //! `tail_anatomy.json`; the committed `BENCH_tail_anatomy.json` is the full
-//! preset's, gated by [`RULES`]. `offered` and the probe repeat exactly run
-//! to run; which request sits at a quantile does not (retry timing follows
-//! virtual time, which follows real heap addresses — see `churn`), so the
-//! gate holds the quantiles' latencies, not their request ids.
+//! preset's, gated by [`RULES`]. Virtual time follows real heap addresses
+//! (see `churn`), so the capacity probe repeats to ~0.01 %, not to the bit,
+//! and `offered`, ⌈duration × capacity × multiplier⌉, moves with it; which
+//! request sits at a quantile changes run to run (retry timing follows
+//! virtual time too), so the gate holds the quantiles' latencies, not their
+//! request ids.
 
 use std::collections::HashMap;
 
@@ -411,11 +413,10 @@ pub fn run(params: &TailAnatomyParams) -> Value {
 /// ratchet"). The quantiles' request ids, phases and timelines are recorded
 /// and not gated: several requests share a latency to the nanosecond, and
 /// which of them sorts into the quantile's slot changes run to run.
+/// `offered` is recorded and not gated: it is derived from `capacity_rps`.
 pub const RULES: &[Rule] = &[
-    // The closed-loop probe repeats exactly.
+    // The closed-loop probe: virtual time, so it follows heap layout.
     Rule("capacity_rps", Gate::Higher(0.03)),
-    // Fixed by the arrival process.
-    Rule("offered", Gate::Same),
     // Repeated exactly in five runs.
     Rule("served", Gate::Higher(0.03)),
     Rule("retries", Gate::Lower(0.03)),

@@ -17,7 +17,7 @@
 //!   text tables, plus a one-line comparison against the paper's headline
 //!   number.
 //! - All randomness is seeded, and one seed replays one request stream:
-//!   every count a driver fixes (requests offered, per-shard requests, flows,
+//!   every count a driver fixes (requests sent, per-shard requests, flows,
 //!   window grids, probe counts) repeats exactly run to run. Virtual *times*
 //!   do not repeat to the bit: the cost model charges a copy by the real
 //!   heap address of its source (`charge_memcpy(src.as_ptr(), …)`), and

@@ -22,7 +22,7 @@ use cf_mem::RcBuf;
 use crate::cfbytes::CFBytes;
 use crate::ctx::SerCtx;
 use crate::list::{ListElem, MAX_LIST_LEN};
-use crate::obj::{charge_deserialize, CornflakesObj, HeaderWriter};
+use crate::obj::{charge_deserialize, CornflakesObj, Entry, Footprint, HeaderWriter};
 use crate::wire::{
     bitmap_bytes, bitmap_set, get_u32, get_u64, put_u32, put_u64, Bitmap, ForwardPtr, WireError,
     BITMAP_LEN_PREFIX, PTR_SIZE,
@@ -176,10 +176,21 @@ impl DynMessage {
         self.fields[self.field_index(name)?].as_ref()
     }
 
+    /// Width of a scalar field's value (8 for anything else, as a forward
+    /// pointer).
     fn scalar_width(ty: &FieldType) -> usize {
         match ty {
             FieldType::Scalar(s) => s.wire_width(),
             _ => PTR_SIZE,
+        }
+    }
+
+    /// Width of a present field's entry in the fixed block.
+    fn entry_width(f: &Field) -> usize {
+        if f.repeated {
+            PTR_SIZE
+        } else {
+            Self::scalar_width(&f.ty)
         }
     }
 
@@ -193,93 +204,64 @@ impl DynMessage {
         }
     }
 
-    fn scalar_list_bytes(f: &Field, l: &[u64]) -> usize {
-        let w = match f.ty {
-            FieldType::Scalar(s) => s.wire_width(),
-            _ => 8,
-        };
-        l.len() * w
+    /// Writes a nested message's forward pointer at `entry`, then its block.
+    fn write_nested(&self, w: &mut HeaderWriter<'_>, entry: usize) {
+        let fixed = self.footprint().fixed;
+        let block = w.alloc_block(fixed);
+        ForwardPtr {
+            offset: block as u32,
+            len: fixed as u32,
+        }
+        .put(w.buf(), entry);
+        w.count_entry();
+        self.write_header(w, block);
     }
 }
 
+/// Allocates a `count`-entry list table and points the field entry at
+/// `entry` to it; returns the table's offset.
+fn write_table(w: &mut HeaderWriter<'_>, count: usize, entry: usize) -> usize {
+    let table = w.alloc_block(count * PTR_SIZE);
+    ForwardPtr {
+        offset: table as u32,
+        len: count as u32,
+    }
+    .put(w.buf(), entry);
+    w.count_entry();
+    table
+}
+
 impl CornflakesObj for DynMessage {
-    fn fixed_block_bytes(&self) -> usize {
-        let mut n = BITMAP_LEN_PREFIX + bitmap_bytes(self.descriptor.fields.len());
+    fn footprint(&self) -> Footprint {
+        let mut fp = Footprint {
+            fixed: BITMAP_LEN_PREFIX + bitmap_bytes(self.descriptor.fields.len()),
+            ..Footprint::default()
+        };
         for (i, f) in self.descriptor.fields.iter().enumerate() {
-            if self.present(i) {
-                n += if f.repeated {
-                    PTR_SIZE
-                } else {
-                    Self::scalar_width(&f.ty)
-                };
+            if !self.present(i) {
+                continue;
             }
-        }
-        n
-    }
-
-    fn aux_bytes(&self) -> usize {
-        let mut n = 0;
-        for v in self.fields.iter().flatten() {
-            match v {
-                DynValue::Message(m) => n += m.header_bytes(),
-                DynValue::BytesList(l) => n += l.len() * PTR_SIZE,
+            fp.fixed += Self::entry_width(f);
+            match self.fields[i].as_ref().expect("present") {
+                DynValue::Scalar(_) => {}
+                DynValue::Bytes(b) => fp += b.elem_footprint(),
+                DynValue::Message(m) => fp += m.footprint().nested(),
+                DynValue::BytesList(l) => {
+                    fp.aux += l.len() * PTR_SIZE;
+                    for b in l {
+                        fp += b.elem_footprint();
+                    }
+                }
                 DynValue::MessageList(l) => {
-                    n += l.len() * PTR_SIZE;
-                    n += l.iter().map(|m| m.header_bytes()).sum::<usize>();
+                    fp.aux += l.len() * PTR_SIZE;
+                    for m in l {
+                        fp += m.footprint().nested();
+                    }
                 }
-                _ => {}
+                DynValue::ScalarList(l) => fp.copy += l.len() * Self::scalar_width(&f.ty),
             }
         }
-        n
-    }
-
-    fn copy_bytes(&self) -> usize {
-        let mut n = 0;
-        for (i, v) in self.fields.iter().enumerate() {
-            match v {
-                Some(DynValue::Bytes(b)) => n += b.elem_copy_bytes(),
-                Some(DynValue::BytesList(l)) => {
-                    n += l.iter().map(|b| b.elem_copy_bytes()).sum::<usize>()
-                }
-                Some(DynValue::Message(m)) => n += m.copy_bytes(),
-                Some(DynValue::MessageList(l)) => {
-                    n += l.iter().map(|m| m.copy_bytes()).sum::<usize>()
-                }
-                Some(DynValue::ScalarList(l)) => {
-                    n += Self::scalar_list_bytes(&self.descriptor.fields[i], l)
-                }
-                _ => {}
-            }
-        }
-        n
-    }
-
-    fn zero_copy_entries(&self) -> usize {
-        self.fields
-            .iter()
-            .flatten()
-            .map(|v| match v {
-                DynValue::Bytes(b) => b.elem_zc_entries(),
-                DynValue::BytesList(l) => l.iter().map(|b| b.elem_zc_entries()).sum(),
-                DynValue::Message(m) => m.zero_copy_entries(),
-                DynValue::MessageList(l) => l.iter().map(|m| m.zero_copy_entries()).sum(),
-                _ => 0,
-            })
-            .sum()
-    }
-
-    fn zero_copy_bytes(&self) -> usize {
-        self.fields
-            .iter()
-            .flatten()
-            .map(|v| match v {
-                DynValue::Bytes(b) => b.elem_zc_bytes(),
-                DynValue::BytesList(l) => l.iter().map(|b| b.elem_zc_bytes()).sum(),
-                DynValue::Message(m) => m.zero_copy_bytes(),
-                DynValue::MessageList(l) => l.iter().map(|m| m.zero_copy_bytes()).sum(),
-                _ => 0,
-            })
-            .sum()
+        fp
     }
 
     fn write_header(&self, w: &mut HeaderWriter<'_>, block: usize) {
@@ -300,126 +282,56 @@ impl CornflakesObj for DynMessage {
             }
             match self.fields[i].as_ref().expect("present") {
                 DynValue::Scalar(v) => {
-                    match f.ty {
-                        FieldType::Scalar(s) if s.wire_width() == 8 => put_u64(w.buf(), cursor, *v),
+                    match Self::scalar_width(&f.ty) {
+                        8 => put_u64(w.buf(), cursor, *v),
                         _ => put_u32(w.buf(), cursor, *v as u32),
                     }
                     w.count_entry();
-                    cursor += Self::scalar_width(&f.ty);
                 }
-                DynValue::Bytes(b) => {
-                    b.write_elem(w, cursor);
-                    cursor += PTR_SIZE;
-                }
-                DynValue::Message(m) => {
-                    let inner = w.alloc_block(m.fixed_block_bytes());
-                    ForwardPtr {
-                        offset: inner as u32,
-                        len: m.fixed_block_bytes() as u32,
-                    }
-                    .put(w.buf(), cursor);
-                    w.count_entry();
-                    m.write_header(w, inner);
-                    cursor += PTR_SIZE;
-                }
+                DynValue::Bytes(b) => b.write_elem(w, cursor),
+                DynValue::Message(m) => m.write_nested(w, cursor),
                 DynValue::BytesList(l) => {
-                    let table = w.alloc_block(l.len() * PTR_SIZE);
-                    ForwardPtr {
-                        offset: table as u32,
-                        len: l.len() as u32,
-                    }
-                    .put(w.buf(), cursor);
-                    w.count_entry();
+                    let table = write_table(w, l.len(), cursor);
                     for (j, b) in l.iter().enumerate() {
                         b.write_elem(w, table + j * PTR_SIZE);
                     }
-                    cursor += PTR_SIZE;
                 }
                 DynValue::MessageList(l) => {
-                    let table = w.alloc_block(l.len() * PTR_SIZE);
-                    ForwardPtr {
-                        offset: table as u32,
-                        len: l.len() as u32,
-                    }
-                    .put(w.buf(), cursor);
-                    w.count_entry();
+                    let table = write_table(w, l.len(), cursor);
                     for (j, m) in l.iter().enumerate() {
-                        let inner = w.alloc_block(m.fixed_block_bytes());
-                        ForwardPtr {
-                            offset: inner as u32,
-                            len: m.fixed_block_bytes() as u32,
-                        }
-                        .put(w.buf(), table + j * PTR_SIZE);
-                        w.count_entry();
-                        m.write_header(w, inner);
+                        m.write_nested(w, table + j * PTR_SIZE);
                     }
-                    cursor += PTR_SIZE;
                 }
                 DynValue::ScalarList(l) => {
-                    let bytes = Self::scalar_list_bytes(f, l);
-                    let offset = w.assign_copy(bytes);
+                    let offset = w.assign_copy(l.len() * Self::scalar_width(&f.ty));
                     ForwardPtr {
                         offset,
                         len: l.len() as u32,
                     }
                     .put(w.buf(), cursor);
                     w.count_entry();
-                    cursor += PTR_SIZE;
                 }
             }
+            cursor += Self::entry_width(f);
         }
     }
 
-    fn for_each_copy_entry(&self, cb: &mut dyn FnMut(&[u8])) {
-        for (i, f) in self.descriptor.fields.iter().enumerate() {
-            match &self.fields[i] {
-                Some(DynValue::Bytes(b)) => b.elem_for_each_copy(cb),
-                Some(DynValue::Message(m)) => m.for_each_copy_entry(cb),
-                Some(DynValue::BytesList(l)) => {
-                    for b in l {
-                        b.elem_for_each_copy(cb);
-                    }
-                }
-                Some(DynValue::MessageList(l)) => {
-                    for m in l {
-                        m.for_each_copy_entry(cb);
-                    }
-                }
+    fn for_each_entry(&self, cb: &mut dyn FnMut(Entry<'_>)) {
+        for (f, v) in self.descriptor.fields.iter().zip(&self.fields) {
+            match v {
+                Some(DynValue::Bytes(b)) => b.elem_for_each(cb),
+                Some(DynValue::Message(m)) => m.for_each_entry(cb),
+                Some(DynValue::BytesList(l)) => l.iter().for_each(|b| b.elem_for_each(cb)),
+                Some(DynValue::MessageList(l)) => l.iter().for_each(|m| m.for_each_entry(cb)),
                 Some(DynValue::ScalarList(l)) if !l.is_empty() => {
-                    // Pack on the fly to match the static path's layout.
-                    let w = match f.ty {
-                        FieldType::Scalar(s) => s.wire_width(),
-                        _ => 8,
-                    };
+                    // Pack on the fly (little-endian, truncated to the wire
+                    // width) to match the static path's layout.
+                    let w = Self::scalar_width(&f.ty);
                     let mut packed = Vec::with_capacity(l.len() * w);
                     for &v in l {
-                        if w == 8 {
-                            packed.extend_from_slice(&v.to_le_bytes());
-                        } else {
-                            packed.extend_from_slice(&(v as u32).to_le_bytes());
-                        }
+                        packed.extend_from_slice(&v.to_le_bytes()[..w]);
                     }
-                    cb(&packed);
-                }
-                _ => {}
-            }
-        }
-    }
-
-    fn for_each_zero_copy_entry(&self, cb: &mut dyn FnMut(&RcBuf)) {
-        for v in self.fields.iter().flatten() {
-            match v {
-                DynValue::Bytes(b) => b.elem_for_each_zc(cb),
-                DynValue::Message(m) => m.for_each_zero_copy_entry(cb),
-                DynValue::BytesList(l) => {
-                    for b in l {
-                        b.elem_for_each_zc(cb);
-                    }
-                }
-                DynValue::MessageList(l) => {
-                    for m in l {
-                        m.for_each_zero_copy_entry(cb);
-                    }
+                    cb(Entry::Copy(&packed));
                 }
                 _ => {}
             }

@@ -55,5 +55,5 @@ pub use cfbytes::{CFBytes, CFString};
 pub use config::SerializationConfig;
 pub use ctx::SerCtx;
 pub use list::{CFList, PrimList};
-pub use obj::{CornflakesObj, HeaderWriter};
+pub use obj::{CornflakesObj, Entry, Footprint, HeaderWriter};
 pub use wire::WireError;

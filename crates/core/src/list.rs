@@ -5,7 +5,7 @@ use cf_sim::cost::Category;
 
 use crate::cfbytes::{CFBytes, CFString};
 use crate::ctx::SerCtx;
-use crate::obj::{CornflakesObj, HeaderWriter};
+use crate::obj::{CornflakesObj, Entry, Footprint, HeaderWriter};
 use crate::wire::{ForwardPtr, WireError, PTR_SIZE};
 
 /// Upper bound on decoded list lengths; guards against hostile counts.
@@ -13,49 +13,33 @@ pub const MAX_LIST_LEN: usize = 1 << 20;
 
 /// An element of a repeated field.
 ///
-/// Implemented by [`CFBytes`], [`CFString`], and (via blanket impl) every
-/// nested [`CornflakesObj`] message type.
+/// Implemented by [`CFBytes`], [`CFString`], and (via
+/// `impl_message_list_elem!`) every nested [`CornflakesObj`] message type.
 pub trait ListElem: Sized {
-    /// Aux header bytes this element needs (nested messages allocate their
-    /// own blocks; plain bytes need none).
-    fn elem_aux_bytes(&self) -> usize;
-    /// Copied-data bytes this element contributes.
-    fn elem_copy_bytes(&self) -> usize;
-    /// Zero-copy entries this element contributes.
-    fn elem_zc_entries(&self) -> usize;
-    /// Zero-copy bytes this element contributes.
-    fn elem_zc_bytes(&self) -> usize;
+    /// This element's contribution to the object holding it (its table
+    /// entry is the holder's).
+    fn elem_footprint(&self) -> Footprint;
     /// Writes this element's table entry at `entry` (8 bytes) and any aux
     /// blocks/data offsets.
     fn write_elem(&self, w: &mut HeaderWriter<'_>, entry: usize);
     /// Reads an element whose table entry is at `entry`.
     fn read_elem(ctx: &SerCtx, payload: &RcBuf, entry: usize) -> Result<Self, WireError>;
-    /// Visits the element's copied entries in order.
-    fn elem_for_each_copy(&self, f: &mut dyn FnMut(&[u8]));
-    /// Visits the element's zero-copy entries in order.
-    fn elem_for_each_zc(&self, f: &mut dyn FnMut(&RcBuf));
+    /// Visits the element's data entries in order.
+    fn elem_for_each(&self, f: &mut dyn FnMut(Entry<'_>));
 }
 
 impl ListElem for CFBytes {
-    fn elem_aux_bytes(&self) -> usize {
-        0
-    }
-
-    fn elem_copy_bytes(&self) -> usize {
+    fn elem_footprint(&self) -> Footprint {
         match self {
-            CFBytes::Copied(a) => a.len(),
-            CFBytes::ZeroCopy(_) => 0,
-        }
-    }
-
-    fn elem_zc_entries(&self) -> usize {
-        matches!(self, CFBytes::ZeroCopy(_)) as usize
-    }
-
-    fn elem_zc_bytes(&self) -> usize {
-        match self {
-            CFBytes::ZeroCopy(r) => r.len(),
-            CFBytes::Copied(_) => 0,
+            CFBytes::Copied(a) => Footprint {
+                copy: a.len(),
+                ..Footprint::default()
+            },
+            CFBytes::ZeroCopy(r) => Footprint {
+                zc_entries: 1,
+                zc_bytes: r.len(),
+                ..Footprint::default()
+            },
         }
     }
 
@@ -81,31 +65,17 @@ impl ListElem for CFBytes {
         Ok(CFBytes::ZeroCopy(payload.slice(off, ptr.len as usize)))
     }
 
-    fn elem_for_each_copy(&self, f: &mut dyn FnMut(&[u8])) {
-        if let CFBytes::Copied(a) = self {
-            f(a.as_slice());
-        }
-    }
-
-    fn elem_for_each_zc(&self, f: &mut dyn FnMut(&RcBuf)) {
-        if let CFBytes::ZeroCopy(r) = self {
-            f(r);
-        }
+    fn elem_for_each(&self, f: &mut dyn FnMut(Entry<'_>)) {
+        f(match self {
+            CFBytes::Copied(a) => Entry::Copy(a.as_slice()),
+            CFBytes::ZeroCopy(r) => Entry::ZeroCopy(r),
+        });
     }
 }
 
 impl ListElem for CFString {
-    fn elem_aux_bytes(&self) -> usize {
-        self.0.elem_aux_bytes()
-    }
-    fn elem_copy_bytes(&self) -> usize {
-        self.0.elem_copy_bytes()
-    }
-    fn elem_zc_entries(&self) -> usize {
-        self.0.elem_zc_entries()
-    }
-    fn elem_zc_bytes(&self) -> usize {
-        self.0.elem_zc_bytes()
+    fn elem_footprint(&self) -> Footprint {
+        self.0.elem_footprint()
     }
     fn write_elem(&self, w: &mut HeaderWriter<'_>, entry: usize) {
         self.0.write_elem(w, entry);
@@ -113,21 +83,19 @@ impl ListElem for CFString {
     fn read_elem(ctx: &SerCtx, payload: &RcBuf, entry: usize) -> Result<Self, WireError> {
         Ok(CFString(CFBytes::read_elem(ctx, payload, entry)?))
     }
-    fn elem_for_each_copy(&self, f: &mut dyn FnMut(&[u8])) {
-        self.0.elem_for_each_copy(f);
-    }
-    fn elem_for_each_zc(&self, f: &mut dyn FnMut(&RcBuf)) {
-        self.0.elem_for_each_zc(f);
+    fn elem_for_each(&self, f: &mut dyn FnMut(Entry<'_>)) {
+        self.0.elem_for_each(f);
     }
 }
 
 /// Writes a nested message as a list/field element: allocates its header
 /// block, stores the forward pointer, recurses.
 pub fn nested_write_elem<M: CornflakesObj>(obj: &M, w: &mut HeaderWriter<'_>, entry: usize) {
-    let block = w.alloc_block(obj.fixed_block_bytes());
+    let fixed = obj.footprint().fixed;
+    let block = w.alloc_block(fixed);
     ForwardPtr {
         offset: block as u32,
-        len: obj.fixed_block_bytes() as u32,
+        len: fixed as u32,
     }
     .put(w.buf(), entry);
     w.count_entry();
@@ -154,19 +122,8 @@ pub fn nested_read_elem<M: CornflakesObj>(
 macro_rules! impl_message_list_elem {
     ($ty:ty) => {
         impl $crate::list::ListElem for $ty {
-            fn elem_aux_bytes(&self) -> usize {
-                // The nested object's entire header (its fixed block is
-                // "aux" from the parent's perspective) plus its own aux.
-                $crate::obj::CornflakesObj::header_bytes(self)
-            }
-            fn elem_copy_bytes(&self) -> usize {
-                $crate::obj::CornflakesObj::copy_bytes(self)
-            }
-            fn elem_zc_entries(&self) -> usize {
-                $crate::obj::CornflakesObj::zero_copy_entries(self)
-            }
-            fn elem_zc_bytes(&self) -> usize {
-                $crate::obj::CornflakesObj::zero_copy_bytes(self)
+            fn elem_footprint(&self) -> $crate::obj::Footprint {
+                $crate::obj::CornflakesObj::footprint(self).nested()
             }
             fn write_elem(&self, w: &mut $crate::obj::HeaderWriter<'_>, entry: usize) {
                 $crate::list::nested_write_elem(self, w, entry);
@@ -178,11 +135,8 @@ macro_rules! impl_message_list_elem {
             ) -> Result<Self, $crate::wire::WireError> {
                 $crate::list::nested_read_elem(ctx, payload, entry)
             }
-            fn elem_for_each_copy(&self, f: &mut dyn FnMut(&[u8])) {
-                $crate::obj::CornflakesObj::for_each_copy_entry(self, f);
-            }
-            fn elem_for_each_zc(&self, f: &mut dyn FnMut(&cf_mem::RcBuf)) {
-                $crate::obj::CornflakesObj::for_each_zero_copy_entry(self, f);
+            fn elem_for_each(&self, f: &mut dyn FnMut($crate::obj::Entry<'_>)) {
+                $crate::obj::CornflakesObj::for_each_entry(self, f);
             }
         }
     };
@@ -242,36 +196,24 @@ impl<T: ListElem> CFList<T> {
         self.items.iter()
     }
 
-    /// Size of this list's element table in the header region.
-    pub fn table_bytes(&self) -> usize {
-        self.items.len() * PTR_SIZE
-    }
-
-    /// Total aux bytes: table plus element aux.
-    pub fn aux_bytes(&self) -> usize {
-        self.table_bytes() + self.items.iter().map(|i| i.elem_aux_bytes()).sum::<usize>()
-    }
-
-    /// Copied-data bytes across elements.
-    pub fn copy_bytes(&self) -> usize {
-        self.items.iter().map(|i| i.elem_copy_bytes()).sum()
-    }
-
-    /// Zero-copy entries across elements.
-    pub fn zc_entries(&self) -> usize {
-        self.items.iter().map(|i| i.elem_zc_entries()).sum()
-    }
-
-    /// Zero-copy bytes across elements.
-    pub fn zc_bytes(&self) -> usize {
-        self.items.iter().map(|i| i.elem_zc_bytes()).sum()
+    /// The list's contribution to the object holding it: its element
+    /// table plus every element's own.
+    pub fn footprint(&self) -> Footprint {
+        let mut fp = Footprint {
+            aux: self.items.len() * PTR_SIZE,
+            ..Footprint::default()
+        };
+        for item in &self.items {
+            fp += item.elem_footprint();
+        }
+        fp
     }
 
     /// Writes the list: allocates the element table, stores its forward
     /// pointer (offset = table, len = count) at `entry`, then writes each
     /// element.
     pub fn write(&self, w: &mut HeaderWriter<'_>, entry: usize) {
-        let table = w.alloc_block(self.table_bytes());
+        let table = w.alloc_block(self.items.len() * PTR_SIZE);
         ForwardPtr {
             offset: table as u32,
             len: self.items.len() as u32,
@@ -327,17 +269,10 @@ impl<T: ListElem> CFList<T> {
         Ok(())
     }
 
-    /// Visits copied entries of all elements, in order.
-    pub fn for_each_copy(&self, f: &mut dyn FnMut(&[u8])) {
+    /// Visits every element's data entries, in order.
+    pub fn for_each_entry(&self, f: &mut dyn FnMut(Entry<'_>)) {
         for item in &self.items {
-            item.elem_for_each_copy(f);
-        }
-    }
-
-    /// Visits zero-copy entries of all elements, in order.
-    pub fn for_each_zc(&self, f: &mut dyn FnMut(&RcBuf)) {
-        for item in &self.items {
-            item.elem_for_each_zc(f);
+            item.elem_for_each(f);
         }
     }
 }
@@ -559,11 +494,17 @@ mod tests {
         let pinned = c.pool.alloc(1024).unwrap();
         l.append(CFBytes::new(&c, pinned.as_slice()));
         assert_eq!(l.len(), 2);
-        assert_eq!(l.table_bytes(), 16);
-        assert_eq!(l.copy_bytes(), 12);
-        assert_eq!(l.zc_entries(), 1);
-        assert_eq!(l.zc_bytes(), 1024);
-        assert_eq!(l.aux_bytes(), 16);
+        let table = 16;
+        assert_eq!(
+            l.footprint(),
+            Footprint {
+                fixed: 0,
+                aux: table,
+                copy: 12,
+                zc_entries: 1,
+                zc_bytes: 1024,
+            }
+        );
     }
 
     #[test]
@@ -575,13 +516,15 @@ mod tests {
         l.append(CFBytes::new(&c, pinned.as_slice()));
         l.append(CFBytes::new(&c, b"b"));
         let mut copies = Vec::new();
-        l.for_each_copy(&mut |b| copies.push(b.to_vec()));
-        assert_eq!(copies, vec![b"a".to_vec(), b"b".to_vec()]);
         let mut zcs = 0;
-        l.for_each_zc(&mut |r| {
-            assert_eq!(r.len(), 600);
-            zcs += 1;
+        l.for_each_entry(&mut |e| match e {
+            Entry::Copy(b) => copies.push(b.to_vec()),
+            Entry::ZeroCopy(r) => {
+                assert_eq!(r.len(), 600);
+                zcs += 1;
+            }
         });
+        assert_eq!(copies, vec![b"a".to_vec(), b"b".to_vec()]);
         assert_eq!(zcs, 1);
     }
 

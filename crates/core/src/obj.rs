@@ -2,12 +2,14 @@
 //! consumes directly (paper Listing 1, §3.2.3).
 //!
 //! Rather than exposing an explicit `serialize()` that materializes a
-//! scatter-gather array, a Cornflakes object describes itself to the stack:
-//! its header size, how many bytes of copied data it carries, how many
-//! zero-copy entries it contributes, and iterators over both kinds of
-//! entries. The stack uses these to write the header and copied data into
-//! one DMA buffer and to post the zero-copy references as additional
-//! scatter-gather entries — the *combined serialize-and-send* API.
+//! scatter-gather array, a Cornflakes object describes itself to the stack
+//! once: its [`Footprint`] (header size, copied bytes, zero-copy entries
+//! and bytes) and one visitor over its data [`Entry`]s, copied or zero-copy.
+//! The stack uses these to write the header and copied data into one DMA
+//! buffer and to post the zero-copy references as additional scatter-gather
+//! entries — the *combined serialize-and-send* API.
+
+use std::ops::AddAssign;
 
 use cf_mem::RcBuf;
 use cf_sim::cost::Category;
@@ -96,53 +98,138 @@ impl<'a> HeaderWriter<'a> {
     }
 }
 
+/// The wire layout of an object, or of one field's contribution to the
+/// object that holds it: the size of each region and the zero-copy entries.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Footprint {
+    /// The object's fixed header block (bitmap prefix + bitmap +
+    /// per-present-field entries); 0 in a field's contribution.
+    pub fixed: usize,
+    /// Further header-region blocks: list tables and nested objects'
+    /// blocks, recursively.
+    pub aux: usize,
+    /// Bytes of copied field data.
+    pub copy: usize,
+    /// Zero-copy scatter-gather entries.
+    pub zc_entries: usize,
+    /// Bytes across the zero-copy entries.
+    pub zc_bytes: usize,
+}
+
+impl Footprint {
+    /// Header-region size.
+    pub fn header(&self) -> usize {
+        self.fixed + self.aux
+    }
+
+    /// Total serialized size (paper Listing 1's `object_len`).
+    #[allow(clippy::len_without_is_empty)]
+    pub fn len(&self) -> usize {
+        self.header() + self.copy + self.zc_bytes
+    }
+
+    /// This object's contribution as a nested field: its whole header is an
+    /// aux block of the parent.
+    pub fn nested(self) -> Footprint {
+        Footprint {
+            fixed: 0,
+            aux: self.header(),
+            ..self
+        }
+    }
+}
+
+impl AddAssign for Footprint {
+    fn add_assign(&mut self, o: Footprint) {
+        self.fixed += o.fixed;
+        self.aux += o.aux;
+        self.copy += o.copy;
+        self.zc_entries += o.zc_entries;
+        self.zc_bytes += o.zc_bytes;
+    }
+}
+
+/// One piece of an object's field data, as
+/// [`CornflakesObj::for_each_entry`] yields it.
+#[derive(Clone, Copy, Debug)]
+pub enum Entry<'a> {
+    /// Bytes the stack copies behind the header.
+    Copy(&'a [u8]),
+    /// Pinned memory the NIC gathers as its own scatter-gather entry.
+    ZeroCopy(&'a RcBuf),
+}
+
 /// A serializable Cornflakes object: generated from a schema by
 /// `cf-codegen`, or interpreted from one ([`crate::dynamic::DynMessage`]).
 ///
-/// Layout invariants every implementation must uphold:
+/// Layout invariants every implementation must uphold, with
+/// `fp = footprint()`:
 ///
-/// - `header_bytes() == fixed_block_bytes() + aux_bytes()`.
+/// - `write_header` fills an `fp.fixed`-byte block and allocates `fp.aux`
+///   further header bytes.
 /// - `write_header` assigns copied-data offsets in exactly the order
-///   `for_each_copy_entry` yields entries, and zero-copy offsets in exactly
-///   the order `for_each_zero_copy_entry` yields them.
-/// - `object_len() == header_bytes() + copy_bytes() + zero_copy_bytes()`.
+///   `for_each_entry` yields [`Entry::Copy`]s, and zero-copy offsets in
+///   exactly the order it yields [`Entry::ZeroCopy`]s.
+/// - The `Entry::Copy` lengths sum to `fp.copy`; the `Entry::ZeroCopy`s
+///   number `fp.zc_entries` and their lengths sum to `fp.zc_bytes`.
+/// - The serialized object is `[header | copied data | zero-copy data]`,
+///   `fp.len()` bytes.
 pub trait CornflakesObj: Sized {
-    /// Size of this object's fixed header block (bitmap prefix + bitmap +
-    /// per-present-field entries).
-    fn fixed_block_bytes(&self) -> usize;
-
-    /// Size of auxiliary header blocks (list tables, nested objects'
-    /// blocks, recursively).
-    fn aux_bytes(&self) -> usize;
-
-    /// Total header-region size.
-    fn header_bytes(&self) -> usize {
-        self.fixed_block_bytes() + self.aux_bytes()
-    }
-
-    /// Bytes of copied field data.
-    fn copy_bytes(&self) -> usize;
-
-    /// Number of zero-copy scatter-gather entries this object contributes.
-    fn zero_copy_entries(&self) -> usize;
-
-    /// Total bytes across zero-copy entries.
-    fn zero_copy_bytes(&self) -> usize;
-
-    /// Total serialized size (paper Listing 1's `object_len`).
-    fn object_len(&self) -> usize {
-        self.header_bytes() + self.copy_bytes() + self.zero_copy_bytes()
-    }
+    /// The object's layout, computed in one walk.
+    fn footprint(&self) -> Footprint;
 
     /// Writes this object's header block at `block` (already allocated in
     /// `w`), allocating aux blocks and assigning data offsets as it goes.
     fn write_header(&self, w: &mut HeaderWriter<'_>, block: usize);
 
+    /// Visits each field data entry, copied or zero-copy, in field order.
+    fn for_each_entry(&self, f: &mut dyn FnMut(Entry<'_>));
+
+    // Shorthands over `footprint` and `for_each_entry`. Each is a whole walk
+    // of the object: a caller that needs two sizes reads `footprint()` once.
+
+    /// Total header-region size.
+    fn header_bytes(&self) -> usize {
+        self.footprint().header()
+    }
+
+    /// Bytes of copied field data.
+    fn copy_bytes(&self) -> usize {
+        self.footprint().copy
+    }
+
+    /// Number of zero-copy scatter-gather entries this object contributes.
+    fn zero_copy_entries(&self) -> usize {
+        self.footprint().zc_entries
+    }
+
+    /// Total bytes across zero-copy entries.
+    fn zero_copy_bytes(&self) -> usize {
+        self.footprint().zc_bytes
+    }
+
+    /// Total serialized size (paper Listing 1's `object_len`).
+    fn object_len(&self) -> usize {
+        self.footprint().len()
+    }
+
     /// Visits each copied-data entry, in offset-assignment order.
-    fn for_each_copy_entry(&self, f: &mut dyn FnMut(&[u8]));
+    fn for_each_copy_entry(&self, f: &mut dyn FnMut(&[u8])) {
+        self.for_each_entry(&mut |e| {
+            if let Entry::Copy(bytes) = e {
+                f(bytes);
+            }
+        });
+    }
 
     /// Visits each zero-copy entry, in offset-assignment order.
-    fn for_each_zero_copy_entry(&self, f: &mut dyn FnMut(&RcBuf));
+    fn for_each_zero_copy_entry(&self, f: &mut dyn FnMut(&RcBuf)) {
+        self.for_each_entry(&mut |e| {
+            if let Entry::ZeroCopy(rc) = e {
+                f(rc);
+            }
+        });
+    }
 
     /// Deserializes an object whose header block starts at `block` within
     /// `payload`. Variable-length fields become zero-copy views into
@@ -179,7 +266,7 @@ pub trait CornflakesObj: Sized {
 }
 
 /// Writes the complete header region of `obj` into `out`
-/// (`out.len() == obj.header_bytes()`), with data offsets laid out as
+/// (`out.len() == obj.footprint().header()`), with data offsets laid out as
 /// `[header | copied data | zero-copy data]`.
 ///
 /// Returns the number of field entries written (for per-field cost
@@ -189,16 +276,11 @@ pub trait CornflakesObj: Sized {
 ///
 /// Panics if `out` is not exactly the header region size.
 pub fn write_full_header(obj: &impl CornflakesObj, out: &mut [u8]) -> usize {
-    let hb = obj.header_bytes();
-    assert_eq!(
-        out.len(),
-        hb,
-        "header buffer must be exactly header_bytes()"
-    );
-    let copy_start = hb;
-    let zc_start = hb + obj.copy_bytes();
-    let mut w = HeaderWriter::new(out, copy_start, zc_start);
-    let root = w.alloc_block(obj.fixed_block_bytes());
+    let fp = obj.footprint();
+    let hb = fp.header();
+    assert_eq!(out.len(), hb, "header buffer must be footprint().header()");
+    let mut w = HeaderWriter::new(out, hb, hb + fp.copy);
+    let root = w.alloc_block(fp.fixed);
     obj.write_header(&mut w, root);
     w.entries_written()
 }
@@ -209,12 +291,12 @@ pub fn write_full_header(obj: &impl CornflakesObj, out: &mut [u8]) -> usize {
 /// never materializes this.
 pub fn serialize_into(obj: &impl CornflakesObj, out: &mut Vec<u8>) {
     let start = out.len();
-    let hb = obj.header_bytes();
-    out.resize(start + hb, 0);
+    let fp = obj.footprint();
+    out.resize(start + fp.header(), 0);
     write_full_header(obj, &mut out[start..]);
     obj.for_each_copy_entry(&mut |bytes| out.extend_from_slice(bytes));
     obj.for_each_zero_copy_entry(&mut |rc| out.extend_from_slice(rc.as_slice()));
-    debug_assert_eq!(out.len() - start, obj.object_len());
+    debug_assert_eq!(out.len() - start, fp.len());
 }
 
 /// [`serialize_into`] a fresh buffer.

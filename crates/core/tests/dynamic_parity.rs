@@ -43,8 +43,7 @@ fn dynamic_encoding_matches_reference_bytes() {
     reference.keys.append(CFBytes::new(&c, b"key-two"));
     reference.vals.append(CFBytes::new(&c, pinned.as_slice()));
 
-    assert_eq!(dynamic.object_len(), reference.object_len());
-    assert_eq!(dynamic.zero_copy_entries(), reference.zero_copy_entries());
+    assert_eq!(dynamic.footprint(), reference.footprint());
     assert_eq!(
         serialize_to_vec(&dynamic),
         serialize_to_vec(&reference),

@@ -67,11 +67,6 @@ pub(crate) trait KvCodec {
         Self::add_val(ctx, msg, seg.as_slice());
     }
 
-    /// Scatter-gather entries `msg` will post beyond the first.
-    fn zero_copy_entries(_msg: &Self::Builder<'_>) -> usize {
-        0
-    }
-
     /// Finishes `msg` and transmits it under `hdr`.
     fn send(
         &mut self,
@@ -277,10 +272,6 @@ impl KvCodec for CornflakesCodec {
         } else {
             msg.add_vals(ctx, seg.as_slice());
         }
-    }
-
-    fn zero_copy_entries(msg: &GetMsg) -> usize {
-        CornflakesObj::zero_copy_entries(msg)
     }
 
     fn send(

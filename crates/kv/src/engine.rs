@@ -54,7 +54,6 @@ impl Transport for TcpListener {
 pub(crate) struct KvCounters {
     pub requests: Counter,
     pub bytes_in: Counter,
-    pub zero_copy_entries: Counter,
     pub puts_applied: Counter,
     pub dedup_hits: Counter,
     pub degraded_replies: Counter,
@@ -226,7 +225,6 @@ impl<T: Transport> KvEngine<T> {
         let (c, k) = (&self.counters, &self.scope);
         tele.adopt_counter(&format!("kv.{k}.requests"), &c.requests);
         tele.adopt_counter(&format!("kv.{k}.bytes_in"), &c.bytes_in);
-        tele.adopt_counter(&format!("kv.{k}.zero_copy_entries"), &c.zero_copy_entries);
         tele.adopt_counter(&format!("kv.{k}.puts_applied"), &c.puts_applied);
         tele.adopt_counter(&format!("kv.{k}.dedup_hits"), &c.dedup_hits);
         tele.adopt_counter(&format!("kv.{k}.degraded_replies"), &c.degraded_replies);
@@ -328,9 +326,6 @@ impl<T: Transport> KvEngine<T> {
                 }
             }
             drop(app);
-            self.counters
-                .zero_copy_entries
-                .add(C::zero_copy_entries(&reply) as u64);
             self.stack.ctx().telemetry.flight().record(
                 req_id,
                 self.stack.ctx().sim.now(),

@@ -534,9 +534,9 @@ impl Flow {
         prefix: &[u8],
         obj: &impl CornflakesObj,
     ) -> Result<u32, NetError> {
-        let in_first = obj.header_bytes() + obj.copy_bytes();
-        let (mut first, off) = self.start_msg(io, prefix, in_first, obj.object_len())?;
-        gather::write_head(&io.ctx, &mut io.scratch, obj, &mut first, off);
+        let fp = obj.footprint();
+        let (mut first, off) = self.start_msg(io, prefix, fp.header() + fp.copy, fp.len())?;
+        gather::write_head(&io.ctx, &mut io.scratch, obj, fp, &mut first, off);
         let mut entries = io.spares.pop().unwrap_or_default();
         entries.push(first);
         gather::collect_zero_copy(&io.ctx, obj, &mut entries);

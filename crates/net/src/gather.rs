@@ -6,20 +6,22 @@
 use cf_mem::RcBuf;
 use cf_sim::cost::Category;
 use cornflakes_core::obj::write_full_header;
-use cornflakes_core::{CornflakesObj, SerCtx};
+use cornflakes_core::{CornflakesObj, Footprint, SerCtx};
 
 /// Writes `obj`'s header region and then its copied field data into `tx`
-/// from byte `off` on, charging header-write and copy costs. `scratch` is
+/// from byte `off` on, charging header-write and copy costs. `fp` is `obj`'s
+/// footprint, computed once by the caller for the whole send; `scratch` is
 /// the caller's reusable header staging buffer.
 pub(crate) fn write_head(
     ctx: &SerCtx,
     scratch: &mut Vec<u8>,
     obj: &impl CornflakesObj,
+    fp: Footprint,
     tx: &mut RcBuf,
     off: usize,
 ) {
     let costs = ctx.sim.costs();
-    let hb = obj.header_bytes();
+    let hb = fp.header();
 
     // Object header: assembled in scratch, then stored to the DMA buffer.
     // Charged as header-write bytes plus per-field accounting.

@@ -9,7 +9,7 @@ use cf_nic::{Nic, NicError, Port};
 use cf_sim::cost::Category;
 use cf_sim::Sim;
 use cf_telemetry::{Counter, FlightEvent, Gauge, Telemetry};
-use cornflakes_core::{CornflakesObj, SerCtx, SerializationConfig};
+use cornflakes_core::{CornflakesObj, Footprint, SerCtx, SerializationConfig};
 
 use crate::gather;
 use crate::header::{FrameMeta, PacketHeader, HEADER_BYTES};
@@ -348,14 +348,8 @@ impl UdpStack {
             .sim
             .charge(Category::Tx, costs.per_packet_base * 0.15);
         self.counters.tx_packets.inc();
-        let mut h = hdr;
-        h.payload_len = 0;
-        self.scratch.resize(HEADER_BYTES, 0);
-        let mut pkt_hdr = std::mem::take(&mut self.scratch);
-        h.encode(&mut pkt_hdr);
         let mut tx = self.ctx.pool.alloc(HEADER_BYTES)?;
-        tx.write_at(0, &pkt_hdr);
-        self.scratch = pkt_hdr;
+        self.put_packet_header(hdr, 0, &mut tx);
         let mut entries = self.take_desc();
         entries.push(tx);
         self.post(entries)?;
@@ -421,37 +415,40 @@ impl UdpStack {
         self.ctx.end_request();
     }
 
-    /// Builds the first scatter-gather entry for `obj`: packet header +
-    /// object header + copied field data, in one pinned buffer (sized with
-    /// `extra_capacity` spare bytes for the copy-fallback path). Returns the
-    /// buffer. Charges header-write and copy costs.
+    /// Writes `hdr`, carrying `payload_len`, at the front of `tx`.
+    fn put_packet_header(&mut self, mut hdr: PacketHeader, payload_len: usize, tx: &mut RcBuf) {
+        hdr.payload_len = payload_len as u32;
+        self.scratch.resize(HEADER_BYTES, 0);
+        hdr.encode(&mut self.scratch);
+        tx.write_at(0, &self.scratch);
+    }
+
+    /// Builds the first scatter-gather entry for `obj` (whose footprint is
+    /// `fp`): packet header + object header + copied field data, in one
+    /// pinned buffer (sized with `extra_capacity` spare bytes for the
+    /// copy-fallback path). Returns the buffer. Charges header-write and
+    /// copy costs.
     fn build_first_entry(
         &mut self,
         hdr: &PacketHeader,
         obj: &impl CornflakesObj,
+        fp: Footprint,
         include_packet_header: bool,
         extra_capacity: usize,
     ) -> Result<RcBuf, NetError> {
-        let hb = obj.header_bytes();
-        let cb = obj.copy_bytes();
         let base = if include_packet_header {
             HEADER_BYTES
         } else {
             0
         };
-        let mut tx = self.ctx.pool.alloc(base + hb + cb + extra_capacity)?;
+        let in_first = base + fp.header() + fp.copy;
+        let mut tx = self.ctx.pool.alloc(in_first + extra_capacity)?;
 
         if include_packet_header {
-            self.scratch.resize(HEADER_BYTES, 0);
-            let mut h = *hdr;
-            h.payload_len = (hb + cb + obj.zero_copy_bytes()) as u32;
-            h.encode(&mut self.scratch);
-            let pkt_hdr = std::mem::take(&mut self.scratch);
-            tx.write_at(0, &pkt_hdr);
-            self.scratch = pkt_hdr;
+            self.put_packet_header(*hdr, fp.len(), &mut tx);
         }
 
-        gather::write_head(&self.ctx, &mut self.scratch, obj, &mut tx, base);
+        gather::write_head(&self.ctx, &mut self.scratch, obj, fp, &mut tx, base);
         Ok(tx)
     }
 
@@ -469,12 +466,13 @@ impl UdpStack {
         // than the NIC supports is gathered through the copy path instead
         // of failing the send — identical wire bytes, more CPU (the paper's
         // §4 memory-transparency fallback extended to descriptor pressure).
-        if 1 + obj.zero_copy_entries() > self.nic.borrow().max_sg_entries() {
-            return self.send_object_copied(hdr, obj);
+        let fp = obj.footprint();
+        if 1 + fp.zc_entries > self.nic.borrow().max_sg_entries() {
+            return self.send_object_copied(hdr, obj, fp);
         }
-        let first = self.build_first_entry(&hdr, obj, true, 0)?;
+        let first = self.build_first_entry(&hdr, obj, fp, true, 0)?;
         let mut entries = self.take_desc();
-        entries.reserve(1 + obj.zero_copy_entries());
+        entries.reserve(1 + fp.zc_entries);
         entries.push(first);
         gather::collect_zero_copy(&self.ctx, obj, &mut entries);
         self.ctx.telemetry.flight().record(
@@ -498,6 +496,7 @@ impl UdpStack {
         &mut self,
         hdr: PacketHeader,
         obj: &impl CornflakesObj,
+        fp: Footprint,
     ) -> Result<(), NetError> {
         self.counters.tx_copy_fallbacks.inc();
         self.ctx.telemetry.flight().record(
@@ -505,9 +504,8 @@ impl UdpStack {
             self.ctx.sim.now(),
             FlightEvent::CopyFallback,
         );
-        let zcb = obj.zero_copy_bytes();
-        let mut tx = self.build_first_entry(&hdr, obj, true, zcb)?;
-        let mut cursor = HEADER_BYTES + obj.header_bytes() + obj.copy_bytes();
+        let mut tx = self.build_first_entry(&hdr, obj, fp, true, fp.zc_bytes)?;
+        let mut cursor = HEADER_BYTES + fp.header() + fp.copy;
         let sim = self.ctx.sim.clone();
         let tx_addr = tx.addr();
         obj.for_each_zero_copy_entry(&mut |rc: &RcBuf| {
@@ -539,25 +537,20 @@ impl UdpStack {
     ) -> Result<(), NetError> {
         self.charge_tx_base();
         let costs = self.ctx.sim.costs();
+        let fp = obj.footprint();
         // The intermediate array allocation plus per-slot materialization.
         self.ctx.sim.charge(Category::Alloc, costs.heap_alloc);
         self.ctx.sim.charge(
             Category::SerializeCopy,
-            (1 + obj.zero_copy_entries()) as f64 * costs.sga_entry_materialize,
+            (1 + fp.zc_entries) as f64 * costs.sga_entry_materialize,
         );
-        let obj_buf = self.build_first_entry(&hdr, obj, false, 0)?;
+        let obj_buf = self.build_first_entry(&hdr, obj, fp, false, 0)?;
         // Separate packet-header entry.
-        let mut h = hdr;
-        h.payload_len = obj.object_len() as u32;
-        self.scratch.resize(HEADER_BYTES, 0);
-        let mut pkt_hdr = std::mem::take(&mut self.scratch);
-        h.encode(&mut pkt_hdr);
         let mut hdr_buf = self.ctx.pool.alloc(HEADER_BYTES)?;
-        hdr_buf.write_at(0, &pkt_hdr);
-        self.scratch = pkt_hdr;
+        self.put_packet_header(hdr, fp.len(), &mut hdr_buf);
 
         let mut entries = self.take_desc();
-        entries.reserve(2 + obj.zero_copy_entries());
+        entries.reserve(2 + fp.zc_entries);
         entries.push(hdr_buf);
         entries.push(obj_buf);
         gather::collect_zero_copy(&self.ctx, obj, &mut entries);
@@ -590,13 +583,7 @@ impl UdpStack {
         payload_len: usize,
     ) -> Result<(), NetError> {
         self.charge_tx_base();
-        let mut h = hdr;
-        h.payload_len = payload_len as u32;
-        self.scratch.resize(HEADER_BYTES, 0);
-        let mut pkt_hdr = std::mem::take(&mut self.scratch);
-        h.encode(&mut pkt_hdr);
-        tx.write_at(0, &pkt_hdr);
-        self.scratch = pkt_hdr;
+        self.put_packet_header(hdr, payload_len, &mut tx);
         tx.truncate(HEADER_BYTES + payload_len);
         let mut entries = self.take_desc();
         entries.push(tx);

@@ -145,7 +145,6 @@ fn main() {
         "nic.tx_sg_entries",
         "mem.pool.allocs",
         "kv.cornflakes.requests",
-        "kv.cornflakes.zero_copy_entries",
         "mem.arena.copies",
         "mem.arena.bytes_copied",
         "mem.registry.recover_lookups",

@@ -33,7 +33,7 @@ use cornflakes::core::dynamic::DynMessage;
 use cornflakes::core::msgs::{Batch, GetM, KvPair, Put, Single};
 use cornflakes::core::obj::serialize_to_vec;
 use cornflakes::core::wire::{Bitmap, ForwardPtr, BITMAP_LEN_PREFIX, PTR_SIZE};
-use cornflakes::core::{CFBytes, CFList, CornflakesObj, SerCtx, SerializationConfig};
+use cornflakes::core::{CFBytes, CFList, CornflakesObj, Entry, SerCtx, SerializationConfig};
 use cornflakes::kv::msgs::GetMsg;
 use cornflakes::mem::{PoolConfig, RcBuf};
 use cornflakes::sim::{MachineProfile, Sim};
@@ -407,6 +407,20 @@ fn mutate(wire: &mut Vec<u8>, sites: &[(usize, Kind)], other: &[u8], (op, at, v)
     }
 }
 
+/// `(Σ copied bytes, zero-copy entries, Σ zero-copy bytes)` over what
+/// `obj`'s visitor yields.
+fn entry_sums(obj: &impl CornflakesObj) -> (usize, usize, usize) {
+    let mut sums = (0, 0, 0);
+    obj.for_each_entry(&mut |e| match e {
+        Entry::Copy(bytes) => sums.0 += bytes.len(),
+        Entry::ZeroCopy(rc) => {
+            sums.1 += 1;
+            sums.2 += rc.len();
+        }
+    });
+    sums
+}
+
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
@@ -459,20 +473,14 @@ impl<M: Shape> Rig<M> {
         let generated = M::build(src, &mut self.tx);
         let interpreted = interpret(&self.schema, M::NAME, src, &mut self.tx);
         let wire = serialize_to_vec(&generated);
-        assert_eq!(
-            (
-                generated.object_len(),
-                generated.header_bytes(),
-                generated.zero_copy_entries()
-            ),
-            (
-                interpreted.object_len(),
-                interpreted.header_bytes(),
-                interpreted.zero_copy_entries()
-            ),
-            "sizes differ: {}",
-            what()
-        );
+        let fp = generated.footprint();
+        assert_eq!(fp, interpreted.footprint(), "footprints differ: {}", what());
+        // The footprint describes the bytes: their length, the copied
+        // entries, and the zero-copy entries' count and length.
+        assert_eq!(wire.len(), fp.len(), "{}", what());
+        let described = (fp.copy, fp.zc_entries, fp.zc_bytes);
+        assert_eq!(entry_sums(&generated), described, "{}", what());
+        assert_eq!(entry_sums(&interpreted), described, "{}", what());
         let interpreted_wire = serialize_to_vec(&interpreted);
         assert!(
             wire == interpreted_wire,
