@@ -6,10 +6,5 @@
 use cf_bench::experiments::failover::{self, FailoverParams};
 
 fn main() {
-    cf_bench::ratchet::bench_main(
-        "failover",
-        FailoverParams::quick,
-        FailoverParams::full,
-        failover::run,
-    );
+    cf_bench::ratchet::bench_main("failover", FailoverParams::full, failover::run);
 }

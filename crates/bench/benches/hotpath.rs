@@ -1,7 +1,7 @@
 //! Hot-path microbenchmark: real-time ns/op and allocs/op per SerKind for
 //! steady-state GET / batched-GET / PUT round trips. Emits `hotpath.json`
 //! and holds it to the committed `BENCH_hotpath.json`
-//! (`cf_bench::ratchet`: `CF_QUICK=1` smoke run, `CF_BLESS=1` regenerate).
+//! (`cf_bench::ratchet`; `CF_BLESS=1` regenerates it).
 
 use cf_bench::experiments::hotpath::{self, HotpathParams};
 use cf_telemetry::CountingAlloc;
@@ -10,10 +10,5 @@ use cf_telemetry::CountingAlloc;
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn main() {
-    cf_bench::ratchet::bench_main(
-        "hotpath",
-        HotpathParams::quick,
-        HotpathParams::full,
-        hotpath::run,
-    );
+    cf_bench::ratchet::bench_main("hotpath", HotpathParams::full, hotpath::run);
 }

@@ -6,10 +6,5 @@
 use cf_bench::experiments::overload::{self, OverloadParams};
 
 fn main() {
-    cf_bench::ratchet::bench_main(
-        "overload",
-        OverloadParams::quick,
-        OverloadParams::full,
-        overload::run,
-    );
+    cf_bench::ratchet::bench_main("overload", OverloadParams::full, overload::run);
 }

@@ -6,10 +6,5 @@
 use cf_bench::experiments::partition::{self, PartitionParams};
 
 fn main() {
-    cf_bench::ratchet::bench_main(
-        "partition",
-        PartitionParams::quick,
-        PartitionParams::full,
-        partition::run,
-    );
+    cf_bench::ratchet::bench_main("partition", PartitionParams::full, partition::run);
 }

@@ -8,7 +8,6 @@ fn main() {
     // (keys, requests) per swept configuration.
     cf_bench::ratchet::bench_main(
         "scaling",
-        || (2_048, 4_000),
         || (16_384, 40_000),
         |&(keys, requests)| scaling::run(keys, requests),
     );

@@ -6,10 +6,5 @@
 use cf_bench::experiments::tail_anatomy::{self, TailAnatomyParams};
 
 fn main() {
-    cf_bench::ratchet::bench_main(
-        "tail_anatomy",
-        TailAnatomyParams::quick,
-        TailAnatomyParams::full,
-        tail_anatomy::run,
-    );
+    cf_bench::ratchet::bench_main("tail_anatomy", TailAnatomyParams::full, tail_anatomy::run);
 }

@@ -98,6 +98,24 @@ pub fn select<'a>(tree: &'a Value, path: &str) -> Vec<(String, Option<&'a Value>
     out
 }
 
+/// The number `path` names in `tree`'s first row: how a test reads a
+/// result back.
+#[cfg(test)]
+pub(crate) fn number(tree: &Value, path: &str) -> f64 {
+    let rows = select(tree, path);
+    let first = rows.first().and_then(|(_, v)| v.and_then(Value::as_f64));
+    first.unwrap_or_else(|| panic!("{path} names no number: {rows:?}"))
+}
+
+/// The `virtual_now_ns` of `tele`'s snapshot: the clock its metrics file
+/// is stamped with.
+#[cfg(test)]
+pub(crate) fn snapshot_now_ns(tele: &cf_telemetry::Telemetry) -> u64 {
+    let snapshot = cf_telemetry::json::parse(&tele.snapshot_json()).expect("a snapshot parses");
+    let now = snapshot.get("virtual_now_ns").and_then(Value::as_u64);
+    now.expect("a snapshot is stamped")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -47,6 +47,7 @@ use cornflakes_core::SerializationConfig;
 use cf_telemetry::json::Value;
 
 use crate::artifacts::{fixed, int, list, text, write_artifact};
+use crate::harness::quantile;
 use crate::ratchet::{Gate, Rule};
 use crate::tables::print_rows;
 
@@ -64,7 +65,7 @@ pub struct ChurnPoint {
     pub concurrent: usize,
 }
 
-/// Harness knobs; [`ChurnParams::quick`] is the smoke preset.
+/// Harness knobs.
 #[derive(Clone, Debug)]
 pub struct ChurnParams {
     /// Sweep points, each a full independent rig.
@@ -100,23 +101,6 @@ impl ChurnParams {
             ],
             batch: 256,
             value_bytes: 64,
-        }
-    }
-
-    /// Smoke preset: the first two points of the full sweep.
-    pub fn quick() -> Self {
-        ChurnParams {
-            points: vec![
-                ChurnPoint {
-                    flows_total: 1_024,
-                    concurrent: 1_024,
-                },
-                ChurnPoint {
-                    flows_total: 4_096,
-                    concurrent: 4_096,
-                },
-            ],
-            ..ChurnParams::full()
         }
     }
 }
@@ -360,7 +344,6 @@ fn run_point(point: ChurnPoint, params: &ChurnParams) -> Value {
         && d.server.stack.ctx().pool.live_slots() == pool_baseline;
 
     rtts.sort_unstable();
-    let p99_idx = (rtts.len() * 99).div_ceil(100).saturating_sub(1);
     Value::obj([
         ("flows_total", int(point.flows_total as u64)),
         ("concurrent", int(point.concurrent as u64)),
@@ -369,7 +352,10 @@ fn run_point(point: ChurnPoint, params: &ChurnParams) -> Value {
             "accepts_per_sec",
             fixed(point.flows_total as f64 / (elapsed_ns as f64 / 1e9), 1),
         ),
-        ("p99_rtt_ns", int(rtts[p99_idx])),
+        (
+            "p99_rtt_ns",
+            int(quantile(&rtts, 0.99).copied().unwrap_or(0)),
+        ),
         // Max transport-side resident bytes (slab + buffers + wheel + demux
         // map + registered pool regions) observed across the run.
         ("mem_ceiling_bytes", int(mem_ceiling)),

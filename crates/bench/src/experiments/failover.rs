@@ -42,7 +42,7 @@ use crate::ratchet::{Gate, Rule};
 use crate::tables::print_rows;
 
 /// What a cluster experiment fixes about its cluster, workload and window
-/// grid; [`ClusterLoadParams::quick`] is the smoke preset.
+/// grid.
 #[derive(Clone, Debug)]
 pub struct ClusterLoadParams {
     /// Cluster size (hosts behind the switch).
@@ -84,16 +84,6 @@ impl ClusterLoadParams {
         }
     }
 
-    /// Smoke preset: fewer, smaller keys on a timeline of `total_windows`.
-    pub fn quick(seed: u64, total_windows: usize) -> Self {
-        ClusterLoadParams {
-            num_keys: 8,
-            value_bytes: 128,
-            total_windows,
-            ..ClusterLoadParams::full(seed)
-        }
-    }
-
     /// The `load` member of a cluster artifact's `params`.
     pub fn tree(&self) -> Value {
         Value::obj([
@@ -111,7 +101,7 @@ impl ClusterLoadParams {
     }
 }
 
-/// Experiment knobs; [`FailoverParams::quick`] is the smoke preset.
+/// Experiment knobs.
 #[derive(Clone, Debug)]
 pub struct FailoverParams {
     /// The cluster, the workload and the window grid.
@@ -132,16 +122,6 @@ impl FailoverParams {
             kill_window: 15,
             revive_window: 35,
             recovery_frac: 0.9,
-        }
-    }
-
-    /// Smoke preset: the same shape, a third of the timeline.
-    pub fn quick() -> Self {
-        FailoverParams {
-            load: ClusterLoadParams::quick(0xF417_0E75, 26),
-            kill_window: 6,
-            revive_window: 18,
-            ..FailoverParams::full()
         }
     }
 }
@@ -192,6 +172,8 @@ pub struct ClusterRun {
     pub partition_suspects: u64,
     pub catchup_replays: u64,
     pub puts_applied: u64,
+    /// The cluster's clock when the run ended.
+    pub end_ns: u64,
 }
 
 impl ClusterRun {
@@ -259,33 +241,34 @@ impl ClusterRun {
 pub type Fault<'a> = (usize, Box<dyn FnMut(&mut Cluster) + 'a>);
 
 /// The windowed one-outstanding cluster driver: builds the cluster and a
-/// client in `mode`, preloads, lets probes settle, then runs one closed-loop
-/// YCSB-keyed PUT/GET stream for `load.total_windows` windows, applying
-/// `faults` (ascending by window) as their windows start and calling
+/// client in `mode` under one telemetry handle on the cluster's clock,
+/// preloads, lets probes settle, then runs one closed-loop YCSB-keyed
+/// PUT/GET stream for `load.total_windows` windows, applying `faults`
+/// (ascending by window) as their windows start and calling
 /// `after_poll` once per step right after the cluster is polled. Each
 /// completed request is settled into its window: a clean PUT raises the
 /// highest version the client has seen acked for its key, a clean GET below
 /// that version is a stale read, a flagged answer is neither. The request
-/// in flight at the end is concluded so nothing is left pending.
+/// in flight at the end is concluded so nothing is left pending. Returns
+/// the run and the handle.
 pub fn drive_cluster(
     load: &ClusterLoadParams,
     mode: ReadMode,
-    tele: &Telemetry,
     mut faults: Vec<Fault<'_>>,
     mut after_poll: impl FnMut(&Cluster),
-) -> ClusterRun {
-    let sim = Sim::new(MachineProfile::tiny_for_tests());
+) -> (ClusterRun, Telemetry) {
     let mut cluster = Cluster::new(
-        sim,
+        Sim::new(MachineProfile::tiny_for_tests()),
         ClusterConfig {
             nodes: load.nodes,
             replication: load.replication,
             ..ClusterConfig::default()
         },
     );
-    cluster.set_telemetry(tele);
+    let tele = Telemetry::attach(cluster.sim());
+    cluster.set_telemetry(&tele);
     let mut client = cluster.client();
-    client.set_telemetry(tele);
+    client.set_telemetry(&tele);
     client.set_read_mode(mode);
     client.enable_retries_seeded(
         load.seed,
@@ -400,33 +383,21 @@ pub fn drive_cluster(
     run.partition_suspects = client.partition_suspects();
     run.catchup_replays = cluster.nodes.iter().map(|n| n.catchup_replays()).sum();
     run.puts_applied = cluster.total_puts_applied();
-    run
+    run.end_ns = cluster.sim().now();
+    (run, tele)
 }
 
-/// Everything the failover run measured.
-#[derive(Clone, Debug)]
-pub struct FailoverResult {
-    /// The driven run: window series and totals.
-    pub run: ClusterRun,
-    /// Worst served/window at or after the kill.
-    pub dip: u64,
-    /// Virtual ns from the kill until the last survivor marked the
-    /// victim down.
-    pub detection_ns: Option<u64>,
-    /// Virtual ns from the kill until the end of the first window whose
-    /// goodput is back at `recovery_frac * baseline`.
-    pub recovered_within_ns: Option<u64>,
-}
-
-/// Drives the closed-loop workload through a kill and a rejoin.
-pub fn run_failover(params: &FailoverParams, tele: &Telemetry) -> FailoverResult {
+/// Drives the closed-loop workload through a kill and a rejoin, prints the
+/// window series, writes the artifacts.
+pub fn run(params: &FailoverParams) -> Value {
     let victim = params.load.victim;
     let killed_at = Cell::new(None);
+    // Virtual ns from the kill until the last survivor marked the victim
+    // down.
     let mut detection_ns = None;
-    let run = drive_cluster(
+    let (run, tele) = drive_cluster(
         &params.load,
         ReadMode::Any,
-        tele,
         vec![
             (
                 params.kill_window,
@@ -448,23 +419,15 @@ pub fn run_failover(params: &FailoverParams, tele: &Telemetry) -> FailoverResult
     );
 
     let post = &run.windows[params.kill_window..];
+    // Worst served/window at or after the kill.
+    let dip = post.iter().map(|w| w.served).min().unwrap_or(0);
+    // Virtual ns from the kill until the end of the first window whose
+    // goodput is back at `recovery_frac * baseline`.
     let threshold = params.recovery_frac * run.baseline;
-    FailoverResult {
-        dip: post.iter().map(|w| w.served).min().unwrap_or(0),
-        detection_ns,
-        recovered_within_ns: post
-            .iter()
-            .position(|w| w.served as f64 >= threshold)
-            .map(|i| (i as u64 + 1) * params.load.window_ns),
-        run,
-    }
-}
-
-/// Runs the experiment, prints the window series, writes artifacts.
-pub fn run(params: &FailoverParams) -> Value {
-    let sim = Sim::new(MachineProfile::tiny_for_tests());
-    let tele = Telemetry::attach(&sim);
-    let r = run_failover(params, &tele);
+    let recovered_within_ns = post
+        .iter()
+        .position(|w| w.served as f64 >= threshold)
+        .map(|i| (i as u64 + 1) * params.load.window_ns);
     let opt = |v: Option<u64>| v.map_or(Value::Null, int);
     let tree = Value::obj([
         ("experiment", text("failover")),
@@ -477,10 +440,10 @@ pub fn run(params: &FailoverParams) -> Value {
                 ("recovery_frac", Value::Num(params.recovery_frac)),
             ]),
         ),
-        ("dip_goodput_per_window", int(r.dip)),
-        ("detection_ns", opt(r.detection_ns)),
-        ("recovered_within_ns", opt(r.recovered_within_ns)),
-        ("run", r.run.tree()),
+        ("dip_goodput_per_window", int(dip)),
+        ("detection_ns", opt(detection_ns)),
+        ("recovered_within_ns", opt(recovered_within_ns)),
+        ("run", run.tree()),
     ]);
     print_rows(
         &format!(
@@ -497,16 +460,13 @@ pub fn run(params: &FailoverParams) -> Value {
     );
     let after_kill =
         |v: Option<u64>| v.map_or("never".to_string(), |ns| format!("{ns} ns after the kill"));
-    println!("  baseline goodput/window  : {:.1}", r.run.baseline);
-    println!("  worst post-kill window   : {}", r.dip);
-    println!(
-        "  detected by all survivors: {}",
-        after_kill(r.detection_ns)
-    );
+    println!("  baseline goodput/window  : {:.1}", run.baseline);
+    println!("  worst post-kill window   : {dip}");
+    println!("  detected by all survivors: {}", after_kill(detection_ns));
     println!(
         "  recovered to >= {:.0}%     : {}",
         params.recovery_frac * 100.0,
-        after_kill(r.recovered_within_ns)
+        after_kill(recovered_within_ns)
     );
     write_artifact("failover.json", &tree.render());
     write_artifact("failover-metrics.json", &tele.snapshot_json());
@@ -535,39 +495,61 @@ pub const RULES: &[Rule] = &[
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifacts::{number, select, snapshot_now_ns};
+
+    /// The full preset's shape on fewer, smaller keys and a third of the
+    /// timeline.
+    fn small() -> FailoverParams {
+        let mut params = FailoverParams::full();
+        params.load.num_keys = 8;
+        params.load.value_bytes = 128;
+        params.load.total_windows = 26;
+        params.kill_window = 6;
+        params.revive_window = 18;
+        params
+    }
 
     #[test]
     fn goodput_recovers_after_node_kill() {
-        let params = FailoverParams::quick();
-        let sim = Sim::new(MachineProfile::tiny_for_tests());
-        let tele = Telemetry::attach(&sim);
-        let r = run_failover(&params, &tele);
-        assert!(r.run.baseline > 0.0, "pre-kill traffic flows");
-        assert!(r.run.clean > 0);
+        let params = small();
+        let tree = run(&params);
         assert!(
-            r.detection_ns.is_some(),
+            number(&tree, "run.baseline_goodput_per_window") > 0.0,
+            "pre-kill traffic flows"
+        );
+        assert!(number(&tree, "run.clean") > 0.0);
+        assert!(
+            tree.get("detection_ns").and_then(Value::as_u64).is_some(),
             "survivors detect the dead node via probe timeouts"
         );
-        let rec = r
-            .recovered_within_ns
-            .expect("goodput recovers to >=90% of pre-kill baseline");
+        let rec = tree.get("recovered_within_ns").and_then(Value::as_u64);
+        let rec = rec.expect("goodput recovers to >=90% of pre-kill baseline");
         assert!(
             rec <= (params.revive_window - params.kill_window) as u64 * params.load.window_ns,
             "recovery comes from failover (while the victim is still dead), \
              not from the revive: {rec} ns"
         );
         assert!(
-            r.run.failovers >= 1,
+            number(&tree, "run.failovers") >= 1.0,
             "the client failed over off the victim"
         );
     }
 
     #[test]
+    fn metrics_snapshot_reads_the_cluster_clock() {
+        let load = small().load;
+        let (run, tele) = drive_cluster(&load, ReadMode::Any, Vec::new(), |_| {});
+        let measured = load.window_ns * load.total_windows as u64;
+        assert!(run.end_ns >= measured, "the run took {} ns", run.end_ns);
+        assert_eq!(snapshot_now_ns(&tele), run.end_ns);
+    }
+
+    #[test]
     fn artifact_is_complete_and_gates_itself() {
-        let params = FailoverParams::quick();
+        let params = small();
         let tree = run(&params);
         crate::ratchet::assert_gates_itself(RULES, &tree);
-        let windows = crate::artifacts::select(&tree, "run.windows[idx].served");
+        let windows = select(&tree, "run.windows[idx].served");
         assert_eq!(windows.len(), params.load.total_windows);
         let served: u64 = windows
             .iter()

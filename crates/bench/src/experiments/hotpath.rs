@@ -31,25 +31,24 @@
 
 use std::time::Instant;
 
-use cf_net::UdpStack;
-use cf_nic::link;
-use cf_sim::{MachineProfile, Sim};
+use cf_sim::MachineProfile;
 use cf_telemetry::alloctrack::alloc_count;
 use cornflakes_core::SerializationConfig;
 
-use cf_kv::client::{KvClient, Response, CLIENT_PORT, SERVER_PORT};
-use cf_kv::server::{KvServer, SerKind};
+use cf_kv::client::{KvClient, Response};
+use cf_kv::server::SerKind;
 
 use cf_telemetry::json::Value;
 
 use crate::artifacts::{fixed, int, list, text, write_artifact};
+use crate::harness::KvBench;
 use crate::ratchet::{Gate, Rule};
 use crate::tables::print_rows;
 
 /// Timed rounds per op in the full preset (the one [`RULES`] gates).
 const FULL_ROUNDS: u64 = 16_384;
 
-/// Harness knobs; [`HotpathParams::quick`] is the smoke preset.
+/// Harness knobs.
 #[derive(Clone, Debug)]
 pub struct HotpathParams {
     /// Untimed rounds per op before measurement (pools, maps, and scratch
@@ -74,15 +73,6 @@ impl HotpathParams {
             batch_keys: 8,
         }
     }
-
-    /// Smoke preset: the same shape, a fraction of the volume.
-    pub fn quick() -> Self {
-        HotpathParams {
-            warmup: 256,
-            rounds: 2_048,
-            ..HotpathParams::full()
-        }
-    }
 }
 
 const KINDS: [(SerKind, &str); 4] = [
@@ -92,20 +82,19 @@ const KINDS: [(SerKind, &str); 4] = [
     (SerKind::CapnProto, "capnproto"),
 ];
 
-/// Client and server on one Sim, telemetry disabled, no retries — the
-/// zero-alloc steady-state configuration (DESIGN.md "Hot-path memory
-/// discipline").
-fn fixture(kind: SerKind) -> (KvClient, KvServer) {
-    let sim = Sim::new(MachineProfile::tiny_for_tests());
-    let (cp, sp) = link();
-    let client_stack = UdpStack::new(sim.clone(), cp, CLIENT_PORT, SerializationConfig::hybrid());
-    let server_stack = UdpStack::new(sim.clone(), sp, SERVER_PORT, SerializationConfig::hybrid());
-    let client = KvClient::new(client_stack, kind);
-    let mut server = KvServer::new(server_stack, kind);
+/// The rig's KV fixture on the test profile, telemetry disabled, no
+/// retries — the zero-alloc steady-state configuration (DESIGN.md "Hot-path
+/// memory discipline").
+fn fixture(kind: SerKind) -> KvBench {
+    let mut b = KvBench::new(
+        MachineProfile::tiny_for_tests(),
+        kind,
+        SerializationConfig::hybrid(),
+    );
     // A dedup window the warmup saturates: once full, each put's id insert
     // evicts the oldest in place and the window's containers stop growing.
-    server.set_dedup_capacity(128);
-    (client, server)
+    b.server.set_dedup_capacity(128);
+    b
 }
 
 /// Whether this binary's global allocator feeds the acquisition counter.
@@ -150,19 +139,18 @@ impl RoundTimer {
 /// into the caller's reusable `resp` so its buffers persist across rounds
 /// (the steady-state client pattern — `KvClient::recv_response_into`).
 fn timed_round(
-    client: &mut KvClient,
-    server: &mut KvServer,
+    b: &mut KvBench,
     t: &mut RoundTimer,
     resp: &mut Response,
     send: impl FnOnce(&mut KvClient) -> u32,
 ) {
     let a0 = alloc_count();
     let t0 = Instant::now();
-    let id = send(client);
+    let id = send(&mut b.client);
     let t1 = Instant::now();
-    let served = server.poll();
+    let served = b.server.poll();
     let t2 = Instant::now();
-    let answered = client.recv_response_into(resp);
+    let answered = b.client.recv_response_into(resp);
     let t3 = Instant::now();
     t.allocs += alloc_count() - a0;
     t.encode_ns += (t1 - t0).as_nanos() as f64;
@@ -174,7 +162,7 @@ fn timed_round(
 }
 
 fn measure_kind(params: &HotpathParams, kind: SerKind, label: &str) -> Value {
-    let (mut client, mut server) = fixture(kind);
+    let mut b = fixture(kind);
     let value = vec![0x5A_u8; params.value_bytes];
     let key: &[u8] = b"hotpath-key";
     // The one Response for the whole kind: its value buffers reach batch
@@ -185,53 +173,44 @@ fn measure_kind(params: &HotpathParams, kind: SerKind, label: &str) -> Value {
         .map(|i| format!("hotpath-batch-{i:04}").into_bytes())
         .collect();
     for name in &batch_names {
-        let id = client.send_put(name, &value);
-        server.poll();
-        assert!(client.recv_response_into(&mut resp), "preload put answered");
+        let id = b.client.send_put(name, &value);
+        b.server.poll();
+        assert!(
+            b.client.recv_response_into(&mut resp),
+            "preload put answered"
+        );
         assert_eq!(resp.id, Some(id));
     }
     let batch_refs: Vec<&[u8]> = batch_names.iter().map(|n| n.as_slice()).collect();
 
     // Seed the hot key, then warm every driver.
-    let id = client.send_put(key, &value);
-    server.poll();
-    assert!(client.recv_response_into(&mut resp), "seed put answered");
+    let id = b.client.send_put(key, &value);
+    b.server.poll();
+    assert!(b.client.recv_response_into(&mut resp), "seed put answered");
     assert_eq!(resp.id, Some(id));
     for _ in 0..params.warmup {
         let mut sink = RoundTimer::default();
-        timed_round(&mut client, &mut server, &mut sink, &mut resp, |c| {
-            c.send_get(&[key])
-        });
-        timed_round(&mut client, &mut server, &mut sink, &mut resp, |c| {
-            c.send_get(&batch_refs)
-        });
-        timed_round(&mut client, &mut server, &mut sink, &mut resp, |c| {
-            c.send_put(key, &value)
-        });
+        timed_round(&mut b, &mut sink, &mut resp, |c| c.send_get(&[key]));
+        timed_round(&mut b, &mut sink, &mut resp, |c| c.send_get(&batch_refs));
+        timed_round(&mut b, &mut sink, &mut resp, |c| c.send_put(key, &value));
     }
 
     let mut ops = Vec::new();
     let mut get_t = RoundTimer::default();
     for _ in 0..params.rounds {
-        timed_round(&mut client, &mut server, &mut get_t, &mut resp, |c| {
-            c.send_get(&[key])
-        });
+        timed_round(&mut b, &mut get_t, &mut resp, |c| c.send_get(&[key]));
     }
     ops.push(get_t.row("get", params.rounds));
 
     let mut batch_t = RoundTimer::default();
     for _ in 0..params.rounds {
-        timed_round(&mut client, &mut server, &mut batch_t, &mut resp, |c| {
-            c.send_get(&batch_refs)
-        });
+        timed_round(&mut b, &mut batch_t, &mut resp, |c| c.send_get(&batch_refs));
     }
     ops.push(batch_t.row("batch_get", params.rounds));
 
     let mut put_t = RoundTimer::default();
     for _ in 0..params.rounds {
-        timed_round(&mut client, &mut server, &mut put_t, &mut resp, |c| {
-            c.send_put(key, &value)
-        });
+        timed_round(&mut b, &mut put_t, &mut resp, |c| c.send_put(key, &value));
     }
     ops.push(put_t.row("put", params.rounds));
 
@@ -309,7 +288,7 @@ mod tests {
         let tree = run(&HotpathParams {
             warmup: 16,
             rounds: 64,
-            ..HotpathParams::quick()
+            ..HotpathParams::full()
         });
         let field = |f: &str| -> Vec<(String, f64)> {
             select(&tree, &format!("kinds[kind].ops[op].{f}"))

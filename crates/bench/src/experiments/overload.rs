@@ -1,10 +1,11 @@
 //! Goodput under overload: offered load swept past saturation, with and
 //! without the overload-control stack.
 //!
-//! The fixture is the steered multi-queue sharded server from the scaling
-//! experiment. A slice-based open-loop harness offers load at a multiple
-//! of the *measured* closed-loop capacity (0.5×–4×) for a fixed virtual
-//! duration, then drains. Each shard serves only while its own clock is
+//! The fixture is the rig's steered multi-queue sharded server
+//! ([`crate::harness::sharded`]), as in the scaling experiment. A
+//! slice-based open-loop harness offers load at a multiple of the
+//! *measured* closed-loop capacity (0.5×–4×) for a fixed virtual duration,
+//! then drains. Each shard serves only while its own clock is
 //! behind the harness arrival clock, so offered load above capacity builds
 //! a real backlog instead of being absorbed by closed-loop pacing.
 //!
@@ -34,8 +35,6 @@
 //! timing follows virtual time too, so goodput repeats to ~1 %, the median
 //! to ~2 % and the p99 to ~6 %.
 
-use std::collections::HashMap;
-
 use cf_sim::rng::SplitMix64;
 use cf_sim::MachineProfile;
 use cf_telemetry::json::Value;
@@ -48,12 +47,11 @@ use cf_kv::sharded::ShardedKvServer;
 use cf_workloads::key_string;
 
 use crate::artifacts::{fixed, int, list, text, write_artifact};
-use crate::experiments::scaling::{scaling_fixture, ScaleWorkload};
+use crate::harness::{quantile, saturate, sharded};
 use crate::ratchet::{Gate, Rule};
 use crate::tables::print_rows;
 
-/// What an open-loop experiment fixes about its rig and load;
-/// [`OpenLoopParams::quick`] is the smoke preset.
+/// What an open-loop experiment fixes about its rig and load.
 #[derive(Clone, Debug)]
 pub struct OpenLoopParams {
     /// Shard (= NIC queue) count.
@@ -89,16 +87,6 @@ impl OpenLoopParams {
         }
     }
 
-    /// Smoke preset: the same shape, a fraction of the volume.
-    pub fn quick() -> Self {
-        OpenLoopParams {
-            num_keys: 256,
-            probe_requests: 1_200,
-            duration_ns: 1_200_000,
-            ..OpenLoopParams::full()
-        }
-    }
-
     /// The `load` member of an open-loop artifact's `params`.
     pub fn tree(&self) -> Value {
         Value::obj([
@@ -113,7 +101,7 @@ impl OpenLoopParams {
     }
 }
 
-/// Sweep knobs; [`OverloadParams::quick`] is the smoke preset.
+/// Sweep knobs.
 #[derive(Clone, Debug)]
 pub struct OverloadParams {
     /// The rig and the load offered at each point.
@@ -130,95 +118,19 @@ impl OverloadParams {
             multipliers: vec![0.5, 1.0, 1.5, 2.0, 3.0, 4.0],
         }
     }
-
-    /// Smoke preset: four multipliers at a fraction of the volume.
-    pub fn quick() -> Self {
-        OverloadParams {
-            load: OpenLoopParams::quick(),
-            multipliers: vec![0.5, 1.0, 2.0, 4.0],
-        }
-    }
-}
-
-/// One measured (multiplier, control) point.
-#[derive(Clone, Debug)]
-pub struct OverloadPoint {
-    /// Offered load as a multiple of measured capacity.
-    pub multiplier: f64,
-    /// Overload control (admission + client protection) enabled?
-    pub control: bool,
-    /// Arrivals offered during the load phase.
-    pub offered: u64,
-    /// Replies served within the SLO.
-    pub good: u64,
-    /// Goodput in kilo-requests/s of virtual time over the load phase.
-    pub goodput_krps: f64,
-    /// Median reply latency (ns) over served replies.
-    pub p50_ns: u64,
-    /// 99th-percentile reply latency (ns) over served replies.
-    pub p99_ns: u64,
-    /// `SHED` fast-rejects observed by the client.
-    pub shed: u64,
-    /// Requests that timed out client-side (all retries exhausted, retry
-    /// budget empty, or breaker fast-fail).
-    pub timed_out: u64,
-    /// Client retransmissions.
-    pub retries: u64,
-    /// Frames tail-dropped by the bounded NIC rx rings (control on only).
-    pub rx_dropped: u64,
-}
-
-/// The full sweep result.
-#[derive(Clone, Debug)]
-pub struct OverloadResult {
-    /// Measured closed-loop capacity, requests/s of virtual time.
-    pub capacity_rps: f64,
-    /// Control-on and control-off points, interleaved per multiplier.
-    pub points: Vec<OverloadPoint>,
-}
-
-impl OverloadResult {
-    /// Points for one arm, ascending by multiplier.
-    pub fn arm(&self, control: bool) -> Vec<&OverloadPoint> {
-        self.points
-            .iter()
-            .filter(|p| p.control == control)
-            .collect()
-    }
-
-    /// Peak goodput of one arm.
-    pub fn peak_goodput(&self, control: bool) -> f64 {
-        self.arm(control)
-            .iter()
-            .map(|p| p.goodput_krps)
-            .fold(0.0, f64::max)
-    }
 }
 
 /// Measures closed-loop capacity (requests/s of virtual time) of the
-/// sharded fixture on `shard_profile`: saturating bursts of uniform GETs,
-/// makespan = furthest shard clock.
+/// sharded fixture on `shard_profile`: the rig's burst loop
+/// ([`saturate`]) over uniform GETs.
 pub fn measure_capacity(load: &OpenLoopParams, shard_profile: &MachineProfile) -> f64 {
-    let (mut client, mut server) = scaling_fixture(
-        shard_profile,
-        ScaleWorkload::YcsbC,
-        load.queues,
-        load.num_keys,
-    );
+    let (mut client, mut server) = sharded(shard_profile, load.queues, load.num_keys, |_| 1024);
     let mut rng = SplitMix64::new(0xCAFE);
-    let mut sent = 0u64;
-    while sent < load.probe_requests {
-        let burst = 16.min(load.probe_requests - sent);
-        for _ in 0..burst {
-            let key = key_string(rng.next_bounded(load.num_keys));
-            client.send_get(&[key.as_bytes()]);
-            sent += 1;
-        }
-        server.poll();
-        while client.recv_response().is_some() {}
-    }
-    let elapsed = server.max_clock_ns().max(1);
-    server.total_requests() as f64 / elapsed as f64 * 1e9
+    let makespan = saturate(&mut client, &mut server, load.probe_requests, |client| {
+        let key = key_string(rng.next_bounded(load.num_keys));
+        client.send_get(&[key.as_bytes()]);
+    });
+    server.total_requests() as f64 / makespan as f64 * 1e9
 }
 
 /// The steered client and sharded server an open-loop run drives.
@@ -243,24 +155,19 @@ pub struct OpenLoopRun {
     /// Per served (non-`SHED`) reply: request id, and the time from the
     /// instant it was offered to the slice edge its reply was collected at.
     pub served: Vec<(u32, u64)>,
-    /// Every flight record of the run, by request id (empty unless
+    /// Every flight record of the run, indexed by request id (empty unless
     /// [`Rig::flight`] is enabled).
-    pub events: HashMap<u32, Vec<FlightRecord>>,
+    pub events: Vec<Vec<FlightRecord>>,
 }
 
 impl Rig {
-    /// Builds the scaling fixture on `shard_profile` and configures the
+    /// Builds the sharded fixture on `shard_profile` and configures the
     /// arm. `control: Some(jitter_seed)` is the overload-control stack:
     /// server-side admission, and client retries under a budget, a breaker
     /// and seeded jitter. `None` is what a system has before it grows one:
     /// unbounded FIFO service and naive exponential-backoff retries.
     pub fn new(load: &OpenLoopParams, shard_profile: &MachineProfile, control: Option<u64>) -> Rig {
-        let (mut client, mut server) = scaling_fixture(
-            shard_profile,
-            ScaleWorkload::YcsbC,
-            load.queues,
-            load.num_keys,
-        );
+        let (mut client, mut server) = sharded(shard_profile, load.queues, load.num_keys, |_| 1024);
         if control.is_some() {
             // The bounded NIC ring is the primary steady-state shedder: like
             // hardware ring overflow, a tail drop there costs zero CPU. A
@@ -314,7 +221,10 @@ impl Rig {
         let client_clock = self.client.stack.sim().clock();
 
         let mut run = OpenLoopRun::default();
-        let mut offered_at: HashMap<u32, u64> = HashMap::new();
+        // When each request still awaiting its conclusion was offered, by
+        // request id (the client numbers them densely from 1).
+        let mut offered_at: Vec<Option<u64>> = Vec::new();
+        let mut awaiting = 0usize;
         let mut next_arrival = 0.0f64;
         let mut t = 0u64;
         let drain_deadline = load.duration_ns.saturating_mul(8);
@@ -328,7 +238,13 @@ impl Rig {
                 } else {
                     self.client.send_get(&[key.as_bytes()])
                 };
-                offered_at.insert(id, next_arrival as u64);
+                let id = id as usize;
+                if offered_at.len() <= id {
+                    offered_at.resize(id + 1, None);
+                    run.events.resize_with(id + 1, Vec::new);
+                }
+                offered_at[id] = Some(next_arrival as u64);
+                awaiting += 1;
                 run.offered += 1;
                 next_arrival += interarrival;
             }
@@ -336,11 +252,14 @@ impl Rig {
             self.server.poll_until(until, until);
             // Collect replies and fire timers on the advanced client clock.
             client_clock.advance_to(t_next);
+            let mut conclude = |id: u32| {
+                let at = offered_at.get_mut(id as usize)?.take()?;
+                awaiting -= 1;
+                Some(at)
+            };
             while let Some(resp) = self.client.recv_response() {
                 let Some(id) = resp.id else { continue };
-                let Some(at) = offered_at.remove(&id) else {
-                    continue;
-                };
+                let Some(at) = conclude(id) else { continue };
                 if resp.flags & flags::SHED != 0 {
                     run.shed += 1;
                 } else {
@@ -348,16 +267,18 @@ impl Rig {
                 }
             }
             for id in self.client.poll_timers() {
-                if offered_at.remove(&id).is_some() {
+                if conclude(id).is_some() {
                     run.timed_out += 1;
                 }
             }
             for rec in self.flight.drain() {
-                run.events.entry(rec.req_id).or_default().push(rec);
+                if let Some(events) = run.events.get_mut(rec.req_id as usize) {
+                    events.push(rec);
+                }
             }
             t = t_next;
             let loading = t < load.duration_ns;
-            let draining = !offered_at.is_empty() || self.server.backlog_len() > 0;
+            let draining = awaiting > 0 || self.server.backlog_len() > 0;
             if !loading && (!draining || t >= drain_deadline) {
                 return run;
             }
@@ -365,14 +286,9 @@ impl Rig {
     }
 }
 
-/// Runs one (multiplier, control) point against `capacity_rps`.
-pub fn run_point(
-    params: &OverloadParams,
-    capacity_rps: f64,
-    multiplier: f64,
-    control: bool,
-) -> OverloadPoint {
-    let load = &params.load;
+/// Runs one (multiplier, control) point against `capacity_rps` and returns
+/// its `points` row.
+fn point(load: &OpenLoopParams, capacity_rps: f64, multiplier: f64, control: bool) -> Value {
     let jitter_seed = control.then_some(0x5EED ^ multiplier.to_bits());
     let mut rig = Rig::new(load, &MachineProfile::microbench(), jitter_seed);
     // Shards serve to the nominal slice edge: one client machine cannot
@@ -382,78 +298,53 @@ pub fn run_point(
 
     let mut latencies: Vec<u64> = run.served.iter().map(|&(_, waited)| waited).collect();
     latencies.sort_unstable();
-    let pick = |q: f64| -> u64 {
-        if latencies.is_empty() {
-            return 0;
-        }
-        let idx = ((latencies.len() - 1) as f64 * q).round() as usize;
-        latencies[idx]
-    };
+    let pick = |q| int(quantile(&latencies, q).copied().unwrap_or(0));
     let good = latencies.iter().filter(|&&l| l <= load.slo_ns).count() as u64;
-    OverloadPoint {
-        multiplier,
-        control,
-        offered: run.offered,
-        good,
-        goodput_krps: good as f64 / load.duration_ns as f64 * 1e6,
-        p50_ns: pick(0.50),
-        p99_ns: pick(0.99),
-        shed: run.shed,
-        timed_out: run.timed_out,
-        retries: rig.client.retries_sent(),
-        rx_dropped: rig.server.rx_backlog_drops(),
-    }
+    Value::obj([
+        ("multiplier", Value::Num(multiplier)),
+        ("control", Value::Bool(control)),
+        ("offered", int(run.offered)),
+        ("good", int(good)),
+        // Kilo-requests/s of virtual time over the load phase.
+        (
+            "goodput_krps",
+            fixed(good as f64 / load.duration_ns as f64 * 1e6, 3),
+        ),
+        ("p50_ns", pick(0.50)),
+        ("p99_ns", pick(0.99)),
+        ("shed", int(run.shed)),
+        ("timed_out", int(run.timed_out)),
+        ("retries", int(rig.client.retries_sent())),
+        // Frames tail-dropped by the bounded NIC rx rings (control on only).
+        ("rx_dropped", int(rig.server.rx_backlog_drops())),
+    ])
 }
 
-/// Runs the sweep: measure capacity once, then every multiplier × arm.
-pub fn sweep(params: &OverloadParams) -> OverloadResult {
-    let capacity_rps = measure_capacity(&params.load, &MachineProfile::microbench());
-    let mut points = Vec::new();
-    for &m in &params.multipliers {
-        for control in [true, false] {
-            points.push(run_point(params, capacity_rps, m, control));
-        }
-    }
-    OverloadResult {
-        capacity_rps,
-        points,
-    }
-}
-
-/// Runs the full sweep, prints the table, writes `overload.json`.
+/// Runs the sweep — measure capacity once, then every multiplier with
+/// control on and off — prints the table, writes `overload.json`.
 pub fn run(params: &OverloadParams) -> Value {
-    let r = sweep(params);
-    let point = |p: &OverloadPoint| {
-        Value::obj([
-            ("multiplier", Value::Num(p.multiplier)),
-            ("control", Value::Bool(p.control)),
-            ("offered", int(p.offered)),
-            ("good", int(p.good)),
-            ("goodput_krps", fixed(p.goodput_krps, 3)),
-            ("p50_ns", int(p.p50_ns)),
-            ("p99_ns", int(p.p99_ns)),
-            ("shed", int(p.shed)),
-            ("timed_out", int(p.timed_out)),
-            ("retries", int(p.retries)),
-            ("rx_dropped", int(p.rx_dropped)),
-        ])
-    };
+    let load = &params.load;
+    let capacity_rps = measure_capacity(load, &MachineProfile::microbench());
+    let points = params
+        .multipliers
+        .iter()
+        .flat_map(|&m| [true, false].map(|control| point(load, capacity_rps, m, control)));
     let tree = Value::obj([
         ("experiment", text("overload")),
         (
             "params",
             Value::obj([
-                ("load", params.load.tree()),
+                ("load", load.tree()),
                 ("multipliers", list(&params.multipliers, |&m| Value::Num(m))),
             ]),
         ),
-        ("capacity_rps", fixed(r.capacity_rps, 1)),
-        ("points", list(&r.points, point)),
+        ("capacity_rps", fixed(capacity_rps, 1)),
+        ("points", Value::Arr(points.collect())),
     ]);
     print_rows(
         &format!(
             "Overload: goodput vs offered load (capacity {:.0} krps)",
-            r.capacity_rps / 1e3
+            capacity_rps / 1e3
         ),
         &tree,
         "points[multiplier,control]",
@@ -496,82 +387,91 @@ pub const RULES: &[Rule] = &[
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifacts::{number, select};
+
+    /// The full preset at a fraction of its volume.
+    fn small(multipliers: &[f64]) -> OverloadParams {
+        let mut params = OverloadParams::full();
+        params.load.num_keys = 256;
+        params.load.probe_requests = 1_200;
+        params.load.duration_ns = 1_200_000;
+        params.multipliers = multipliers.to_vec();
+        params
+    }
 
     #[test]
     fn controlled_goodput_holds_past_saturation_and_uncontrolled_degrades() {
-        let params = OverloadParams::quick();
-        let r = sweep(&params);
-        let on = r.arm(true);
-        let off = r.arm(false);
-        let peak_on = r.peak_goodput(true);
+        let tree = run(&small(&[0.5, 1.0, 2.0, 4.0]));
+        let points = tree.get("points").and_then(Value::as_arr).expect("points");
+        let arm = |control: bool| {
+            let on_arm = move |p: &&Value| p.get("control") == Some(&Value::Bool(control));
+            points.iter().filter(on_arm)
+        };
+        let peak = |control| {
+            arm(control)
+                .map(|p| number(p, "goodput_krps"))
+                .fold(0.0, f64::max)
+        };
+        let at = |control, m| arm(control).find(|p| number(p, "multiplier") == m).unwrap();
+        let peak_on = peak(true);
         assert!(peak_on > 0.0, "controlled arm serves traffic");
 
         // With control on, goodput at every post-saturation multiplier
         // stays within 15% of the arm's peak.
-        for p in on.iter().filter(|p| p.multiplier >= 2.0) {
+        for p in arm(true).filter(|p| number(p, "multiplier") >= 2.0) {
             assert!(
-                p.goodput_krps >= peak_on * 0.85,
+                number(p, "goodput_krps") >= peak_on * 0.85,
                 "controlled goodput retained at {}x: {:.1} vs peak {:.1}",
-                p.multiplier,
-                p.goodput_krps,
+                number(p, "multiplier"),
+                number(p, "goodput_krps"),
                 peak_on
             );
         }
         // The admission layer is actually doing the work: past saturation
         // it sheds and/or tail-drops rather than queueing unboundedly.
-        let at4_on = on.iter().find(|p| p.multiplier == 4.0).unwrap();
+        let at4_on = at(true, 4.0);
         assert!(
-            at4_on.shed + at4_on.rx_dropped + at4_on.timed_out > 0,
+            number(at4_on, "shed") + number(at4_on, "rx_dropped") + number(at4_on, "timed_out")
+                > 0.0,
             "overload must be rejected somewhere, not absorbed"
         );
 
         // Without control the system degrades past saturation: goodput
         // collapses below 50% of its peak, or p99 inflates >= 2x vs 1x.
-        let peak_off = r.peak_goodput(false);
-        let at4_off = off.iter().find(|p| p.multiplier == 4.0).unwrap();
-        let at1_off = off.iter().find(|p| p.multiplier == 1.0).unwrap();
-        let collapsed = at4_off.goodput_krps < peak_off * 0.5;
-        let inflated = at4_off.p99_ns >= 2 * at1_off.p99_ns.max(1);
+        let peak_off = peak(false);
+        let (at4_off, at1_off) = (at(false, 4.0), at(false, 1.0));
+        let collapsed = number(at4_off, "goodput_krps") < peak_off * 0.5;
+        let inflated = number(at4_off, "p99_ns") >= 2.0 * number(at1_off, "p99_ns").max(1.0);
         assert!(
             collapsed || inflated,
             "uncontrolled arm must collapse or inflate: goodput {:.1} (peak {:.1}), p99 {} vs {}",
-            at4_off.goodput_krps,
+            number(at4_off, "goodput_krps"),
             peak_off,
-            at4_off.p99_ns,
-            at1_off.p99_ns
+            number(at4_off, "p99_ns"),
+            number(at1_off, "p99_ns")
         );
     }
 
     #[test]
     fn artifact_records_its_parameters_and_gates_itself() {
-        let mut params = OverloadParams::quick();
-        params.multipliers = vec![0.5, 2.0];
+        let mut params = small(&[0.5, 2.0]);
         params.load.probe_requests = 400;
         params.load.duration_ns = 400_000;
         let tree = run(&params);
         crate::ratchet::assert_gates_itself(RULES, &tree);
-        let load = tree
-            .get("params")
-            .and_then(|p| p.get("load"))
-            .expect("load");
-        assert_eq!(load.get("duration_ns"), Some(&int(400_000)));
+        assert_eq!(number(&tree, "params.load.duration_ns"), 400_000.0);
         // `offered` is ⌈duration × capacity × multiplier⌉, give or take the
         // one arrival floating-point pacing can add or drop.
-        let capacity = tree.get("capacity_rps").and_then(Value::as_f64);
-        let capacity = capacity.expect("capacity_rps");
+        let capacity = number(&tree, "capacity_rps");
         for p in tree.get("points").and_then(Value::as_arr).expect("points") {
-            let m = p
-                .get("multiplier")
-                .and_then(Value::as_f64)
-                .expect("multiplier");
-            let offered = p.get("offered").and_then(Value::as_u64).expect("offered");
+            let (m, offered) = (number(p, "multiplier"), number(p, "offered"));
             let derived = (400_000.0 * capacity * m / 1e9).ceil();
             assert!(
-                (offered as f64 - derived).abs() <= 1.0,
+                (offered - derived).abs() <= 1.0,
                 "{m}x: offered {offered}, derived {derived}"
             );
         }
-        let rows = crate::artifacts::select(&tree, "points[multiplier,control].retries");
+        let rows = select(&tree, "points[multiplier,control].retries");
         let labels: Vec<&str> = rows.iter().map(|(row, _)| row.as_str()).collect();
         assert_eq!(
             labels,

@@ -29,7 +29,6 @@
 //! run; per-window counts move by one or two (see `failover`).
 
 use cf_cluster::ReadMode;
-use cf_sim::{MachineProfile, Sim};
 use cf_telemetry::json::Value;
 use cf_telemetry::Telemetry;
 
@@ -38,7 +37,7 @@ use crate::experiments::failover::{drive_cluster, ClusterLoadParams, ClusterRun}
 use crate::ratchet::{Gate, Rule};
 use crate::tables::print_rows;
 
-/// Experiment knobs; [`PartitionParams::quick`] is the smoke preset.
+/// Experiment knobs.
 #[derive(Clone, Debug)]
 pub struct PartitionParams {
     /// The cluster, the workload and the window grid; `victim` ends up on
@@ -62,27 +61,17 @@ impl PartitionParams {
             heal_window: 40,
         }
     }
-
-    /// Smoke preset: the same shape, a shorter timeline.
-    pub fn quick() -> Self {
-        PartitionParams {
-            load: ClusterLoadParams::quick(0x9A27_11E5, 28),
-            partition_window: 5,
-            isolate_window: 10,
-            heal_window: 20,
-        }
-    }
 }
 
-/// Drives the closed-loop workload under one read mode.
-pub fn run_partition(params: &PartitionParams, mode: ReadMode, tele: &Telemetry) -> ClusterRun {
+/// Drives the closed-loop workload under one read mode; returns the run and
+/// the cluster's telemetry.
+pub fn run_partition(params: &PartitionParams, mode: ReadMode) -> (ClusterRun, Telemetry) {
     let (victim, client_host) = (params.load.victim, params.load.nodes as u8);
     let peers: Vec<u8> = (0..client_host).filter(|&n| n != victim).collect();
     let peers = || peers.iter().copied();
     drive_cluster(
         &params.load,
         mode,
-        tele,
         vec![
             (
                 params.partition_window,
@@ -109,9 +98,7 @@ pub fn run_partition(params: &PartitionParams, mode: ReadMode, tele: &Telemetry)
 /// Runs both read modes, prints the window series, writes artifacts.
 pub fn run(params: &PartitionParams) -> Value {
     let modes = [ReadMode::Any, ReadMode::Quorum].map(|mode| {
-        let sim = Sim::new(MachineProfile::tiny_for_tests());
-        let tele = Telemetry::attach(&sim);
-        let run = run_partition(params, mode, &tele);
+        let (run, tele) = run_partition(params, mode);
         if mode == ReadMode::Quorum {
             write_artifact("partition-metrics.json", &tele.snapshot_json());
         }
@@ -186,12 +173,23 @@ pub const RULES: &[Rule] = &[
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifacts::snapshot_now_ns;
+
+    /// The full preset's shape on fewer, smaller keys and a shorter
+    /// timeline.
+    fn small() -> PartitionParams {
+        let mut params = PartitionParams::full();
+        params.load.num_keys = 8;
+        params.load.value_bytes = 128;
+        params.load.total_windows = 28;
+        params.partition_window = 5;
+        params.isolate_window = 10;
+        params.heal_window = 20;
+        params
+    }
 
     fn run_mode(mode: ReadMode) -> ClusterRun {
-        let params = PartitionParams::quick();
-        let sim = Sim::new(MachineProfile::tiny_for_tests());
-        let tele = Telemetry::attach(&sim);
-        run_partition(&params, mode, &tele)
+        run_partition(&small(), mode).0
     }
 
     #[test]
@@ -222,7 +220,7 @@ mod tests {
         );
         assert!(r.quorum_reads > 0, "GETs went through the quorum path");
         // The isolated stretch is unavailable rather than inconsistent.
-        let params = PartitionParams::quick();
+        let params = small();
         let iso = &r.windows[params.isolate_window + 2..params.heal_window];
         let iso_timeouts: u64 = iso.iter().map(|w| w.timeouts).sum();
         assert!(
@@ -237,8 +235,17 @@ mod tests {
     }
 
     #[test]
+    fn metrics_snapshot_reads_the_cluster_clock() {
+        let params = small();
+        let (run, tele) = run_partition(&params, ReadMode::Quorum);
+        let measured = params.load.window_ns * params.load.total_windows as u64;
+        assert!(run.end_ns >= measured, "the run took {} ns", run.end_ns);
+        assert_eq!(snapshot_now_ns(&tele), run.end_ns);
+    }
+
+    #[test]
     fn artifact_is_complete_and_gates_itself() {
-        let params = PartitionParams::quick();
+        let params = small();
         let tree = run(&params);
         crate::ratchet::assert_gates_itself(RULES, &tree);
         let stale = crate::artifacts::select(&tree, "modes[mode].stale_reads");

@@ -38,8 +38,6 @@
 //! virtual time too), so the gate holds the quantiles' latencies, not their
 //! request ids.
 
-use std::collections::HashMap;
-
 use cf_nic::FaultPlan;
 use cf_sim::MachineProfile;
 use cf_telemetry::json::Value;
@@ -47,6 +45,7 @@ use cf_telemetry::{FlightEvent, FlightRecord, FlightRecorder, Telemetry};
 
 use crate::artifacts::{fixed, int, list, text, write_artifact};
 use crate::experiments::overload::{measure_capacity, OpenLoopParams, Rig};
+use crate::harness::quantile;
 use crate::ratchet::{Gate, Rule};
 use crate::tables::print_rows;
 
@@ -68,7 +67,7 @@ fn derated_shard() -> MachineProfile {
     profile
 }
 
-/// Harness knobs; [`TailAnatomyParams::quick`] is the smoke preset.
+/// Harness knobs.
 #[derive(Clone, Debug)]
 pub struct TailAnatomyParams {
     /// The rig and the load; `slo_ns` is the client's retry deadline.
@@ -101,14 +100,6 @@ impl TailAnatomyParams {
             multiplier: 2.0,
             drop_prob: 0.02,
             flight_capacity: 1 << 16,
-        }
-    }
-
-    /// Smoke preset: the same shape, a fraction of the volume.
-    pub fn quick() -> Self {
-        TailAnatomyParams {
-            load: finely_sliced(OpenLoopParams::quick()),
-            ..TailAnatomyParams::full()
         }
     }
 }
@@ -190,51 +181,12 @@ pub fn decompose(events: &[FlightRecord]) -> Option<(u64, Phases)> {
     Some((recv.saturating_sub(send), phases))
 }
 
-/// One quantile's concrete exemplar request and its breakdown.
-#[derive(Clone, Debug)]
-pub struct QuantileRow {
-    /// Display label (`p50`, `p99`, `p99.9`).
-    pub label: &'static str,
-    /// The quantile as a fraction.
-    pub q: f64,
-    /// The request id sitting at this quantile of the e2e distribution.
-    pub req_id: u32,
-    /// That request's end-to-end latency (first send → receive).
-    pub e2e_ns: u64,
-    /// Its phase decomposition.
-    pub phases: Phases,
-}
-
-/// The full run result.
-#[derive(Clone, Debug)]
-pub struct TailAnatomyResult {
-    /// Measured closed-loop capacity, requests/s of virtual time.
-    pub capacity_rps: f64,
-    /// Arrivals offered during the load phase.
-    pub offered: u64,
-    /// Requests served (non-SHED reply received).
-    pub served: u64,
-    /// `SHED` fast-rejects observed by the client.
-    pub shed: u64,
-    /// Requests concluded client-side as timed out.
-    pub timed_out: u64,
-    /// Client retransmissions.
-    pub retries: u64,
-    /// Mean backlog sojourn of shed entries (from `BacklogShed` events).
-    pub shed_sojourn_mean_ns: u64,
-    /// Exemplar rows at p50 / p99 / p99.9, ascending.
-    pub rows: Vec<QuantileRow>,
-    /// Full per-request timelines for the exemplar rows' ids.
-    pub timelines: HashMap<u32, Vec<FlightRecord>>,
-    /// `(value, req_id)` exemplars from the e2e latency histogram.
-    pub exemplars: Vec<(u64, u64)>,
-}
-
 /// Runs the harness: measures capacity, offers `multiplier ×` that rate
 /// with faults armed and the flight recorder installed end to end, and
-/// decomposes the tail. `tele` receives the `kv.client.e2e_latency_ns`
-/// histogram (with exemplars) alongside the full datapath metrics.
-pub fn run_anatomy(params: &TailAnatomyParams, tele: &Telemetry) -> TailAnatomyResult {
+/// decomposes the tail. Returns the artifact tree, the rig it ran on, and
+/// the client machine's telemetry: the `kv.client.e2e_latency_ns` histogram
+/// (with exemplars) alongside the full datapath metrics.
+fn anatomy(params: &TailAnatomyParams) -> (Value, Rig, Telemetry) {
     let (load, shard) = (&params.load, derated_shard());
     let capacity_rps = measure_capacity(load, &shard);
 
@@ -245,6 +197,7 @@ pub fn run_anatomy(params: &TailAnatomyParams, tele: &Telemetry) -> TailAnatomyR
     // One recorder shared by every machine: client, shards, and the
     // server NIC interleave into a single per-request timeline.
     rig.flight = FlightRecorder::with_capacity(params.flight_capacity);
+    let tele = Telemetry::attach(rig.client.stack.sim());
     rig.client.set_telemetry(&tele.with_flight(&rig.flight));
     rig.server
         .set_telemetry(&Telemetry::disabled().with_flight(&rig.flight));
@@ -265,88 +218,27 @@ pub fn run_anatomy(params: &TailAnatomyParams, tele: &Telemetry) -> TailAnatomyR
         prev_wall = rig.client.stack.sim().now().max(slice_end);
         prev_wall
     });
-    let events = &run.events;
+    let timeline = |id: u32| run.events.get(id as usize).map_or(&[][..], Vec::as_slice);
 
     // Event-derived end-to-end latencies; exemplars link each histogram
     // magnitude bucket back to the slowest concrete request in it.
     let mut lats: Vec<(u64, u32, Phases)> = Vec::new();
     for &(id, _) in &run.served {
-        if let Some((e2e, phases)) = events.get(&id).and_then(|evs| decompose(evs)) {
+        if let Some((e2e, phases)) = decompose(timeline(id)) {
             e2e_hist.record_exemplar(e2e, u64::from(id));
             lats.push((e2e, id, phases));
         }
     }
     lats.sort_unstable_by_key(|&(e2e, id, _)| (e2e, id));
 
-    let pick = |q: f64| -> Option<&(u64, u32, Phases)> {
-        if lats.is_empty() {
-            return None;
-        }
-        let idx = ((lats.len() - 1) as f64 * q).round() as usize;
-        lats.get(idx)
-    };
-    let mut rows = Vec::new();
-    for (label, q) in [("p50", 0.50), ("p99", 0.99), ("p99.9", 0.999)] {
-        if let Some(&(e2e, id, phases)) = pick(q) {
-            rows.push(QuantileRow {
-                label,
-                q,
-                req_id: id,
-                e2e_ns: e2e,
-                phases,
-            });
-        }
-    }
-    let timelines: HashMap<u32, Vec<FlightRecord>> = rows
-        .iter()
-        .filter_map(|r| events.get(&r.req_id).map(|evs| (r.req_id, evs.clone())))
-        .collect();
-
-    let shed_sojourns: Vec<u64> = events
-        .values()
-        .flatten()
-        .filter_map(|r| match r.event {
-            FlightEvent::BacklogShed { sojourn_ns } => Some(sojourn_ns),
-            _ => None,
-        })
-        .collect();
-    let shed_sojourn_mean_ns = if shed_sojourns.is_empty() {
-        0
-    } else {
-        shed_sojourns.iter().sum::<u64>() / shed_sojourns.len() as u64
-    };
-
-    TailAnatomyResult {
-        capacity_rps,
-        offered: run.offered,
-        served: lats.len() as u64,
-        shed: run.shed,
-        timed_out: run.timed_out,
-        retries: rig.client.retries_sent(),
-        shed_sojourn_mean_ns,
-        rows,
-        timelines,
-        exemplars: e2e_hist
-            .exemplars()
-            .into_iter()
-            .map(|e| (e.value, e.req_id))
-            .collect(),
-    }
-}
-
-/// Runs the harness, prints the anatomy table, writes `tail_anatomy.json`
-/// and the `tail_anatomy-metrics.json` snapshot.
-pub fn run(params: &TailAnatomyParams) -> Value {
-    let tele = Telemetry::new(cf_sim::Clock::new());
-    let r = run_anatomy(params, &tele);
-    let quantile = |row: &QuantileRow| {
-        let p = &row.phases;
-        let timeline = r.timelines.get(&row.req_id).map_or(&[][..], Vec::as_slice);
-        Value::obj([
-            ("quantile", text(row.label)),
-            ("q", Value::Num(row.q)),
-            ("req_id", int(row.req_id.into())),
-            ("e2e_ns", int(row.e2e_ns)),
+    // The concrete request at each quantile, its breakdown and timeline.
+    let row = |(label, q): (&str, f64)| {
+        let &(e2e, id, p) = quantile(&lats, q)?;
+        Some(Value::obj([
+            ("quantile", text(label)),
+            ("q", Value::Num(q)),
+            ("req_id", int(id.into())),
+            ("e2e_ns", int(e2e)),
             ("phase_sum_ns", int(p.sum_ns())),
             (
                 "phases",
@@ -358,38 +250,67 @@ pub fn run(params: &TailAnatomyParams) -> Value {
                     ("wire_ns", int(p.wire_ns)),
                 ]),
             ),
-            ("timeline", list(timeline, FlightRecord::to_value)),
-        ])
+            ("timeline", list(timeline(id), FlightRecord::to_value)),
+        ]))
     };
-    let exemplar = |&(value, req_id): &(u64, u64)| {
-        Value::obj([("value", int(value)), ("req_id", int(req_id))])
+    let quantiles = [("p50", 0.50), ("p99", 0.99), ("p99.9", 0.999)];
+
+    // Mean backlog sojourn of shed entries.
+    let shed_sojourns: Vec<u64> = run
+        .events
+        .iter()
+        .flatten()
+        .filter_map(|r| match r.event {
+            FlightEvent::BacklogShed { sojourn_ns } => Some(sojourn_ns),
+            _ => None,
+        })
+        .collect();
+    let shed_sojourn_mean_ns = match shed_sojourns.len() as u64 {
+        0 => 0,
+        n => shed_sojourns.iter().sum::<u64>() / n,
     };
+    let exemplar = |e: cf_telemetry::metrics::Exemplar| {
+        Value::obj([("value", int(e.value)), ("req_id", int(e.req_id))])
+    };
+
     let tree = Value::obj([
         ("experiment", text("tail_anatomy")),
         (
             "params",
             Value::obj([
-                ("load", params.load.tree()),
+                ("load", load.tree()),
                 ("multiplier", Value::Num(params.multiplier)),
                 ("drop_prob", Value::Num(params.drop_prob)),
                 ("flight_capacity", int(params.flight_capacity as u64)),
             ]),
         ),
-        ("capacity_rps", fixed(r.capacity_rps, 1)),
-        ("offered", int(r.offered)),
-        ("served", int(r.served)),
-        ("shed", int(r.shed)),
-        ("timed_out", int(r.timed_out)),
-        ("retries", int(r.retries)),
-        ("shed_sojourn_mean_ns", int(r.shed_sojourn_mean_ns)),
-        ("quantiles", list(&r.rows, quantile)),
-        ("exemplars", list(&r.exemplars, exemplar)),
+        ("capacity_rps", fixed(capacity_rps, 1)),
+        ("offered", int(run.offered)),
+        // Requests served (non-SHED reply received).
+        ("served", int(lats.len() as u64)),
+        ("shed", int(run.shed)),
+        ("timed_out", int(run.timed_out)),
+        ("retries", int(rig.client.retries_sent())),
+        ("shed_sojourn_mean_ns", int(shed_sojourn_mean_ns)),
+        (
+            "quantiles",
+            Value::Arr(quantiles.into_iter().filter_map(row).collect()),
+        ),
+        ("exemplars", list(e2e_hist.exemplars(), exemplar)),
     ]);
+    (tree, rig, tele)
+}
+
+/// Runs the harness, prints the anatomy table, writes `tail_anatomy.json`
+/// and the `tail_anatomy-metrics.json` snapshot.
+pub fn run(params: &TailAnatomyParams) -> Value {
+    let (tree, _, tele) = anatomy(params);
+    let capacity_rps = tree.get("capacity_rps").and_then(Value::as_f64);
     print_rows(
         &format!(
             "Tail anatomy at {:.1}x capacity ({:.0} krps): where the time goes (ns)",
             params.multiplier,
-            r.capacity_rps / 1e3
+            capacity_rps.unwrap_or(0.0) / 1e3
         ),
         &tree,
         "quantiles[quantile]",
@@ -427,14 +348,22 @@ pub const RULES: &[Rule] = &[
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cf_sim::Clock;
+    use crate::artifacts::{number, select, snapshot_now_ns};
 
+    /// The full preset at a fraction of its volume.
     fn test_params() -> TailAnatomyParams {
-        let mut params = TailAnatomyParams::quick();
+        let mut params = TailAnatomyParams::full();
         params.load.num_keys = 128;
         params.load.probe_requests = 600;
         params.load.duration_ns = 600_000;
         params
+    }
+
+    /// The `quantiles` rows of a result tree.
+    fn quantiles(tree: &Value) -> &[Value] {
+        tree.get("quantiles")
+            .and_then(Value::as_arr)
+            .expect("quantiles")
     }
 
     #[test]
@@ -483,57 +412,77 @@ mod tests {
 
     #[test]
     fn phase_sums_match_e2e_within_two_percent() {
-        let tele = Telemetry::new(Clock::new());
-        let r = run_anatomy(&test_params(), &tele);
-        assert!(r.served > 0, "overloaded run still serves requests");
-        assert!(!r.rows.is_empty(), "quantile rows produced");
-        for row in &r.rows {
-            let sum = row.phases.sum_ns();
-            let err = sum.abs_diff(row.e2e_ns) as f64;
+        let (tree, _, _) = anatomy(&test_params());
+        assert!(
+            number(&tree, "served") > 0.0,
+            "overloaded run still serves requests"
+        );
+        let rows = quantiles(&tree);
+        assert!(!rows.is_empty(), "quantile rows produced");
+        for row in rows {
+            let (e2e, sum) = (number(row, "e2e_ns"), number(row, "phase_sum_ns"));
+            let err = (sum - e2e).abs();
             assert!(
-                err <= (row.e2e_ns as f64 * 0.02).max(1.0),
-                "{}: phase sum {} vs e2e {} (err {:.1}%)",
-                row.label,
-                sum,
-                row.e2e_ns,
-                err / row.e2e_ns.max(1) as f64 * 100.0
+                err <= (e2e * 0.02).max(1.0),
+                "{}: phase sum {sum} vs e2e {e2e} (err {:.1}%)",
+                number(row, "q"),
+                err / e2e.max(1.0) * 100.0
             );
         }
         // The tail is ordered and each exemplar has a full timeline.
-        for w in r.rows.windows(2) {
-            assert!(w[0].e2e_ns <= w[1].e2e_ns, "quantiles ascend");
-        }
-        for row in &r.rows {
-            let tl = r.timelines.get(&row.req_id).expect("timeline retained");
+        for w in rows.windows(2) {
             assert!(
-                tl.iter()
-                    .any(|e| matches!(e.event, FlightEvent::ClientRecv { .. })),
-                "timeline reaches the client"
+                number(&w[0], "e2e_ns") <= number(&w[1], "e2e_ns"),
+                "quantiles ascend"
+            );
+        }
+        for row in rows {
+            let events = select(row, "timeline[event].event");
+            assert!(
+                events.iter().any(|(_, e)| *e == Some(&text("client_recv"))),
+                "timeline reaches the client: {events:?}"
             );
         }
     }
 
     #[test]
     fn histogram_exemplars_link_to_recorded_timelines() {
-        let tele = Telemetry::new(Clock::new());
-        let r = run_anatomy(&test_params(), &tele);
-        assert!(!r.exemplars.is_empty(), "exemplars recorded");
-        let p99_row = r.rows.iter().find(|row| row.label == "p99").unwrap();
+        let (tree, _, tele) = anatomy(&test_params());
+        assert!(
+            !select(&tree, "exemplars[req_id].value").is_empty(),
+            "exemplars recorded"
+        );
+        let p99 = select(&tree, "quantiles[quantile].e2e_ns")
+            .into_iter()
+            .find(|(row, _)| row == "quantiles[p99].")
+            .and_then(|(_, v)| v?.as_u64())
+            .expect("a p99 row");
         let hist = tele.histogram("kv.client.e2e_latency_ns");
         let ex = hist
-            .exemplar_for(p99_row.e2e_ns)
+            .exemplar_for(p99)
             .expect("an exemplar covers the p99 magnitude");
         assert!(
-            ex.value >= p99_row.e2e_ns,
+            ex.value >= p99,
             "exemplar is the bucket max at or above the quantile"
         );
+    }
+
+    #[test]
+    fn metrics_snapshot_reads_the_client_clock() {
+        let (_, rig, tele) = anatomy(&test_params());
+        let end = rig.client.stack.sim().now();
+        assert!(
+            end >= test_params().load.duration_ns,
+            "the run took {end} ns"
+        );
+        assert_eq!(snapshot_now_ns(&tele), end);
     }
 
     #[test]
     fn artifact_is_complete_and_gates_itself() {
         let tree = run(&test_params());
         crate::ratchet::assert_gates_itself(RULES, &tree);
-        let quantiles = tree.get("quantiles").unwrap().as_arr().unwrap();
+        let quantiles = quantiles(&tree);
         assert_eq!(quantiles.len(), 3);
         for q in quantiles {
             let e2e = q.get("e2e_ns").unwrap().as_u64().unwrap();

@@ -1,20 +1,25 @@
-//! The one rig every paper figure is measured with (§6.1): a fixture per
-//! server kind, a closed-loop [`capacity`] probe, and a [`curve`] of
+//! The one rig every experiment is measured with (§6.1): a fixture per
+//! machine shape, a closed-loop capacity probe per shape, and a [`curve`] of
 //! Poisson open-loop points laid out on a ladder below that capacity.
 //!
-//! A fixture contributes only its one-request function — send a request,
-//! let the server poll, return the reply's payload size — and the rig
-//! drives it; [`KvBench::request`] is the KV store's, `fig02::EchoBench` and
-//! `fig08::RedisBench` bring their own. Every wire floor is the machine
+//! A single-machine fixture contributes only its one-request function —
+//! send a request, let the server poll, return the reply's payload size —
+//! and [`capacity`] drives it; [`KvBench::request`] is the KV store's,
+//! `fig02::EchoBench` and `fig08::RedisBench` bring their own. The sharded
+//! fixture ([`sharded`]: a steered client, one shard per NIC queue) is
+//! driven in bursts by [`saturate`]. Every wire floor is the machine
 //! profile's (`CostModel::one_way_wire_ns`, through [`OpenLoopSim::new`]).
 
 use cf_mem::PoolConfig;
+use cf_net::UdpStack;
+use cf_nic::link;
 use cf_sim::queueing::{load_ladder, LoadPoint, OpenLoopSim};
 use cf_sim::{MachineProfile, Sim};
 use cornflakes_core::{SerCtx, SerializationConfig};
 
-use cf_kv::client::{client_server_pair, KvClient};
+use cf_kv::client::{client_server_pair, KvClient, CLIENT_PORT};
 use cf_kv::server::{KvServer, SerKind};
+use cf_kv::sharded::ShardedKvServer;
 use cf_kv::store::KvStore;
 use cf_workloads::key_string;
 
@@ -91,6 +96,84 @@ pub fn capacity(
 ) -> LoadPoint {
     sim.reset();
     OpenLoopSim::new(sim, warmup).run_saturated(requests, request)
+}
+
+/// Requests per client burst on the sharded fixture (one server poll per
+/// burst): the shape that lets transmit batching coalesce doorbells.
+pub const BURST: u64 = 16;
+
+/// The sharded fixture: a client steering every request to the queue that
+/// owns its key, and a Cornflakes server with `queues` shards, each a core
+/// of its own on `shard_profile`, holding keys `0..n` (key `id` one value
+/// of `size_of(id)` bytes) on their owning shards.
+pub fn sharded(
+    shard_profile: &MachineProfile,
+    queues: usize,
+    n: u64,
+    size_of: impl Fn(u64) -> usize,
+) -> (KvClient, ShardedKvServer) {
+    let sims: Vec<Sim> = (0..queues)
+        .map(|_| Sim::new(shard_profile.clone()))
+        .collect();
+    let (cp, sp) = link();
+    let mut server = ShardedKvServer::on_sims(
+        sims,
+        sp,
+        SerKind::Cornflakes,
+        SerializationConfig::hybrid(),
+        // Each shard holds ~its share of the keys, but a Zipf head
+        // concentrates the RX-buffer working set: size every shard's pool
+        // for the full keyspace.
+        large_pool(),
+    );
+    server.enable_tx_batch(BURST as usize);
+    let client_sim = Sim::new(MachineProfile::cloudlab_c6525());
+    let client_stack = UdpStack::with_pool_config(
+        client_sim,
+        cp,
+        CLIENT_PORT,
+        SerializationConfig::hybrid(),
+        large_pool(),
+    );
+    let mut client = KvClient::new(client_stack, SerKind::Cornflakes);
+    client.enable_steering(&server.rss());
+    for id in 0..n {
+        server
+            .preload(key_string(id).as_bytes(), &[size_of(id)])
+            .expect("grow large_pool for this experiment");
+    }
+    (client, server)
+}
+
+/// The sharded fixture's closed loop: `requests` requests, each put on the
+/// wire by `send`, in bursts of [`BURST`] with one server poll per burst and
+/// every reply drained. Returns the makespan, the furthest-ahead shard
+/// clock (at least 1 ns): throughput is served requests over it.
+pub fn saturate(
+    client: &mut KvClient,
+    server: &mut ShardedKvServer,
+    requests: u64,
+    mut send: impl FnMut(&mut KvClient),
+) -> u64 {
+    let mut sent = 0u64;
+    while sent < requests {
+        let burst = BURST.min(requests - sent);
+        for _ in 0..burst {
+            send(client);
+        }
+        sent += burst;
+        server.poll();
+        while client.recv_response().is_some() {}
+    }
+    server.max_clock_ns().max(1)
+}
+
+/// The element at quantile `q` of `sorted`, the one at index
+/// `round((n − 1)·q)`; `None` when it is empty. Every quantile an
+/// extension bench reports from its own samples is picked here.
+pub fn quantile<T>(sorted: &[T], q: f64) -> Option<&T> {
+    let last = sorted.len().checked_sub(1)?;
+    sorted.get((last as f64 * q).round() as usize)
 }
 
 /// How a figure offers load: probe [`capacity`], then `steps` Poisson
@@ -208,6 +291,22 @@ mod tests {
         });
         assert!(result.points[0].is_stable());
         assert!(!result.points[1].is_stable());
+    }
+
+    #[test]
+    fn quantile_picks_the_rounded_rank() {
+        assert_eq!(quantile::<u64>(&[], 0.5), None);
+        let ranks: Vec<u64> = (0..101).collect();
+        assert_eq!(quantile(&ranks, 0.5), Some(&50));
+        assert_eq!(quantile(&ranks, 0.999), Some(&100));
+        // Churn records one RTT per 256-flow batch, so its sorted samples
+        // come in runs of 256: at each of its sweep sizes the rounded rank
+        // and the nearest rank ⌈0.99·n⌉ − 1 it once used land in one run.
+        for n in [1_024, 4_096, 16_384, 65_536] {
+            let batches: Vec<usize> = (0..n).map(|i| i / 256).collect();
+            let nearest = batches[(n * 99).div_ceil(100) - 1];
+            assert_eq!(quantile(&batches, 0.99), Some(&nearest), "{n} flows");
+        }
     }
 
     #[test]

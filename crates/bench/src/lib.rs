@@ -7,12 +7,18 @@
 //!
 //! Conventions:
 //!
-//! - Every paper figure is measured with one rig, [`harness`] (§6.1): a
-//!   fixture per server kind ([`harness::KvBench`] for the KV store), a
-//!   closed-loop [`harness::capacity`] probe, and a [`harness::curve`] of
-//!   Poisson open-loop points on a ladder below it, printed by
-//!   [`tables::print_curve`]. The wire floor is the machine profile's
-//!   `CostModel::one_way_wire_ns`.
+//! - Every experiment is measured with one rig, [`harness`] (§6.1): a
+//!   fixture per machine shape ([`harness::KvBench`] for one KV server,
+//!   [`harness::sharded`] for one shard per NIC queue), a closed-loop
+//!   probe per shape ([`harness::capacity`], [`harness::saturate`]), one
+//!   pick for the quantiles an extension bench takes of its own samples
+//!   ([`harness::quantile`]), and for the paper figures a
+//!   [`harness::curve`] of Poisson open-loop points on a ladder below the
+//!   capacity, printed by [`tables::print_curve`]. The wire floor is the
+//!   machine profile's `CostModel::one_way_wire_ns`. The second open-loop
+//!   driver, `overload::Rig::drive`, stays apart from `curve` because it
+//!   does something else: slice-paced arrivals against the sharded fixture,
+//!   retries and a drain.
 //! - Experiments print the same rows/series the paper reports, as aligned
 //!   text tables, plus a one-line comparison against the paper's headline
 //!   number.
@@ -29,10 +35,13 @@
 //!   digit draws another Poisson sample at every point: achieved rates move
 //!   by the window's sampling noise, and a p99-SLO pick can move a whole
 //!   ladder step.
-//! - Setting `CF_QUICK=1` shrinks durations ~10× for smoke runs; the
-//!   recorded numbers in `EXPERIMENTS.md` and every committed
-//!   `BENCH_*.json` come from full runs, and only full runs are gated
-//!   ([`ratchet`]).
+//! - Setting `CF_QUICK=1` shrinks the paper figures' durations ~10× for
+//!   smoke runs ([`quick_mode`] is the one place it is read); the numbers
+//!   recorded in `EXPERIMENTS.md` come from full runs. An extension bench
+//!   has one preset, the `full` its `main` hands [`ratchet::bench_main`]:
+//!   that is what its committed `BENCH_*.json` holds and what the ratchet
+//!   gates, and a test that needs a smaller run scales a copy of it down
+//!   inside its own test module.
 
 pub mod artifacts;
 pub mod experiments;
@@ -40,7 +49,7 @@ pub mod harness;
 pub mod ratchet;
 pub mod tables;
 
-/// True when `CF_QUICK=1`: run shortened sweeps.
+/// True when `CF_QUICK=1`: run the paper figures' shortened sweeps.
 pub fn quick_mode() -> bool {
     std::env::var("CF_QUICK").map(|v| v == "1").unwrap_or(false)
 }

@@ -1,18 +1,15 @@
 //! One gate for the seven committed extension-bench artifacts.
 //!
 //! `BENCH_<experiment>.json` at the repo root is the result tree of that
-//! experiment's **full** preset (see [`crate::artifacts`]). Each experiment
-//! module owns a rule table, `RULES`: the fields it gates, each with the
-//! direction it may not move in and by how much. [`ratchet`] walks a fresh
-//! tree and the committed one from that table, and [`bench_main`] is the
-//! whole `main` of every extension bench:
-//!
-//! - default: run the full preset, write the artifact, ratchet, exit 1 on
-//!   any violation (an unreadable committed file is one);
-//! - `CF_BLESS=1`: run the full preset and overwrite the committed file —
-//!   how a baseline is regenerated, as `tests/golden.rs` does for frames;
-//! - `CF_QUICK=1`: run the smoke preset and write the artifact; nothing is
-//!   gated, because only the full preset is committed.
+//! experiment's one preset, `full()` (see [`crate::artifacts`]). Each
+//! experiment module owns a rule table, `RULES`: the fields it gates, each
+//! with the direction it may not move in and by how much. [`ratchet`] walks
+//! a fresh tree and the committed one from that table, and [`bench_main`]
+//! is the whole `main` of every extension bench: run the preset, write the
+//! artifact, then ratchet and exit 1 on any violation (an unreadable
+//! committed file is one) — or, under `CF_BLESS=1`, overwrite the committed
+//! file instead, which is how a baseline is regenerated, as
+//! `tests/golden.rs` does for frames.
 //!
 //! Three things fail without a rule naming them: `params` that differ
 //! (numbers from another preset are not comparable), a committed row the
@@ -122,17 +119,12 @@ pub fn committed_path(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../BENCH_{name}.json"))
 }
 
-/// The `main` of every extension bench (see the module docs): picks the
-/// preset, runs it, and ratchets, blesses or just emits.
-pub fn bench_main<P>(name: &str, quick: fn() -> P, full: fn() -> P, run: fn(&P) -> Value) {
-    let smoke = crate::quick_mode();
-    let fresh = run(&if smoke { quick() } else { full() });
+/// The `main` of every extension bench (see the module docs): runs the
+/// preset `full`, then ratchets or blesses.
+pub fn bench_main<P>(name: &str, full: fn() -> P, run: fn(&P) -> Value) {
+    let fresh = run(&full());
     let path = committed_path(name);
-    if smoke {
-        println!(
-            "  ratchet: not run (CF_QUICK=1 is a smoke run; only the full preset is committed)"
-        );
-    } else if std::env::var_os("CF_BLESS").is_some() {
+    if std::env::var_os("CF_BLESS").is_some() {
         std::fs::write(&path, fresh.render()).expect("committed artifact is writable");
         println!("  blessed: {}", path.display());
     } else {
