@@ -1,8 +1,8 @@
 //! Microbenchmarks of the hot-path operations: hybrid pointer construction,
 //! header writing, wire-format round trips, cache-simulator accesses, the
-//! pinned pool and registry, and workload generators. These measure the
-//! *real* (host) cost of the library code itself, complementing the
-//! virtual-time experiments.
+//! frame check sequence, the pinned pool and registry, the store's index and
+//! workload generators. These measure the *real* (host) cost of the library
+//! code itself, complementing the virtual-time experiments.
 //!
 //! Hand-rolled timing harness (median of per-batch averages) instead of
 //! criterion, so the workspace builds with no external dependencies.
@@ -115,6 +115,14 @@ fn bench_cache_sim() {
         cache.invalidate(black_box(addr), 2048);
         cache.access(black_box(addr), 2048)
     });
+    // A received 4 KiB value's reply: the NIC's DMA write into one of eight
+    // recycled receive buffers, 67 lines the cache does not hold, so the
+    // walk finds nothing to evict.
+    let mut rx_buf = 0;
+    bench_function("cache_dma_invalidate_4274B", || {
+        rx_buf = (rx_buf + 1) % 8;
+        cache.invalidate(black_box(0x4000_0000 + rx_buf * 8192), 4274)
+    });
     // One pointer-chasing metadata line through the whole charge path
     // (borrow, cache, clock, attribution): 512 adjacent reference counts.
     let sim = Sim::new(MachineProfile::microbench());
@@ -122,6 +130,17 @@ fn bench_cache_sim() {
         addr = addr.wrapping_add(8) & 0xFFF;
         sim.charge_meta_access(Category::SerializeZeroCopy, black_box(0x4000_0000 + addr))
     });
+}
+
+/// The frame check sequence the NIC seals and verifies once per frame, at
+/// the sizes of a GET request, an MTU frame and a 4 KiB value's reply.
+fn bench_fcs() {
+    let frame: Vec<u8> = (0..4274u32).map(|i| i as u8).collect();
+    for len in [80, 1500, 4274] {
+        bench_function(&format!("frame_fcs_{len}B"), || {
+            cf_nic::frame_fcs(black_box(&frame[..len]))
+        });
+    }
 }
 
 /// A pool of 8-slot regions with `regions` of them full in the 64 B class,
@@ -223,6 +242,7 @@ fn main() {
     bench_header_write();
     bench_roundtrip();
     bench_cache_sim();
+    bench_fcs();
     bench_pool();
     bench_store();
     bench_workloads();

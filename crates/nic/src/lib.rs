@@ -34,8 +34,8 @@
 //! cost); the gather itself is NIC-side PCIe work, not CPU time, and is not
 //! charged to the virtual clock.
 
-// The crate's one `unsafe` is the feature-detected call into the
-// carry-less-multiply CRC kernel (`fcs::update`).
+// The crate's `unsafe` is all in `fcs`: the feature-detected calls into the
+// carry-less-multiply CRC kernels and the AVX-512 kernel's block loads.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod fault;

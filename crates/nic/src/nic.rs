@@ -47,8 +47,8 @@ pub fn frame_req_id(data: &[u8]) -> Option<u32> {
     if data.len() < MIN_HEADER_FRAME {
         return None;
     }
-    let bytes: [u8; 4] = data[REQ_ID_RANGE].try_into().expect("4-byte id");
-    Some(u32::from_le_bytes(bytes))
+    let bytes = data[REQ_ID_RANGE].first_chunk::<4>()?;
+    Some(u32::from_le_bytes(*bytes))
 }
 
 /// Errors surfaced by the transmit path.
@@ -583,15 +583,14 @@ impl Nic {
             let staged = (0..nq)
                 .map(|i| (self.rx_rotor + i) % nq)
                 .find(|&q| !self.queues[q].rx_staging.is_empty());
-            let q = match staged {
-                Some(q) => q,
-                None => {
-                    self.pull_one()?;
-                    continue;
-                }
+            let Some(q) = staged else {
+                self.pull_one()?;
+                continue;
             };
             self.rx_rotor = (q + 1) % nq;
-            let frame = self.queues[q].rx_staging.pop_front().expect("staged");
+            let Some(frame) = self.queues[q].rx_staging.pop_front() else {
+                continue;
+            };
             if let Some(buf) = self.dma_rx(q, frame, rx_pool) {
                 return Some(buf);
             }
@@ -603,10 +602,10 @@ impl Nic {
     /// searching stay staged on their queues for their owners to drain.
     pub fn recv_into_on(&mut self, q: usize, rx_pool: &PinnedPool) -> Option<RcBuf> {
         loop {
-            while self.queues[q].rx_staging.is_empty() {
+            let Some(frame) = self.queues[q].rx_staging.pop_front() else {
                 self.pull_one()?;
-            }
-            let frame = self.queues[q].rx_staging.pop_front().expect("staged");
+                continue;
+            };
             if let Some(buf) = self.dma_rx(q, frame, rx_pool) {
                 return Some(buf);
             }

@@ -127,18 +127,48 @@ fn draw_len(rng: &mut SplitMix64) -> usize {
     }
 }
 
+/// The AVX2 invalidation walk, called directly where this CPU has AVX2 (the
+/// scalar one elsewhere), whichever one [`CacheSim::invalidate`] dispatches
+/// to.
+fn invalidate_vector(c: &mut CacheSim, addr: u64, len: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `invalidate_avx2` only needs AVX2, just detected.
+        return unsafe { c.invalidate_avx2(addr, len) };
+    }
+    c.invalidate_scalar(addr, len);
+}
+
+/// Whether `a` and `b` hold the same tags in every set that a line of
+/// `[addr, addr + len)` maps to (the one set of `addr` when `len` is zero).
+fn same_sets(a: &CacheSim, b: &CacheSim, addr: u64, len: usize) -> bool {
+    let lines = addr / LINE..=(addr + len.max(1) as u64 - 1) / LINE;
+    lines.take(a.tags.len() / a.ways).all(|line| {
+        let set = (line & a.set_mask) as usize * a.ways..;
+        a.tags[set.clone()][..a.ways] == b.tags[set][..a.ways]
+    })
+}
+
 #[test]
 fn matches_timestamp_lru_op_by_op() {
     for (capacity, ways) in GEOMETRIES {
         let mut new = CacheSim::new(capacity, ways);
         let mut old = TimestampLru::new(capacity, ways);
+        // `new` invalidates with the vector walk and `scalar` with the scalar
+        // one; every other operation goes to both, and after each the sets
+        // it reached must be equal.
+        let mut scalar = new.clone();
         let mut rng = SplitMix64::new(capacity as u64 ^ 0x5EED);
         for op in 0..DIFFERENTIAL_OPS {
             let addr = draw_addr(&mut rng, capacity, ways);
             let what = rng.next_bounded(100);
             let ctx = (capacity, ways, op, addr);
+            let mut reached = 0;
             match what {
-                0..=34 => assert_eq!(new.touch(addr), old.touch(addr), "touch {ctx:?}"),
+                0..=34 => {
+                    assert_eq!(new.touch(addr), old.touch(addr), "touch {ctx:?}");
+                    scalar.touch(addr);
+                }
                 35..=59 => {
                     let len = draw_len(&mut rng);
                     assert_eq!(
@@ -146,15 +176,20 @@ fn matches_timestamp_lru_op_by_op() {
                         old.access(addr, len),
                         "access {ctx:?}"
                     );
+                    scalar.access(addr, len);
+                    reached = len;
                 }
                 60..=79 => assert_eq!(new.probe(addr), old.probe(addr), "probe {ctx:?}"),
                 80..=98 => {
                     let len = draw_len(&mut rng);
-                    new.invalidate(addr, len);
+                    invalidate_vector(&mut new, addr, len);
+                    scalar.invalidate_scalar(addr, len);
                     old.invalidate(addr, len);
+                    reached = len;
                 }
                 _ if rng.next_bounded(2000) == 0 => {
                     new.clear();
+                    scalar.clear();
                     old.clear();
                 }
                 // A host-only hint, to the new cache alone: the reference has
@@ -162,7 +197,15 @@ fn matches_timestamp_lru_op_by_op() {
                 // interleaving of hints changes what the model returns.
                 _ => new.hint(addr),
             }
+            assert!(
+                same_sets(&new, &scalar, addr, reached),
+                "vector and scalar walks differ after {ctx:?}"
+            );
         }
+        assert_eq!(
+            new.tags, scalar.tags,
+            "vector and scalar walks, {capacity} B"
+        );
         // Same residents at the end, over every address the run could draw.
         let span = (4 * capacity as u64).max(3 * capacity as u64 + 4 * LINE);
         for addr in (0..span).step_by(LINE as usize) {

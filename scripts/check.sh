@@ -28,13 +28,13 @@ cargo test -q -p cornflakes-core --test dynamic_parity
 cargo test -q -p cf-kv --test codegen_parity --test differential
 cargo test -q -p cf-nic --test rss_proptests
 
-echo "==> fcs gate: both CRC kernels against the bytewise reference, every length"
+echo "==> fcs gate: the three CRC kernels and the masked frame pass against the bytewise reference, every length"
 cargo test -q -p cf-nic fcs
 
 echo "==> cost-model gate: CacheSim against the timestamp-LRU reference op by op, set-layout properties, rounding grid, charge replay"
 cargo test -q -p cf-sim --lib -- cache::tests round_ns_is_f64_round_on_the_pinned_grid replay_matches_recorded_clock_and_attribution
 
-echo "==> memory gate: cf-mem in release (bounds checks that must not wrap), then its unit + property tests, tests/memory_safety.rs, the wire-format differential (hostile offsets and counts through every decoder), cf-sim (the prefetch helper) and the store's tests under AddressSanitizer"
+echo "==> memory gate: cf-mem in release (bounds checks that must not wrap), then its unit + property tests, tests/memory_safety.rs, the wire-format differential (hostile offsets and counts through every decoder), cf-sim (the prefetch helper), cf-nic (the CRC kernels' vector loads) and the store's tests under AddressSanitizer"
 cargo test -q --release -p cf-mem
 if cargo +nightly --version >/dev/null 2>&1; then
     # A target directory of its own (sanitized objects do not mix with the
@@ -46,6 +46,7 @@ if cargo +nightly --version >/dev/null 2>&1; then
         cargo +nightly test -q -p cf-mem --lib --tests --target "$host"
         cargo +nightly test -q --test memory_safety --test wire_differential --target "$host"
         cargo +nightly test -q -p cf-sim --lib --tests --target "$host"
+        cargo +nightly test -q -p cf-nic --lib --tests --target "$host"
         cargo +nightly test -q -p cf-kv --lib --target "$host" store::
     )
 else
