@@ -82,14 +82,30 @@ impl Ptr {
     fn is_null(self) -> bool {
         self == Ptr::NULL
     }
+
+    /// The pointer as the wire has it: builder segment indices count data
+    /// segments only, and the root segment goes in front of them.
+    fn shifted(self) -> Ptr {
+        let seg = self.seg + !self.is_null() as u16;
+        Ptr { seg, ..self }
+    }
 }
 
-/// Builder for the Cap'n Proto-style multi-get message.
+/// Builder for the Cap'n Proto-style multi-get message. A builder is
+/// reusable: [`CapnGetM::reset`] empties its segments without freeing
+/// them, so a warm builder encodes without touching the host allocator;
+/// the modelled costs are the library's fresh-segment ones all the same.
+#[derive(Debug)]
 pub struct CapnGetM {
+    /// The root struct, then the data segments; entries from `used` on are
+    /// emptied spares.
     segments: Vec<Vec<u8>>,
+    used: usize,
     id: Option<u32>,
     keys: Vec<Ptr>,
     vals: Vec<Ptr>,
+    /// A pointer table's bytes, staged before their copy into a segment.
+    table: Vec<u8>,
 }
 
 impl Default for CapnGetM {
@@ -102,11 +118,22 @@ impl CapnGetM {
     /// Creates a builder with one fresh segment.
     pub fn new() -> Self {
         CapnGetM {
-            segments: vec![Vec::with_capacity(SEGMENT_SIZE)],
+            segments: vec![Vec::new(), Vec::with_capacity(SEGMENT_SIZE)],
+            used: 2,
             id: None,
             keys: Vec::new(),
             vals: Vec::new(),
+            table: Vec::new(),
         }
+    }
+
+    /// Empties the builder for the next message, keeping its segments.
+    pub fn reset(&mut self) {
+        self.segments[..self.used].iter_mut().for_each(Vec::clear);
+        self.used = 2;
+        self.id = None;
+        self.keys.clear();
+        self.vals.clear();
     }
 
     /// Sets the id field.
@@ -114,20 +141,25 @@ impl CapnGetM {
         self.id = Some(id);
     }
 
+    /// Opens a data segment of at least `capacity` bytes, a spare if any.
+    fn open_segment(&mut self, capacity: usize) {
+        if self.used == self.segments.len() {
+            self.segments.push(Vec::new());
+        }
+        self.segments[self.used].reserve(capacity);
+        self.used += 1;
+    }
+
     fn alloc_blob(&mut self, sim: &Sim, data: &[u8]) -> Ptr {
         let costs = sim.costs();
         // Place in the last segment if it fits; otherwise open a new one.
-        let fits = self.segments.last().expect("nonempty").len() + data.len() <= SEGMENT_SIZE;
-        if !fits && data.len() <= SEGMENT_SIZE {
+        let fits = self.segments[self.used - 1].len() + data.len() <= SEGMENT_SIZE;
+        if !fits {
             sim.charge(Category::Alloc, costs.heap_alloc);
-            self.segments.push(Vec::with_capacity(SEGMENT_SIZE));
-        } else if !fits {
-            // Oversized blob: dedicated segment.
-            sim.charge(Category::Alloc, costs.heap_alloc);
-            self.segments
-                .push(Vec::with_capacity(data.len().div_ceil(8) * 8));
+            // Oversized blobs get a dedicated segment.
+            self.open_segment(SEGMENT_SIZE.max(data.len().next_multiple_of(8)));
         }
-        let seg_idx = self.segments.len() - 1;
+        let seg_idx = self.used - 1;
         let seg = &mut self.segments[seg_idx];
         let off = seg.len() as u32;
         sim.charge_memcpy(
@@ -137,11 +169,9 @@ impl CapnGetM {
             data.len(),
         );
         seg.extend_from_slice(data);
-        while !seg.len().is_multiple_of(8) {
-            seg.push(0);
-        }
+        seg.resize(seg.len().next_multiple_of(8), 0);
         Ptr {
-            seg: seg_idx as u16,
+            seg: seg_idx as u16 - 1,
             len: data.len() as u16,
             off,
         }
@@ -171,43 +201,44 @@ impl CapnGetM {
         if ptrs.is_empty() {
             return Ptr::NULL;
         }
-        let bytes: Vec<u8> = ptrs.iter().flat_map(|p| p.pack().to_le_bytes()).collect();
+        let mut bytes = std::mem::take(&mut self.table);
+        bytes.clear();
+        bytes.extend(ptrs.iter().flat_map(|p| p.shifted().pack().to_le_bytes()));
         sim.charge(
             Category::HeaderWrite,
             bytes.len() as f64 * sim.costs().header_write_per_byte,
         );
         let mut p = self.alloc_blob(sim, &bytes);
+        self.table = bytes;
         p.len = ptrs.len() as u16;
         p
     }
 
     /// Finishes the message: writes the root struct and pointer tables,
     /// returning the segment list (the "non-contiguous list of buffers" the
-    /// networking layer consumes).
+    /// networking layer consumes). See [`CapnGetM::finish_in_place`].
     pub fn finish(mut self, sim: &Sim) -> Vec<Vec<u8>> {
+        self.finish_in_place(sim);
+        self.segments.truncate(self.used);
+        self.segments
+    }
+
+    /// Finishes the message in the builder's own segments and returns
+    /// them, the root struct first; [`CapnGetM::reset`] starts the next.
+    pub fn finish_in_place(&mut self, sim: &Sim) -> &[Vec<u8>] {
         let costs = sim.costs();
         let keys = std::mem::take(&mut self.keys);
         let vals = std::mem::take(&mut self.vals);
         let keys_ptr = self.write_ptr_table(sim, &keys);
         let vals_ptr = self.write_ptr_table(sim, &vals);
-        // Root struct prepends as its own leading segment so readers find
-        // it at a fixed location (segment 0, offset 0).
-        let mut root = Vec::with_capacity(24);
+        (self.keys, self.vals) = (keys, vals);
+        // The root struct leads, at a fixed location (segment 0, offset 0).
+        let root = &mut self.segments[0];
+        root.clear();
         root.extend_from_slice(&self.id.unwrap_or(0).to_le_bytes());
         root.extend_from_slice(&(if self.id.is_some() { PRESENT_ID } else { 0 }).to_le_bytes());
-        // Shift segment indices by one for the prepended root segment.
-        let shift = |p: Ptr| {
-            if p.is_null() {
-                p
-            } else {
-                Ptr {
-                    seg: p.seg + 1,
-                    ..p
-                }
-            }
-        };
-        root.extend_from_slice(&shift(keys_ptr).pack().to_le_bytes());
-        root.extend_from_slice(&shift(vals_ptr).pack().to_le_bytes());
+        root.extend_from_slice(&keys_ptr.shifted().pack().to_le_bytes());
+        root.extend_from_slice(&vals_ptr.shifted().pack().to_le_bytes());
         // Segment-table framing and far-pointer bookkeeping: Cap'n Proto
         // pays a per-message segment-management cost the flat formats do
         // not (visible in the paper's Table 1, where it trails on small
@@ -216,45 +247,25 @@ impl CapnGetM {
             Category::HeaderWrite,
             costs.header_fixed + 80.0 + 24.0 * costs.header_write_per_byte,
         );
-        let mut segments = vec![root];
-        // Pointer tables also need their segment indices shifted.
-        for (si, seg) in self.segments.iter_mut().enumerate() {
-            let is_table = |p: Ptr, tables: &[Ptr]| {
-                tables.iter().any(|t| {
-                    !t.is_null() && t.seg as usize == si && t.off as usize == p.off as usize
-                })
-            };
-            let _ = is_table; // tables rewritten below instead
-            segments.push(std::mem::take(seg));
+        &self.segments[..self.used]
+    }
+
+    /// Writes the segment table that frames `segments` (the prefix of the
+    /// wire format, padded to a word) into `out`, replacing its contents.
+    pub fn segment_table(segments: &[Vec<u8>], out: &mut Vec<u8>) {
+        out.clear();
+        out.extend_from_slice(&(segments.len() as u32).to_le_bytes());
+        for s in segments {
+            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
         }
-        // Rewrite the element pointers inside the key/val tables to account
-        // for the +1 segment shift.
-        for table in [keys_ptr, vals_ptr] {
-            if table.is_null() {
-                continue;
-            }
-            let seg = &mut segments[table.seg as usize + 1];
-            for i in 0..table.len as usize {
-                let at = table.off as usize + i * 8;
-                let raw = u64::from_le_bytes(seg[at..at + 8].try_into().expect("8 bytes"));
-                let shifted = shift(Ptr::unpack(raw)).pack();
-                seg[at..at + 8].copy_from_slice(&shifted.to_le_bytes());
-            }
-        }
-        segments
+        out.resize(out.len().next_multiple_of(8), 0);
     }
 
     /// Frames segments into the contiguous wire format (what the receiver
     /// sees after the stack gathers everything).
     pub fn frame(segments: &[Vec<u8>]) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(&(segments.len() as u32).to_le_bytes());
-        for s in segments {
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-        }
-        while out.len() % 8 != 0 {
-            out.push(0);
-        }
+        Self::segment_table(segments, &mut out);
         for s in segments {
             out.extend_from_slice(s);
         }
@@ -270,8 +281,20 @@ pub struct CapnReader<'a> {
 }
 
 impl<'a> CapnReader<'a> {
-    /// Parses the segment table, charging deserialization costs.
+    /// Parses the segment table, charging deserialization costs. See
+    /// [`CapnReader::parse_with`].
     pub fn parse(sim: &Sim, buf: &'a [u8]) -> Result<Self, CapnError> {
+        Self::parse_with(sim, buf, &mut Vec::new())
+    }
+
+    /// Parses the segment table into `scratch`'s storage, which the reader
+    /// keeps until [`CapnReader::into_scratch`] (on error, `scratch` keeps
+    /// it).
+    pub fn parse_with(
+        sim: &Sim,
+        buf: &'a [u8],
+        scratch: &mut Vec<(usize, usize)>,
+    ) -> Result<Self, CapnError> {
         let costs = sim.costs();
         sim.charge(Category::Deserialize, costs.header_fixed * 0.5 + 40.0);
         if buf.len() < 4 {
@@ -286,18 +309,27 @@ impl<'a> CapnReader<'a> {
             return Err(CapnError::Truncated);
         }
         let mut start = table_end.div_ceil(8) * 8;
-        let mut segs = Vec::with_capacity(nsegs);
+        scratch.clear();
         for i in 0..nsegs {
             let len =
                 u32::from_le_bytes(buf[4 + 4 * i..8 + 4 * i].try_into().expect("4 bytes")) as usize;
             if start + len > buf.len() {
                 return Err(CapnError::BadSegmentTable);
             }
-            segs.push((start, len));
+            scratch.push((start, len));
             start += len;
         }
         sim.charge_read(Category::Deserialize, buf.as_ptr() as u64, table_end);
-        Ok(CapnReader { buf, segs })
+        Ok(CapnReader {
+            buf,
+            segs: std::mem::take(scratch),
+        })
+    }
+
+    /// Gives back the segment-table storage [`CapnReader::parse_with`]
+    /// took.
+    pub fn into_scratch(self) -> Vec<(usize, usize)> {
+        self.segs
     }
 
     fn seg_bytes(&self, seg: u16, off: usize, len: usize) -> Result<&'a [u8], CapnError> {
@@ -321,41 +353,60 @@ impl<'a> CapnReader<'a> {
         Ok((presence & PRESENT_ID != 0).then_some(id))
     }
 
-    fn list(&self, sim: &Sim, root_off: usize) -> Result<Vec<&'a [u8]>, CapnError> {
+    /// Resolves the list the root word at `root_off` points to into `out`,
+    /// which is left empty on error.
+    fn list_into(
+        &self,
+        sim: &Sim,
+        root_off: usize,
+        out: &mut Vec<&'a [u8]>,
+    ) -> Result<(), CapnError> {
+        out.clear();
         let p = Ptr::unpack(self.root_word(root_off)?);
         if p.is_null() {
-            return Ok(Vec::new());
+            return Ok(());
         }
         let costs = sim.costs();
         let table = self.seg_bytes(p.seg, p.off as usize, p.len as usize * 8)?;
-        let mut out = Vec::with_capacity(p.len as usize);
-        for i in 0..p.len as usize {
-            let e = Ptr::unpack(u64::from_le_bytes(
-                table[i * 8..i * 8 + 8].try_into().expect("8 bytes"),
-            ));
+        for entry in table.chunks_exact(8) {
+            let e = Ptr::unpack(u64::from_le_bytes(entry.try_into().expect("8 bytes")));
             sim.charge(
                 Category::Deserialize,
                 costs.lib_field_overhead(e.len as usize),
             );
-            out.push(self.seg_bytes(e.seg, e.off as usize, e.len as usize)?);
+            let field = self.seg_bytes(e.seg, e.off as usize, e.len as usize);
+            let field = field.inspect_err(|_| out.clear())?;
+            out.push(field);
         }
-        Ok(out)
+        Ok(())
     }
 
-    /// The keys, zero-copy. Charged with eager UTF-8 validation (string
-    /// fields), like the real library's `text` readers.
+    /// The keys, zero-copy; see [`CapnReader::keys_into`].
     pub fn keys(&self, sim: &Sim) -> Result<Vec<&'a [u8]>, CapnError> {
-        let ks = self.list(sim, 8)?;
+        let mut keys = Vec::new();
+        self.keys_into(sim, &mut keys).map(|()| keys)
+    }
+
+    /// Resolves the keys into `out`, zero-copy. Charged with eager UTF-8
+    /// validation (string fields), like the real library's `text` readers.
+    pub fn keys_into(&self, sim: &Sim, out: &mut Vec<&'a [u8]>) -> Result<(), CapnError> {
+        self.list_into(sim, 8, out)?;
         let costs = sim.costs();
-        for k in &ks {
+        for k in out.iter() {
             sim.charge(Category::Deserialize, k.len() as f64 * costs.utf8_per_byte);
         }
-        Ok(ks)
+        Ok(())
     }
 
-    /// The values, zero-copy.
+    /// The values, zero-copy; see [`CapnReader::vals_into`].
     pub fn vals(&self, sim: &Sim) -> Result<Vec<&'a [u8]>, CapnError> {
-        self.list(sim, 16)
+        let mut vals = Vec::new();
+        self.vals_into(sim, &mut vals).map(|()| vals)
+    }
+
+    /// Resolves the values into `out`, zero-copy.
+    pub fn vals_into(&self, sim: &Sim, out: &mut Vec<&'a [u8]>) -> Result<(), CapnError> {
+        self.list_into(sim, 16, out)
     }
 }
 

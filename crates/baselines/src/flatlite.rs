@@ -54,9 +54,15 @@ fn get_u16(buf: &[u8], off: usize) -> Result<u16, FlatError> {
         .ok_or(FlatError::Truncated)
 }
 
-/// Builder/encoder for the FlatBuffers multi-get message.
+/// Builder/encoder for the FlatBuffers multi-get message. A builder keeps
+/// its buffer and offset scratch between messages, so a warm one encodes
+/// without touching the host allocator; the modelled costs are the
+/// library's fresh-builder ones all the same.
 #[derive(Clone, Debug, Default)]
-pub struct FlatGetM;
+pub struct FlatGetM {
+    buf: Vec<u8>,
+    offs: Vec<u32>,
+}
 
 /// vtable slot indices for the GetM table.
 const SLOT_ID: usize = 0;
@@ -65,12 +71,25 @@ const SLOT_VALS: usize = 2;
 const NUM_SLOTS: usize = 3;
 
 impl FlatGetM {
-    /// Encodes a GetM message into a fresh builder buffer, charging builder
-    /// copies (cold) and table/vtable writes.
+    /// Encodes a GetM message with a fresh builder; see [`FlatGetM::build`].
     pub fn encode(sim: &Sim, id: Option<u32>, keys: &[&[u8]], vals: &[&[u8]]) -> Vec<u8> {
+        let mut builder = FlatGetM::default();
+        builder.build(sim, id, keys, vals);
+        builder.buf
+    }
+
+    /// Encodes a GetM message into this builder's buffer, replacing what
+    /// it held, charging builder copies (cold) and table/vtable writes.
+    pub fn build(&mut self, sim: &Sim, id: Option<u32>, keys: &[&[u8]], vals: &[&[u8]]) -> &[u8] {
         let costs = sim.costs();
         sim.charge(Category::Alloc, costs.heap_alloc);
-        let mut buf = vec![0u8; 4]; // root offset placeholder
+        let buf = &mut self.buf;
+        buf.clear();
+        // Room for the whole message before any copy is charged at its
+        // destination: per field its length, padding and offset entry;
+        // then the root offset, two vector lengths, vtable and table.
+        buf.reserve(keys.iter().chain(vals).map(|f| f.len() + 11).sum::<usize>() + 38);
+        buf.extend_from_slice(&[0; 4]); // root offset placeholder
 
         let write_byte_vec = |buf: &mut Vec<u8>, data: &[u8]| -> u32 {
             let off = buf.len() as u32;
@@ -83,13 +102,14 @@ impl FlatGetM {
                 data.len(),
             );
             buf.extend_from_slice(data);
-            while !buf.len().is_multiple_of(4) {
-                buf.push(0);
-            }
+            buf.resize(buf.len().next_multiple_of(4), 0);
             off
         };
 
         let write_offset_vec = |buf: &mut Vec<u8>, offs: &[u32]| -> u32 {
+            if offs.is_empty() {
+                return 0;
+            }
             let off = buf.len() as u32;
             buf.extend_from_slice(&(offs.len() as u32).to_le_bytes());
             for &o in offs {
@@ -102,18 +122,13 @@ impl FlatGetM {
             off
         };
 
-        let key_offs: Vec<u32> = keys.iter().map(|k| write_byte_vec(&mut buf, k)).collect();
-        let val_offs: Vec<u32> = vals.iter().map(|v| write_byte_vec(&mut buf, v)).collect();
-        let keys_vec = if key_offs.is_empty() {
-            0
-        } else {
-            write_offset_vec(&mut buf, &key_offs)
-        };
-        let vals_vec = if val_offs.is_empty() {
-            0
-        } else {
-            write_offset_vec(&mut buf, &val_offs)
-        };
+        self.offs.clear();
+        for field in keys.iter().chain(vals) {
+            self.offs.push(write_byte_vec(buf, field));
+        }
+        let (key_offs, val_offs) = self.offs.split_at(keys.len());
+        let keys_vec = write_offset_vec(buf, key_offs);
+        let vals_vec = write_offset_vec(buf, val_offs);
 
         // vtable: [u16 vtable_len][u16 table_len][u16 slot offsets...].
         // Table: [u32 vtable_off][u32 per present field...].
@@ -334,6 +349,34 @@ mod tests {
         }
         assert!(FlatGetMView::parse(&s, &[]).is_err());
         assert!(FlatGetMView::parse(&s, &[0, 0, 0]).is_err());
+    }
+
+    #[test]
+    fn field_bytes_are_resident_where_they_landed() {
+        // Charged copies install their destination lines; a builder that
+        // moved after charging would leave its field bytes on lines the
+        // modelled cache never saw.
+        let s = Sim::new(MachineProfile::cloudlab_c6525());
+        let (mid, big) = (vec![4u8; 256], vec![3u8; 3000]);
+        let mut builder = FlatGetM::default();
+        for vals in [&[&big[..], b"v"][..], &[&mid[..]; 8], &[&big[..]; 3]] {
+            s.reset();
+            let wire = builder.build(&s, Some(1), &[b"key-a", b"key-b"], vals);
+            let view = FlatGetMView::parse(&s, wire).unwrap();
+            let fields = (0..2)
+                .map(|i| view.key(i))
+                .chain((0..vals.len()).map(|i| view.val(i)));
+            for field in fields {
+                let field = field.unwrap();
+                let start = field.as_ptr() as u64;
+                for line in (start & !63..start + field.len() as u64).step_by(64) {
+                    assert!(
+                        s.with_core(|c| c.cache.probe(line)),
+                        "line {line:#x} of a field is not resident"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -26,6 +26,13 @@
 //! byte field (Figure 1's library profile), while Cornflakes performs zero
 //! (large, pinned fields) or two cheap ones (small fields via the arena).
 //! Every decode path is bounds-checked against hostile input.
+//!
+//! The allocations are modelled, not made: messages and builders are
+//! reusable (`PGetM::decode_into` / `encode_into`, `FlatGetM::build`,
+//! `CapnGetM::reset` / `finish_in_place`, `CapnReader::parse_with`), so a
+//! warm caller touches no host allocator, while every `heap_alloc` and copy
+//! of the library's allocating design is still charged on the virtual clock.
+//! The one-shot entry points are thin wrappers over the same code.
 
 pub mod capnlite;
 pub mod flatlite;

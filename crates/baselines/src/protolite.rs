@@ -15,7 +15,7 @@ use std::fmt;
 use cf_sim::cost::Category;
 use cf_sim::Sim;
 
-use crate::varint::{decode_varint, push_varint, varint_len};
+use crate::varint::{decode_varint, encode_varint, varint_len, MAX_VARINT};
 
 /// Decode errors.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,9 +47,30 @@ fn tag(field: u64, wt: u8) -> u64 {
     (field << 3) | wt as u64
 }
 
+/// A field's header: its tag, then a varint (the value or the length).
+fn tag_and_varint(tag: u64, v: u64) -> ([u8; 2 * MAX_VARINT], usize) {
+    let mut buf = [0u8; 2 * MAX_VARINT];
+    let n = encode_varint(tag, &mut buf);
+    let n = n + encode_varint(v, &mut buf[n..]);
+    (buf, n)
+}
+
+/// Appends `data` to `list` in a spare buffer if there is one.
+fn push_field(list: &mut Vec<Vec<u8>>, spare: &mut Vec<Vec<u8>>, data: &[u8]) {
+    let mut buf = spare.pop().unwrap_or_default();
+    buf.clear();
+    buf.extend_from_slice(data);
+    list.push(buf);
+}
+
 /// The Protobuf-encoded multi-get message (`GetM` in the paper's schema):
 /// `int32 id = 1; repeated bytes keys = 2; repeated bytes vals = 3;`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// A message is reusable: [`PGetM::clear`] keeps its emptied field buffers,
+/// and [`PGetM::decode_into`] / the `add_*` setters refill them, so a warm
+/// message sets, encodes and decodes without touching the host allocator.
+/// The modelled costs are those of the allocating library all the same.
+#[derive(Clone, Debug, Default)]
 pub struct PGetM {
     /// Request identifier.
     pub id: Option<u32>,
@@ -57,7 +78,17 @@ pub struct PGetM {
     pub keys: Vec<Vec<u8>>,
     /// Returned values (owned).
     pub vals: Vec<Vec<u8>>,
+    /// Emptied field buffers, refilled before any new one is allocated.
+    spare: Vec<Vec<u8>>,
 }
+
+impl PartialEq for PGetM {
+    fn eq(&self, other: &Self) -> bool {
+        (self.id, &self.keys, &self.vals) == (other.id, &other.keys, &other.vals)
+    }
+}
+
+impl Eq for PGetM {}
 
 impl PGetM {
     /// Creates an empty message.
@@ -65,17 +96,24 @@ impl PGetM {
         Self::default()
     }
 
+    /// Empties the message, keeping its field buffers for reuse.
+    pub fn clear(&mut self) {
+        self.id = None;
+        self.spare.append(&mut self.keys);
+        self.spare.append(&mut self.vals);
+    }
+
     /// Sets a key, copying the bytes into the struct (charged cold copy +
     /// allocation, like `protobuf`'s owned `Vec<u8>` fields).
     pub fn add_key(&mut self, sim: &Sim, data: &[u8]) {
         Self::charge_field_copy(sim, data);
-        self.keys.push(data.to_vec());
+        push_field(&mut self.keys, &mut self.spare, data);
     }
 
     /// Sets a value, copying the bytes into the struct.
     pub fn add_val(&mut self, sim: &Sim, data: &[u8]) {
         Self::charge_field_copy(sim, data);
-        self.vals.push(data.to_vec());
+        push_field(&mut self.vals, &mut self.spare, data);
     }
 
     fn charge_field_copy(sim: &Sim, data: &[u8]) {
@@ -106,45 +144,68 @@ impl PGetM {
         n
     }
 
-    /// Encodes into a fresh vector, charging varint compute plus one (warm:
-    /// the struct's copies are cache-resident) copy per field toward the
-    /// DMA buffer at `dma_addr`.
+    /// Encodes into a fresh vector; see [`PGetM::encode_into`].
     pub fn encode(&self, sim: &Sim, dma_addr: u64) -> Vec<u8> {
-        let costs = sim.costs();
         let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(sim, dma_addr, |bytes| out.extend_from_slice(bytes));
+        out
+    }
+
+    /// Encodes the message as consecutive calls of `put`, which together
+    /// write [`PGetM::encoded_len`] bytes, charging the library's output
+    /// allocation, varint compute and one (warm: the struct's copies are
+    /// cache-resident) copy per field toward the DMA buffer at `dma_addr`.
+    pub fn encode_into(&self, sim: &Sim, dma_addr: u64, mut put: impl FnMut(&[u8])) {
+        let costs = sim.costs();
         sim.charge(Category::Alloc, costs.heap_alloc);
-        let mut header_bytes = 0usize;
+        let mut written = 0usize;
         if let Some(id) = self.id {
-            header_bytes += push_varint(tag(1, WT_VARINT), &mut out);
-            header_bytes += push_varint(id as u64, &mut out);
+            let (buf, n) = tag_and_varint(tag(1, WT_VARINT), id as u64);
+            put(&buf[..n]);
+            written += n;
             sim.charge(Category::HeaderWrite, costs.per_field);
         }
+        let mut header_bytes = written;
         for (field, list) in [(2u64, &self.keys), (3u64, &self.vals)] {
             for item in list {
-                header_bytes += push_varint(tag(field, WT_LEN), &mut out);
-                header_bytes += push_varint(item.len() as u64, &mut out);
+                let (buf, n) = tag_and_varint(tag(field, WT_LEN), item.len() as u64);
+                put(&buf[..n]);
+                written += n;
+                header_bytes += n;
                 sim.charge(Category::HeaderWrite, costs.lib_field_overhead(item.len()));
                 sim.charge_memcpy(
                     Category::SerializeCopy,
                     item.as_ptr() as u64,
-                    dma_addr + out.len() as u64,
+                    dma_addr + written as u64,
                     item.len(),
                 );
-                out.extend_from_slice(item);
+                put(item);
+                written += item.len();
             }
         }
         sim.charge(
             Category::HeaderWrite,
             header_bytes as f64 * costs.varint_per_byte,
         );
-        out
     }
 
-    /// Decodes from `buf`, copying every field out into owned vectors
-    /// (charged cold copies — the receive buffer was just DMA'd).
+    /// Decodes from `buf` into a new message; see [`PGetM::decode_into`].
     pub fn decode(sim: &Sim, buf: &[u8]) -> Result<PGetM, ProtoError> {
-        let costs = sim.costs();
         let mut m = PGetM::new();
+        m.decode_into(sim, buf).map(|()| m)
+    }
+
+    /// Replaces this message's contents with those decoded from `buf`,
+    /// copying every field out into owned vectors (charged cold copies and
+    /// allocations — the receive buffer was just DMA'd). On error the
+    /// message is left empty.
+    pub fn decode_into(&mut self, sim: &Sim, buf: &[u8]) -> Result<(), ProtoError> {
+        self.clear();
+        self.parse(sim, buf).inspect_err(|_| self.clear())
+    }
+
+    fn parse(&mut self, sim: &Sim, buf: &[u8]) -> Result<(), ProtoError> {
+        let costs = sim.costs();
         let mut off = 0usize;
         let mut header_bytes = 0usize;
         while off < buf.len() {
@@ -159,7 +220,7 @@ impl PGetM {
                     off += n;
                     header_bytes += n;
                     if field == 1 {
-                        m.id = Some(v as u32);
+                        self.id = Some(v as u32);
                     }
                 }
                 WT_LEN => {
@@ -185,9 +246,9 @@ impl PGetM {
                             // Keys are strings: protobuf validates UTF-8
                             // eagerly at parse time.
                             sim.charge(Category::Deserialize, len as f64 * costs.utf8_per_byte);
-                            m.keys.push(data.to_vec());
+                            push_field(&mut self.keys, &mut self.spare, data);
                         }
-                        3 => m.vals.push(data.to_vec()),
+                        3 => push_field(&mut self.vals, &mut self.spare, data),
                         _ => {}
                     }
                     off = end;
@@ -199,7 +260,7 @@ impl PGetM {
             Category::Deserialize,
             header_bytes as f64 * costs.varint_per_byte,
         );
-        Ok(m)
+        Ok(())
     }
 }
 
@@ -240,8 +301,8 @@ mod tests {
         let s = sim();
         // Field 9, wire type 2, length 3.
         let mut wire = Vec::new();
-        push_varint(tag(9, WT_LEN), &mut wire);
-        push_varint(3, &mut wire);
+        let (header, n) = tag_and_varint(tag(9, WT_LEN), 3);
+        wire.extend_from_slice(&header[..n]);
         wire.extend_from_slice(b"xyz");
         let d = PGetM::decode(&s, &wire).unwrap();
         assert_eq!(d, PGetM::new());
@@ -270,8 +331,8 @@ mod tests {
     fn hostile_length_rejected() {
         let s = sim();
         let mut wire = Vec::new();
-        push_varint(tag(3, WT_LEN), &mut wire);
-        push_varint(u64::MAX, &mut wire);
+        let (header, n) = tag_and_varint(tag(3, WT_LEN), u64::MAX);
+        wire.extend_from_slice(&header[..n]);
         assert!(PGetM::decode(&s, &wire).is_err());
     }
 

@@ -23,14 +23,6 @@ pub fn encode_varint(mut v: u64, out: &mut [u8]) -> usize {
     }
 }
 
-/// Appends a varint to a vector, returning the encoded length.
-pub fn push_varint(v: u64, out: &mut Vec<u8>) -> usize {
-    let mut buf = [0u8; MAX_VARINT];
-    let n = encode_varint(v, &mut buf);
-    out.extend_from_slice(&buf[..n]);
-    n
-}
-
 /// Decodes a varint from `buf`, returning `(value, bytes_consumed)`, or
 /// `None` on truncation/overlong encodings.
 pub fn decode_varint(buf: &[u8]) -> Option<(u64, usize)> {
@@ -96,13 +88,5 @@ mod tests {
         // 11 continuation bytes.
         let bad = [0xFFu8; 11];
         assert!(decode_varint(&bad).is_none());
-    }
-
-    #[test]
-    fn push_appends() {
-        let mut v = vec![0xAA];
-        let n = push_varint(300, &mut v);
-        assert_eq!(n, 2);
-        assert_eq!(v, vec![0xAA, 0xAC, 0x02]);
     }
 }

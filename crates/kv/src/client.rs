@@ -188,6 +188,8 @@ pub struct KvClient {
     steer_ports: Vec<u16>,
     counters: ClientCounters,
     codecs: Codecs,
+    /// Value buffers a short reply left over, for the next long one.
+    reply_spare: Vec<Vec<u8>>,
 }
 
 /// Creates a connected (client, server) pair: the client on its own
@@ -224,6 +226,7 @@ impl KvClient {
             steer_ports: Vec::new(),
             counters: ClientCounters::default(),
             codecs: Codecs::default(),
+            reply_spare: Vec::new(),
         }
     }
 
@@ -678,7 +681,8 @@ impl KvClient {
             let Ok(id) = with_codec!(self.kind, self.codecs, |codec| codec.read_reply(
                 ctx,
                 &pkt.payload,
-                &mut out.vals
+                &mut out.vals,
+                &mut self.reply_spare
             )) else {
                 return false;
             };

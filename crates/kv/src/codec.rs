@@ -94,25 +94,27 @@ pub(crate) trait KvCodec {
         self.send(stack, hdr, msg)
     }
 
-    /// Decodes a reply, copying its values into `vals` (reusing the buffers
-    /// already there); returns its `id`.
+    /// Decodes a reply, copying its values into `vals`; returns its `id`.
+    /// The buffers already in `vals` are reused, then those in `spare`,
+    /// and buffers `vals` no longer needs move to `spare`.
     fn read_reply(
         &mut self,
         ctx: &SerCtx,
         payload: &RcBuf,
         vals: &mut Vec<Vec<u8>>,
+        spare: &mut Vec<Vec<u8>>,
     ) -> Result<Option<u32>, Malformed> {
         let msg = self.decode(ctx, payload)?;
         let mut n = 0;
         for data in msg.vals() {
             if n == vals.len() {
-                vals.push(Vec::new());
+                vals.push(spare.pop().unwrap_or_default());
             }
             vals[n].clear();
             vals[n].extend_from_slice(data);
             n += 1;
         }
-        vals.truncate(n);
+        spare.extend(vals.drain(n..));
         let id = msg.id();
         self.recycle(msg);
         Ok(id)
@@ -178,17 +180,18 @@ pub(crate) use with_codec;
 
 /// Transmits `prefix` followed by `bufs`, a library's heap buffers, each
 /// staged into the DMA buffer by a charged (warm) copy.
-fn send_staged(
+fn send_staged<B: AsRef<[u8]>>(
     stack: &mut UdpStack,
     hdr: PacketHeader,
     prefix: &[u8],
-    bufs: &[Vec<u8>],
+    bufs: &[B],
 ) -> Result<(), NetError> {
-    let len = prefix.len() + bufs.iter().map(Vec::len).sum::<usize>();
+    let len = prefix.len() + bufs.iter().map(|b| b.as_ref().len()).sum::<usize>();
     let mut tx = stack.alloc_tx(len)?;
     tx.write_at(HEADER_BYTES, prefix);
     let mut off = HEADER_BYTES + prefix.len();
     for buf in bufs {
+        let buf = buf.as_ref();
         stack.sim().charge_memcpy(
             Category::SerializeCopy,
             buf.as_ptr() as u64,
@@ -293,9 +296,15 @@ impl KvCodec for CornflakesCodec {
 // ---- Protobuf baseline ----------------------------------------------------
 
 /// Protobuf: decoding copies every field into an owned struct; encoding
-/// goes from the struct directly into DMA-safe memory.
+/// goes from the struct directly into DMA-safe memory. Structs are recycled
+/// with their field buffers, so a warm endpoint does not touch the host
+/// allocator; the library's allocations are still charged.
 #[derive(Debug, Default)]
-pub(crate) struct ProtobufCodec;
+pub(crate) struct ProtobufCodec {
+    /// Emptied messages, most recently recycled last (as
+    /// [`CornflakesCodec`]'s, so each keeps its role).
+    spare: Vec<PGetM>,
+}
 
 impl GetM for PGetM {
     fn id(&self) -> Option<u32> {
@@ -314,11 +323,23 @@ impl KvCodec for ProtobufCodec {
     type Builder<'f> = PGetM;
 
     fn decode(&mut self, ctx: &SerCtx, payload: &RcBuf) -> Result<PGetM, Malformed> {
-        PGetM::decode(&ctx.sim, payload).map_err(|_| Malformed)
+        let mut msg = self.spare.pop().unwrap_or_default();
+        if msg.decode_into(&ctx.sim, payload).is_err() {
+            self.recycle(msg);
+            return Err(Malformed);
+        }
+        Ok(msg)
+    }
+
+    fn recycle(&mut self, mut msg: PGetM) {
+        msg.clear();
+        self.spare.push(msg);
     }
 
     fn begin<'f>(&mut self, id: Option<u32>) -> Self::Builder<'f> {
-        PGetM { id, ..PGetM::new() }
+        let mut msg = self.spare.pop().unwrap_or_default();
+        msg.id = id;
+        msg
     }
 
     fn add_key(ctx: &SerCtx, msg: &mut PGetM, key: &[u8]) {
@@ -335,22 +356,33 @@ impl KvCodec for ProtobufCodec {
         hdr: PacketHeader,
         msg: PGetM,
     ) -> Result<(), NetError> {
-        let mut tx = stack.alloc_tx(msg.encoded_len())?;
-        let payload = msg.encode(stack.sim(), tx.addr() + HEADER_BYTES as u64);
-        tx.write_at(HEADER_BYTES, &payload);
-        stack.send_built(hdr, tx, payload.len())
+        let len = msg.encoded_len();
+        let sent = stack.alloc_tx(len).and_then(|mut tx| {
+            let mut at = HEADER_BYTES;
+            msg.encode_into(stack.sim(), tx.addr() + HEADER_BYTES as u64, |bytes| {
+                tx.write_at(at, bytes);
+                at += bytes.len();
+            });
+            stack.send_built(hdr, tx, len)
+        });
+        self.recycle(msg);
+        sent
     }
 
-    /// The decoded struct already owns its values: hand them over.
+    /// The decoded struct already owns its values: swap them for the
+    /// buffers in `vals`, which the struct keeps for its next decode.
     fn read_reply(
         &mut self,
         ctx: &SerCtx,
         payload: &RcBuf,
         vals: &mut Vec<Vec<u8>>,
+        _spare: &mut Vec<Vec<u8>>,
     ) -> Result<Option<u32>, Malformed> {
-        let msg = self.decode(ctx, payload)?;
-        *vals = msg.vals;
-        Ok(msg.id)
+        let mut msg = self.decode(ctx, payload)?;
+        std::mem::swap(vals, &mut msg.vals);
+        let id = msg.id;
+        self.recycle(msg);
+        Ok(id)
     }
 
     /// The decoded struct is the message to send: re-encode it as it is.
@@ -368,12 +400,12 @@ impl KvCodec for ProtobufCodec {
 
 /// FlatBuffers: reads are views into the payload; the builder copies fields
 /// into its heap buffer (cold), which is then staged into DMA memory (warm).
-/// Keeps the builder's field-slice vectors between messages, stored with a
-/// `'static` tag but always empty — see [`recycle_slices`].
+/// The builder and the field-slice vectors it is fed are kept between
+/// messages.
 #[derive(Debug, Default)]
 pub(crate) struct FlatBuffersCodec {
-    keys_spare: Vec<&'static [u8]>,
-    vals_spare: Vec<&'static [u8]>,
+    builder: FlatGetM,
+    spare: SpareFields,
 }
 
 /// A message as borrowed field slices: what the FlatBuffers one-shot
@@ -393,6 +425,29 @@ impl GetM for Fields<'_> {
     }
     fn vals(&self) -> impl Iterator<Item = &[u8]> {
         self.vals.iter().copied()
+    }
+}
+
+/// The slice vectors of a [`Fields`], kept between messages with a
+/// `'static` tag but always empty — see [`recycle_slices`].
+#[derive(Debug, Default)]
+struct SpareFields {
+    keys: Vec<&'static [u8]>,
+    vals: Vec<&'static [u8]>,
+}
+
+impl SpareFields {
+    fn take<'a>(&mut self, id: Option<u32>) -> Fields<'a> {
+        Fields {
+            id,
+            keys: std::mem::take(&mut self.keys),
+            vals: std::mem::take(&mut self.vals),
+        }
+    }
+
+    fn put(&mut self, msg: Fields<'_>) {
+        self.keys = recycle_slices(msg.keys);
+        self.vals = recycle_slices(msg.vals);
     }
 }
 
@@ -441,11 +496,7 @@ impl KvCodec for FlatBuffersCodec {
     }
 
     fn begin<'f>(&mut self, id: Option<u32>) -> Self::Builder<'f> {
-        Fields {
-            id,
-            keys: std::mem::take(&mut self.keys_spare),
-            vals: std::mem::take(&mut self.vals_spare),
-        }
+        self.spare.take(id)
     }
 
     fn add_key<'f>(_ctx: &SerCtx, msg: &mut Fields<'f>, key: &'f [u8]) {
@@ -462,10 +513,11 @@ impl KvCodec for FlatBuffersCodec {
         hdr: PacketHeader,
         msg: Fields<'_>,
     ) -> Result<(), NetError> {
-        let built = FlatGetM::encode(stack.sim(), msg.id, &msg.keys, &msg.vals);
-        self.keys_spare = recycle_slices(msg.keys);
-        self.vals_spare = recycle_slices(msg.vals);
-        send_staged(stack, hdr, &[], std::slice::from_ref(&built))
+        let built = self
+            .builder
+            .build(stack.sim(), msg.id, &msg.keys, &msg.vals);
+        self.spare.put(msg);
+        send_staged(stack, hdr, &[], &[built])
     }
 }
 
@@ -473,9 +525,18 @@ impl KvCodec for FlatBuffersCodec {
 
 /// Cap'n Proto: reads are views into the payload's segments; the builder
 /// yields a non-contiguous segment list, and the stack stages each heap
-/// segment into the DMA buffer (warm copies).
+/// segment into the DMA buffer (warm copies). Builders, resolved lists and
+/// the segment tables are kept between messages.
 #[derive(Debug, Default)]
-pub(crate) struct CapnProtoCodec;
+pub(crate) struct CapnProtoCodec {
+    /// Reset builders, most recently recycled last.
+    builders: Vec<CapnGetM>,
+    lists: SpareFields,
+    /// A reader's segment bounds.
+    segs: Vec<(usize, usize)>,
+    /// The framing table of the message being sent.
+    table: Vec<u8>,
+}
 
 impl KvCodec for CapnProtoCodec {
     type Decoded<'p> = Fields<'p>;
@@ -483,18 +544,34 @@ impl KvCodec for CapnProtoCodec {
 
     fn decode<'p>(&mut self, ctx: &SerCtx, payload: &'p RcBuf) -> Result<Fields<'p>, Malformed> {
         let sim = &ctx.sim;
-        let reader = CapnReader::parse(sim, payload.as_slice()).map_err(|_| Malformed)?;
+        let reader = CapnReader::parse_with(sim, payload.as_slice(), &mut self.segs)
+            .map_err(|_| Malformed)?;
+        let mut msg = self.lists.take(None);
         // An absent list is a null pointer and costs nothing to resolve, so
         // a GET pays for its keys only and a reply for its values only.
-        Ok(Fields {
-            keys: reader.keys(sim).map_err(|_| Malformed)?,
-            vals: reader.vals(sim).map_err(|_| Malformed)?,
-            id: reader.id().map_err(|_| Malformed)?,
-        })
+        let resolved = reader
+            .keys_into(sim, &mut msg.keys)
+            .and_then(|()| reader.vals_into(sim, &mut msg.vals))
+            .and_then(|()| reader.id());
+        self.segs = reader.into_scratch();
+        match resolved {
+            Ok(id) => {
+                msg.id = id;
+                Ok(msg)
+            }
+            Err(_) => {
+                self.lists.put(msg);
+                Err(Malformed)
+            }
+        }
+    }
+
+    fn recycle(&mut self, msg: Fields<'_>) {
+        self.lists.put(msg);
     }
 
     fn begin<'f>(&mut self, id: Option<u32>) -> Self::Builder<'f> {
-        let mut msg = CapnGetM::new();
+        let mut msg = self.builders.pop().unwrap_or_default();
         if let Some(id) = id {
             msg.set_id(id);
         }
@@ -513,12 +590,111 @@ impl KvCodec for CapnProtoCodec {
         &mut self,
         stack: &mut UdpStack,
         hdr: PacketHeader,
-        msg: CapnGetM,
+        mut msg: CapnGetM,
     ) -> Result<(), NetError> {
-        let segments = msg.finish(stack.sim());
-        let framed = CapnGetM::frame(&segments);
+        let segments = msg.finish_in_place(stack.sim());
         // Frame table first (small), then per-segment staging.
-        let table_len = framed.len() - segments.iter().map(Vec::len).sum::<usize>();
-        send_staged(stack, hdr, &framed[..table_len], &segments)
+        CapnGetM::segment_table(segments, &mut self.table);
+        let sent = send_staged(stack, hdr, &self.table, segments);
+        msg.reset();
+        self.builders.push(msg);
+        sent
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cf_mem::PoolConfig;
+    use cf_net::FrameMeta;
+    use cf_nic::{link, Port};
+    use cf_sim::{MachineProfile, Sim};
+    use cornflakes_core::SerializationConfig;
+
+    /// `(id, keys, vals)`, copied out of a decoded message.
+    type Owned = (Option<u32>, Vec<Vec<u8>>, Vec<Vec<u8>>);
+    /// `(id, keys, vals)` to send.
+    type Shape<'a> = (Option<u32>, &'a [&'a [u8]], &'a [&'a [u8]]);
+
+    fn stack(end: Port, port: u16) -> UdpStack {
+        let sim = Sim::new(MachineProfile::tiny_for_tests());
+        let config = SerializationConfig::hybrid();
+        UdpStack::with_pool_config(sim, end, port, config, PoolConfig::small_for_tests())
+    }
+
+    /// What `codec` decodes from `payload`; the message goes back to it.
+    fn decoded<C: KvCodec>(codec: &mut C, ctx: &SerCtx, payload: &RcBuf) -> Option<Owned> {
+        let msg = codec.decode(ctx, payload).ok()?;
+        let keys = msg.keys().map(<[u8]>::to_vec).collect();
+        let owned = (msg.id(), keys, msg.vals().map(<[u8]>::to_vec).collect());
+        codec.recycle(msg);
+        Some(owned)
+    }
+
+    /// Sends a run of message shapes through one long-lived codec and
+    /// decodes each one intact, cut short and corrupted with another, and
+    /// with a fresh codec: no field of an earlier message may show, and a
+    /// failed decode must leave nothing behind for the next.
+    fn recycled_codec_decodes_like_a_fresh_one<C: KvCodec + Default>() {
+        let (a, b) = link();
+        let (mut tx, mut rx) = (stack(a, 4000), stack(b, 9000));
+        let (mut sender, mut reused) = (C::default(), C::default());
+        let big = vec![7u8; 2500];
+        let shapes: [Shape; 5] = [
+            (None, &[b"key-a", b"key-bb", b"k"], &[]),
+            (Some(7), &[], &[&big, b"small", &big]),
+            (None, &[b"put-key"], &[b"put-value"]),
+            (Some(1), &[], &[]),
+            (Some(0), &[b"x"], &[&big[..100]]),
+        ];
+        for round in 0..3 {
+            for (i, &(id, keys, vals)) in shapes.iter().enumerate() {
+                let meta = FrameMeta {
+                    msg_type: 0,
+                    flags: 0,
+                    req_id: 1,
+                };
+                let hdr = tx.header_to(9000, meta);
+                let (k, v) = (keys.iter().copied(), vals.iter().copied());
+                sender.send_fields(&mut tx, hdr, id, k, v).expect("sent");
+                let pkt = rx.recv_packet().expect("delivered");
+                let intact = pkt.payload.as_slice();
+                let want = (
+                    id,
+                    keys.iter().map(|k| k.to_vec()).collect(),
+                    vals.iter().map(|v| v.to_vec()).collect(),
+                );
+                assert_eq!(decoded(&mut reused, rx.ctx(), &pkt.payload), Some(want));
+                let mut corrupt = intact.to_vec();
+                corrupt[(31 * i + 7 * round) % intact.len()] ^= 0xFF;
+                for bytes in [&intact[..intact.len() / 2], &corrupt] {
+                    let mut payload = rx.ctx().pool.alloc(bytes.len()).expect("pool slot");
+                    payload.write_at(0, bytes);
+                    payload.truncate(bytes.len());
+                    let fresh = decoded(&mut C::default(), rx.ctx(), &payload);
+                    assert_eq!(decoded(&mut reused, rx.ctx(), &payload), fresh);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn recycled_cornflakes_codec_decodes_like_a_fresh_one() {
+        recycled_codec_decodes_like_a_fresh_one::<CornflakesCodec>();
+    }
+
+    #[test]
+    fn recycled_protobuf_codec_decodes_like_a_fresh_one() {
+        recycled_codec_decodes_like_a_fresh_one::<ProtobufCodec>();
+    }
+
+    #[test]
+    fn recycled_flatbuffers_codec_decodes_like_a_fresh_one() {
+        recycled_codec_decodes_like_a_fresh_one::<FlatBuffersCodec>();
+    }
+
+    #[test]
+    fn recycled_capnproto_codec_decodes_like_a_fresh_one() {
+        recycled_codec_decodes_like_a_fresh_one::<CapnProtoCodec>();
     }
 }

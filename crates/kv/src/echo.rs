@@ -25,7 +25,7 @@ use cf_net::{FrameMeta, Packet, UdpStack, HEADER_BYTES};
 use cf_sim::cost::Category;
 use cornflakes_core::CornflakesObj;
 
-use crate::codec::{CapnProtoCodec, CornflakesCodec, FlatBuffersCodec, KvCodec, ProtobufCodec};
+use crate::codec::{Codecs, KvCodec};
 use crate::msg_type;
 use crate::msgs::GetMsg;
 
@@ -86,12 +86,17 @@ pub struct EchoServer {
     pub stack: UdpStack,
     /// Serialization variant.
     pub kind: EchoKind,
+    codecs: Codecs,
 }
 
 impl EchoServer {
     /// Creates an echo server.
     pub fn new(stack: UdpStack, kind: EchoKind) -> Self {
-        EchoServer { stack, kind }
+        EchoServer {
+            stack,
+            kind,
+            codecs: Codecs::default(),
+        }
     }
 
     /// Processes all pending requests; returns how many were handled.
@@ -114,6 +119,7 @@ impl EchoServer {
 
     /// Handles one echo request.
     pub fn handle(&mut self, pkt: Packet) {
+        let (stack, codecs) = (&mut self.stack, &mut self.codecs);
         match self.kind {
             EchoKind::NoSerialization => {
                 let _ = self.stack.forward_frame(pkt);
@@ -121,10 +127,10 @@ impl EchoServer {
             EchoKind::ZeroCopyRaw => self.echo_zero_copy_raw(pkt),
             EchoKind::OneCopy => self.echo_n_copy(pkt, 1),
             EchoKind::TwoCopy => self.echo_n_copy(pkt, 2),
-            EchoKind::Cornflakes => self.echo_with(CornflakesCodec::default(), pkt),
-            EchoKind::Protobuf => self.echo_with(ProtobufCodec, pkt),
-            EchoKind::FlatBuffers => self.echo_with(FlatBuffersCodec::default(), pkt),
-            EchoKind::CapnProto => self.echo_with(CapnProtoCodec, pkt),
+            EchoKind::Cornflakes => Self::echo_with(stack, &mut codecs.cornflakes, pkt),
+            EchoKind::Protobuf => Self::echo_with(stack, &mut codecs.protobuf, pkt),
+            EchoKind::FlatBuffers => Self::echo_with(stack, &mut codecs.flatbuffers, pkt),
+            EchoKind::CapnProto => Self::echo_with(stack, &mut codecs.capnproto, pkt),
         }
     }
 
@@ -135,7 +141,7 @@ impl EchoServer {
     /// functionally safe; what is omitted is the *charged* safety cost.
     fn echo_zero_copy_raw(&mut self, pkt: Packet) {
         let hdr = pkt.hdr.reply(Self::reply_meta(&pkt));
-        let mut codec = CornflakesCodec::default();
+        let codec = &mut self.codecs.cornflakes;
         // Send the deserialized views verbatim (they are already zero-copy
         // references into the rx buffer).
         if let Ok(req) = codec.decode(self.stack.ctx(), &pkt.payload) {
@@ -200,12 +206,12 @@ impl EchoServer {
 
     /// Serializer echo: deserialize, then reserialize every field the way
     /// the library does it (for Cornflakes, re-running the hybrid heuristic
-    /// per field) and send. Each message starts from a fresh codec, as an
-    /// application without per-connection state would.
-    fn echo_with<C: KvCodec>(&mut self, mut codec: C, pkt: Packet) {
+    /// per field) and send. The server keeps one codec per library between
+    /// messages, as the KV server does.
+    fn echo_with<C: KvCodec>(stack: &mut UdpStack, codec: &mut C, pkt: Packet) {
         let hdr = pkt.hdr.reply(Self::reply_meta(&pkt));
-        if let Ok(req) = codec.decode(self.stack.ctx(), &pkt.payload) {
-            let _ = codec.echo(&mut self.stack, hdr, req);
+        if let Ok(req) = codec.decode(stack.ctx(), &pkt.payload) {
+            let _ = codec.echo(stack, hdr, req);
         }
     }
 }

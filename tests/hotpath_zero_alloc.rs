@@ -12,6 +12,8 @@
 //!   replaces the old one in the key's table slot),
 //! - batched multi-GET (8 keys per request, through the store's prefetch
 //!   pass, whose scratch is a fixed-size array),
+//! - PUTs interleaved with GETs of values of different sizes (a reply with
+//!   fewer values than the last keeps the surplus buffers for the next),
 //! - a replica applying versioned overwrites of keys it has seen,
 //! - `SHED` fast-rejects from the admission layer (header-only replies).
 //!
@@ -24,6 +26,11 @@
 //! warm path as well: the span ring is preallocated at attach time, so
 //! recording is a fixed-slot write — asserted directly below, and the
 //! flight recorder carries the same proof in `flight_zero_alloc.rs`.
+//!
+//! The GET hit, batched GET, PUT overwrite and interleaved windows run for
+//! every serializer: the baselines *model* their libraries' allocations on
+//! the virtual clock, but their codecs recycle messages, builders and
+//! field buffers on the host like Cornflakes's does.
 //!
 //! Retries, telemetry, and the flight recorder are off in the datapath
 //! zero-alloc windows so each layer's claim stands on its own.
@@ -47,9 +54,21 @@ const WINDOW: usize = 64;
 /// id evicts the oldest in place and the window's containers stop growing.
 const DEDUP_CAPACITY: usize = 128;
 
+const KINDS: [SerKind; 4] = [
+    SerKind::Cornflakes,
+    SerKind::Protobuf,
+    SerKind::FlatBuffers,
+    SerKind::CapnProto,
+];
+
+/// A Cornflakes client and server; see [`pair_of`].
+fn pair() -> (KvClient, KvServer, Sim) {
+    pair_of(SerKind::Cornflakes)
+}
+
 /// Client and server on one Sim over a point-to-point link; retries,
 /// telemetry, and the flight recorder all disabled.
-fn pair() -> (KvClient, KvServer, Sim) {
+fn pair_of(kind: SerKind) -> (KvClient, KvServer, Sim) {
     let sim = Sim::new(MachineProfile::tiny_for_tests());
     let (cp, sp) = link();
     let client_stack = UdpStack::new(
@@ -64,8 +83,8 @@ fn pair() -> (KvClient, KvServer, Sim) {
         SERVER_PORT,
         cornflakes::core::SerializationConfig::hybrid(),
     );
-    let client = KvClient::new(client_stack, SerKind::Cornflakes);
-    let mut server = KvServer::new(server_stack, SerKind::Cornflakes);
+    let client = KvClient::new(client_stack, kind);
+    let mut server = KvServer::new(server_stack, kind);
     server.set_dedup_capacity(DEDUP_CAPACITY);
     (client, server, sim)
 }
@@ -92,24 +111,26 @@ fn put_round(
 
 #[test]
 fn steady_state_get_hit_is_alloc_free() {
-    let (mut client, mut server, _sim) = pair();
-    let mut resp = Response::default();
-    put_round(&mut client, &mut server, KEY, &VALUE, &mut resp);
+    for kind in KINDS {
+        let (mut client, mut server, _sim) = pair_of(kind);
+        let mut resp = Response::default();
+        put_round(&mut client, &mut server, KEY, &VALUE, &mut resp);
 
-    for _ in 0..WARMUP {
-        get_round(&mut client, &mut server, &[KEY], &mut resp);
+        for _ in 0..WARMUP {
+            get_round(&mut client, &mut server, &[KEY], &mut resp);
+        }
+        let before = alloc_count();
+        for _ in 0..WINDOW {
+            get_round(&mut client, &mut server, &[KEY], &mut resp);
+            assert_eq!(resp.vals[0], VALUE);
+        }
+        assert_eq!(
+            alloc_count() - before,
+            0,
+            "{kind:?}: a warm GET round trip (encode, NIC, dispatch, decode, \
+             store lookup, reply) must not touch the heap allocator"
+        );
     }
-    let before = alloc_count();
-    for _ in 0..WINDOW {
-        get_round(&mut client, &mut server, &[KEY], &mut resp);
-        assert_eq!(resp.vals[0], VALUE);
-    }
-    assert_eq!(
-        alloc_count() - before,
-        0,
-        "a warm GET round trip (encode, NIC, dispatch, decode, store \
-         lookup, reply) must not touch the heap allocator"
-    );
 }
 
 #[test]
@@ -134,25 +155,65 @@ fn steady_state_get_miss_is_alloc_free() {
 
 #[test]
 fn steady_state_put_overwrite_is_alloc_free() {
-    let (mut client, mut server, _sim) = pair();
-    let mut resp = Response::default();
+    for kind in KINDS {
+        let (mut client, mut server, _sim) = pair_of(kind);
+        let mut resp = Response::default();
 
-    // Warmup saturates the dedup window (WARMUP > DEDUP_CAPACITY), so
-    // measured-window inserts evict in place instead of growing it.
-    for _ in 0..WARMUP {
-        put_round(&mut client, &mut server, KEY, &VALUE, &mut resp);
+        // Warmup saturates the dedup window (WARMUP > DEDUP_CAPACITY), so
+        // measured-window inserts evict in place instead of growing it.
+        for _ in 0..WARMUP {
+            put_round(&mut client, &mut server, KEY, &VALUE, &mut resp);
+        }
+        let before = alloc_count();
+        for _ in 0..WINDOW {
+            put_round(&mut client, &mut server, KEY, &VALUE, &mut resp);
+            assert_eq!(resp.flags, 0, "put applied cleanly");
+        }
+        assert_eq!(
+            alloc_count() - before,
+            0,
+            "{kind:?}: a warm PUT overwrite (allocate-and-swap into pooled \
+             segments, key already owned by the store) must not touch the \
+             heap allocator"
+        );
     }
-    let before = alloc_count();
-    for _ in 0..WINDOW {
-        put_round(&mut client, &mut server, KEY, &VALUE, &mut resp);
-        assert_eq!(resp.flags, 0, "put applied cleanly");
+}
+
+#[test]
+fn puts_between_gets_of_varying_sizes_are_alloc_free() {
+    // A PUT reply carries no values and the GETs rotate through sizes, so
+    // every reply is shorter or longer than the one before it.
+    let keys: Vec<Vec<u8>> = (0..4)
+        .map(|i| format!("sized-key-{i}").into_bytes())
+        .collect();
+    let values: Vec<Vec<u8>> = [64, 1024, 16, 300].map(|n| vec![0xA5; n]).into();
+    for kind in KINDS {
+        let (mut client, mut server, _sim) = pair_of(kind);
+        let mut resp = Response::default();
+        for (k, v) in keys.iter().zip(&values) {
+            put_round(&mut client, &mut server, k, v, &mut resp);
+        }
+        let mut round = |client: &mut KvClient, server: &mut KvServer, i: usize| {
+            let at = i % keys.len();
+            get_round(client, server, &[&keys[at]], &mut resp);
+            assert_eq!(resp.vals, [values[at].as_slice()], "{kind:?}: value {at}");
+            put_round(client, server, KEY, &VALUE, &mut resp);
+            assert!(resp.vals.is_empty(), "{kind:?}: a PUT reply has no values");
+        };
+        for i in 0..WARMUP {
+            round(&mut client, &mut server, i);
+        }
+        let before = alloc_count();
+        for i in 0..WINDOW {
+            round(&mut client, &mut server, i);
+        }
+        assert_eq!(
+            alloc_count() - before,
+            0,
+            "{kind:?}: a short reply must keep the buffers the next long one \
+             reuses"
+        );
     }
-    assert_eq!(
-        alloc_count() - before,
-        0,
-        "a warm PUT overwrite (allocate-and-swap into pooled segments, \
-         key already owned by the store) must not touch the heap allocator"
-    );
 }
 
 #[test]
@@ -229,29 +290,32 @@ fn versioned_overwrite_on_a_warm_replica_is_alloc_free() {
 
 #[test]
 fn steady_state_batched_get_is_alloc_free() {
-    let (mut client, mut server, _sim) = pair();
-    let mut resp = Response::default();
     let keys: Vec<Vec<u8>> = (0..8)
         .map(|i| format!("batch-key-{i}").into_bytes())
         .collect();
     let key_refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-    for k in &key_refs {
-        put_round(&mut client, &mut server, k, &VALUE, &mut resp);
-    }
+    for kind in KINDS {
+        let (mut client, mut server, _sim) = pair_of(kind);
+        let mut resp = Response::default();
+        for k in &key_refs {
+            put_round(&mut client, &mut server, k, &VALUE, &mut resp);
+        }
 
-    for _ in 0..WARMUP {
-        get_round(&mut client, &mut server, &key_refs, &mut resp);
+        for _ in 0..WARMUP {
+            get_round(&mut client, &mut server, &key_refs, &mut resp);
+        }
+        let before = alloc_count();
+        for _ in 0..WINDOW {
+            get_round(&mut client, &mut server, &key_refs, &mut resp);
+            assert_eq!(resp.vals.len(), 8, "all batch values answered");
+        }
+        assert_eq!(
+            alloc_count() - before,
+            0,
+            "{kind:?}: a warm batched multi-GET must not touch the heap \
+             allocator"
+        );
     }
-    let before = alloc_count();
-    for _ in 0..WINDOW {
-        get_round(&mut client, &mut server, &key_refs, &mut resp);
-        assert_eq!(resp.vals.len(), 8, "all batch values answered");
-    }
-    assert_eq!(
-        alloc_count() - before,
-        0,
-        "a warm batched multi-GET must not touch the heap allocator"
-    );
 }
 
 #[test]
