@@ -26,7 +26,7 @@
 //! Emits `hotpath.json` (schema in EXPERIMENTS.md); the committed
 //! `BENCH_hotpath.json` is the full preset's, gated by [`RULES`]. What
 //! repeats run to run: the driver is fixed, so allocs/op repeats up to a
-//! handful of one-off allocations per window (see [`STRAY_ALLOC_BUDGET`]);
+//! handful of one-off allocations per window (see `STRAY_ALLOC_BUDGET`);
 //! ns/op is host time and repeats to within the machine's noise.
 
 use std::time::Instant;

@@ -175,11 +175,6 @@ impl ClusterClient {
         self.mode = mode;
     }
 
-    /// The current read-consistency mode.
-    pub fn read_mode(&self) -> ReadMode {
-        self.mode
-    }
-
     /// Enables retransmits with decorrelated jitter seeded per-client
     /// from `(base_seed, host id)`, so a fleet of clients sharing one
     /// scenario seed still jitters independently.
@@ -231,13 +226,6 @@ impl ClusterClient {
     /// failing — a partition, not a crash.
     pub fn partition_suspects(&self) -> u64 {
         self.partition_suspects.get()
-    }
-
-    /// The node the outstanding request is currently targeting.
-    pub fn current_node(&self) -> Option<u8> {
-        self.route
-            .as_ref()
-            .map(|r| r.replicas[r.idx % r.replicas.len()])
     }
 
     /// This client's breaker view of `node`.

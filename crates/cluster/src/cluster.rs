@@ -21,37 +21,32 @@ use cornflakes_core::SerializationConfig;
 
 use crate::client::ClusterClient;
 use crate::map::ClusterMap;
-use crate::node::{ClusterNode, NodeConfig};
+use crate::node::ClusterNode;
 
-/// Cluster shape and tuning.
+/// Shards (NIC queues) per node.
+const SHARDS_PER_NODE: usize = 2;
+
+/// Cluster shape and tuning. Every node runs two shards and every stack the
+/// hybrid serializer ([`SerializationConfig::hybrid`]).
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
     /// Number of nodes (hosts `0..nodes` on the switch).
     pub nodes: usize,
-    /// Shards (NIC queues) per node.
-    pub shards_per_node: usize,
     /// Replication factor R: a put is acked once R replicas hold it.
     pub replication: usize,
     /// Serialization approach on every node.
     pub kind: SerKind,
-    /// Serializer tuning shared by all stacks.
-    pub ser: SerializationConfig,
     /// Pinned-pool sizing per stack.
     pub pool: PoolConfig,
-    /// Per-node protocol tuning (probes, resends).
-    pub node: NodeConfig,
 }
 
 impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             nodes: 3,
-            shards_per_node: 2,
             replication: 3,
             kind: SerKind::Cornflakes,
-            ser: SerializationConfig::hybrid(),
             pool: PoolConfig::default(),
-            node: NodeConfig::default(),
         }
     }
 }
@@ -75,21 +70,15 @@ impl Cluster {
         for id in 0..cfg.nodes {
             let (host, port) = switch.attach();
             assert_eq!(host as usize, id, "nodes attach first, in id order");
-            let sims = vec![sim.clone(); cfg.shards_per_node];
+            let sims = vec![sim.clone(); SHARDS_PER_NODE];
             let server = cf_kv::sharded::ShardedKvServer::on_sims(
                 sims,
                 port,
                 cfg.kind,
-                cfg.ser,
+                SerializationConfig::hybrid(),
                 cfg.pool.clone(),
             );
-            nodes.push(ClusterNode::new(
-                host,
-                server,
-                map.clone(),
-                cfg.replication,
-                cfg.node,
-            ));
+            nodes.push(ClusterNode::new(host, server, map.clone(), cfg.replication));
         }
         Cluster {
             sim,
@@ -109,7 +98,7 @@ impl Cluster {
             self.sim.clone(),
             port,
             CLIENT_PORT,
-            self.cfg.ser,
+            SerializationConfig::hybrid(),
             self.cfg.pool.clone(),
         );
         stack.set_local_host(host);

@@ -46,7 +46,7 @@ pub use client::{ClusterClient, ReadMode};
 pub use cluster::{Cluster, ClusterConfig};
 pub use history::{ConsistencyHistory, OpKind, OpRecord, Violation};
 pub use map::ClusterMap;
-pub use node::{ClusterNode, NodeConfig};
+pub use node::ClusterNode;
 
 #[cfg(test)]
 mod tests {

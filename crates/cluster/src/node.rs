@@ -15,8 +15,7 @@
 //!   at-most-once apply no matter which path (client retry, coordinator
 //!   resend, catch-up replay) delivered the copy.
 //! - **Failure detection.** The node probes each peer every
-//!   [`NodeConfig::probe_interval_ns`] with a header-only
-//!   [`msg_type::PROBE`]; [`NodeConfig::probe_misses`] consecutive
+//!   200 µs with a header-only [`msg_type::PROBE`]; two consecutive
 //!   unanswered probes mark the peer down. Any message from a peer
 //!   (probe ack, replication traffic) counts as life.
 //! - **Catch-up.** Every applied put is also appended to a bounded
@@ -39,39 +38,22 @@ use crate::version;
 /// Probe acknowledgement message type.
 const PROBE_ACK: u8 = msg_type::PROBE | msg_type::RESPONSE;
 
-/// Cluster-node tuning (all times virtual nanoseconds).
-#[derive(Clone, Copy, Debug)]
-pub struct NodeConfig {
-    /// Gap between liveness probes to each peer.
-    pub probe_interval_ns: u64,
-    /// A probe unanswered for this long counts as a miss.
-    pub probe_timeout_ns: u64,
-    /// Consecutive misses before a peer is marked down.
-    pub probe_misses: u32,
-    /// Re-forward a pending put's outstanding `REPL_PUT`s after this long
-    /// without an ack (covers dropped frames without waiting for the
-    /// client's retransmit).
-    pub repl_resend_ns: u64,
-    /// Abandon a pending put entirely after this long; the client has
-    /// long since timed out and retried through another coordinator.
-    pub repl_abandon_ns: u64,
-    /// Replay-log capacity (entries); catch-up can only heal what the
-    /// log still holds.
-    pub log_capacity: usize,
-}
-
-impl Default for NodeConfig {
-    fn default() -> Self {
-        NodeConfig {
-            probe_interval_ns: 200_000,
-            probe_timeout_ns: 150_000,
-            probe_misses: 2,
-            repl_resend_ns: 300_000,
-            repl_abandon_ns: 5_000_000,
-            log_capacity: 1024,
-        }
-    }
-}
+/// Gap between liveness probes to each peer (virtual ns).
+const PROBE_INTERVAL_NS: u64 = 200_000;
+/// A probe unanswered for this long counts as a miss.
+const PROBE_TIMEOUT_NS: u64 = 150_000;
+/// Consecutive misses before a peer is marked down.
+const PROBE_MISSES: u32 = 2;
+/// Re-forward a pending put's outstanding `REPL_PUT`s after this long
+/// without an ack (covers dropped frames without waiting for the client's
+/// retransmit).
+const REPL_RESEND_NS: u64 = 300_000;
+/// Abandon a pending put entirely after this long; the client has long
+/// since timed out and retried through another coordinator.
+const REPL_ABANDON_NS: u64 = 5_000_000;
+/// Replay-log capacity (entries); catch-up can only heal what the log
+/// still holds.
+const LOG_CAPACITY: usize = 1024;
 
 /// Health view of one peer.
 #[derive(Debug)]
@@ -148,20 +130,13 @@ pub struct ClusterNode {
     /// Replay log of applied puts: `(req_id, key, payload, version)`.
     log: VecDeque<(u32, Vec<u8>, Vec<u8>, u64)>,
     probe_seq: u32,
-    cfg: NodeConfig,
     counters: NodeCounters,
 }
 
 impl ClusterNode {
     /// Wraps `server` as cluster member `id`, stamping every shard stack
     /// with the node's host id so replies route back through the switch.
-    pub fn new(
-        id: u8,
-        mut server: ShardedKvServer,
-        map: ClusterMap,
-        r: usize,
-        cfg: NodeConfig,
-    ) -> Self {
+    pub fn new(id: u8, mut server: ShardedKvServer, map: ClusterMap, r: usize) -> Self {
         let steer_ports = steering_ports(&server.rss());
         for shard in server.shards_mut() {
             shard.stack.set_local_host(id);
@@ -179,7 +154,6 @@ impl ClusterNode {
             pending: HashMap::new(),
             log: VecDeque::new(),
             probe_seq: 0,
-            cfg,
             counters: NodeCounters::default(),
         }
     }
@@ -498,7 +472,7 @@ impl ClusterNode {
     fn log_apply(&mut self, req_id: u32, key: &[u8], payload: &[u8], version: u64) {
         self.log
             .push_back((req_id, key.to_vec(), payload.to_vec(), version));
-        while self.log.len() > self.cfg.log_capacity {
+        while self.log.len() > LOG_CAPACITY {
             self.log.pop_front();
         }
     }
@@ -511,11 +485,11 @@ impl ClusterNode {
                 continue;
             };
             if let Some((_, sent_at)) = peer.outstanding {
-                if now.saturating_sub(sent_at) > self.cfg.probe_timeout_ns {
+                if now.saturating_sub(sent_at) > PROBE_TIMEOUT_NS {
                     peer.outstanding = None;
                     peer.misses += 1;
                     self.counters.probe_timeouts.inc();
-                    if peer.alive && peer.misses >= self.cfg.probe_misses {
+                    if peer.alive && peer.misses >= PROBE_MISSES {
                         peer.alive = false;
                         self.counters.peer_down.inc();
                     }
@@ -548,7 +522,7 @@ impl ClusterNode {
                     .send_fast_reject(hdr)
                     .is_ok();
                 let peer = self.peers[node].as_mut().expect("peer");
-                peer.next_probe_at = now + self.cfg.probe_interval_ns;
+                peer.next_probe_at = now + PROBE_INTERVAL_NS;
                 if sent {
                     peer.outstanding = Some((seq, now));
                     self.counters.probes_sent.inc();
@@ -622,12 +596,12 @@ impl ClusterNode {
                 self.complete_pending(req_id);
                 continue;
             }
-            if now.saturating_sub(p.created_ns) > self.cfg.repl_abandon_ns {
+            if now.saturating_sub(p.created_ns) > REPL_ABANDON_NS {
                 self.pending.remove(&req_id);
                 self.counters.repl_abandoned.inc();
                 continue;
             }
-            if now.saturating_sub(p.last_send_ns) > self.cfg.repl_resend_ns {
+            if now.saturating_sub(p.last_send_ns) > REPL_RESEND_NS {
                 let (key, payload, version, awaiting) = (
                     p.key.clone(),
                     p.payload.clone(),

@@ -28,14 +28,10 @@ pub enum CFBytes {
 
 impl CFBytes {
     /// Constructs a `CFBytes` from raw bytes, applying the hybrid heuristic
-    /// and charging the corresponding virtual-time costs. When the context
-    /// carries an [`crate::AdaptiveThreshold`], the path taken also reports
-    /// its observed cost (including the known send-side component) so the
-    /// threshold can self-tune (§7 future work).
+    /// and charging the corresponding virtual-time costs.
     pub fn new(ctx: &SerCtx, data: &[u8]) -> CFBytes {
         let costs = ctx.sim.costs();
-        let t0 = ctx.sim.now();
-        if data.len() >= ctx.effective_threshold() {
+        if data.len() >= ctx.config.zero_copy_threshold {
             // recover_ptr: range-map lookup (compute + one metadata line —
             // the map is small and usually cache-resident) ...
             ctx.sim
@@ -49,13 +45,6 @@ impl CFBytes {
                     .charge_meta_access(Category::SerializeZeroCopy, rc.refcount_addr());
                 ctx.sim
                     .charge(Category::SerializeZeroCopy, costs.refcount_update);
-                if let Some(adaptive) = &ctx.adaptive {
-                    // Construction cost + the send-side entry cost this
-                    // field will incur (descriptor + refcount clone).
-                    let send_side =
-                        ctx.sim.nic().sg_entry_cost_ns() + costs.meta_hit + costs.refcount_update;
-                    adaptive.observe_zero_copy((ctx.sim.now() - t0) as f64 + send_side);
-                }
                 return CFBytes::ZeroCopy(rc);
             }
             // Not in DMA-safe memory: fall through to the copy path
@@ -69,12 +58,6 @@ impl CFBytes {
             copy.addr(),
             data.len(),
         );
-        if let Some(adaptive) = &ctx.adaptive {
-            // Construction cost + the warm copy into the transmit buffer
-            // the send path will perform.
-            let send_side = costs.copy_cost(data.len().div_ceil(64) as u64, 0);
-            adaptive.observe_copy(data.len(), (ctx.sim.now() - t0) as f64 + send_side);
-        }
         CFBytes::Copied(copy)
     }
 
@@ -232,6 +215,14 @@ mod tests {
         assert!(exactly.is_zero_copy(), "512 >= 512 threshold");
         let below = CFBytes::new(&c, &v.as_slice()[..511]);
         assert!(!below.is_zero_copy());
+        // The threshold in force is the configured one and does not drift
+        // under traffic.
+        assert_eq!(c.effective_threshold(), 512);
+        let big = c.pool.alloc(4096).unwrap();
+        for _ in 0..100 {
+            let _ = CFBytes::new(&c, big.as_slice());
+        }
+        assert_eq!(c.effective_threshold(), 512);
     }
 
     #[test]

@@ -4,7 +4,6 @@ use cf_mem::{Arena, PinnedPool, PoolConfig, Registry};
 use cf_sim::Sim;
 use cf_telemetry::Telemetry;
 
-use crate::adaptive::AdaptiveThreshold;
 use crate::config::SerializationConfig;
 
 /// Everything [`crate::CFBytes`] construction and (de)serialization need:
@@ -26,10 +25,6 @@ pub struct SerCtx {
     pub pool: PinnedPool,
     /// Hybrid heuristic configuration.
     pub config: SerializationConfig,
-    /// Optional self-tuning threshold (paper §7 future work). When set, it
-    /// overrides `config.zero_copy_threshold` and is fed cost observations
-    /// by [`crate::CFBytes::new`].
-    pub adaptive: Option<AdaptiveThreshold>,
     /// The machine's telemetry handle — spans, metrics and the flight
     /// recorder — and the one place it is stored
     /// above the NIC: every stack, engine and client reaches it through the
@@ -41,17 +36,7 @@ pub struct SerCtx {
 impl SerCtx {
     /// Creates a context with a fresh registry/pool on the given simulation.
     pub fn new(sim: Sim, config: SerializationConfig) -> Self {
-        let registry = Registry::new();
-        let pool = PinnedPool::new(registry.clone(), PoolConfig::default());
-        SerCtx {
-            sim,
-            registry,
-            arena: Arena::new(),
-            pool,
-            config,
-            adaptive: None,
-            telemetry: Telemetry::disabled(),
-        }
+        SerCtx::with_pool_config(sim, config, PoolConfig::default())
     }
 
     /// Creates a context with an explicit pool configuration.
@@ -64,7 +49,6 @@ impl SerCtx {
             arena: Arena::new(),
             pool,
             config,
-            adaptive: None,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -84,20 +68,9 @@ impl SerCtx {
         self.telemetry = tele.over(&self.telemetry);
     }
 
-    /// Enables the self-tuning threshold, seeded from the static one.
-    pub fn with_adaptive_threshold(mut self) -> Self {
-        self.adaptive = Some(AdaptiveThreshold::new(
-            self.config.zero_copy_threshold.clamp(64, 9000),
-        ));
-        self
-    }
-
-    /// The threshold currently in force: the adaptive tuner's if enabled,
-    /// the static configuration's otherwise.
+    /// The zero-copy threshold in force: the configuration's.
     pub fn effective_threshold(&self) -> usize {
-        self.adaptive
-            .as_ref()
-            .map_or(self.config.zero_copy_threshold, |a| a.threshold())
+        self.config.zero_copy_threshold
     }
 
     /// Resets per-request state (the copy arena). Called by the datapath

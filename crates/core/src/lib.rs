@@ -40,7 +40,6 @@
 // generated code, so the path must resolve from inside the crate too.
 extern crate self as cornflakes_core;
 
-pub mod adaptive;
 pub mod cfbytes;
 pub mod config;
 pub mod ctx;
@@ -50,7 +49,6 @@ pub mod msgs;
 pub mod obj;
 pub mod wire;
 
-pub use adaptive::AdaptiveThreshold;
 pub use cfbytes::{CFBytes, CFString};
 pub use config::SerializationConfig;
 pub use ctx::SerCtx;

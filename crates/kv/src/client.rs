@@ -274,11 +274,6 @@ impl KvClient {
         self.protection.as_ref().map(|p| p.breaker.state())
     }
 
-    /// Remaining retry-budget tokens (`None` when protection is disabled).
-    pub fn retry_tokens(&self) -> Option<f64> {
-        self.protection.as_ref().map(|p| p.budget.tokens())
-    }
-
     /// Attaches `tele` to the client and its stack (and so the client-side
     /// NIC): the `kv.client.*` cells are adopted holding whatever they have
     /// counted so far, and client lifecycle events — sends, retries,

@@ -10,7 +10,7 @@
 //!
 //! - [`AdmissionConfig`] — the server-side bounded backlog with
 //!   CoDel-style shedding (oldest-first drop once sojourn exceeds a
-//!   target) and GET-over-PUT priority under pressure.
+//!   target) and GET-over-PUT priority once the backlog is half full.
 //! - [`RetryBudget`] — a token bucket capping retries as a fraction of
 //!   fresh requests, so clients cannot amplify an overload.
 //! - [`CircuitBreaker`] — a per-server breaker driven by `SHED` replies
@@ -35,13 +35,6 @@ pub struct AdmissionConfig {
     /// (CoDel-style sojourn target): a request that has already waited
     /// past the client's patience is pure wasted work.
     pub target_sojourn_ns: u64,
-    /// Serve GETs before PUTs while the backlog is above
-    /// [`AdmissionConfig::pressure_watermark`]: reads are cheap, latency
-    /// sensitive, and idempotent; writes are retried safely through the
-    /// dedup window.
-    pub get_priority: bool,
-    /// Backlog occupancy fraction above which GET priority engages.
-    pub pressure_watermark: f64,
     /// Bound on the socket's NIC rx staging ring (frames tail-dropped
     /// NIC-side past this; 0 = unbounded). The outermost, zero-CPU-cost
     /// layer of shedding.
@@ -53,8 +46,6 @@ impl Default for AdmissionConfig {
         AdmissionConfig {
             backlog_capacity: 64,
             target_sojourn_ns: 200_000,
-            get_priority: true,
-            pressure_watermark: 0.5,
             rx_backlog_limit: 128,
         }
     }

@@ -65,6 +65,9 @@ impl SerKind {
     }
 }
 
+/// Backlog occupancy fraction at or above which GETs are served before PUTs.
+const PRESSURE_WATERMARK: f64 = 0.5;
+
 /// One request admitted into the pending backlog, stamped with its
 /// arrival time on the *arrival* clock (the caller's `now_ns`, which may
 /// run ahead of this shard's lagging service clock under overload).
@@ -306,16 +309,16 @@ impl KvEngine<UdpStack> {
         }
     }
 
-    /// Picks the next admitted request to serve. Under pressure (backlog
-    /// above the watermark) GETs are served before PUTs: reads are cheap
-    /// and latency-sensitive; writes retry safely through the dedup
-    /// window. Relative order within each class is preserved, so arrival
-    /// stamps at the front stay oldest-first for the shedder.
+    /// Picks the next admitted request to serve. Under pressure (backlog at
+    /// least [`PRESSURE_WATERMARK`] full) GETs are served before PUTs: reads
+    /// are cheap, latency-sensitive and idempotent; writes retry safely
+    /// through the dedup window. Relative order within each class is
+    /// preserved, so arrival stamps at the front stay oldest-first for the
+    /// shedder.
     fn next_admitted(&mut self) -> Option<Packet> {
         let adm = self.admission.as_mut()?;
-        let pressure = adm.cfg.get_priority
-            && adm.backlog.len() as f64
-                >= adm.cfg.pressure_watermark * adm.cfg.backlog_capacity as f64;
+        let pressure =
+            adm.backlog.len() as f64 >= PRESSURE_WATERMARK * adm.cfg.backlog_capacity as f64;
         if pressure {
             if let Some(idx) = adm
                 .backlog

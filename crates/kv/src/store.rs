@@ -250,7 +250,7 @@ impl KvStore {
     /// [`KvStore::get`] of each of `keys` in turn, handing every value found
     /// to `visit` before the next key is looked up: the same charges, in the
     /// same order, as that loop. But ahead of the charged lookups of each
-    /// round of [`ROUND`] keys goes a host-only pass that overlaps the cache
+    /// round of `ROUND` keys goes a host-only pass that overlaps the cache
     /// misses they, and serializing what they find, would otherwise take one
     /// after another: it hashes every key and starts its index misses; then,
     /// the slots now arriving, it finds each value and starts the misses on

@@ -30,8 +30,8 @@ struct Inner {
     /// beside the handle so that a search reads this array only.
     by_base: Vec<(u64, Rc<Region>)>,
     /// Index in `by_base` of the last lookup hit, tried before searching.
-    /// Only a hint: registering or unregistering may leave it pointing at
-    /// another entry or past the end, so it is range-checked like any other.
+    /// Only a hint: registering may leave it pointing at another entry, so
+    /// it is checked like any other.
     last_hit: usize,
     next_id: u32,
 }
@@ -64,16 +64,6 @@ impl Registry {
         update(&self.stats.regions_registered, |v| v + 1);
         update(&self.stats.registered_bytes, |v| v + region.len() as u64);
         region
-    }
-
-    /// Removes a region from the registry. Outstanding `RcBuf`s keep the
-    /// backing memory alive via their `Rc`, but new pointers into it will
-    /// no longer be recoverable.
-    pub fn unregister_region(&self, region: &Rc<Region>) {
-        let mut inner = self.inner.borrow_mut();
-        inner
-            .by_base
-            .retain(|&(base, _)| base != region.base_addr());
     }
 
     /// Number of registered regions.
@@ -277,38 +267,5 @@ mod tests {
             reg.region_of(end - 1).is_some(),
             "misses leave the cache intact"
         );
-    }
-
-    #[test]
-    fn cache_never_returns_an_unregistered_region() {
-        let reg = Registry::new();
-        let regions: Vec<_> = (0..3).map(|_| reg.register_region(64, 4)).collect();
-        // Whichever region the cache points at — by address order the first,
-        // a middle or the last — unregistering it must end its lookups, and
-        // must not disturb the others'.
-        for gone in &regions {
-            assert!(reg.region_of(gone.base_addr()).is_some(), "cached");
-            reg.unregister_region(gone);
-            assert!(reg.region_of(gone.base_addr()).is_none());
-            assert!(reg.recover_addr(gone.base_addr(), 8).is_none());
-            for kept in &regions {
-                let found = reg.region_of(kept.base_addr() + 63).map(|r| r.id());
-                let registered = reg.num_regions() > 0 && kept.id() > gone.id();
-                assert_eq!(found, registered.then(|| kept.id()));
-            }
-        }
-        assert_eq!(reg.num_regions(), 0);
-    }
-
-    #[test]
-    fn unregister_stops_recovery() {
-        let reg = Registry::new();
-        let pool = PinnedPool::new(reg.clone(), PoolConfig::small_for_tests());
-        let b = pool.alloc(64).unwrap();
-        let region = reg.region_of(b.addr()).unwrap();
-        reg.unregister_region(&region);
-        assert!(reg.recover_addr(b.addr(), 8).is_none());
-        // The RcBuf itself remains valid (Rc keeps the region alive).
-        assert_eq!(b.len(), 64);
     }
 }

@@ -3,7 +3,7 @@
 //! Every statistic is an `Arc<AtomicU64>` cell with exactly one writer: the
 //! datapath core that owns the pool, registry or arena it describes (those
 //! types are `!Send`; see the crate docs, "Who owns pinned memory"). The
-//! owner updates a cell through [`update`] — a plain load and a plain store,
+//! owner updates a cell through `update` — a plain load and a plain store,
 //! never a locked read-modify-write — and any thread may *read* a snapshot:
 //! the cells are handed to a metrics registry (`cf-telemetry`'s
 //! `register_external`), which loads them at snapshot time. They are atomics

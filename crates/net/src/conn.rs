@@ -24,8 +24,8 @@ use cornflakes_core::{CornflakesObj, SerCtx, SerializationConfig};
 use crate::flow::{FLOW_CLOSE_FIN, FLOW_CLOSE_RST};
 use crate::gather;
 use crate::tcp::{
-    build_header, seq_lt, FLAG_ACK, FLAG_FIN, FLAG_RST, FLAG_SYN, OFF_ACK, OFF_FLAGS, OFF_SEQ,
-    OFF_SRC, TCP_HEADER_BYTES,
+    build_header, seq_lt, DEFAULT_RTO_NS, FLAG_ACK, FLAG_FIN, FLAG_RST, FLAG_SYN, OFF_ACK,
+    OFF_FLAGS, OFF_SEQ, OFF_SRC, TCP_HEADER_BYTES,
 };
 use crate::udp::NetError;
 
@@ -81,8 +81,6 @@ pub(crate) struct FlowIo {
     pub local_port: u16,
     /// Cap on a flow's reassembly buffer in bytes (0 = unbounded).
     pub reasm_cap: usize,
-    /// Retransmission timeout in virtual ns.
-    pub rto_ns: u64,
     scratch: Vec<u8>,
     /// Emptied entry vectors of released retransmission records, reissued
     /// to the next sends.
@@ -96,14 +94,12 @@ impl FlowIo {
         local_port: u16,
         config: SerializationConfig,
         reasm_cap: usize,
-        rto_ns: u64,
     ) -> Self {
         FlowIo {
             nic: Nic::new(sim.clone(), wire_port),
             ctx: SerCtx::new(sim, config),
             local_port,
             reasm_cap,
-            rto_ns,
             scratch: Vec::with_capacity(4096),
             spares: Vec::new(),
         }
@@ -430,7 +426,7 @@ impl Flow {
         Ok(ev)
     }
 
-    /// Retransmits the head-of-line record if it has waited `io.rto_ns`
+    /// Retransmits the head-of-line record if it has waited [`DEFAULT_RTO_NS`]
     /// (go-back-N would resend the rest once the head is repaired; the
     /// in-order receiver re-ACKs). Returns whether it did.
     pub fn on_rto(&mut self, io: &mut FlowIo) -> Result<bool, NetError> {
@@ -438,7 +434,7 @@ impl Flow {
         let Some(rec) = self
             .rtx
             .front_mut()
-            .filter(|r| now.saturating_sub(r.sent_at) >= io.rto_ns)
+            .filter(|r| now.saturating_sub(r.sent_at) >= DEFAULT_RTO_NS)
         else {
             return Ok(false);
         };

@@ -29,7 +29,7 @@
 //! Generation counters make [`FlowId`] handles ABA-safe: a handle to a
 //! recycled slot goes stale instead of addressing the next occupant.
 //!
-//! Each slot's protocol is a [`crate::conn::Flow`], the state machine
+//! Each slot's protocol is a `conn::Flow`, the state machine
 //! [`crate::tcp::TcpStack`] runs too; this module is what a table of them
 //! needs around it — demux, admission, timers, the ready queue, statistics.
 
@@ -44,7 +44,7 @@ use cf_telemetry::{Counter, FlightEvent, Gauge, Telemetry};
 use cornflakes_core::{CornflakesObj, SerCtx, SerializationConfig};
 
 use crate::conn::{Corrupt, Flow, FlowIo, Segment, State};
-use crate::tcp::{FLAG_ACK, FLAG_RST, FLAG_SYN};
+use crate::tcp::{DEFAULT_RTO_NS, FLAG_ACK, FLAG_RST, FLAG_SYN};
 use crate::udp::NetError;
 
 /// Flow closed by the peer's FIN (orderly).
@@ -70,8 +70,6 @@ pub struct FlowConfig {
     pub max_tx_records: usize,
     /// A flow quiet for this long (virtual ns) is reaped.
     pub idle_timeout_ns: u64,
-    /// Retransmission timeout in virtual ns.
-    pub rto_ns: u64,
     /// Timer-wheel bucket count.
     pub wheel_slots: usize,
     /// Timer-wheel tick width in virtual ns.
@@ -86,7 +84,6 @@ impl Default for FlowConfig {
             reasm_cap: 64 * 1024,
             max_tx_records: 64,
             idle_timeout_ns: 2_000_000,
-            rto_ns: crate::tcp::DEFAULT_RTO_NS,
             wheel_slots: 64,
             wheel_tick_ns: 250_000,
         }
@@ -267,14 +264,7 @@ impl TcpListener {
         let now = sim.now();
         let capacity = flow_cfg.capacity;
         TcpListener {
-            io: FlowIo::new(
-                sim,
-                wire_port,
-                local_port,
-                config,
-                flow_cfg.reasm_cap,
-                flow_cfg.rto_ns,
-            ),
+            io: FlowIo::new(sim, wire_port, local_port, config, flow_cfg.reasm_cap),
             cfg: flow_cfg,
             slots: (0..capacity).map(|_| FlowSlot::fresh()).collect(),
             free: (0..capacity as u32).rev().collect(),
@@ -587,7 +577,7 @@ impl TcpListener {
             self.counters.retransmissions.inc();
         }
         if slot.flow.rtx_len() > 0 {
-            self.arm(idx, TimerKind::Rto, now + self.cfg.rto_ns);
+            self.arm(idx, TimerKind::Rto, now + DEFAULT_RTO_NS);
         }
         Ok(())
     }
@@ -632,7 +622,7 @@ impl TcpListener {
 
     fn on_sent(&mut self, i: usize) {
         self.counters.msgs_sent.inc();
-        let at = self.io.ctx.sim.now() + self.cfg.rto_ns;
+        let at = self.io.ctx.sim.now() + DEFAULT_RTO_NS;
         self.arm(i as u32, TimerKind::Rto, at);
     }
 

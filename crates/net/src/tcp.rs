@@ -13,7 +13,7 @@
 //! first scatter-gather entry and zero-copy fields in further entries —
 //! the same combined serialize-and-send structure as UDP.
 //!
-//! The protocol itself is [`crate::conn::Flow`], shared with the flow-table
+//! The protocol itself is `conn::Flow`, shared with the flow-table
 //! listener; [`TcpStack`] is one flow, the endpoint context it runs on, and
 //! a `poll` that drives its retransmission timer.
 
@@ -52,8 +52,8 @@ pub const FLAG_FIN: u8 = 4;
 /// RST flag: abortive teardown / connection refusal.
 pub const FLAG_RST: u8 = 8;
 
-/// Default retransmission timeout in virtual nanoseconds (200 µs: generous
-/// against the ~10 µs simulated RTT).
+/// Retransmission timeout in virtual nanoseconds, for every flow (200 µs:
+/// generous against the ~10 µs simulated RTT).
 pub const DEFAULT_RTO_NS: u64 = 200_000;
 
 /// Default cap on a connection's reassembly buffer (bytes). An unread
@@ -112,14 +112,7 @@ impl TcpStack {
     /// Creates an endpoint on `wire_port` with the given local port.
     pub fn new(sim: Sim, wire_port: Port, local_port: u16, config: SerializationConfig) -> Self {
         TcpStack {
-            io: FlowIo::new(
-                sim,
-                wire_port,
-                local_port,
-                config,
-                DEFAULT_REASM_CAP,
-                DEFAULT_RTO_NS,
-            ),
+            io: FlowIo::new(sim, wire_port, local_port, config, DEFAULT_REASM_CAP),
             flow: Flow::new(),
             rx_backlog_limit: 0,
             counters: TcpCounters::default(),

@@ -245,17 +245,6 @@ impl Nic {
         &self.rss
     }
 
-    /// Replaces the RSS steering configuration. The table must steer across
-    /// exactly this NIC's queues.
-    pub fn set_rss(&mut self, rss: RssConfig) {
-        assert_eq!(
-            rss.num_queues(),
-            self.queues.len(),
-            "RSS profile queue count must match the NIC"
-        );
-        self.rss = rss;
-    }
-
     /// Binds queue `q`'s cost charging to `sim` (the core that owns the
     /// queue in a sharded server). Unbound queues charge the NIC's base
     /// `Sim`.

@@ -134,11 +134,6 @@ impl SimSwitch {
         self.partitions.retain(|p| *p != pair);
     }
 
-    /// Heals every partition.
-    pub fn heal_all(&mut self) {
-        self.partitions.clear();
-    }
-
     fn partitioned(&self, a: u8, b: u8) -> bool {
         self.partitions.contains(&(a.min(b), a.max(b)))
     }

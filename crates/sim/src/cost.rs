@@ -203,11 +203,6 @@ impl Sim {
         }
     }
 
-    /// Creates a context with the main-testbed profile (CloudLab c6525).
-    pub fn cloudlab() -> Self {
-        Self::new(MachineProfile::cloudlab_c6525())
-    }
-
     /// Current virtual time in nanoseconds.
     pub fn now(&self) -> u64 {
         self.shared.core.borrow().clock.now()

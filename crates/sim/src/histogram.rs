@@ -148,17 +148,6 @@ impl Histogram {
         self.quantile(0.5)
     }
 
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-        self.min = self.min.min(other.min);
-    }
-
     /// Clears all recorded values.
     pub fn reset(&mut self) {
         self.counts.iter_mut().for_each(|c| *c = 0);
@@ -216,18 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(100);
-        b.record(200);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.max(), 200);
-        assert_eq!(a.min(), 100);
-    }
-
-    #[test]
     fn huge_values_saturate_not_panic() {
         let mut h = Histogram::new();
         h.record(u64::MAX);
@@ -269,33 +246,6 @@ mod tests {
             assert!(got <= 4_321, "q={q} got={got}");
             assert!((4_321 - got) as f64 / 4_321.0 <= 1.0 / SUB_BUCKETS as f64);
         }
-    }
-
-    #[test]
-    fn merge_disjoint_ranges() {
-        // Low histogram holds 1..=100, high histogram holds 1M..=1M+100:
-        // the merge must place p50 at the boundary between the two halves
-        // and keep exact min/max/count from the union.
-        let mut low = Histogram::new();
-        let mut high = Histogram::new();
-        for v in 1..=100u64 {
-            low.record(v);
-            high.record(1_000_000 + v);
-        }
-        low.merge(&high);
-        assert_eq!(low.count(), 200);
-        assert_eq!(low.min(), 1);
-        assert_eq!(low.max(), 1_000_100);
-        // Any quantile strictly below 0.5 comes from the low range, and
-        // strictly above from the high range.
-        assert!(low.quantile(0.25) <= 100);
-        assert!(low.quantile(0.75) >= 900_000);
-        // Merging into an empty histogram adopts the other's min/max.
-        let mut empty = Histogram::new();
-        empty.merge(&low);
-        assert_eq!(empty.count(), 200);
-        assert_eq!(empty.min(), 1);
-        assert_eq!(empty.max(), 1_000_100);
     }
 
     #[test]

@@ -40,34 +40,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Formats nanoseconds compactly for experiment tables ("12.3 us", "431 ns").
-pub fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.2} s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.1} ms", ns as f64 / 1e6)
-    } else if ns >= 10_000 {
-        format!("{:.1} us", ns as f64 / 1e3)
-    } else if ns >= 1_000 {
-        // Two decimals below 10 us so 1_000–9_999 ns renders as "1.23 us"
-        // rather than falling through to a four-digit nanosecond count.
-        format!("{:.2} us", ns as f64 / 1e3)
-    } else {
-        format!("{ns} ns")
-    }
-}
-
-/// Formats a requests-per-second value compactly ("844.7 krps", "1.2 Mrps").
-pub fn fmt_rps(rps: f64) -> String {
-    if rps >= 1e6 {
-        format!("{:.2} Mrps", rps / 1e6)
-    } else if rps >= 1e3 {
-        format!("{:.1} krps", rps / 1e3)
-    } else {
-        format!("{rps:.0} rps")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,31 +68,5 @@ mod tests {
     fn mean_empty_and_nonempty() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-    }
-
-    #[test]
-    fn fmt_ns_ranges() {
-        assert_eq!(fmt_ns(431), "431 ns");
-        assert_eq!(fmt_ns(53_000), "53.0 us");
-        assert_eq!(fmt_ns(2_500_000), "2.5 ms");
-        assert_eq!(fmt_ns(3_000_000_000), "3.00 s");
-    }
-
-    #[test]
-    fn fmt_ns_low_microsecond_gap() {
-        // The 1_000–9_999 ns range renders in microseconds like its
-        // neighbors, with two decimals of precision.
-        assert_eq!(fmt_ns(999), "999 ns");
-        assert_eq!(fmt_ns(1_000), "1.00 us");
-        assert_eq!(fmt_ns(1_234), "1.23 us");
-        assert_eq!(fmt_ns(9_999), "10.00 us");
-        assert_eq!(fmt_ns(10_000), "10.0 us");
-    }
-
-    #[test]
-    fn fmt_rps_ranges() {
-        assert_eq!(fmt_rps(844_700.0), "844.7 krps");
-        assert_eq!(fmt_rps(1_200_000.0), "1.20 Mrps");
-        assert_eq!(fmt_rps(12.0), "12 rps");
     }
 }

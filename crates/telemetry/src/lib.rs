@@ -219,13 +219,6 @@ impl Telemetry {
             .unwrap_or_else(|| "[]\n".to_string())
     }
 
-    /// Clears spans and span totals (e.g. after warmup), keeping metrics.
-    pub fn reset_tracing(&self) {
-        if let Some(inner) = &self.inner {
-            inner.tracer.borrow_mut().reset();
-        }
-    }
-
     // ---- metrics --------------------------------------------------------
 
     /// Adopts `cell`, which its layer owns and keeps writing, as (one of)

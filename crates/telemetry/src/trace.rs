@@ -134,16 +134,6 @@ impl Tracer {
         self.ring.iter()
     }
 
-    /// Clears spans, totals, and the open stack (e.g. after warmup).
-    pub fn reset(&mut self) {
-        self.ring.clear();
-        self.stack.clear();
-        self.dropped_spans = 0;
-        self.spans_closed = 0;
-        self.closed_cat_ns = [0.0; NUM_CATEGORIES];
-        self.orphan_cat_ns = [0.0; NUM_CATEGORIES];
-    }
-
     /// Exports ring-resident spans as Chrome Trace Event JSON: a bare array
     /// of `ph:"X"` (complete) events, `ts`/`dur` in microseconds of virtual
     /// time. Loadable in `chrome://tracing` or <https://ui.perfetto.dev>.
@@ -388,20 +378,5 @@ mod tests {
         t.close(800);
         let events = check_chrome_schema(&t.chrome_trace_json());
         assert_eq!(events[0].get("dur").unwrap().as_f64(), Some(0.0));
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut t = Tracer::new(4);
-        t.open("s", Some(1), 0);
-        t.on_charge(Category::Rx, 1.0);
-        t.close(1);
-        t.on_charge(Category::Tx, 1.0);
-        t.reset();
-        assert_eq!(t.spans_closed, 0);
-        assert_eq!(t.open_depth(), 0);
-        assert_eq!(t.iter_chronological().count(), 0);
-        assert_eq!(t.span_cat_totals().iter().sum::<f64>(), 0.0);
-        assert_eq!(t.orphan_cat_ns.iter().sum::<f64>(), 0.0);
     }
 }

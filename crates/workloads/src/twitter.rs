@@ -1,7 +1,7 @@
 //! A synthetic Twitter cache trace (paper §6.1.4, cluster #4).
 //!
 //! The paper reports the properties that matter for the hybrid tradeoff:
-//! "about 32 % of the requests query objects larger than 512 [bytes], and
+//! "about 32 % of the requests query objects larger than 512 \[bytes\], and
 //! about 8 % of requests are put requests", with objects larger than an MTU
 //! split into MTU-sized pieces. We synthesize a trace with exactly those
 //! marginals: Zipf-popular keys, per-key sizes drawn (deterministically per

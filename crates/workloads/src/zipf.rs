@@ -18,7 +18,6 @@ pub struct Zipf {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    scramble: bool,
     rng: SplitMix64,
 }
 
@@ -42,15 +41,8 @@ impl Zipf {
             alpha,
             zetan,
             eta,
-            scramble: true,
             rng: SplitMix64::new(seed),
         }
-    }
-
-    /// Disables rank scrambling (rank 0 is then always the hottest key).
-    pub fn without_scrambling(mut self) -> Self {
-        self.scramble = false;
-        self
     }
 
     fn zeta(n: u64, theta: f64) -> f64 {
@@ -83,12 +75,7 @@ impl Zipf {
         } else {
             (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64
         };
-        let rank = rank.min(self.n - 1);
-        if self.scramble {
-            mix(rank) % self.n
-        } else {
-            rank
-        }
+        mix(rank.min(self.n - 1)) % self.n
     }
 
     /// Domain size.
@@ -110,10 +97,11 @@ mod tests {
     }
 
     #[test]
-    fn unscrambled_head_is_heavy() {
-        let mut z = Zipf::new(1_000_000, 0.99, 2).without_scrambling();
+    fn scrambled_head_is_heavy() {
+        let mut z = Zipf::new(1_000_000, 0.99, 2);
+        let hottest = mix(0) % z.n();
         let n = 100_000;
-        let hot = (0..n).filter(|_| z.next() == 0).count();
+        let hot = (0..n).filter(|_| z.next() == hottest).count();
         // Rank 0 should get roughly 1/zeta(n) ≈ 6-7 % of traffic.
         let frac = hot as f64 / n as f64;
         assert!((0.03..0.15).contains(&frac), "rank-0 fraction {frac}");

@@ -15,6 +15,9 @@ cargo fmt --check
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc: every intra-doc link resolves, none into a private item"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q

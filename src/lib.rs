@@ -13,7 +13,7 @@
 //!   Mellanox/Intel profiles).
 //! - [`net`] — UDP and TCP datapaths exposing the paper's Listing 2 API
 //!   (`alloc` / `recv_packet` / `recover_ptr` / `send_object`).
-//! - [`wire`] (in [`core`]) — the Cornflakes hybrid serialization library:
+//! - [`wire`](crate::core::wire) (in [`core`]) — the Cornflakes hybrid serialization library:
 //!   `CFPtr` smart pointers, `CornflakesObj`, the 512-byte zero-copy
 //!   threshold heuristic; `core::msgs`, the message set generated from
 //!   `crates/core/schema/msgs.proto`; and `core::dynamic`, the schema

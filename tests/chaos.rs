@@ -515,7 +515,6 @@ proptest! {
             backlog_capacity: 8,
             rx_backlog_limit: 16,
             target_sojourn_ns: 150_000,
-            ..AdmissionConfig::default()
         });
         client.enable_retries(RetryConfig {
             timeout_ns: 100_000,
