@@ -34,10 +34,13 @@
 //! Emits `churn.json` (schema in EXPERIMENTS.md); the committed
 //! `BENCH_churn.json` is the full preset's, gated by [`RULES`].
 
+use std::error::Error;
+use std::ops::Range;
+
 use cf_kv::msg_type;
 use cf_kv::msgs::GetMsg;
-use cf_kv::tcp_server::{sub_header, TcpKvServer};
-use cf_net::tcp::{FLAG_ACK, FLAG_FIN, FLAG_SYN, OFF_ACK, OFF_DST, OFF_FLAGS, OFF_SEQ, OFF_SRC};
+use cf_kv::tcp_server::{parse_sub_header, sub_header, TcpKvServer};
+use cf_net::tcp::{build_header, FLAG_ACK, FLAG_FIN, FLAG_SYN, TCP_HEADER_BYTES};
 use cf_net::{FlowConfig, TcpListener};
 use cf_nic::{link, Port, PortHub};
 use cf_sim::{MachineProfile, Sim};
@@ -53,7 +56,6 @@ use crate::tables::print_rows;
 
 const SERVER_PORT: u16 = 9000;
 const BASE_PORT: u16 = 10_000;
-const FRAME_HEADER: usize = 48;
 
 /// One sweep point: total flows churned through a table of `concurrent`
 /// slots.
@@ -106,14 +108,8 @@ impl ChurnParams {
 }
 
 fn raw_frame(src: u16, seq: u32, ack: u32, flags: u8, payload: &[u8]) -> Vec<u8> {
-    let mut f = vec![0u8; FRAME_HEADER + payload.len()];
-    f[OFF_SRC..OFF_SRC + 2].copy_from_slice(&src.to_be_bytes());
-    f[OFF_DST..OFF_DST + 2].copy_from_slice(&SERVER_PORT.to_be_bytes());
-    f[OFF_SEQ..OFF_SEQ + 4].copy_from_slice(&seq.to_le_bytes());
-    f[OFF_ACK..OFF_ACK + 4].copy_from_slice(&ack.to_le_bytes());
-    f[OFF_FLAGS] = flags;
-    f[FRAME_HEADER..].copy_from_slice(payload);
-    f
+    let header = build_header(src, SERVER_PORT, seq, ack, flags);
+    [&header[..], payload].concat()
 }
 
 /// The raw-frame churn driver: per-slot seq/ack state for up to
@@ -137,10 +133,11 @@ impl Driver {
         BASE_PORT + slot as u16
     }
 
-    fn pump_poll(&mut self) {
+    fn pump_poll(&mut self) -> Result<(), Box<dyn Error>> {
         self.hub.pump();
-        self.server.poll().expect("server poll");
+        self.server.poll()?;
         self.hub.pump();
+        Ok(())
     }
 
     /// Drains a slot's endpoint, recycling every frame buffer; returns
@@ -149,11 +146,10 @@ impl Driver {
         let ep = &self.eps[slot];
         let mut data = None;
         while let Some(f) = ep.recv() {
-            let payload = f.data.len() - FRAME_HEADER;
-            if payload > 0 {
-                let p = &f.data[FRAME_HEADER..];
-                let req_id = u32::from_le_bytes(p[8..12].try_into().expect("4 bytes"));
-                data = Some((payload as u32, req_id));
+            // The stream: a 4-byte length prefix, then the sub-header.
+            let stream = &f.data[TCP_HEADER_BYTES..];
+            if let Some((_, _, req_id)) = stream.get(4..).and_then(parse_sub_header) {
+                data = Some((stream.len() as u32, req_id));
             }
             ep.recycle_rx_data(f.data);
         }
@@ -162,12 +158,12 @@ impl Driver {
 
     /// Opens every slot in `slots`: handshake, one GET, ack the reply.
     /// Returns the batch's request RTT in virtual ns.
-    fn open_batch(&mut self, slots: std::ops::Range<usize>, sim: &Sim) -> u64 {
+    fn open_batch(&mut self, slots: Range<usize>, sim: &Sim) -> Result<u64, Box<dyn Error>> {
         for s in slots.clone() {
             self.hub
                 .inject(raw_frame(Self::port(s), 1, 0, FLAG_SYN, &[]));
         }
-        self.pump_poll();
+        self.pump_poll()?;
         for s in slots.clone() {
             self.drain(s); // SYN|ACK
         }
@@ -185,12 +181,12 @@ impl Driver {
                 .inject(raw_frame(Self::port(s), 2, 2, FLAG_ACK, &stream));
             expect.push((s, req_id));
         }
-        self.pump_poll();
+        self.pump_poll()?;
         let rtt = sim.clock().now() - t0;
         for &(s, req_id) in &expect {
             let (len, got_id) = self
                 .drain(s)
-                .unwrap_or_else(|| panic!("slot {s}: GET reply never arrived"));
+                .ok_or_else(|| format!("slot {s}: GET reply never arrived"))?;
             assert_eq!(got_id, req_id, "slot {s}: reply matches its request");
             self.reply_len[s] = len;
         }
@@ -206,13 +202,13 @@ impl Driver {
                 &[],
             ));
         }
-        self.pump_poll();
-        rtt
+        self.pump_poll()?;
+        Ok(rtt)
     }
 
     /// Orderly FIN for every slot in `slots`; the server's FIN|ACK frees
     /// each slot synchronously.
-    fn close_batch(&mut self, slots: std::ops::Range<usize>) {
+    fn close_batch(&mut self, slots: Range<usize>) -> Result<(), Box<dyn Error>> {
         for s in slots.clone() {
             self.hub.inject(raw_frame(
                 Self::port(s),
@@ -222,10 +218,11 @@ impl Driver {
                 &[],
             ));
         }
-        self.pump_poll();
+        self.pump_poll()?;
         for s in slots {
             self.drain(s); // FIN|ACK
         }
+        Ok(())
     }
 
     fn mem_resident(&self) -> u64 {
@@ -235,7 +232,7 @@ impl Driver {
 }
 
 /// Drives one sweep point; returns its `points` row.
-fn run_point(point: ChurnPoint, params: &ChurnParams) -> Value {
+fn run_point(point: ChurnPoint, params: &ChurnParams) -> Result<Value, Box<dyn Error>> {
     assert!(
         point.concurrent.is_multiple_of(params.batch)
             && point.flows_total.is_multiple_of(params.batch),
@@ -268,10 +265,7 @@ fn run_point(point: ChurnPoint, params: &ChurnParams) -> Value {
     let mut server = TcpKvServer::new(listener);
     let key = b"churn-hot-key";
     let value = vec![0xC5u8; params.value_bytes];
-    server
-        .store
-        .put(server.stack.ctx(), key, &value, 8192)
-        .expect("preload");
+    server.store.put(server.stack.ctx(), key, &value, 8192)?;
     // The bytes `TcpKvClient::get` sends: sub-header, then the request.
     let mut msg_template = sub_header(msg_type::GET, 0, 0).to_vec();
     let mut req = GetMsg::new();
@@ -304,7 +298,7 @@ fn run_point(point: ChurnPoint, params: &ChurnParams) -> Value {
 
     // Ramp: fill the table to capacity.
     for start in (0..point.concurrent).step_by(params.batch) {
-        let rtt = d.open_batch(start..start + params.batch, &sim);
+        let rtt = d.open_batch(start..start + params.batch, &sim)?;
         rtts.extend(std::iter::repeat_n(rtt, params.batch));
         sample(&d, &mut mem_ceiling);
     }
@@ -313,8 +307,8 @@ fn run_point(point: ChurnPoint, params: &ChurnParams) -> Value {
     let mut pos = 0usize;
     for _ in 0..(point.flows_total - point.concurrent) / params.batch {
         let slots = pos..pos + params.batch;
-        d.close_batch(slots.clone());
-        let rtt = d.open_batch(slots, &sim);
+        d.close_batch(slots.clone())?;
+        let rtt = d.open_batch(slots, &sim)?;
         rtts.extend(std::iter::repeat_n(rtt, params.batch));
         pos = (pos + params.batch) % point.concurrent;
         sample(&d, &mut mem_ceiling);
@@ -334,17 +328,17 @@ fn run_point(point: ChurnPoint, params: &ChurnParams) -> Value {
     // Drain: hang up everything, then let the wheel settle past the idle
     // horizon — the table and the pool must return to their baselines.
     for start in (0..point.concurrent).step_by(params.batch) {
-        d.close_batch(start..start + params.batch);
+        d.close_batch(start..start + params.batch)?;
     }
     for _ in 0..4 {
         sim.clock().advance(1_000_000_000);
-        d.server.poll().expect("server poll");
+        d.server.poll()?;
     }
     let reaped_to_zero = d.server.stack.active_flows() == 0
         && d.server.stack.ctx().pool.live_slots() == pool_baseline;
 
     rtts.sort_unstable();
-    Value::obj([
+    Ok(Value::obj([
         ("flows_total", int(point.flows_total as u64)),
         ("concurrent", int(point.concurrent as u64)),
         // Completed handshakes per virtual second (ramp + churn phases).
@@ -360,7 +354,7 @@ fn run_point(point: ChurnPoint, params: &ChurnParams) -> Value {
         // map + registered pool regions) observed across the run.
         ("mem_ceiling_bytes", int(mem_ceiling)),
         ("reaped_to_zero", Value::Bool(reaped_to_zero)),
-    ])
+    ]))
 }
 
 /// Runs the sweep, prints the table, writes `churn.json`.
@@ -374,7 +368,10 @@ pub fn run(params: &ChurnParams) -> Value {
                 ("value_bytes", int(params.value_bytes as u64)),
             ]),
         ),
-        ("points", list(&params.points, |&p| run_point(p, params))),
+        (
+            "points",
+            list(&params.points, |&p| run_point(p, params).expect("churn")),
+        ),
     ]);
     print_rows(
         "Connection churn: accept goodput, RTT tail, memory ceiling (virtual time)",

@@ -5,107 +5,28 @@
 //! serialization 77 Gbps, raw zero-copy 48 Gbps, one-copy 28 Gbps, two-copy
 //! 23 Gbps, and the three libraries 13–15 Gbps.
 
-use cf_net::{FrameMeta, UdpStack, HEADER_BYTES};
-use cf_nic::link;
-use cf_sim::{LoadPoint, MachineProfile, Sim};
-use cornflakes_core::obj::serialize_to_vec;
-use cornflakes_core::{CFBytes, SerializationConfig};
+use cf_mem::PoolConfig;
+use cf_net::UdpStack;
+use cf_sim::{LoadPoint, MachineProfile};
+use cornflakes_core::SerializationConfig;
 
-use cf_baselines::capnlite::CapnGetM;
-use cf_baselines::flatlite::FlatGetM;
-use cf_baselines::protolite::PGetM;
-use cf_kv::echo::{EchoKind, EchoServer};
+use cf_kv::client::SERVER_PORT;
+use cf_kv::echo::{client, EchoKind, EchoServer};
 use cf_kv::msg_type;
-use cf_kv::msgs::GetMsg;
 
-use crate::harness::{curve, Curve, Load};
+use crate::harness::{curve, Curve, Load, Pair};
 use crate::tables::{f1, print_curve, print_expectation, print_table};
 
-/// An echo fixture: client stack + echo server over one wire.
-pub struct EchoBench {
-    /// Server machine simulation.
-    pub server_sim: Sim,
-    /// Client datapath (own machine).
-    pub client: UdpStack,
-    /// The echo server.
-    pub server: EchoServer,
-}
-
-impl EchoBench {
-    /// Creates a fixture for one echo variant.
-    pub fn new(kind: EchoKind) -> Self {
-        let server_sim = Sim::new(MachineProfile::cloudlab_c6525());
-        let (cp, sp) = link();
-        let client = UdpStack::new(
-            Sim::new(MachineProfile::cloudlab_c6525()),
-            cp,
-            4000,
-            SerializationConfig::hybrid(),
-        );
-        let server_stack =
-            UdpStack::new(server_sim.clone(), sp, 9000, SerializationConfig::hybrid());
-        EchoBench {
-            server_sim,
-            client,
-            server: EchoServer::new(server_stack, kind),
-        }
-    }
-
-    /// Builds the request payload for this variant (each library speaks its
-    /// own wire format; manual variants speak Cornflakes's).
-    pub fn build_payload(&self, fields: &[Vec<u8>]) -> Vec<u8> {
-        let sim = self.client.sim().clone();
-        match self.server.kind {
-            EchoKind::Protobuf => {
-                let mut m = PGetM::new();
-                for f in fields {
-                    m.add_val(&sim, f);
-                }
-                m.encode(&sim, 0x10_0000)
-            }
-            EchoKind::FlatBuffers => {
-                let refs: Vec<&[u8]> = fields.iter().map(|f| f.as_slice()).collect();
-                FlatGetM::encode(&sim, None, &[], &refs)
-            }
-            EchoKind::CapnProto => {
-                let mut m = CapnGetM::new();
-                for f in fields {
-                    m.add_val(&sim, f);
-                }
-                CapnGetM::frame(&m.finish(&sim))
-            }
-            _ => {
-                let mut m = GetMsg::new();
-                let ctx = self.client.ctx();
-                for f in fields {
-                    m.get_mut_vals().append(CFBytes::new(ctx, f));
-                }
-                serialize_to_vec(&m)
-            }
-        }
-    }
-
-    /// One request round trip; returns the response payload size.
-    pub fn echo_once(&mut self, payload: &[u8], seq: u64) -> u64 {
-        let mut tx = self.client.alloc_tx(payload.len()).expect("client tx");
-        tx.write_at(HEADER_BYTES, payload);
-        let hdr = self.client.header_to(
-            9000,
-            FrameMeta {
-                msg_type: msg_type::ECHO,
-                flags: 0,
-                req_id: seq as u32,
-            },
-        );
-        self.client
-            .send_built(hdr, tx, payload.len())
-            .expect("send");
-        self.server.poll();
-        self.client
-            .recv_packet()
-            .map(|p| p.payload.len() as u64)
-            .unwrap_or(0)
-    }
+/// The echo fixture of one variant: a client stack and the echo server.
+fn echo_bench(kind: EchoKind) -> Pair<UdpStack, EchoServer> {
+    Pair::on_wire(
+        MachineProfile::cloudlab_c6525(),
+        SERVER_PORT,
+        SerializationConfig::hybrid(),
+        PoolConfig::default(),
+        |stack| stack,
+        |stack| EchoServer::new(stack, kind),
+    )
 }
 
 /// One variant's results.
@@ -134,10 +55,12 @@ pub fn run(duration_ns: u64) -> Vec<VariantResult> {
     };
     let mut results = Vec::new();
     for kind in EchoKind::figure2() {
-        let mut bench = EchoBench::new(kind);
-        let payload = bench.build_payload(&fields);
+        let mut bench = echo_bench(kind);
+        let payload = client::request(kind, &bench.client, &fields);
         let sim = bench.server_sim.clone();
-        let curve = curve(&sim, &load, |seq| bench.echo_once(&payload, seq));
+        let curve = curve(&sim, &load, |_| {
+            bench.round_trip(msg_type::ECHO, &payload, EchoServer::poll)
+        });
         let max_gbps = curve
             .points
             .iter()
@@ -188,10 +111,10 @@ mod tests {
 
     #[test]
     fn echo_bench_round_trips() {
-        let mut b = EchoBench::new(EchoKind::Cornflakes);
+        let mut b = echo_bench(EchoKind::Cornflakes);
         let fields = vec![vec![1u8; 2048], vec![2u8; 2048]];
-        let payload = b.build_payload(&fields);
-        let got = b.echo_once(&payload, 1);
+        let payload = client::request(EchoKind::Cornflakes, &b.client, &fields);
+        let got = b.round_trip(msg_type::ECHO, &payload, EchoServer::poll);
         assert!(got >= 4096, "echoed payload should include both fields");
     }
 

@@ -6,84 +6,39 @@
 //! and +15 % (get), +15–25 % (mget-2), +40.1 % (lrange-2) on 4096-byte YCSB
 //! payloads (Table 3).
 
-use cf_net::{FrameMeta, UdpStack, HEADER_BYTES};
-use cf_nic::link;
-use cf_sim::{MachineProfile, Sim};
+use cf_net::UdpStack;
+use cf_sim::MachineProfile;
 use cornflakes_core::SerializationConfig;
 
 use cf_kv::redis::{client as rclient, RedisBackend, RedisServer};
 use cf_workloads::{key_string, TwitterConfig, TwitterOp, TwitterTrace, Zipf};
 
-use crate::harness::{capacity, curve, large_pool, preload, Curve, Load};
+use crate::harness::{capacity, curve, large_pool, preload, Curve, Load, Pair};
 use crate::tables::{f1, pct, print_expectation, print_table};
 
-/// A Redis fixture: RESP-speaking client + mini-Redis server.
-pub struct RedisBench {
-    /// Server machine simulation.
-    pub server_sim: Sim,
-    /// Client datapath.
-    pub client: UdpStack,
-    /// The server.
-    pub server: RedisServer,
-    next_id: u32,
+/// The Redis fixture: a RESP-speaking client and a mini-Redis server on
+/// Redis's port.
+fn redis_bench(backend: RedisBackend) -> Pair<UdpStack, RedisServer> {
+    Pair::on_wire(
+        MachineProfile::microbench(),
+        6379,
+        SerializationConfig::hybrid(),
+        large_pool(),
+        |stack| stack,
+        |stack| RedisServer::new(stack, backend),
+    )
 }
 
-impl RedisBench {
-    /// Creates a fixture.
-    pub fn new(backend: RedisBackend) -> Self {
-        let server_sim = Sim::new(MachineProfile::microbench());
-        let (cp, sp) = link();
-        let client = UdpStack::new(
-            Sim::new(MachineProfile::cloudlab_c6525()),
-            cp,
-            4000,
-            SerializationConfig::hybrid(),
-        );
-        let server_stack = UdpStack::with_pool_config(
-            server_sim.clone(),
-            sp,
-            6379,
-            SerializationConfig::hybrid(),
-            large_pool(),
-        );
-        RedisBench {
-            server_sim,
-            client,
-            server: RedisServer::new(server_stack, backend),
-            next_id: 1,
-        }
-    }
-
-    /// Sends one RESP command and returns the reply payload size.
-    pub fn command(&mut self, parts: &[&[u8]]) -> u64 {
-        let sim = self.client.sim().clone();
-        let payload = rclient::encode_command(&sim, parts);
-        let mut tx = self.client.alloc_tx(payload.len()).expect("client tx");
-        tx.write_at(HEADER_BYTES, &payload);
-        let id = self.next_id;
-        self.next_id = self.next_id.wrapping_add(1);
-        let hdr = self.client.header_to(
-            6379,
-            FrameMeta {
-                msg_type: 0,
-                flags: 0,
-                req_id: id,
-            },
-        );
-        self.client
-            .send_built(hdr, tx, payload.len())
-            .expect("send");
-        self.server.poll();
-        self.client
-            .recv_packet()
-            .map(|p| p.payload.len() as u64)
-            .unwrap_or(0)
-    }
+/// Sends one RESP command (the command travels in the payload, so the
+/// frame's message type is 0) and returns the reply's payload size.
+fn command(bench: &mut Pair<UdpStack, RedisServer>, parts: &[&[u8]]) -> u64 {
+    let payload = rclient::encode_command(bench.client.sim(), parts);
+    bench.round_trip(0, &payload, RedisServer::poll)
 }
 
 /// Figure 8: the Twitter trace through Redis get/set commands.
 pub fn sweep_redis_twitter(backend: RedisBackend, num_keys: u64, duration_ns: u64) -> Curve {
-    let mut bench = RedisBench::new(backend);
+    let mut bench = redis_bench(backend);
     let server = &mut bench.server;
     preload(&mut server.store, server.stack.ctx(), num_keys, |id| {
         vec![TwitterTrace::value_size(id)]
@@ -107,10 +62,11 @@ pub fn sweep_redis_twitter(backend: RedisBackend, num_keys: u64, duration_ns: u6
     };
     let sim = bench.server_sim.clone();
     curve(&sim, &load, |_| match trace.next() {
-        TwitterOp::Get { key } => bench.command(&[b"GET", key_string(key).as_bytes()]),
-        TwitterOp::Put { key, size } => {
-            bench.command(&[b"SET", key_string(key).as_bytes(), &scratch[..size]])
-        }
+        TwitterOp::Get { key } => command(&mut bench, &[b"GET", key_string(key).as_bytes()]),
+        TwitterOp::Put { key, size } => command(
+            &mut bench,
+            &[b"SET", key_string(key).as_bytes(), &scratch[..size]],
+        ),
     })
 }
 
@@ -121,7 +77,7 @@ pub fn table3_krps(backend: RedisBackend, num_keys: u64, requests: u64) -> [f64;
     // too); a list value of two 2048-byte buffers.
     let values: [&[usize]; 3] = [&[4096], &[2048], &[2048, 2048]];
     for (i, cmd) in ["get", "mget-2", "lrange-2"].iter().enumerate() {
-        let mut bench = RedisBench::new(backend);
+        let mut bench = redis_bench(backend);
         let server = &mut bench.server;
         preload(&mut server.store, server.stack.ctx(), num_keys, |_| {
             values[i].to_vec()
@@ -132,12 +88,12 @@ pub fn table3_krps(backend: RedisBackend, num_keys: u64, requests: u64) -> [f64;
             let id = zipf.next();
             let k = key_string(id);
             match *cmd {
-                "get" => bench.command(&[b"GET", k.as_bytes()]),
+                "get" => command(&mut bench, &[b"GET", k.as_bytes()]),
                 "mget-2" => {
                     let k2 = key_string((id + 1) % num_keys);
-                    bench.command(&[b"MGET", k.as_bytes(), k2.as_bytes()])
+                    command(&mut bench, &[b"MGET", k.as_bytes(), k2.as_bytes()])
                 }
-                _ => bench.command(&[b"LRANGE", k.as_bytes(), b"0", b"-1"]),
+                _ => command(&mut bench, &[b"LRANGE", k.as_bytes(), b"0", b"-1"]),
             }
         });
         out[i] = point.achieved_rps / 1e3;

@@ -11,15 +11,19 @@
 //! simulation per shard, as the paper shards its memory per core); the
 //! aggregate is the sharded sum capped by the NIC.
 
+use std::error::Error;
+
+use cf_kv::client::SERVER_PORT;
+use cf_kv::msg_type;
 use cf_net::{FrameMeta, UdpStack};
-use cf_nic::link;
 use cf_sim::cost::Category;
 use cf_sim::rng::SplitMix64;
-use cf_sim::{MachineProfile, Sim};
+use cf_sim::MachineProfile;
 use cornflakes_core::msgs::GetM;
+use cornflakes_core::obj::serialize_to_vec;
 use cornflakes_core::{CFBytes, CornflakesObj, SerializationConfig};
 
-use crate::harness::{capacity, large_pool};
+use crate::harness::{capacity, large_pool, Pair};
 use crate::tables::{f1, print_expectation, print_table};
 
 /// Aggregate NIC ceiling in Gbps (payload goodput the paper's CX-6
@@ -33,55 +37,40 @@ const ARRAY_BASE: u64 = 0x7800_0000_0000;
 ///
 /// `copy_mode` selects all-copy serialization; otherwise raw scatter-gather
 /// (no safety bookkeeping, as the paper's §2.4/§6.6 microbenchmark).
-pub fn id_server_gbps(copy_mode: bool, num_values: u64, requests: u64) -> f64 {
-    let server_sim = Sim::new(MachineProfile::microbench());
-    let (cp, sp) = link();
-    let mut client = UdpStack::new(
-        Sim::new(MachineProfile::cloudlab_c6525()),
-        cp,
-        4000,
-        SerializationConfig::hybrid(),
-    );
+pub fn id_server_gbps(
+    copy_mode: bool,
+    num_values: u64,
+    requests: u64,
+) -> Result<f64, Box<dyn Error>> {
     let config = if copy_mode {
         SerializationConfig::always_copy()
     } else {
         SerializationConfig::raw()
     };
-    let mut server = UdpStack::with_pool_config(server_sim.clone(), sp, 9000, config, large_pool());
+    let mut bench = Pair::on_wire(
+        MachineProfile::microbench(),
+        SERVER_PORT,
+        config,
+        large_pool(),
+        |stack| stack,
+        |stack| stack,
+    );
 
     // The sharded value array: 2 x 512 B pinned buffers per entry,
     // ~10x the 16 MiB LLC in total.
-    let values: Vec<[cf_mem::RcBuf; 2]> = (0..num_values)
-        .map(|i| {
-            let make = |tag: u8| {
-                let mut b = server.ctx().pool.alloc(512).expect("pool");
-                b.fill(tag ^ i as u8);
-                b
-            };
-            [make(0xA0), make(0xB0)]
-        })
-        .collect();
+    let pool = &bench.server.ctx().pool;
+    let mut values = Vec::with_capacity(num_values as usize);
+    for i in 0..num_values {
+        let mut entry = [pool.alloc(512)?, pool.alloc(512)?];
+        entry[0].fill(0xA0 ^ i as u8);
+        entry[1].fill(0xB0 ^ i as u8);
+        values.push(entry);
+    }
 
-    let mut rng = SplitMix64::new(0x13);
-    let point = capacity(&server_sim, requests, requests / 10, |seq| {
-        // Client: a minimal ID request.
-        let req = GetM {
-            id: Some(rng.next_bounded(num_values) as u32),
-            ..GetM::new()
-        };
-        let hdr = client.header_to(
-            9000,
-            FrameMeta {
-                msg_type: 1,
-                flags: 0,
-                req_id: seq as u32,
-            },
-        );
-        client.send_object(hdr, &req).expect("request");
-
-        // Server: parse the ID, index the array, respond.
-        let pkt = server.recv_packet().expect("request arrives");
-        let req = GetM::deserialize(server.ctx(), &pkt.payload).expect("id request");
+    // Server: parse the ID, index the array, respond.
+    let serve = |server: &mut UdpStack| -> Result<(), Box<dyn Error>> {
+        let pkt = server.recv_packet().ok_or("the ID request never arrived")?;
+        let req = GetM::deserialize(server.ctx(), &pkt.payload)?;
         let id = req.id.unwrap_or(0) as u64 % num_values;
         // Array indexing: one metadata line for the entry.
         server
@@ -102,18 +91,26 @@ pub fn id_server_gbps(copy_mode: bool, num_values: u64, requests: u64) -> f64 {
             }
         }
         let reply_hdr = pkt.hdr.reply(FrameMeta {
-            msg_type: 0x81,
+            msg_type: msg_type::GET | msg_type::RESPONSE,
             flags: 0,
             req_id: pkt.hdr.meta.req_id,
         });
-        server.send_object(reply_hdr, &resp).expect("reply");
-
-        client
-            .recv_packet()
-            .map(|p| p.payload.len() as u64)
-            .unwrap_or(0)
+        Ok(server.send_object(reply_hdr, &resp)?)
+    };
+    let mut rng = SplitMix64::new(0x13);
+    let mut failed = None;
+    let sim = bench.server_sim.clone();
+    let point = capacity(&sim, requests, requests / 10, |_| {
+        // Client: a minimal ID request.
+        let req = GetM {
+            id: Some(rng.next_bounded(num_values) as u32),
+            ..GetM::new()
+        };
+        bench.round_trip(msg_type::GET, &serialize_to_vec(&req), |server| {
+            serve(server).unwrap_or_else(|e| failed = Some(e))
+        })
     });
-    point.gbps()
+    failed.map_or(Ok(point.gbps()), Err)
 }
 
 /// One scaling row: cores → (copy Gbps, raw sg Gbps).
@@ -122,8 +119,8 @@ pub type ScaleRow = (usize, f64, f64);
 /// Runs the scaling study for the given core counts. `shard_values` is the
 /// per-shard array length (2 x 512 B each).
 pub fn run(cores: &[usize], shard_values: u64, requests: u64) -> Vec<ScaleRow> {
-    let copy_per_core = id_server_gbps(true, shard_values, requests);
-    let sg_per_core = id_server_gbps(false, shard_values, requests);
+    let [copy_per_core, sg_per_core] = [true, false]
+        .map(|copy_mode| id_server_gbps(copy_mode, shard_values, requests).expect("ID server"));
     let rows: Vec<ScaleRow> = cores
         .iter()
         .map(|&n| {

@@ -40,7 +40,7 @@ use cf_sim::MachineProfile;
 use cf_telemetry::json::Value;
 use cf_telemetry::{FlightRecord, FlightRecorder};
 
-use cf_kv::client::{KvClient, ProtectionConfig, RetryConfig};
+use cf_kv::client::{KvClient, RetryConfig};
 use cf_kv::flags;
 use cf_kv::overload::AdmissionConfig;
 use cf_kv::sharded::ShardedKvServer;
@@ -180,7 +180,7 @@ impl Rig {
                 target_sojourn_ns: load.slo_ns / 2,
                 ..AdmissionConfig::default()
             });
-            client.enable_protection(ProtectionConfig::default());
+            client.enable_protection();
         }
         client.enable_retries(RetryConfig {
             timeout_ns: load.slo_ns,

@@ -2,37 +2,46 @@
 //! machine shape, a closed-loop capacity probe per shape, and a [`curve`] of
 //! Poisson open-loop points laid out on a ladder below that capacity.
 //!
-//! A single-machine fixture contributes only its one-request function —
-//! send a request, let the server poll, return the reply's payload size —
-//! and [`capacity`] drives it; [`KvBench::request`] is the KV store's,
-//! `fig02::EchoBench` and `fig08::RedisBench` bring their own. The sharded
-//! fixture ([`sharded`]: a steered client, one shard per NIC queue) is
-//! driven in bursts by [`saturate`]. Every wire floor is the machine
-//! profile's (`CostModel::one_way_wire_ns`, through [`OpenLoopSim::new`]).
+//! Every single-machine figure builds its two machines as one [`Pair`] and
+//! contributes only its one-request function — send a request, let the
+//! server poll, return the reply's payload size — which [`capacity`]
+//! drives: [`KvBench::request`] for the KV store, [`Pair::round_trip`] for
+//! a raw payload (Fig. 2's echo server, Fig. 8's Redis, Fig. 13's ID
+//! server). The sharded fixture ([`sharded`]: a steered client, one shard
+//! per NIC queue) is driven in bursts by [`saturate`]. Every wire floor is
+//! the machine profile's (`CostModel::one_way_wire_ns`, through
+//! [`OpenLoopSim::new`]).
 
 use cf_mem::PoolConfig;
-use cf_net::UdpStack;
+use cf_net::{FrameMeta, UdpStack, HEADER_BYTES};
 use cf_nic::link;
 use cf_sim::queueing::{load_ladder, LoadPoint, OpenLoopSim};
 use cf_sim::{MachineProfile, Sim};
 use cornflakes_core::{SerCtx, SerializationConfig};
 
-use cf_kv::client::{client_server_pair, KvClient, CLIENT_PORT};
+use cf_kv::client::{KvClient, CLIENT_PORT, SERVER_PORT};
 use cf_kv::server::{KvServer, SerKind};
 use cf_kv::sharded::ShardedKvServer;
 use cf_kv::store::KvStore;
 use cf_workloads::key_string;
 
-/// A benchmark fixture: one simulated server machine plus a client on its
-/// own machine, connected by a wire.
-pub struct KvBench {
+/// A single-machine fixture: one simulated server machine plus a client on
+/// its own machine, connected by a wire.
+pub struct Pair<C, S> {
     /// The server machine's simulation (clock = service time source).
     pub server_sim: Sim,
     /// The load-generating client.
-    pub client: KvClient,
+    pub client: C,
     /// The server under test.
-    pub server: KvServer,
+    pub server: S,
+    /// The server's port, where [`Pair::round_trip`] sends.
+    port: u16,
+    /// Request id of the next [`Pair::round_trip`].
+    next_id: u32,
 }
+
+/// The KV figures' fixture.
+pub type KvBench = Pair<KvClient, KvServer>;
 
 /// A pool sized for the large-working-set experiments.
 pub fn large_pool() -> PoolConfig {
@@ -44,16 +53,76 @@ pub fn large_pool() -> PoolConfig {
     }
 }
 
+impl<C, S> Pair<C, S> {
+    /// A server machine of `profile` listening on `port` with `config` and
+    /// `pool`, and a client on a machine of its own: builds the server
+    /// [`Sim`], the wire, the client stack, then the server stack, and
+    /// hands each stack to `client` / `server`.
+    pub fn on_wire(
+        profile: MachineProfile,
+        port: u16,
+        config: SerializationConfig,
+        pool: PoolConfig,
+        client: impl FnOnce(UdpStack) -> C,
+        server: impl FnOnce(UdpStack) -> S,
+    ) -> Self {
+        let server_sim = Sim::new(profile);
+        let (cp, sp) = link();
+        let client_sim = Sim::new(MachineProfile::cloudlab_c6525());
+        let client_stack =
+            UdpStack::new(client_sim, cp, CLIENT_PORT, SerializationConfig::hybrid());
+        let server_stack = UdpStack::with_pool_config(server_sim.clone(), sp, port, config, pool);
+        Pair {
+            server_sim,
+            client: client(client_stack),
+            server: server(server_stack),
+            port,
+            next_id: 1,
+        }
+    }
+}
+
+impl<S> Pair<UdpStack, S> {
+    /// One raw round trip: `payload` goes to the server as a `msg_type`
+    /// request under a fresh request id, `serve` lets the server answer
+    /// (its `poll`, for a server type), and the reply's payload size comes
+    /// back (0 without a reply).
+    pub fn round_trip<R>(
+        &mut self,
+        msg_type: u8,
+        payload: &[u8],
+        serve: impl FnOnce(&mut S) -> R,
+    ) -> u64 {
+        let meta = FrameMeta {
+            msg_type,
+            flags: 0,
+            req_id: self.next_id,
+        };
+        self.next_id = self.next_id.wrapping_add(1);
+        let hdr = self.client.header_to(self.port, meta);
+        let sent = self.client.alloc_tx(payload.len()).and_then(|mut tx| {
+            tx.write_at(HEADER_BYTES, payload);
+            self.client.send_built(hdr, tx, payload.len())
+        });
+        sent.expect("client send");
+        serve(&mut self.server);
+        self.client
+            .recv_packet()
+            .map_or(0, |p| p.payload.len() as u64)
+    }
+}
+
 impl KvBench {
     /// A `kind` server with `config` on a machine of `profile`.
     pub fn new(profile: MachineProfile, kind: SerKind, config: SerializationConfig) -> Self {
-        let server_sim = Sim::new(profile);
-        let (client, server) = client_server_pair(server_sim.clone(), kind, config, large_pool());
-        KvBench {
-            server_sim,
-            client,
-            server,
-        }
+        Pair::on_wire(
+            profile,
+            SERVER_PORT,
+            config,
+            large_pool(),
+            |stack| KvClient::new(stack, kind),
+            |stack| KvServer::new(stack, kind),
+        )
     }
 
     /// Stores keys `0..n` (see [`preload`]).

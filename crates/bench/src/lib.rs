@@ -8,7 +8,8 @@
 //! Conventions:
 //!
 //! - Every experiment is measured with one rig, [`harness`] (§6.1): a
-//!   fixture per machine shape ([`harness::KvBench`] for one KV server,
+//!   fixture per machine shape ([`harness::Pair`] for one server machine
+//!   and a client, [`harness::KvBench`] when the server is the KV store;
 //!   [`harness::sharded`] for one shard per NIC queue), a closed-loop
 //!   probe per shape ([`harness::capacity`], [`harness::saturate`]), one
 //!   pick for the quantiles an extension bench takes of its own samples

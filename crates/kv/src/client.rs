@@ -101,16 +101,6 @@ impl RetryConfig {
     }
 }
 
-/// Client-side overload protection for [`KvClient::enable_protection`]:
-/// a retry budget plus a per-server circuit breaker.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ProtectionConfig {
-    /// Token-bucket retry budget (see [`RetryBudget`]).
-    pub budget: RetryBudgetConfig,
-    /// Circuit-breaker tuning (see [`CircuitBreaker`]).
-    pub breaker: BreakerConfig,
-}
-
 /// Live protection state: the budget, the breaker for the (single)
 /// server this client talks to, and ids the breaker fast-failed locally,
 /// drained by [`KvClient::poll_timers`].
@@ -260,11 +250,13 @@ impl KvClient {
     /// that fast-fails sends locally once the server stops answering
     /// (driven by `SHED` replies and timeouts), half-opening with a probe
     /// request after [`BreakerConfig::open_ns`]. Fast-failed ids surface
-    /// through [`KvClient::poll_timers`] like timeouts.
-    pub fn enable_protection(&mut self, config: ProtectionConfig) {
+    /// through [`KvClient::poll_timers`] like timeouts. Both run at their
+    /// defaults, [`RetryBudgetConfig::default`] and
+    /// [`BreakerConfig::default`].
+    pub fn enable_protection(&mut self) {
         self.protection = Some(Protection {
-            budget: RetryBudget::new(config.budget),
-            breaker: CircuitBreaker::new(config.breaker),
+            budget: RetryBudget::new(RetryBudgetConfig::default()),
+            breaker: CircuitBreaker::new(BreakerConfig::default()),
             fast_failed: Vec::new(),
         });
     }

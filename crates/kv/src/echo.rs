@@ -19,10 +19,12 @@
 //!
 //! All variants exchange the *Cornflakes* wire format for the manual paths
 //! and each library's own format for the library paths, so every variant
-//! parses and regenerates a real message.
+//! parses and regenerates a real message; [`client::request`] builds the
+//! request each variant parses.
 
 use cf_net::{FrameMeta, Packet, UdpStack, HEADER_BYTES};
 use cf_sim::cost::Category;
+use cornflakes_core::obj::write_full_header;
 use cornflakes_core::CornflakesObj;
 
 use crate::codec::{Codecs, KvCodec};
@@ -173,19 +175,26 @@ impl EchoServer {
             }
         }
         // Final copy into the DMA buffer, behind a regenerated header
-        // (Cornflakes wire layout with every field in the copied region).
-        let total: usize = req.vals.iter().map(|v| v.len()).sum();
-        let Ok(mut tx) = self.stack.alloc_tx(wire_header_size(&req) + total) else {
+        // (Cornflakes wire layout with every field in the data region right
+        // after the header, in order).
+        let reply = GetMsg {
+            id: req.id,
+            vals: req.vals,
+            ..GetMsg::default()
+        };
+        let fp = reply.footprint();
+        let Ok(mut tx) = self.stack.alloc_tx(fp.len()) else {
             return;
         };
-        let header = build_all_copied_header(&req);
+        let mut header = vec![0u8; fp.header()];
+        write_full_header(&reply, &mut header);
         sim.charge(
             Category::HeaderWrite,
-            sim.costs().header_fixed + req.vals.len() as f64 * sim.costs().per_field,
+            sim.costs().header_fixed + reply.vals.len() as f64 * sim.costs().per_field,
         );
         tx.write_at(HEADER_BYTES, &header);
         let mut cursor = HEADER_BYTES + header.len();
-        for (i, v) in req.vals.iter().enumerate() {
+        for (i, v) in reply.vals.iter().enumerate() {
             let src: &[u8] = if copies >= 2 {
                 &staged[i]
             } else {
@@ -216,55 +225,50 @@ impl EchoServer {
     }
 }
 
-/// Header-region size of an all-copied serialization of `m` (GetMsg with
-/// only `vals` and possibly `id`).
-fn wire_header_size(m: &GetMsg) -> usize {
-    use cornflakes_core::wire::{bitmap_bytes, BITMAP_LEN_PREFIX, PTR_SIZE};
-    BITMAP_LEN_PREFIX
-        + bitmap_bytes(3)
-        + m.id.map_or(0, |_| 4)
-        + if m.vals.is_empty() { 0 } else { PTR_SIZE }
-        + m.vals.len() * PTR_SIZE
-}
+/// The echo client's side of the wire.
+pub mod client {
+    use cf_baselines::capnlite::CapnGetM;
+    use cf_baselines::flatlite::FlatGetM;
+    use cf_baselines::protolite::PGetM;
+    use cf_net::UdpStack;
+    use cornflakes_core::obj::serialize_to_vec;
+    use cornflakes_core::CFBytes;
 
-/// Builds the Cornflakes header region for an echo response in which every
-/// field lands in the copied-data region right after the header, in order.
-fn build_all_copied_header(m: &GetMsg) -> Vec<u8> {
-    use cornflakes_core::wire::{
-        bitmap_bytes, bitmap_set, put_u32, ForwardPtr, BITMAP_LEN_PREFIX, PTR_SIZE,
-    };
-    let hb = wire_header_size(m);
-    let mut out = vec![0u8; hb];
-    let mut bm = [0u8; 4];
-    if m.id.is_some() {
-        bitmap_set(&mut bm, 0);
-    }
-    if !m.vals.is_empty() {
-        bitmap_set(&mut bm, 2);
-    }
-    put_u32(&mut out, 0, bitmap_bytes(3) as u32);
-    out[BITMAP_LEN_PREFIX..BITMAP_LEN_PREFIX + 4].copy_from_slice(&bm);
-    let mut cursor = BITMAP_LEN_PREFIX + bitmap_bytes(3);
-    if let Some(id) = m.id {
-        put_u32(&mut out, cursor, id as u32);
-        cursor += 4;
-    }
-    if !m.vals.is_empty() {
-        let table = cursor + PTR_SIZE;
-        ForwardPtr {
-            offset: table as u32,
-            len: m.vals.len() as u32,
-        }
-        .put(&mut out, cursor);
-        let mut data_off = hb;
-        for (i, v) in m.vals.iter().enumerate() {
-            ForwardPtr {
-                offset: data_off as u32,
-                len: v.len() as u32,
+    use super::EchoKind;
+    use crate::msgs::GetMsg;
+
+    /// The request payload a `kind` server echoes: `fields` as a list of
+    /// byte fields, in the library's own wire format for the library
+    /// variants and in Cornflakes's for the rest.
+    pub fn request(kind: EchoKind, stack: &UdpStack, fields: &[Vec<u8>]) -> Vec<u8> {
+        let sim = stack.sim().clone();
+        match kind {
+            EchoKind::Protobuf => {
+                let mut m = PGetM::new();
+                for f in fields {
+                    m.add_val(&sim, f);
+                }
+                m.encode(&sim, 0x10_0000)
             }
-            .put(&mut out, table + i * PTR_SIZE);
-            data_off += v.len();
+            EchoKind::FlatBuffers => {
+                let refs: Vec<&[u8]> = fields.iter().map(|f| f.as_slice()).collect();
+                FlatGetM::encode(&sim, None, &[], &refs)
+            }
+            EchoKind::CapnProto => {
+                let mut m = CapnGetM::new();
+                for f in fields {
+                    m.add_val(&sim, f);
+                }
+                CapnGetM::frame(&m.finish(&sim))
+            }
+            _ => {
+                let mut m = GetMsg::new();
+                let ctx = stack.ctx();
+                for f in fields {
+                    m.get_mut_vals().append(CFBytes::new(ctx, f));
+                }
+                serialize_to_vec(&m)
+            }
         }
     }
-    out
 }

@@ -8,7 +8,7 @@ use cf_sim::{MachineProfile, Sim};
 use cf_telemetry::{FlightEvent, FlightRecord, FlightRecorder};
 use cornflakes_core::SerializationConfig;
 
-use cf_kv::client::{client_server_pair, KvClient, ProtectionConfig, RetryConfig, SERVER_PORT};
+use cf_kv::client::{client_server_pair, KvClient, RetryConfig, SERVER_PORT};
 use cf_kv::msg_type;
 use cf_kv::server::{KvServer, SerKind};
 use cf_kv::store::KvStore;
@@ -395,7 +395,7 @@ fn overdue_retry_sequence() -> Vec<FlightRecord> {
         ..RetryConfig::default()
     });
     // A full bank of 10 tokens: 10 of the 32 may retry.
-    client.enable_protection(ProtectionConfig::default());
+    client.enable_protection();
     let flight = FlightRecorder::with_capacity(1024);
     client.set_flight_recorder(&flight);
     for i in 0..32u32 {

@@ -6,13 +6,11 @@ use cf_sim::{MachineProfile, Sim};
 use cornflakes_core::obj::serialize_to_vec;
 use cornflakes_core::{CFBytes, CornflakesObj, SerializationConfig};
 
-use cf_kv::echo::{EchoKind, EchoServer};
+use cf_kv::echo::{client as echo_client, EchoKind, EchoServer};
 use cf_kv::msg_type;
 use cf_kv::msgs::GetMsg;
 use cf_kv::redis::{client as redis_client, RedisBackend, RedisServer};
 
-use cf_baselines::capnlite::CapnGetM;
-use cf_baselines::flatlite::FlatGetM;
 use cf_baselines::protolite::PGetM;
 
 const CLIENT_PORT: u16 = 700;
@@ -148,43 +146,6 @@ fn redis_cornflakes_zero_copies_responses() {
 
 // ---- echo variants -------------------------------------------------------
 
-/// Builds the echo request payload for a variant and returns (payload,
-/// expected echoed fields).
-fn echo_payload(kind: EchoKind, stack: &UdpStack, fields: &[Vec<u8>]) -> Vec<u8> {
-    let sim = stack.sim().clone();
-    match kind {
-        EchoKind::Protobuf => {
-            let mut m = PGetM::new();
-            for f in fields {
-                m.add_val(&sim, f);
-            }
-            m.encode(&sim, 0x10_0000)
-        }
-        EchoKind::FlatBuffers => {
-            let refs: Vec<&[u8]> = fields.iter().map(|f| f.as_slice()).collect();
-            FlatGetM::encode(&sim, None, &[], &refs)
-        }
-        EchoKind::CapnProto => {
-            let mut m = CapnGetM::new();
-            for f in fields {
-                m.add_val(&sim, f);
-            }
-            CapnGetM::frame(&m.finish(&sim))
-        }
-        // Manual variants and Cornflakes exchange the Cornflakes format.
-        _ => {
-            let mut m = GetMsg::new();
-            {
-                let ctx = stack.ctx();
-                for f in fields {
-                    m.get_mut_vals().append(CFBytes::new(ctx, f));
-                }
-            }
-            serialize_to_vec(&m)
-        }
-    }
-}
-
 /// Decodes an echoed response's fields for comparison.
 fn decode_echo(kind: EchoKind, stack: &UdpStack, payload: &cf_mem::RcBuf) -> Vec<Vec<u8>> {
     let sim = stack.sim().clone();
@@ -214,32 +175,72 @@ fn decode_echo(kind: EchoKind, stack: &UdpStack, payload: &cf_mem::RcBuf) -> Vec
 
 #[test]
 fn all_echo_variants_echo_correctly() {
-    // The paper's echo message: a list with two 2048-byte elements.
-    let fields = vec![vec![0x11u8; 2048], vec![0x22u8; 2048]];
-    for kind in [
-        EchoKind::NoSerialization,
-        EchoKind::ZeroCopyRaw,
-        EchoKind::OneCopy,
-        EchoKind::TwoCopy,
-        EchoKind::Cornflakes,
+    // The paper's echo message (two 2048-byte elements) among field lists
+    // of 0, 1, 2 and 5 fields on either side of the 512 B threshold.
+    let shapes: [&[usize]; 7] = [
+        &[],
+        &[0],
+        &[2048],
+        &[511, 512],
+        &[2048, 2048],
+        &[0, 1, 511, 512, 2048],
+        &[2048, 1024, 64, 2048, 0],
+    ];
+    let libraries = [
         EchoKind::Protobuf,
         EchoKind::FlatBuffers,
         EchoKind::CapnProto,
-    ] {
-        let (mut client, server_stack) = stacks();
-        let mut server = EchoServer::new(server_stack, kind);
-        let payload = echo_payload(kind, &client, &fields);
-        let mut tx = client.alloc_tx(payload.len()).unwrap();
-        tx.write_at(HEADER_BYTES, &payload);
-        let hdr = client.header_to(SERVER_PORT, meta(9));
-        client.send_built(hdr, tx, payload.len()).unwrap();
+    ];
+    for id in [None, Some(0x5EED)] {
+        for lens in shapes {
+            let fields: Vec<Vec<u8>> = lens
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| vec![0x11 * (i as u8 + 1); n])
+                .collect();
+            for kind in [
+                EchoKind::NoSerialization,
+                EchoKind::ZeroCopyRaw,
+                EchoKind::OneCopy,
+                EchoKind::TwoCopy,
+                EchoKind::Cornflakes,
+                EchoKind::Protobuf,
+                EchoKind::FlatBuffers,
+                EchoKind::CapnProto,
+            ] {
+                // The library requests carry no id.
+                if id.is_some() && libraries.contains(&kind) {
+                    continue;
+                }
+                let (mut client, server_stack) = stacks();
+                let mut server = EchoServer::new(server_stack, kind);
+                let payload = match id {
+                    None => echo_client::request(kind, &client, &fields),
+                    Some(id) => {
+                        let mut m = GetMsg::new();
+                        m.set_id(id);
+                        for f in &fields {
+                            m.get_mut_vals().append(CFBytes::new(client.ctx(), f));
+                        }
+                        serialize_to_vec(&m)
+                    }
+                };
+                let mut tx = client.alloc_tx(payload.len()).unwrap();
+                tx.write_at(HEADER_BYTES, &payload);
+                let hdr = client.header_to(SERVER_PORT, meta(9));
+                client.send_built(hdr, tx, payload.len()).unwrap();
 
-        assert_eq!(server.poll(), 1, "{kind:?}");
-        let pkt = client.recv_packet().expect("echo reply");
-        let echoed = decode_echo(kind, &client, &pkt.payload);
-        assert_eq!(echoed.len(), 2, "{kind:?}");
-        assert_eq!(echoed[0], fields[0], "{kind:?}");
-        assert_eq!(echoed[1], fields[1], "{kind:?}");
+                let case = format!("{kind:?}, fields {lens:?}, id {id:?}");
+                assert_eq!(server.poll(), 1, "{case}");
+                let pkt = client.recv_packet().expect("echo reply");
+                assert_eq!(decode_echo(kind, &client, &pkt.payload), fields, "{case}");
+                if matches!(kind, EchoKind::OneCopy | EchoKind::TwoCopy) {
+                    // The request is `serialize_to_vec` of `{id, vals}`, and
+                    // the manual echo rewrites exactly that layout.
+                    assert_eq!(pkt.payload.as_slice(), &payload[..], "{case}");
+                }
+            }
+        }
     }
 }
 
@@ -255,7 +256,7 @@ fn echo_variant_cost_ordering_matches_figure_2() {
         let mut server = EchoServer::new(server_stack, kind);
         // Warm up one request, then measure ten.
         for _ in 0..3 {
-            let payload = echo_payload(kind, &client, &fields);
+            let payload = echo_client::request(kind, &client, &fields);
             let mut tx = client.alloc_tx(payload.len()).unwrap();
             tx.write_at(HEADER_BYTES, &payload);
             let hdr = client.header_to(SERVER_PORT, meta(1));
@@ -266,7 +267,7 @@ fn echo_variant_cost_ordering_matches_figure_2() {
         let t0 = server_sim.now();
         let rounds = 10;
         for _ in 0..rounds {
-            let payload = echo_payload(kind, &client, &fields);
+            let payload = echo_client::request(kind, &client, &fields);
             let mut tx = client.alloc_tx(payload.len()).unwrap();
             tx.write_at(HEADER_BYTES, &payload);
             let hdr = client.header_to(SERVER_PORT, meta(1));

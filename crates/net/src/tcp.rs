@@ -68,8 +68,9 @@ pub(crate) fn seq_lt(a: u32, b: u32) -> bool {
 }
 
 /// Builds a TCP segment header (the shared layout both the single-flow
-/// [`TcpStack`] and the flow-table listener emit).
-pub(crate) fn build_header(
+/// [`TcpStack`] and the flow-table listener emit, and that drivers playing
+/// a peer without a stack write).
+pub fn build_header(
     local: u16,
     remote: u16,
     seq: u32,

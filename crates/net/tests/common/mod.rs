@@ -50,14 +50,7 @@ pub fn fcs_boundary_bursts(len: usize) -> Vec<(usize, usize)> {
 /// without a stack behind it (unsealed: seal it with `Frame::seal` or send
 /// it through `PortHub::inject`).
 pub fn raw_segment(src: u16, dst: u16, seq: u32, ack: u32, flags: u8) -> Vec<u8> {
-    use cf_net::tcp::{OFF_ACK, OFF_DST, OFF_FLAGS, OFF_SEQ, OFF_SRC, TCP_HEADER_BYTES};
-    let mut f = vec![0u8; TCP_HEADER_BYTES];
-    f[OFF_SRC..OFF_SRC + 2].copy_from_slice(&src.to_be_bytes());
-    f[OFF_DST..OFF_DST + 2].copy_from_slice(&dst.to_be_bytes());
-    f[OFF_SEQ..OFF_SEQ + 4].copy_from_slice(&seq.to_le_bytes());
-    f[OFF_ACK..OFF_ACK + 4].copy_from_slice(&ack.to_le_bytes());
-    f[OFF_FLAGS] = flags;
-    f
+    cf_net::tcp::build_header(src, dst, seq, ack, flags).to_vec()
 }
 
 /// Seals `bytes` the way a transmitting NIC would and puts them on `wire`.

@@ -22,13 +22,14 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
-echo "==> wire-format gates: both schemas through the compiler, generated code against the DynMessage interpreter (encode parity, three-way decode under mutation, recorded crashers), the recorded byte layout, the parity suites, the serializer differential + golden frames"
+echo "==> wire-format gates: both schemas through the compiler, generated code against the DynMessage interpreter (encode parity, three-way decode under mutation, recorded crashers), the recorded byte layout, the parity suites, the serializer differential + golden frames, the echo server's rewritten layout"
 cargo run -q -p cf-codegen --bin cornflakes-compile -- --check crates/core/schema/msgs.proto
 cargo run -q -p cf-codegen --bin cornflakes-compile -- --check crates/kv/schema/kv.proto
 cargo test -q --test wire_differential
 cargo test -q --test golden
 cargo test -q -p cornflakes-core --test dynamic_parity
 cargo test -q -p cf-kv --test codegen_parity --test differential
+cargo test -q -p cf-kv --test redis_and_echo
 cargo test -q -p cf-nic --test rss_proptests
 
 echo "==> fcs gate: the three CRC kernels and the masked frame pass against the bytewise reference, every length"

@@ -19,9 +19,9 @@
 use proptest::prelude::*;
 
 use cornflakes::chaos_repro;
-use cornflakes::kv::client::{KvClient, ProtectionConfig, RetryConfig, CLIENT_PORT, SERVER_PORT};
+use cornflakes::kv::client::{KvClient, RetryConfig, CLIENT_PORT, SERVER_PORT};
 use cornflakes::kv::flags;
-use cornflakes::kv::overload::AdmissionConfig;
+use cornflakes::kv::overload::{AdmissionConfig, RetryBudgetConfig};
 use cornflakes::kv::server::{KvServer, SerKind};
 use cornflakes::kv::sharded::ShardedKvServer;
 use cornflakes::mem::PoolConfig;
@@ -522,7 +522,7 @@ proptest! {
             jitter_seed: Some(seed),
             ..RetryConfig::default()
         });
-        client.enable_protection(ProtectionConfig::default());
+        client.enable_protection();
 
         let keys: Vec<Vec<u8>> = (0..NUM_KEYS)
             .map(|i| key_string(i).into_bytes())
@@ -630,7 +630,7 @@ proptest! {
             server.puts_applied(), puts_sent
         );
         // Retries stayed within the budget's hard bound.
-        let budget = ProtectionConfig::default().budget;
+        let budget = RetryBudgetConfig::default();
         let bound = budget.capacity + budget.per_request * ops.len() as f64;
         prop_assert!(
             client.retries_sent() as f64 <= bound,
@@ -681,8 +681,7 @@ fn retry_storm_is_bounded_by_the_budget() {
         jitter_seed: Some(7),
         ..RetryConfig::default()
     });
-    let protection = ProtectionConfig::default();
-    client.enable_protection(protection);
+    client.enable_protection();
     let _requests = server
         .stack
         .install_faults(FaultPlan::seeded(1).with_drop(1.0));
@@ -710,7 +709,8 @@ fn retry_storm_is_bounded_by_the_budget() {
 
     // The hard bound: the initial bank plus per-request earnings. Without
     // the budget this run would have sent FRESH × max_retries = 400.
-    let bound = protection.budget.capacity + protection.budget.per_request * FRESH as f64;
+    let budget = RetryBudgetConfig::default();
+    let bound = budget.capacity + budget.per_request * FRESH as f64;
     assert!(
         client.retries_sent() as f64 <= bound,
         "retry storm: {} retransmissions exceed budget bound {}",

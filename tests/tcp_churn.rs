@@ -21,9 +21,7 @@ use proptest::prelude::*;
 use cornflakes::chaos_repro;
 use cornflakes::core::SerializationConfig;
 use cornflakes::kv::tcp_server::{TcpKvClient, TcpKvServer};
-use cornflakes::net::tcp::{
-    FLAG_ACK, FLAG_FIN, FLAG_SYN, OFF_ACK, OFF_DST, OFF_FLAGS, OFF_SEQ, OFF_SRC,
-};
+use cornflakes::net::tcp::{build_header, FLAG_ACK, FLAG_FIN, FLAG_SYN};
 use cornflakes::net::{FlowConfig, TcpListener, TcpStack};
 use cornflakes::nic::{FaultPlan, PortHub};
 use cornflakes::sim::{MachineProfile, Sim};
@@ -36,14 +34,8 @@ const ROUNDS: usize = 400;
 const TICK_NS: u64 = 250_000;
 
 fn raw_frame(src: u16, seq: u32, ack: u32, flags: u8, payload: &[u8]) -> Vec<u8> {
-    let mut f = vec![0u8; 48 + payload.len()];
-    f[OFF_SRC..OFF_SRC + 2].copy_from_slice(&src.to_be_bytes());
-    f[OFF_DST..OFF_DST + 2].copy_from_slice(&SERVER_PORT.to_be_bytes());
-    f[OFF_SEQ..OFF_SEQ + 4].copy_from_slice(&seq.to_le_bytes());
-    f[OFF_ACK..OFF_ACK + 4].copy_from_slice(&ack.to_le_bytes());
-    f[OFF_FLAGS] = flags;
-    f[48..].copy_from_slice(payload);
-    f
+    let header = build_header(src, SERVER_PORT, seq, ack, flags);
+    [&header[..], payload].concat()
 }
 
 fn churn_rig(cfg: FlowConfig) -> (TcpKvServer, PortHub, Sim, Telemetry) {
