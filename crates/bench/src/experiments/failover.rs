@@ -296,8 +296,6 @@ pub fn drive_cluster(
         YcsbConfig {
             num_keys: load.num_keys,
             theta: 0.9,
-            value_segments: 1,
-            segment_size: load.value_bytes,
         },
         load.seed,
     );

@@ -22,13 +22,7 @@ pub fn sweep_twitter(
 ) -> Curve {
     let mut b = KvBench::new(MachineProfile::microbench(), kind, config);
     b.preload(num_keys, |id| vec![TwitterTrace::value_size(id)]);
-    let mut trace = TwitterTrace::new(
-        TwitterConfig {
-            num_keys,
-            ..TwitterConfig::default()
-        },
-        0x7A17,
-    );
+    let mut trace = TwitterTrace::new(TwitterConfig { num_keys }, 0x7A17);
     let put_scratch = vec![0xB0u8; 8192];
     let load = Load {
         seed: 7,

@@ -43,13 +43,7 @@ pub fn sweep_redis_twitter(backend: RedisBackend, num_keys: u64, duration_ns: u6
     preload(&mut server.store, server.stack.ctx(), num_keys, |id| {
         vec![TwitterTrace::value_size(id)]
     });
-    let mut trace = TwitterTrace::new(
-        TwitterConfig {
-            num_keys,
-            ..TwitterConfig::default()
-        },
-        0x3ED15,
-    );
+    let mut trace = TwitterTrace::new(TwitterConfig { num_keys }, 0x3ED15);
     let scratch = vec![0xB7u8; 8192];
     let load = Load {
         seed: 9,

@@ -13,7 +13,6 @@ pub mod fig10;
 pub mod fig11;
 pub mod fig12;
 pub mod fig13;
-pub mod hotpath;
 pub mod overload;
 pub mod partition;
 pub mod scaling;

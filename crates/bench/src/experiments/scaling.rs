@@ -75,19 +75,11 @@ pub fn run_point(
     let mut ycsb = Ycsb::new(
         YcsbConfig {
             num_keys,
-            value_segments: 1,
-            segment_size: 1024,
             ..YcsbConfig::default()
         },
         0x5CA1E,
     );
-    let mut twitter = TwitterTrace::new(
-        TwitterConfig {
-            num_keys,
-            ..TwitterConfig::default()
-        },
-        0x5CA1E,
-    );
+    let mut twitter = TwitterTrace::new(TwitterConfig { num_keys }, 0x5CA1E);
     let put_scratch = vec![0xB0u8; 8192];
     let elapsed_ns = saturate(
         &mut client,
@@ -226,8 +218,6 @@ mod tests {
         let mut ycsb = Ycsb::new(
             YcsbConfig {
                 num_keys: 512,
-                value_segments: 1,
-                segment_size: 1024,
                 ..YcsbConfig::default()
             },
             7,

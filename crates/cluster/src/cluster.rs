@@ -27,15 +27,14 @@ use crate::node::ClusterNode;
 const SHARDS_PER_NODE: usize = 2;
 
 /// Cluster shape and tuning. Every node runs two shards and every stack the
-/// hybrid serializer ([`SerializationConfig::hybrid`]).
+/// hybrid serializer ([`SerKind::Cornflakes`] with
+/// [`SerializationConfig::hybrid`]).
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
     /// Number of nodes (hosts `0..nodes` on the switch).
     pub nodes: usize,
     /// Replication factor R: a put is acked once R replicas hold it.
     pub replication: usize,
-    /// Serialization approach on every node.
-    pub kind: SerKind,
     /// Pinned-pool sizing per stack.
     pub pool: PoolConfig,
 }
@@ -45,7 +44,6 @@ impl Default for ClusterConfig {
         ClusterConfig {
             nodes: 3,
             replication: 3,
-            kind: SerKind::Cornflakes,
             pool: PoolConfig::default(),
         }
     }
@@ -74,7 +72,7 @@ impl Cluster {
             let server = cf_kv::sharded::ShardedKvServer::on_sims(
                 sims,
                 port,
-                cfg.kind,
+                SerKind::Cornflakes,
                 SerializationConfig::hybrid(),
                 cfg.pool.clone(),
             );
@@ -102,7 +100,7 @@ impl Cluster {
             self.cfg.pool.clone(),
         );
         stack.set_local_host(host);
-        let mut kv = KvClient::new(stack, self.cfg.kind);
+        let mut kv = KvClient::new(stack, SerKind::Cornflakes);
         kv.enable_steering(&self.nodes[0].server.rss());
         ClusterClient::new(
             kv,

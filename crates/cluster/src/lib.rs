@@ -63,7 +63,6 @@ mod tests {
                 nodes,
                 replication: r,
                 pool: PoolConfig::small_for_tests(),
-                ..ClusterConfig::default()
             },
         )
     }

@@ -41,6 +41,11 @@ pub enum TwitterOp {
     },
 }
 
+/// Zipf exponent for key popularity.
+const THETA: f64 = 0.75;
+/// Fraction of put requests.
+const PUT_FRACTION: f64 = 0.08;
+
 /// Configuration for the synthetic Twitter trace.
 #[derive(Clone, Copy, Debug)]
 pub struct TwitterConfig {
@@ -48,18 +53,12 @@ pub struct TwitterConfig {
     /// 4 M unique keys; we default lower to keep memory reasonable while
     /// still exceeding any simulated cache).
     pub num_keys: u64,
-    /// Zipf exponent for key popularity.
-    pub theta: f64,
-    /// Fraction of put requests.
-    pub put_fraction: f64,
 }
 
 impl Default for TwitterConfig {
     fn default() -> Self {
         TwitterConfig {
             num_keys: 1_000_000,
-            theta: 0.75,
-            put_fraction: 0.08,
         }
     }
 }
@@ -67,7 +66,6 @@ impl Default for TwitterConfig {
 /// The synthetic Twitter cache trace generator.
 #[derive(Clone, Debug)]
 pub struct TwitterTrace {
-    config: TwitterConfig,
     zipf: Zipf,
     rng: SplitMix64,
 }
@@ -76,15 +74,9 @@ impl TwitterTrace {
     /// Creates a generator.
     pub fn new(config: TwitterConfig, seed: u64) -> Self {
         TwitterTrace {
-            zipf: Zipf::new(config.num_keys, config.theta, seed),
+            zipf: Zipf::new(config.num_keys, THETA, seed),
             rng: SplitMix64::new(seed ^ 0x7717),
-            config,
         }
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &TwitterConfig {
-        &self.config
     }
 
     /// The size of `key`'s current value: deterministic hash-quantile
@@ -109,7 +101,7 @@ impl TwitterTrace {
     #[allow(clippy::should_implement_trait)] // fallible-free, by-value sampler
     pub fn next(&mut self) -> TwitterOp {
         let key = self.zipf.next();
-        if self.rng.next_bool(self.config.put_fraction) {
+        if self.rng.next_bool(PUT_FRACTION) {
             TwitterOp::Put {
                 key,
                 size: Self::value_size(key),

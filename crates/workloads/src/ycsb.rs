@@ -1,8 +1,7 @@
 //! The YCSB-C workload (paper §6.1.4): read-only, Zipf(0.99) over 1 M keys.
 //!
-//! The measurement study (§5) and the Redis command experiments use this
-//! trace with constant-size values, varying the number of buffers per value
-//! and the buffer size to control the response's scatter-gather shape.
+//! The generator draws keys only: each experiment sizes the values it
+//! stores itself.
 
 use crate::zipf::Zipf;
 
@@ -13,10 +12,6 @@ pub struct YcsbConfig {
     pub num_keys: u64,
     /// Zipf exponent (the paper uses 0.99).
     pub theta: f64,
-    /// Number of buffers each value is composed of.
-    pub value_segments: usize,
-    /// Size of each buffer.
-    pub segment_size: usize,
 }
 
 impl Default for YcsbConfig {
@@ -24,8 +19,6 @@ impl Default for YcsbConfig {
         YcsbConfig {
             num_keys: 1_000_000,
             theta: 0.99,
-            value_segments: 2,
-            segment_size: 2048,
         }
     }
 }
@@ -33,7 +26,6 @@ impl Default for YcsbConfig {
 /// The YCSB-C request generator.
 #[derive(Clone, Debug)]
 pub struct Ycsb {
-    config: YcsbConfig,
     zipf: Zipf,
 }
 
@@ -42,23 +34,12 @@ impl Ycsb {
     pub fn new(config: YcsbConfig, seed: u64) -> Self {
         Ycsb {
             zipf: Zipf::new(config.num_keys, config.theta, seed),
-            config,
         }
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &YcsbConfig {
-        &self.config
     }
 
     /// Next key to query.
     pub fn next_key(&mut self) -> u64 {
         self.zipf.next()
-    }
-
-    /// Total value bytes per response.
-    pub fn value_bytes(&self) -> usize {
-        self.config.value_segments * self.config.segment_size
     }
 }
 
@@ -82,18 +63,5 @@ mod tests {
             assert!(k < 1_000_000);
             assert_eq!(k, b.next_key());
         }
-    }
-
-    #[test]
-    fn value_bytes_product() {
-        let y = Ycsb::new(
-            YcsbConfig {
-                value_segments: 4,
-                segment_size: 1024,
-                ..YcsbConfig::default()
-            },
-            1,
-        );
-        assert_eq!(y.value_bytes(), 4096);
     }
 }

@@ -76,9 +76,8 @@ cargo test -q -p cf-net --test udp_end_to_end
 cargo test -q -p cf-bench --lib experiments::tail_anatomy
 cargo run -q --example trace_request
 
-echo "==> hot-path gates: allocator-count proofs"
+echo "==> hot-path gates: allocator-count proofs (64-round windows at zero, 16,384-round windows within a fixed stray budget)"
 cargo test -q --test hotpath_zero_alloc
-cargo test -q -p cf-bench --lib experiments::hotpath
 
 echo "==> churn gates: bounded flow table"
 cargo test -q -p cf-net --test flow_table
@@ -89,9 +88,9 @@ echo "==> paper-figure gate: every table and figure's shape test (scaled down), 
 cargo test -q --release -p cf-bench --lib -- experiments::fig experiments::table harness
 cargo test -q --release -p cf-bench --test telemetry_crosscheck
 
-echo "==> bench artifacts: the ratchet's own tests, then the seven extension benches at the full preset, each held to its committed BENCH_*.json (CF_BLESS=1 regenerates one)"
+echo "==> bench artifacts: the ratchet's own tests, then the six extension benches at the full preset, each held to its committed BENCH_*.json (CF_BLESS=1 regenerates one)"
 cargo test -q -p cf-bench --lib ratchet
-cargo bench -p cf-bench --bench hotpath --bench churn --bench scaling --bench overload \
+cargo bench -p cf-bench --bench churn --bench scaling --bench overload \
     --bench tail_anatomy --bench failover --bench partition
 
 echo "==> transport parity gate: recorded TCP charge traces and end times, the stack and listener suites, TCP KV"

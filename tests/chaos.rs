@@ -139,8 +139,6 @@ proptest! {
             YcsbConfig {
                 num_keys: NUM_KEYS,
                 theta: 0.9,
-                value_segments: 1,
-                segment_size: VALUE_BYTES,
             },
             seed,
         );
@@ -375,8 +373,6 @@ proptest! {
             YcsbConfig {
                 num_keys: NUM_KEYS,
                 theta: 0.9,
-                value_segments: 1,
-                segment_size: VALUE_BYTES,
             },
             seed,
         );
@@ -555,8 +551,6 @@ proptest! {
             YcsbConfig {
                 num_keys: NUM_KEYS,
                 theta: 0.9,
-                value_segments: 1,
-                segment_size: VALUE_BYTES,
             },
             seed,
         );

@@ -49,7 +49,6 @@ fn build_cluster() -> Cluster {
             nodes: NODES,
             replication: R,
             pool: PoolConfig::small_for_tests(),
-            ..ClusterConfig::default()
         },
     )
 }
@@ -209,8 +208,6 @@ fn run_case(
         YcsbConfig {
             num_keys: NUM_KEYS,
             theta: 0.9,
-            value_segments: 1,
-            segment_size: VALUE_BYTES,
         },
         seed,
     );

@@ -54,7 +54,6 @@ fn build_cluster() -> Cluster {
             nodes: NODES,
             replication: R,
             pool: PoolConfig::small_for_tests(),
-            ..ClusterConfig::default()
         },
     )
 }

@@ -22,7 +22,7 @@
 
 use std::path::PathBuf;
 
-use cornflakes::core::msgs::{Batch, GetM, KvPair, Put, Single};
+use cornflakes::core::msgs::{Batch, GetM, Keyed, KvPair, Put, Single};
 use cornflakes::core::obj::serialize_to_vec;
 use cornflakes::core::{CFBytes, CornflakesObj, SerCtx, SerializationConfig};
 use cornflakes::kv::client::{client_server_pair, KvClient, CLIENT_PORT, SERVER_PORT};
@@ -440,11 +440,13 @@ fn single_queue_sharded_server_is_wire_identical_to_plain_server() {
 
 // ---- `cornflakes_core::msgs`: the byte layout, recorded ------------------
 //
-// The five messages of `crates/core/schema/msgs.proto` used to be written
-// by hand; `tests/golden/core_msgs/*.bin` were recorded from that code
-// before it was deleted. The generated types must reproduce every recorded
-// instance bit for bit, so an error the emitter and the `DynMessage`
-// interpreter share still has something to fail against.
+// The first five messages of `crates/core/schema/msgs.proto` used to be
+// written by hand; their `tests/golden/core_msgs/*.bin` were recorded from
+// that code before it was deleted. The generated types must reproduce every
+// recorded instance bit for bit, so an error the emitter and the
+// `DynMessage` interpreter share still has something to fail against.
+// `Keyed` came later and its corpus was recorded from the generated code:
+// it holds the singular nested-message layout to what it was then.
 
 /// Instances per message in the recorded corpus.
 const CORPUS_INSTANCES: u64 = 48;
@@ -587,6 +589,16 @@ fn core_messages_reproduce_the_recorded_layout() {
         }
         for _ in 0..c.count(shape & 4 != 0) {
             m.versions.push(c.rng.next_u64());
+        }
+        m
+    });
+    check_corpus("Keyed", |c, i| {
+        let shape = c.shape(i, 2);
+        let mut m = Keyed::new();
+        m.id = c.id(shape & 1 != 0);
+        if shape & 2 != 0 {
+            let pair_shape = c.rng.next_u64();
+            m.set_pair(c.kv_pair(pair_shape));
         }
         m
     });

@@ -30,7 +30,7 @@ use proptest::test_runner::TestRng;
 use cornflakes::codegen::ast::{Field, FieldType, Schema};
 use cornflakes::codegen::parser::parse;
 use cornflakes::core::dynamic::DynMessage;
-use cornflakes::core::msgs::{Batch, GetM, KvPair, Put, Single};
+use cornflakes::core::msgs::{Batch, GetM, Keyed, KvPair, Put, Single};
 use cornflakes::core::obj::serialize_to_vec;
 use cornflakes::core::wire::{Bitmap, ForwardPtr, BITMAP_LEN_PREFIX, PTR_SIZE};
 use cornflakes::core::{CFBytes, CFList, CornflakesObj, Entry, SerCtx, SerializationConfig};
@@ -52,6 +52,7 @@ enum Src {
     Scalar(u64),
     Bytes(Blob),
     BytesList(Vec<Blob>),
+    Msg(Vec<Src>),
     MsgList(Vec<Vec<Src>>),
     ScalarList(Vec<u64>),
 }
@@ -191,6 +192,20 @@ impl Shape for Batch {
     }
 }
 
+impl Shape for Keyed {
+    const PROTO: &'static str = CORE_PROTO;
+    const NAME: &'static str = "Keyed";
+    fn build(f: &[Src], tx: &mut Tx) -> Self {
+        Keyed {
+            id: f[0].scalar().map(|v| v as u32),
+            pair: match &f[1] {
+                Src::Msg(pair) => Some(KvPair::build(pair, tx)),
+                _ => None,
+            },
+        }
+    }
+}
+
 impl Shape for GetMsg {
     const PROTO: &'static str = KV_PROTO;
     const NAME: &'static str = "GetMsg";
@@ -243,7 +258,7 @@ fn draw(schema: &Schema, name: &str, rng: &mut TestRng, full: bool) -> Vec<Src> 
             (FieldType::Bytes | FieldType::Str, true) => {
                 Src::BytesList((0..count(rng)).map(|_| blob(rng)).collect())
             }
-            (FieldType::Message(_), false) => unreachable!("no singular nested field in use"),
+            (FieldType::Message(inner), false) => Src::Msg(draw(schema, inner, rng, full)),
             (FieldType::Message(inner), true) => Src::MsgList(
                 (0..count(rng))
                     .map(|_| draw(schema, inner, rng, full))
@@ -251,6 +266,14 @@ fn draw(schema: &Schema, name: &str, rng: &mut TestRng, full: bool) -> Vec<Src> 
             ),
         })
         .collect()
+}
+
+/// The message type a nested field holds.
+fn nested(f: &Field) -> &str {
+    match &f.ty {
+        FieldType::Message(inner) => inner,
+        _ => panic!("{}: a message for a non-message field", f.name),
+    }
 }
 
 /// Builds the interpreter's instance of the same description.
@@ -268,14 +291,10 @@ fn interpret(schema: &Schema, name: &str, fields: &[Src], tx: &mut Tx) -> DynMes
                 .iter()
                 .all(|b| tx.with_source(b, |ctx, data| m.push_bytes(ctx, &f.name, data))),
             Src::ScalarList(vals) => vals.iter().all(|v| m.push_scalar(&f.name, *v)),
-            Src::MsgList(items) => {
-                let FieldType::Message(inner) = &f.ty else {
-                    panic!("{name}.{}: a message list for a non-message field", f.name);
-                };
-                items
-                    .iter()
-                    .all(|item| m.push_message(&f.name, interpret(schema, inner, item, tx)))
-            }
+            Src::Msg(item) => m.set_message(&f.name, interpret(schema, nested(f), item, tx)),
+            Src::MsgList(items) => items
+                .iter()
+                .all(|item| m.push_message(&f.name, interpret(schema, nested(f), item, tx))),
         };
         assert!(
             accepted,
@@ -607,6 +626,7 @@ fn recorded_crashers_stay_fixed() {
             Some("Single") => replay::<Single>(&frame, file),
             Some("KvPair") => replay::<KvPair>(&frame, file),
             Some("Batch") => replay::<Batch>(&frame, file),
+            Some("Keyed") => replay::<Keyed>(&frame, file),
             Some("GetMsg") => replay::<GetMsg>(&frame, file),
             _ => panic!("{file}: name a crasher <Message>.<what>.bin"),
         }
@@ -638,6 +658,11 @@ fn kvpair_generated_and_interpreted_agree() {
 #[test]
 fn batch_generated_and_interpreted_agree() {
     check::<Batch>();
+}
+
+#[test]
+fn keyed_generated_and_interpreted_agree() {
+    check::<Keyed>();
 }
 
 #[test]
