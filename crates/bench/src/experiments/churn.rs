@@ -259,7 +259,6 @@ fn run_point(point: ChurnPoint, params: &ChurnParams) -> Result<Value, Box<dyn E
             idle_timeout_ns: 1_000_000_000,
             wheel_slots: 256,
             wheel_tick_ns: 1_000_000,
-            ..FlowConfig::default()
         },
     );
     let mut server = TcpKvServer::new(listener);

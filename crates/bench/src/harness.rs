@@ -168,8 +168,9 @@ pub fn capacity(
 }
 
 /// Requests per client burst on the sharded fixture (one server poll per
-/// burst): the shape that lets transmit batching coalesce doorbells.
-pub const BURST: u64 = 16;
+/// burst): the transmit-batch limit, so each burst's replies share one
+/// doorbell.
+pub const BURST: u64 = cf_net::udp::TX_BATCH as u64;
 
 /// The sharded fixture: a client steering every request to the queue that
 /// owns its key, and a Cornflakes server with `queues` shards, each a core
@@ -188,14 +189,12 @@ pub fn sharded(
     let mut server = ShardedKvServer::on_sims(
         sims,
         sp,
-        SerKind::Cornflakes,
-        SerializationConfig::hybrid(),
         // Each shard holds ~its share of the keys, but a Zipf head
         // concentrates the RX-buffer working set: size every shard's pool
         // for the full keyspace.
         large_pool(),
     );
-    server.enable_tx_batch(BURST as usize);
+    server.enable_tx_batch();
     let client_sim = Sim::new(MachineProfile::cloudlab_c6525());
     let client_stack = UdpStack::with_pool_config(
         client_sim,

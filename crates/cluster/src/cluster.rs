@@ -69,13 +69,7 @@ impl Cluster {
             let (host, port) = switch.attach();
             assert_eq!(host as usize, id, "nodes attach first, in id order");
             let sims = vec![sim.clone(); SHARDS_PER_NODE];
-            let server = cf_kv::sharded::ShardedKvServer::on_sims(
-                sims,
-                port,
-                SerKind::Cornflakes,
-                SerializationConfig::hybrid(),
-                cfg.pool.clone(),
-            );
+            let server = cf_kv::sharded::ShardedKvServer::on_sims(sims, port, cfg.pool.clone());
             nodes.push(ClusterNode::new(host, server, map.clone(), cfg.replication));
         }
         Cluster {

@@ -67,14 +67,6 @@ impl SerializationConfig {
         }
     }
 
-    /// Hybrid with a custom threshold.
-    pub fn with_threshold(threshold: usize) -> Self {
-        SerializationConfig {
-            zero_copy_threshold: threshold,
-            ..Self::hybrid()
-        }
-    }
-
     /// Disables the combined serialize-and-send optimization (Table 5
     /// ablation).
     pub fn without_serialize_and_send(mut self) -> Self {
@@ -108,10 +100,6 @@ mod tests {
             !SerializationConfig::hybrid()
                 .without_serialize_and_send()
                 .serialize_and_send
-        );
-        assert_eq!(
-            SerializationConfig::with_threshold(1024).zero_copy_threshold,
-            1024
         );
     }
 }

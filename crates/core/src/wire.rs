@@ -123,22 +123,28 @@ pub fn put_u64(buf: &mut [u8], off: usize, v: u64) {
 #[inline]
 pub fn get_u32(buf: &[u8], off: usize) -> Result<u32, WireError> {
     let end = off.checked_add(4).ok_or(WireError::TooLarge)?;
-    let bytes = buf.get(off..end).ok_or(WireError::Truncated {
-        needed: end,
-        available: buf.len(),
-    })?;
-    Ok(u32::from_le_bytes(bytes.try_into().expect("4-byte slice")))
+    let bytes = buf
+        .get(off..end)
+        .and_then(<[u8]>::first_chunk)
+        .ok_or(WireError::Truncated {
+            needed: end,
+            available: buf.len(),
+        })?;
+    Ok(u32::from_le_bytes(*bytes))
 }
 
 /// Reads a little-endian `u64` at `buf[off..off+8]`.
 #[inline]
 pub fn get_u64(buf: &[u8], off: usize) -> Result<u64, WireError> {
     let end = off.checked_add(8).ok_or(WireError::TooLarge)?;
-    let bytes = buf.get(off..end).ok_or(WireError::Truncated {
-        needed: end,
-        available: buf.len(),
-    })?;
-    Ok(u64::from_le_bytes(bytes.try_into().expect("8-byte slice")))
+    let bytes = buf
+        .get(off..end)
+        .and_then(<[u8]>::first_chunk)
+        .ok_or(WireError::Truncated {
+            needed: end,
+            available: buf.len(),
+        })?;
+    Ok(u64::from_le_bytes(*bytes))
 }
 
 /// A decoded forward pointer.

@@ -17,7 +17,10 @@ use cornflakes_core::{CFBytes, CornflakesObj, SerCtx, SerializationConfig};
 fn ctx(threshold: usize) -> SerCtx {
     SerCtx::new(
         Sim::new(MachineProfile::tiny_for_tests()),
-        SerializationConfig::with_threshold(threshold),
+        SerializationConfig {
+            zero_copy_threshold: threshold,
+            ..SerializationConfig::hybrid()
+        },
     )
 }
 

@@ -26,7 +26,7 @@ use crate::flags;
 use crate::msg_type;
 use crate::overload::{
     decorrelated_jitter, jitter_seed_for, BreakerConfig, BreakerDecision, BreakerState,
-    CircuitBreaker, RetryBudget, RetryBudgetConfig,
+    CircuitBreaker, RetryBudget,
 };
 use crate::server::{KvServer, SerKind};
 use crate::sharded::{shard_of_key, steering_ports};
@@ -245,17 +245,18 @@ impl KvClient {
         self.retry = Some(config);
     }
 
-    /// Turns on client-side overload protection: a [`RetryBudget`] capping
-    /// retries as a fraction of fresh traffic, and a [`CircuitBreaker`]
+    /// Turns on client-side overload protection: a [`RetryBudget`] holding
+    /// retries to at most 10 % of fresh traffic, and a [`CircuitBreaker`]
     /// that fast-fails sends locally once the server stops answering
     /// (driven by `SHED` replies and timeouts), half-opening with a probe
     /// request after [`BreakerConfig::open_ns`]. Fast-failed ids surface
-    /// through [`KvClient::poll_timers`] like timeouts. Both run at their
-    /// defaults, [`RetryBudgetConfig::default`] and
+    /// through [`KvClient::poll_timers`] like timeouts. The budget runs at
+    /// [`crate::overload::RETRY_BUDGET_CAPACITY`] and
+    /// [`crate::overload::RETRY_BUDGET_PER_REQUEST`], the breaker at
     /// [`BreakerConfig::default`].
     pub fn enable_protection(&mut self) {
         self.protection = Some(Protection {
-            budget: RetryBudget::new(RetryBudgetConfig::default()),
+            budget: RetryBudget::new(),
             breaker: CircuitBreaker::new(BreakerConfig::default()),
             fast_failed: Vec::new(),
         });

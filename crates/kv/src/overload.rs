@@ -11,8 +11,9 @@
 //! - [`AdmissionConfig`] — the server-side bounded backlog with
 //!   CoDel-style shedding (oldest-first drop once sojourn exceeds a
 //!   target) and GET-over-PUT priority once the backlog is half full.
-//! - [`RetryBudget`] — a token bucket capping retries as a fraction of
-//!   fresh requests, so clients cannot amplify an overload.
+//! - [`RetryBudget`] — a token bucket holding retries to at most 10 % of
+//!   fresh requests ([`RETRY_BUDGET_PER_REQUEST`] a request, banked up to
+//!   [`RETRY_BUDGET_CAPACITY`]), so clients cannot amplify an overload.
 //! - [`CircuitBreaker`] — a per-server breaker driven by `SHED` replies
 //!   and timeouts, half-opening via a virtual-time probe request.
 //! - [`decorrelated_jitter`] — AWS-style decorrelated-jitter backoff,
@@ -51,49 +52,45 @@ impl Default for AdmissionConfig {
     }
 }
 
+/// Maximum banked retry tokens, and the budget's initial balance.
+pub const RETRY_BUDGET_CAPACITY: f64 = 10.0;
+
+/// Retry tokens earned per fresh (non-retry) request: the budget *ratio*,
+/// holding steady-state retries to at most 10 % of fresh traffic.
+pub const RETRY_BUDGET_PER_REQUEST: f64 = 0.1;
+
 /// Client-side retry budget: a token bucket where fresh requests deposit
-/// [`RetryBudgetConfig::per_request`] tokens (capped at
-/// [`RetryBudgetConfig::capacity`]) and each retry spends one. When the
-/// bucket is empty, a timed-out request fails instead of retrying, which
-/// bounds total retries to `capacity + per_request × fresh_requests`
-/// no matter how badly the server misbehaves.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryBudgetConfig {
-    /// Maximum banked tokens (also the initial balance).
-    pub capacity: f64,
-    /// Tokens earned per fresh (non-retry) request — the budget *ratio*:
-    /// 0.1 caps steady-state retries at 10% of fresh traffic.
-    pub per_request: f64,
-}
-
-impl Default for RetryBudgetConfig {
-    fn default() -> Self {
-        RetryBudgetConfig {
-            capacity: 10.0,
-            per_request: 0.1,
-        }
-    }
-}
-
-/// The token bucket for [`RetryBudgetConfig`].
+/// [`RETRY_BUDGET_PER_REQUEST`] tokens (capped at
+/// [`RETRY_BUDGET_CAPACITY`]) and each retry spends one. When the bucket is
+/// empty, a timed-out request fails instead of retrying, which bounds total
+/// retries to `capacity + per_request × fresh_requests` no matter how badly
+/// the server misbehaves.
+///
+/// The deposits are f64 sums of 0.1, which is not exact in binary: ten of
+/// them make 0.9999999999999999, so a drained bucket earns its next retry
+/// on the 11th fresh request, not the 10th.
 #[derive(Clone, Debug)]
 pub struct RetryBudget {
-    cfg: RetryBudgetConfig,
     tokens: f64,
+}
+
+impl Default for RetryBudget {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl RetryBudget {
     /// A budget starting at full capacity.
-    pub fn new(cfg: RetryBudgetConfig) -> Self {
+    pub fn new() -> Self {
         RetryBudget {
-            cfg,
-            tokens: cfg.capacity,
+            tokens: RETRY_BUDGET_CAPACITY,
         }
     }
 
     /// Credits the budget for one fresh request.
     pub fn on_fresh_request(&mut self) {
-        self.tokens = (self.tokens + self.cfg.per_request).min(self.cfg.capacity);
+        self.tokens = (self.tokens + RETRY_BUDGET_PER_REQUEST).min(RETRY_BUDGET_CAPACITY);
     }
 
     /// Spends one token for a retry; `false` means the budget is
@@ -329,44 +326,45 @@ mod tests {
 
     #[test]
     fn retry_budget_caps_total_retries() {
-        let mut b = RetryBudget::new(RetryBudgetConfig {
-            capacity: 2.0,
-            per_request: 0.25,
-        });
-        // The initial bank covers exactly `capacity` retries.
-        assert!(b.try_spend());
-        assert!(b.try_spend());
+        let mut b = RetryBudget::new();
+        // The initial bank covers exactly the 10-token capacity.
+        for _ in 0..10 {
+            assert!(b.try_spend());
+        }
         assert!(!b.try_spend(), "bank drained");
-        // Fresh traffic re-earns: four fresh requests buy one retry
-        // (0.25 is exact in binary, so the arithmetic is too).
-        for _ in 0..4 {
+        // Fresh traffic re-earns at 0.1 a request, summed in f64: ten
+        // fresh requests bank 0.9999999999999999, one short of a retry,
+        // and the 11th buys it.
+        for _ in 0..10 {
             b.on_fresh_request();
         }
-        assert!(b.try_spend());
+        assert!(!b.try_spend(), "ten deposits of 0.1 sum below 1.0");
+        b.on_fresh_request();
+        assert!(b.try_spend(), "the 11th fresh request buys one retry");
         assert!(!b.try_spend());
-        // Steady state: retries are capped at the budget ratio of fresh
-        // traffic no matter how many retries are attempted.
+        // Steady state: retries stay at most 10 % of fresh traffic no
+        // matter how many retries are attempted.
         let mut spent = 0;
-        for _ in 0..40 {
+        for _ in 0..100 {
             b.on_fresh_request();
             if b.try_spend() {
                 spent += 1;
             }
         }
-        assert_eq!(spent, 10, "40 fresh × 0.25 = 10 retries, never more");
+        assert_eq!(spent, 10, "100 fresh × 0.1 = 10 retries, never more");
     }
 
     #[test]
     fn retry_budget_caps_at_capacity() {
-        let mut b = RetryBudget::new(RetryBudgetConfig {
-            capacity: 1.5,
-            per_request: 1.0,
-        });
-        for _ in 0..100 {
+        let mut b = RetryBudget::new();
+        for _ in 0..10 {
+            assert!(b.try_spend());
+        }
+        for _ in 0..1_000 {
             b.on_fresh_request();
         }
         assert!(
-            (b.tokens() - 1.5).abs() < 1e-9,
+            (b.tokens() - 10.0).abs() < 1e-9,
             "bank never exceeds capacity"
         );
     }

@@ -7,7 +7,8 @@
 //! commands always arrive as RESP arrays (`GET k`, `SET k v`,
 //! `MGET k1 k2 ...`, `LRANGE k 0 -1`); responses are serialized either by
 //! the handwritten RESP writer ([`RedisBackend::Resp`]) or by Cornflakes
-//! ([`RedisBackend::Cornflakes`]).
+//! ([`RedisBackend::Cornflakes`]). `SET` stores its value in segments of
+//! [`SET_SEGMENT_SIZE`] bytes.
 
 use cf_net::{FrameMeta, Packet, UdpStack, HEADER_BYTES};
 use cf_sim::cost::Category;
@@ -38,6 +39,9 @@ impl RedisBackend {
     }
 }
 
+/// Segment size of a value stored by `SET`.
+pub const SET_SEGMENT_SIZE: usize = 8192;
+
 /// The mini-Redis server.
 #[derive(Debug)]
 pub struct RedisServer {
@@ -48,8 +52,6 @@ pub struct RedisServer {
     pub store: KvStore,
     /// Response serialization backend.
     pub backend: RedisBackend,
-    /// Segment size for SET values.
-    pub set_segment_size: usize,
 }
 
 impl RedisServer {
@@ -60,7 +62,6 @@ impl RedisServer {
             stack,
             store,
             backend,
-            set_segment_size: 8192,
         }
     }
 
@@ -113,7 +114,7 @@ impl RedisServer {
                 if args.len() >= 2
                     && self
                         .store
-                        .put(self.stack.ctx(), &args[0], &args[1], self.set_segment_size)
+                        .put(self.stack.ctx(), &args[0], &args[1], SET_SEGMENT_SIZE)
                         .is_err()
                 {
                     // Memory pressure: the old value (if any) is intact;

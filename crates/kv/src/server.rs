@@ -197,14 +197,13 @@ impl KvEngine<UdpStack> {
         while self.backlog_len() < capacity {
             let Some(pkt) = self.recv() else { break };
             let req_id = pkt.hdr.meta.req_id;
-            self.admission
-                .as_mut()
-                .expect("admission enabled")
-                .backlog
-                .push_back(Admitted {
-                    arrival_ns: now_ns,
-                    pkt,
-                });
+            let Some(adm) = self.admission.as_mut() else {
+                break;
+            };
+            adm.backlog.push_back(Admitted {
+                arrival_ns: now_ns,
+                pkt,
+            });
             self.stack.telemetry().flight().record(
                 req_id,
                 now_ns,
@@ -263,7 +262,7 @@ impl KvEngine<UdpStack> {
     /// fast-reject. Returns how many were shed.
     fn shed_expired(&mut self, now_ns: u64) -> usize {
         let mut shed = 0;
-        while let Some(adm) = &self.admission {
+        while let Some(adm) = self.admission.as_mut() {
             let target = adm.cfg.target_sojourn_ns;
             let expired = adm
                 .backlog
@@ -272,13 +271,9 @@ impl KvEngine<UdpStack> {
             if !expired {
                 break;
             }
-            let victim = self
-                .admission
-                .as_mut()
-                .expect("admission enabled")
-                .backlog
-                .pop_front()
-                .expect("checked nonempty");
+            let Some(victim) = adm.backlog.pop_front() else {
+                break;
+            };
             self.stack.telemetry().flight().record(
                 victim.pkt.hdr.meta.req_id,
                 now_ns,

@@ -8,6 +8,11 @@
 //! UDP stack, telemetry scope — per queue, each charging its costs to its
 //! own [`Sim`] (its own core).
 //!
+//! Every shard runs the paper's one sharded configuration (§6, Fig. 13):
+//! Cornflakes with the default 512 B hybrid threshold
+//! ([`SerializationConfig::hybrid`]). Transmit batching, when on, flushes
+//! at [`cf_net::udp::TX_BATCH`] replies.
+//!
 //! **Sharding invariant**: a key lives on exactly one shard,
 //! [`shard_of_key`], and the client steers each request's flow (via its
 //! source port and the published RSS hash — see
@@ -62,19 +67,14 @@ pub struct ShardedKvServer {
 }
 
 impl ShardedKvServer {
-    /// Creates a server with one shard per entry of `sims`, shard `q`
-    /// serving NIC queue `q` and charging its costs to `sims[q]`.
+    /// Creates a Cornflakes server (hybrid threshold) with one shard per
+    /// entry of `sims`, shard `q` serving NIC queue `q` and charging its
+    /// costs to `sims[q]`.
     ///
     /// Scaling experiments pass one independent `Sim` per shard (one
     /// virtual core each); chaos tests pass clones of a single `Sim` to
     /// serialize every shard onto one clock.
-    pub fn on_sims(
-        sims: Vec<Sim>,
-        wire_port: Port,
-        kind: SerKind,
-        config: SerializationConfig,
-        pool_cfg: PoolConfig,
-    ) -> Self {
+    pub fn on_sims(sims: Vec<Sim>, wire_port: Port, pool_cfg: PoolConfig) -> Self {
         assert!(!sims.is_empty(), "at least one shard");
         let nic = Rc::new(RefCell::new(Nic::with_queues(
             sims[0].clone(),
@@ -90,10 +90,10 @@ impl ShardedKvServer {
                     Rc::clone(&nic),
                     q,
                     SERVER_PORT,
-                    config,
+                    SerializationConfig::hybrid(),
                     pool_cfg.clone(),
                 );
-                let mut shard = KvServer::new(stack, kind);
+                let mut shard = KvServer::new(stack, SerKind::Cornflakes);
                 shard.scope = format!("shard{q}");
                 shard
             })
@@ -148,11 +148,11 @@ impl ShardedKvServer {
     }
 
     /// Enables transmit batching on every shard: replies accumulate up to
-    /// `limit` descriptors and post as one doorbell per poll (see
-    /// [`UdpStack::set_tx_batch`]).
-    pub fn enable_tx_batch(&mut self, limit: usize) {
+    /// [`cf_net::udp::TX_BATCH`] descriptors and post as one doorbell per
+    /// poll (see [`UdpStack::enable_tx_batch`]).
+    pub fn enable_tx_batch(&mut self) {
         for shard in &mut self.shards {
-            shard.stack.set_tx_batch(limit);
+            shard.stack.enable_tx_batch();
         }
     }
 
@@ -266,13 +266,7 @@ mod tests {
         let sims: Vec<Sim> = (0..queues)
             .map(|_| Sim::new(MachineProfile::cloudlab_c6525()))
             .collect();
-        let mut server = ShardedKvServer::on_sims(
-            sims,
-            sp,
-            SerKind::Cornflakes,
-            SerializationConfig::hybrid(),
-            PoolConfig::default(),
-        );
+        let mut server = ShardedKvServer::on_sims(sims, sp, PoolConfig::default());
         let client_sim = Sim::new(MachineProfile::cloudlab_c6525());
         let client_stack =
             UdpStack::new(client_sim, cp, CLIENT_PORT, SerializationConfig::hybrid());
@@ -345,7 +339,7 @@ mod tests {
     #[test]
     fn tx_batching_coalesces_doorbells() {
         let (mut client, mut server) = sharded_pair(2);
-        server.enable_tx_batch(8);
+        server.enable_tx_batch();
         for k in 0..8u32 {
             let key = format!("key{k:04}");
             client.send_get(&[key.as_bytes()]);
@@ -361,6 +355,23 @@ mod tests {
             got += 1;
         }
         assert_eq!(got, 8);
+        // 17 replies on one shard: a flush at the 16-reply limit, then one
+        // for the last reply when the poll ends.
+        for _ in 0..17 {
+            client.send_get(&[b"key0000".as_slice()]);
+        }
+        assert_eq!(server.poll(), 17);
+        let stats = server.nic().borrow().stats();
+        assert_eq!(stats.tx_frames, 8 + 17);
+        assert_eq!(
+            stats.doorbells,
+            2 + 2,
+            "one ring at the limit, one at the end"
+        );
+        while client.recv_response().is_some() {
+            got += 1;
+        }
+        assert_eq!(got, 8 + 17);
     }
 
     #[test]

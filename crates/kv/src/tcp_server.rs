@@ -44,11 +44,8 @@ pub fn sub_header(mtype: u8, fl: u8, req_id: u32) -> [u8; TCP_SUBHDR_BYTES] {
 
 /// Parses a sub-header: `(msg_type, flags, req_id)`; `None` on runts.
 pub fn parse_sub_header(b: &[u8]) -> Option<(u8, u8, u32)> {
-    if b.len() < TCP_SUBHDR_BYTES {
-        return None;
-    }
-    let req_id = u32::from_le_bytes(b[4..8].try_into().expect("4 bytes"));
-    Some((b[0], b[1], req_id))
+    let [msg_type, flags, _, _, id @ ..] = *b.first_chunk::<TCP_SUBHDR_BYTES>()?;
+    Some((msg_type, flags, u32::from_le_bytes(id)))
 }
 
 /// A key-value server multiplexing Cornflakes-serialized requests over a

@@ -79,8 +79,8 @@ pub(crate) struct FlowIo {
     pub ctx: SerCtx,
     pub nic: Nic,
     pub local_port: u16,
-    /// Cap on a flow's reassembly buffer in bytes (0 = unbounded).
-    pub reasm_cap: usize,
+    /// Cap on a flow's reassembly buffer in bytes.
+    reasm_cap: usize,
     scratch: Vec<u8>,
     /// Emptied entry vectors of released retransmission records, reissued
     /// to the next sends.
@@ -384,7 +384,7 @@ impl Flow {
         let payload = seg.payload();
         if self.state == State::Established && !payload.is_empty() {
             if seg.seq == self.rcv_nxt {
-                if io.reasm_cap > 0 && self.reasm.len() + payload.len() > io.reasm_cap {
+                if self.reasm.len() + payload.len() > io.reasm_cap {
                     // rcv_nxt stays put, so the ACK below is a duplicate.
                     ev.reasm_overflow = true;
                 } else {

@@ -16,9 +16,10 @@
 //!   base — cheaper than serving, so floods cannot starve paying flows)
 //!   and counted in `net.tcp.listen.syn_overflow_rsts`.
 //! - **Per-flow memory caps**: each flow's reassembly buffer is bounded
-//!   (`reasm_cap`; overflow dropped-as-loss for the peer's RTO to retry)
-//!   and its retransmission queue is bounded (`max_tx_records`; sends
-//!   return `Ok(false)` instead of queueing unboundedly to a dead peer).
+//!   ([`FLOW_REASM_CAP`]; overflow dropped-as-loss for the peer's RTO to
+//!   retry) and its retransmission queue is bounded
+//!   ([`FLOW_MAX_TX_RECORDS`]; sends return `Ok(false)` instead of
+//!   queueing unboundedly to a dead peer).
 //! - **Provable teardown**: FIN and RST free the slot immediately —
 //!   retransmission `RcBuf` references drop back to the pinned pool on
 //!   close, not when the listener drops.
@@ -56,6 +57,14 @@ pub const FLOW_CLOSE_REAP: u8 = 2;
 /// Flow closed locally (`close_flow`).
 pub const FLOW_CLOSE_LOCAL: u8 = 3;
 
+/// Per-flow reassembly-buffer cap in bytes: in-order data past it is
+/// dropped-as-loss for the peer's RTO to retry.
+pub const FLOW_REASM_CAP: usize = 64 * 1024;
+
+/// Per-flow retransmission-queue cap in records; sends past it are refused
+/// with `Ok(false)` rather than queueing unboundedly.
+pub const FLOW_MAX_TX_RECORDS: usize = 64;
+
 /// Sizing and policy knobs for a [`TcpListener`]'s flow table.
 #[derive(Clone, Copy, Debug)]
 pub struct FlowConfig {
@@ -63,11 +72,6 @@ pub struct FlowConfig {
     pub capacity: usize,
     /// Maximum half-open (SYN-received) flows; excess SYNs get RST.
     pub syn_backlog: usize,
-    /// Per-flow reassembly-buffer cap in bytes (0 = unbounded).
-    pub reasm_cap: usize,
-    /// Per-flow retransmission-queue cap in records; sends past it are
-    /// refused with `Ok(false)` rather than queueing unboundedly.
-    pub max_tx_records: usize,
     /// A flow quiet for this long (virtual ns) is reaped.
     pub idle_timeout_ns: u64,
     /// Timer-wheel bucket count.
@@ -81,8 +85,6 @@ impl Default for FlowConfig {
         FlowConfig {
             capacity: 1024,
             syn_backlog: 128,
-            reasm_cap: 64 * 1024,
-            max_tx_records: 64,
             idle_timeout_ns: 2_000_000,
             wheel_slots: 64,
             wheel_tick_ns: 250_000,
@@ -264,7 +266,7 @@ impl TcpListener {
         let now = sim.now();
         let capacity = flow_cfg.capacity;
         TcpListener {
-            io: FlowIo::new(sim, wire_port, local_port, config, flow_cfg.reasm_cap),
+            io: FlowIo::new(sim, wire_port, local_port, config, FLOW_REASM_CAP),
             cfg: flow_cfg,
             slots: (0..capacity).map(|_| FlowSlot::fresh()).collect(),
             free: (0..capacity as u32).rev().collect(),
@@ -609,11 +611,11 @@ impl TcpListener {
     }
 
     /// The slot `flow` can send on: `None` when the flow is gone (stale
-    /// handle) or its retransmission queue is at `max_tx_records` —
+    /// handle) or its retransmission queue is at [`FLOW_MAX_TX_RECORDS`] —
     /// refusal, not unbounded queueing to a peer that stopped ACKing.
     fn sendable(&mut self, flow: FlowId) -> Option<usize> {
         let i = self.lookup(flow)?;
-        if self.slots[i].flow.rtx_len() >= self.cfg.max_tx_records {
+        if self.slots[i].flow.rtx_len() >= FLOW_MAX_TX_RECORDS {
             self.counters.tx_cap_drops.inc();
             return None;
         }
@@ -628,7 +630,7 @@ impl TcpListener {
 
     /// Sends pre-serialized bytes to `flow` as one length-prefixed stream
     /// message. `Ok(false)` when the flow is gone (stale handle) or its
-    /// retransmission queue is at `max_tx_records` — refusal, not
+    /// retransmission queue is at [`FLOW_MAX_TX_RECORDS`] — refusal, not
     /// unbounded queueing to a peer that stopped ACKing.
     pub fn send_bytes_to(&mut self, flow: FlowId, data: &[u8]) -> Result<bool, NetError> {
         let Some(i) = self.sendable(flow) else {

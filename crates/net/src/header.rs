@@ -112,11 +112,7 @@ impl PacketHeader {
         let meta = FrameMeta {
             msg_type: frame[OFF_MSG_TYPE],
             flags: frame[OFF_FLAGS],
-            req_id: u32::from_le_bytes(
-                frame[OFF_REQ_ID..OFF_REQ_ID + 4]
-                    .try_into()
-                    .expect("4-byte slice"),
-            ),
+            req_id: u32::from_le_bytes(std::array::from_fn(|i| frame[OFF_REQ_ID + i])),
         };
         Ok(PacketHeader {
             src_host: frame[OFF_SRC_HOST],
@@ -124,11 +120,7 @@ impl PacketHeader {
             src_port,
             dst_port,
             meta,
-            version: u64::from_le_bytes(
-                frame[OFF_VERSION..OFF_VERSION + 8]
-                    .try_into()
-                    .expect("8-byte slice"),
-            ),
+            version: u64::from_le_bytes(std::array::from_fn(|i| frame[OFF_VERSION + i])),
             payload_len: (frame.len() - HEADER_BYTES) as u32,
         })
     }

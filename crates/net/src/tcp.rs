@@ -6,7 +6,9 @@
 //! merely until the first DMA completes. This module implements enough TCP
 //! to exercise that property end to end: a three-way handshake, sequence
 //! numbers and cumulative ACKs, in-order delivery with re-ACK of
-//! out-of-order segments, and timeout-based retransmission.
+//! out-of-order segments, and timeout-based retransmission. Its memory is
+//! bounded by constants: the reassembly buffer holds at most
+//! [`DEFAULT_REASM_CAP`] bytes and a lost segment waits [`DEFAULT_RTO_NS`].
 //!
 //! Messages are length-prefixed on the byte stream; `send_object` gathers
 //! `[TCP header | length prefix | object header | copied fields]` in the
@@ -56,10 +58,11 @@ pub const FLAG_RST: u8 = 8;
 /// generous against the ~10 µs simulated RTT).
 pub const DEFAULT_RTO_NS: u64 = 200_000;
 
-/// Default cap on a connection's reassembly buffer (bytes). An unread
+/// Cap on a [`TcpStack`] connection's reassembly buffer (bytes). An unread
 /// stream stops accepting new in-order data past this point — the excess
-/// is dropped-as-loss for the peer's RTO to retry — so a slow-drip reader
-/// pins a bounded amount of memory, never an unbounded queue.
+/// is dropped-as-loss for the peer's RTO to retry, counted in
+/// `net.tcp.reasm_overflow_drops` — so a slow-drip reader pins a bounded
+/// amount of memory, never an unbounded queue.
 pub const DEFAULT_REASM_CAP: usize = 256 * 1024;
 
 /// `a < b` in sequence-number space (RFC 1982 style).
@@ -166,16 +169,6 @@ impl TcpStack {
     /// its cap (the peer's RTO re-delivers them once the reader drains).
     pub fn reasm_overflow_drops(&self) -> u64 {
         self.counters.reasm_overflow_drops.get()
-    }
-
-    /// Caps the reassembly buffer at `limit` bytes (0 = unbounded;
-    /// default [`DEFAULT_REASM_CAP`]). In-order data that would grow the
-    /// buffer past the cap is dropped-as-loss and counted in
-    /// `net.tcp.reasm_overflow_drops`; the ACK does not advance, so the
-    /// peer retransmits after its RTO — a slow reader costs latency, not
-    /// unbounded memory.
-    pub fn set_reasm_limit(&mut self, limit: usize) {
-        self.io.reasm_cap = limit;
     }
 
     /// Bytes sent but not yet cumulatively ACKed.

@@ -57,6 +57,11 @@ impl From<AllocError> for NetError {
     }
 }
 
+/// Transmit-batch limit: with batching on ([`UdpStack::enable_tx_batch`]),
+/// staged replies post as one doorbell when this many accumulate, or at
+/// [`UdpStack::flush_tx`].
+pub const TX_BATCH: usize = 16;
+
 /// A received packet: parsed header plus zero-copy payload view.
 #[derive(Debug)]
 pub struct Packet {
@@ -102,10 +107,10 @@ pub struct UdpStack {
     scratch: Vec<u8>,
     auto_complete: bool,
     /// Staged descriptors awaiting a batched doorbell; empty unless
-    /// [`UdpStack::set_tx_batch`] enabled batching.
+    /// [`UdpStack::enable_tx_batch`] enabled batching.
     tx_batch: Vec<Vec<RcBuf>>,
-    /// Flush threshold for `tx_batch`; 0 disables batching.
-    tx_batch_limit: usize,
+    /// Whether sends stage into `tx_batch` (flushed at [`TX_BATCH`]).
+    tx_batching: bool,
     counters: UdpCounters,
 }
 
@@ -158,7 +163,7 @@ impl UdpStack {
             scratch: Vec::with_capacity(4096),
             auto_complete: true,
             tx_batch: Vec::new(),
-            tx_batch_limit: 0,
+            tx_batching: false,
             counters: UdpCounters::default(),
         }
     }
@@ -254,16 +259,12 @@ impl UdpStack {
 
     /// Enables transmit batching: sends are staged (validated eagerly, so
     /// errors still surface at the call site) and posted as one
-    /// [`Nic::post_tx_burst`] when `limit` descriptors accumulate or on
-    /// [`UdpStack::flush_tx`]. Batched frames are charged
+    /// [`Nic::post_tx_burst`] when [`TX_BATCH`] descriptors accumulate or
+    /// on [`UdpStack::flush_tx`]. Batched frames are charged
     /// `per_packet_base − doorbell_write`; the burst charges one doorbell,
-    /// so a B-frame batch saves `(B−1) × doorbell_write` of CPU. `limit` of
-    /// 0 disables batching (after flushing anything staged).
-    pub fn set_tx_batch(&mut self, limit: usize) {
-        if limit == 0 {
-            self.flush_tx().expect("staged descriptors were validated");
-        }
-        self.tx_batch_limit = limit;
+    /// so a B-frame batch saves `(B−1) × doorbell_write` of CPU.
+    pub fn enable_tx_batch(&mut self) {
+        self.tx_batching = true;
     }
 
     /// Posts all staged transmit descriptors as one burst (one doorbell).
@@ -291,10 +292,10 @@ impl UdpStack {
     /// Hands a fully built descriptor to the NIC — or stages it when
     /// batching is on.
     fn post(&mut self, entries: Vec<RcBuf>) -> Result<(), NetError> {
-        if self.tx_batch_limit > 0 {
+        if self.tx_batching {
             self.nic.borrow().validate_descriptor(&entries)?;
             self.tx_batch.push(entries);
-            if self.tx_batch.len() >= self.tx_batch_limit {
+            if self.tx_batch.len() >= TX_BATCH {
                 self.flush_tx()?;
             }
             return Ok(());
@@ -399,7 +400,7 @@ impl UdpStack {
         let costs = self.ctx.sim.costs();
         // When batching, the doorbell is rung once per burst (charged by
         // the NIC at flush) instead of once per frame inside the base.
-        let base = if self.tx_batch_limit > 0 {
+        let base = if self.tx_batching {
             costs.per_packet_base * 0.55 - costs.doorbell_write
         } else {
             costs.per_packet_base * 0.55

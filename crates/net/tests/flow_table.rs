@@ -242,15 +242,15 @@ fn idle_established_flows_are_reaped_and_active_ones_survive() {
 
 #[test]
 fn per_flow_reasm_cap_bounds_a_slow_drip_reader() {
-    let cfg = FlowConfig {
-        reasm_cap: 256,
-        ..FlowConfig::default()
-    };
-    let (mut listener, mut hub, sim, _clock) = rig(cfg);
+    // Each flow's reassembly buffer holds 64 KiB (`FLOW_REASM_CAP`): 16
+    // messages of 4,096 stream bytes (4,092 behind the length prefix).
+    const MSG: usize = 4092;
+    const SENT: usize = 24;
+    let (mut listener, mut hub, sim, _clock) = rig(FlowConfig::default());
     let mut client = connect_client(&mut listener, &mut hub, &sim, 4000);
     // The peer pushes far past the cap while the app never drains.
-    for _ in 0..16 {
-        client.send_bytes(&[0xAB; 100]).unwrap();
+    for _ in 0..SENT {
+        client.send_bytes(&[0xAB; MSG]).unwrap();
         hub.pump();
         listener.poll().unwrap();
     }
@@ -258,22 +258,27 @@ fn per_flow_reasm_cap_bounds_a_slow_drip_reader() {
         listener.stats().reasm_overflow_drops > 0,
         "overflow counted"
     );
-    // Bounded: the flow retains at most the cap, not 16 x 104 bytes.
+    // Bounded: the flow retains at most the cap, not 24 x 4 KiB.
     assert!(listener.resident_bytes() < 1024 * 1024);
+    let mut delivered = 0;
+    while let Some((_, msg)) = listener.recv_from().unwrap() {
+        assert_eq!(msg.as_slice(), &[0xAB; MSG]);
+        delivered += 1;
+    }
+    assert_eq!(delivered, 16, "the cap held 16 messages, no more");
     // Refused segments were dropped-as-loss: the client's RTO re-delivers
     // once the reader drains, so no message is lost.
-    let mut delivered = 0;
     for _ in 0..200 {
-        while let Some((_, msg)) = listener.recv_from().unwrap() {
-            assert_eq!(msg.as_slice(), &[0xAB; 100]);
-            delivered += 1;
-        }
-        if delivered == 16 {
+        if delivered == SENT {
             break;
         }
         sim_step(&sim, &mut hub, &mut listener, &mut client);
+        while let Some((_, msg)) = listener.recv_from().unwrap() {
+            assert_eq!(msg.as_slice(), &[0xAB; MSG]);
+            delivered += 1;
+        }
     }
-    assert_eq!(delivered, 16, "every message eventually delivered");
+    assert_eq!(delivered, SENT, "every message eventually delivered");
 }
 
 #[test]
@@ -389,21 +394,21 @@ fn sim_step(sim: &Sim, hub: &mut PortHub, listener: &mut TcpListener, client: &m
 
 #[test]
 fn tx_record_cap_refuses_sends_to_a_dead_peer() {
-    let cfg = FlowConfig {
-        max_tx_records: 2,
-        ..FlowConfig::default()
-    };
-    let (mut listener, mut hub, sim, _clock) = rig(cfg);
+    let (mut listener, mut hub, sim, _clock) = rig(FlowConfig::default());
     let mut client = connect_client(&mut listener, &mut hub, &sim, 4000);
     client.send_bytes(b"request").unwrap();
     hub.pump();
     listener.poll().unwrap();
     let (flow, _) = listener.recv_from().unwrap().expect("request");
     // The peer stops ACKing (never polls); unACKed replies pile up only
-    // to the cap.
-    assert!(listener.send_bytes_to(flow, b"r1").unwrap());
-    assert!(listener.send_bytes_to(flow, b"r2").unwrap());
-    assert!(!listener.send_bytes_to(flow, b"r3").unwrap(), "cap refuses");
+    // to the cap of 64 records (`FLOW_MAX_TX_RECORDS`).
+    for i in 0..64 {
+        assert!(listener.send_bytes_to(flow, b"reply").unwrap(), "reply {i}");
+    }
+    assert!(
+        !listener.send_bytes_to(flow, b"reply").unwrap(),
+        "cap refuses"
+    );
     assert_eq!(listener.stats().tx_cap_drops, 1);
 }
 

@@ -317,22 +317,31 @@ fn bounded_rx_backlog_drops_are_recovered_by_rto() {
 #[test]
 fn reasm_cap_overflow_is_dropped_as_loss_and_recovered_by_rto() {
     let (mut a, mut b, clock) = established_pair();
-    // Cap the receiver's reassembly buffer below two queued messages
-    // (stream framing adds a 4-byte length prefix to each).
-    b.set_reasm_limit(40);
-    a.send_bytes(&[0xAA; 28]).unwrap(); // 32 stream bytes: fits
-    a.send_bytes(&[0xBB; 28]).unwrap(); // would reach 64 > 40: dropped
+    // The receiver's reassembly buffer holds 256 KiB (`DEFAULT_REASM_CAP`):
+    // 32 messages of 8,192 stream bytes each (8,188 bytes behind the
+    // 4-byte length prefix) fill it exactly, and a 33rd does not fit.
+    const CAP: usize = 256 * 1024;
+    const MSG: usize = 8188;
+    for _ in 0..32 {
+        a.send_bytes(&[0xAA; MSG]).unwrap(); // fits
+    }
+    a.send_bytes(&[0xBB; MSG]).unwrap(); // would pass the cap: dropped
     b.poll().unwrap();
     assert_eq!(b.reasm_overflow_drops(), 1);
-    assert!(b.reasm_len() <= 40, "cap is a hard ceiling");
+    assert!(b.reasm_len() <= CAP, "cap is a hard ceiling");
 
-    // The first message is intact; the overflow segment was treated as
-    // loss, not as corruption of the stream.
-    let m1 = b.recv_msg().unwrap().expect("first message delivered");
-    assert_eq!(m1.as_slice(), &[0xAA; 28]);
+    // The first 32 messages are intact; the overflow segment was treated
+    // as loss, not as corruption of the stream.
+    for i in 0..32 {
+        let m = b
+            .recv_msg()
+            .unwrap()
+            .expect("message under the cap delivered");
+        assert_eq!(m.as_slice(), &[0xAA; MSG], "message {i}");
+    }
     assert!(
         b.recv_msg().unwrap().is_none(),
-        "second message was dropped"
+        "the 33rd message was dropped"
     );
 
     // Draining the app buffer makes room; the sender's RTO resends the
@@ -341,8 +350,8 @@ fn reasm_cap_overflow_is_dropped_as_loss_and_recovered_by_rto() {
     a.poll().unwrap();
     assert!(a.retransmissions() >= 1, "recovery via the RTO path");
     b.poll().unwrap();
-    let m2 = b.recv_msg().unwrap().expect("retransmission delivered");
-    assert_eq!(m2.as_slice(), &[0xBB; 28]);
+    let last = b.recv_msg().unwrap().expect("retransmission delivered");
+    assert_eq!(last.as_slice(), &[0xBB; MSG]);
     a.poll().unwrap();
     assert_eq!(a.retransmit_queue_len(), 0);
 }

@@ -191,7 +191,7 @@ impl Parser<'_> {
         }
     }
 
-    fn expect(&mut self, c: u8) -> Result<(), String> {
+    fn eat(&mut self, c: u8) -> Result<(), String> {
         if self.peek() == Some(c) {
             self.pos += 1;
             Ok(())
@@ -224,7 +224,7 @@ impl Parser<'_> {
     }
 
     fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
+        self.eat(b'{')?;
         self.skip_ws();
         let mut members = Vec::new();
         if self.peek() == Some(b'}') {
@@ -235,7 +235,7 @@ impl Parser<'_> {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.expect(b':')?;
+            self.eat(b':')?;
             let val = self.value()?;
             members.push((key, val));
             self.skip_ws();
@@ -251,7 +251,7 @@ impl Parser<'_> {
     }
 
     fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
+        self.eat(b'[')?;
         self.skip_ws();
         let mut items = Vec::new();
         if self.peek() == Some(b']') {
@@ -273,7 +273,7 @@ impl Parser<'_> {
     }
 
     fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
+        self.eat(b'"')?;
         let mut out = String::new();
         while let Some(c) = self.peek() {
             self.pos += 1;

@@ -64,8 +64,9 @@ cargo test -q -p cf-kv --lib store::
 cargo test -q -p cf-sim --lib cache::tests::matches_timestamp_lru_op_by_op
 cargo test -q -p cf-kv --test charge_trace
 
-echo "==> overload smoke: goodput holds past saturation with control on"
+echo "==> overload smoke: goodput holds past saturation with control on; the retry budget and breaker at their constants"
 cargo test -q -p cf-bench --lib experiments::overload
+cargo test -q -p cf-kv --lib overload::
 
 echo "==> observability gates: zero-alloc flight recorder, metric namespace + exported name set, attach resets nothing, stats accessors equal the snapshot, counters equal the wire and the serializer's choices, tail anatomy, the trace tour"
 cargo test -q --test flight_zero_alloc

@@ -21,7 +21,7 @@ use proptest::prelude::*;
 use cornflakes::chaos_repro;
 use cornflakes::kv::client::{KvClient, RetryConfig, CLIENT_PORT, SERVER_PORT};
 use cornflakes::kv::flags;
-use cornflakes::kv::overload::{AdmissionConfig, RetryBudgetConfig};
+use cornflakes::kv::overload::{AdmissionConfig, RETRY_BUDGET_CAPACITY, RETRY_BUDGET_PER_REQUEST};
 use cornflakes::kv::server::{KvServer, SerKind};
 use cornflakes::kv::sharded::ShardedKvServer;
 use cornflakes::mem::PoolConfig;
@@ -325,8 +325,6 @@ proptest! {
         let mut server = ShardedKvServer::on_sims(
             vec![sim.clone(); queues],
             sp,
-            SerKind::Cornflakes,
-            cornflakes::core::SerializationConfig::hybrid(),
             PoolConfig::small_for_tests(),
         );
         let client_stack = UdpStack::new(
@@ -624,8 +622,7 @@ proptest! {
             server.puts_applied(), puts_sent
         );
         // Retries stayed within the budget's hard bound.
-        let budget = RetryBudgetConfig::default();
-        let bound = budget.capacity + budget.per_request * ops.len() as f64;
+        let bound = RETRY_BUDGET_CAPACITY + RETRY_BUDGET_PER_REQUEST * ops.len() as f64;
         prop_assert!(
             client.retries_sent() as f64 <= bound,
             "retries {} exceed budget bound {}",
@@ -703,8 +700,7 @@ fn retry_storm_is_bounded_by_the_budget() {
 
     // The hard bound: the initial bank plus per-request earnings. Without
     // the budget this run would have sent FRESH × max_retries = 400.
-    let budget = RetryBudgetConfig::default();
-    let bound = budget.capacity + budget.per_request * FRESH as f64;
+    let bound = RETRY_BUDGET_CAPACITY + RETRY_BUDGET_PER_REQUEST * FRESH as f64;
     assert!(
         client.retries_sent() as f64 <= bound,
         "retry storm: {} retransmissions exceed budget bound {}",

@@ -404,8 +404,6 @@ fn single_queue_sharded_server_is_wire_identical_to_plain_server() {
     let mut server = ShardedKvServer::on_sims(
         vec![Sim::new(MachineProfile::tiny_for_tests())],
         sp,
-        SerKind::Cornflakes,
-        SerializationConfig::hybrid(),
         PoolConfig::small_for_tests(),
     );
     let client_stack = UdpStack::new(

@@ -38,13 +38,7 @@ fn full_stack_handle() -> Telemetry {
         .map(|_| Sim::new(MachineProfile::tiny_for_tests()))
         .collect();
     let (cp, sp) = link();
-    let mut server = ShardedKvServer::on_sims(
-        sims,
-        sp,
-        SerKind::Cornflakes,
-        SerializationConfig::hybrid(),
-        PoolConfig::small_for_tests(),
-    );
+    let mut server = ShardedKvServer::on_sims(sims, sp, PoolConfig::small_for_tests());
     let client_sim = Sim::new(MachineProfile::tiny_for_tests());
     let client_stack = UdpStack::new(
         client_sim.clone(),

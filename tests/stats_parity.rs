@@ -68,13 +68,8 @@ fn nic_fields(s: NicStats) -> Fields<9> {
 fn sharded_server_under_faults(attach_first: bool) {
     let sim = Sim::new(MachineProfile::tiny_for_tests());
     let (cp, sp) = link();
-    let mut server = ShardedKvServer::on_sims(
-        vec![sim.clone(); 2],
-        sp,
-        SerKind::Cornflakes,
-        SerializationConfig::hybrid(),
-        PoolConfig::small_for_tests(),
-    );
+    let mut server =
+        ShardedKvServer::on_sims(vec![sim.clone(); 2], sp, PoolConfig::small_for_tests());
     let stack = UdpStack::new(sim.clone(), cp, CLIENT_PORT, SerializationConfig::hybrid());
     let mut client = KvClient::new(stack, SerKind::Cornflakes);
     client.enable_steering(&server.rss());
