@@ -1,6 +1,5 @@
 //! Figure 2: the motivating echo experiment (§2.2). Run with `cargo bench`.
 
 fn main() {
-    let duration = cf_bench::scaled_duration(20_000_000);
-    cf_bench::experiments::fig02::run(duration);
+    cf_bench::experiments::fig02::run();
 }

@@ -7,5 +7,5 @@ fn main() {
         (30_000, 3_000)
     };
     cf_bench::experiments::fig06::run_table1(keys, requests);
-    cf_bench::experiments::fig06::run_fig6_curves(keys, cf_bench::scaled_duration(10_000_000));
+    cf_bench::experiments::fig06::run_fig6_curves(keys);
 }

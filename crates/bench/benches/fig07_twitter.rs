@@ -6,5 +6,5 @@ fn main() {
     } else {
         60_000
     };
-    cf_bench::experiments::fig07::run(keys, cf_bench::scaled_duration(20_000_000), 53_000);
+    cf_bench::experiments::fig07::run(keys, 53_000);
 }

@@ -6,10 +6,5 @@ fn main() {
     } else {
         (60_000, 3_000)
     };
-    cf_bench::experiments::fig08::run(
-        keys,
-        cf_bench::scaled_duration(10_000_000),
-        requests,
-        59_000,
-    );
+    cf_bench::experiments::fig08::run(keys, requests, 59_000);
 }

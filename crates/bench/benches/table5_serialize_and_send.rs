@@ -5,6 +5,5 @@ fn main() {
     cf_bench::experiments::table5::run(
         if quick { 5_000 } else { 20_000 },
         if quick { 400 } else { 1_500 },
-        cf_bench::scaled_duration(10_000_000),
     );
 }

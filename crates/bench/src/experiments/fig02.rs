@@ -7,18 +7,18 @@
 
 use cf_mem::PoolConfig;
 use cf_net::UdpStack;
-use cf_sim::{LoadPoint, MachineProfile};
+use cf_sim::{MachineProfile, Sim};
 use cornflakes_core::SerializationConfig;
 
 use cf_kv::client::SERVER_PORT;
 use cf_kv::echo::{client, EchoKind, EchoServer};
 use cf_kv::msg_type;
 
-use crate::harness::{curve, Curve, Load, Pair};
+use crate::harness::{curve, Pair, Trace};
 use crate::tables::{f1, print_curve, print_expectation, print_table};
 
 /// The echo fixture of one variant: a client stack and the echo server.
-fn echo_bench(kind: EchoKind) -> Pair<UdpStack, EchoServer> {
+pub(crate) fn echo_bench(kind: EchoKind) -> Pair<UdpStack, EchoServer> {
     Pair::on_wire(
         MachineProfile::cloudlab_c6525(),
         SERVER_PORT,
@@ -29,63 +29,42 @@ fn echo_bench(kind: EchoKind) -> Pair<UdpStack, EchoServer> {
     )
 }
 
-/// One variant's results.
-#[derive(Clone, Debug)]
-pub struct VariantResult {
-    /// The variant.
-    pub kind: EchoKind,
-    /// Maximum achieved payload throughput (Gbps), the capacity probe's
-    /// included.
-    pub max_gbps: f64,
-    /// The throughput-latency curve.
-    pub curve: Curve,
+/// `kind`'s echo fixture measured by `measure` (the server's machine,
+/// then one echo of two 2048-byte fields per call).
+fn echo(kind: EchoKind, measure: impl FnOnce(&Sim, &mut dyn FnMut(u64) -> u64) -> Trace) -> Trace {
+    let fields = vec![vec![0x5Au8; 2048], vec![0xA5u8; 2048]];
+    let mut bench = echo_bench(kind);
+    let payload = client::request(kind, &bench.client, &fields);
+    let sim = bench.server_sim.clone();
+    measure(&sim, &mut |_| {
+        bench.round_trip(msg_type::ECHO, &payload, EchoServer::poll)
+    })
 }
 
-/// Runs Figure 2 and returns per-variant results (also printed).
-pub fn run(duration_ns: u64) -> Vec<VariantResult> {
-    let fields = vec![vec![0x5Au8; 2048], vec![0xA5u8; 2048]];
-    let load = Load {
-        seed: 2,
-        warmup: 500,
-        probe: 4_000,
-        lo: 0.3,
-        hi: 0.99,
-        steps: 6,
-        duration_ns,
-    };
-    let mut results = Vec::new();
-    for kind in EchoKind::figure2() {
-        let mut bench = echo_bench(kind);
-        let payload = client::request(kind, &bench.client, &fields);
-        let sim = bench.server_sim.clone();
-        let curve = curve(&sim, &load, |_| {
-            bench.round_trip(msg_type::ECHO, &payload, EchoServer::poll)
-        });
-        let max_gbps = curve
-            .points
-            .iter()
-            .map(LoadPoint::gbps)
-            .fold(curve.capacity.gbps(), f64::max);
-        results.push(VariantResult {
-            kind,
-            max_gbps,
-            curve,
-        });
-    }
+/// Runs Figure 2 and returns each variant's service trace (also printed).
+pub fn run() -> Vec<(EchoKind, Trace)> {
+    let results: Vec<_> = EchoKind::figure2()
+        .into_iter()
+        .map(|kind| (kind, echo(kind, |sim, request| curve(sim, request))))
+        .collect();
 
+    let curves: Vec<Vec<(f64, f64)>> = results.iter().map(|(_, t)| t.points()).collect();
     let rows: Vec<Vec<String>> = results
         .iter()
-        .map(|r| {
-            let mut row = vec![r.kind.name().to_string(), f1(r.max_gbps)];
-            let last = r.curve.points.last().expect("nonempty curve");
-            row.push(f1(last.achieved_rps / 1e3));
-            row.push(f1(last.p99_ns() as f64 / 1e3));
-            row
+        .zip(&curves)
+        .map(|((kind, trace), points)| {
+            let (rps, p99) = points.last().expect("nonempty curve");
+            vec![
+                kind.name().to_string(),
+                f1(trace.gbps()),
+                f1(rps / 1e3),
+                f1(p99 / 1e3),
+            ]
         })
         .collect();
     print_table(
         "Figure 2: echo server, 2 x 2048 B fields (per variant)",
-        &["Variant", "Max Gbps", "Achieved krps", "p99 us"],
+        &["Variant", "Max Gbps", "Offered krps", "p99 us"],
         &rows,
     );
     print_expectation(
@@ -93,13 +72,13 @@ pub fn run(duration_ns: u64) -> Vec<VariantResult> {
         "no-ser 77 > raw zero-copy 48 > one-copy 28 > two-copy 23 > libraries 13-15 Gbps",
         &results
             .iter()
-            .map(|r| format!("{} {:.0}", r.kind.name(), r.max_gbps))
+            .map(|(kind, trace)| format!("{} {:.0}", kind.name(), trace.gbps()))
             .collect::<Vec<_>>()
             .join(" | "),
     );
     // Throughput-latency curves for the figure itself.
-    for r in &results {
-        print_curve(r.kind.name(), &r.curve);
+    for ((kind, _), points) in results.iter().zip(&curves) {
+        print_curve(kind.name(), points);
     }
     results
 }
@@ -107,7 +86,7 @@ pub fn run(duration_ns: u64) -> Vec<VariantResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cf_sim::stats::gbps;
+    use crate::harness::capacity;
 
     #[test]
     fn echo_bench_round_trips() {
@@ -120,14 +99,8 @@ mod tests {
 
     #[test]
     fn figure2_shape_holds_scaled_down() {
-        let results = run(2_000_000); // 2 ms window
-        let g = |k: EchoKind| {
-            results
-                .iter()
-                .find(|r| r.kind == k)
-                .expect("variant present")
-                .max_gbps
-        };
+        // A closed-loop probe per variant: the figure's capacities.
+        let g = |kind| echo(kind, |sim, request| capacity(sim, 4_000, 500, request)).gbps();
         assert!(g(EchoKind::NoSerialization) > g(EchoKind::ZeroCopyRaw));
         assert!(g(EchoKind::ZeroCopyRaw) > g(EchoKind::OneCopy));
         assert!(g(EchoKind::OneCopy) > g(EchoKind::TwoCopy));
@@ -143,6 +116,5 @@ mod tests {
         assert!((40.0..56.0).contains(&g(EchoKind::ZeroCopyRaw)));
         assert!((24.0..32.0).contains(&g(EchoKind::OneCopy)));
         assert!((19.0..27.0).contains(&g(EchoKind::TwoCopy)));
-        let _ = gbps(1, 1);
     }
 }

@@ -12,12 +12,12 @@ use cornflakes_core::SerializationConfig;
 use cf_kv::server::SerKind;
 use cf_workloads::{key_string, GoogleSizeDist, Zipf};
 
-use crate::harness::{capacity, curve, KvBench, Load};
+use crate::harness::{capacity, curve, KvBench};
 use crate::tables::{f1, print_curve, print_expectation, print_table};
 
 /// A `kind` server holding `num_keys` Google-distribution lists of
 /// 1..=`max_fields` fields, and its Zipf(0.99) GET stream.
-fn google_bench(
+pub(crate) fn google_bench(
     kind: SerKind,
     config: SerializationConfig,
     num_keys: u64,
@@ -49,7 +49,7 @@ pub fn google_krps(
     capacity(&sim, requests, requests / 10, |_| {
         get_next(&mut b, &mut zipf)
     })
-    .achieved_rps
+    .rps()
         / 1e3
 }
 
@@ -101,22 +101,13 @@ pub fn run_table1(num_keys: u64, requests: u64) -> Vec<(SerKind, Vec<f64>)> {
 }
 
 /// Runs the Figure 6 throughput-latency sweep (1–8 values per list).
-pub fn run_fig6_curves(num_keys: u64, duration_ns: u64) {
+pub fn run_fig6_curves(num_keys: u64) {
     println!("\n=== Figure 6: throughput vs p99, Google 1-8 vals ===");
-    let load = Load {
-        seed: 6,
-        warmup: 2_000,
-        probe: 3_000,
-        lo: 0.4,
-        hi: 0.98,
-        steps: 5,
-        duration_ns,
-    };
     for kind in SerKind::all() {
         let (mut b, mut zipf) = google_bench(kind, SerializationConfig::hybrid(), num_keys, 8);
         let sim = b.server_sim.clone();
-        let curve = curve(&sim, &load, |_| get_next(&mut b, &mut zipf));
-        print_curve(kind.name(), &curve);
+        let trace = curve(&sim, |_| get_next(&mut b, &mut zipf));
+        print_curve(kind.name(), &trace.points());
     }
 }
 

@@ -13,8 +13,8 @@ use cornflakes_core::SerializationConfig;
 use cf_kv::redis::{client as rclient, RedisBackend, RedisServer};
 use cf_workloads::{key_string, TwitterConfig, TwitterOp, TwitterTrace, Zipf};
 
-use crate::harness::{capacity, curve, large_pool, preload, Curve, Load, Pair};
-use crate::tables::{f1, pct, print_expectation, print_table};
+use crate::harness::{capacity, curve, large_pool, preload, Pair, Trace};
+use crate::tables::{f1, pct, print_expectation, print_slo_figure, print_table};
 
 /// The Redis fixture: a RESP-speaking client and a mini-Redis server on
 /// Redis's port.
@@ -31,31 +31,32 @@ fn redis_bench(backend: RedisBackend) -> Pair<UdpStack, RedisServer> {
 
 /// Sends one RESP command (the command travels in the payload, so the
 /// frame's message type is 0) and returns the reply's payload size.
-fn command(bench: &mut Pair<UdpStack, RedisServer>, parts: &[&[u8]]) -> u64 {
+pub(crate) fn command(bench: &mut Pair<UdpStack, RedisServer>, parts: &[&[u8]]) -> u64 {
     let payload = rclient::encode_command(bench.client.sim(), parts);
     bench.round_trip(0, &payload, RedisServer::poll)
 }
 
-/// Figure 8: the Twitter trace through Redis get/set commands.
-pub fn sweep_redis_twitter(backend: RedisBackend, num_keys: u64, duration_ns: u64) -> Curve {
+/// The Redis fixture holding `num_keys` Twitter values.
+pub(crate) fn twitter_redis_bench(
+    backend: RedisBackend,
+    num_keys: u64,
+) -> Pair<UdpStack, RedisServer> {
     let mut bench = redis_bench(backend);
     let server = &mut bench.server;
     preload(&mut server.store, server.stack.ctx(), num_keys, |id| {
         vec![TwitterTrace::value_size(id)]
     });
-    let mut trace = TwitterTrace::new(TwitterConfig { num_keys }, 0x3ED15);
+    bench
+}
+
+/// Figure 8: the Twitter trace through Redis get/set commands; returns the
+/// backend's service trace.
+pub fn sweep_redis_twitter(backend: RedisBackend, num_keys: u64) -> Trace {
+    let mut bench = twitter_redis_bench(backend, num_keys);
+    let mut ops = TwitterTrace::new(TwitterConfig { num_keys }, 0x3ED15);
     let scratch = vec![0xB7u8; 8192];
-    let load = Load {
-        seed: 9,
-        warmup: 2_000,
-        probe: 3_000,
-        lo: 0.4,
-        hi: 0.99,
-        steps: 6,
-        duration_ns,
-    };
     let sim = bench.server_sim.clone();
-    curve(&sim, &load, |_| match trace.next() {
+    curve(&sim, |_| match ops.next() {
         TwitterOp::Get { key } => command(&mut bench, &[b"GET", key_string(key).as_bytes()]),
         TwitterOp::Put { key, size } => command(
             &mut bench,
@@ -90,44 +91,32 @@ pub fn table3_krps(backend: RedisBackend, num_keys: u64, requests: u64) -> [f64;
                 _ => command(&mut bench, &[b"LRANGE", k.as_bytes(), b"0", b"-1"]),
             }
         });
-        out[i] = point.achieved_rps / 1e3;
+        out[i] = point.rps() / 1e3;
     }
     out
 }
 
 /// Runs Figure 8 and Table 3.
-pub fn run(num_keys: u64, duration_ns: u64, requests: u64, slo_ns: u64) {
+pub fn run(num_keys: u64, requests: u64, slo_ns: u64) {
     // Figure 8.
-    let resp = sweep_redis_twitter(RedisBackend::Resp, num_keys, duration_ns);
-    let cf = sweep_redis_twitter(RedisBackend::Cornflakes, num_keys, duration_ns);
-    let rows = vec![
-        vec![
-            "Redis".to_string(),
-            f1(resp.max_achieved_rps() / 1e3),
-            f1(resp.rps_at_p99_slo(slo_ns) / 1e3),
-        ],
-        vec![
-            "Redis + Cornflakes".to_string(),
-            f1(cf.max_achieved_rps() / 1e3),
-            f1(cf.rps_at_p99_slo(slo_ns) / 1e3),
-        ],
+    let systems = [
+        ("Redis", sweep_redis_twitter(RedisBackend::Resp, num_keys)),
+        (
+            "Redis + Cornflakes",
+            sweep_redis_twitter(RedisBackend::Cornflakes, num_keys),
+        ),
     ];
-    print_table(
+    print_slo_figure(
         "Figure 8: Redis on the Twitter trace",
-        &[
-            "Backend",
-            "Max krps",
-            &format!("krps @ p99<={}us", slo_ns / 1000),
-        ],
-        &rows,
-    );
-    let gain = (cf.rps_at_p99_slo(slo_ns) - resp.rps_at_p99_slo(slo_ns))
-        / resp.rps_at_p99_slo(slo_ns)
-        * 100.0;
-    print_expectation(
-        "Cornflakes vs Redis serialization at the SLO",
-        "+8.8%",
-        &pct(gain),
+        "Backend",
+        slo_ns,
+        &systems,
+        (
+            "Cornflakes vs Redis serialization at the SLO",
+            "+8.8%",
+            1,
+            0,
+        ),
     );
 
     // Table 3.
@@ -181,10 +170,9 @@ mod tests {
         // re-measure before declaring the band violated.
         let mut gain = 0.0;
         for attempt in 0..3 {
-            let resp = sweep_redis_twitter(RedisBackend::Resp, 60_000, 3_000_000);
-            let cf = sweep_redis_twitter(RedisBackend::Cornflakes, 60_000, 3_000_000);
-            gain =
-                (cf.max_achieved_rps() - resp.max_achieved_rps()) / resp.max_achieved_rps() * 100.0;
+            let resp = sweep_redis_twitter(RedisBackend::Resp, 60_000).rps();
+            let cf = sweep_redis_twitter(RedisBackend::Cornflakes, 60_000).rps();
+            gain = (cf - resp) / resp * 100.0;
             if (1.0..40.0).contains(&gain) {
                 return;
             }

@@ -74,7 +74,7 @@ pub fn breakdown_instrumented(
             .iter()
             .map(|&c| (c, attribution.get(c) / requests as f64))
             .collect(),
-        total_ns: window.mean_service_ns,
+        total_ns: window.mean_service_ns(),
         attribution,
     };
     (result, tele)

@@ -7,13 +7,13 @@
 //! 161.0, FlatBuffers 181.2, Protobuf 186.1, Cornflakes 366.5 — Cornflakes
 //! 97–128 % ahead, because every field is ≥ 1 KB and zero-copy.
 
-use cf_sim::{LoadPoint, MachineProfile};
+use cf_sim::MachineProfile;
 use cornflakes_core::SerializationConfig;
 
 use cf_kv::server::SerKind;
 use cf_workloads::{key_string, CdnTrace};
 
-use crate::harness::{capacity, KvBench};
+use crate::harness::{capacity, KvBench, Trace};
 use crate::tables::{f1, pct, print_expectation, print_table};
 
 /// Seed of Table 2's request stream.
@@ -47,7 +47,7 @@ pub fn fetch_next(b: &mut KvBench, trace: &mut CdnTrace) -> (u64, bool) {
 /// One system's closed-loop CDN run: the full objects completed by the
 /// `requests` measured fetches, and the point they make. The `requests /
 /// 10` warmup fetches, and their virtual time, count in neither.
-pub fn cdn_window(kind: SerKind, num_objects: u64, requests: u64) -> (u64, LoadPoint) {
+pub fn cdn_window(kind: SerKind, num_objects: u64, requests: u64) -> (u64, Trace) {
     let mut b = cdn_bench(kind, num_objects);
     let mut trace = CdnTrace::new(num_objects, TRACE_SEED);
     let warmup = requests / 10;
@@ -64,7 +64,7 @@ pub fn cdn_window(kind: SerKind, num_objects: u64, requests: u64) -> (u64, LoadP
 /// Max sustained throughput in thousands of full objects per second.
 pub fn cdn_kobjs(kind: SerKind, num_objects: u64, requests: u64) -> f64 {
     let (objects, point) = cdn_window(kind, num_objects, requests);
-    objects as f64 * point.achieved_rps / point.completed as f64 / 1e3
+    objects as f64 * point.rps() / point.completed() as f64 / 1e3
 }
 
 /// Runs Table 2.
@@ -139,6 +139,6 @@ mod tests {
         let warm = lasts[..warmup as usize].iter().filter(|&&l| l).count();
         assert!(warm > 0, "the warmup completes objects too");
         assert_eq!(objects, measured as u64);
-        assert_eq!(point.completed, requests);
+        assert_eq!(point.completed(), requests);
     }
 }

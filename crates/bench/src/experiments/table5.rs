@@ -18,11 +18,7 @@ use super::fig07::sweep_twitter;
 use crate::tables::{f1, pct, print_expectation, print_table};
 
 /// Runs Table 5. Returns [(workload, with, without, unit)].
-pub fn run(
-    num_keys: u64,
-    requests: u64,
-    duration_ns: u64,
-) -> Vec<(String, f64, f64, &'static str)> {
+pub fn run(num_keys: u64, requests: u64) -> Vec<(String, f64, f64, &'static str)> {
     let with_cfg = SerializationConfig::hybrid();
     let without_cfg = SerializationConfig::hybrid().without_serialize_and_send();
     let mut results = Vec::new();
@@ -33,12 +29,8 @@ pub fn run(
     results.push(("Google 1-4 vals".to_string(), g_with, g_without, "krps"));
 
     // Twitter (max krps).
-    let t_with = sweep_twitter(SerKind::Cornflakes, with_cfg, num_keys, duration_ns)
-        .max_achieved_rps()
-        / 1e3;
-    let t_without = sweep_twitter(SerKind::Cornflakes, without_cfg, num_keys, duration_ns)
-        .max_achieved_rps()
-        / 1e3;
+    let t_with = sweep_twitter(SerKind::Cornflakes, with_cfg, num_keys).rps() / 1e3;
+    let t_without = sweep_twitter(SerKind::Cornflakes, without_cfg, num_keys).rps() / 1e3;
     results.push(("Twitter".to_string(), t_with, t_without, "krps"));
 
     // YCSB 4 x 1024 B (Gbps).
@@ -72,7 +64,7 @@ mod tests {
 
     #[test]
     fn serialize_and_send_always_helps() {
-        let results = run(5_000, 400, 3_000_000);
+        let results = run(5_000, 400);
         for (name, with, without, _) in results {
             let gain = (with - without) / without * 100.0;
             assert!(

@@ -14,11 +14,13 @@
 //!   probe per shape ([`harness::capacity`], [`harness::saturate`]), one
 //!   pick for the quantiles an extension bench takes of its own samples
 //!   ([`harness::quantile`]), and for the paper figures a
-//!   [`harness::curve`] of Poisson open-loop points on a ladder below the
-//!   capacity, printed by [`tables::print_curve`]. The wire floor is the
-//!   machine profile's `CostModel::one_way_wire_ns`. The second open-loop
-//!   driver, `overload::Rig::drive`, stays apart from `curve` because it
-//!   does something else: slice-paced arrivals against the sharded fixture,
+//!   [`harness::curve`]: one saturated service trace per system, which
+//!   every offered Poisson rate is replayed over (`cf_sim::queueing`), its
+//!   curve printed by [`tables::print_curve`] and its throughput at a p99
+//!   SLO bisected once per arrival seed. The wire floor is the machine
+//!   profile's `CostModel::one_way_wire_ns`. The other open-loop driver,
+//!   `overload::Rig::drive`, stays apart from `curve` because it does
+//!   something else: slice-paced arrivals against the sharded fixture,
 //!   retries and a drain.
 //! - Experiments print the same rows/series the paper reports, as aligned
 //!   text tables, plus a one-line comparison against the paper's headline
@@ -31,12 +33,11 @@
 //!   addresses move with ASLR and with `RandomState`-timed rehashes. Below
 //!   saturation the spread is under 0.05 %; where a client retries it
 //!   reaches a few percent (EXPERIMENTS.md, "Artifacts and ratchet", has
-//!   the per-field spread of five runs). A curve's arrivals are seeded from
-//!   its seed and the offered rate, so a capacity that moves in its fifth
-//!   digit draws another Poisson sample at every point: achieved rates move
-//!   by the window's sampling noise, and a p99-SLO pick can move a whole
-//!   ladder step.
-//! - Setting `CF_QUICK=1` shrinks the paper figures' durations ~10× for
+//!   the per-field spread of five runs). A curve's arrivals depend on the
+//!   arrival seed alone, so its SLO rates move with its trace, not with a
+//!   fresh Poisson sample: over five allocator layouts each stayed within
+//!   0.8 % (EXPERIMENTS.md preamble).
+//! - Setting `CF_QUICK=1` shrinks the paper figures' stores and probes for
 //!   smoke runs ([`quick_mode`] is the one place it is read); the numbers
 //!   recorded in `EXPERIMENTS.md` come from full runs. An extension bench
 //!   has one preset, the `full` its `main` hands [`ratchet::bench_main`]:
@@ -50,16 +51,7 @@ pub mod harness;
 pub mod ratchet;
 pub mod tables;
 
-/// True when `CF_QUICK=1`: run the paper figures' shortened sweeps.
+/// True when `CF_QUICK=1`: run the paper figures' quick preset.
 pub fn quick_mode() -> bool {
     std::env::var("CF_QUICK").map(|v| v == "1").unwrap_or(false)
-}
-
-/// Scales a measurement-window duration (ns) down in quick mode.
-pub fn scaled_duration(full_ns: u64) -> u64 {
-    if quick_mode() {
-        full_ns / 10
-    } else {
-        full_ns
-    }
 }

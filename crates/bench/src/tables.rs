@@ -3,7 +3,7 @@
 use cf_telemetry::json::Value;
 
 use crate::artifacts::{label, select};
-use crate::harness::Curve;
+use crate::harness::{median, Trace};
 
 /// Prints a titled, aligned table.
 ///
@@ -65,18 +65,60 @@ pub fn print_rows(title: &str, tree: &Value, rows: &str, fields: &[&str]) {
     print_table(title, &headers, &body);
 }
 
-/// Prints `name`'s throughput-latency curve, one line per offered load.
-pub fn print_curve(name: &str, curve: &Curve) {
+/// Prints `name`'s throughput-latency curve ([`Trace::points`]), one line
+/// per offered load.
+pub fn print_curve(name: &str, points: &[(f64, f64)]) {
     println!("  curve [{name}]:");
-    for p in &curve.points {
+    for (rps, p99_ns) in points {
         println!(
-            "    offered {:8.1} krps  achieved {:8.1} krps  p99 {:6.1} us{}",
-            p.offered_rps / 1e3,
-            p.achieved_rps / 1e3,
-            p.p99_ns() as f64 / 1e3,
-            if p.is_stable() { "" } else { "  (unstable)" }
+            "    offered {:8.1} krps  p99 {:6.1} us",
+            rps / 1e3,
+            p99_ns / 1e3
         );
     }
+}
+
+/// Prints a curve figure: per system its capacity and its rates at the p99
+/// `slo_ns` ([`Trace::rps_at_p99_slo`]) as the median and min–max over the
+/// arrival seeds, then `label`'s paper value against the gain of system
+/// `ours` over system `base` at the SLO (medians), then every system's curve.
+pub fn print_slo_figure(
+    title: &str,
+    column: &str,
+    slo_ns: u64,
+    systems: &[(&str, Trace)],
+    (label, paper, ours, base): (&str, &str, usize, usize),
+) {
+    let at_slo: Vec<Vec<f64>> = systems
+        .iter()
+        .map(|(_, trace)| trace.rps_at_p99_slo(slo_ns))
+        .collect();
+    let rows: Vec<Vec<String>> = systems
+        .iter()
+        .zip(&at_slo)
+        .map(|((name, trace), at_slo)| {
+            vec![name.to_string(), f1(trace.rps() / 1e3), krps_spread(at_slo)]
+        })
+        .collect();
+    let slo = format!("krps @ p99<={}us (median, min-max)", slo_ns / 1000);
+    print_table(title, &[column, "Max krps", &slo], &rows);
+    let (ours, base) = (median(&at_slo[ours]), median(&at_slo[base]));
+    print_expectation(label, paper, &pct((ours - base) / base * 100.0));
+    for (name, trace) in systems {
+        print_curve(name, &trace.points());
+    }
+}
+
+/// Formats ascending rates (requests/s) as krps: their median, then their
+/// min–max in brackets.
+pub fn krps_spread(sorted_rps: &[f64]) -> String {
+    let krps = |rps: Option<&f64>| f1(rps.copied().unwrap_or(0.0) / 1e3);
+    format!(
+        "{} ({}-{})",
+        f1(median(sorted_rps) / 1e3),
+        krps(sorted_rps.first()),
+        krps(sorted_rps.last())
+    )
 }
 
 /// Formats a float with one decimal.
@@ -111,6 +153,7 @@ mod tests {
         assert_eq!(f2(1.005), "1.00");
         assert_eq!(pct(15.4), "+15.4%");
         assert_eq!(pct(-3.2), "-3.2%");
+        assert_eq!(krps_spread(&[1e5, 2e5, 4e5]), "200.0 (100.0-400.0)");
     }
 
     #[test]

@@ -52,7 +52,7 @@ impl Clock {
     }
 
     /// Moves the clock forward to `t` if `t` is in the future; otherwise
-    /// leaves it unchanged. Used by the queueing simulator when the server
+    /// leaves it unchanged. Used by the open-loop drivers when a machine
     /// idles until the next arrival.
     #[inline]
     pub fn advance_to(&self, t: u64) {

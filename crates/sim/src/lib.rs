@@ -9,10 +9,9 @@
 //! heart of the paper's copy-vs-zero-copy tradeoff) consult a set-associative
 //! LRU [`cache::CacheSim`] keyed by the actual addresses touched.
 //!
-//! The crate also provides the measurement harness used by every experiment:
-//! an open-loop Poisson [`queueing`] simulator that reproduces the paper's
-//! throughput / p99-latency methodology, and log-bucketed latency
-//! [`histogram::Histogram`]s.
+//! The crate also provides the measurement pieces every experiment shares:
+//! the open-loop Poisson [`queueing`] replay behind the paper's throughput at
+//! a p99 SLO, and log-bucketed latency [`histogram::Histogram`]s.
 //!
 //! # Calibration
 //!
@@ -37,4 +36,3 @@ pub use clock::Clock;
 pub use cost::{Attribution, Category, ChargeObserver, Sim, SimCore, NUM_CATEGORIES};
 pub use histogram::Histogram;
 pub use profile::{CacheConfig, CostModel, MachineProfile, NicModel};
-pub use queueing::{LoadPoint, OpenLoopSim};

@@ -148,7 +148,7 @@ pub struct CostModel {
     /// One-way wire + client latency floor added to every request's latency
     /// (not server occupancy): models propagation, switch, and client-side
     /// processing so latency scales match the paper's ~20–60 µs curves.
-    /// Every experiment's floor: [`crate::OpenLoopSim`] reads it.
+    /// Every experiment's floor: the bench harness adds it to each sojourn.
     pub one_way_wire_ns: f64,
 }
 

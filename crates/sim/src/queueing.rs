@@ -1,299 +1,319 @@
-//! Open-loop load generation and throughput/latency measurement.
+//! Open-loop Poisson load replayed over a recorded service trace (§6.1).
 //!
-//! Reproduces the paper's methodology (§6.1): a load generator offers
-//! requests with Poisson arrivals at a configured rate; the single-core
-//! server processes them FIFO; we report achieved throughput (completions
-//! over the measurement window) and round-trip latency quantiles, where the
-//! round trip includes a fixed wire/client latency floor plus queueing wait
-//! plus service time.
+//! The paper reports the throughput a single-core server sustains at a p99
+//! round-trip SLO under open-loop Poisson arrivals, served FIFO. A request's
+//! service time is what its handler advances the virtual [`Clock`] by, and
+//! nothing on the request path reads the clock, so it does not depend on
+//! when the request arrives. One saturated pass of the real stack therefore
+//! records every service time there is to know, and an offered rate is a
+//! Lindley recursion over that trace (Lindley, Proc. Cambridge Phil. Soc.
+//! 1952): with `S(n)` the service of arrival `n` and `A(n + 1)` the gap
+//! before arrival `n + 1`, its wait is
+//! `W(n + 1) = max(0, W(n) + S(n) − A(n + 1))` and its sojourn
+//! `W(n + 1) + S(n + 1)`.
 //!
-//! The server's service time is whatever the request handler advances the
-//! shared virtual [`Clock`] by — i.e. the real serialization code runs and
-//! its charged costs become the service time.
+//! [`Arrivals`] draws one seed's unit-rate exponential gaps once; at rate λ
+//! gap `n` is `gap / λ`, the same bits as `SplitMix64::next_exp(λ)`, and
+//! arrival `n` takes service `n % len`. Every rate sees the same gaps
+//! scaled (common random numbers), and each step of the recursion is a
+//! correctly rounded monotone operation, so every sojourn is monotone in
+//! the rate, in floating point as in the reals, and [`max_rates`] can
+//! bisect on it exactly, several seeds side by side. A quantile is the
+//! element of rank [`rank`] in the sorted sojourns; whether it meets a
+//! limit is decided by counting the sojourns above the limit, without
+//! sorting.
+//!
+//! [`Clock`]: crate::Clock
 
-use crate::clock::Clock;
-use crate::cost::Sim;
-use crate::histogram::Histogram;
+use std::ops::ControlFlow;
+
 use crate::rng::SplitMix64;
-use crate::stats;
 
-/// Result of running one offered-load point.
+/// The rank of quantile `q` among `len` sorted samples, `round((len − 1)·q)`:
+/// the one rule every quantile in the benches is picked by.
+pub fn rank(len: usize, q: f64) -> usize {
+    (len.saturating_sub(1) as f64 * q).round() as usize
+}
+
+/// One seed's Poisson arrival process: its unit-rate exponential gaps.
 #[derive(Clone, Debug)]
-pub struct LoadPoint {
-    /// Offered load in requests per second (`f64::INFINITY` for closed-loop
-    /// saturation runs).
-    pub offered_rps: f64,
-    /// Achieved load: completions within the window, per second.
-    pub achieved_rps: f64,
-    /// Completions within the measurement window.
-    pub completed: u64,
-    /// Total response payload bytes across completions.
-    pub payload_bytes: u64,
-    /// Round-trip latency histogram (wire + wait + service).
-    pub latency: Histogram,
-    /// Mean service time per request in nanoseconds.
-    pub mean_service_ns: f64,
+pub struct Arrivals {
+    gaps: Vec<f64>,
 }
 
-impl LoadPoint {
-    /// Achieved payload throughput in Gbps.
-    pub fn gbps(&self) -> f64 {
-        if self.completed == 0 {
-            return 0.0;
-        }
-        let mean_payload = self.payload_bytes as f64 / self.completed as f64;
-        self.achieved_rps * mean_payload * 8.0 / 1e9
-    }
-
-    /// p99 round-trip latency in nanoseconds.
-    pub fn p99_ns(&self) -> u64 {
-        self.latency.p99()
-    }
-
-    /// True if achieved load is within 95 % of offered (the paper only plots
-    /// such points).
-    pub fn is_stable(&self) -> bool {
-        self.offered_rps.is_finite() && self.achieved_rps >= 0.95 * self.offered_rps
-    }
-}
-
-/// The load generator of one server machine (§6.1): Poisson open-loop
-/// points ([`OpenLoopSim::run`]) and closed-loop saturation
-/// ([`OpenLoopSim::run_saturated`]), each after the same warmup.
-#[derive(Clone, Debug)]
-pub struct OpenLoopSim {
-    /// The server's virtual clock; request handlers advance it.
-    clock: Clock,
-    /// One-way wire/client latency floor, added twice to each round-trip
-    /// latency (it does not occupy the server).
-    one_way_wire_ns: u64,
-    /// Requests executed before measurement starts, to warm caches. Not
-    /// measured.
-    warmup_requests: u64,
-}
-
-impl OpenLoopSim {
-    /// A generator over `sim`'s clock whose wire floor is the machine
-    /// profile's [`CostModel::one_way_wire_ns`](crate::CostModel::one_way_wire_ns).
-    pub fn new(sim: &Sim, warmup_requests: u64) -> Self {
-        OpenLoopSim {
-            clock: sim.clock(),
-            one_way_wire_ns: sim.costs().one_way_wire_ns as u64,
-            warmup_requests,
+impl Arrivals {
+    /// `n` arrivals whose gaps depend on `seed` alone.
+    pub fn new(seed: u64, n: usize) -> Self {
+        let mut rng = SplitMix64::new(seed);
+        Arrivals {
+            gaps: (0..n).map(|_| rng.next_exp(1.0)).collect(),
         }
     }
 
-    /// Runs one offered-load point: arrivals drawn from `seed` over a
-    /// `duration_ns` window. `handler(seq)` processes request `seq`,
-    /// advancing the clock, and returns the response payload size in bytes.
-    pub fn run(
+    /// The `q`-quantile sojourn (wait + service, ns) at each of
+    /// `rates_per_ns`, all replayed in one pass.
+    pub fn quantiles<const K: usize>(
         &self,
-        seed: u64,
-        offered_rps: f64,
-        duration_ns: u64,
-        mut handler: impl FnMut(u64) -> u64,
-    ) -> LoadPoint {
-        assert!(offered_rps > 0.0 && offered_rps.is_finite());
-        let mut seq = 0u64;
-        for _ in 0..self.warmup_requests {
-            handler(seq);
-            seq += 1;
-        }
-        let t0 = self.clock.now();
-        let end = t0 + duration_ns;
-        let rate_per_ns = offered_rps / 1e9;
-        let mut rng = SplitMix64::new(seed ^ offered_rps.to_bits());
-        let mut arrival_f = t0 as f64;
-        let mut latency = Histogram::new();
-        let mut completed = 0u64;
-        let mut payload_bytes = 0u64;
-        let mut service_sum = 0f64;
-        let mut served = 0u64;
-        loop {
-            arrival_f += rng.next_exp(rate_per_ns);
-            let arrival = arrival_f as u64;
-            if arrival >= end {
-                break;
-            }
-            // The server picks the request up when both it and the request
-            // are ready; the clock already sits at the previous completion.
-            self.clock.advance_to(arrival);
-            let start = self.clock.now();
-            let bytes = handler(seq);
-            seq += 1;
-            let finish = self.clock.now();
-            service_sum += (finish - start) as f64;
-            served += 1;
-            if finish <= end {
-                completed += 1;
-                payload_bytes += bytes;
-                latency.record(finish - arrival + 2 * self.one_way_wire_ns);
-            } else {
-                // This and all later arrivals finish outside the window.
-                break;
-            }
-        }
-        LoadPoint {
-            offered_rps,
-            achieved_rps: stats::rps(completed, duration_ns),
-            completed,
-            payload_bytes,
-            latency,
-            mean_service_ns: if served == 0 {
-                0.0
-            } else {
-                service_sum / served as f64
-            },
-        }
-    }
-
-    /// Runs the server closed-loop at saturation: `n` back-to-back requests
-    /// with no idle time. The achieved rate is the server's capacity, i.e.
-    /// the paper's "highest achieved throughput across all offered loads".
-    pub fn run_saturated(&self, n: u64, mut handler: impl FnMut(u64) -> u64) -> LoadPoint {
-        let mut seq = 0u64;
-        for _ in 0..self.warmup_requests {
-            handler(seq);
-            seq += 1;
-        }
-        let t0 = self.clock.now();
-        let mut latency = Histogram::new();
-        let mut payload_bytes = 0u64;
-        for _ in 0..n {
-            let start = self.clock.now();
-            payload_bytes += handler(seq);
-            seq += 1;
-            latency.record(self.clock.now() - start + 2 * self.one_way_wire_ns);
-        }
-        let elapsed = self.clock.now() - t0;
-        let mean_service = if n == 0 {
-            0.0
-        } else {
-            elapsed as f64 / n as f64
+        service_ns: &[u64],
+        rates_per_ns: [f64; K],
+        q: f64,
+    ) -> [f64; K] {
+        // Per rate, every sojourn at or above `floor`, cut back to the
+        // largest `keep` whenever twice as many have gathered (raising the
+        // floor to the least kept): at the end the quantile is the least of
+        // the largest `keep`. Sojourns are not negative, so their bit
+        // patterns order as their values do.
+        let keep = self.gaps.len() - rank(self.gaps.len(), q);
+        let mut kept: [Vec<u64>; K] = std::array::from_fn(|_| Vec::with_capacity(2 * keep));
+        let mut floor = [0u64; K];
+        let cut = |kept: &mut Vec<u64>| {
+            let below = kept.len() - keep;
+            let least = *kept.select_nth_unstable(below).1;
+            kept.drain(..below);
+            least
         };
-        LoadPoint {
-            offered_rps: f64::INFINITY,
-            achieved_rps: stats::rps(n, elapsed.max(1)),
-            completed: n,
-            payload_bytes,
-            latency,
-            mean_service_ns: mean_service,
-        }
+        replay([self; K], service_ns, rates_per_ns, |sojourns| {
+            for k in 0..K {
+                let sojourn = sojourns[k].to_bits();
+                if sojourn >= floor[k] {
+                    kept[k].push(sojourn);
+                    if kept[k].len() == 2 * keep {
+                        floor[k] = cut(&mut kept[k]);
+                    }
+                }
+            }
+            ControlFlow::Continue(())
+        });
+        kept.map(|mut kept| f64::from_bits(cut(&mut kept)))
     }
 }
 
-/// Builds a geometric load ladder from `lo` to `hi` (inclusive-ish) with
-/// `steps` points, suitable for throughput-latency sweeps.
-pub fn load_ladder(lo: f64, hi: f64, steps: usize) -> Vec<f64> {
-    assert!(steps >= 2 && lo > 0.0 && hi > lo);
-    let ratio = (hi / lo).powf(1.0 / (steps - 1) as f64);
-    (0..steps).map(|i| lo * ratio.powi(i as i32)).collect()
+/// For each of `arrivals` (of one length), the highest rate in
+/// `[0, hi_per_ns]` whose `q`-quantile sojourn is at most `limit_ns`, by
+/// bisection to within `resolution_per_ns` (the bracket's low end: a rate
+/// known to meet the limit). A rate meets the limit when no more sojourns
+/// exceed it than rank above the quantile's. Every step is one pass for
+/// all the seeds, which stops once each has failed.
+pub fn max_rates<const K: usize>(
+    arrivals: [&Arrivals; K],
+    service_ns: &[u64],
+    q: f64,
+    limit_ns: f64,
+    hi_per_ns: f64,
+    resolution_per_ns: f64,
+) -> [f64; K] {
+    let len = arrivals.first().map_or(0, |a| a.gaps.len());
+    let above = len.saturating_sub(1) - rank(len, q);
+    let (mut lo, mut hi) = ([0.0; K], [hi_per_ns; K]);
+    while (0..K).any(|k| hi[k] - lo[k] > resolution_per_ns) {
+        let mid = std::array::from_fn(|k| (lo[k] + hi[k]) / 2.0);
+        let (mut over, mut n) = ([0usize; K], 0usize);
+        replay(arrivals, service_ns, mid, |sojourns| {
+            for (over, sojourn) in over.iter_mut().zip(sojourns) {
+                *over += usize::from(sojourn > limit_ns);
+            }
+            n += 1;
+            if n.is_multiple_of(1 << 16) && over.iter().all(|&over| over > above) {
+                return ControlFlow::Break(());
+            }
+            ControlFlow::Continue(())
+        });
+        for k in 0..K {
+            if over[k] <= above {
+                lo[k] = mid[k];
+            } else {
+                hi[k] = mid[k];
+            }
+        }
+    }
+    lo
+}
+
+/// Replays `arrivals[k]` at `rates_per_ns[k]` for every `k` side by side
+/// (independent recursions, which the CPU overlaps), the queues starting
+/// empty, and hands `visit` each arrival's sojourns (wait + service, ns) in
+/// arrival order until it breaks. Arrival `n` takes
+/// `service_ns[n % service_ns.len()]`.
+fn replay<const K: usize>(
+    arrivals: [&Arrivals; K],
+    service_ns: &[u64],
+    rates_per_ns: [f64; K],
+    mut visit: impl FnMut([f64; K]) -> ControlFlow<()>,
+) {
+    assert!(!service_ns.is_empty(), "an empty service trace");
+    let len = arrivals.first().map_or(0, |a| a.gaps.len());
+    assert!(
+        arrivals.iter().all(|a| a.gaps.len() == len),
+        "arrivals of one length"
+    );
+    let gaps = arrivals.map(|a| &a.gaps[..len]);
+    // The state is W(n − 1) and S(n − 1), so that each recursion's
+    // dependency chain is one add and a max:
+    // W(n) = max(0, W(n − 1) + (S(n − 1) − A(n))).
+    let (mut wait, mut before) = ([0.0f64; K], 0.0f64);
+    for (n, &service) in (0..len).zip(service_ns.iter().cycle()) {
+        let service = service as f64;
+        let sojourns = std::array::from_fn(|k| {
+            wait[k] = (wait[k] + (before - gaps[k][n] / rates_per_ns[k])).max(0.0);
+            wait[k] + service
+        });
+        if visit(sojourns).is_break() {
+            return;
+        }
+        before = service;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A handler with fixed 1 µs service time.
-    fn fixed_service(clock: &Clock) -> impl FnMut(u64) -> u64 + '_ {
-        move |_| {
-            clock.advance(1_000);
-            100
+    /// Arrivals per closed-form check.
+    const N: usize = 1_000_000;
+
+    /// Every arrival's sojourn at `rate_per_ns`, in order.
+    fn sojourns(arrivals: &Arrivals, service_ns: &[u64], rate_per_ns: f64) -> Vec<f64> {
+        let mut all = Vec::new();
+        replay([arrivals], service_ns, [rate_per_ns], |[sojourn]| {
+            all.push(sojourn);
+            ControlFlow::Continue(())
+        });
+        all
+    }
+
+    /// The mean of `xs` and its standard error by batch means (100 batches
+    /// of consecutive samples, so the queue's autocorrelation stays inside a
+    /// batch).
+    fn batch_mean(xs: &[f64]) -> (f64, f64) {
+        let batches: Vec<f64> = xs
+            .chunks(xs.len() / 100)
+            .map(|b| b.iter().sum::<f64>() / b.len() as f64)
+            .collect();
+        let k = batches.len() as f64;
+        let mean = batches.iter().sum::<f64>() / k;
+        let var = batches.iter().map(|b| (b - mean).powi(2)).sum::<f64>() / (k - 1.0);
+        (mean, (var / k).sqrt())
+    }
+
+    #[test]
+    fn constant_service_matches_the_md1_mean_wait() {
+        // ρ = 0.7 against a 1 µs service: W = ρS / (2(1 − ρ)).
+        let (service, rho) = (1_000.0, 0.7);
+        let arrivals = Arrivals::new(11, N);
+        let waits: Vec<f64> = sojourns(&arrivals, &[1_000], rho / service)
+            .iter()
+            .map(|s| s - service)
+            .collect();
+        let (mean, se) = batch_mean(&waits);
+        let expected = rho * service / (2.0 * (1.0 - rho));
+        assert!(
+            (mean - expected).abs() < 4.0 * se,
+            "mean wait {mean:.1} ns, M/D/1 {expected:.1} ns, standard error {se:.2}"
+        );
+    }
+
+    #[test]
+    fn exponential_service_matches_the_mm1_p99_sojourn() {
+        // μ = 1 / µs, λ = 0.6 μ: the sojourn is exponential with rate μ − λ,
+        // so its p99 is ln(100) / (μ − λ) and 1 % of sojourns exceed it.
+        let (mu, lambda) = (1e-3, 0.6e-3);
+        let mut rng = SplitMix64::new(12);
+        let service: Vec<u64> = (0..N).map(|_| rng.next_exp(mu).round() as u64).collect();
+        let arrivals = Arrivals::new(13, N);
+        let p99 = 100f64.ln() / (mu - lambda);
+        let beyond: Vec<f64> = sojourns(&arrivals, &service, lambda)
+            .iter()
+            .map(|&s| f64::from(u8::from(s > p99)))
+            .collect();
+        let (share, se) = batch_mean(&beyond);
+        assert!(
+            (share - 0.01).abs() < 4.0 * se,
+            "{:.4} % above the M/M/1 p99 of {p99:.0} ns, standard error {:.4} %",
+            share * 100.0,
+            se * 100.0
+        );
+    }
+
+    #[test]
+    fn a_higher_rate_never_lowers_a_wait() {
+        let arrivals = Arrivals::new(14, 200_000);
+        let service = [700, 1_300, 900, 2_500, 400];
+        let rates = [0.2e-3, 0.5e-3, 0.8e-3, 0.95e-3, 1.2e-3];
+        for pair in rates.windows(2) {
+            let low = sojourns(&arrivals, &service, pair[0]);
+            let high = sojourns(&arrivals, &service, pair[1]);
+            for (n, (l, h)) in low.iter().zip(&high).enumerate() {
+                assert!(
+                    h >= l,
+                    "arrival {n}: {l} ns at {}, {h} ns at {}",
+                    pair[0],
+                    pair[1]
+                );
+            }
         }
     }
 
-    /// Arrival seed and measurement window of the open-loop tests.
-    const SEED: u64 = 7;
-    const WINDOW_NS: u64 = 20_000_000;
-
-    /// A generator with 10 warmup requests over a fresh machine's clock.
-    fn sim() -> (Clock, OpenLoopSim) {
-        let sim = Sim::new(crate::MachineProfile::tiny_for_tests());
-        (sim.clock(), OpenLoopSim::new(&sim, 10))
+    #[test]
+    fn quantiles_are_the_ranked_sojourns() {
+        let arrivals = Arrivals::new(15, 100_000);
+        let service = [700, 1_300, 900, 2_500, 400];
+        let rates = [0.3e-3, 0.7e-3, 0.85e-3];
+        let quantiles = arrivals.quantiles(&service, rates, 0.99);
+        for (rate, quantile) in rates.into_iter().zip(quantiles) {
+            let mut sorted = sojourns(&arrivals, &service, rate);
+            sorted.sort_by(f64::total_cmp);
+            assert_eq!(quantile, sorted[rank(sorted.len(), 0.99)], "at {rate}");
+        }
     }
 
     #[test]
-    fn light_load_achieves_offered() {
-        let (clock, s) = sim();
-        // 1 µs service => capacity 1 Mrps; offer 100 krps.
-        let p = s.run(SEED, 100_000.0, WINDOW_NS, fixed_service(&clock));
-        assert!(
-            p.is_stable(),
-            "achieved={} offered={}",
-            p.achieved_rps,
-            p.offered_rps
-        );
-        // Latency ≈ 2*wire + service with little wait (histogram buckets
-        // report lower bounds, so allow ~2 % downward error).
-        assert!(p.latency.p50() >= 10_800, "p50={}", p.latency.p50());
-        assert!(p.latency.p50() < 13_000, "p50={}", p.latency.p50());
+    fn bisection_finds_the_edge_of_the_slo_for_every_seed() {
+        let arrivals: [Arrivals; 3] =
+            std::array::from_fn(|k| Arrivals::new(16 + k as u64, 100_000));
+        let service = [1_000, 600, 1_400];
+        let (hi, resolution) = (1e-3, 1e-6);
+        let rates = max_rates(arrivals.each_ref(), &service, 0.99, 5_000.0, hi, resolution);
+        let p99 = |a: &Arrivals, rate| a.quantiles(&service, [rate], 0.99)[0];
+        for (a, rate) in arrivals.iter().zip(rates) {
+            assert!(p99(a, rate) <= 5_000.0, "{rate} fails");
+            assert!(
+                p99(a, rate + resolution) > 5_000.0,
+                "{rate} is not the edge"
+            );
+        }
+        // A limit below the longest service admits no rate at all.
+        let none = max_rates(arrivals.each_ref(), &service, 0.99, 1_399.0, hi, resolution);
+        assert_eq!(none, [0.0; 3]);
     }
 
     #[test]
-    fn overload_caps_at_capacity() {
-        let (clock, s) = sim();
-        // Offer 3 Mrps against 1 Mrps capacity.
-        let p = s.run(SEED, 3_000_000.0, WINDOW_NS, fixed_service(&clock));
-        assert!(!p.is_stable());
-        assert!(p.achieved_rps < 1_100_000.0, "achieved={}", p.achieved_rps);
+    fn gaps_are_next_exp_at_every_rate() {
+        let arrivals = Arrivals::new(19, 1_000);
+        let mut rng = SplitMix64::new(19);
+        let rate = 0.37e-3;
+        let mut free_at = 0.0f64;
+        let mut arrival = 0.0f64;
+        // Service far above every gap: each request starts when the last
+        // one ends, so its sojourn is n + 1 services less its arrival time.
+        for (n, sojourn) in sojourns(&arrivals, &[1_000_000], rate)
+            .into_iter()
+            .enumerate()
+        {
+            arrival += rng.next_exp(rate);
+            free_at = free_at.max(arrival) + 1e6;
+            let expected = free_at - arrival;
+            assert!(
+                (sojourn - expected).abs() < 1e-3,
+                "arrival {n}: {sojourn} vs {expected}"
+            );
+        }
     }
 
     #[test]
-    fn saturated_run_measures_capacity() {
-        let (clock, s) = sim();
-        let p = s.run_saturated(10_000, fixed_service(&clock));
-        assert!(
-            (p.achieved_rps - 1_000_000.0).abs() < 10_000.0,
-            "{}",
-            p.achieved_rps
-        );
-        assert_eq!(p.mean_service_ns, 1_000.0);
-    }
-
-    #[test]
-    fn latency_grows_with_load() {
-        let (clock, s) = sim();
-        let low = s.run(SEED, 100_000.0, WINDOW_NS, fixed_service(&clock));
-        let high = s.run(SEED, 900_000.0, WINDOW_NS, fixed_service(&clock));
-        assert!(
-            high.latency.p99() > low.latency.p99(),
-            "p99 low={} high={}",
-            low.latency.p99(),
-            high.latency.p99()
-        );
-    }
-
-    #[test]
-    fn gbps_accounts_payload() {
-        let (clock, s) = sim();
-        let p = s.run_saturated(1_000, |_| {
-            clock.advance(1_000);
-            1_000 // 1 kB per request at 1 Mrps = 8 Gbps
-        });
-        assert!((p.gbps() - 8.0).abs() < 0.2, "{}", p.gbps());
-    }
-
-    #[test]
-    fn load_ladder_endpoints() {
-        let l = load_ladder(10.0, 1000.0, 3);
-        assert!((l[0] - 10.0).abs() < 1e-9);
-        assert!((l[1] - 100.0).abs() < 1e-6);
-        assert!((l[2] - 1000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn variable_service_mean_tracked() {
-        let (clock, s) = sim();
-        let mut i = 0u64;
-        let p = s.run_saturated(1_000, |_| {
-            i += 1;
-            clock.advance(if i.is_multiple_of(2) { 500 } else { 1_500 });
-            64
-        });
-        assert!(
-            (p.mean_service_ns - 1_000.0).abs() < 20.0,
-            "{}",
-            p.mean_service_ns
-        );
+    fn rank_rounds_to_the_nearest_index() {
+        assert_eq!(rank(101, 0.5), 50);
+        assert_eq!(rank(101, 0.999), 100);
+        assert_eq!(rank(1, 0.99), 0);
+        assert_eq!(rank(2_000_000, 0.99), 1_979_999);
     }
 }

@@ -85,8 +85,8 @@ cargo test -q -p cf-net --test flow_table
 cargo test -q --test tcp_churn
 cargo test -q -p cf-bench --lib experiments::churn
 
-echo "==> paper-figure gate: every table and figure's shape test (scaled down), the rig they share, and the span-vs-attribution cross-check of Figure 11's own measurement"
-cargo test -q --release -p cf-bench --lib -- experiments::fig experiments::table harness
+echo "==> paper-figure gate: every table and figure's shape test (scaled down), the rig they share (its arrival-independence test among them), the replay behind every SLO rate (queueing: closed forms, monotonicity, bisection), and the span-vs-attribution cross-check of Figure 11's own measurement"
+cargo test -q --release -p cf-bench -p cf-sim --lib -- experiments::fig experiments::table harness queueing::
 cargo test -q --release -p cf-bench --test telemetry_crosscheck
 
 echo "==> bench artifacts: the ratchet's own tests, then the six extension benches at the full preset, each held to its committed BENCH_*.json (CF_BLESS=1 regenerates one)"

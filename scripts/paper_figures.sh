@@ -5,8 +5,9 @@
 # Usage: scripts/paper_figures.sh <dir>
 #
 # Comparing two checkouts: run this in each (same preset), then
-# `diff -r <dir-a> <dir-b>`. Curve-derived numbers vary run to run with the
-# heap layout (EXPERIMENTS.md preamble), so compare those over several runs.
+# `diff -r <dir-a> <dir-b>`: Figs. 3, 5, 9, 10 and 13 repeat to the byte.
+# The other benches' numbers can follow the heap layout by tenths of a percent
+# (EXPERIMENTS.md preamble), so compare those over several allocator layouts.
 set -eu
 
 if [ $# -ne 1 ]; then
