@@ -225,7 +225,7 @@ fn anatomy(params: &TailAnatomyParams) -> (Value, Rig, Telemetry) {
     let mut lats: Vec<(u64, u32, Phases)> = Vec::new();
     for &(id, _) in &run.served {
         if let Some((e2e, phases)) = decompose(timeline(id)) {
-            e2e_hist.record_exemplar(e2e, u64::from(id));
+            e2e_hist.record_exemplar(e2e, id);
             lats.push((e2e, id, phases));
         }
     }
@@ -270,7 +270,10 @@ fn anatomy(params: &TailAnatomyParams) -> (Value, Rig, Telemetry) {
         n => shed_sojourns.iter().sum::<u64>() / n,
     };
     let exemplar = |e: cf_telemetry::metrics::Exemplar| {
-        Value::obj([("value", int(e.value)), ("req_id", int(e.req_id))])
+        Value::obj([
+            ("value", int(e.value)),
+            ("req_id", int(u64::from(e.req_id))),
+        ])
     };
 
     let tree = Value::obj([

@@ -533,13 +533,11 @@ mod tests {
             });
         }
         // Figures 6 and 7: GETs over the Google and Twitter stores, keys
-        // drawn once so that every pass replays them. Two fixtures are left
-        // out because two *saturated* passes of theirs already differ (in
-        // about half the requests and one in 25): Protobuf on Google's lists (its
-        // encode charges a read of a recycled field buffer, and which
-        // buffer a field gets rotates with the pass) and Figure 8's RESP
-        // backend (its staging copy reads a fresh reply vector, wherever
-        // malloc puts it). Their handlers read no clock either.
+        // drawn once so that every pass replays them. Protobuf on Google's
+        // lists is left out because two *saturated* passes of it already
+        // differ in about half the requests: its encode charges a read of
+        // a recycled field buffer, and which buffer a field gets rotates
+        // with the pass. Its handler reads no clock either.
         let keys: Vec<u64> = {
             let mut zipf = cf_workloads::Zipf::new(2_000, 0.99, 0x60061e);
             (0..1_200).map(|_| zipf.next()).collect()
@@ -560,12 +558,14 @@ mod tests {
                 });
             }
         }
-        // Figure 8: Redis GETs, Cornflakes replies.
-        let mut b = fig08::twitter_redis_bench(RedisBackend::Cornflakes, 2_000);
-        let sim = b.server_sim.clone();
-        assert_arrival_independent("Redis Cornflakes", &sim, |seq| {
-            fig08::command(&mut b, &[b"GET", key_string(keys[seq as usize]).as_bytes()])
-        });
+        // Figure 8: Redis GETs, RESP and Cornflakes replies.
+        for backend in [RedisBackend::Resp, RedisBackend::Cornflakes] {
+            let mut b = fig08::twitter_redis_bench(backend, 2_000);
+            let sim = b.server_sim.clone();
+            assert_arrival_independent(&format!("Redis {backend:?}"), &sim, |seq| {
+                fig08::command(&mut b, &[b"GET", key_string(keys[seq as usize]).as_bytes()])
+            });
+        }
     }
 
     #[test]

@@ -52,6 +52,9 @@ pub struct RedisServer {
     pub store: KvStore,
     /// Response serialization backend.
     pub backend: RedisBackend,
+    /// Where RESP replies are built: reserved once for the largest frame,
+    /// so every reply is built, and its copies charged, at one address.
+    reply: Vec<u8>,
 }
 
 impl RedisServer {
@@ -62,6 +65,7 @@ impl RedisServer {
             stack,
             store,
             backend,
+            reply: Vec::with_capacity(cf_nic::MAX_FRAME),
         }
     }
 
@@ -154,12 +158,13 @@ impl RedisServer {
 
     fn send_ok(&mut self, hdr: cf_net::PacketHeader) {
         let sim = self.stack.sim().clone();
-        let mut out = Vec::new();
-        resp::push_ok(&sim, &mut out);
+        let out = &mut self.reply;
+        out.clear();
+        resp::push_ok(&sim, out);
         let Ok(mut tx) = self.stack.alloc_tx(out.len()) else {
             return;
         };
-        tx.write_at(HEADER_BYTES, &out);
+        tx.write_at(HEADER_BYTES, out);
         let _ = self.stack.send_built(hdr, tx, out.len());
     }
 
@@ -169,9 +174,10 @@ impl RedisServer {
                 // Handwritten serialization: RESP framing + value copies
                 // into the reply buffer (cold), staged into DMA (warm).
                 let sim = self.stack.sim().clone();
-                let mut out = Vec::new();
+                let out = &mut self.reply;
+                out.clear();
                 if vals.len() != 1 {
-                    resp::push_array_header(&sim, vals.len(), &mut out);
+                    resp::push_array_header(&sim, vals.len(), out);
                 }
                 let out_addr = out.as_ptr() as u64;
                 let costs = sim.costs();
@@ -185,11 +191,11 @@ impl RedisServer {
                         cf_sim::cost::Category::Alloc,
                         costs.heap_alloc + costs.lib_field_fixed + 60.0,
                     );
-                    resp::push_bulk(&sim, v.as_slice(), &mut out, out_addr);
+                    resp::push_bulk(&sim, v.as_slice(), out, out_addr);
                 }
                 if vals.is_empty() {
                     out.clear();
-                    resp::push_nil(&sim, &mut out);
+                    resp::push_nil(&sim, out);
                 }
                 let Ok(mut tx) = self.stack.alloc_tx(out.len()) else {
                     return;
@@ -200,7 +206,7 @@ impl RedisServer {
                     tx.addr() + HEADER_BYTES as u64,
                     out.len(),
                 );
-                tx.write_at(HEADER_BYTES, &out);
+                tx.write_at(HEADER_BYTES, out);
                 let _ = self.stack.send_built(hdr, tx, out.len());
             }
             RedisBackend::Cornflakes => {

@@ -329,10 +329,7 @@ impl KvEngine<UdpStack> {
     /// Handles one request packet.
     pub fn handle(&mut self, pkt: Packet) {
         let req_id = pkt.hdr.meta.req_id;
-        let _req = self
-            .stack
-            .telemetry()
-            .request_span("request", u64::from(req_id));
+        let _req = self.stack.telemetry().request_span("request", req_id);
         self.counters.requests.inc();
         self.counters.bytes_in.add(pkt.frame.len() as u64);
         self.stack.telemetry().flight().record(

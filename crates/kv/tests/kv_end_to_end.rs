@@ -5,7 +5,7 @@ use cf_mem::PoolConfig;
 use cf_net::{FrameMeta, HEADER_BYTES};
 use cf_sim::cost::Category;
 use cf_sim::{MachineProfile, Sim};
-use cf_telemetry::{FlightEvent, FlightRecord, FlightRecorder};
+use cf_telemetry::{json, FlightEvent, FlightRecord, FlightRecorder, Telemetry};
 use cornflakes_core::SerializationConfig;
 
 use cf_kv::client::{client_server_pair, KvClient, RetryConfig, SERVER_PORT};
@@ -429,4 +429,74 @@ fn same_seed_replays_the_same_retry_sequence() {
     assert_eq!(a, b, "one seed, one retry sequence");
     let ids: Vec<u32> = a.iter().map(|r| r.req_id).collect();
     assert!(ids.windows(2).all(|w| w[0] < w[1]), "send order: {ids:?}");
+}
+
+/// One handle carrying metrics and a recorder on both ends: the server's
+/// spans and every layer's lifecycle events for a request come back from
+/// `events_for` as one timeline, and export as one Chrome trace.
+#[test]
+fn spans_and_flight_events_form_one_timeline() {
+    let (mut client, mut server) = pair(SerKind::Cornflakes);
+    server
+        .store
+        .preload(server.stack.ctx(), b"key", &[64])
+        .unwrap();
+    let fr = FlightRecorder::with_capacity(256);
+    let tele = Telemetry::attach(server.stack.sim()).with_flight(&fr);
+    server.set_telemetry(&tele);
+    client.set_telemetry(&tele);
+    let id = client.send_get(&[b"key"]);
+    server.poll();
+    client.recv_response().expect("response");
+
+    // The server's part, from its NIC taking the frame to the request span
+    // closing: spans sit where they closed, so `tx` and `request` follow
+    // the `reply` event recorded before the send. (`rx` opens before the
+    // frame is read, so it carries request id 0 and is not in here.)
+    let timeline = fr.events_for(id);
+    let labels: Vec<&str> = timeline.iter().map(|r| r.event.label()).collect();
+    let start = labels
+        .iter()
+        .position(|l| *l == "nic_rx_enqueue")
+        .expect("server rx");
+    let server = &timeline[start..start + 9];
+    let server_labels: Vec<&str> = server.iter().map(|r| r.event.label()).collect();
+    assert_eq!(
+        server_labels,
+        [
+            "nic_rx_enqueue",
+            "shard_dispatch",
+            "deserialize",
+            "app",
+            "reply",
+            "serialize",
+            "nic_tx_enqueue",
+            "tx",
+            "request"
+        ],
+        "{labels:?}"
+    );
+    assert!(
+        server.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns),
+        "server time never goes back: {server:?}"
+    );
+    let FlightEvent::Span { depth, dur_ns, .. } = server[8].event else {
+        panic!("request is a span");
+    };
+    assert_eq!(depth, 0);
+    assert!(
+        server[8].ts_ns - dur_ns <= server[1].ts_ns,
+        "request spans the dispatch"
+    );
+
+    // One exporter: the request's spans and instants in one Chrome trace.
+    let trace = json::parse(&tele.chrome_trace_json()).expect("trace parses");
+    let phases: Vec<&str> = trace
+        .as_arr()
+        .expect("an array")
+        .iter()
+        .filter(|e| e.get("args").and_then(|a| a.get("req_id")?.as_u64()) == Some(u64::from(id)))
+        .filter_map(|e| e.get("ph")?.as_str())
+        .collect();
+    assert!(phases.contains(&"X") && phases.contains(&"i"), "{phases:?}");
 }

@@ -1,5 +1,5 @@
-//! Request-scoped flight recorder: a fixed-capacity ring of typed
-//! lifecycle events, correlated by the existing KV request id.
+//! Request-scoped flight recorder: a fixed-capacity log of typed
+//! records, correlated by the existing KV request id.
 //!
 //! Aggregate counters answer "how many requests were shed?"; the flight
 //! recorder answers "what happened to *this* request?". Every layer of the
@@ -8,7 +8,11 @@
 //! stamped with its *own* machine's virtual clock, keyed by the request id
 //! that is already on the wire. Nothing is added to the wire format: the
 //! NIC reads the id straight out of the frame header, so golden fixtures
-//! stay byte-exact whether or not a recorder is installed.
+//! stay byte-exact whether or not a recorder is installed. A completed
+//! span ([`crate::Telemetry::span`]) is one more record,
+//! [`FlightEvent::Span`], stamped at its close, so a request's spans and
+//! lifecycle events read as one timeline and export as one Chrome trace
+//! ([`FlightRecorder::chrome_trace_json`]).
 //!
 //! The handle follows the same discipline as [`crate::Telemetry`]:
 //!
@@ -16,14 +20,15 @@
 //!   no allocation, no formatting, no clock read. The zero-alloc hot-path
 //!   test (`tests/flight_zero_alloc.rs`) asserts this literally, with a
 //!   counting global allocator.
-//! - **Enabled**: events land in a ring buffer preallocated at
-//!   construction. Recording is a copy into a fixed slot; when the ring is
-//!   full the oldest record is overwritten (and counted in
+//! - **Enabled**: records land in a log preallocated at construction.
+//!   Recording is a copy into a fixed slot; when the log is full the
+//!   oldest record is overwritten (and counted in
 //!   [`FlightRecorder::dropped`]). Still no allocation.
 //!
-//! Cloning a `FlightRecorder` clones the handle, not the ring: install the
-//! same recorder on a client and a server and their events interleave into
-//! one timeline. Extraction ([`drain`](FlightRecorder::drain),
+//! Cloning a `FlightRecorder` clones the handle, not the log: install the
+//! same recorder on a client and a server and their records interleave
+//! into one timeline, in the order they were recorded. Extraction
+//! ([`drain`](FlightRecorder::drain),
 //! [`events_for`](FlightRecorder::events_for)) allocates, but only on the
 //! reporting path.
 
@@ -31,11 +36,11 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::json::Value;
-use crate::ring::Ring;
 
-/// One typed lifecycle event. `Copy`, fixed-size, and allocation-free by
-/// construction — variants carry only small scalars.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// One typed lifecycle event or completed span. `Copy`, fixed-size, and
+/// allocation-free by construction — variants carry only small scalars
+/// and static names.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FlightEvent {
     /// Client transmitted the first attempt of a request.
     ClientSend,
@@ -97,12 +102,22 @@ pub enum FlightEvent {
     /// A rejoined replica received this put via catch-up log replay from
     /// `node`.
     CatchupReplay { node: u8 },
+    /// A span closed: phase `name`, opened `depth` spans deep, ran
+    /// `dur_ns` (the record is stamped at its close), and `self_ns` was
+    /// charged while it was the innermost open span.
+    Span {
+        name: &'static str,
+        depth: u16,
+        dur_ns: u64,
+        self_ns: f64,
+    },
 }
 
 impl FlightEvent {
-    /// Stable short label, used by the JSON export and reports.
+    /// Stable short label, used by the JSON export and reports; a span's
+    /// label is its name.
     pub fn label(&self) -> &'static str {
-        match self {
+        match *self {
             FlightEvent::ClientSend => "client_send",
             FlightEvent::ClientRetry { .. } => "client_retry",
             FlightEvent::BreakerFastFail => "breaker_fast_fail",
@@ -130,6 +145,7 @@ impl FlightEvent {
             FlightEvent::ReplicaAck { .. } => "replica_ack",
             FlightEvent::Failover { .. } => "failover",
             FlightEvent::CatchupReplay { .. } => "catchup_replay",
+            FlightEvent::Span { name, .. } => name,
         }
     }
 
@@ -157,6 +173,7 @@ impl FlightEvent {
             | FlightEvent::ReplicaAck { node }
             | FlightEvent::Failover { node }
             | FlightEvent::CatchupReplay { node } => Some(("node", u64::from(node))),
+            FlightEvent::Span { dur_ns, .. } => Some(("dur_ns", dur_ns)),
             _ => None,
         }
     }
@@ -164,7 +181,7 @@ impl FlightEvent {
 
 /// One recorded event: which request, when (virtual ns on the recording
 /// machine's clock), and what happened.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FlightRecord {
     /// Correlation id — the KV request id already carried in the wire
     /// header (TCP events use the message's start sequence number).
@@ -186,23 +203,81 @@ impl FlightRecord {
             ("event", Value::Str(self.event.label().into())),
         ];
         members.extend(self.event.detail().map(|(k, d)| (k, Value::Num(d as f64))));
-        Value::Obj(
-            members
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
+        Value::obj(members)
+    }
+
+    /// The record as one Chrome Trace Event; a span starts `dur` before
+    /// its stamp (see [`FlightRecorder::chrome_trace_json`]).
+    fn chrome_event(&self) -> Value {
+        let us = |ns: u64| Value::Num(ns as f64 / 1_000.0);
+        let mut args = vec![("req_id", Value::Num(f64::from(self.req_id)))];
+        let (cat, ph, ts, dur, tid) = match self.event {
+            FlightEvent::Span {
+                depth,
+                dur_ns,
+                self_ns,
+                ..
+            } => {
+                args.extend((self_ns != 0.0).then_some(("self_ns", Value::Num(self_ns))));
+                let start = self.ts_ns.saturating_sub(dur_ns);
+                ("vt", "X", start, Some(("dur", us(dur_ns))), depth)
+            }
+            event => {
+                args.extend(event.detail().map(|(k, d)| (k, Value::Num(d as f64))));
+                ("flight", "i", self.ts_ns, None, 0)
+            }
+        };
+        let mut members = vec![
+            ("name", Value::Str(self.event.label().into())),
+            ("cat", Value::Str(cat.into())),
+            ("ph", Value::Str(ph.into())),
+            ("ts", us(ts)),
+        ];
+        members.extend(dur);
+        members.extend([
+            ("pid", Value::Num(0.0)),
+            ("tid", Value::Num(f64::from(tid))),
+            ("args", Value::obj(args)),
+        ]);
+        Value::obj(members)
     }
 }
 
-/// What every clone of an enabled [`FlightRecorder`] shares.
+/// What every clone of an enabled [`FlightRecorder`] shares: a log
+/// preallocated at construction. Until it is full a record fills the next
+/// reserved slot; after that it overwrites the oldest in place.
+#[derive(Default)]
 struct Log {
-    ring: Ring<FlightRecord>,
+    records: Vec<FlightRecord>,
+    capacity: usize,
+    /// The oldest record once the log is full (and the slot the next
+    /// record overwrites); 0 until then.
+    head: usize,
     recorded: u64,
     dropped: u64,
 }
 
-/// Cheaply clonable handle to a shared flight-recorder ring.
+impl Log {
+    #[inline]
+    fn push(&mut self, record: FlightRecord) {
+        self.recorded += 1;
+        if self.records.len() < self.capacity {
+            self.records.push(record);
+            return;
+        }
+        self.records[self.head] = record;
+        self.head = (self.head + 1) % self.capacity;
+        self.dropped += 1;
+    }
+
+    /// Held records, oldest first.
+    fn iter(&self) -> impl Iterator<Item = &FlightRecord> {
+        let (newer, older) = self.records.split_at(self.head);
+        older.iter().chain(newer)
+    }
+}
+
+/// Cheaply clonable handle to a shared flight-recorder log.
 ///
 /// `FlightRecorder::default()` is disabled; see the module docs for the
 /// enabled/disabled contract.
@@ -218,13 +293,14 @@ impl FlightRecorder {
     }
 
     /// An enabled recorder with room for `capacity` records (≥ 1). The
-    /// ring is preallocated here; recording never allocates.
+    /// log is preallocated here; recording never allocates.
     pub fn with_capacity(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
         FlightRecorder {
             inner: Some(Rc::new(RefCell::new(Log {
-                ring: Ring::new(capacity.max(1)),
-                recorded: 0,
-                dropped: 0,
+                records: Vec::with_capacity(capacity),
+                capacity,
+                ..Log::default()
             }))),
         }
     }
@@ -239,21 +315,17 @@ impl FlightRecorder {
     #[inline]
     pub fn record(&self, req_id: u32, ts_ns: u64, event: FlightEvent) {
         if let Some(inner) = &self.inner {
-            let mut log = inner.borrow_mut();
-            log.recorded += 1;
-            if log.ring.push(FlightRecord {
+            inner.borrow_mut().push(FlightRecord {
                 req_id,
                 ts_ns,
                 event,
-            }) {
-                log.dropped += 1;
-            }
+            });
         }
     }
 
     /// Number of records currently held (≤ capacity).
     pub fn len(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.borrow().ring.len())
+        self.inner.as_ref().map_or(0, |i| i.borrow().records.len())
     }
 
     /// True when no records are held (or the recorder is disabled).
@@ -261,11 +333,9 @@ impl FlightRecorder {
         self.len() == 0
     }
 
-    /// Ring capacity (0 when disabled).
+    /// Log capacity (0 when disabled).
     pub fn capacity(&self) -> usize {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.borrow().ring.capacity())
+        self.inner.as_ref().map_or(0, |i| i.borrow().capacity)
     }
 
     /// Total events ever recorded (including overwritten ones).
@@ -273,53 +343,60 @@ impl FlightRecorder {
         self.inner.as_ref().map_or(0, |i| i.borrow().recorded)
     }
 
-    /// Events lost to ring overwrite since creation.
+    /// Records lost to overwrite since creation.
     pub fn dropped(&self) -> u64 {
         self.inner.as_ref().map_or(0, |i| i.borrow().dropped)
     }
 
-    /// Removes and returns all held records in chronological order.
-    /// Harnesses call this once per time slice to keep the ring from
+    /// Removes and returns all held records in recording order.
+    /// Harnesses call this once per time slice to keep the log from
     /// overwriting; allocation happens here, on the reporting path.
     pub fn drain(&self) -> Vec<FlightRecord> {
-        match &self.inner {
-            None => Vec::new(),
-            Some(inner) => {
-                let ring = &mut inner.borrow_mut().ring;
-                let out: Vec<FlightRecord> = ring.iter().copied().collect();
-                ring.clear();
-                out
-            }
-        }
+        let out = self.snapshot();
+        self.clear();
+        out
     }
 
-    /// All currently held records for `req_id`, in chronological order.
+    /// All currently held records for `req_id` — its spans and its
+    /// lifecycle events — in the one order they were recorded (a span at
+    /// its close).
     pub fn events_for(&self, req_id: u32) -> Vec<FlightRecord> {
-        match &self.inner {
-            None => Vec::new(),
-            Some(inner) => inner
-                .borrow()
-                .ring
-                .iter()
-                .filter(|r| r.req_id == req_id)
-                .copied()
-                .collect(),
-        }
+        let mut out = self.snapshot();
+        out.retain(|r| r.req_id == req_id);
+        out
     }
 
     /// All currently held records, oldest first, without clearing.
     pub fn snapshot(&self) -> Vec<FlightRecord> {
         match &self.inner {
             None => Vec::new(),
-            Some(inner) => inner.borrow().ring.iter().copied().collect(),
+            Some(inner) => inner.borrow().iter().copied().collect(),
         }
     }
 
     /// Drops all held records (capacity and drop counters are kept).
     pub fn clear(&self) {
         if let Some(inner) = &self.inner {
-            inner.borrow_mut().ring.clear();
+            let mut log = inner.borrow_mut();
+            log.records.clear();
+            log.head = 0;
         }
+    }
+
+    /// The held records as Chrome Trace Event JSON, oldest first: a bare
+    /// array of one event per record, `ts` (and a span's `dur`) in
+    /// microseconds of virtual time. A span is a complete (`ph:"X"`) event
+    /// on the thread of its depth, with `self_ns` in its args when
+    /// non-zero; any other record is an instant (`ph:"i"`) on thread 0
+    /// with its detail in its args. Loadable in `chrome://tracing` or
+    /// <https://ui.perfetto.dev>.
+    pub fn chrome_trace_json(&self) -> String {
+        let events = self
+            .snapshot()
+            .iter()
+            .map(FlightRecord::chrome_event)
+            .collect();
+        Value::Arr(events).render()
     }
 }
 

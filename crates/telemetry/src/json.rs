@@ -99,8 +99,13 @@ impl Value {
     }
 
     /// An object from `(name, value)` pairs, in the order given.
-    pub fn obj<const N: usize>(members: [(&str, Value); N]) -> Value {
-        Value::Obj(members.map(|(k, v)| (k.to_string(), v)).into())
+    pub fn obj<'a>(members: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+        Value::Obj(
+            members
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
     }
 
     /// Renders the tree as JSON text, ending in a newline, that [`parse`]

@@ -1,12 +1,22 @@
 //! `cf-telemetry`: virtual-time observability for the Cornflakes datapath.
 //!
-//! Four instruments behind one cheaply clonable [`Telemetry`] handle:
+//! Three instruments behind one cheaply clonable [`Telemetry`] handle:
 //!
-//! 1. **Span tracing** ([`trace`]): per-request phase spans stamped in
-//!    *virtual* nanoseconds from the shared [`cf_sim::Clock`], stored in a
-//!    preallocated ring buffer and exportable as Chrome Trace Event JSON
-//!    (open in `chrome://tracing` or Perfetto). Virtual-time charges are
-//!    attributed to the innermost open span via [`cf_sim::ChargeObserver`].
+//! 1. The request-scoped **flight recorder** ([`flight`]): one log of
+//!    typed records shared across *machines* (client and server carry the
+//!    same recorder), so a request's lifecycle events interleave into a
+//!    single cross-layer timeline keyed by the wire's request id. A
+//!    **span** ([`Telemetry::span`]) is one of those records: phase spans
+//!    are timed in *virtual* nanoseconds from the shared
+//!    [`cf_sim::Clock`], and each virtual-time charge is attributed to the
+//!    innermost open span via [`cf_sim::ChargeObserver`]. A closed span
+//!    goes into the recorder the handle carries ([`Telemetry::with_flight`]
+//!    / [`Telemetry::flight`]) or, when it carries none, into one that
+//!    [`Telemetry::attach`] preallocated. The handle keeps the open-span
+//!    stack and the per-category running totals
+//!    ([`Telemetry::span_cat_totals`]), which survive overwrites of the
+//!    log. Either log exports as Chrome Trace Event JSON
+//!    ([`Telemetry::chrome_trace_json`]).
 //! 2. **Metrics** ([`metrics`]): named counters, gauges, and virtual-time
 //!    histograms, snapshotable to JSON and Prometheus text. A layer owns
 //!    the cells it counts in from construction; attaching a handle *adopts*
@@ -19,21 +29,12 @@
 //! 3. **Exemplars** ([`metrics::Exemplar`]): each histogram keeps the
 //!    request id of the largest value per magnitude group, the link from a
 //!    tail bucket to a recorded request.
-//! 4. The request-scoped **flight recorder** ([`flight`]): one ring shared
-//!    across *machines* (client and server carry the same recorder), so a
-//!    request's events interleave into a single cross-layer timeline keyed
-//!    by the wire's request id. The handle carries it
-//!    ([`Telemetry::with_flight`] / [`Telemetry::flight`]) beside the other
-//!    three, so a flight-only handle exists.
-//!
-//! The span tracer and the flight recorder keep their records in one kind
-//! of preallocated overwrite-on-wrap ring; each counts its own closed and
-//! dropped records.
 //!
 //! A disabled handle ([`Telemetry::disabled`]) is a `None` inside an
 //! `Option<Rc<_>>` beside a disabled recorder (another `None`): every
 //! hot-path operation short-circuits on one branch and no memory is
-//! allocated, so instrumented code needs no cfg gates.
+//! allocated, so instrumented code needs no cfg gates. A flight-only
+//! handle records lifecycle events and no spans.
 //!
 //! Telemetry is intentionally `!Send` (`Rc`/`RefCell`-based) because each
 //! simulated machine is single-threaded by construction. `cf-mem` — just as
@@ -55,20 +56,40 @@ pub mod alloctrack;
 pub mod flight;
 pub mod json;
 pub mod metrics;
-mod ring;
-pub mod trace;
 
 pub use alloctrack::{alloc_count, AllocTrap, CountingAlloc};
 pub use flight::{FlightEvent, FlightRecord, FlightRecorder};
 pub use metrics::{Counter, Gauge, MetricsRegistry, VtHistogram};
-pub use trace::{SpanRecord, Tracer};
 
-/// Completed spans an enabled handle's trace ring retains.
+/// Records held by the recorder an enabled handle preallocates for its
+/// spans, used while the handle carries no recorder of its own.
 const SPAN_CAPACITY: usize = 16_384;
+
+/// A span opened and not yet closed.
+struct OpenSpan {
+    name: &'static str,
+    req_id: u32,
+    start_ns: u64,
+    cat_ns: [f64; NUM_CATEGORIES],
+}
+
+/// The open-span stack and the per-category running totals.
+#[derive(Default)]
+struct Spans {
+    stack: Vec<OpenSpan>,
+    closed: u64,
+    /// Self time summed over closed spans: exact however many of their
+    /// records the log has overwritten.
+    closed_cat_ns: [f64; NUM_CATEGORIES],
+    /// Charges observed while no span was open.
+    orphan_cat_ns: [f64; NUM_CATEGORIES],
+}
 
 struct Inner {
     clock: Clock,
-    tracer: RefCell<Tracer>,
+    spans: RefCell<Spans>,
+    /// Where spans go from a handle that carries no recorder.
+    own: FlightRecorder,
     metrics: MetricsRegistry,
 }
 
@@ -76,7 +97,11 @@ impl ChargeObserver for Inner {
     // Called by `Sim` while its core is mutably borrowed: this must not (and
     // does not) call back into `Sim` — it only touches telemetry-owned state.
     fn on_charge(&self, cat: Category, ns: f64) {
-        self.tracer.borrow_mut().on_charge(cat, ns);
+        let mut spans = self.spans.borrow_mut();
+        match spans.stack.last_mut() {
+            Some(open) => open.cat_ns[cat.index()] += ns,
+            None => spans.orphan_cat_ns[cat.index()] += ns,
+        }
     }
 }
 
@@ -119,7 +144,11 @@ impl Telemetry {
         Telemetry {
             inner: Some(Rc::new(Inner {
                 clock,
-                tracer: RefCell::new(Tracer::new(SPAN_CAPACITY)),
+                spans: RefCell::new(Spans {
+                    stack: Vec::with_capacity(64),
+                    ..Spans::default()
+                }),
+                own: FlightRecorder::with_capacity(SPAN_CAPACITY),
                 metrics: MetricsRegistry::default(),
             })),
             flight: FlightRecorder::disabled(),
@@ -144,8 +173,9 @@ impl Telemetry {
 
     // ---- flight recorder ------------------------------------------------
 
-    /// This handle carrying `fr` as its flight recorder.
-    /// `Telemetry::disabled().with_flight(&fr)` is a flight-only handle.
+    /// This handle carrying `fr` as its flight recorder, which then takes
+    /// its spans too. `Telemetry::disabled().with_flight(&fr)` is a
+    /// flight-only handle.
     pub fn with_flight(&self, fr: &FlightRecorder) -> Telemetry {
         Telemetry {
             inner: self.inner.clone(),
@@ -170,6 +200,14 @@ impl Telemetry {
         }
     }
 
+    /// Where this handle's spans go: the recorder it carries, else the one
+    /// attach preallocated; `None` for a handle without spans.
+    fn span_log(&self) -> Option<(&Rc<Inner>, &FlightRecorder)> {
+        let inner = self.inner.as_ref()?;
+        let carried = Some(&self.flight).filter(|fr| fr.is_enabled());
+        Some((inner, carried.unwrap_or(&inner.own)))
+    }
+
     // ---- spans ----------------------------------------------------------
 
     /// Opens a span; it closes when the returned guard drops (LIFO).
@@ -179,44 +217,58 @@ impl Telemetry {
         self.span_open(name, None)
     }
 
-    /// Opens a root span tagged with an explicit request id.
+    /// Opens a root span tagged with the wire's request id.
     #[inline]
-    pub fn request_span(&self, name: &'static str, req_id: u64) -> SpanGuard {
+    pub fn request_span(&self, name: &'static str, req_id: u32) -> SpanGuard {
         self.span_open(name, Some(req_id))
     }
 
-    fn span_open(&self, name: &'static str, req_id: Option<u64>) -> SpanGuard {
-        if let Some(inner) = &self.inner {
-            let now = inner.clock.now();
-            inner.tracer.borrow_mut().open(name, req_id, now);
-        }
-        SpanGuard {
-            inner: self.inner.clone(),
-        }
-    }
-
-    /// Runs `f` with the tracer (no-op returning `None` when disabled).
-    pub fn with_tracer<R>(&self, f: impl FnOnce(&Tracer) -> R) -> Option<R> {
-        self.inner.as_ref().map(|i| f(&i.tracer.borrow()))
+    fn span_open(&self, name: &'static str, req_id: Option<u32>) -> SpanGuard {
+        let Some((inner, log)) = self.span_log() else {
+            return SpanGuard(None);
+        };
+        let start_ns = inner.clock.now();
+        let mut spans = inner.spans.borrow_mut();
+        let req_id = req_id.unwrap_or_else(|| spans.stack.last().map_or(0, |s| s.req_id));
+        spans.stack.push(OpenSpan {
+            name,
+            req_id,
+            start_ns,
+            cat_ns: [0.0; NUM_CATEGORIES],
+        });
+        SpanGuard(Some((inner.clone(), log.clone())))
     }
 
     /// Per-category self-time totals over all spans (closed + open).
     /// Disabled handles return zeros.
     pub fn span_cat_totals(&self) -> [f64; NUM_CATEGORIES] {
-        self.with_tracer(|t| t.span_cat_totals())
-            .unwrap_or([0.0; NUM_CATEGORIES])
+        let Some(inner) = &self.inner else {
+            return [0.0; NUM_CATEGORIES];
+        };
+        let spans = inner.spans.borrow();
+        let mut totals = spans.closed_cat_ns;
+        for open in &spans.stack {
+            for (t, ns) in totals.iter_mut().zip(open.cat_ns) {
+                *t += ns;
+            }
+        }
+        totals
     }
 
     /// Charges observed while no span was open.
     pub fn orphan_cat_totals(&self) -> [f64; NUM_CATEGORIES] {
-        self.with_tracer(|t| t.orphan_cat_ns)
-            .unwrap_or([0.0; NUM_CATEGORIES])
+        self.inner
+            .as_ref()
+            .map_or([0.0; NUM_CATEGORIES], |i| i.spans.borrow().orphan_cat_ns)
     }
 
-    /// Exports the span ring as Chrome Trace Event JSON (see [`Tracer`]).
+    /// Exports the held records of the recorder this handle's spans go to
+    /// (its own recorder for a flight-only handle) as Chrome Trace Event
+    /// JSON (see [`FlightRecorder::chrome_trace_json`]).
     pub fn chrome_trace_json(&self) -> String {
-        self.with_tracer(|t| t.chrome_trace_json())
-            .unwrap_or_else(|| "[]\n".to_string())
+        self.span_log()
+            .map_or(&self.flight, |(_, log)| log)
+            .chrome_trace_json()
     }
 
     // ---- metrics --------------------------------------------------------
@@ -272,17 +324,18 @@ impl Telemetry {
     // ---- exporters ------------------------------------------------------
 
     /// Snapshot of counters, gauges, histograms and span bookkeeping as one
-    /// JSON object.
+    /// JSON object; `spans.dropped` counts the records the span log has
+    /// overwritten.
     pub fn snapshot_json(&self) -> String {
-        let Some(inner) = &self.inner else {
+        let Some((inner, log)) = self.span_log() else {
             return Value::Obj(Vec::new()).render();
         };
-        let tracer = inner.tracer.borrow();
+        let spans = inner.spans.borrow();
         let spans = Value::obj([
-            ("closed", Value::Num(tracer.spans_closed as f64)),
-            ("dropped", Value::Num(tracer.dropped_spans as f64)),
-            ("open", Value::Num(tracer.open_depth() as f64)),
-            ("orphan_ns", Value::Num(tracer.orphan_cat_ns.iter().sum())),
+            ("closed", Value::Num(spans.closed as f64)),
+            ("dropped", Value::Num(log.dropped() as f64)),
+            ("open", Value::Num(spans.stack.len() as f64)),
+            ("orphan_ns", Value::Num(spans.orphan_cat_ns.iter().sum())),
         ]);
         let [counters, gauges, histograms] = inner.metrics.snapshot_members();
         Value::obj([
@@ -302,18 +355,34 @@ impl Telemetry {
     }
 }
 
-/// RAII guard closing its span on drop.
+/// RAII guard closing its span on drop: the span's totals join the running
+/// sums and its record goes into the log chosen when it opened.
 #[must_use = "the span closes when the guard drops"]
-pub struct SpanGuard {
-    inner: Option<Rc<Inner>>,
-}
+pub struct SpanGuard(Option<(Rc<Inner>, FlightRecorder)>);
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some(inner) = &self.inner {
-            let now = inner.clock.now();
-            inner.tracer.borrow_mut().close(now);
+        let Some((inner, log)) = &self.0 else { return };
+        let now = inner.clock.now();
+        let mut spans = inner.spans.borrow_mut();
+        let Some(open) = spans.stack.pop() else {
+            return;
+        };
+        spans.closed += 1;
+        let mut self_ns = 0.0;
+        for (total, ns) in spans.closed_cat_ns.iter_mut().zip(open.cat_ns) {
+            *total += ns;
+            self_ns += ns;
         }
+        let depth = spans.stack.len() as u16;
+        drop(spans);
+        let span = FlightEvent::Span {
+            name: open.name,
+            depth,
+            dur_ns: now.saturating_sub(open.start_ns),
+            self_ns,
+        };
+        log.record(open.req_id, now, span);
     }
 }
 
@@ -345,6 +414,7 @@ mod tests {
         let flight_only = Telemetry::disabled().with_flight(&fr);
         assert!(!flight_only.enabled());
         flight_only.flight().record(7, 1, FlightEvent::ClientSend);
+        drop(flight_only.span("no spans without metrics"));
         assert_eq!(fr.len(), 1);
         // Installing metrics and installing a recorder commute.
         let metrics_only = Telemetry::attach(&sim);
@@ -359,12 +429,65 @@ mod tests {
             installed.adopt_counter("shared", &c);
             c.inc();
         }
-        assert_eq!(fr.len(), 4, "every handle wrote the one ring");
+        assert_eq!(fr.len(), 4, "every handle wrote the one log");
         assert_eq!(
             metrics_only.counter_value("shared"),
             3,
             "and the one registry"
         );
+    }
+
+    /// A handle on a bare clock whose spans go to a recorder of `capacity`,
+    /// and a way to charge it as its machine would.
+    fn traced(capacity: usize) -> (Telemetry, FlightRecorder, Clock) {
+        let clock = Clock::new();
+        let fr = FlightRecorder::with_capacity(capacity);
+        (Telemetry::new(clock.clone()).with_flight(&fr), fr, clock)
+    }
+
+    fn charge(t: &Telemetry, cat: Category, ns: f64) {
+        t.inner.as_ref().expect("enabled").on_charge(cat, ns);
+    }
+
+    /// `(name, req_id, depth, self_ns)` of every held span record.
+    fn spans(fr: &FlightRecorder) -> Vec<(&'static str, u32, u16, f64)> {
+        let span = |r: &FlightRecord| match r.event {
+            FlightEvent::Span {
+                name,
+                depth,
+                self_ns,
+                ..
+            } => Some((name, r.req_id, depth, self_ns)),
+            _ => None,
+        };
+        fr.snapshot().iter().filter_map(span).collect()
+    }
+
+    #[test]
+    fn innermost_span_gets_the_charge_and_children_inherit_the_id() {
+        let (t, fr, clock) = traced(16);
+        {
+            let _req = t.request_span("request", 7);
+            charge(&t, Category::Rx, 10.0);
+            clock.advance(10);
+            {
+                let _de = t.span("deserialize");
+                charge(&t, Category::Deserialize, 5.0);
+                clock.advance(5);
+            }
+            charge(&t, Category::Tx, 2.0);
+            clock.advance(2);
+        }
+        assert_eq!(
+            spans(&fr),
+            [("deserialize", 7, 1, 5.0), ("request", 7, 0, 12.0)],
+            "self time only, recorded at the close"
+        );
+        assert_eq!(fr.snapshot()[1].ts_ns, 17);
+        let totals = t.span_cat_totals();
+        assert_eq!(totals[Category::Rx.index()], 10.0);
+        assert_eq!(totals[Category::Deserialize.index()], 5.0);
+        assert_eq!(totals[Category::Tx.index()], 2.0);
     }
 
     #[test]
@@ -389,15 +512,14 @@ mod tests {
         for cat in Category::all() {
             assert_eq!(totals[cat.index()], attr.get(cat));
         }
-        // Spans carry virtual timestamps.
-        t.with_tracer(|tr| {
-            let spans: Vec<_> = tr.iter_chronological().cloned().collect();
-            assert_eq!(spans.len(), 2);
-            assert_eq!(spans[0].name, "app");
-            assert_eq!(spans[0].req_id, 42);
-            assert_eq!(spans[1].name, "request");
-            assert_eq!(spans[1].end_ns, 150, "request span spans all charges");
-        });
+        // With no recorder installed, the spans went to attach's own.
+        let own = &t.inner.as_ref().expect("enabled").own;
+        assert_eq!(own.capacity(), SPAN_CAPACITY);
+        assert_eq!(
+            spans(own),
+            [("app", 42, 1, 30.0), ("request", 42, 0, 120.0)]
+        );
+        assert_eq!(own.snapshot()[1].ts_ns, 150, "stamped at the close");
     }
 
     #[test]
@@ -407,6 +529,24 @@ mod tests {
         sim.charge(Category::Other, 5.0);
         assert_eq!(t.orphan_cat_totals()[Category::Other.index()], 5.0);
         assert_eq!(t.span_cat_totals().iter().sum::<f64>(), 0.0);
+    }
+
+    #[test]
+    fn totals_survive_the_log_overwriting_spans() {
+        let (t, fr, clock) = traced(2);
+        for i in 0..5u32 {
+            let _s = t.request_span("s", i);
+            charge(&t, Category::Rx, 1.0);
+            clock.advance(5);
+        }
+        let ids: Vec<u32> = spans(&fr).iter().map(|s| s.1).collect();
+        assert_eq!(ids, [3, 4], "oldest overwritten first");
+        assert_eq!(fr.dropped(), 3);
+        assert_eq!(t.span_cat_totals()[Category::Rx.index()], 5.0);
+        let snap = json::parse(&t.snapshot_json()).expect("snapshot parses");
+        let spans = snap.get("spans").expect("span bookkeeping");
+        assert_eq!(spans.get("closed").and_then(Value::as_u64), Some(5));
+        assert_eq!(spans.get("dropped").and_then(Value::as_u64), Some(3));
     }
 
     #[test]
@@ -436,5 +576,160 @@ mod tests {
         }
         let prom = t.prometheus_text();
         assert!(prom.contains("nic_tx_frames_total 3"));
+    }
+
+    /// Parses the Chrome export and validates every event against the Trace
+    /// Event Format slice we emit: complete (`ph:"X"`, category `vt`, with
+    /// a `dur`) and instant (`ph:"i"`, category `flight`) events with a
+    /// string `name`, numeric `ts`/`pid`/`tid`, and an `args` object
+    /// carrying a numeric `req_id`.
+    fn check_chrome_schema(trace: &str) -> Vec<Value> {
+        let doc = json::parse(trace).expect("trace parses");
+        let events = doc.as_arr().expect("top level is an array").to_vec();
+        for ev in &events {
+            let field = |k: &str| ev.get(k).unwrap_or_else(|| panic!("{k} in {ev:?}"));
+            assert!(field("name").as_str().is_some());
+            match field("ph").as_str() {
+                Some("X") => {
+                    assert_eq!(field("cat").as_str(), Some("vt"));
+                    assert!(field("dur").as_f64().unwrap() >= 0.0);
+                }
+                Some("i") => assert_eq!(field("cat").as_str(), Some("flight")),
+                ph => panic!("unexpected ph {ph:?}"),
+            }
+            assert!(field("ts").as_f64().unwrap() >= 0.0);
+            assert_eq!(field("pid").as_u64(), Some(0));
+            assert!(field("tid").as_u64().is_some());
+            assert!(field("args").get("req_id").unwrap().as_u64().is_some());
+        }
+        events
+    }
+
+    fn arg(ev: &Value, key: &str) -> Option<f64> {
+        ev.get("args")?.get(key)?.as_f64()
+    }
+
+    #[test]
+    fn chrome_export_has_spans_with_self_time_and_instant_events() {
+        let (t, fr, clock) = traced(16);
+        clock.advance_to(1_000);
+        {
+            let _req = t.request_span("request", 1);
+            fr.record(1, clock.now(), FlightEvent::Serialize { entries: 2 });
+            clock.advance_to(1_200);
+            let _app = t.span("app \"quoted\"");
+            charge(&t, Category::AppGet, 50.0);
+            clock.advance_to(1_500);
+        }
+        let trace = t.chrome_trace_json();
+        assert_eq!(trace, fr.chrome_trace_json(), "one exporter");
+        let events = check_chrome_schema(&trace);
+        let phases: Vec<&str> = events
+            .iter()
+            .map(|e| e.get("ph").unwrap().as_str().unwrap())
+            .collect();
+        assert_eq!(phases, ["i", "X", "X"]);
+        assert_eq!(
+            events[0].get("ts").unwrap().as_f64(),
+            Some(1.0),
+            "µs virtual time"
+        );
+        assert_eq!(arg(&events[0], "entries"), Some(2.0));
+        assert_eq!(
+            events[1].get("name").unwrap().as_str(),
+            Some("app \"quoted\"")
+        );
+        assert_eq!(arg(&events[1], "self_ns"), Some(50.0));
+        assert_eq!(
+            arg(&events[2], "self_ns"),
+            None,
+            "zero self time is left out"
+        );
+        for ev in &events {
+            assert_eq!(arg(ev, "req_id"), Some(1.0));
+        }
+    }
+
+    #[test]
+    fn nested_spans_export_with_depth_as_tid_and_contained_intervals() {
+        let (t, fr, clock) = traced(16);
+        {
+            let _request = t.request_span("request", 1);
+            clock.advance_to(2_000);
+            {
+                let _inner = t.span("inner");
+                clock.advance_to(3_000);
+                let _innermost = t.span("innermost");
+                clock.advance_to(4_000);
+                drop(_innermost);
+                clock.advance_to(6_000);
+            }
+            clock.advance_to(10_000);
+        }
+        let events = check_chrome_schema(&fr.chrome_trace_json());
+        // Recorded at the close: innermost, inner, request.
+        let names: Vec<&str> = events
+            .iter()
+            .map(|e| e.get("name").unwrap().as_str().unwrap())
+            .collect();
+        assert_eq!(names, ["innermost", "inner", "request"]);
+        let tids: Vec<u64> = events
+            .iter()
+            .map(|e| e.get("tid").unwrap().as_u64().unwrap())
+            .collect();
+        assert_eq!(tids, [2, 1, 0], "tid encodes nesting depth");
+        let iv = |e: &Value| {
+            let ts = e.get("ts").unwrap().as_f64().unwrap();
+            (ts, ts + e.get("dur").unwrap().as_f64().unwrap())
+        };
+        assert_eq!(
+            [iv(&events[0]), iv(&events[1]), iv(&events[2])],
+            [(3.0, 4.0), (2.0, 6.0), (0.0, 10.0)]
+        );
+    }
+
+    #[test]
+    fn overlapping_sibling_spans_do_not_bleed_attribution() {
+        // Two requests' spans at the same depth whose intervals overlap
+        // (as pipelined handling would): each keeps its own self time.
+        let (t, fr, clock) = traced(16);
+        let first = t.request_span("request", 1);
+        charge(&t, Category::Rx, 10.0);
+        clock.advance_to(100);
+        drop(first);
+        let second = t.request_span("request", 2);
+        charge(&t, Category::Rx, 20.0);
+        clock.advance_to(200);
+        drop(second);
+        let events = check_chrome_schema(&fr.chrome_trace_json());
+        let self_ns: Vec<_> = events
+            .iter()
+            .map(|e| (arg(e, "req_id"), arg(e, "self_ns")))
+            .collect();
+        assert_eq!(self_ns, [(Some(1.0), Some(10.0)), (Some(2.0), Some(20.0))]);
+    }
+
+    #[test]
+    fn zero_duration_and_skewed_spans_export_cleanly() {
+        let (t, fr, clock) = traced(8);
+        clock.advance_to(500);
+        drop(t.request_span("instant", 3)); // same virtual instant
+                                            // A clock that went back while the span was open never underflows.
+        clock.advance_to(900);
+        let skewed = t.request_span("clock-skew", 4);
+        clock.reset();
+        clock.advance_to(800);
+        drop(skewed);
+        let events = check_chrome_schema(&fr.chrome_trace_json());
+        let times: Vec<_> = events
+            .iter()
+            .map(|e| {
+                (
+                    e.get("ts").unwrap().as_f64(),
+                    e.get("dur").unwrap().as_f64(),
+                )
+            })
+            .collect();
+        assert_eq!(times, [(Some(0.5), Some(0.0)), (Some(0.8), Some(0.0))]);
     }
 }

@@ -79,8 +79,8 @@ const EXEMPLAR_GROUPS: usize = 65;
 pub struct Exemplar {
     /// The bucket-max value (e.g. worst latency in this magnitude group).
     pub value: u64,
-    /// Request id that produced it.
-    pub req_id: u64,
+    /// Request id that produced it (the wire header's id).
+    pub req_id: u32,
 }
 
 struct HistState {
@@ -127,7 +127,7 @@ impl VtHistogram {
     /// A tail bucket thus always points at a concrete outlier request.
     /// No allocation: the exemplar table is a fixed array.
     #[inline]
-    pub fn record_exemplar(&self, v: u64, req_id: u64) {
+    pub fn record_exemplar(&self, v: u64, req_id: u32) {
         let mut st = self.0.borrow_mut();
         st.hist.record(v);
         let g = exemplar_group(v);
@@ -275,7 +275,7 @@ impl MetricsRegistry {
             let exemplars = h.exemplars().into_iter().map(|e| {
                 Value::obj([
                     ("value", Value::Num(e.value as f64)),
-                    ("req_id", Value::Num(e.req_id as f64)),
+                    ("req_id", Value::Num(f64::from(e.req_id))),
                 ])
             });
             let summary = h.with(|h| {
@@ -541,8 +541,8 @@ mod tests {
         let r = MetricsRegistry::default();
         let h = r.histogram("lat");
         // A crowd of fast requests and two distinct slow outliers.
-        for i in 0..100u64 {
-            h.record_exemplar(1_000 + i, i);
+        for i in 0..100u32 {
+            h.record_exemplar(1_000 + u64::from(i), i);
         }
         h.record_exemplar(1_000_000, 777);
         h.record_exemplar(900_000, 778); // same group, smaller: not retained

@@ -6,9 +6,12 @@
 //! serves a handful of GET requests, and writes two artifacts next to the
 //! current directory:
 //!
-//! - `trace.json` — Chrome Trace Event JSON of every request's span tree
-//!   (`rx` → `request` → `deserialize`/`app`/`tx`), stamped in **virtual**
-//!   nanoseconds. Open it in `chrome://tracing` or <https://ui.perfetto.dev>.
+//! - `trace.json` — Chrome Trace Event JSON of the one recorder: every
+//!   request's server spans (`rx`, then `request` over
+//!   `deserialize`/`app`/`tx`) as complete events with their self time,
+//!   and every layer's lifecycle events as instants, stamped in
+//!   **virtual** nanoseconds. Open it in `chrome://tracing` or
+//!   <https://ui.perfetto.dev>.
 //! - `metrics.json` — a snapshot of the metrics registry: NIC frame/byte
 //!   counters, memory-pool occupancy, per-system KV counters, and the
 //!   `mem.*` cells where the hybrid serializer's copy-vs-zero-copy choice
@@ -16,9 +19,10 @@
 //!
 //! It then walks the "diagnose a slow request" workflow from DESIGN.md:
 //! the `kv.client.e2e_latency_ns` histogram's exemplars name the slowest
-//! request id, the flight recorder replays that request's full event
-//! timeline, and consecutive anchors decompose its latency into
-//! retry-wait / queueing / sojourn / service / wire phases.
+//! request id, the recorder replays that request's timeline — spans and
+//! events in the order they were recorded, a span at its close — and
+//! consecutive anchors decompose its latency into retry-wait / queueing /
+//! sojourn / service / wire phases.
 //!
 //! Run with: `cargo run --example trace_request`
 
@@ -103,9 +107,9 @@ fn main() {
     // Attach telemetry: `Telemetry::attach` installs the charge observer
     // on the machine, and one `set_telemetry` on the server adopts its NIC,
     // memory and per-SerKind counter cells into the registry. The handle
-    // carries the flight recorder, one shared ring: the client takes a
-    // flight-only handle, so client and server interleave their lifecycle
-    // events into a single per-request timeline.
+    // carries the flight recorder, one shared log that takes the server's
+    // spans too: the client takes a flight-only handle, so client and
+    // server interleave their records into a single per-request timeline.
     let flight = FlightRecorder::with_capacity(4096);
     let tele = Telemetry::attach(&sim).with_flight(&flight);
     server.set_telemetry(&tele);
@@ -122,7 +126,7 @@ fn main() {
             // Records the value and, per magnitude bucket, remembers the
             // worst request id — linking the histogram tail back to a
             // concrete timeline.
-            e2e_hist.record_exemplar(e2e, u64::from(id));
+            e2e_hist.record_exemplar(e2e, id);
         }
     }
 
@@ -165,14 +169,14 @@ fn main() {
         .into_iter()
         .max_by_key(|e| e.value)
         .expect("exemplars recorded");
-    let slow_id = worst.req_id as u32;
+    let slow_id = worst.req_id;
     println!();
     println!(
         "slowest request: id {} at {} ns end-to-end (from histogram exemplars)",
         slow_id, worst.value
     );
     let events = flight.events_for(slow_id);
-    println!("flight timeline ({} events):", events.len());
+    println!("timeline ({} spans and events):", events.len());
     for r in &events {
         match r.event.detail() {
             Some((k, v)) => println!("  {:>9} ns  {} ({k}={v})", r.ts_ns, r.event.label()),

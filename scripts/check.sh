@@ -68,7 +68,8 @@ echo "==> overload smoke: goodput holds past saturation with control on; the ret
 cargo test -q -p cf-bench --lib experiments::overload
 cargo test -q -p cf-kv --lib overload::
 
-echo "==> observability gates: zero-alloc flight recorder, metric namespace + exported name set, attach resets nothing, stats accessors equal the snapshot, counters equal the wire and the serializer's choices, tail anatomy, the trace tour"
+echo "==> observability gates: the recorder's own tests (spans as records, attribution, the Chrome export), zero-alloc flight recorder, metric namespace + exported name set, attach resets nothing, stats accessors equal the snapshot, counters equal the wire and the serializer's choices, tail anatomy, the trace tour"
+cargo test -q -p cf-telemetry
 cargo test -q --test flight_zero_alloc
 cargo test -q --test metric_namespace
 cargo test -q --test telemetry_attach
