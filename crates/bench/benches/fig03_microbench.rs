@@ -1,6 +1,5 @@
 //! Figure 3: copy vs scatter-gather(+overheads) vs raw scatter-gather.
 
 fn main() {
-    let requests = if cf_bench::quick_mode() { 600 } else { 3_000 };
-    cf_bench::experiments::fig03::run(40_000, requests);
+    cf_bench::experiments::fig03::run(40_000, 3_000);
 }

@@ -1,6 +1,5 @@
 //! Figure 5: the copy-vs-scatter-gather heatmap and its 512 B crossover.
 
 fn main() {
-    let requests = if cf_bench::quick_mode() { 400 } else { 1_500 };
-    cf_bench::experiments::fig05::run(30_000, requests);
+    cf_bench::experiments::fig05::run(30_000, 1_500);
 }

@@ -1,6 +1,5 @@
 //! Figure 9: echo latency over the TCP stack.
 
 fn main() {
-    let rounds = if cf_bench::quick_mode() { 500 } else { 5_000 };
-    cf_bench::experiments::fig09::run(rounds);
+    cf_bench::experiments::fig09::run(5_000);
 }

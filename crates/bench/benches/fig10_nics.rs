@@ -1,6 +1,5 @@
 //! Figure 10: threshold generality across Mellanox and Intel NICs.
 
 fn main() {
-    let requests = if cf_bench::quick_mode() { 400 } else { 1_500 };
-    cf_bench::experiments::fig10::run(30_000, requests);
+    cf_bench::experiments::fig10::run(30_000, 1_500);
 }

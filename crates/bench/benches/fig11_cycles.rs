@@ -1,10 +1,5 @@
 //! Figure 11: per-request cycle breakdown on the CDN trace.
 
 fn main() {
-    let (objects, requests) = if cf_bench::quick_mode() {
-        (1_000, 600)
-    } else {
-        (2_500, 3_000)
-    };
-    cf_bench::experiments::fig11::run(objects, requests);
+    cf_bench::experiments::fig11::run(2_500, 3_000);
 }

@@ -1,10 +1,5 @@
 //! Figure 13: multicore scaling of the scatter-gather microbenchmark.
 
 fn main() {
-    let (values, requests) = if cf_bench::quick_mode() {
-        (40_000, 600)
-    } else {
-        (160_000, 3_000)
-    };
-    cf_bench::experiments::fig13::run(&[1, 2, 4, 6, 8], values, requests);
+    cf_bench::experiments::fig13::run(&[1, 2, 4, 6, 8], 160_000, 3_000);
 }

@@ -1,10 +1,5 @@
 //! Table 2: the CDN image trace.
 
 fn main() {
-    let (objects, requests) = if cf_bench::quick_mode() {
-        (1_500, 800)
-    } else {
-        (4_000, 4_000)
-    };
-    cf_bench::experiments::table2::run(objects, requests);
+    cf_bench::experiments::table2::run(4_000, 4_000);
 }

@@ -37,21 +37,15 @@
 //!   arrival seed alone, so its SLO rates move with its trace, not with a
 //!   fresh Poisson sample: over five allocator layouts each stayed within
 //!   0.8 % (EXPERIMENTS.md preamble).
-//! - Setting `CF_QUICK=1` shrinks the paper figures' stores and probes for
-//!   smoke runs ([`quick_mode`] is the one place it is read); the numbers
-//!   recorded in `EXPERIMENTS.md` come from full runs. An extension bench
-//!   has one preset, the `full` its `main` hands [`ratchet::bench_main`]:
-//!   that is what its committed `BENCH_*.json` holds and what the ratchet
-//!   gates, and a test that needs a smaller run scales a copy of it down
-//!   inside its own test module.
+//! - Every bench has one preset. A paper figure's `main` passes the sizes
+//!   whose output `EXPERIMENTS.md` records; an extension bench's is the
+//!   `full` its `main` hands [`ratchet::bench_main`], which is what its
+//!   committed `BENCH_*.json` holds and what the ratchet gates. A test that
+//!   needs a smaller run passes its own sizes (or scales a copy of the
+//!   preset down inside its own test module).
 
 pub mod artifacts;
 pub mod experiments;
 pub mod harness;
 pub mod ratchet;
 pub mod tables;
-
-/// True when `CF_QUICK=1`: run the paper figures' quick preset.
-pub fn quick_mode() -> bool {
-    std::env::var("CF_QUICK").map(|v| v == "1").unwrap_or(false)
-}

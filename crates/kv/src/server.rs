@@ -176,11 +176,15 @@ impl KvEngine<UdpStack> {
     }
 
     /// Receives the next packet. Receive-path charges (header parse, RX
-    /// base) land in their own root span; request processing gets a span
-    /// per packet.
+    /// base) land in their own root span, tagged with the frame's request
+    /// id once it is read; request processing gets a span per packet.
     fn recv(&mut self) -> Option<Packet> {
-        let _rx = self.stack.telemetry().span("rx");
-        self.stack.recv_packet()
+        let rx = self.stack.telemetry().span("rx");
+        let pkt = self.stack.recv_packet();
+        if let Some(pkt) = &pkt {
+            rx.set_req_id(pkt.hdr.meta.req_id);
+        }
+        pkt
     }
 
     /// Drains the NIC into the bounded backlog, stamping arrivals with

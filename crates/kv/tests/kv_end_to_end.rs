@@ -450,21 +450,22 @@ fn spans_and_flight_events_form_one_timeline() {
     client.recv_response().expect("response");
 
     // The server's part, from its NIC taking the frame to the request span
-    // closing: spans sit where they closed, so `tx` and `request` follow
-    // the `reply` event recorded before the send. (`rx` opens before the
-    // frame is read, so it carries request id 0 and is not in here.)
+    // closing: spans sit where they closed, so `rx` follows the NIC's
+    // enqueue, and `tx` and `request` follow the `reply` event recorded
+    // before the send.
     let timeline = fr.events_for(id);
     let labels: Vec<&str> = timeline.iter().map(|r| r.event.label()).collect();
     let start = labels
         .iter()
         .position(|l| *l == "nic_rx_enqueue")
         .expect("server rx");
-    let server = &timeline[start..start + 9];
+    let server = &timeline[start..start + 10];
     let server_labels: Vec<&str> = server.iter().map(|r| r.event.label()).collect();
     assert_eq!(
         server_labels,
         [
             "nic_rx_enqueue",
+            "rx",
             "shard_dispatch",
             "deserialize",
             "app",
@@ -480,12 +481,12 @@ fn spans_and_flight_events_form_one_timeline() {
         server.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns),
         "server time never goes back: {server:?}"
     );
-    let FlightEvent::Span { depth, dur_ns, .. } = server[8].event else {
+    let FlightEvent::Span { depth, dur_ns, .. } = server[9].event else {
         panic!("request is a span");
     };
     assert_eq!(depth, 0);
     assert!(
-        server[8].ts_ns - dur_ns <= server[1].ts_ns,
+        server[9].ts_ns - dur_ns <= server[2].ts_ns,
         "request spans the dispatch"
     );
 

@@ -18,7 +18,8 @@
 //!    log. Either log exports as Chrome Trace Event JSON
 //!    ([`Telemetry::chrome_trace_json`]).
 //! 2. **Metrics** ([`metrics`]): named counters, gauges, and virtual-time
-//!    histograms, snapshotable to JSON and Prometheus text. A layer owns
+//!    histograms, exported as one JSON snapshot
+//!    ([`Telemetry::snapshot_json`]). A layer owns
 //!    the cells it counts in from construction; attaching a handle *adopts*
 //!    those cells by name ([`Telemetry::adopt_counter`]) and a name reads as
 //!    the sum of its cells — nothing is minted, seeded or reset on attach.
@@ -225,7 +226,7 @@ impl Telemetry {
 
     fn span_open(&self, name: &'static str, req_id: Option<u32>) -> SpanGuard {
         let Some((inner, log)) = self.span_log() else {
-            return SpanGuard(None);
+            return SpanGuard(None, 0);
         };
         let start_ns = inner.clock.now();
         let mut spans = inner.spans.borrow_mut();
@@ -236,7 +237,7 @@ impl Telemetry {
             start_ns,
             cat_ns: [0.0; NUM_CATEGORIES],
         });
-        SpanGuard(Some((inner.clone(), log.clone())))
+        SpanGuard(Some((inner.clone(), log.clone())), spans.stack.len() - 1)
     }
 
     /// Per-category self-time totals over all spans (closed + open).
@@ -347,18 +348,26 @@ impl Telemetry {
         ])
         .render()
     }
-
-    /// Counters/gauges/histograms in Prometheus text exposition format.
-    pub fn prometheus_text(&self) -> String {
-        self.with_metrics(|m| m.prometheus_text())
-            .unwrap_or_default()
-    }
 }
 
 /// RAII guard closing its span on drop: the span's totals join the running
-/// sums and its record goes into the log chosen when it opened.
+/// sums and its record goes into the log chosen when it opened. It holds
+/// its span's place in the open-span stack.
 #[must_use = "the span closes when the guard drops"]
-pub struct SpanGuard(Option<(Rc<Inner>, FlightRecorder)>);
+pub struct SpanGuard(Option<(Rc<Inner>, FlightRecorder)>, usize);
+
+impl SpanGuard {
+    /// Re-tags this span with the wire's request id: for a span opened
+    /// before the frame that carries the id was read. Spans opened inside
+    /// it earlier keep the id they inherited.
+    #[inline]
+    pub fn set_req_id(&self, req_id: u32) {
+        let Some((inner, _)) = &self.0 else { return };
+        if let Some(open) = inner.spans.borrow_mut().stack.get_mut(self.1) {
+            open.req_id = req_id;
+        }
+    }
+}
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
@@ -491,6 +500,27 @@ mod tests {
     }
 
     #[test]
+    fn a_re_tag_reaches_its_own_span_and_later_children_not_an_open_one() {
+        let (t, fr, _clock) = traced(16);
+        {
+            let rx = t.span("rx");
+            {
+                let _child = t.span("parse");
+                rx.set_req_id(9);
+            }
+            let _later = t.span("classify");
+        }
+        assert_eq!(
+            spans(&fr),
+            [
+                ("parse", 0, 1, 0.0),
+                ("classify", 9, 1, 0.0),
+                ("rx", 9, 0, 0.0)
+            ]
+        );
+    }
+
+    #[test]
     fn attach_observes_charges_into_spans() {
         let sim = Sim::new(MachineProfile::tiny_for_tests());
         let t = Telemetry::attach(&sim);
@@ -574,8 +604,6 @@ mod tests {
         ] {
             assert!(snap.contains(needle), "snapshot missing {needle}: {snap}");
         }
-        let prom = t.prometheus_text();
-        assert!(prom.contains("nic_tx_frames_total 3"));
     }
 
     /// Parses the Chrome export and validates every event against the Trace

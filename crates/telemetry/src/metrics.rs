@@ -7,7 +7,7 @@
 //! and is consulted again only when a snapshot is taken.
 //!
 //! Producers that cannot depend on this crate (cf-mem) publish
-//! `Arc<AtomicU64>` cells instead, adopted here as *external* gauges and
+//! `Arc<AtomicU64>` cells instead, adopted here as *external* counters and
 //! read at snapshot time. Such a cell has one writer, the core that owns the
 //! pool or arena it describes; any holder may read it.
 
@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use cf_sim::Histogram;
 
-use crate::json::{self, Value};
+use crate::json::Value;
 
 /// Monotonically increasing counter handle.
 #[derive(Clone, Debug, Default)]
@@ -196,7 +196,7 @@ fn external_sum(cells: &[Arc<AtomicU64>]) -> u64 {
     cells.iter().map(|c| c.load(Ordering::Relaxed)).sum()
 }
 
-/// Registry of named metrics, snapshotable to JSON and Prometheus text.
+/// Registry of named metrics, read by name or through a JSON snapshot.
 ///
 /// A name maps to the cells adopted under it and reads as their sum: the
 /// layer that counts a fact owns its cell from construction, and attaching
@@ -297,93 +297,6 @@ impl MetricsRegistry {
             ("histograms", Value::Obj(histograms.collect())),
         ]
     }
-
-    /// Renders the registry in Prometheus text exposition format.
-    ///
-    /// - Metric names are sanitized (`.` and `-` become `_`); counters get
-    ///   the conventional `_total` suffix.
-    /// - Every family carries `# HELP` (escaped: `\` and newline) and
-    ///   `# TYPE` lines; label values are escaped (`\`, `"`, newline).
-    /// - Families are emitted in stable sorted order by exposition name,
-    ///   regardless of metric kind, so scrapes diff cleanly.
-    pub fn prometheus_text(&self) -> String {
-        fn sanitize(name: &str) -> String {
-            let mut out: String = name
-                .chars()
-                .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-                .collect();
-            if out.starts_with(|c: char| c.is_ascii_digit()) {
-                out.insert(0, '_');
-            }
-            out
-        }
-        fn escape_help(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('\n', "\\n")
-        }
-        fn escape_label(s: &str) -> String {
-            s.replace('\\', "\\\\")
-                .replace('"', "\\\"")
-                .replace('\n', "\\n")
-        }
-        let inner = self.inner.borrow();
-        // (exposition family name, rendered block) — sorted before joining.
-        let mut families: Vec<(String, String)> = Vec::new();
-        for (name, c) in &inner.counters {
-            let n = format!("{}_total", sanitize(name));
-            let block = format!(
-                "# HELP {n} counter `{}`\n# TYPE {n} counter\n{n} {}\n",
-                escape_help(name),
-                counter_sum(c)
-            );
-            families.push((n, block));
-        }
-        for (name, e) in &inner.externals {
-            let n = sanitize(name);
-            let block = format!(
-                "# HELP {n} gauge `{}`\n# TYPE {n} gauge\n{n} {}\n",
-                escape_help(name),
-                external_sum(e)
-            );
-            families.push((n, block));
-        }
-        for (name, g) in &inner.gauges {
-            let n = sanitize(name);
-            let block = format!(
-                "# HELP {n} gauge `{}`\n# TYPE {n} gauge\n{n} {}\n",
-                escape_help(name),
-                gauge_sum(g)
-            );
-            families.push((n, block));
-        }
-        for (name, h) in &inner.histograms {
-            let n = sanitize(name);
-            let block = h.with(|h| {
-                let mut b = format!(
-                    "# HELP {n} summary `{}`\n# TYPE {n} summary\n",
-                    escape_help(name)
-                );
-                for (q, v) in [(0.5, h.p50()), (0.99, h.p99())] {
-                    b.push_str(&format!(
-                        "{n}{{quantile=\"{}\"}} {v}\n",
-                        escape_label(&q.to_string())
-                    ));
-                }
-                b.push_str(&format!(
-                    "{n}_sum {}\n",
-                    json::num(h.mean() * h.count() as f64)
-                ));
-                b.push_str(&format!("{n}_count {}\n", h.count()));
-                b
-            });
-            families.push((n, block));
-        }
-        families.sort(); // stable output order by exposition name
-        let mut out = String::new();
-        for (_, block) in families {
-            out.push_str(&block);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -443,7 +356,6 @@ mod tests {
         r.register_external("mem.x", a);
         assert_eq!(r.counter_value("mem.x"), 11);
         assert!(snapshot(&r).contains("\"mem.x\": 11"));
-        assert!(r.prometheus_text().contains("nic_tx_frames_total 7"));
     }
 
     #[test]
@@ -457,83 +369,6 @@ mod tests {
         crate::json::validate(&json_doc).expect("valid snapshot JSON");
         assert!(json_doc.contains("\"c.one\": 7"));
         assert!(json_doc.contains("\"ext\": 3"));
-    }
-
-    #[test]
-    fn prometheus_text_shape() {
-        let r = MetricsRegistry::default();
-        counter(&r, "nic.tx-frames").add(2);
-        r.histogram("lat").record(5);
-        let text = r.prometheus_text();
-        assert!(text.contains("# TYPE nic_tx_frames_total counter"));
-        assert!(text.contains("# HELP nic_tx_frames_total"));
-        assert!(text.contains("nic_tx_frames_total 2"));
-        assert!(text.contains("lat{quantile=\"0.5\"}"));
-        assert!(text.contains("lat_sum"));
-        assert!(text.contains("lat_count 1"));
-    }
-
-    #[test]
-    fn prometheus_output_is_stable_sorted_and_escaped() {
-        let r = MetricsRegistry::default();
-        counter(&r, "zzz.last").inc();
-        gauge(&r, "aaa.first").set(1.0);
-        r.histogram("mmm.mid").record(3);
-        r.register_external("bbb.ext", Arc::new(AtomicU64::new(9)));
-        // A hostile name: sanitized for the sample, escaped in HELP.
-        counter(&r, "weird\\name\nwith \"stuff\"").inc();
-        let text = r.prometheus_text();
-        // Families appear in sorted exposition-name order.
-        let fams: Vec<&str> = text
-            .lines()
-            .filter(|l| l.starts_with("# TYPE "))
-            .map(|l| l.split_whitespace().nth(2).unwrap())
-            .collect();
-        let mut sorted = fams.clone();
-        sorted.sort_unstable();
-        assert_eq!(fams, sorted, "families must be emitted sorted");
-        // Deterministic: two renders are byte-identical.
-        assert_eq!(text, r.prometheus_text());
-        // HELP carries the raw name with backslash/newline escaped; no raw
-        // newline from the name leaks into the exposition.
-        assert!(text.contains("weird\\\\name\\nwith \"stuff\""));
-        for line in text.lines() {
-            assert!(
-                line.starts_with('#') || line.split(' ').count() == 2,
-                "sample line must be `name value`: {line:?}"
-            );
-        }
-    }
-
-    /// Round-trip: parse the exposition text back into (name, value) samples
-    /// and check every registry value survives the trip.
-    #[test]
-    fn prometheus_scrape_round_trips() {
-        let r = MetricsRegistry::default();
-        counter(&r, "kv.client.retries").add(17);
-        counter(&r, "nic.q0.tx_frames").add(3);
-        gauge(&r, "kv.shard0.backlog").set(4.0);
-        r.register_external("mem.pool.allocs", Arc::new(AtomicU64::new(12)));
-        let h = r.histogram("kv.client.e2e_latency_ns");
-        for v in [100, 200, 300, 400] {
-            h.record(v);
-        }
-        let text = r.prometheus_text();
-        let mut samples: BTreeMap<String, f64> = BTreeMap::new();
-        for line in text.lines().filter(|l| !l.starts_with('#')) {
-            let (name_part, value) = line.rsplit_once(' ').expect("name value");
-            samples.insert(name_part.to_string(), value.parse().expect("numeric"));
-        }
-        assert_eq!(samples["kv_client_retries_total"], 17.0);
-        assert_eq!(samples["nic_q0_tx_frames_total"], 3.0);
-        assert_eq!(samples["kv_shard0_backlog"], 4.0);
-        assert_eq!(samples["mem_pool_allocs"], 12.0);
-        assert_eq!(samples["kv_client_e2e_latency_ns_count"], 4.0);
-        let sum = samples["kv_client_e2e_latency_ns_sum"];
-        let mean = h.with(|h| h.mean());
-        assert!((sum - mean * 4.0).abs() < 1e-6);
-        let p50 = samples["kv_client_e2e_latency_ns{quantile=\"0.5\"}"];
-        assert_eq!(p50, h.with(|h| h.p50()) as f64);
     }
 
     #[test]
@@ -564,7 +399,7 @@ mod tests {
         assert!(all.len() <= super::EXEMPLAR_GROUPS);
         // Snapshot JSON carries them.
         let json_doc = snapshot(&r);
-        json::validate(&json_doc).expect("valid");
+        crate::json::validate(&json_doc).expect("valid");
         assert!(json_doc.contains("\"req_id\": 777"));
     }
 }

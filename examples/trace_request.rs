@@ -118,14 +118,14 @@ fn main() {
     let e2e_hist = tele.histogram("kv.client.e2e_latency_ns");
     for _ in 0..5 {
         for key in [&b"cfg:motd"[..], &b"img:full"[..]] {
-            let t0 = sim.now();
             let id = client.send_get(&[key]);
             server.poll();
             client.recv_response().expect("response");
-            let e2e = sim.now() - t0;
-            // Records the value and, per magnitude bucket, remembers the
-            // worst request id — linking the histogram tail back to a
-            // concrete timeline.
+            // End-to-end is `client_send` to `client_recv`, the interval the
+            // phases below telescope over. Recording it keeps, per magnitude
+            // bucket, the worst request id — linking the histogram tail back
+            // to a concrete timeline.
+            let (e2e, _) = decompose(&flight.events_for(id)).expect("completed request");
             e2e_hist.record_exemplar(e2e, id);
         }
     }
@@ -143,6 +143,7 @@ fn main() {
     );
     println!("wrote metrics.json ({} bytes)", metrics.len());
     println!();
+    println!("snapshot counters:");
     for name in [
         "nic.tx_frames",
         "nic.tx_bytes",
@@ -155,11 +156,6 @@ fn main() {
         "mem.registry.recover_hits",
     ] {
         println!("  {name:<32} {}", tele.counter_value(name));
-    }
-    println!();
-    println!("Prometheus exposition preview:");
-    for line in tele.prometheus_text().lines().take(6) {
-        println!("  {line}");
     }
 
     // The diagnose-a-slow-request workflow: worst exemplar → timeline →

@@ -1,13 +1,18 @@
 #!/usr/bin/env sh
-# Repository gate: formatting, lints, and the tier-1 test suite.
+# Repository gate: formatting, lints, the tier-1 test suite and every
+# named gate. This file is the one gate list: CI's check job runs
+# `scripts/check.sh --full` and adds only what needs the network (the
+# aarch64 cross-check, Miri over cf-mem, coverage).
 #
 # Usage: scripts/check.sh [--full]
-#   --full  also run the whole workspace test suite (slower).
+#   --full  also run the whole workspace test suite and the three
+#           fault-injection soaks at 256 cases each (slower).
 #
 # Everything here runs offline; the workspace has no registry dependencies.
 set -eu
 
 cd "$(dirname "$0")/.."
+failed_soaks=""
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -22,6 +27,8 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+# Each schema goes through the compiler's own `--check` first, so a schema
+# error is reported by the compiler and not by a build.rs panic.
 echo "==> wire-format gates: both schemas through the compiler, generated code against the DynMessage interpreter (encode parity, three-way decode under mutation, recorded crashers), the recorded byte layout, the parity suites, the serializer differential + golden frames, the echo server's rewritten layout"
 cargo run -q -p cf-codegen --bin cornflakes-compile -- --check crates/core/schema/msgs.proto
 cargo run -q -p cf-codegen --bin cornflakes-compile -- --check crates/kv/schema/kv.proto
@@ -40,6 +47,13 @@ cargo test -q -p cf-sim --lib -- cache::tests round_ns_is_f64_round_on_the_pinne
 
 echo "==> memory gate: cf-mem in release (bounds checks that must not wrap), then its unit + property tests, tests/memory_safety.rs, the wire-format differential (hostile offsets and counts through every decoder), cf-sim (the prefetch helper), cf-nic (the CRC kernels' vector loads), the store's and the codecs' tests (slice-vector recycling), the baseline libraries' tests and the serializer differential under AddressSanitizer"
 cargo test -q --release -p cf-mem
+# Why these crates: cf-mem is the unsafe boundary, and only the sanitizer
+# sees a region freed under a live RcBuf. The other unsafe code on the
+# request path is cf-sim's prefetch helper and feature-detected AVX2 walk,
+# cf-nic's feature-detected 512-bit and masked CRC loads, the store's
+# prefetches past the ends of real buffers and cf-kv `codec.rs`'s
+# slice-vector recycling; the differentials and the baselines' tests push
+# hostile input through every decoder.
 if cargo +nightly --version >/dev/null 2>&1; then
     # A target directory of its own (sanitized objects do not mix with the
     # others) and an explicit --target (so the flag skips build scripts).
@@ -90,9 +104,12 @@ echo "==> paper-figure gate: every table and figure's shape test (scaled down), 
 cargo test -q --release -p cf-bench -p cf-sim --lib -- experiments::fig experiments::table harness queueing::
 cargo test -q --release -p cf-bench --test telemetry_crosscheck
 
-echo "==> bench artifacts: the ratchet's own tests, then the six extension benches at the full preset, each held to its committed BENCH_*.json (CF_BLESS=1 regenerates one)"
+echo "==> bench artifacts: the ratchet's own tests, then the six extension benches at their one preset, each held to its committed BENCH_*.json (CF_BLESS=1 regenerates one)"
 cargo test -q -p cf-bench --lib ratchet
-cargo bench -p cf-bench --bench churn --bench scaling --bench overload \
+# Cargo runs a bench from its package directory: name the workspace's
+# target/cf-artifacts, where CI collects the artifacts from.
+CF_ARTIFACT_DIR="$PWD/target/cf-artifacts" cargo bench -p cf-bench \
+    --bench churn --bench scaling --bench overload \
     --bench tail_anatomy --bench failover --bench partition
 
 echo "==> transport parity gate: recorded TCP charge traces and end times, the stack and listener suites, TCP KV"
@@ -104,21 +121,38 @@ cargo test -q -p cf-bench --lib experiments::failover
 
 echo "==> partition smoke: stale reads under Any, none under Quorum"
 cargo test -q -p cf-bench --lib experiments::partition
-cargo test -q --test cluster_consistency
+# Under --full the 256-case consistency soak below covers this run.
+if [ "${1:-}" != "--full" ]; then
+    cargo test -q --test cluster_consistency
+fi
 
+# A package of its own outside the workspace, so no workspace run reaches
+# these tests.
 echo "==> repo benchmark (BENCHMARK.json): the benchmark package's own tests"
 cargo test -q --release --manifest-path benchmark/Cargo.toml
 
 if [ "${1:-}" = "--full" ]; then
     echo "==> full: cargo test --workspace -q"
     cargo test --workspace -q
-    echo "==> full: cluster chaos soak (both read modes)"
-    CF_CHAOS_CASES=64 cargo test -q --test cluster_chaos
-    echo "==> full: split-brain consistency soak"
-    CF_CHAOS_CASES=64 cargo test -q --test cluster_consistency
+    # The seeded fault-injection property tests at 256 cases each instead of
+    # the in-tree default. A failing case's seed, parameters and flight
+    # timelines are dumped to target/chaos_repro.json (the last failing soak
+    # wins). Every soak runs even when an earlier one fails; the script
+    # fails at its end, after naming them.
+    echo "==> full: single-node chaos soak (drop/duplicate/reorder/corrupt/delay plans, sharded variant)"
+    CF_CHAOS_CASES=256 cargo test -q --test chaos || failed_soaks="$failed_soaks chaos"
+    echo "==> full: cluster chaos soak (a node killed mid-workload, both read modes)"
+    CF_CHAOS_CASES=256 cargo test -q --test cluster_chaos || failed_soaks="$failed_soaks cluster_chaos"
+    echo "==> full: split-brain consistency soak (per-key read-your-writes + monotonic reads under Quorum)"
+    CF_CHAOS_CASES=256 cargo test -q --test cluster_consistency ||
+        failed_soaks="$failed_soaks cluster_consistency"
 fi
 
 echo "==> code lines (ROADMAP aim 2: a tracked number that should go down)"
 scripts/loc.sh
 
+if [ -n "$failed_soaks" ]; then
+    echo "FAILED: fault-injection soaks:$failed_soaks" >&2
+    exit 1
+fi
 echo "All checks passed."

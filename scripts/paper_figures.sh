@@ -1,11 +1,11 @@
 #!/usr/bin/env sh
-# Runs the thirteen paper-figure benches and writes each one's stdout to
-# <dir>/<bench>.txt. Set CF_QUICK=1 for the quick preset.
+# Runs the thirteen paper-figure benches (each at its one preset) and writes
+# each one's stdout to <dir>/<bench>.txt.
 #
 # Usage: scripts/paper_figures.sh <dir>
 #
-# Comparing two checkouts: run this in each (same preset), then
-# `diff -r <dir-a> <dir-b>`: Figs. 3, 5, 9, 10 and 13 repeat to the byte.
+# Comparing two checkouts: run this in each, then `diff -r <dir-a> <dir-b>`:
+# Figs. 2, 3, 5, 9, 10 and 13 repeat to the byte.
 # The other benches' numbers can follow the heap layout by tenths of a percent
 # (EXPERIMENTS.md preamble), so compare those over several allocator layouts.
 set -eu

@@ -23,8 +23,8 @@
 //! one allocation per doubling, asserted as exactly that.
 //!
 //! Enabling full telemetry (metrics + span tree) adds **zero** to the
-//! warm path as well: the span ring is preallocated at attach time, so
-//! recording is a fixed-slot write — asserted directly below, and the
+//! warm path as well: the recorder a span is written to is preallocated
+//! at attach time, so recording is a fixed-slot write — asserted directly below, and the
 //! flight recorder carries the same proof in `flight_zero_alloc.rs`.
 //!
 //! The GET hit, batched GET, PUT overwrite and interleaved windows run for
@@ -407,10 +407,10 @@ fn steady_state_shed_fast_reject_is_alloc_free() {
 #[test]
 fn telemetry_enabled_warm_path_is_also_alloc_free() {
     // The one handle in each of its four states. Full telemetry is the
-    // metrics registry + span tree + charge attribution; the span ring, the
-    // flight ring and the adoption of the layers' counter cells all happen
-    // at attach time (outside any measured window); recording is
-    // fixed-slot writes.
+    // metrics registry + span tree + charge attribution; the flight
+    // recorder that takes spans and events alike and the adoption of the
+    // layers' counter cells all happen at attach time (outside any measured
+    // window); recording is fixed-slot writes.
     for (state, metrics, flight) in [
         ("disabled", false, false),
         ("flight-only", false, true),
