@@ -6,6 +6,43 @@ use super::reference::TimestampLru;
 use super::*;
 use crate::rng::SplitMix64;
 
+/// Addresses the model accepts are below `1 << ADDR_BITS`.
+const ADDR_BITS: u32 = ADDR_LIMIT.ilog2();
+
+/// `tags` widened to 64 bits.
+fn widen<T: Tag>(tags: &[T]) -> Vec<u64> {
+    tags.iter().map(|&t| t.into()).collect()
+}
+
+/// Every stored tag, widened, in set order.
+fn stored(c: &CacheSim) -> Vec<u64> {
+    at_width!(&c.tags, sets => widen(&sets.buf[sets.start..sets.end]))
+}
+
+/// Ways per set and set-index bits.
+fn geometry_of(c: &CacheSim) -> (usize, u32) {
+    at_width!(&c.tags, sets => (sets.ways, sets.set_mask.count_ones()))
+}
+
+/// The line that stored tag `t` stands for in set `set`: the tag's bits
+/// above the width's shift, the set index's below.
+fn decode(c: &CacheSim, set: u64, t: u64) -> u64 {
+    fn shift<T: Tag>(_: &Sets<T>) -> u32 {
+        T::SHIFT
+    }
+    let shift = at_width!(&c.tags, sets => shift(sets));
+    (t - 1) << shift | set & ((1 << shift) - 1)
+}
+
+/// The stored tags of `line`'s set, widened, and the tag `line` has there.
+fn set_and_tag(c: &CacheSim, line: u64) -> (Vec<u64>, u64) {
+    fn set_and_tag<T: Tag>(sets: &Sets<T>, line: u64) -> (Vec<u64>, u64) {
+        let base = sets.base(line);
+        (widen(&sets.buf[base..base + sets.ways]), T::of(line).into())
+    }
+    at_width!(&c.tags, sets => set_and_tag(sets, line))
+}
+
 #[test]
 fn cold_access_misses_then_hits() {
     let mut c = CacheSim::new(1 << 16, 8);
@@ -34,7 +71,7 @@ fn zero_len_access_is_free() {
 fn lru_evicts_oldest() {
     // One set (64B * 2 ways = 128B capacity), 2-way.
     let mut c = CacheSim::new(128, 2);
-    assert_eq!(c.set_mask, 0);
+    assert_eq!(geometry_of(&c), (2, 0));
     c.touch(0); // A
     c.touch(1 << 20); // B
     c.touch(0); // A again, so B is LRU
@@ -85,6 +122,48 @@ fn clear_empties() {
     c.touch(0x40);
     c.clear();
     assert!(!c.probe(0x40));
+}
+
+#[test]
+#[should_panic(expected = "cannot hold one 4-way set")]
+fn capacity_below_one_set_is_rejected() {
+    CacheSim::new(128, 4);
+}
+
+#[test]
+fn tags_are_32_bits_from_2_pow_11_sets_on() {
+    let narrow = |c: CacheSim| matches!(c.tags, Tags::Narrow(_));
+    assert!(narrow(CacheSim::new(1 << 17, 1))); // 2^11 sets
+    assert!(!narrow(CacheSim::new(1 << 16, 1))); // 2^10 sets
+    assert!(narrow(CacheSim::new(16 << 20, 16)));
+    assert!(narrow(CacheSim::new(128 << 20, 16)));
+    assert!(!narrow(CacheSim::new(64 << 10, 8)));
+}
+
+#[test]
+fn lines_at_the_top_of_the_address_space_keep_their_own_tags() {
+    for (capacity, ways) in [(1 << 17, 1), (1 << 16, 1), (16 << 20, 16)] {
+        let mut c = CacheSim::new(capacity, ways);
+        let top = (1 << 48) - LINE;
+        // Same set, differing only in bit 47 (and, in the 1-way caches, a
+        // direct conflict).
+        assert!(!c.touch(top));
+        assert!(!c.probe(top ^ 1 << 47));
+        assert!(c.probe(top + LINE - 1));
+        assert_eq!(c.access(top - LINE, 2 * LINE as usize).hits, 1);
+    }
+}
+
+#[test]
+#[should_panic(expected = "48-bit address space")]
+fn address_at_2_pow_48_is_rejected() {
+    CacheSim::new(16 << 20, 16).touch(1 << 48);
+}
+
+#[test]
+#[should_panic(expected = "48-bit address space")]
+fn range_reaching_2_pow_48_is_rejected() {
+    CacheSim::new(64 << 10, 8).access((1 << 48) - LINE, LINE as usize + 1);
 }
 
 // ---- differential: the recency-ordered sets against the timestamp LRU ----
@@ -142,75 +221,158 @@ fn invalidate_vector(c: &mut CacheSim, addr: u64, len: usize) {
 /// Whether `a` and `b` hold the same tags in every set that a line of
 /// `[addr, addr + len)` maps to (the one set of `addr` when `len` is zero).
 fn same_sets(a: &CacheSim, b: &CacheSim, addr: u64, len: usize) -> bool {
+    fn same<T: Tag>(a: &Sets<T>, b: &Sets<T>, lines: impl Iterator<Item = u64>) -> bool {
+        lines.take(1 << a.set_mask.count_ones()).all(|line| {
+            let (i, j) = (a.base(line), b.base(line));
+            a.buf[i..i + a.ways] == b.buf[j..j + a.ways]
+        })
+    }
     let lines = addr / LINE..=(addr + len.max(1) as u64 - 1) / LINE;
-    lines.take(a.tags.len() / a.ways).all(|line| {
-        let set = (line & a.set_mask) as usize * a.ways..;
-        a.tags[set.clone()][..a.ways] == b.tags[set][..a.ways]
-    })
+    match (&a.tags, &b.tags) {
+        (Tags::Narrow(a), Tags::Narrow(b)) => same(a, b, lines),
+        (Tags::Wide(a), Tags::Wide(b)) => same(a, b, lines),
+        _ => false,
+    }
+}
+
+/// Runs [`DIFFERENTIAL_OPS`] random operations at addresses from `draw` on a
+/// `CacheSim` and the timestamp LRU, comparing every return value, and
+/// returns both. `CacheSim` invalidates with the vector walk and a clone of
+/// it with the scalar one; every other operation goes to both, and after each
+/// the sets it reached must be equal.
+fn differential(
+    capacity: usize,
+    ways: usize,
+    seed: u64,
+    mut draw: impl FnMut(&mut SplitMix64) -> u64,
+) -> (CacheSim, TimestampLru) {
+    let mut new = CacheSim::new(capacity, ways);
+    let mut old = TimestampLru::new(capacity, ways);
+    let mut scalar = new.clone();
+    let mut rng = SplitMix64::new(seed);
+    for op in 0..DIFFERENTIAL_OPS {
+        let addr = draw(&mut rng);
+        let what = rng.next_bounded(100);
+        let ctx = (capacity, ways, op, addr);
+        let mut reached = 0;
+        match what {
+            0..=34 => {
+                assert_eq!(new.touch(addr), old.touch(addr), "touch {ctx:?}");
+                scalar.touch(addr);
+            }
+            35..=59 => {
+                let len = draw_len(&mut rng);
+                assert_eq!(
+                    new.access(addr, len),
+                    old.access(addr, len),
+                    "access {ctx:?}"
+                );
+                scalar.access(addr, len);
+                reached = len;
+            }
+            60..=79 => assert_eq!(new.probe(addr), old.probe(addr), "probe {ctx:?}"),
+            80..=98 => {
+                let len = draw_len(&mut rng);
+                invalidate_vector(&mut new, addr, len);
+                scalar.invalidate_scalar(addr, len);
+                old.invalidate(addr, len);
+                reached = len;
+            }
+            _ if rng.next_bounded(2000) == 0 => {
+                new.clear();
+                scalar.clear();
+                old.clear();
+            }
+            // A host-only hint, to the new cache alone: the reference has
+            // no such call, so every later comparison also says that no
+            // interleaving of hints changes what the model returns.
+            _ => new.hint(addr),
+        }
+        assert!(
+            same_sets(&new, &scalar, addr, reached),
+            "vector and scalar walks differ after {ctx:?}"
+        );
+    }
+    assert_eq!(
+        stored(&new),
+        stored(&scalar),
+        "vector and scalar walks, {capacity} B"
+    );
+    // Every line `new` holds, decoded from its set and stored tag, is one
+    // the reference holds: no tag stands for another line.
+    let (ways, _) = geometry_of(&new);
+    for (i, &t) in stored(&new).iter().enumerate().filter(|(_, &t)| t != 0) {
+        let line = decode(&new, (i / ways) as u64, t);
+        assert!(old.probe(line * LINE), "line {line:#x} only in CacheSim");
+    }
+    (new, old)
 }
 
 #[test]
 fn matches_timestamp_lru_op_by_op() {
     for (capacity, ways) in GEOMETRIES {
-        let mut new = CacheSim::new(capacity, ways);
-        let mut old = TimestampLru::new(capacity, ways);
-        // `new` invalidates with the vector walk and `scalar` with the scalar
-        // one; every other operation goes to both, and after each the sets
-        // it reached must be equal.
-        let mut scalar = new.clone();
-        let mut rng = SplitMix64::new(capacity as u64 ^ 0x5EED);
-        for op in 0..DIFFERENTIAL_OPS {
-            let addr = draw_addr(&mut rng, capacity, ways);
-            let what = rng.next_bounded(100);
-            let ctx = (capacity, ways, op, addr);
-            let mut reached = 0;
-            match what {
-                0..=34 => {
-                    assert_eq!(new.touch(addr), old.touch(addr), "touch {ctx:?}");
-                    scalar.touch(addr);
-                }
-                35..=59 => {
-                    let len = draw_len(&mut rng);
-                    assert_eq!(
-                        new.access(addr, len),
-                        old.access(addr, len),
-                        "access {ctx:?}"
-                    );
-                    scalar.access(addr, len);
-                    reached = len;
-                }
-                60..=79 => assert_eq!(new.probe(addr), old.probe(addr), "probe {ctx:?}"),
-                80..=98 => {
-                    let len = draw_len(&mut rng);
-                    invalidate_vector(&mut new, addr, len);
-                    scalar.invalidate_scalar(addr, len);
-                    old.invalidate(addr, len);
-                    reached = len;
-                }
-                _ if rng.next_bounded(2000) == 0 => {
-                    new.clear();
-                    scalar.clear();
-                    old.clear();
-                }
-                // A host-only hint, to the new cache alone: the reference has
-                // no such call, so every later comparison also says that no
-                // interleaving of hints changes what the model returns.
-                _ => new.hint(addr),
-            }
-            assert!(
-                same_sets(&new, &scalar, addr, reached),
-                "vector and scalar walks differ after {ctx:?}"
-            );
-        }
-        assert_eq!(
-            new.tags, scalar.tags,
-            "vector and scalar walks, {capacity} B"
-        );
+        let (new, old) = differential(capacity, ways, capacity as u64 ^ 0x5EED, |rng| {
+            draw_addr(rng, capacity, ways)
+        });
         // Same residents at the end, over every address the run could draw.
         let span = (4 * capacity as u64).max(3 * capacity as u64 + 4 * LINE);
         for addr in (0..span).step_by(LINE as usize) {
             assert_eq!(new.probe(addr), old.probe(addr), "final probe {addr:#x}");
         }
+    }
+}
+
+/// Bases of the address regions the program's models touch: heap (`0x55…`)
+/// and mmap (`0x7f…`) addresses, the store index's synthetic `INDEX_BASE`,
+/// Fig. 13's synthetic array, and a heap address as protolite moves it
+/// (`^ 0x5000_0000_0000`).
+const REAL_BASES: [u64; 5] = [
+    0x5555_5556_a000,
+    0x7f3a_91c0_0000,
+    0x7000_0000_0000,
+    0x7800_0000_0000,
+    0x5555_5556_a000 ^ 0x5000_0000_0000,
+];
+
+/// Draws an address within 128 KiB of one of [`REAL_BASES`] (so walks cross
+/// the bases' power-of-two boundaries, where the set index wraps), then,
+/// three times in four, a rival line in its set: one of 3 × `ways` in the
+/// lowest tag bits (evictions) or in the highest below 2⁴⁸, or one differing
+/// only above bit 32 + 6 + `set_bits` — bits that 32 bits above the set
+/// index cannot hold — where such bits exist below 2⁴⁸. The draw stays
+/// [`draw_len`]'s longest range below 2⁴⁸.
+fn draw_real_addr(rng: &mut SplitMix64, ways: usize, set_bits: u32) -> u64 {
+    let base = REAL_BASES[rng.next_bounded(REAL_BASES.len() as u64) as usize];
+    let addr = base - (128 << 10) + rng.next_bounded(256 << 10);
+    let rival = rng.next_bounded(3 * ways as u64);
+    let above_32 = 32 + 6 + set_bits;
+    let addr = match rng.next_bounded(4) {
+        0 => addr,
+        1 => addr ^ rival << (6 + set_bits),
+        3 if above_32 < ADDR_BITS => {
+            addr ^ (1 + rng.next_bounded((1 << (ADDR_BITS - above_32)) - 1)) << above_32
+        }
+        _ => addr ^ rival << (ADDR_BITS - 6),
+    };
+    addr.min((1 << ADDR_BITS) - 4200)
+}
+
+/// The two machine profiles' geometries, the test profile's, and 1-way
+/// caches on either side of the tag-width boundary (2¹¹ and 2¹⁰ sets).
+#[test]
+fn matches_timestamp_lru_at_real_addresses() {
+    let geometries = [
+        (16 << 20, 16),
+        (128 << 20, 16),
+        (64 << 10, 8),
+        (128 << 10, 1),
+        (64 << 10, 1),
+    ];
+    for (capacity, ways) in geometries {
+        let set_bits = (capacity / LINE as usize / ways).ilog2();
+        differential(capacity, ways, capacity as u64 ^ 0xADD5, |rng| {
+            draw_real_addr(rng, ways, set_bits)
+        });
     }
 }
 
@@ -238,10 +400,12 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(op, 1..400)
 }
 
-/// Small geometries: one way, one set, the two unrolled widths, a generic one.
+/// Small geometries: one way, one set, the two unrolled widths, a generic one,
+/// and the smallest with 32-bit tags.
 fn geometry() -> impl Strategy<Value = (usize, usize)> {
     prop_oneof![
         Just((64, 1)),
+        Just((128 << 10, 1)),
         Just((256, 4)),
         Just((1 << 10, 2)),
         Just((2 << 10, 8)),
@@ -266,16 +430,24 @@ fn apply(c: &mut CacheSim, op: &Op) {
     }
 }
 
-/// Every set holds distinct valid tags that map to it, most recent first,
-/// with the invalid ways after them.
+/// The sets start on a 64-byte boundary, and every set holds distinct valid
+/// tags of lines in the address space, most recent first, with the invalid
+/// ways after them.
 fn check_layout(c: &CacheSim) -> Result<(), String> {
-    for (i, set) in c.tags.chunks_exact(c.ways).enumerate() {
+    if at_width!(&c.tags, sets => sets.buf[sets.start..].as_ptr().addr() % HOST_LINE != 0) {
+        return Err("sets are not 64-byte aligned".into());
+    }
+    let (ways, set_bits) = geometry_of(c);
+    for (i, set) in stored(c).chunks_exact(ways).enumerate() {
         let valid = set.iter().take_while(|&&t| t != 0).count();
         if set[valid..].iter().any(|&t| t != 0) {
             return Err(format!("set {i}: valid way after an invalid one: {set:?}"));
         }
         for (j, &t) in set[..valid].iter().enumerate() {
-            if (t - 1) & c.set_mask != i as u64 {
+            // The line the stored tag stands for in set `i` maps to set `i`
+            // and lies below 2^48 bytes.
+            let line = decode(c, i as u64, t);
+            if line & ((1 << set_bits) - 1) != i as u64 || line >> (ADDR_BITS - 6) != 0 {
                 return Err(format!("set {i}: tag {t} belongs to another set"));
             }
             if set[..j].contains(&t) {
@@ -305,19 +477,19 @@ proptest! {
         let mut c = CacheSim::new(capacity, ways);
         ops.iter().for_each(|op| apply(&mut c, op));
         c.touch(addr);
-        let line = addr / LINE;
-        let base = (line & c.set_mask) as usize * ways;
-        prop_assert_eq!(c.tags[base], line + 1);
+        let (set, tag) = set_and_tag(&c, addr / LINE);
+        prop_assert_eq!(set[0], tag);
     }
 
     #[test]
     fn probe_never_mutates((capacity, ways) in geometry(), ops in ops(), addr in 0u64..(16 << 10)) {
         let mut c = CacheSim::new(capacity, ways);
         ops.iter().for_each(|op| apply(&mut c, op));
-        let before = c.tags.clone();
+        let before = stored(&c);
         let resident = c.probe(addr);
-        prop_assert_eq!(&c.tags, &before);
-        prop_assert_eq!(resident, c.tags.contains(&(addr / LINE + 1)));
+        prop_assert_eq!(&stored(&c), &before);
+        let (set, tag) = set_and_tag(&c, addr / LINE);
+        prop_assert_eq!(resident, set.contains(&tag));
     }
 
     #[test]
@@ -340,7 +512,8 @@ proptest! {
             }
         }
         prop_assert_eq!(r, AccessResult { hits, misses: lines - hits });
-        prop_assert_eq!(&ranged.tags, &line_by_line.tags);
+        prop_assert_eq!(&stored(&ranged), &stored(&line_by_line));
+        prop_assert!(check_layout(&line_by_line).is_ok(), "clone: {:?}", check_layout(&line_by_line));
     }
 
     #[test]

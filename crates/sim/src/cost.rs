@@ -164,6 +164,18 @@ pub struct SimCore {
     pub observer: ObserverSlot,
 }
 
+impl SimCore {
+    /// Advances the clock by `ns`, attributes them to `cat` and tells the
+    /// observer: what every charge ends with. Returns `ns`.
+    #[inline]
+    fn apply(&mut self, cat: Category, ns: f64) -> f64 {
+        self.clock.advance_f(ns);
+        self.attribution.add(cat, ns);
+        self.observer.notify(cat, ns);
+        ns
+    }
+}
+
 /// Cheaply clonable handle to a [`SimCore`].
 ///
 /// All charging methods take `&self` and borrow the core internally; the
@@ -231,10 +243,7 @@ impl Sim {
 
     /// Charges `ns` nanoseconds to `cat`.
     pub fn charge(&self, cat: Category, ns: f64) {
-        let mut c = self.shared.core.borrow_mut();
-        c.clock.advance_f(ns);
-        c.attribution.add(cat, ns);
-        c.observer.notify(cat, ns);
+        self.shared.core.borrow_mut().apply(cat, ns);
     }
 
     /// Charges the cost of copying `len` bytes from `src` to `dst`.
@@ -253,10 +262,7 @@ impl Sim {
         let r = c.cache.access(src, len);
         c.cache.access(dst, len);
         let ns = self.shared.costs.copy_cost(r.hits, r.misses);
-        c.clock.advance_f(ns);
-        c.attribution.add(cat, ns);
-        c.observer.notify(cat, ns);
-        ns
+        c.apply(cat, ns)
     }
 
     /// Charges a write of `len` bytes at `dst` that does not read a source
@@ -268,10 +274,7 @@ impl Sim {
         let r = c.cache.access(dst, len);
         let ns = len as f64 * self.shared.costs.header_write_per_byte
             + r.misses as f64 * self.shared.costs.copy_line_hit;
-        c.clock.advance_f(ns);
-        c.attribution.add(cat, ns);
-        c.observer.notify(cat, ns);
-        ns
+        c.apply(cat, ns)
     }
 
     /// Charges a read of `len` bytes at `src` (e.g. parsing a received
@@ -281,10 +284,7 @@ impl Sim {
         let r = c.cache.access(src, len);
         let ns = r.misses as f64 * self.shared.costs.copy_line_miss
             + r.hits as f64 * self.shared.costs.copy_line_hit;
-        c.clock.advance_f(ns);
-        c.attribution.add(cat, ns);
-        c.observer.notify(cat, ns);
-        ns
+        c.apply(cat, ns)
     }
 
     /// Charges a pointer-chasing metadata access to the line containing
@@ -298,10 +298,7 @@ impl Sim {
         } else {
             self.shared.costs.meta_miss
         };
-        c.clock.advance_f(ns);
-        c.attribution.add(cat, ns);
-        c.observer.notify(cat, ns);
-        ns
+        c.apply(cat, ns)
     }
 
     /// Host-only hint that a charge is about to touch the modelled line of
@@ -321,10 +318,7 @@ impl Sim {
     pub fn charge_sg_entry(&self, cat: Category) -> f64 {
         let mut c = self.shared.core.borrow_mut();
         let ns = c.profile.nic.sg_entry_cost_ns();
-        c.clock.advance_f(ns);
-        c.attribution.add(cat, ns);
-        c.observer.notify(cat, ns);
-        ns
+        c.apply(cat, ns)
     }
 
     /// Charges the fixed per-packet datapath cost, split between RX and TX.

@@ -5,9 +5,11 @@
 # Usage: scripts/paper_figures.sh <dir>
 #
 # Comparing two checkouts: run this in each, then `diff -r <dir-a> <dir-b>`:
-# Figs. 2, 3, 5, 9, 10 and 13 repeat to the byte.
-# The other benches' numbers can follow the heap layout by tenths of a percent
-# (EXPERIMENTS.md preamble), so compare those over several allocator layouts.
+# Figs. 9, 10 and 13 repeat to the byte. Figs. 2, 3 and 5 repeat run to run,
+# but a change that resizes a long-lived allocation (the modelled LLC's tag
+# array, say) moves them by tenths of a percent, like the other benches, whose
+# numbers follow the heap layout (EXPERIMENTS.md preamble): compare those over
+# several allocator layouts.
 set -eu
 
 if [ $# -ne 1 ]; then
