@@ -298,8 +298,8 @@ fn cornflakes_service_time_beats_baselines_on_large_values() {
     }
 }
 
-/// Sends `payload` as the body of a well-formed frame: the NIC seals it with
-/// a valid FCS, so the bytes reach the request decoder.
+/// Sends `payload` as the body of a well-formed frame, so the bytes reach
+/// the request decoder.
 fn send_raw(client: &mut KvClient, mtype: u8, req_id: u32, payload: &[u8]) {
     let meta = FrameMeta {
         msg_type: mtype,
@@ -326,7 +326,7 @@ fn run_malformed_requests_are_counted(kind: SerKind) {
 
     client.send_get(&[b"key-a"]);
     client.send_put(b"key-b", &[7u8; 200]);
-    // Garbage behind a valid header and FCS, on every message type.
+    // Garbage behind a valid header, on every message type.
     for (i, mtype) in [msg_type::GET, msg_type::PUT, msg_type::GET_SEGMENT]
         .into_iter()
         .enumerate()

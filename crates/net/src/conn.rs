@@ -110,16 +110,17 @@ impl FlowIo {
     }
 
     /// The next segment off the NIC, charged the receive share of the
-    /// per-packet base. Runts are skipped. A frame failing its FCS comes
-    /// back as `Err(Corrupt)` for the owner to count: it is dropped
-    /// uncharged (checksum offload) and the sender's RTO recovers it.
+    /// per-packet base. Runts are skipped. A frame the NIC reports
+    /// corrupted on the wire comes back as `Err(Corrupt)` for the owner to
+    /// count: it is dropped uncharged (the CRC check is NIC work) and the
+    /// sender's RTO recovers it.
     pub fn recv_segment(&mut self) -> Option<Result<Segment, Corrupt>> {
         loop {
-            let frame = self.nic.recv_into_on(QUEUE, &self.ctx.pool)?;
+            let (frame, corrupted) = self.nic.recv_into_on(QUEUE, &self.ctx.pool)?;
             let Some(seg) = Segment::parse(frame) else {
                 continue;
             };
-            if !cf_nic::fcs_ok(seg.frame.as_slice()) {
+            if corrupted {
                 return Some(Err(Corrupt));
             }
             let costs = self.ctx.sim.costs();

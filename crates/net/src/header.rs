@@ -12,13 +12,10 @@
 //! traffic — and every golden fixture — is byte-identical to before the
 //! cluster layer existed.
 //!
-//! Within the otherwise-zero L2/L3 stub, bytes [`FCS_OFFSET`]`..+4` carry a
-//! CRC32 frame check sequence over the whole frame. The NIC writes it at
-//! transmit time (checksum offload, [`cf_nic::Frame::seal`]); the receive
-//! paths verify it with [`fcs_ok`] and drop corrupted frames, counted in
-//! the `net.*.rx_corrupt_drops` metrics.
-
-pub use cf_nic::frame::{fcs_ok, frame_fcs, FCS_OFFSET};
+//! No frame check sequence is written: the CRC check is NIC hardware work,
+//! so a frame corrupted on the wire arrives marked by the NIC
+//! ([`cf_nic::Nic::recv_into_on`]) and the receive paths drop it, counted
+//! in the `net.*.rx_corrupt_drops` metrics.
 
 use crate::udp::NetError;
 
@@ -203,29 +200,6 @@ mod tests {
         h.encode(&mut frame);
         assert!(frame[..34].iter().all(|&b| b == 0), "L2/L3 stub stays zero");
         assert_eq!(PacketHeader::frame_dst_host(&frame), 0);
-    }
-
-    #[test]
-    fn fcs_field_does_not_collide_with_header_fields() {
-        let h = PacketHeader {
-            src_port: 1,
-            dst_port: 2,
-            meta: FrameMeta {
-                msg_type: 5,
-                flags: 1,
-                req_id: 99,
-            },
-            payload_len: 0,
-            ..PacketHeader::default()
-        };
-        let mut frame = vec![0u8; HEADER_BYTES + 32];
-        h.encode(&mut frame);
-        let mut f = cf_nic::Frame::new(frame);
-        f.seal();
-        assert!(fcs_ok(&f.data));
-        let d = PacketHeader::decode(&f.data).unwrap();
-        assert_eq!(d.meta, h.meta);
-        assert_eq!((d.src_port, d.dst_port), (1, 2));
     }
 
     #[test]

@@ -360,12 +360,12 @@ impl UdpStack {
 
     /// Receives the next packet, if any (paper Listing 2's `recv_packet`).
     /// The payload is a zero-copy view into the pinned receive buffer.
-    /// Frames failing the CRC32 frame check sequence, and runt frames, are
+    /// Frames the NIC reports corrupted on the wire, and runt frames, are
     /// dropped (counted) and the next frame is tried. Shared-NIC stacks
     /// poll only their own queue.
     pub fn recv_packet(&mut self) -> Option<Packet> {
         loop {
-            let frame = self
+            let (frame, corrupted) = self
                 .nic
                 .borrow_mut()
                 .recv_into_on(self.queue, &self.ctx.pool)?;
@@ -373,8 +373,8 @@ impl UdpStack {
             self.ctx
                 .sim
                 .charge(Category::Rx, costs.per_packet_base * 0.45);
-            // FCS verification is NIC/checksum-offload work: not charged.
-            if !cf_nic::fcs_ok(frame.as_slice()) {
+            // The CRC check is NIC work: its verdict costs nothing here.
+            if corrupted {
                 self.counters.rx_corrupt_drops.inc();
                 continue;
             }

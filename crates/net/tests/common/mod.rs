@@ -47,16 +47,14 @@ pub fn fcs_boundary_bursts(len: usize) -> Vec<(usize, usize)> {
 }
 
 /// A header-only TCP segment as raw bytes, for drivers that play a peer
-/// without a stack behind it (unsealed: seal it with `Frame::seal` or send
-/// it through `PortHub::inject`).
+/// without a stack behind it.
 pub fn raw_segment(src: u16, dst: u16, seq: u32, ack: u32, flags: u8) -> Vec<u8> {
     cf_net::tcp::build_header(src, dst, seq, ack, flags).to_vec()
 }
 
-/// Seals `bytes` the way a transmitting NIC would and puts them on `wire`.
+/// Puts `bytes` on `wire` as one frame.
 pub fn send_raw(wire: &cf_nic::Port, bytes: Vec<u8>) {
-    let mut frame = cf_nic::Frame::new(bytes);
-    frame.seal();
+    let frame = cf_nic::Frame::new(bytes);
     wire.send(frame);
 }
 

@@ -161,8 +161,8 @@ fn corrupted_segment_is_dropped_and_retransmitted() {
     let payload = vec![0xA5u8; 900];
     send_msg(&mut a, &payload, false);
 
-    // Flip one bit in the in-flight segment: the FCS check at the receiver
-    // must reject it (counted) and the RTO must repair the loss.
+    // Flip one bit in the in-flight segment: the receiver must drop the
+    // marked frame (counted) and the RTO must repair the loss.
     let faults = b.install_faults(FaultPlan::none());
     assert!(faults.corrupt_pending(), "a frame was in flight to corrupt");
     b.poll().unwrap();

@@ -268,7 +268,7 @@ fn corrupt_frames_are_dropped_and_counted() {
     b.set_telemetry(&tele);
     let faults = b.install_faults(FaultPlan::none());
 
-    // First frame arrives corrupted: FCS rejects it silently.
+    // First frame arrives corrupted: the NIC's mark drops it silently.
     let payload = b"integrity matters";
     let mut tx = a.alloc_tx(payload.len()).unwrap();
     tx.write_at(cf_net::HEADER_BYTES, payload);
@@ -285,6 +285,17 @@ fn corrupt_frames_are_dropped_and_counted() {
     let pkt = b.recv_packet().expect("clean frame delivered");
     assert_eq!(&*pkt.payload, payload);
     assert_eq!(tele.counter_value("net.udp.rx_corrupt_drops"), 1);
+
+    // A corrupted runt, too short to hold bytes 18..22, is dropped as
+    // corrupt: every marked frame is, whatever its length.
+    a.nic()
+        .borrow()
+        .port()
+        .send(cf_nic::Frame::new(vec![0x5A; 10]));
+    assert!(faults.corrupt_pending(), "runt in flight to corrupt");
+    assert!(b.recv_packet().is_none(), "corrupt runt never surfaces");
+    assert_eq!(tele.counter_value("net.udp.rx_corrupt_drops"), 2);
+    assert_eq!(tele.counter_value("net.udp.rx_runt_drops"), 0);
 }
 
 #[test]

@@ -49,7 +49,8 @@ pub struct FaultPlan {
     /// Probability a frame is delivered twice (copy appended to the queue;
     /// copies are never duplicated again, so 1.0 still terminates).
     pub duplicate: f64,
-    /// Probability one random bit of the frame is flipped.
+    /// Probability one random bit of the frame is flipped (the frame then
+    /// arrives marked corrupted).
     pub corrupt: f64,
     /// Probability a frame is held back for a random delay.
     pub delay: f64,
@@ -193,11 +194,15 @@ impl FaultState {
     }
 
     /// Flips bits `first_bit..first_bit + burst` of `frame` (which must
-    /// contain them) and counts one corrupted frame.
+    /// contain them), marks it corrupted and counts one corrupted frame.
+    /// The mark is the receiving NIC's CRC verdict: the injector is the one
+    /// party that knows a frame was damaged, so no CRC is computed to find
+    /// out again.
     fn corrupt(&mut self, frame: &mut Frame, first_bit: usize, burst: usize) {
         for bit in first_bit..first_bit + burst {
             frame.data[bit / 8] ^= 1 << (bit % 8);
         }
+        frame.corrupted = true;
         self.counters.corrupted.inc();
     }
 

@@ -78,14 +78,11 @@ impl PortHub {
         self.endpoints.len()
     }
 
-    /// Injects a raw frame into the trunk toward the server, sealing its
-    /// FCS the way a transmitting NIC would. This is the attack-driver
-    /// hook: hand-rolled SYNs and segments enter the wire here without a
-    /// per-client stack behind them.
+    /// Injects a raw frame, byte for byte, into the trunk toward the
+    /// server. This is the attack-driver hook: hand-rolled SYNs and
+    /// segments enter the wire here without a per-client stack behind them.
     pub fn inject(&self, bytes: Vec<u8>) {
-        let mut f = Frame::new(bytes);
-        f.seal();
-        self.trunk.send(f);
+        self.trunk.send(Frame::new(bytes));
     }
 
     /// Forwards pending frames in both directions (clients in ascending
@@ -177,12 +174,12 @@ mod tests {
     }
 
     #[test]
-    fn injected_frames_reach_the_server_sealed() {
+    fn injected_frames_reach_the_server_intact() {
         let (server_side, trunk) = link();
         let hub = PortHub::new(trunk);
         hub.inject(frame_to(5000, 9000, 3));
         let frame = server_side.recv().expect("injected frame forwarded");
-        assert!(frame.fcs_ok(), "inject seals the FCS");
-        assert_eq!(frame.data[47], 3);
+        assert_eq!(frame.data, frame_to(5000, 9000, 3), "byte-identical");
+        assert!(!frame.corrupted, "unmarked");
     }
 }

@@ -22,8 +22,10 @@
 //!   pool is exhausted, frames are dropped and counted
 //!   ([`nic::NicStats::rx_nobuf_drops`]) — receive-descriptor starvation,
 //!   never a panic.
-//! - **Checksum offload** ([`frame::Frame::seal`]): every gathered frame
-//!   carries a CRC32 FCS so receivers detect wire corruption.
+//! - **Checksum offload**: the NIC's frame CRC check is hardware work, so
+//!   it is not computed here. A frame the fault layer corrupted arrives
+//!   marked, and [`nic::Nic::recv_into_on`] returns the mark with the
+//!   buffer for the stack to drop the frame.
 //! - **Deterministic fault injection** ([`fault::FaultPlan`],
 //!   [`frame::Port::install_faults`]): seeded drop / duplicate / reorder /
 //!   corrupt / delay schedules on either wire direction, replacing manual
@@ -34,12 +36,9 @@
 //! cost); the gather itself is NIC-side PCIe work, not CPU time, and is not
 //! charged to the virtual clock.
 
-// The crate's `unsafe` is all in `fcs`: the feature-detected calls into the
-// carry-less-multiply CRC kernels and the AVX-512 kernel's block loads.
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod fault;
-mod fcs;
 pub mod frame;
 pub mod hub;
 pub mod nic;
@@ -47,7 +46,7 @@ pub mod rss;
 pub mod switch;
 
 pub use fault::{FaultInjector, FaultPlan, FaultStats};
-pub use frame::{fcs_ok, frame_fcs, link, Frame, Port, FCS_OFFSET};
+pub use frame::{fcs_ok, frame_fcs, link, Frame, Port};
 pub use hub::{HubStats, PortHub};
 pub use nic::{frame_req_id, Nic, NicError, NicStats};
 pub use rss::{

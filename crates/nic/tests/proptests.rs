@@ -2,20 +2,20 @@
 //!
 //! Invariants:
 //! 1. Gather correctness: however a payload is split into scatter entries,
-//!    the delivered frame is the concatenation, byte-exact — except the
-//!    4-byte FCS field, which the NIC seals with a verifying CRC32.
+//!    the delivered frame is the concatenation, byte-exact.
 //! 2. Completion safety: every posted buffer keeps exactly one extra
 //!    reference until completions are polled.
 //! 3. Limits: entry counts above the NIC's maximum and frames above the
 //!    MTU are rejected without transmitting anything.
-//! 4. Detection: a wire error burst of up to 32 bits, anywhere in a frame
-//!    of any length up to the MTU, fails the sealed FCS — at a random
-//!    position and at every offset where the CRC kernels hand over.
+//! 4. Corruption marks: a frame the fault injector corrupts arrives marked
+//!    (through a delay too), and every frame it leaves untouched arrives
+//!    unmarked and byte-exact (a wire duplicate made before the corruption
+//!    too).
 
 use proptest::prelude::*;
 
 use cf_mem::{PinnedPool, PoolConfig, Registry};
-use cf_nic::{link, FaultPlan, Nic, FCS_OFFSET, MAX_FRAME};
+use cf_nic::{link, FaultPlan, Nic, MAX_FRAME};
 use cf_sim::{Clock, MachineProfile, Sim};
 
 fn setup() -> (Nic, Nic, PinnedPool) {
@@ -48,47 +48,23 @@ proptest! {
             .map(|p| pool.alloc_from(p).expect("alloc"))
             .collect();
         a.post_tx(entries).expect("post");
-        let rx = b.recv_into(&pool).expect("frame");
-        let expected: Vec<u8> = pieces.concat();
-        // The NIC owns the 4-byte FCS field (checksum offload seals it at
-        // post_tx); every other byte is the exact concatenation.
-        let rx_bytes = rx.as_slice();
-        prop_assert_eq!(rx_bytes.len(), expected.len());
-        for (i, (&got, &want)) in rx_bytes.iter().zip(expected.iter()).enumerate() {
-            if rx_bytes.len() >= cf_nic::FCS_OFFSET + 4
-                && (cf_nic::FCS_OFFSET..cf_nic::FCS_OFFSET + 4).contains(&i)
-            {
-                continue;
-            }
-            prop_assert_eq!(got, want, "byte {} differs", i);
-        }
-        prop_assert!(cf_nic::fcs_ok(rx_bytes), "sealed FCS verifies");
+        let (rx, _) = b.recv_into(&pool).expect("frame");
+        prop_assert_eq!(rx.as_slice(), &pieces.concat()[..]);
     }
 
     #[test]
-    fn error_bursts_fail_the_sealed_fcs(
-        len in FCS_OFFSET + 4..=MAX_FRAME,
-        fill in any::<u8>(),
-        place in any::<u64>(),
-        width in 1usize..=32,
+    fn corrupted_frames_and_only_they_arrive_marked(
+        frames in proptest::collection::vec(
+            (1usize..=MAX_FRAME, 0u8..4, any::<u64>(), 1usize..=32),
+            1..8,
+        ),
     ) {
         let (mut a, mut b, pool) = setup();
-        let faults = b.port().install_faults(Clock::new(), FaultPlan::none());
-        let bytes: Vec<u8> = (0..len).map(|i| fill.wrapping_add((i * 131) as u8)).collect();
-        // Where the FCS walk changes hands: around the masked field, the
-        // fold kernel's 64-byte groups and 16-byte lanes (counted from the
-        // frame start and from byte 22, where the body starts), the tail.
-        let boundaries = [
-            0, 17, 18, 19, 20, 21, 22, 37, 38, 63, 64, 85, 86, 127, 128,
-            len.saturating_sub(17), len - 1,
-        ];
-        let bursts = boundaries
-            .iter()
-            .flat_map(|&byte| [(8 * byte, 1), (8 * byte + 7, 2), (8 * byte + 3, width)])
-            .chain([(place as usize % (8 * len), width)])
-            .filter(|(first_bit, width)| first_bit + width <= 8 * len);
-        for (first_bit, width) in bursts {
-            // Two entries, so the error also lands either side of a
+        let clock = Clock::new();
+        let faults = b.port().install_faults(clock.clone(), FaultPlan::none());
+        for (len, op, place, width) in frames {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 131) as u8).collect();
+            // Two entries, so a burst also lands either side of a
             // scatter-gather seam.
             let (head, tail) = bytes.split_at(len / 3);
             let entries = [head, tail]
@@ -98,13 +74,29 @@ proptest! {
                 .collect();
             a.post_tx(entries).expect("post");
             a.poll_completions();
-            prop_assert!(faults.corrupt_pending_at(first_bit, width));
-            let rx = b.recv_into(&pool).expect("frame");
-            prop_assert!(
-                !cf_nic::fcs_ok(rx.as_slice()),
-                "{} bits flipped from bit {} of a {} B frame went undetected",
-                width, first_bit, len
-            );
+            let width = width.min(8 * len);
+            let first_bit = place as usize % (8 * len - width + 1);
+            // 0 untouched, 1 corrupted, 2 corrupted then delayed,
+            // 3 duplicated then corrupted (the copy is untouched).
+            if op == 3 {
+                prop_assert!(faults.duplicate_pending());
+            }
+            if op > 0 {
+                prop_assert!(faults.corrupt_pending_at(first_bit, width));
+            }
+            if op == 2 {
+                prop_assert!(faults.delay_pending(100));
+                prop_assert!(b.recv_into(&pool).is_none(), "held back");
+                clock.advance(100);
+            }
+            let (rx, corrupted) = b.recv_into(&pool).expect("frame");
+            prop_assert_eq!(corrupted, op > 0, "op {} on a {} B frame", op, len);
+            prop_assert_eq!(rx.as_slice() == &bytes[..], op == 0);
+            if op == 3 {
+                let (copy, corrupted) = b.recv_into(&pool).expect("wire copy");
+                prop_assert!(!corrupted, "the duplicate predates the corruption");
+                prop_assert_eq!(copy.as_slice(), &bytes[..]);
+            }
         }
         prop_assert_eq!(faults.pending(), 0);
     }

@@ -39,21 +39,19 @@ cargo test -q -p cf-kv --test codegen_parity --test differential
 cargo test -q -p cf-kv --test redis_and_echo
 cargo test -q -p cf-nic --test rss_proptests
 
-echo "==> fcs gate: the three CRC kernels and the masked frame pass against the bytewise reference, every length"
-cargo test -q -p cf-nic fcs
-
 echo "==> cost-model gate: CacheSim against the timestamp-LRU reference op by op, set-layout properties, rounding grid, charge replay"
 cargo test -q -p cf-sim --lib -- cache::tests round_ns_is_f64_round_on_the_pinned_grid replay_matches_recorded_clock_and_attribution
 
-echo "==> memory gate: cf-mem in release (bounds checks that must not wrap), then its unit + property tests, tests/memory_safety.rs, the wire-format differential (hostile offsets and counts through every decoder), cf-sim (the prefetch helper), cf-nic (the CRC kernels' vector loads), the store's and the codecs' tests (slice-vector recycling), the baseline libraries' tests and the serializer differential under AddressSanitizer"
+echo "==> memory gate: cf-mem in release (bounds checks that must not wrap), then its unit + property tests, tests/memory_safety.rs, the wire-format differential (hostile offsets and counts through every decoder), cf-sim (the prefetch helper), cf-nic (gather into and DMA out of pinned buffers), the store's and the codecs' tests (slice-vector recycling), the baseline libraries' tests and the serializer differential under AddressSanitizer"
 cargo test -q --release -p cf-mem
 # Why these crates: cf-mem is the unsafe boundary, and only the sanitizer
 # sees a region freed under a live RcBuf. The other unsafe code on the
 # request path is cf-sim's prefetch helper and feature-detected AVX2 walk,
-# cf-nic's feature-detected 512-bit and masked CRC loads, the store's
-# prefetches past the ends of real buffers and cf-kv `codec.rs`'s
-# slice-vector recycling; the differentials and the baselines' tests push
-# hostile input through every decoder.
+# the store's prefetches past the ends of real buffers and cf-kv
+# `codec.rs`'s slice-vector recycling. cf-nic has no `unsafe` of its own,
+# but its tests drive cf-mem's pinned buffers through every gather and
+# receive DMA; the differentials and the baselines' tests push hostile
+# input through every decoder.
 if cargo +nightly --version >/dev/null 2>&1; then
     # A target directory of its own (sanitized objects do not mix with the
     # others) and an explicit --target (so the flag skips build scripts).

