@@ -34,6 +34,8 @@
 //! of the library's allocating design is still charged on the virtual clock.
 //! The one-shot entry points are thin wrappers over the same code.
 
+#![forbid(unsafe_code)]
+
 pub mod capnlite;
 pub mod flatlite;
 pub mod protolite;

@@ -44,6 +44,8 @@
 //!   needs a smaller run passes its own sizes (or scales a copy of the
 //!   preset down inside its own test module).
 
+#![forbid(unsafe_code)]
+
 pub mod artifacts;
 pub mod experiments;
 pub mod harness;

@@ -35,10 +35,11 @@
 //!   `cluster.client.partition_suspects` rather than folded into the
 //!   failover count.
 //!
-//! Completed operations are optionally recorded into a
-//! [`ConsistencyHistory`] — `(key, op, version, invoke, complete)` —
-//! which the split-brain tests replay through its read-your-writes /
-//! monotonic-reads checker.
+//! Each completed operation — a clean put ack or Any-mode read, a
+//! concluded quorum read — is one [`FlightEvent::ClusterOp`] in the
+//! flight recorder the client's telemetry carries, beside the request's
+//! failovers; the split-brain tests replay those records through
+//! [`crate::history::check`].
 //!
 //! The client is deliberately closed-loop: one outstanding request at a
 //! time, matching the chaos-test driving pattern.
@@ -47,10 +48,9 @@ use cf_kv::client::{KvClient, Response, RetryConfig};
 use cf_kv::flags;
 use cf_kv::overload::{BreakerConfig, BreakerDecision, BreakerState, CircuitBreaker};
 use cf_sim::Sim;
-use cf_telemetry::{Counter, FlightEvent, Telemetry};
+use cf_telemetry::{Counter, FlightEvent, FlightRecorder, Telemetry};
 
-use crate::history::{ConsistencyHistory, OpKind, OpRecord};
-use crate::map::ClusterMap;
+use crate::map::{key_point, ClusterMap};
 
 /// Read-consistency policy for [`ClusterClient::send_get`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -76,7 +76,8 @@ struct Route {
     replicas: Vec<u8>,
     /// Index into `replicas` of the node currently targeted.
     idx: usize,
-    key: Vec<u8>,
+    /// The key's ring point.
+    key: u64,
     is_put: bool,
     invoke_ns: u64,
 }
@@ -120,7 +121,6 @@ pub struct ClusterClient {
     quorum_reads: Counter,
     read_repairs: Counter,
     partition_suspects: Counter,
-    history: ConsistencyHistory,
 }
 
 impl ClusterClient {
@@ -160,7 +160,6 @@ impl ClusterClient {
             quorum_reads: Counter::default(),
             read_repairs: Counter::default(),
             partition_suspects: Counter::default(),
-            history: ConsistencyHistory::disabled(),
         }
     }
 
@@ -183,18 +182,12 @@ impl ClusterClient {
             .enable_retries(cfg.for_client(base_seed, u64::from(self.host)));
     }
 
-    /// Records every completed operation into `history` (see
-    /// [`ConsistencyHistory`]): puts on clean acks, gets on clean
-    /// responses, quorum reads at their concluded version.
-    pub fn set_history(&mut self, history: &ConsistencyHistory) {
-        self.history = history.clone();
-    }
-
     /// Attaches `tele` to the wrapped [`KvClient`] (its `kv.client.*`,
     /// stack and NIC) and adopts `cluster.client.failovers`,
     /// `cluster.client.quorum_reads`, `cluster.client.read_repairs` and
     /// `cluster.client.partition_suspects`, holding whatever they have
-    /// counted so far; failover events join `tele`'s flight recorder.
+    /// counted so far; failover events and completed operations
+    /// ([`FlightEvent::ClusterOp`]) join `tele`'s flight recorder.
     pub fn set_telemetry(&mut self, tele: &Telemetry) {
         self.kv.set_telemetry(tele);
         tele.adopt_counter("cluster.client.failovers", &self.failovers);
@@ -204,6 +197,11 @@ impl ClusterClient {
             "cluster.client.partition_suspects",
             &self.partition_suspects,
         );
+    }
+
+    /// The flight recorder of the handle the wrapped client carries.
+    fn flight(&self) -> &FlightRecorder {
+        self.kv.stack.telemetry().flight()
     }
 
     /// Replica rotations performed due to suspected node failure.
@@ -314,7 +312,7 @@ impl ClusterClient {
             id,
             replicas,
             idx,
-            key: key.to_vec(),
+            key: key_point(key),
             is_put,
             invoke_ns: self.sim.now(),
         });
@@ -400,11 +398,8 @@ impl ClusterClient {
                 let next = route.replicas[route.idx % route.replicas.len()];
                 self.kv.stack.set_peer_host(next);
                 self.failovers.inc();
-                self.kv.stack.telemetry().flight().record(
-                    route.id,
-                    now,
-                    FlightEvent::Failover { node: next },
-                );
+                self.flight()
+                    .record(route.id, now, FlightEvent::Failover { node: next });
             }
             self.route = Some(route);
         }
@@ -430,10 +425,7 @@ impl ClusterClient {
         self.kv.stack.set_peer_host(next);
         self.kv.resend_now(q.id);
         self.failovers.inc();
-        self.kv
-            .stack
-            .telemetry()
-            .flight()
+        self.flight()
             .record(q.id, now, FlightEvent::Failover { node: next });
     }
 
@@ -490,17 +482,16 @@ impl ClusterClient {
                     } else {
                         self.breakers[cur as usize].on_success(now, route.id);
                         if resp.flags & flags::DEGRADED == 0 {
-                            self.history.record(OpRecord {
-                                key: route.key.clone(),
-                                op: if route.is_put {
-                                    OpKind::Put
-                                } else {
-                                    OpKind::Get
+                            self.flight().record(
+                                route.id,
+                                now,
+                                FlightEvent::ClusterOp {
+                                    put: route.is_put,
+                                    key: route.key,
+                                    version: resp.version,
+                                    invoke_ns: route.invoke_ns,
                                 },
-                                version: resp.version,
-                                invoke_ns: route.invoke_ns,
-                                complete_ns: now,
-                            });
+                            );
                         }
                     }
                 } else {
@@ -533,22 +524,22 @@ impl ClusterClient {
                         self.kv.stack.set_peer_host(*h);
                         self.kv.send_repair_put(&q.key, &val, best_version);
                         self.read_repairs.inc();
-                        self.kv.stack.telemetry().flight().record(
-                            q.id,
-                            now,
-                            FlightEvent::ReplicaPut { node: *h },
-                        );
+                        self.flight()
+                            .record(q.id, now, FlightEvent::ReplicaPut { node: *h });
                     }
                 }
             }
         }
-        self.history.record(OpRecord {
-            key: q.key,
-            op: OpKind::Get,
-            version: best_version,
-            invoke_ns: q.invoke_ns,
-            complete_ns: now,
-        });
+        self.flight().record(
+            q.id,
+            now,
+            FlightEvent::ClusterOp {
+                put: false,
+                key: key_point(&q.key),
+                version: best_version,
+                invoke_ns: q.invoke_ns,
+            },
+        );
         q.heard.into_iter().nth(best).expect("best reply exists").1
     }
 }

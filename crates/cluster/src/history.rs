@@ -1,14 +1,14 @@
-//! Consistency history: a bounded recorder of client-observed operations
-//! and a checker for per-key read-your-writes and monotonic reads over
-//! real-time order.
+//! Consistency history: a checker for per-key read-your-writes and
+//! monotonic reads over real-time order, run over the flight recorder.
 //!
 //! The cluster's replication layer is asynchronous at the edges (catch-up
 //! replay, read-repair), so "is a read allowed to return this value?" is
 //! a question about the *client's* observation history, not about any one
-//! replica's store. A [`ConsistencyHistory`] logs every operation a
-//! [`crate::ClusterClient`] completes — `(key, op, version, invoke_ts,
-//! complete_ts)` — and [`ConsistencyHistory::check`] replays the log
-//! against the session guarantees the quorum read path claims:
+//! replica's store. Every operation a [`crate::ClusterClient`] completes
+//! is one [`FlightEvent::ClusterOp`] in the recorder its telemetry handle
+//! carries — key point, op, version and invoke time, stamped at
+//! completion — and [`check`] replays those records against the session
+//! guarantees the quorum read path claims:
 //!
 //! - **Read-your-writes** (per key): a GET invoked after a PUT completed
 //!   must return a version at least that PUT's.
@@ -20,15 +20,13 @@
 //! that completed before this one was invoked* (real-time order; ops
 //! whose windows overlap are unordered and never constrain each other).
 //!
-//! The recorder follows the flight-recorder discipline
-//! ([`cf_telemetry::FlightRecorder`]): disabled by default (recording is
-//! a single `Option` branch, no allocation), preallocated ring when
-//! enabled, oldest record overwritten — and counted — on overflow.
-//! Cloning clones the handle, not the ring, so one history can be shared
-//! across the client and the test harness.
+//! A key is its 64-bit ring point ([`crate::map::key_point`]): two keys
+//! share one only on a hash collision, which can add a violation but
+//! never hide one. A violation names the requests on both sides, so the
+//! same recorder's [`cf_telemetry::FlightRecorder::events_for`] explains
+//! it.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use cf_telemetry::{FlightEvent, FlightRecord};
 
 /// Which operation the client completed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,31 +37,15 @@ pub enum OpKind {
     Put,
 }
 
-/// One client-observed operation. `invoke_ns`/`complete_ns` are the
-/// client's virtual clock at send and at response; `version` is the
-/// coordinator-assigned per-key version the reply carried (0 =
-/// unversioned, e.g. a preloaded key never written through the cluster).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OpRecord {
-    /// The key operated on.
-    pub key: Vec<u8>,
-    /// Read or write.
-    pub op: OpKind,
-    /// Version observed (GET) or assigned (PUT ack).
-    pub version: u64,
-    /// Client clock when the request was sent.
-    pub invoke_ns: u64,
-    /// Client clock when the response was received.
-    pub complete_ns: u64,
-}
-
-/// One consistency violation found by [`ConsistencyHistory::check`]: a
-/// GET observed `saw` although an operation that completed before the
-/// GET was invoked had already observed `floor > saw`.
+/// One consistency violation found by [`check`]: a GET observed `saw`
+/// although an operation that completed before the GET was invoked had
+/// already observed `floor > saw`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Violation {
-    /// The key whose history is inconsistent.
-    pub key: Vec<u8>,
+    /// The ring point of the key whose history is inconsistent.
+    pub key: u64,
+    /// The violating GET's request id.
+    pub req_id: u32,
     /// The stale version the GET returned.
     pub saw: u64,
     /// The newest version already observed before the GET was invoked.
@@ -71,125 +53,63 @@ pub struct Violation {
     /// Whether the floor came from a PUT (read-your-writes) or a GET
     /// (monotonic reads).
     pub floor_op: OpKind,
+    /// The request id of the operation that observed `floor`.
+    pub floor_req_id: u32,
     /// Invoke timestamp of the violating GET.
     pub invoke_ns: u64,
 }
 
-#[derive(Debug)]
-struct Ring {
-    ops: Vec<OpRecord>,
-    capacity: usize,
-    /// Next write slot once the ring has wrapped.
-    head: usize,
-    dropped: u64,
+/// Checks the [`FlightEvent::ClusterOp`] records among `records` (oldest
+/// first) for per-key read-your-writes and monotonic-reads violations
+/// over real-time order; returns every violating GET (empty =
+/// consistent).
+///
+/// For each GET `g`, the *floor* is the highest version observed by any
+/// operation on the same key that completed before `g` was invoked (its
+/// stamp `<= g`'s `invoke_ns` — concurrent, overlapping ops don't
+/// constrain each other). A GET returning `version < floor` went
+/// backwards in time: either past a write this client already saw
+/// acknowledged (read-your-writes) or past a read it already performed
+/// (monotonic reads).
+pub fn check(records: &[FlightRecord]) -> Vec<Violation> {
+    let ops: Vec<_> = records
+        .iter()
+        .filter_map(|r| Some((r, cluster_op(r)?)))
+        .collect();
+    let mut violations = Vec::new();
+    for &(g, (put, key, saw, invoke_ns)) in &ops {
+        if put {
+            continue;
+        }
+        let floor = ops
+            .iter()
+            .filter(|(f, (_, k, _, _))| *k == key && f.ts_ns <= invoke_ns)
+            .max_by_key(|(_, (_, _, version, _))| *version);
+        if let Some(&(f, (put, _, floor, _))) = floor.filter(|(_, (_, _, v, _))| saw < *v) {
+            violations.push(Violation {
+                key,
+                req_id: g.req_id,
+                saw,
+                floor,
+                floor_op: if put { OpKind::Put } else { OpKind::Get },
+                floor_req_id: f.req_id,
+                invoke_ns,
+            });
+        }
+    }
+    violations
 }
 
-/// Bounded, shared recorder of client-observed operations. See the
-/// module docs.
-#[derive(Clone, Debug, Default)]
-pub struct ConsistencyHistory {
-    inner: Option<Rc<RefCell<Ring>>>,
-}
-
-impl ConsistencyHistory {
-    /// A disabled recorder: [`ConsistencyHistory::record`] is a single
-    /// branch, no allocation.
-    pub fn disabled() -> Self {
-        ConsistencyHistory { inner: None }
-    }
-
-    /// An enabled recorder holding the newest `capacity` operations.
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "a zero-capacity history records nothing");
-        ConsistencyHistory {
-            inner: Some(Rc::new(RefCell::new(Ring {
-                ops: Vec::with_capacity(capacity),
-                capacity,
-                head: 0,
-                dropped: 0,
-            }))),
-        }
-    }
-
-    /// Whether recording is enabled.
-    pub fn enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Appends one completed operation; overwrites (and counts) the
-    /// oldest once the ring is full. No-op when disabled.
-    pub fn record(&self, op: OpRecord) {
-        let Some(inner) = &self.inner else { return };
-        let mut ring = inner.borrow_mut();
-        if ring.ops.len() < ring.capacity {
-            ring.ops.push(op);
-            return;
-        }
-        let head = ring.head;
-        ring.ops[head] = op;
-        ring.head = (head + 1) % ring.capacity;
-        ring.dropped += 1;
-    }
-
-    /// Operations currently held, oldest first.
-    pub fn ops(&self) -> Vec<OpRecord> {
-        let Some(inner) = &self.inner else {
-            return Vec::new();
-        };
-        let ring = inner.borrow();
-        let mut out = Vec::with_capacity(ring.ops.len());
-        out.extend_from_slice(&ring.ops[ring.head..]);
-        out.extend_from_slice(&ring.ops[..ring.head]);
-        out
-    }
-
-    /// Operations recorded and still held.
-    pub fn len(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.borrow().ops.len())
-    }
-
-    /// Whether no operations are held.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Operations overwritten because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.borrow().dropped)
-    }
-
-    /// Checks the held history for per-key read-your-writes and
-    /// monotonic-reads violations over real-time order; returns every
-    /// violating GET (empty = history is consistent).
-    ///
-    /// For each GET `g`, the *floor* is the highest version observed by
-    /// any operation on the same key that completed before `g` was
-    /// invoked (`complete_ns <= g.invoke_ns` — concurrent, overlapping
-    /// ops don't constrain each other). A GET returning `version <
-    /// floor` went backwards in time: either past a write this client
-    /// already saw acknowledged (read-your-writes) or past a read it
-    /// already performed (monotonic reads).
-    pub fn check(&self) -> Vec<Violation> {
-        let ops = self.ops();
-        let mut violations = Vec::new();
-        for g in ops.iter().filter(|o| o.op == OpKind::Get) {
-            let floor = ops
-                .iter()
-                .filter(|o| o.key == g.key && o.complete_ns <= g.invoke_ns)
-                .max_by_key(|o| o.version);
-            if let Some(f) = floor {
-                if g.version < f.version {
-                    violations.push(Violation {
-                        key: g.key.clone(),
-                        saw: g.version,
-                        floor: f.version,
-                        floor_op: f.op,
-                        invoke_ns: g.invoke_ns,
-                    });
-                }
-            }
-        }
-        violations
+/// A [`FlightEvent::ClusterOp`] record's `(put, key, version, invoke_ns)`.
+fn cluster_op(r: &FlightRecord) -> Option<(bool, u64, u64, u64)> {
+    match r.event {
+        FlightEvent::ClusterOp {
+            put,
+            key,
+            version,
+            invoke_ns,
+        } => Some((put, key, version, invoke_ns)),
+        _ => None,
     }
 }
 
@@ -197,85 +117,79 @@ impl ConsistencyHistory {
 mod tests {
     use super::*;
 
-    fn op(key: &[u8], op: OpKind, version: u64, invoke: u64, complete: u64) -> OpRecord {
-        OpRecord {
-            key: key.to_vec(),
-            op,
-            version,
-            invoke_ns: invoke,
-            complete_ns: complete,
+    /// Request `req_id` on key point `key` completed at `complete`.
+    fn op(
+        req_id: u32,
+        put: bool,
+        key: u64,
+        version: u64,
+        invoke: u64,
+        complete: u64,
+    ) -> FlightRecord {
+        FlightRecord {
+            req_id,
+            ts_ns: complete,
+            event: FlightEvent::ClusterOp {
+                put,
+                key,
+                version,
+                invoke_ns: invoke,
+            },
         }
     }
 
     #[test]
-    fn disabled_recorder_records_nothing() {
-        let h = ConsistencyHistory::disabled();
-        h.record(op(b"k", OpKind::Put, 1, 0, 10));
-        assert!(!h.enabled());
-        assert!(h.is_empty());
-        assert!(h.check().is_empty());
-    }
-
-    #[test]
     fn consistent_history_passes() {
-        let h = ConsistencyHistory::with_capacity(16);
-        h.record(op(b"k", OpKind::Put, 1, 0, 10));
-        h.record(op(b"k", OpKind::Get, 1, 20, 30));
-        h.record(op(b"k", OpKind::Put, 2, 40, 50));
-        h.record(op(b"k", OpKind::Get, 2, 60, 70));
-        assert!(h.check().is_empty());
+        let ops = [
+            op(1, true, 7, 1, 0, 10),
+            op(2, false, 7, 1, 20, 30),
+            op(3, true, 7, 2, 40, 50),
+            op(4, false, 7, 2, 60, 70),
+        ];
+        assert!(check(&ops).is_empty());
     }
 
     #[test]
     fn read_your_writes_violation_detected() {
-        let h = ConsistencyHistory::with_capacity(16);
-        h.record(op(b"k", OpKind::Put, 2, 0, 10));
         // Invoked after the put completed, but saw version 1.
-        h.record(op(b"k", OpKind::Get, 1, 20, 30));
-        let v = h.check();
+        let v = check(&[op(1, true, 7, 2, 0, 10), op(2, false, 7, 1, 20, 30)]);
         assert_eq!(v.len(), 1);
         assert_eq!((v[0].saw, v[0].floor), (1, 2));
         assert_eq!(v[0].floor_op, OpKind::Put);
+        assert_eq!((v[0].req_id, v[0].floor_req_id), (2, 1));
     }
 
     #[test]
     fn monotonic_reads_violation_detected() {
-        let h = ConsistencyHistory::with_capacity(16);
-        h.record(op(b"k", OpKind::Get, 3, 0, 10));
-        h.record(op(b"k", OpKind::Get, 2, 20, 30));
-        let v = h.check();
+        let v = check(&[op(1, false, 7, 3, 0, 10), op(2, false, 7, 2, 20, 30)]);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].floor_op, OpKind::Get);
     }
 
     #[test]
     fn concurrent_ops_do_not_constrain_each_other() {
-        let h = ConsistencyHistory::with_capacity(16);
         // The put completes at 50; the get was invoked at 20 — their
         // windows overlap, so the old version is a legal return.
-        h.record(op(b"k", OpKind::Put, 2, 0, 50));
-        h.record(op(b"k", OpKind::Get, 1, 20, 60));
-        assert!(h.check().is_empty());
+        assert!(check(&[op(1, true, 7, 2, 0, 50), op(2, false, 7, 1, 20, 60)]).is_empty());
     }
 
     #[test]
     fn keys_are_independent() {
-        let h = ConsistencyHistory::with_capacity(16);
-        h.record(op(b"a", OpKind::Put, 5, 0, 10));
-        h.record(op(b"b", OpKind::Get, 1, 20, 30));
-        assert!(h.check().is_empty());
+        assert!(check(&[op(1, true, 5, 5, 0, 10), op(2, false, 6, 1, 20, 30)]).is_empty());
     }
 
     #[test]
-    fn ring_overwrites_oldest_and_counts() {
-        let h = ConsistencyHistory::with_capacity(2);
-        h.record(op(b"k", OpKind::Put, 1, 0, 1));
-        h.record(op(b"k", OpKind::Put, 2, 2, 3));
-        h.record(op(b"k", OpKind::Put, 3, 4, 5));
-        assert_eq!(h.len(), 2);
-        assert_eq!(h.dropped(), 1);
-        let ops = h.ops();
-        assert_eq!(ops[0].version, 2, "oldest surviving record first");
-        assert_eq!(ops[1].version, 3);
+    fn other_events_are_ignored() {
+        let failover = FlightRecord {
+            req_id: 2,
+            ts_ns: 25,
+            event: FlightEvent::Failover { node: 1 },
+        };
+        let ops = [
+            op(1, true, 7, 1, 0, 10),
+            failover,
+            op(2, false, 7, 1, 20, 30),
+        ];
+        assert!(check(&ops).is_empty());
     }
 }

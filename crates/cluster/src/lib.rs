@@ -23,9 +23,10 @@
 //!   cluster-wide via each replica's dedup window. Reads run under a
 //!   selectable [`ReadMode`]: any-replica (fast, no staleness bound) or
 //!   majority quorum with version-ordered read-repair.
-//! - [`ConsistencyHistory`] — a bounded recorder of client-observed
-//!   operations plus a checker for per-key read-your-writes and
-//!   monotonic reads, the oracle the split-brain tests assert against.
+//! - [`history::check`] — the checker for per-key read-your-writes and
+//!   monotonic reads over the operations clients record as
+//!   [`cf_telemetry::FlightEvent::ClusterOp`] flight events, the oracle
+//!   the split-brain tests assert against.
 //! - [`Cluster`] — the assembled harness: shared virtual clock, switch
 //!   fault primitives (`kill`, `partition`), and telemetry wiring.
 //!
@@ -34,6 +35,8 @@
 //! replay) funnels through the same per-shard dedup window keyed by the
 //! client's request id, so any delivery pattern the switch and fault
 //! injectors produce applies each put at most once per replica.
+
+#![forbid(unsafe_code)]
 
 pub mod client;
 pub mod cluster;
@@ -44,7 +47,7 @@ pub mod version;
 
 pub use client::{ClusterClient, ReadMode};
 pub use cluster::{Cluster, ClusterConfig};
-pub use history::{ConsistencyHistory, OpKind, OpRecord, Violation};
+pub use history::{OpKind, Violation};
 pub use map::ClusterMap;
 pub use node::ClusterNode;
 

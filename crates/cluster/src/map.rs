@@ -10,20 +10,17 @@
 //! client and node computes the same map independently, with no
 //! membership protocol on the wire.
 
+use cf_kv::store::fnv1a;
 use cf_sim::rng::SplitMix64;
 
 /// Virtual ring points contributed per node.
 const VNODES: usize = 32;
 
-/// Deterministic 64-bit hash of key bytes (FNV-1a folded through a
-/// SplitMix64 finalizer so short keys still spread over the ring).
-fn key_point(key: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in key {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    SplitMix64::new(h).next_u64()
+/// A key's position on the ring: the store's FNV-1a folded through a
+/// SplitMix64 finalizer so short keys still spread over the ring. Also
+/// the key a `ClusterOp` flight event carries.
+pub fn key_point(key: &[u8]) -> u64 {
+    SplitMix64::new(fnv1a(key)).next_u64()
 }
 
 /// The cluster's consistent-hash placement map.
@@ -130,6 +127,27 @@ mod tests {
                 "node {node} owns {share}/2000 primaries — ring is pathologically unbalanced"
             );
         }
+    }
+
+    #[test]
+    fn placement_is_pinned() {
+        // Recorded placements: a change to `fnv1a`, `key_point` or the
+        // ring's seeds moves keys between nodes.
+        let map = ClusterMap::new(3);
+        let got: Vec<Vec<u8>> = (0..8)
+            .map(|i| map.replicas_for(cf_workloads::key_string(i).as_bytes(), 3))
+            .collect();
+        let want = [
+            [0, 2, 1],
+            [0, 1, 2],
+            [2, 1, 0],
+            [2, 0, 1],
+            [2, 0, 1],
+            [0, 1, 2],
+            [2, 1, 0],
+            [1, 2, 0],
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]

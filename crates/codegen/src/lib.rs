@@ -34,6 +34,8 @@
 //! cf_codegen::generate_to_file("schema/kv.proto", &out).unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod emit;
 pub mod parser;

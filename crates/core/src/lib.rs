@@ -36,6 +36,8 @@
 //! against; the byte layout itself is pinned by recorded fixtures
 //! (`tests/golden/core_msgs/`).
 
+#![forbid(unsafe_code)]
+
 // Generated code names this crate by its external path; `msgs` includes
 // generated code, so the path must resolve from inside the crate too.
 extern crate self as cornflakes_core;

@@ -452,19 +452,15 @@ impl SpareFields {
 }
 
 /// Recycles a slice-scratch vector for storage between messages: emptied,
-/// then retagged `'static` so it can live in the codec. Taking it back out
-/// needs no unsafety — `Vec` is covariant, so the `'static` tag shortens to
-/// the next message's lifetime implicitly.
+/// then retagged `'static` so it can live in the codec. The retagging is a
+/// collect over the empty vector, which std runs in place (same element
+/// layout), so the allocation is kept (`tests/hotpath_zero_alloc.rs` would
+/// count a fresh one per message). Taking it back out needs nothing —
+/// `Vec` is covariant, so the `'static` tag shortens to the next message's
+/// lifetime implicitly.
 fn recycle_slices(mut v: Vec<&[u8]>) -> Vec<&'static [u8]> {
     v.clear();
-    let ptr = v.as_mut_ptr();
-    let cap = v.capacity();
-    std::mem::forget(v);
-    // SAFETY: the vector was emptied above, so no borrowed slice survives
-    // into the returned vector; `len == 0` means no `&'static [u8]` value
-    // is ever fabricated. Only the allocation is reused, and the element
-    // layout is identical on both sides of the cast.
-    unsafe { Vec::from_raw_parts(ptr.cast::<&'static [u8]>(), 0, cap) }
+    v.into_iter().map(|_| -> &'static [u8] { &[] }).collect()
 }
 
 impl GetM for FlatGetMView<'_> {

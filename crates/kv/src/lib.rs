@@ -24,6 +24,8 @@
 //! - [`msgs`] — the schema-generated message type (`GetMsg`), compiled by
 //!   `cf-codegen` from `schema/kv.proto` at build time.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 mod codec;
 pub mod echo;

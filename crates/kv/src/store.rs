@@ -157,7 +157,7 @@ pub struct KvStore {
 
 /// FNV-1a, 64-bit: the one hash behind the modelled index lines, the host
 /// slot and the preload fill byte.
-pub(crate) fn fnv1a(key: &[u8]) -> u64 {
+pub fn fnv1a(key: &[u8]) -> u64 {
     key.iter().fold(0xcbf29ce484222325, |h, &b| {
         (h ^ b as u64).wrapping_mul(0x100000001b3)
     })

@@ -21,6 +21,8 @@
 //!   (§6.2.3). [`flow::TcpListener`] serves many such connections from a
 //!   bounded slab; both run the same per-connection state machine.
 
+#![forbid(unsafe_code)]
+
 mod conn;
 pub mod flow;
 mod gather;

@@ -2,19 +2,19 @@
 
 #![allow(dead_code)] // each test binary uses its own subset
 
-/// Frame lengths on either side of the FCS kernels' hand-overs (the body
-/// starts at byte 22): too short to fold, exactly one 64-byte fold group,
-/// two groups, four groups plus a one-byte tail, a standard-MTU frame, the
-/// `get_large` reply, and the largest frame the NIC takes.
-pub const FCS_FRAME_LENS: [usize; 7] = [60, 86, 150, 279, 1500, 4274, cf_nic::MAX_FRAME];
+/// Frame lengths the burst tests corrupt: the 60-byte minimum, three short
+/// frames on and off 64-byte multiples of the payload (which starts at byte
+/// 22), a standard-MTU frame, the `get_large` reply, and the largest frame
+/// the NIC takes.
+pub const BURST_FRAME_LENS: [usize; 7] = [60, 86, 150, 279, 1500, 4274, cf_nic::MAX_FRAME];
 
-/// Error bursts `(first_bit, width)` placed where the FCS computation
-/// changes hands in a frame of `len` bytes: the first byte, either side of
-/// and inside the masked field (bytes 18..22), the 64-byte groups of the
-/// fold kernel (measured from byte 22, where the body starts, and from
-/// byte 0), and the tail the portable kernel finishes. CRC32 detects every
-/// burst of at most 32 bits, so a receiver must drop each one.
-pub fn fcs_boundary_bursts(len: usize) -> Vec<(usize, usize)> {
+/// Error bursts `(first_bit, width)`, 1 to 32 bits wide, spread over a
+/// frame of `len` bytes: the first byte, the header either side of and
+/// inside the old CRC field (bytes 18..22, zero on the wire), the payload's
+/// first byte (22) and offsets 63 to 128 across it, and the frame's last
+/// bytes. The fault injector marks every frame it corrupts, so a receiver
+/// must drop each one.
+pub fn error_bursts(len: usize) -> Vec<(usize, usize)> {
     let offsets = [
         0,
         17,

@@ -282,7 +282,7 @@ fn per_flow_reasm_cap_bounds_a_slow_drip_reader() {
 }
 
 #[test]
-fn error_bursts_at_every_fcs_kernel_boundary_are_dropped_counted_and_repaired() {
+fn error_bursts_across_the_frame_are_dropped_counted_and_repaired() {
     let (mut listener, mut hub, sim, clock) = rig(FlowConfig::default());
     let tele = Telemetry::attach(&sim);
     listener.set_telemetry(&tele);
@@ -291,12 +291,12 @@ fn error_bursts_at_every_fcs_kernel_boundary_are_dropped_counted_and_repaired() 
     let to_client = client.install_faults(cf_nic::FaultPlan::none());
 
     let mut drops = 0;
-    for len in common::FCS_FRAME_LENS {
+    for len in common::BURST_FRAME_LENS {
         // One message is one segment: TCP header, length prefix, bytes.
         let data: Vec<u8> = (0..len - cf_net::tcp::TCP_HEADER_BYTES - 4)
             .map(|i| (i * 37 + len) as u8)
             .collect();
-        for (first_bit, width) in common::fcs_boundary_bursts(len) {
+        for (first_bit, width) in common::error_bursts(len) {
             client.send_bytes(&data).unwrap();
             hub.pump();
             assert!(to_listener.corrupt_pending_at(first_bit, width));

@@ -178,7 +178,7 @@ fn corrupted_segment_is_dropped_and_retransmitted() {
 }
 
 #[test]
-fn error_bursts_at_every_fcs_kernel_boundary_are_dropped_counted_and_repaired() {
+fn error_bursts_across_the_frame_are_dropped_counted_and_repaired() {
     use cf_telemetry::Telemetry;
 
     let (mut a, mut b, clock) = established_pair();
@@ -188,12 +188,12 @@ fn error_bursts_at_every_fcs_kernel_boundary_are_dropped_counted_and_repaired() 
     let to_a = a.install_faults(FaultPlan::none());
 
     let mut drops = 0;
-    for len in common::FCS_FRAME_LENS {
+    for len in common::BURST_FRAME_LENS {
         // One message is one segment: TCP header, length prefix, bytes.
         let data: Vec<u8> = (0..len - cf_net::tcp::TCP_HEADER_BYTES - 4)
             .map(|i| (i * 29 + len) as u8)
             .collect();
-        for (first_bit, width) in common::fcs_boundary_bursts(len) {
+        for (first_bit, width) in common::error_bursts(len) {
             a.send_bytes(&data).unwrap();
             assert!(to_b.corrupt_pending_at(first_bit, width));
             b.poll().unwrap();

@@ -299,7 +299,7 @@ fn corrupt_frames_are_dropped_and_counted() {
 }
 
 #[test]
-fn error_bursts_at_every_fcs_kernel_boundary_are_dropped_and_counted() {
+fn error_bursts_across_the_frame_are_dropped_and_counted() {
     use cf_nic::FaultPlan;
     use cf_telemetry::Telemetry;
 
@@ -315,11 +315,11 @@ fn error_bursts_at_every_fcs_kernel_boundary_are_dropped_and_counted() {
     };
 
     let mut drops = 0;
-    for len in common::FCS_FRAME_LENS {
+    for len in common::BURST_FRAME_LENS {
         let payload: Vec<u8> = (0..len - cf_net::HEADER_BYTES)
             .map(|i| (i * 31 + len) as u8)
             .collect();
-        for (first_bit, width) in common::fcs_boundary_bursts(len) {
+        for (first_bit, width) in common::error_bursts(len) {
             send(&mut a, &payload);
             assert!(faults.corrupt_pending_at(first_bit, width));
             assert!(

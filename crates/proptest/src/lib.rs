@@ -23,6 +23,8 @@
 //!
 //! [`proptest`]: https://docs.rs/proptest
 
+#![forbid(unsafe_code)]
+
 pub mod test_runner {
     //! Deterministic test configuration and RNG.
 

@@ -102,6 +102,15 @@ pub enum FlightEvent {
     /// A rejoined replica received this put via catch-up log replay from
     /// `node`.
     CatchupReplay { node: u8 },
+    /// Cluster client completed an operation at this record's stamp: a put
+    /// acked (`put`) or a get answered at `version`, for the key at ring
+    /// point `key`, sent at `invoke_ns`. The consistency checker's input.
+    ClusterOp {
+        put: bool,
+        key: u64,
+        version: u64,
+        invoke_ns: u64,
+    },
     /// A span closed: phase `name`, opened `depth` spans deep, ran
     /// `dur_ns` (the record is stamped at its close), and `self_ns` was
     /// charged while it was the innermost open span.
@@ -145,6 +154,7 @@ impl FlightEvent {
             FlightEvent::ReplicaAck { .. } => "replica_ack",
             FlightEvent::Failover { .. } => "failover",
             FlightEvent::CatchupReplay { .. } => "catchup_replay",
+            FlightEvent::ClusterOp { .. } => "cluster_op",
             FlightEvent::Span { name, .. } => name,
         }
     }
@@ -173,6 +183,7 @@ impl FlightEvent {
             | FlightEvent::ReplicaAck { node }
             | FlightEvent::Failover { node }
             | FlightEvent::CatchupReplay { node } => Some(("node", u64::from(node))),
+            FlightEvent::ClusterOp { version, .. } => Some(("version", version)),
             FlightEvent::Span { dur_ns, .. } => Some(("dur_ns", dur_ns)),
             _ => None,
         }
@@ -548,6 +559,12 @@ mod tests {
             FlightEvent::ReplicaAck { node: 0 },
             FlightEvent::Failover { node: 0 },
             FlightEvent::CatchupReplay { node: 0 },
+            FlightEvent::ClusterOp {
+                put: false,
+                key: 0,
+                version: 0,
+                invoke_ns: 0,
+            },
         ];
         let mut labels: Vec<&str> = events.iter().map(|e| e.label()).collect();
         labels.sort_unstable();

@@ -20,6 +20,8 @@
 //! key (hash-quantile sampling), so a store's contents are consistent no
 //! matter in which order keys are touched.
 
+#![forbid(unsafe_code)]
+
 pub mod cdn;
 pub mod google;
 pub mod twitter;

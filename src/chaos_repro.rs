@@ -6,9 +6,12 @@
 //! the case's identity (test name, fault-plan seed, free-form
 //! parameters) plus every flight-recorder timeline captured during the
 //! run to `target/chaos_repro.json`, then re-raises the panic so the
-//! test still fails. Re-running with `CF_CHAOS_SEED=<seed>` style
-//! overrides (or just the recorded parameters) reproduces the case
-//! deterministically — the artifact is the bridge between "CI went red"
+//! test still fails. Every case is a deterministic function of its seed
+//! and parameters, so calling the suite's case function with the
+//! recorded values, from a test of its own, replays it: `run_case` in
+//! `tests/cluster_chaos.rs`, `run_quorum_case` in
+//! `tests/cluster_consistency.rs`, and elsewhere the body inside the
+//! suite's `proptest!`. The artifact is the bridge between "CI went red"
 //! and a local replay.
 //!
 //! CI uploads the file on failure; on success it is never written.

@@ -37,6 +37,8 @@
 //! See `README.md` for a quickstart and `DESIGN.md` for the architecture and
 //! experiment index.
 
+#![forbid(unsafe_code)]
+
 pub mod chaos_repro;
 
 pub use cf_baselines as baselines;

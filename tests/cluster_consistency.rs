@@ -8,7 +8,8 @@
 //!   that can be a replica that missed writes, so the *witness* test
 //!   below pins a scenario (committed seed, deterministic schedule)
 //!   where an Any-mode client provably reads stale data and the
-//!   [`ConsistencyHistory`] checker flags it.
+//!   [`history::check`] checker, run over the client's flight recorder,
+//!   flags it.
 //! - Under [`ReadMode::Quorum`] the same scenario stays consistent: the
 //!   read majority overlaps the write set, the highest-versioned reply
 //!   wins, stale replicas get read-repaired, and when no majority is
@@ -17,7 +18,9 @@
 //! - The property test drives randomized split-brain schedules
 //!   (partition a victim from its peers mid-workload, keep writing,
 //!   heal, let catch-up replay run) and requires every quorum-mode
-//!   history to pass the read-your-writes / monotonic-reads checker.
+//!   history to pass the read-your-writes / monotonic-reads checker. A
+//!   violation prints, from the same recorder, the timelines of the
+//!   violating read and of the operation that set its floor.
 //!
 //! Case count for the property test is gated by `CF_CHAOS_CASES` like
 //! the other chaos suites.
@@ -25,14 +28,15 @@
 use proptest::prelude::*;
 
 use cornflakes::chaos_repro;
-use cornflakes::cluster::version;
-use cornflakes::cluster::{Cluster, ClusterClient, ClusterConfig, ConsistencyHistory, ReadMode};
+use cornflakes::cluster::map::key_point;
+use cornflakes::cluster::{history, version};
+use cornflakes::cluster::{Cluster, ClusterClient, ClusterConfig, OpKind, ReadMode, Violation};
 use cornflakes::kv::client::RetryConfig;
 use cornflakes::kv::flags;
 use cornflakes::kv::sharded::shard_of_key;
 use cornflakes::mem::PoolConfig;
 use cornflakes::sim::{MachineProfile, Sim};
-use cornflakes::telemetry::{FlightRecorder, Telemetry};
+use cornflakes::telemetry::{FlightEvent, FlightRecorder, Telemetry};
 use cornflakes::workloads::key_string;
 
 const NODES: usize = 3;
@@ -126,20 +130,40 @@ fn heal_brain(cluster: &mut Cluster, victim: u8) {
     }
 }
 
+/// Each violation followed by the timelines, from `flight`, of the
+/// violating read and of the operation that set its floor, one record a
+/// line.
+fn explain(flight: &FlightRecorder, violations: &[Violation]) -> String {
+    let mut out = String::new();
+    for v in violations {
+        out += &format!("{v:?}\n");
+        for id in [v.req_id, v.floor_req_id] {
+            out += &format!("request {id}:\n");
+            for r in flight.events_for(id) {
+                out += &r.to_value().render();
+            }
+        }
+    }
+    out
+}
+
 /// Sets up the committed witness scenario and runs it up to the moment
 /// of truth: key `K` written at version 1 everywhere, then a backup
 /// (`replicas[1]`) split from its peers, then version 2 written on the
-/// majority side. Returns `(cluster, client, key, replicas)` with the
-/// client's history enabled and the split still in force.
+/// majority side. Returns `(cluster, client, key, replicas)` with
+/// `flight` attached to the cluster and the client and the split still
+/// in force.
 fn witness_scenario(
     mode: ReadMode,
-    history: &ConsistencyHistory,
+    flight: &FlightRecorder,
 ) -> (Cluster, ClusterClient, Vec<u8>, Vec<u8>) {
     let mut cluster = build_cluster();
+    let tele = Telemetry::disabled().with_flight(flight);
+    cluster.set_telemetry(&tele);
     let mut client = cluster.client();
+    client.set_telemetry(&tele);
     client.enable_retries_seeded(42, retry_cfg());
     client.set_read_mode(mode);
-    client.set_history(history);
 
     let key = b"witness-key".to_vec();
     let replicas = cluster.map().replicas_for(&key, R);
@@ -177,13 +201,13 @@ fn witness_scenario(
 
 #[test]
 fn any_mode_witness_serves_a_stale_read_after_split_brain() {
-    let history = ConsistencyHistory::with_capacity(64);
-    let (mut cluster, mut client, key, replicas) = witness_scenario(ReadMode::Any, &history);
+    let flight = FlightRecorder::with_capacity(4096);
+    let (mut cluster, mut client, key, replicas) = witness_scenario(ReadMode::Any, &flight);
     let (primary, _victim, other) = (replicas[0], replicas[1], replicas[2]);
 
     // The client observes version 2 from the majority side first...
-    let id = client.send_get(&key);
-    match drive(&mut cluster, &mut client, id) {
+    let fresh = client.send_get(&key);
+    match drive(&mut cluster, &mut client, fresh) {
         Outcome::Answered {
             flags: 0, version, ..
         } if version::counter(version) == 2 => {}
@@ -195,8 +219,8 @@ fn any_mode_witness_serves_a_stale_read_after_split_brain() {
     let client_host = client.host;
     cluster.partition(client_host, primary);
     cluster.partition(client_host, other);
-    let id = client.send_get(&key);
-    match drive(&mut cluster, &mut client, id) {
+    let stale = client.send_get(&key);
+    match drive(&mut cluster, &mut client, stale) {
         Outcome::Answered {
             flags: 0,
             version,
@@ -217,21 +241,39 @@ fn any_mode_witness_serves_a_stale_read_after_split_brain() {
     );
 
     // The history checker catches exactly this: a read that went
-    // backwards past an already-observed version.
-    let violations = history.check();
+    // backwards past an already-observed version, and the recorder
+    // holds the failover that took it there.
+    assert_eq!(flight.dropped(), 0, "recorder sized for the scenario");
+    let violations = history::check(&flight.snapshot());
     assert!(
         !violations.is_empty(),
         "Any-mode split-brain read must violate monotonicity"
     );
-    assert_eq!(version::counter(violations[0].saw), 1);
-    assert_eq!(version::counter(violations[0].floor), 2);
+    let v = &violations[0];
+    assert_eq!(v.key, key_point(&key));
+    assert_eq!(version::counter(v.saw), 1);
+    assert_eq!(version::counter(v.floor), 2);
+    assert_eq!(v.req_id, stale, "the stale get is named");
+    assert_eq!(
+        (v.floor_op, v.floor_req_id),
+        (OpKind::Get, fresh),
+        "the floor is the fresh get's observation"
+    );
+    assert!(
+        flight
+            .events_for(stale)
+            .iter()
+            .any(|r| matches!(r.event, FlightEvent::Failover { .. })),
+        "the stale get's timeline holds its failover:\n{}",
+        explain(&flight, &violations)
+    );
 }
 
 #[test]
 fn quorum_mode_witness_stays_consistent_and_read_repairs() {
-    let history = ConsistencyHistory::with_capacity(64);
-    let (mut cluster, mut client, key, replicas) = witness_scenario(ReadMode::Quorum, &history);
-    let tele = Telemetry::attach(cluster.sim());
+    let flight = FlightRecorder::with_capacity(4096);
+    let (mut cluster, mut client, key, replicas) = witness_scenario(ReadMode::Quorum, &flight);
+    let tele = Telemetry::attach(cluster.sim()).with_flight(&flight);
     client.set_telemetry(&tele);
     let (primary, victim, other) = (replicas[0], replicas[1], replicas[2]);
 
@@ -293,10 +335,12 @@ fn quorum_mode_witness_stays_consistent_and_read_repairs() {
         o => panic!("post-heal quorum read sees version 2, got {o:?}"),
     }
 
-    let violations = history.check();
+    assert_eq!(flight.dropped(), 0, "recorder sized for the scenario");
+    let violations = history::check(&flight.snapshot());
     assert!(
         violations.is_empty(),
-        "quorum history must be consistent, got {violations:?}"
+        "quorum history must be consistent, got\n{}",
+        explain(&flight, &violations)
     );
     assert_eq!(
         tele.counter_value("cluster.client.quorum_reads"),
@@ -503,8 +547,6 @@ fn run_quorum_case(
     client.set_telemetry(&tele);
     client.enable_retries_seeded(seed, retry_cfg());
     client.set_read_mode(ReadMode::Quorum);
-    let history = ConsistencyHistory::with_capacity(256);
-    client.set_history(&history);
 
     let keys: Vec<Vec<u8>> = (0..NUM_KEYS).map(|i| key_string(i).into_bytes()).collect();
     for key in &keys {
@@ -559,11 +601,15 @@ fn run_quorum_case(
         }
     }
 
-    let violations = history.check();
+    prop_assert_eq!(
+        flight.dropped(),
+        0,
+        "flight recorder sized for the workload"
+    );
+    let violations = history::check(&flight.snapshot());
     prop_assert!(
         violations.is_empty(),
-        "quorum history violated session guarantees: {:?}",
-        violations
+        "quorum history violated session guarantees:\n{}",
+        explain(&flight, &violations)
     );
-    prop_assert_eq!(history.dropped(), 0, "history ring sized for the workload");
 }
