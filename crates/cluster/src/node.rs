@@ -40,6 +40,10 @@ const PROBE_ACK: u8 = msg_type::PROBE | msg_type::RESPONSE;
 
 /// Gap between liveness probes to each peer (virtual ns).
 const PROBE_INTERVAL_NS: u64 = 200_000;
+/// Set in every probe's request id. Probes number themselves within the
+/// top half of the id space and client request ids count up from 1, so a
+/// request's flight timeline (keyed by that id) holds no probe frames.
+const PROBE_ID_BIT: u32 = 1 << 31;
 /// A probe unanswered for this long counts as a miss.
 const PROBE_TIMEOUT_NS: u64 = 150_000;
 /// Consecutive misses before a peer is marked down.
@@ -502,7 +506,7 @@ impl ClusterNode {
                 .outstanding
                 .is_none();
             if due && idle {
-                self.probe_seq = self.probe_seq.wrapping_add(1);
+                self.probe_seq = self.probe_seq.wrapping_add(1) | PROBE_ID_BIT;
                 let seq = self.probe_seq;
                 let hdr = PacketHeader {
                     src_host: self.id,

@@ -345,14 +345,17 @@ impl<T: Transport> KvEngine<T> {
     /// the same request-id dedup window as client puts — the forwarded
     /// `REPL_PUT` keeps the client's request id, so a retried or replayed
     /// put applies at most once per replica no matter which path delivered
-    /// it. The window is consulted first; then versions are compared — an
-    /// incoming version at or below the stored one is stale (a catch-up
-    /// replay or read-repair racing a newer write) and is acknowledged
-    /// without clobbering the newer value. Returns the reply flags plus
-    /// whether the store actually applied the bytes (and the version table
-    /// advanced). Dedup hits, stale rejections, and degraded applies all
-    /// report `false`, so callers maintaining replay logs record only
-    /// genuine applies.
+    /// it. The window is consulted first: a hit applies no bytes but adopts
+    /// an incoming version above the stored one, because the same put
+    /// retried through a second coordinator arrives under that
+    /// coordinator's version and every replica must keep one version of
+    /// it. Then versions are compared — an incoming version at or below the
+    /// stored one is stale (a catch-up replay or read-repair racing a newer
+    /// write) and is acknowledged without clobbering the newer value.
+    /// Returns the reply flags plus whether the store actually applied the
+    /// bytes (and the version table advanced). Dedup hits, stale
+    /// rejections, and degraded applies all report `false`, so callers
+    /// maintaining replay logs record only genuine applies.
     pub fn apply_versioned_put(
         &mut self,
         req_id: u32,
@@ -361,6 +364,9 @@ impl<T: Transport> KvEngine<T> {
         version: u64,
     ) -> (u8, bool) {
         if self.dedup.contains(req_id) {
+            if version > self.version_of(key) {
+                self.set_version(key, version);
+            }
             return (self.apply_put(req_id, key, val), false); // counts the dedup hit
         }
         if version != 0 && version <= self.version_of(key) {
@@ -369,19 +375,52 @@ impl<T: Transport> KvEngine<T> {
         let f = self.apply_put(req_id, key, val);
         let applied = f & flags::DEGRADED == 0;
         if applied && version != 0 {
-            // The map owns a key it has seen: only a first write copies it.
-            match self.versions.get_mut(key) {
-                Some(stored) => *stored = version,
-                None => drop(self.versions.insert(key.to_vec(), version)),
-            }
+            self.set_version(key, version);
         }
         (f, applied)
+    }
+
+    fn set_version(&mut self, key: &[u8], version: u64) {
+        // The map owns a key it has seen: only a first write copies it.
+        match self.versions.get_mut(key) {
+            Some(stored) => *stored = version,
+            None => drop(self.versions.insert(key.to_vec(), version)),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::KvServer;
+    use cf_mem::PoolConfig;
+    use cf_nic::link;
+    use cf_sim::{MachineProfile, Sim};
+    use cornflakes_core::SerializationConfig;
+
+    #[test]
+    fn retried_versioned_put_adopts_the_higher_version_once() {
+        let (_, end) = link();
+        let sim = Sim::new(MachineProfile::tiny_for_tests());
+        let config = SerializationConfig::hybrid();
+        let stack =
+            UdpStack::with_pool_config(sim, end, 9000, config, PoolConfig::small_for_tests());
+        let mut server = KvServer::new(stack, SerKind::Cornflakes);
+        // The same request id through two coordinators: first at 0x100, then
+        // retried at 0x102.
+        assert_eq!(server.apply_versioned_put(7, b"k", b"v", 0x100), (0, true));
+        assert_eq!(server.apply_versioned_put(7, b"k", b"v", 0x102), (0, false));
+        assert_eq!(
+            server.version_of(b"k"),
+            0x102,
+            "the retry's version is adopted"
+        );
+        assert_eq!(server.puts_applied(), 1, "the bytes are applied once");
+        assert_eq!(server.dedup_hits(), 1, "the retry is a counted dedup hit");
+        // A lower version on a further hit leaves the stored one.
+        server.apply_versioned_put(7, b"k", b"v", 0x101);
+        assert_eq!(server.version_of(b"k"), 0x102);
+    }
 
     #[test]
     fn dedup_window_evicts_oldest_first() {

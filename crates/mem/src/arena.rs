@@ -12,6 +12,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use crate::stats::{update, ArenaStats};
+use crate::zeroed::ZeroedBlock;
 
 /// Default arena chunk size: large enough for a jumbo frame of copied
 /// fields plus headers.
@@ -30,31 +31,19 @@ struct Chunk {
     /// `&mut` to the whole buffer), so shared `ArenaBytes` readers and the
     /// arena's writes to *disjoint, not-yet-handed-out* tail bytes can
     /// coexist.
-    data: *mut u8,
+    block: ZeroedBlock,
     capacity: usize,
     used: Cell<usize>,
 }
 
 impl Chunk {
     fn new(capacity: usize) -> Rc<Self> {
-        let layout = std::alloc::Layout::from_size_align(capacity, 64).expect("chunk layout");
-        // SAFETY: `capacity` is non-zero (asserted by Arena::with_chunk_size).
-        let data = unsafe { std::alloc::alloc_zeroed(layout) };
-        assert!(!data.is_null(), "arena chunk allocation failed");
+        // Cache-line aligned, so copies start where a modelled line does.
         Rc::new(Chunk {
-            data,
+            block: ZeroedBlock::new(capacity, 64),
             capacity,
             used: Cell::new(0),
         })
-    }
-}
-
-impl Drop for Chunk {
-    fn drop(&mut self) {
-        let layout = std::alloc::Layout::from_size_align(self.capacity, 64).expect("chunk layout");
-        // SAFETY: `data` was allocated in `Chunk::new` with this exact
-        // layout and is freed exactly once, here.
-        unsafe { std::alloc::dealloc(self.data, layout) };
     }
 }
 
@@ -133,7 +122,7 @@ impl Arena {
             update(&self.stats.chunks_allocated, |v| v + 1);
             let chunk = Chunk::new(len.max(1));
             // SAFETY: the fresh chunk's [0, len) range is exclusively ours.
-            unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), chunk.data, len) };
+            unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), chunk.block.base(), len) };
             chunk.used.set(len);
             return ArenaBytes {
                 chunk,
@@ -151,7 +140,7 @@ impl Arena {
         // has never been handed out from this chunk, so no `ArenaBytes`
         // aliases it; `src` is a distinct live allocation.
         unsafe {
-            std::ptr::copy_nonoverlapping(src.as_ptr(), current.data.add(offset), len);
+            std::ptr::copy_nonoverlapping(src.as_ptr(), current.block.base().add(offset), len);
         }
         current.used.set(offset + len);
         ArenaBytes {
@@ -216,7 +205,7 @@ impl ArenaBytes {
         // SAFETY: `[offset, offset+len)` was initialized by `copy_in`, is in
         // bounds of the chunk, and is never written again (the bump pointer
         // only moves forward and reset recycles only unreferenced chunks).
-        unsafe { std::slice::from_raw_parts(self.chunk.data.add(self.offset), self.len) }
+        unsafe { std::slice::from_raw_parts(self.chunk.block.base().add(self.offset), self.len) }
     }
 
     /// Length in bytes.
@@ -232,7 +221,7 @@ impl ArenaBytes {
 
     /// Address of the first byte (for cache-cost accounting).
     pub fn addr(&self) -> u64 {
-        self.chunk.data as u64 + self.offset as u64
+        self.chunk.block.base() as u64 + self.offset as u64
     }
 }
 

@@ -89,6 +89,7 @@ pub mod rcbuf;
 pub mod region;
 pub mod registry;
 pub mod stats;
+mod zeroed;
 
 pub use arena::{Arena, ArenaBytes};
 pub use pool::{AllocError, PinnedPool, PoolConfig};

@@ -8,25 +8,28 @@
 //! `Cell`/`RefCell` state: a region belongs to the one datapath core that
 //! registered it (crate docs, "Who owns pinned memory") and is `!Sync`.
 
-use std::alloc::{alloc_zeroed, dealloc, Layout};
 use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::Rc;
 
 use crate::stats::{update, MemStats};
+use crate::zeroed::ZeroedBlock;
 
-/// Alignment of region backing memory. 4 KiB matches page-pinned DMA memory.
+/// Alignment of region backing memory. 4 KiB matches page-pinned DMA memory:
+/// every slot keeps its offset within a page whatever the allocator returns.
+/// The region is aligned by offset inside a kernel-zeroed allocation, so only
+/// the pages its slots are written through become host-resident; its
+/// registered size is the whole region from the start.
 pub const REGION_ALIGN: usize = 4096;
 
 /// One registered pinned region: `num_slots` slots of `slot_size` bytes each.
 ///
-/// The backing storage is a raw allocation rather than a `Box<[u8]>` so that
+/// The backing storage is a raw `ZeroedBlock` rather than a `Box<[u8]>` so that
 /// reads and writes through derived raw pointers never alias a Rust
 /// reference to the buffer: all access to slot bytes goes through
 /// [`Region::slot_ptr`] and the accessors on [`crate::RcBuf`].
 #[derive(Debug)]
 pub struct Region {
-    base: *mut u8,
-    layout: Layout,
+    memory: ZeroedBlock,
     slot_size: usize,
     num_slots: usize,
     /// Per-slot reference counts. Index = slot number.
@@ -60,14 +63,8 @@ impl Region {
         let bytes = slot_size
             .checked_mul(num_slots)
             .expect("region size overflows usize");
-        let layout = Layout::from_size_align(bytes, REGION_ALIGN).expect("bad region layout");
-        // SAFETY: `layout` has non-zero size (checked above) and valid
-        // alignment; a null return is handled by the explicit panic.
-        let base = unsafe { alloc_zeroed(layout) };
-        assert!(!base.is_null(), "region allocation of {bytes} bytes failed");
         Region {
-            base,
-            layout,
+            memory: ZeroedBlock::new(bytes, REGION_ALIGN),
             slot_size,
             num_slots,
             refcounts: (0..num_slots).map(|_| Cell::new(0)).collect(),
@@ -94,7 +91,7 @@ impl Region {
 
     /// Base address of the region.
     pub fn base_addr(&self) -> u64 {
-        self.base as u64
+        self.memory.base() as u64
     }
 
     /// Total size of the region in bytes.
@@ -147,7 +144,7 @@ impl Region {
         assert!((slot as usize) < self.num_slots, "slot out of range");
         // SAFETY: `slot * slot_size` is within the allocation (checked
         // above), so the offset stays in bounds of the same object.
-        unsafe { self.base.add(slot as usize * self.slot_size) }
+        unsafe { self.memory.base().add(slot as usize * self.slot_size) }
     }
 
     /// Address of the reference count for `slot` — the "metadata address"
@@ -198,15 +195,6 @@ impl Region {
                 hint.set(hint.get().min(*index));
             }
         }
-    }
-}
-
-impl Drop for Region {
-    fn drop(&mut self) {
-        // SAFETY: `base` was allocated with exactly this layout in
-        // `with_stats` and is only deallocated here, once, when the last
-        // `Rc` handle (registry, pool class or `RcBuf`) drops.
-        unsafe { dealloc(self.base, self.layout) };
     }
 }
 
@@ -304,7 +292,15 @@ mod tests {
 
     #[test]
     fn alignment() {
-        let r = region(512, 4);
-        assert_eq!(r.base_addr() % REGION_ALIGN as u64, 0);
+        for (slot_size, num_slots) in [(512, 4), (64, 3), (4096, 2), (16384, 1)] {
+            let r = region(slot_size, num_slots);
+            assert_eq!(r.base_addr() % REGION_ALIGN as u64, 0);
+        }
+        // Arena chunks, the current one and a dedicated oversized one, start
+        // on a cache line.
+        let arena = crate::Arena::with_chunk_size(64);
+        for len in [1, 100] {
+            assert_eq!(arena.copy_in(&vec![7; len]).addr() % 64, 0, "{len} B");
+        }
     }
 }

@@ -42,8 +42,12 @@ cargo test -q -p cf-nic --test rss_proptests
 echo "==> cost-model gate: CacheSim against the timestamp-LRU reference op by op, set-layout properties, rounding grid, charge replay"
 cargo test -q -p cf-sim --lib -- cache::tests round_ns_is_f64_round_on_the_pinned_grid replay_matches_recorded_clock_and_attribution
 
-echo "==> memory gate: cf-mem in release (bounds checks that must not wrap), then its unit + property tests, tests/memory_safety.rs, the wire-format differential (hostile offsets and counts through every decoder), cf-sim (the prefetch helper), cf-nic (gather into and DMA out of pinned buffers), the store's and the codecs' tests (slice-vector recycling), the baseline libraries' tests and the serializer differential under AddressSanitizer"
+echo "==> memory gate: cf-mem in release (bounds checks that must not wrap), no aligned alloc_zeroed outside cf-mem's one helper, then its unit + property tests, tests/memory_safety.rs, the wire-format differential (hostile offsets and counts through every decoder), cf-sim (the prefetch helper), cf-nic (gather into and DMA out of pinned buffers), the store's and the codecs' tests (slice-vector recycling), the baseline libraries' tests and the serializer differential under AddressSanitizer"
 cargo test -q --release -p cf-mem
+# `alloc_zeroed` above 16-byte alignment memsets every page of its block
+# (DESIGN.md §13): only cf-mem's `ZeroedBlock` and the counting allocator's
+# forwarding may call it.
+if grep -rn alloc_zeroed crates/*/src | grep -v -e '^crates/mem/src/zeroed.rs:' -e '^crates/telemetry/src/alloctrack.rs:'; then echo "error: alloc_zeroed outside cf-mem's ZeroedBlock"; exit 1; fi
 # Why these crates: cf-mem is the unsafe boundary, and only the sanitizer
 # sees a region freed under a live RcBuf. The other unsafe code on the
 # request path is cf-sim's prefetch helper and feature-detected AVX2 walk,

@@ -336,6 +336,34 @@ fn run_case(
     }
 }
 
+/// The soak's case seed 1857165374003680485 in quorum mode: after node 1
+/// dies, the client retries a put, under its one request id, through a
+/// second coordinator. Both coordinators mint a version for it, and each
+/// one's `REPL_PUT` to the other is a dedup hit. Unless a dedup hit adopts
+/// the higher version, the replicas keep the same bytes at two versions, a
+/// quorum read sees them disagree, and its read-repair re-applies the put
+/// under a fresh request id on node 0.
+#[test]
+fn put_retried_through_a_second_coordinator_keeps_one_version() {
+    let ops: Vec<bool> = "GPPPPPPPPPPGPGPPPGGPGGP"
+        .chars()
+        .map(|c| c == 'P')
+        .collect();
+    let flight = FlightRecorder::with_capacity(4096);
+    run_case(
+        1857165374003680485,
+        ReadMode::Quorum,
+        390,
+        412,
+        396,
+        1,
+        6,
+        false,
+        &ops,
+        flight,
+    );
+}
+
 /// Deterministic availability check (no random faults): kill a node
 /// mid-workload and require the cluster to keep answering — every
 /// post-kill request resolves as a response, not a timeout, once the

@@ -499,6 +499,46 @@ fn late_put_retransmit_reforwards_under_its_original_version() {
     }
 }
 
+/// A client request's timeline (`events_for`) holds its own frames only:
+/// the nodes' liveness probes, which run from before the first request,
+/// carry ids no client request uses, so no record in a request's timeline
+/// is stamped before the client sent the request.
+#[test]
+fn client_timelines_hold_no_probe_frames() {
+    let flight = FlightRecorder::with_capacity(4096);
+    let tele = Telemetry::disabled().with_flight(&flight);
+    let mut cluster = build_cluster();
+    cluster.set_telemetry(&tele);
+    let mut client = cluster.client();
+    client.set_telemetry(&tele);
+    client.enable_retries_seeded(31, retry_cfg());
+    idle(&mut cluster, &mut client, 6);
+    for i in 0..8u64 {
+        let key = key_string(i % 4).into_bytes();
+        let sent_ns = cluster.sim().now();
+        let id = if i % 2 == 0 {
+            client.send_put(&key, &[i as u8; VALUE_BYTES])
+        } else {
+            client.send_get(&key)
+        };
+        assert!(matches!(
+            drive(&mut cluster, &mut client, id),
+            Outcome::Answered { flags: 0, .. }
+        ));
+        idle(&mut cluster, &mut client, 2);
+        let timeline = flight.events_for(id);
+        assert!(
+            timeline.iter().all(|r| r.ts_ns >= sent_ns),
+            "request {id}'s timeline holds a record from before it was sent:\n{}",
+            timeline
+                .iter()
+                .map(|r| r.to_value().render())
+                .collect::<String>()
+        );
+    }
+    assert_eq!(flight.dropped(), 0, "the recorder kept every record");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(chaos_cases()))]
 
