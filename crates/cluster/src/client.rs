@@ -25,9 +25,10 @@
 //!   (the inner client's fan-out mode keeps the retransmit timer
 //!   running until the read settles), returns the highest-versioned
 //!   reply, and pushes a fire-and-forget read-repair `REPL_PUT` to
-//!   every stale replica it heard from. Because writes are acked only
-//!   after every live replica applies, any majority overlaps the
-//!   write set and the quorum read observes the newest version.
+//!   every stale replica it heard from. Because a put is acked only
+//!   once a majority of its replicas holds it, any read majority
+//!   overlaps the write set and the quorum read observes the newest
+//!   version.
 //! - **Partition suspects.** A node whose breaker is open (requests to
 //!   it kept failing) but whose frames still reach this client is not
 //!   dead — it is partitioned from part of the cluster while the
@@ -62,7 +63,7 @@ pub enum ReadMode {
     Any,
     /// Fan the GET to ⌈(R+1)/2⌉ replicas under one request id, return
     /// the highest-versioned reply, read-repair stale replicas heard
-    /// from. Majorities overlap the (all-live-replica) write set, so
+    /// from. Read majorities overlap every acked write's majority, so
     /// the result is never older than the last acked write.
     Quorum,
 }
@@ -508,7 +509,7 @@ impl ClusterClient {
     /// highest-versioned reply (first heard wins ties), push
     /// read-repairs to every stale replica heard from, and record the
     /// observation.
-    fn conclude_quorum(&mut self, q: QuorumRead, now: u64) -> Response {
+    fn conclude_quorum(&mut self, mut q: QuorumRead, now: u64) -> Response {
         self.kv.finish_request(q.id);
         let mut best = 0;
         for (i, (_, r)) in q.heard.iter().enumerate() {
@@ -540,7 +541,7 @@ impl ClusterClient {
                 invoke_ns: q.invoke_ns,
             },
         );
-        q.heard.into_iter().nth(best).expect("best reply exists").1
+        q.heard.swap_remove(best).1
     }
 }
 

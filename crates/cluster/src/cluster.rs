@@ -33,7 +33,8 @@ const SHARDS_PER_NODE: usize = 2;
 pub struct ClusterConfig {
     /// Number of nodes (hosts `0..nodes` on the switch).
     pub nodes: usize,
-    /// Replication factor R: a put is acked once R replicas hold it.
+    /// Replication factor R: a put goes to the key's R replicas and is
+    /// acked once a majority of them, ⌈(R+1)/2⌉, holds it.
     pub replication: usize,
     /// Pinned-pool sizing per stack.
     pub pool: PoolConfig,
@@ -166,6 +167,10 @@ impl Cluster {
     }
 
     /// Preloads `key` on every one of its replicas.
+    #[allow(
+        clippy::expect_used,
+        reason = "a test and bench helper: the caller sizes the pool for what it preloads"
+    )]
     pub fn preload(&mut self, key: &[u8], segment_sizes: &[usize]) {
         for node in self.map.replicas_for(key, self.cfg.replication) {
             self.nodes[node as usize]

@@ -15,7 +15,8 @@
 //! - [`ClusterMap`] — pure-arithmetic consistent-hash placement: every
 //!   host computes identical replica sets with no membership protocol.
 //! - [`ClusterNode`] — one member: replicated-put coordination
-//!   (client-acked only after every live replica acks), probe-based
+//!   (client-acked only once a majority of the key's replicas holds the
+//!   put), probe-based
 //!   failure detection, and replay-log catch-up for rejoining peers.
 //! - [`ClusterClient`] — replica routing with per-node circuit
 //!   breakers; the inner client's retransmits double as the failover
@@ -37,6 +38,10 @@
 //! injectors produce applies each put at most once per replica.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod client;
 pub mod cluster;
@@ -206,6 +211,41 @@ mod tests {
         );
         let replays: u64 = cluster.nodes.iter().map(|n| n.catchup_replays()).sum();
         assert!(replays >= 1, "at least one survivor replayed");
+    }
+
+    /// A coordinator that forwards a put and then marks every backup down
+    /// before any of them acks holds the put alone, a minority of three:
+    /// it abandons the put unanswered, and the client's retransmit, which
+    /// reaches only that coordinator, is refused.
+    #[test]
+    fn put_no_backup_acked_is_abandoned_not_acked() {
+        let mut cluster = test_cluster(3, 3);
+        let tele = cf_telemetry::Telemetry::attach(cluster.sim());
+        cluster.set_telemetry(&tele);
+        let mut client = cluster.client();
+        client.enable_retries_seeded(23, retry_cfg());
+        idle(&mut cluster, 10);
+
+        // Cut the coordinator and the client off from both backups; the
+        // coordinator still believes them alive when the put arrives.
+        let replicas = cluster.map().replicas_for(b"zeta", 3);
+        let coordinator = replicas[0];
+        for &backup in &replicas[1..] {
+            cluster.partition(coordinator, backup);
+            cluster.partition(client.host, backup);
+        }
+        client.send_put(b"zeta", b"value-5");
+        let resp = drive(&mut cluster, &mut client, 300);
+        assert!(
+            resp.is_none_or(|r| r.flags != 0),
+            "a put only its coordinator holds is not acked cleanly"
+        );
+        assert!(!cluster.nodes[coordinator as usize].peer_alive(replicas[1]));
+        assert_eq!(
+            tele.counter_value(&format!("cluster.node{coordinator}.repl_abandoned")),
+            1,
+            "the coordinator abandoned the put"
+        );
     }
 
     #[test]

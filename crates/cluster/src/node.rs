@@ -9,8 +9,11 @@
 //!   the put's *coordinator*: it applies locally (through the shard's
 //!   dedup window), forwards the put payload byte-for-byte as
 //!   [`msg_type::REPL_PUT`] — same request id — to every other live
-//!   replica of the key, and acknowledges the client only once every
-//!   forwarded copy is acknowledged ([`msg_type::REPL_ACK`]). Because the
+//!   replica of the key, and once each of those has acked
+//!   ([`msg_type::REPL_ACK`]) or been marked down, acknowledges the
+//!   client only if a majority of the key's replicas, itself included,
+//!   holds the put. A retransmit of a put already applied here takes the
+//!   same path under the version it was first given. Because the
 //!   request id travels unchanged, every replica's dedup window enforces
 //!   at-most-once apply no matter which path (client retry, coordinator
 //!   resend, catch-up replay) delivered the copy.
@@ -83,8 +86,9 @@ impl PeerHealth {
 /// A client put awaiting replication acks before the client is answered.
 #[derive(Debug)]
 struct PendingRepl {
-    /// The original client request, replayed through the KV handler to
-    /// build the acknowledgement once replication completes.
+    /// The client request (the first copy, or a retransmit of a put
+    /// already applied here), replayed through the KV handler to build the
+    /// acknowledgement once a majority holds the put.
     pkt: Packet,
     /// Shard (queue) the put arrived on — owns the key on this node.
     shard: usize,
@@ -96,6 +100,8 @@ struct PendingRepl {
     version: u64,
     /// Backup nodes that have not acked yet.
     awaiting: Vec<u8>,
+    /// Backup nodes that have acked.
+    acked: usize,
     created_ns: u64,
     last_send_ns: u64,
 }
@@ -197,13 +203,23 @@ impl ClusterNode {
 
     /// Whether this node currently believes `node` is alive.
     pub fn peer_alive(&self, node: u8) -> bool {
-        if node == self.id {
-            return true;
-        }
-        self.peers
-            .get(node as usize)
-            .and_then(|p| p.as_ref())
-            .is_some_and(|p| p.alive)
+        node == self.id || alive(&self.peers, node)
+    }
+
+    /// The replicas of `key` other than this node that it believes alive.
+    fn live_backups(&self, key: &[u8]) -> Vec<u8> {
+        self.map
+            .replicas_for(key, self.r)
+            .into_iter()
+            .filter(|&n| n != self.id && alive(&self.peers, n))
+            .collect()
+    }
+
+    /// Replicas that must hold a put before its client is acked,
+    /// ⌈(R+1)/2⌉: ABD's write quorum, which every read majority
+    /// intersects.
+    fn majority(&self) -> usize {
+        self.r / 2 + 1
     }
 
     /// Puts whose replication acks are still outstanding.
@@ -269,106 +285,61 @@ impl ClusterNode {
         }
     }
 
-    /// Coordinator path: apply locally, fan out to live backups, answer
-    /// the client when (and only when) every copy is acked.
+    /// Coordinator path, one for a fresh put and a retransmit alike:
+    /// refuse it unless a majority of the key's replicas is alive, apply
+    /// it (a fresh put) or look it up in the replay log (a put already
+    /// applied here), forward it to the live backups, and answer the
+    /// client through [`Self::complete_pending`].
     fn handle_client_put(&mut self, q: usize, pkt: Packet) {
         let req_id = pkt.hdr.meta.req_id;
-        if let Some(p) = self.pending.get(&req_id) {
+        if self.pending.contains_key(&req_id) {
             // A client retransmit of a put still replicating: re-forward
             // to the stragglers instead of starting over.
-            let (key, payload, version, awaiting) = (
-                p.key.clone(),
-                p.payload.clone(),
-                p.version,
-                p.awaiting.clone(),
-            );
-            let now = self.now();
-            for node in awaiting {
-                self.send_repl_put(node, req_id, &key, &payload, version);
-            }
-            if let Some(p) = self.pending.get_mut(&req_id) {
-                p.last_send_ns = now;
-            }
+            self.reforward(req_id, self.now());
             return;
         }
-        if self.server.shards_mut()[q].dedup_contains(req_id) {
-            // A late retransmit of a put this node already applied, acked,
-            // and forgot (pending entry gone). Re-forward only under the
-            // version ORIGINALLY minted for this request id — the replay
-            // log keeps it — never a re-derived `version_of(key)`: that may
-            // belong to a newer put to the same key, and stamping the old
-            // payload with the newer version would wedge any backup that
-            // missed both writes on the old value forever. If the log has
-            // evicted the entry the re-forward is dropped (catch-up owns
-            // redelivery); either way the client is re-acked through the
-            // dedup window.
-            if let Some((_, key, payload, vers)) =
+        let (key, payload, version) = if self.server.shards_mut()[q].dedup_contains(req_id) {
+            // A retransmit of a put this node already applied, whose
+            // pending entry is gone. It is forwarded only under the version
+            // ORIGINALLY minted for this request id — the replay log keeps
+            // it — never a re-derived `version_of(key)`: that may belong to
+            // a newer put to the same key, and stamping the old payload
+            // with the newer version would wedge any backup that missed
+            // both writes on the old value forever. If the log has evicted
+            // the entry, catch-up owns redelivery and the client is
+            // re-acked through the dedup window.
+            let Some((_, key, payload, version)) =
                 self.log.iter().find(|(id, ..)| *id == req_id).cloned()
-            {
-                let backups: Vec<u8> = self
-                    .map
-                    .replicas_for(&key, self.r)
-                    .into_iter()
-                    .filter(|&n| n != self.id && self.peer_alive(n))
-                    .collect();
-                for node in backups {
-                    self.send_repl_put(node, req_id, &key, &payload, vers);
-                }
+            else {
+                self.server.shards_mut()[q].handle(pkt);
+                return;
+            };
+            if self.refuse_minority(q, &pkt, &key) {
+                return;
             }
-            self.server.shards_mut()[q].handle(pkt);
-            return;
-        }
-        let Some((key, val)) = self.server.shards_mut()[q].decode_put(&pkt.payload) else {
-            return; // malformed put: drop, as the plain server would
+            (key, payload, version)
+        } else {
+            let Some((key, val)) = self.server.shards_mut()[q].decode_put(&pkt.payload) else {
+                return; // malformed put: drop, as the plain server would
+            };
+            if self.refuse_minority(q, &pkt, &key) {
+                return;
+            }
+            let payload = pkt.payload.as_slice().to_vec();
+            // Coordinator-assigned version: the key's newest counter plus
+            // one, tagged with this node's id ([`crate::version`]) so two
+            // coordinators minting concurrently for the same key can never
+            // stamp different values with the same version.
+            let shard = &mut self.server.shards_mut()[q];
+            let version = version::next(shard.version_of(&key), self.id);
+            let (_, applied) = shard.apply_versioned_put(req_id, &key, &val, version);
+            if applied {
+                self.log_apply(req_id, &key, &payload, version);
+            }
+            (key, payload, version)
         };
-        // A coordinator cut off from a majority of the key's replicas must
-        // not accept the write: quorum reads rely on every acked write
-        // overlapping every read majority, and an ack minted on a minority
-        // island is invisible to the other side's majorities. Refuse with
-        // SHED (before applying anything) so the client's failover
-        // machinery carries the same request id to the majority side.
-        let live = self
-            .map
-            .replicas_for(&key, self.r)
-            .into_iter()
-            .filter(|&n| self.peer_alive(n))
-            .count();
-        if live < self.r / 2 + 1 {
-            let hdr = pkt.hdr.reply(FrameMeta {
-                msg_type: msg_type::PUT | msg_type::RESPONSE,
-                flags: flags::SHED,
-                req_id,
-            });
-            let _ = self.server.shards_mut()[q].stack.send_fast_reject(hdr);
-            return;
-        }
-        let payload = pkt.payload.as_slice().to_vec();
-        // Coordinator-assigned version: the key's newest counter plus one,
-        // tagged with this node's id ([`crate::version`]) so two
-        // coordinators minting concurrently for the same key can never
-        // stamp different values with the same version.
-        let shard = &mut self.server.shards_mut()[q];
-        let vers = version::next(shard.version_of(&key), self.id);
-        let (_, applied) = shard.apply_versioned_put(req_id, &key, &val, vers);
-        if applied {
-            self.log_apply(req_id, &key, &payload, vers);
-        }
-        let awaiting: Vec<u8> = self
-            .map
-            .replicas_for(&key, self.r)
-            .into_iter()
-            .filter(|&n| n != self.id && self.peer_alive(n))
-            .collect();
-        if awaiting.is_empty() {
-            // Sole live replica: the local apply is all the durability
-            // available; ack immediately.
-            self.server.shards_mut()[q].handle(pkt);
-            return;
-        }
         let now = self.now();
-        for &node in &awaiting {
-            self.send_repl_put(node, req_id, &key, &payload, vers);
-        }
+        let awaiting = self.live_backups(&key);
         self.pending.insert(
             req_id,
             PendingRepl {
@@ -376,12 +347,49 @@ impl ClusterNode {
                 shard: q,
                 key,
                 payload,
-                version: vers,
+                version,
                 awaiting,
+                acked: 0,
                 created_ns: now,
                 last_send_ns: now,
             },
         );
+        // With no backup to wait on (R = 1), `maintain_pending` answers
+        // the client at the end of this poll.
+        self.reforward(req_id, now);
+    }
+
+    /// Refuses `pkt` with a header-only `SHED` when fewer than a majority
+    /// of `key`'s replicas, this node included, are alive: quorum reads
+    /// rely on every acked write overlapping every read majority, and an
+    /// ack minted on a minority island is invisible to the other side's
+    /// majorities. Nothing has been applied for the request yet, and the
+    /// client's failover machinery carries the same request id to the
+    /// majority side. Returns whether it refused.
+    fn refuse_minority(&mut self, q: usize, pkt: &Packet, key: &[u8]) -> bool {
+        if self.live_backups(key).len() + 1 >= self.majority() {
+            return false;
+        }
+        let hdr = pkt.hdr.reply(FrameMeta {
+            msg_type: msg_type::PUT | msg_type::RESPONSE,
+            flags: flags::SHED,
+            req_id: pkt.hdr.meta.req_id,
+        });
+        let _ = self.server.shards_mut()[q].stack.send_fast_reject(hdr);
+        true
+    }
+
+    /// Re-sends pending put `req_id` as `REPL_PUT` to the backups it still
+    /// awaits, and stamps the send.
+    fn reforward(&mut self, req_id: u32, now: u64) {
+        let Some(mut p) = self.pending.remove(&req_id) else {
+            return;
+        };
+        for &node in &p.awaiting {
+            self.send_repl_put(node, req_id, &p.key, &p.payload, p.version);
+        }
+        p.last_send_ns = now;
+        self.pending.insert(req_id, p);
     }
 
     /// Backup path: apply the forwarded copy under the same request id
@@ -423,7 +431,10 @@ impl ClusterNode {
             .record(req_id, self.now(), FlightEvent::ReplicaAck { node: from });
         let done = match self.pending.get_mut(&req_id) {
             Some(p) => {
-                p.awaiting.retain(|&n| n != from);
+                if let Some(i) = p.awaiting.iter().position(|&n| n == from) {
+                    p.awaiting.remove(i);
+                    p.acked += 1;
+                }
                 p.awaiting.is_empty()
             }
             None => false, // late ack for a completed/abandoned put
@@ -433,15 +444,21 @@ impl ClusterNode {
         }
     }
 
-    /// Replication finished: answer the client by replaying the original
-    /// request through the KV handler — the dedup window turns the replay
-    /// into a pure acknowledgement (and re-attempts the store write if
-    /// the first apply was degraded).
+    /// Replication finished: every backup the put awaited has acked or
+    /// been marked down. If a majority holds the put, answer the client by
+    /// replaying its request through the KV handler — the dedup window
+    /// turns the replay into a pure acknowledgement (and re-attempts the
+    /// store write if the first apply was degraded). Otherwise the put is
+    /// abandoned unanswered, and the client's retransmit fails over.
     fn complete_pending(&mut self, req_id: u32) {
         let Some(p) = self.pending.remove(&req_id) else {
             return;
         };
-        self.server.shards_mut()[p.shard].handle(p.pkt);
+        if p.acked + 1 >= self.majority() {
+            self.server.shards_mut()[p.shard].handle(p.pkt);
+        } else {
+            self.counters.repl_abandoned.inc();
+        }
     }
 
     fn send_repl_put(&mut self, node: u8, req_id: u32, key: &[u8], payload: &[u8], version: u64) {
@@ -499,38 +516,32 @@ impl ClusterNode {
                     }
                 }
             }
-            let due = now >= self.peers[node].as_ref().expect("peer").next_probe_at;
-            let idle = self.peers[node]
-                .as_ref()
-                .expect("peer")
-                .outstanding
-                .is_none();
-            if due && idle {
-                self.probe_seq = self.probe_seq.wrapping_add(1) | PROBE_ID_BIT;
-                let seq = self.probe_seq;
-                let hdr = PacketHeader {
-                    src_host: self.id,
-                    dst_host: node as u8,
-                    src_port: SERVER_PORT,
-                    dst_port: SERVER_PORT,
-                    meta: FrameMeta {
-                        msg_type: msg_type::PROBE,
-                        flags: 0,
-                        req_id: seq,
-                    },
-                    version: 0,
-                    payload_len: 0,
-                };
-                let sent = self.server.shards_mut()[0]
-                    .stack
-                    .send_fast_reject(hdr)
-                    .is_ok();
-                let peer = self.peers[node].as_mut().expect("peer");
-                peer.next_probe_at = now + PROBE_INTERVAL_NS;
-                if sent {
-                    peer.outstanding = Some((seq, now));
-                    self.counters.probes_sent.inc();
-                }
+            if now < peer.next_probe_at || peer.outstanding.is_some() {
+                continue;
+            }
+            self.probe_seq = self.probe_seq.wrapping_add(1) | PROBE_ID_BIT;
+            let seq = self.probe_seq;
+            let hdr = PacketHeader {
+                src_host: self.id,
+                dst_host: node as u8,
+                src_port: SERVER_PORT,
+                dst_port: SERVER_PORT,
+                meta: FrameMeta {
+                    msg_type: msg_type::PROBE,
+                    flags: 0,
+                    req_id: seq,
+                },
+                version: 0,
+                payload_len: 0,
+            };
+            peer.next_probe_at = now + PROBE_INTERVAL_NS;
+            if self.server.shards_mut()[0]
+                .stack
+                .send_fast_reject(hdr)
+                .is_ok()
+            {
+                peer.outstanding = Some((seq, now));
+                self.counters.probes_sent.inc();
             }
         }
     }
@@ -580,47 +591,26 @@ impl ClusterNode {
             let Some(p) = self.pending.get_mut(&req_id) else {
                 continue;
             };
-            let alive_view: Vec<u8> = p.awaiting.clone();
-            let before = p.awaiting.len();
-            // Re-borrow dance: peer_alive needs &self.
-            let mut still = Vec::with_capacity(before);
-            for n in alive_view {
-                if self
-                    .peers
-                    .get(n as usize)
-                    .and_then(|x| x.as_ref())
-                    .is_some_and(|x| x.alive)
-                {
-                    still.push(n);
-                }
-            }
-            let p = self.pending.get_mut(&req_id).expect("still pending");
-            p.awaiting = still;
+            p.awaiting.retain(|&n| alive(&self.peers, n));
             if p.awaiting.is_empty() {
                 self.complete_pending(req_id);
-                continue;
-            }
-            if now.saturating_sub(p.created_ns) > REPL_ABANDON_NS {
+            } else if now.saturating_sub(p.created_ns) > REPL_ABANDON_NS {
                 self.pending.remove(&req_id);
                 self.counters.repl_abandoned.inc();
-                continue;
-            }
-            if now.saturating_sub(p.last_send_ns) > REPL_RESEND_NS {
-                let (key, payload, version, awaiting) = (
-                    p.key.clone(),
-                    p.payload.clone(),
-                    p.version,
-                    p.awaiting.clone(),
-                );
-                for node in awaiting {
-                    self.send_repl_put(node, req_id, &key, &payload, version);
-                }
-                if let Some(p) = self.pending.get_mut(&req_id) {
-                    p.last_send_ns = now;
-                }
+            } else if now.saturating_sub(p.last_send_ns) > REPL_RESEND_NS {
+                self.reforward(req_id, now);
             }
         }
     }
+}
+
+/// Whether the health view `peers` holds `node` alive (a node's own slot
+/// is `None`, so this is false for itself).
+fn alive(peers: &[Option<PeerHealth>], node: u8) -> bool {
+    peers
+        .get(node as usize)
+        .and_then(Option::as_ref)
+        .is_some_and(|p| p.alive)
 }
 
 impl std::fmt::Debug for ClusterNode {

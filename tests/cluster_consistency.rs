@@ -571,6 +571,18 @@ proptest! {
     }
 }
 
+/// The soak's case seed 17486660695782344001: node 2, split from its peers
+/// before op 4, coordinates put 6 before its probes have marked them down.
+/// Its replication to them never lands, and the put must not be acked on
+/// that minority alone: read 11 on the majority side would then miss the
+/// acked version.
+#[test]
+fn minority_coordinator_does_not_ack_a_put_no_backup_holds() {
+    let ops: Vec<bool> = "GPGPPPGPPGGPG".chars().map(|c| c == 'P').collect();
+    let flight = FlightRecorder::with_capacity(4096);
+    run_quorum_case(17486660695782344001, 2, 4, 8, &ops, flight);
+}
+
 fn run_quorum_case(
     seed: u64,
     victim: u8,
