@@ -126,11 +126,6 @@ pub fn f1(x: f64) -> String {
     format!("{x:.1}")
 }
 
-/// Formats a float with two decimals.
-pub fn f2(x: f64) -> String {
-    format!("{x:.2}")
-}
-
 /// Formats a percent difference with sign.
 pub fn pct(x: f64) -> String {
     format!("{x:+.1}%")
@@ -150,7 +145,6 @@ mod tests {
     #[test]
     fn formatting_helpers() {
         assert_eq!(f1(15.44), "15.4");
-        assert_eq!(f2(1.005), "1.00");
         assert_eq!(pct(15.4), "+15.4%");
         assert_eq!(pct(-3.2), "-3.2%");
         assert_eq!(krps_spread(&[1e5, 2e5, 4e5]), "200.0 (100.0-400.0)");

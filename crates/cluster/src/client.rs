@@ -2,33 +2,37 @@
 //! fault-driven failover, and selectable read consistency.
 //!
 //! A [`ClusterClient`] wraps one ordinary [`KvClient`] attached to its
-//! own switch host and layers cluster routing on top:
+//! own switch host and layers cluster routing on top. Every request — a
+//! put, an [`ReadMode::Any`] read, a [`ReadMode::Quorum`] read — is one
+//! ABD-style operation on the key's replica set under one request id,
+//! and differs from the others only in `need`, the clean replies that
+//! conclude it: one for a put or an Any read, a majority ⌈(R+1)/2⌉ for a
+//! quorum read.
 //!
-//! - **Routing.** Each request computes the key's replica set from the
-//!   shared [`ClusterMap`] and targets the first replica whose breaker
-//!   admits traffic (primary-first), by pointing the stack's
-//!   `peer_host` at that node before the send.
-//! - **Failover.** The inner client's retransmit machinery is the
-//!   failure signal: when a retransmit fires for the outstanding
-//!   request, the current node's breaker records a failure and the
-//!   route rotates to the next replica — the retransmit (same request
-//!   id) then travels to the new node, where cluster-wide dedup keeps
-//!   the put exactly-once.
-//! - **Breakers.** One [`CircuitBreaker`] per node, driven from
-//!   response outcomes (`SHED` and timeouts count as failures), so a
-//!   dead or melting node is skipped at routing time rather than
-//!   rediscovered by every request.
-//! - **Read modes.** [`ReadMode::Any`] serves a GET from the first
-//!   admissible replica — fastest, but a stale rejoined replica can
-//!   legally answer with an old value. [`ReadMode::Quorum`] fans the
-//!   GET to a majority ⌈(R+1)/2⌉ of replicas *under one request id*
-//!   (the inner client's fan-out mode keeps the retransmit timer
-//!   running until the read settles), returns the highest-versioned
-//!   reply, and pushes a fire-and-forget read-repair `REPL_PUT` to
-//!   every stale replica it heard from. Because a put is acked only
-//!   once a majority of its replicas holds it, any read majority
-//!   overlaps the write set and the quorum read observes the newest
-//!   version.
+//! - **Targets.** The key's replicas are walked primary first, and each
+//!   breaker is asked to admit the request only until `need` have; the
+//!   rest pad the list in ring order. The first target gets the send,
+//!   the others an immediate copy under the same id (the inner client's
+//!   fan-out mode delivers every copy's reply and keeps the retransmit
+//!   timer running until the request concludes).
+//! - **Failover.** The inner client's retransmit timer is the failure
+//!   signal, and the retransmit itself — same id — is the failover: the
+//!   replica last aimed at takes a breaker failure, and the one frame of
+//!   the retransmit goes to the next replica in ring order not yet heard
+//!   from, where cluster-wide dedup keeps a put exactly-once.
+//! - **Breakers.** One [`CircuitBreaker`] per node, and one outcome per
+//!   replica per request: the replier is credited a clean reply, charged
+//!   a `SHED`, and a replica that never answered is charged at the
+//!   failover off it or at the timeout. A dead or melting node is
+//!   skipped at routing time rather than rediscovered by every request.
+//! - **Replies.** Clean replies are collected per host; at `need` of
+//!   them the highest-versioned one wins (the first heard on ties), and
+//!   every stale replica heard from gets a fire-and-forget read-repair
+//!   `REPL_PUT`. Because a put is acked only once a majority of its
+//!   replicas holds it, any read majority overlaps the write set and a
+//!   quorum read observes the newest version; an Any read can be served
+//!   an old value by a stale rejoined replica. A `SHED` concludes the
+//!   request once every targeted replica has been judged.
 //! - **Partition suspects.** A node whose breaker is open (requests to
 //!   it kept failing) but whose frames still reach this client is not
 //!   dead — it is partitioned from part of the cluster while the
@@ -36,11 +40,10 @@
 //!   `cluster.client.partition_suspects` rather than folded into the
 //!   failover count.
 //!
-//! Each completed operation — a clean put ack or Any-mode read, a
-//! concluded quorum read — is one [`FlightEvent::ClusterOp`] in the
-//! flight recorder the client's telemetry carries, beside the request's
-//! failovers; the split-brain tests replay those records through
-//! [`crate::history::check`].
+//! Each completed operation — a clean put ack or concluded read — is one
+//! [`FlightEvent::ClusterOp`] in the flight recorder the client's
+//! telemetry carries, beside the request's failovers; the split-brain
+//! tests replay those records through [`crate::history::check`].
 //!
 //! The client is deliberately closed-loop: one outstanding request at a
 //! time, matching the chaos-test driving pattern.
@@ -51,6 +54,7 @@ use cf_kv::overload::{BreakerConfig, BreakerDecision, BreakerState, CircuitBreak
 use cf_sim::Sim;
 use cf_telemetry::{Counter, FlightEvent, FlightRecorder, Telemetry};
 
+use crate::majority;
 use crate::map::{key_point, ClusterMap};
 
 /// Read-consistency policy for [`ClusterClient::send_get`].
@@ -68,40 +72,43 @@ pub enum ReadMode {
     Quorum,
 }
 
-/// The in-flight request's routing state ([`ReadMode::Any`] reads and
-/// all puts).
+/// The one in-flight request. See the module docs for its rules.
 #[derive(Debug)]
-struct Route {
-    id: u32,
-    /// Replica set for the request's key, primary first.
-    replicas: Vec<u8>,
-    /// Index into `replicas` of the node currently targeted.
-    idx: usize,
-    /// The key's ring point.
-    key: u64,
-    is_put: bool,
-    invoke_ns: u64,
-}
-
-/// The in-flight quorum read's state.
-#[derive(Debug)]
-struct QuorumRead {
+struct Request {
     id: u32,
     key: Vec<u8>,
+    put: bool,
     invoke_ns: u64,
-    /// Distinct replica replies required (majority of R).
+    /// Clean replies, from distinct replicas, that conclude the request.
     need: usize,
-    /// Full replica set for the key, primary first.
+    /// The key's replica set, primary first.
     replicas: Vec<u8>,
-    /// Replica hosts a copy of the request was sent to.
+    /// Replicas a copy of the request was sent to.
     targeted: Vec<u8>,
-    /// Hosts whose reply already fed their breaker (clean or SHED):
-    /// each replica takes at most one breaker outcome per read, so the
-    /// timeout sweep skips these instead of double-counting a SHED
-    /// replier as a second failure.
-    responded: Vec<u8>,
-    /// Distinct clean replies collected so far.
+    /// The replica the latest copy went to.
+    aimed: u8,
+    /// Replicas whose breaker has taken this request's one outcome.
+    judged: Vec<u8>,
+    /// Clean replies, one per replica, in arrival order.
     heard: Vec<(u8, Response)>,
+}
+
+impl Request {
+    /// Feeds `host`'s breaker this request's one outcome for it; any later
+    /// outcome (a duplicate reply, the timeout sweep) is ignored.
+    fn judge(&mut self, breakers: &mut [CircuitBreaker], host: u8, ok: bool, now: u64) {
+        if self.judged.contains(&host) {
+            return;
+        }
+        self.judged.push(host);
+        if let Some(b) = breakers.get_mut(host as usize) {
+            if ok {
+                b.on_success(now, self.id);
+            } else {
+                b.on_failure(now, self.id);
+            }
+        }
+    }
 }
 
 /// One closed-loop client with cluster routing and failover. See the
@@ -116,8 +123,7 @@ pub struct ClusterClient {
     r: usize,
     mode: ReadMode,
     breakers: Vec<CircuitBreaker>,
-    route: Option<Route>,
-    quorum: Option<QuorumRead>,
+    request: Option<Request>,
     failovers: Counter,
     quorum_reads: Counter,
     read_repairs: Counter,
@@ -128,12 +134,11 @@ impl ClusterClient {
     /// Breaker tuning for *failover* rather than overload. The default
     /// [`BreakerConfig`] waits for 16 samples at a 90 % failure rate —
     /// right for a server that sheds under load while still answering,
-    /// but far too patient for a dead node: this breaker only ever sees
-    /// one failure per request that had to rotate away (successes credit
-    /// the replica that actually served), so a dead node would stay in
-    /// every route for milliseconds. Two consecutive failed requests to
-    /// the same node trip it; a long open window keeps half-open probes
-    /// (each of which costs a full retransmit timeout) rare.
+    /// but far too patient for a dead node: this breaker sees at most one
+    /// outcome per request, so a dead node would stay in every route for
+    /// milliseconds. Two consecutive failed requests to the same node
+    /// trip it; a long open window keeps half-open probes (each of which
+    /// costs a full retransmit timeout) rare.
     fn failover_breaker() -> CircuitBreaker {
         CircuitBreaker::new(BreakerConfig {
             sample_window_ns: 1_500_000,
@@ -155,8 +160,7 @@ impl ClusterClient {
             r,
             mode: ReadMode::Any,
             breakers,
-            route: None,
-            quorum: None,
+            request: None,
             failovers: Counter::default(),
             quorum_reads: Counter::default(),
             read_repairs: Counter::default(),
@@ -169,7 +173,7 @@ impl ClusterClient {
     /// is outstanding (closed-loop clients never are mid-request).
     pub fn set_read_mode(&mut self, mode: ReadMode) {
         debug_assert!(
-            self.quorum.is_none() && self.route.is_none(),
+            self.request.is_none(),
             "switch read modes between requests, not during one"
         );
         self.mode = mode;
@@ -232,107 +236,78 @@ impl ClusterClient {
         self.breakers[node as usize].state()
     }
 
-    /// Sends a replicated put for `key`. Routed to the first
-    /// breaker-admissible replica; the returned id is stable across
-    /// failover rotations.
+    /// Sends a replicated put for `key`; the returned id is stable across
+    /// failovers.
     pub fn send_put(&mut self, key: &[u8], val: &[u8]) -> u32 {
-        let replicas = self.map.replicas_for(key, self.r);
-        let node = self.admit_route(&replicas);
-        self.kv.stack.set_peer_host(node);
-        let id = self.kv.send_put(key, val);
-        self.note_sent(id, replicas, node, key, true);
-        id
+        self.send(key, Some(val))
     }
 
     /// Sends a get for `key` under the current [`ReadMode`].
     pub fn send_get(&mut self, key: &[u8]) -> u32 {
-        match self.mode {
-            ReadMode::Any => {
-                let replicas = self.map.replicas_for(key, self.r);
-                let node = self.admit_route(&replicas);
-                self.kv.stack.set_peer_host(node);
-                let id = self.kv.send_get(&[key]);
-                self.note_sent(id, replicas, node, key, false);
-                id
-            }
-            ReadMode::Quorum => self.send_quorum_get(key),
-        }
+        self.send(key, None)
     }
 
-    /// Fans one GET to a majority of the key's replicas under a single
-    /// request id. The inner client's fan-out mode delivers every copy's
-    /// reply and keeps the retransmit timer alive until the read settles
-    /// (quorum collected → [`KvClient::finish_request`]; timeout →
-    /// [`KvClient::cancel_fanout`]).
-    fn send_quorum_get(&mut self, key: &[u8]) -> u32 {
-        debug_assert!(self.quorum.is_none(), "closed-loop: one outstanding read");
-        let replicas = self.map.replicas_for(key, self.r);
-        let need = self.r / 2 + 1; // ⌈(R+1)/2⌉: a majority
-        let now = self.sim.now();
-        let upcoming = self.kv.next_req_id();
-        // Breaker-admissible replicas first (primary-first within each
-        // class); a read still fans to `need` targets when fewer admit.
-        let mut targets: Vec<u8> = Vec::with_capacity(replicas.len());
-        for &n in &replicas {
-            if self.breakers[n as usize].admit(now, upcoming) != BreakerDecision::Reject {
-                targets.push(n);
+    /// Sends a put (`val` given) or a get to the request's targets under
+    /// one request id and records it as the request in flight.
+    fn send(&mut self, key: &[u8], val: Option<&[u8]>) -> u32 {
+        debug_assert!(
+            self.request.is_none(),
+            "closed-loop: one outstanding request"
+        );
+        let need = match (val, self.mode) {
+            (None, ReadMode::Quorum) => {
+                self.quorum_reads.inc();
+                majority(self.r)
             }
-        }
-        for &n in &replicas {
-            if !targets.contains(&n) {
-                targets.push(n);
-            }
-        }
-        targets.truncate(need);
-
+            _ => 1,
+        };
+        let (replicas, now) = (self.map.replicas_for(key, self.r), self.sim.now());
+        let targets = self.targets(&replicas, need, now);
         self.kv.stack.set_peer_host(targets[0]);
-        let id = self.kv.send_get(&[key]);
+        let id = match val {
+            Some(val) => self.kv.send_put(key, val),
+            None => self.kv.send_get(&[key]),
+        };
         self.kv.begin_fanout(id);
         for &t in &targets[1..] {
             self.kv.stack.set_peer_host(t);
             self.kv.resend_now(id);
         }
-        self.quorum_reads.inc();
-        self.quorum = Some(QuorumRead {
+        self.request = Some(Request {
             id,
             key: key.to_vec(),
+            put: val.is_some(),
             invoke_ns: now,
             need,
-            replicas,
+            aimed: targets[targets.len() - 1],
             targeted: targets,
-            responded: Vec::with_capacity(need),
+            replicas,
+            judged: Vec::with_capacity(need),
             heard: Vec::with_capacity(need),
         });
         id
     }
 
-    fn note_sent(&mut self, id: u32, replicas: Vec<u8>, node: u8, key: &[u8], is_put: bool) {
-        debug_assert!(self.route.is_none(), "closed-loop: one outstanding request");
-        let idx = replicas.iter().position(|&n| n == node).unwrap_or(0);
-        self.route = Some(Route {
-            id,
-            replicas,
-            idx,
-            key: key_point(key),
-            is_put,
-            invoke_ns: self.sim.now(),
-        });
-    }
-
-    /// First replica whose breaker admits the upcoming request id;
-    /// falls back to the primary when every breaker rejects (so the
-    /// request still resolves — possibly by timeout — rather than
-    /// silently dying).
-    fn admit_route(&mut self, replicas: &[u8]) -> u8 {
-        let now = self.sim.now();
+    /// The `need` replicas a fresh request goes to: breaker-admitted ones
+    /// first, primary first, asking each breaker only until `need` have
+    /// admitted (an admit can be a half-open probe, so it is never asked
+    /// for a replica the request will not reach); then the rest, in ring
+    /// order, so a request still goes out — and resolves, if only by
+    /// timeout — when fewer admit.
+    fn targets(&mut self, replicas: &[u8], need: usize, now: u64) -> Vec<u8> {
         let id = self.kv.next_req_id();
+        let mut admitted = Vec::with_capacity(need);
         for &n in replicas {
-            match self.breakers[n as usize].admit(now, id) {
-                BreakerDecision::Send | BreakerDecision::SendProbe => return n,
-                BreakerDecision::Reject => {}
+            if admitted.len() < need
+                && self.breakers[n as usize].admit(now, id) != BreakerDecision::Reject
+            {
+                admitted.push(n);
             }
         }
-        replicas[0]
+        let mut targets = replicas.to_vec();
+        targets.sort_by_key(|n| !admitted.contains(n));
+        targets.truncate(need);
+        targets
     }
 
     /// Counts stale-reply source hosts whose breaker is open as
@@ -355,193 +330,128 @@ impl ClusterClient {
         }
     }
 
-    /// Drives the inner retransmit timers and translates their signals
-    /// into cluster actions: a retransmit for the outstanding request
-    /// rotates it to the next replica (failover; quorum reads rotate to
-    /// a replica not yet heard from and chase it immediately); a final
-    /// timeout records breaker failures and clears the request state.
-    /// Returns the ids the inner client reported as timed out.
+    /// Drives the inner retransmit timers and aims what they fire: a
+    /// retransmit of the request in flight charges the replica last aimed
+    /// at and goes, as its one frame, to the next replica in ring order
+    /// not yet heard from (failover); a timeout charges every targeted
+    /// replica not yet judged and ends the request. Returns the ids the
+    /// inner client reported as timed out.
     pub fn poll_timers(&mut self) -> Vec<u32> {
         let before = self.kv.retries_sent();
         let timed_out = self.kv.poll_timers();
         self.note_partition_suspects();
         let now = self.sim.now();
-        if let Some(mut q) = self.quorum.take() {
-            if timed_out.contains(&q.id) {
-                // The read is concluding as a timeout: every targeted
-                // replica that never answered takes a breaker failure.
-                // A replica that answered — even with SHED — already fed
-                // its breaker at reply time and is skipped here.
-                self.kv.cancel_fanout(q.id);
-                for &t in &q.targeted {
-                    if !q.responded.contains(&t) {
-                        self.breakers[t as usize].on_failure(now, q.id);
-                    }
-                }
-            } else {
-                if self.kv.retries_sent() > before {
-                    self.rotate_quorum(&mut q, now);
-                }
-                self.quorum = Some(q);
-            }
-            return timed_out;
-        }
-        let Some(mut route) = self.route.take() else {
+        let Some(mut req) = self.request.take() else {
             return timed_out;
         };
-        let cur = route.replicas[route.idx % route.replicas.len()];
-        if timed_out.contains(&route.id) {
-            self.breakers[cur as usize].on_failure(now, route.id);
-        } else {
-            if self.kv.retries_sent() > before {
-                self.breakers[cur as usize].on_failure(now, route.id);
-                route.idx += 1;
-                let next = route.replicas[route.idx % route.replicas.len()];
+        if timed_out.contains(&req.id) {
+            self.kv.finish_request(req.id);
+            for i in 0..req.targeted.len() {
+                req.judge(&mut self.breakers, req.targeted[i], false, now);
+            }
+            return timed_out;
+        }
+        if self.kv.retries_sent() > before {
+            req.judge(&mut self.breakers, req.aimed, false, now);
+            let n = req.replicas.len();
+            let at = req
+                .replicas
+                .iter()
+                .position(|&h| h == req.aimed)
+                .unwrap_or(0);
+            let next = (1..=n)
+                .map(|k| req.replicas[(at + k) % n])
+                .find(|&h| req.heard.iter().all(|(x, _)| *x != h));
+            if let Some(next) = next {
+                if !req.targeted.contains(&next) {
+                    req.targeted.push(next);
+                }
+                req.aimed = next;
                 self.kv.stack.set_peer_host(next);
+                self.kv.resend_now(req.id);
                 self.failovers.inc();
                 self.flight()
-                    .record(route.id, now, FlightEvent::Failover { node: next });
+                    .record(req.id, now, FlightEvent::Failover { node: next });
             }
-            self.route = Some(route);
         }
+        self.request = Some(req);
         timed_out
     }
 
-    /// A quorum read's retransmit fired: the slowest target is suspect.
-    /// Re-aim at a replica not yet heard from — preferring one never
-    /// targeted — and chase it immediately, so a partitioned quorum
-    /// member costs one backoff interval, not the whole read.
-    fn rotate_quorum(&mut self, q: &mut QuorumRead, now: u64) {
-        let heard = |n: u8| q.heard.iter().any(|(h, _)| *h == n);
-        let next = q
-            .replicas
-            .iter()
-            .copied()
-            .find(|&n| !heard(n) && !q.targeted.contains(&n))
-            .or_else(|| q.replicas.iter().copied().find(|&n| !heard(n)));
-        let Some(next) = next else { return };
-        if !q.targeted.contains(&next) {
-            q.targeted.push(next);
-        }
-        self.kv.stack.set_peer_host(next);
-        self.kv.resend_now(q.id);
-        self.failovers.inc();
-        self.flight()
-            .record(q.id, now, FlightEvent::Failover { node: next });
-    }
-
-    /// Receives the next response, feeding outcomes to the serving
-    /// node's breaker. [`ReadMode::Any`] reads and puts return the
-    /// response as-is; quorum replies are collected until a majority of
-    /// distinct replicas answered, then the highest-versioned response
-    /// is returned and stale replicas are read-repaired.
+    /// Receives the next response. A reply to the request in flight
+    /// feeds its replier's breaker and is collected; the request's
+    /// response is returned once `need` replicas answered cleanly (the
+    /// highest-versioned reply), or once a `SHED` leaves no targeted
+    /// replica unjudged (the `SHED`). Replies to any other id are
+    /// returned as-is.
     pub fn recv_response(&mut self) -> Option<Response> {
         loop {
             let resp = self.kv.recv_response()?;
             self.note_partition_suspects();
-            let now = self.sim.now();
-            if let Some(mut q) = self.quorum.take() {
-                if resp.id == Some(q.id) {
-                    let h = resp.from_host;
-                    self.note_suspect_host(h);
-                    // One breaker outcome per replica per read: duplicate
-                    // frames and the timeout sweep must not stack onto it.
-                    let first_outcome = !q.responded.contains(&h);
-                    if resp.flags & flags::SHED != 0 {
-                        if first_outcome {
-                            q.responded.push(h);
-                            if let Some(b) = self.breakers.get_mut(h as usize) {
-                                b.on_failure(now, q.id);
-                            }
-                        }
-                        self.quorum = Some(q);
-                        continue;
-                    }
-                    if first_outcome {
-                        q.responded.push(h);
-                        if let Some(b) = self.breakers.get_mut(h as usize) {
-                            b.on_success(now, q.id);
-                        }
-                    }
-                    if !q.heard.iter().any(|(x, _)| *x == h) {
-                        q.heard.push((h, resp));
-                    }
-                    if q.heard.len() >= q.need {
-                        return Some(self.conclude_quorum(q, now));
-                    }
-                    self.quorum = Some(q);
-                    continue;
-                }
-                self.quorum = Some(q);
+            let Some(mut req) = self.request.take() else {
+                return Some(resp);
+            };
+            if resp.id != Some(req.id) {
+                self.request = Some(req);
+                return Some(resp);
             }
-            if let Some(route) = self.route.take() {
-                if resp.id == Some(route.id) {
-                    let cur = route.replicas[route.idx % route.replicas.len()];
-                    self.note_suspect_host(resp.from_host);
-                    if resp.flags & flags::SHED != 0 {
-                        self.breakers[cur as usize].on_failure(now, route.id);
-                    } else {
-                        self.breakers[cur as usize].on_success(now, route.id);
-                        if resp.flags & flags::DEGRADED == 0 {
-                            self.flight().record(
-                                route.id,
-                                now,
-                                FlightEvent::ClusterOp {
-                                    put: route.is_put,
-                                    key: route.key,
-                                    version: resp.version,
-                                    invoke_ns: route.invoke_ns,
-                                },
-                            );
-                        }
-                    }
-                } else {
-                    // Response for some other (already-resolved) id; keep
-                    // the outstanding route untouched.
-                    self.route = Some(route);
+            let (host, now) = (resp.from_host, self.sim.now());
+            self.note_suspect_host(host);
+            let shed = resp.flags & flags::SHED != 0;
+            req.judge(&mut self.breakers, host, !shed, now);
+            if shed {
+                if req.targeted.iter().all(|t| req.judged.contains(t)) {
+                    self.kv.finish_request(req.id);
+                    return Some(resp);
+                }
+            } else if req.heard.iter().all(|(x, _)| *x != host) {
+                req.heard.push((host, resp));
+                if req.heard.len() >= req.need {
+                    return Some(self.conclude(req, now));
                 }
             }
-            return Some(resp);
+            self.request = Some(req);
         }
     }
 
-    /// A majority answered: settle the request, pick the
-    /// highest-versioned reply (first heard wins ties), push
-    /// read-repairs to every stale replica heard from, and record the
-    /// observation.
-    fn conclude_quorum(&mut self, mut q: QuorumRead, now: u64) -> Response {
-        self.kv.finish_request(q.id);
+    /// `need` replicas answered: end the request, pick the
+    /// highest-versioned reply (first heard wins ties), push read-repairs
+    /// to every stale replica heard from, and record the observation
+    /// unless the reply is `DEGRADED`.
+    fn conclude(&mut self, mut req: Request, now: u64) -> Response {
+        self.kv.finish_request(req.id);
         let mut best = 0;
-        for (i, (_, r)) in q.heard.iter().enumerate() {
-            if r.version > q.heard[best].1.version {
+        for (i, (_, r)) in req.heard.iter().enumerate() {
+            if r.version > req.heard[best].1.version {
                 best = i;
             }
         }
-        let best_version = q.heard[best].1.version;
-        if best_version > 0 {
-            if let Some(val) = q.heard[best].1.vals.first().cloned() {
-                for (h, r) in &q.heard {
-                    if r.version < best_version {
-                        self.kv.stack.set_peer_host(*h);
-                        self.kv.send_repair_put(&q.key, &val, best_version);
-                        self.read_repairs.inc();
-                        self.flight()
-                            .record(q.id, now, FlightEvent::ReplicaPut { node: *h });
-                    }
+        let version = req.heard[best].1.version;
+        if let Some(val) = req.heard[best].1.vals.first() {
+            for (h, r) in &req.heard {
+                if r.version < version {
+                    self.kv.stack.set_peer_host(*h);
+                    self.kv.send_repair_put(&req.key, val, version);
+                    self.read_repairs.inc();
+                    self.flight()
+                        .record(req.id, now, FlightEvent::ReplicaPut { node: *h });
                 }
             }
         }
-        self.flight().record(
-            q.id,
-            now,
-            FlightEvent::ClusterOp {
-                put: false,
-                key: key_point(&q.key),
-                version: best_version,
-                invoke_ns: q.invoke_ns,
-            },
-        );
-        q.heard.swap_remove(best).1
+        let resp = req.heard.swap_remove(best).1;
+        if resp.flags & flags::DEGRADED == 0 {
+            self.flight().record(
+                req.id,
+                now,
+                FlightEvent::ClusterOp {
+                    put: req.put,
+                    key: key_point(&req.key),
+                    version,
+                    invoke_ns: req.invoke_ns,
+                },
+            );
+        }
+        resp
     }
 }
 

@@ -56,6 +56,13 @@ pub use history::{OpKind, Violation};
 pub use map::ClusterMap;
 pub use node::ClusterNode;
 
+/// ⌈(R+1)/2⌉ of `r` replicas, ABD's quorum: a put is acked once this many
+/// hold it and a quorum read concludes on this many replies, so every read
+/// quorum intersects every acked write.
+pub(crate) fn majority(r: usize) -> usize {
+    r / 2 + 1
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

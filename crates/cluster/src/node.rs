@@ -36,7 +36,7 @@ use cf_net::{FrameMeta, Packet, PacketHeader, HEADER_BYTES};
 use cf_telemetry::{Counter, FlightEvent, FlightRecorder, Gauge, Telemetry};
 
 use crate::map::ClusterMap;
-use crate::version;
+use crate::{majority, version};
 
 /// Probe acknowledgement message type.
 const PROBE_ACK: u8 = msg_type::PROBE | msg_type::RESPONSE;
@@ -215,13 +215,6 @@ impl ClusterNode {
             .collect()
     }
 
-    /// Replicas that must hold a put before its client is acked,
-    /// ⌈(R+1)/2⌉: ABD's write quorum, which every read majority
-    /// intersects.
-    fn majority(&self) -> usize {
-        self.r / 2 + 1
-    }
-
     /// Puts whose replication acks are still outstanding.
     pub fn pending_repl(&self) -> usize {
         self.pending.len()
@@ -367,7 +360,7 @@ impl ClusterNode {
     /// client's failover machinery carries the same request id to the
     /// majority side. Returns whether it refused.
     fn refuse_minority(&mut self, q: usize, pkt: &Packet, key: &[u8]) -> bool {
-        if self.live_backups(key).len() + 1 >= self.majority() {
+        if self.live_backups(key).len() + 1 >= majority(self.r) {
             return false;
         }
         let hdr = pkt.hdr.reply(FrameMeta {
@@ -406,9 +399,18 @@ impl ClusterNode {
         // Only frames the store genuinely applied enter the replay log —
         // a stale rejection logged here would churn the bounded log on
         // every heal cycle and could evict entries catch-up still needs.
+        // A read-repair (sent by a client host) of bytes this replica
+        // already holds — the same put minted at two versions by two
+        // coordinators — only adopts the higher version: applied under the
+        // repair's fresh request id, it would count as a second put.
         let version = pkt.hdr.version;
-        let (flags, applied) =
-            self.server.shards_mut()[q].apply_versioned_put(req_id, &key, &val, version);
+        let shard = &mut self.server.shards_mut()[q];
+        let repair = usize::from(pkt.hdr.src_host) >= self.map.nodes();
+        let (flags, applied) = if repair && shard.adopt_repair(&key, &val, version) {
+            (0, false)
+        } else {
+            shard.apply_versioned_put(req_id, &key, &val, version)
+        };
         self.counters.repl_applies.inc();
         if applied {
             let payload = pkt.payload.as_slice().to_vec();
@@ -454,7 +456,7 @@ impl ClusterNode {
         let Some(p) = self.pending.remove(&req_id) else {
             return;
         };
-        if p.acked + 1 >= self.majority() {
+        if p.acked + 1 >= majority(self.r) {
             self.server.shards_mut()[p.shard].handle(p.pkt);
         } else {
             self.counters.repl_abandoned.inc();

@@ -132,12 +132,6 @@ impl CFString {
         CFString(CFBytes::new(ctx, s.as_bytes()))
     }
 
-    /// Constructs from raw bytes without validating (validation happens on
-    /// access).
-    pub fn from_bytes(b: CFBytes) -> CFString {
-        CFString(b)
-    }
-
     /// The raw bytes, no validation.
     pub fn as_bytes(&self) -> &[u8] {
         self.0.as_slice()
@@ -275,7 +269,7 @@ mod tests {
         assert_eq!(s.as_str(&c).unwrap(), "héllo wörld");
 
         // Invalid UTF-8 constructs fine; only access fails.
-        let bad = CFString::from_bytes(CFBytes::new(&c, &[0xFF, 0xFE, 0xFD]));
+        let bad = CFString(CFBytes::new(&c, &[0xFF, 0xFE, 0xFD]));
         assert_eq!(bad.len(), 3);
         assert_eq!(bad.as_str(&c).unwrap_err(), WireError::Utf8);
     }

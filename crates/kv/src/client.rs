@@ -164,10 +164,8 @@ pub struct KvClient {
     jitter_rng: Option<SplitMix64>,
     protection: Option<Protection>,
     pending: HashMap<u32, PendingReq>,
-    /// Request ids fanned out to several hosts under one id (quorum
-    /// reads). While marked, every reply is delivered (never counted
-    /// stale) and the pending entry survives each reply so the retransmit
-    /// timer keeps running until the caller settles the read.
+    /// Request ids whose copies and retransmits the caller aims
+    /// ([`KvClient::begin_fanout`]).
     fanout: HashSet<u32>,
     /// Source hosts of stale (no-longer-pending) responses since the last
     /// [`KvClient::drain_stale_sources`] — the raw signal a routing layer
@@ -311,35 +309,30 @@ impl KvClient {
         self.next_id
     }
 
-    /// Marks `id` as fanned out to several hosts under one request id (a
-    /// quorum read): while marked, replies for `id` are always delivered
-    /// — never counted stale — and the pending entry survives each reply,
-    /// so the retransmit timer keeps running until the caller settles the
-    /// read. The caller MUST end the fan-out with
-    /// [`KvClient::finish_request`] on conclusion or
-    /// [`KvClient::cancel_fanout`] after a timeout.
+    /// Marks `id` as fanned out: its caller aims every copy. While
+    /// marked, replies for `id` are always delivered — never counted stale
+    /// — and the pending entry survives each reply, so the retransmit timer
+    /// keeps running until the caller concludes the request; a retransmit
+    /// that timer fires is counted and re-armed by
+    /// [`KvClient::poll_timers`] but not sent, for the caller to aim with
+    /// [`KvClient::resend_now`]. The caller MUST end the fan-out with
+    /// [`KvClient::finish_request`], on conclusion and on timeout alike.
     pub fn begin_fanout(&mut self, id: u32) {
         self.fanout.insert(id);
     }
 
-    /// Ends a fan-out without touching the pending entry (the timeout
-    /// path of [`KvClient::poll_timers`] already removed it). Late
-    /// replies go back to being counted stale.
-    pub fn cancel_fanout(&mut self, id: u32) {
-        self.fanout.remove(&id);
-    }
-
-    /// Concludes a fanned-out request: drops its pending entry and
-    /// fan-out mark. Replies still in flight are absorbed as stale.
+    /// Ends a fanned-out request, concluded or timed out: drops its pending
+    /// entry (if the timeout has not) and fan-out mark. Replies still in
+    /// flight are absorbed as stale.
     pub fn finish_request(&mut self, id: u32) {
         self.pending.remove(&id);
         self.fanout.remove(&id);
     }
 
     /// Re-transmits a pending request immediately toward the stack's
-    /// current peer host, without waiting for its backoff deadline — how
-    /// a quorum read chases an unheard replica the moment a partition is
-    /// suspected. The deadline and retry count are untouched.
+    /// current peer host, without waiting for its backoff deadline — how a
+    /// fanned-out request sends its extra copies and aims its retransmits.
+    /// The deadline and retry count are untouched.
     pub fn resend_now(&mut self, id: u32) {
         let Some(p) = self.pending.get(&id) else {
             return;
@@ -461,8 +454,10 @@ impl KvClient {
 
     /// Checks in-flight requests against the virtual clock. Overdue
     /// requests are retransmitted with the same id under exponential
-    /// backoff; requests out of retries are dropped and their ids returned
-    /// (the typed timeout signal). No-op unless retries are enabled.
+    /// backoff — a fanned-out one's retransmit is counted and re-armed but
+    /// left to its caller to aim ([`KvClient::begin_fanout`]); requests out
+    /// of retries are dropped and their ids returned (the typed timeout
+    /// signal). No-op unless retries are enabled.
     pub fn poll_timers(&mut self) -> Vec<u32> {
         let mut timed_out = Vec::new();
         if let Some(prot) = &mut self.protection {
@@ -549,7 +544,9 @@ impl KvClient {
             );
             // A failed retransmission (e.g. transient tx-pool pressure) is
             // not fatal: the deadline fires again and we try once more.
-            self.resend_now(id);
+            if !self.fanout.contains(&id) {
+                self.resend_now(id);
+            }
         }
         timed_out
     }

@@ -380,6 +380,20 @@ impl<T: Transport> KvEngine<T> {
         (f, applied)
     }
 
+    /// A read-repair of bytes this replica already holds, found through one
+    /// charged store lookup: adopts `version` if it is above the stored
+    /// one and applies nothing — no store write, no `puts_applied`, no
+    /// dedup entry. Returns whether the bytes were held; if not, the caller
+    /// applies the repair with [`KvEngine::apply_versioned_put`].
+    pub fn adopt_repair(&mut self, key: &[u8], val: &[u8], version: u64) -> bool {
+        let stored = self.store.get(key);
+        let held = stored.is_some_and(|v| v.segments.iter().flat_map(|s| s.iter()).eq(val));
+        if held && version > self.version_of(key) {
+            self.set_version(key, version);
+        }
+        held
+    }
+
     fn set_version(&mut self, key: &[u8], version: u64) {
         // The map owns a key it has seen: only a first write copies it.
         match self.versions.get_mut(key) {
@@ -398,14 +412,18 @@ mod tests {
     use cf_sim::{MachineProfile, Sim};
     use cornflakes_core::SerializationConfig;
 
-    #[test]
-    fn retried_versioned_put_adopts_the_higher_version_once() {
+    fn replica() -> KvServer {
         let (_, end) = link();
         let sim = Sim::new(MachineProfile::tiny_for_tests());
         let config = SerializationConfig::hybrid();
         let stack =
             UdpStack::with_pool_config(sim, end, 9000, config, PoolConfig::small_for_tests());
-        let mut server = KvServer::new(stack, SerKind::Cornflakes);
+        KvServer::new(stack, SerKind::Cornflakes)
+    }
+
+    #[test]
+    fn retried_versioned_put_adopts_the_higher_version_once() {
+        let mut server = replica();
         // The same request id through two coordinators: first at 0x100, then
         // retried at 0x102.
         assert_eq!(server.apply_versioned_put(7, b"k", b"v", 0x100), (0, true));
@@ -420,6 +438,29 @@ mod tests {
         // A lower version on a further hit leaves the stored one.
         server.apply_versioned_put(7, b"k", b"v", 0x101);
         assert_eq!(server.version_of(b"k"), 0x102);
+    }
+
+    #[test]
+    fn repair_of_held_bytes_adopts_the_version_and_applies_nothing() {
+        let mut server = replica();
+        assert_eq!(server.apply_versioned_put(7, b"k", b"v", 0x200), (0, true));
+        // The same bytes under another coordinator's higher version.
+        assert!(server.adopt_repair(b"k", b"v", 0x202));
+        assert_eq!(
+            server.version_of(b"k"),
+            0x202,
+            "the higher version is adopted"
+        );
+        assert!(server.adopt_repair(b"k", b"v", 0x201));
+        assert_eq!(server.version_of(b"k"), 0x202, "a lower one is not");
+        assert_eq!(server.puts_applied(), 1, "no repair applied the bytes");
+        assert_eq!(server.dedup_hits(), 0);
+        // Other bytes, or a key the replica lacks, are not held: the caller
+        // applies those.
+        assert!(!server.adopt_repair(b"k", b"w", 0x300));
+        assert!(!server.adopt_repair(b"x", b"v", 0x300));
+        assert_eq!(server.version_of(b"k"), 0x202);
+        assert_eq!(server.version_of(b"x"), 0);
     }
 
     #[test]

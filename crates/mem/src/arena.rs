@@ -181,11 +181,6 @@ impl Arena {
             spares.push(retired);
         }
     }
-
-    /// Bytes bump-allocated in the current chunk (diagnostic).
-    pub fn current_used(&self) -> usize {
-        self.current.borrow().used.get()
-    }
 }
 
 /// An owned handle to bytes copied into an [`Arena`].
@@ -331,7 +326,7 @@ mod tests {
         let h = a.copy_in(&big);
         assert_eq!(&*h, &big[..]);
         // Current chunk untouched by the oversized allocation.
-        assert_eq!(a.current_used(), 0);
+        assert_eq!(a.current.borrow().used.get(), 0);
     }
 
     #[test]

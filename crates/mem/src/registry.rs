@@ -93,11 +93,6 @@ impl Registry {
         Some(Rc::clone(&by_base[*last_hit].1))
     }
 
-    /// Whether `addr` lies inside any registered region.
-    pub fn is_registered(&self, addr: u64) -> bool {
-        self.region_of(addr).is_some()
-    }
-
     /// The paper's `recover_ptr` (Listing 2): reconstructs an `RcBuf` for
     /// the `len` bytes at `addr`, incrementing the owning slot's reference
     /// count.
@@ -160,7 +155,7 @@ mod tests {
         let reg = Registry::new();
         let heap = vec![0u8; 256];
         assert!(reg.recover(&heap).is_none());
-        assert!(!reg.is_registered(heap.as_ptr() as u64));
+        assert!(reg.region_of(heap.as_ptr() as u64).is_none());
     }
 
     #[test]

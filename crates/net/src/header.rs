@@ -122,18 +122,6 @@ impl PacketHeader {
         })
     }
 
-    /// The destination host id of a raw frame, without a full decode — what
-    /// a switch reads to pick the output port. Frames too short to carry
-    /// one forward to host 0.
-    pub fn frame_dst_host(frame: &[u8]) -> u8 {
-        frame.get(OFF_DST_HOST).copied().unwrap_or(0)
-    }
-
-    /// The source host id of a raw frame (0 when too short).
-    pub fn frame_src_host(frame: &[u8]) -> u8 {
-        frame.get(OFF_SRC_HOST).copied().unwrap_or(0)
-    }
-
     /// A header with source and destination (hosts and ports) swapped, for
     /// replies.
     pub fn reply(&self, meta: FrameMeta) -> PacketHeader {
@@ -177,8 +165,6 @@ mod tests {
         assert_eq!(d.meta, h.meta);
         assert_eq!(d.version, 0x0123_4567_89AB_CDEF);
         assert_eq!(d.payload_len, 100);
-        assert_eq!(PacketHeader::frame_dst_host(&frame), 7);
-        assert_eq!(PacketHeader::frame_src_host(&frame), 3);
     }
 
     #[test]
@@ -199,7 +185,7 @@ mod tests {
         let mut frame = vec![0u8; HEADER_BYTES];
         h.encode(&mut frame);
         assert!(frame[..34].iter().all(|&b| b == 0), "L2/L3 stub stays zero");
-        assert_eq!(PacketHeader::frame_dst_host(&frame), 0);
+        assert_eq!(PacketHeader::decode(&frame).unwrap().dst_host, 0);
     }
 
     #[test]

@@ -302,15 +302,6 @@ impl FaultInjector {
         })
     }
 
-    /// Replaces the probabilistic plan (restarting its RNG from the new
-    /// plan's seed); held-back frames and statistics are kept.
-    pub fn set_plan(&self, plan: FaultPlan) {
-        self.with_state(move |s, _| {
-            s.rng = SplitMix64::new(plan.seed);
-            s.plan = plan;
-        });
-    }
-
     /// Frames currently queued for delivery (due delayed frames included).
     pub fn pending(&self) -> usize {
         let ch = self.channel.borrow();
@@ -395,19 +386,6 @@ impl FaultInjector {
         })
     }
 
-    /// Swaps the two frames at the head of the queue; returns whether a
-    /// swap happened.
-    pub fn reorder_pending(&self) -> bool {
-        self.with_state(|s, q| {
-            if q.len() < 2 {
-                return false;
-            }
-            q.swap(0, 1);
-            s.counters.reordered.inc();
-            true
-        })
-    }
-
     /// Attaches `tele`: this channel's fault counter cells are adopted as
     /// `fault.<prefix>.*`, holding whatever they have counted so far.
     pub fn set_telemetry(&self, tele: &Telemetry, prefix: &str) {
@@ -439,13 +417,13 @@ mod tests {
     use super::*;
     use crate::frame::link;
 
-    fn flood(n: usize) -> (crate::Port, FaultInjector, Clock) {
+    fn flood(n: usize, plan: FaultPlan) -> (crate::Port, FaultInjector, Clock) {
         let clock = Clock::new();
         let (a, b) = link();
         for i in 0..n {
             a.send(Frame::new(vec![i as u8; 32]));
         }
-        let inj = b.install_faults(clock.clone(), FaultPlan::none());
+        let inj = b.install_faults(clock.clone(), plan);
         (b, inj, clock)
     }
 
@@ -455,7 +433,7 @@ mod tests {
 
     #[test]
     fn quiet_plan_is_transparent_fifo() {
-        let (b, inj, _clock) = flood(5);
+        let (b, inj, _clock) = flood(5, FaultPlan::none());
         let got = drain(&b);
         assert_eq!(got.len(), 5);
         for (i, f) in got.iter().enumerate() {
@@ -467,16 +445,14 @@ mod tests {
 
     #[test]
     fn drop_all_plan_loses_everything() {
-        let (b, inj, _clock) = flood(8);
-        inj.set_plan(FaultPlan::seeded(1).with_drop(1.0));
+        let (b, inj, _clock) = flood(8, FaultPlan::seeded(1).with_drop(1.0));
         assert!(drain(&b).is_empty());
         assert_eq!(inj.stats().dropped, 8);
     }
 
     #[test]
     fn duplicate_plan_delivers_copies() {
-        let (b, inj, _clock) = flood(1);
-        inj.set_plan(FaultPlan::seeded(2).with_duplicate(1.0));
+        let (b, inj, _clock) = flood(1, FaultPlan::seeded(2).with_duplicate(1.0));
         let got = drain(&b);
         assert!(got.len() >= 2, "the frame and at least one copy");
         assert!(got.iter().all(|f| f.data == got[0].data));
@@ -485,8 +461,7 @@ mod tests {
 
     #[test]
     fn corrupt_plan_flips_exactly_one_bit() {
-        let (b, inj, _clock) = flood(1);
-        inj.set_plan(FaultPlan::seeded(3).with_corrupt(1.0));
+        let (b, inj, _clock) = flood(1, FaultPlan::seeded(3).with_corrupt(1.0));
         let got = drain(&b);
         assert_eq!(got.len(), 1);
         let diff: u32 = got[0]
@@ -501,7 +476,7 @@ mod tests {
 
     #[test]
     fn placed_burst_flips_exactly_the_named_bits() {
-        let (b, inj, _clock) = flood(1);
+        let (b, inj, _clock) = flood(1, FaultPlan::none());
         // Bits 6..19: the top two of byte 0, all of byte 1, the low three
         // of byte 2.
         assert!(inj.corrupt_pending_at(6, 13));
@@ -518,8 +493,7 @@ mod tests {
 
     #[test]
     fn delayed_frames_release_when_due() {
-        let (b, inj, clock) = flood(1);
-        inj.set_plan(FaultPlan::seeded(4).with_delay(1.0, (500, 500)));
+        let (b, inj, clock) = flood(1, FaultPlan::seeded(4).with_delay(1.0, (500, 500)));
         assert!(b.recv().is_none(), "held back");
         assert_eq!(inj.stats().delayed, 1);
         clock.advance(499);
@@ -563,8 +537,7 @@ mod tests {
 
     #[test]
     fn surgical_ops_cover_all_fault_classes() {
-        let (b, inj, clock) = flood(3);
-        assert!(inj.reorder_pending());
+        let (b, inj, clock) = flood(3, FaultPlan::none());
         assert!(inj.duplicate_pending());
         assert!(inj.corrupt_pending());
         assert!(inj.delay_pending(100));
@@ -572,8 +545,8 @@ mod tests {
         clock.advance(100);
         let s = inj.stats();
         assert_eq!(
-            (s.reordered, s.duplicated, s.corrupted, s.delayed, s.dropped),
-            (1, 1, 1, 1, 1)
+            (s.duplicated, s.corrupted, s.delayed, s.dropped),
+            (1, 1, 1, 1)
         );
         // 3 original + 1 duplicate - 1 dropped = 3 still deliverable.
         assert_eq!(drain(&b).len(), 3);
@@ -582,7 +555,7 @@ mod tests {
     #[test]
     fn telemetry_counters_mirror_stats() {
         use cf_telemetry::Telemetry;
-        let (b, inj, _clock) = flood(2);
+        let (b, inj, _clock) = flood(2, FaultPlan::none());
         let tele = Telemetry::new(Clock::new());
         inj.set_telemetry(&tele, "b_rx");
         assert!(inj.drop_pending());

@@ -161,16 +161,6 @@ pub fn link() -> (Port, Port) {
 }
 
 impl Port {
-    /// Creates a port looped back to itself (transmitted frames are
-    /// received by the same port). Useful for single-machine tests.
-    pub fn loopback() -> Port {
-        let q = Rc::new(RefCell::new(Channel::default()));
-        Port {
-            tx: Rc::clone(&q),
-            rx: q,
-        }
-    }
-
     /// Transmits a frame.
     pub fn send(&self, frame: Frame) {
         self.tx.borrow_mut().queue.push_back(frame);
@@ -255,13 +245,6 @@ mod tests {
         for i in 0..10u8 {
             assert_eq!(b.recv().unwrap().data, vec![i]);
         }
-    }
-
-    #[test]
-    fn loopback_receives_own_frames() {
-        let p = Port::loopback();
-        p.send(Frame::new(vec![9]));
-        assert_eq!(p.recv().unwrap().data, vec![9]);
     }
 
     #[test]

@@ -452,11 +452,6 @@ impl Nic {
         self.queues.iter().map(|q| q.completion_queue.len()).sum()
     }
 
-    /// Number of descriptors still held by queue `q`.
-    pub fn pending_completions_on(&self, q: usize) -> usize {
-        self.queues[q].completion_queue.len()
-    }
-
     /// Bounds queue `q`'s rx staging ring to `limit` frames (0 restores the
     /// unbounded default). Frames steered to a full queue are tail-dropped
     /// and counted in [`NicStats::rx_backlog_drops`] — NIC-side work, no CPU
@@ -891,14 +886,12 @@ mod tests {
         nic.post_tx_on(0, vec![buf(&pool, b"q0-b")]).unwrap();
         nic.post_tx_on(2, vec![buf(&pool, b"q2")]).unwrap();
         assert_eq!(nic.pending_completions(), 3);
-        assert_eq!(nic.pending_completions_on(0), 2);
-        assert_eq!(nic.pending_completions_on(1), 0);
-        assert_eq!(nic.pending_completions_on(2), 1);
         // Reaping queue 2 must not touch queue 0's descriptors.
         assert_eq!(nic.poll_completions_on(2), 1);
         assert_eq!(nic.queue_stats(2).completions, 1);
         assert_eq!(nic.queue_stats(0).completions, 0);
-        assert_eq!(nic.pending_completions_on(0), 2);
+        assert_eq!(nic.pending_completions(), 2);
+        assert_eq!(nic.poll_completions_on(1), 0);
         // The aggregate poll reaps the rest, attributed per queue.
         assert_eq!(nic.poll_completions(), 2);
         assert_eq!(nic.queue_stats(0).completions, 2);

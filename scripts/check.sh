@@ -123,6 +123,8 @@ cargo test -q -p cf-bench --lib experiments::failover
 
 echo "==> partition smoke: stale reads under Any, none under Quorum"
 cargo test -q -p cf-bench --lib experiments::partition
+# cf-cluster's own unit tests, which the root package's run does not reach.
+cargo test -q -p cf-cluster
 # Under --full the 256-case consistency soak below covers this run.
 if [ "${1:-}" != "--full" ]; then
     cargo test -q --test cluster_consistency

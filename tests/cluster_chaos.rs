@@ -364,6 +364,31 @@ fn put_retried_through_a_second_coordinator_keeps_one_version() {
     );
 }
 
+/// The soak's case seed 11476602160499290812 in quorum mode: put 10's
+/// coordinator, node 2, loses its `REPL_PUT` to node 0, and the client's
+/// first retransmit fails over to node 0, which mints its own version for
+/// the same bytes. Quorum GET 13 sees the two versions before node 2's
+/// re-forward makes them agree, and read-repairs node 0. Unless a repair of
+/// bytes a replica already holds only adopts the higher version, node 0
+/// applies the put a second time under the repair's request id.
+#[test]
+fn read_repair_of_bytes_a_replica_holds_applies_nothing() {
+    let ops: Vec<bool> = "GGGGGPPGGPGGGGGGGGGPP".chars().map(|c| c == 'P').collect();
+    let flight = FlightRecorder::with_capacity(4096);
+    run_case(
+        11476602160499290812,
+        ReadMode::Quorum,
+        330,
+        216,
+        408,
+        1,
+        4,
+        false,
+        &ops,
+        flight,
+    );
+}
+
 /// Deterministic availability check (no random faults): kill a node
 /// mid-workload and require the cluster to keep answering — every
 /// post-kill request resolves as a response, not a timeout, once the
